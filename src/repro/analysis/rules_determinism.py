@@ -8,7 +8,8 @@ way that property silently breaks:
 D101   ``random`` imported outside :mod:`repro.engine.rng` — all randomness
        must flow through named :class:`~repro.engine.rng.RngFactory` streams
 D102   wall-clock reads (``time``/``datetime``) inside simulation logic
-D103   ambient entropy: ``uuid``, ``secrets``, ``os.urandom``
+D103   ambient entropy: ``uuid``, ``secrets``, ``os.urandom``; and, inside
+       simulation logic, the process environment (``os.environ``/``getenv``)
 D104   iteration over an unordered ``set`` feeding results (order leaks into
        output unless wrapped in ``sorted``/order-insensitive reducers)
 D105   numpy *global* RNG state (``np.random.seed``/``np.random.rand``/...)
@@ -117,12 +118,26 @@ def check_wall_clock(project: Project) -> Iterator[Finding]:
                     )
 
 
+#: environment accessors of :mod:`os` (attribute or ``from os import`` name).
+_ENV_READS = ("environ", "getenv")
+
+
 @rule("D103", "ambient-entropy", "error",
-      "no uuid/secrets/os.urandom anywhere in src: entropy breaks replay")
+      "no uuid/secrets/os.urandom anywhere in src, no os.environ in simulation "
+      "logic: ambient state breaks replay")
 def check_entropy(project: Project) -> Iterator[Finding]:
     rule_obj = RULE_REGISTRY["D103"]
+    env_message = (
+        "environment read in simulation logic: a run must be a pure function "
+        "of its spec — take the value as a spec field or a RunOptions entry"
+    )
     for module in project.modules:
+        sim_scope = in_sim_scope(module)
         for node in _runtime_imports(module):
+            if (sim_scope and isinstance(node, ast.ImportFrom)
+                    and node.module == "os"
+                    and any(alias.name in _ENV_READS for alias in node.names)):
+                yield module.finding(rule_obj, node, env_message)
             for root in _imported_roots(node):
                 if root in ("uuid", "secrets"):
                     yield module.finding(
@@ -137,6 +152,10 @@ def check_entropy(project: Project) -> Iterator[Finding]:
                     "os.urandom() is unseedable entropy; derive bytes from "
                     "hashlib over seeded inputs instead",
                 )
+            elif (sim_scope and isinstance(node, ast.Attribute)
+                    and node.attr in _ENV_READS
+                    and dotted_name(node.value) == "os"):
+                yield module.finding(rule_obj, node, env_message)
 
 
 #: wrappers that neutralize iteration order.

@@ -3,9 +3,10 @@
 The batched backend runs N replicates of the *same* ExperimentSpec under
 derived seeds together: replicate-independent precompute (topology wiring,
 minimal-route tables, initial Q-tables — see :mod:`repro.engine.batch.model`)
-is paid once per batch, Q-table state lives in one numpy array indexed
-``[replicate, router, row, column]``, and provably no-op wake events are
-elided from the per-replicate heaps (:mod:`repro.engine.batch.kernel`).
+is paid once per batch, each replicate's Q-tables are nested lists indexed
+``[router][row][column]``, and provably no-op events are accounted for
+without travelling through the per-replicate calendar queues
+(:mod:`repro.engine.batch.kernel`).
 
 Per-replicate results are **bit-identical** to the scalar backend — same
 event ordering, same float accumulation order, same RNG draws — or the spec

@@ -19,26 +19,18 @@ insertion into the *current* bucket is a ``bisect.insort`` above the cursor
 — safe because a scheduled time is never below the executing event's
 ``(time, seq)`` — and every insertion into a future bucket is a plain
 append.  Drained buckets are freed as the cursor advances; the cursor
-``(bucket, offset)`` persists across lockstep slices.  This replaces the
-former per-replicate binary heap: O(1) fetch and append against
-O(log n) tuple-comparing sifts, preserving the exact ``(time, seq)``
-total order the equivalence suite pins.
+``(bucket, offset)`` persists across lockstep slices.  Fetch and append are
+O(1), and the drain visits events in the exact ``(time, seq)`` total order
+of the scalar heap, which the equivalence suite pins.
 
 **Monolithic drain.**  ``_advance`` inlines the entire per-event path —
 route/forward chain, waiter serve, traffic replay, NIC injection, Q-table
-folds — into one loop with every constant bound as a local, eliminating the
-per-event Python frames the profile showed dominating the old kernel.
+folds — into one loop with every constant bound as a local, so an event
+costs no Python frame of its own.
 
-**Q-table tiers.**  The default (pure-Python) tier keeps each replicate's
-Q-tables as nested Python lists — scalar float math, no numpy scalar boxing
-on the per-decision path.  The array tier (``REPRO_BATCH_JIT``, or
-``array_path=True``) keeps them as one float64 array per batch indexed
-``[replicate, router, row, column]`` and routes every table read/fold
-through the module-level :func:`maybe_jit` helpers, compiled by numba when
-the JIT tier is engaged (see :mod:`repro.engine.batch.jit`).  Both tiers
-run IEEE-754 binary64 operations in the same order, so both are
-bit-identical to scalar; the equivalence suite passes with the flag off
-and on.
+**Q-tables.**  Each replicate's Q-tables are nested Python lists indexed
+``[router][row][column]``: the per-decision path is scalar float math on a
+5- to 11-column row, where plain lists avoid numpy-scalar boxing.
 
 **Payload pool.**  Packet records (plain 13-slot lists) are recycled
 through a per-replicate free list when they leave the network.  A packet
@@ -83,11 +75,8 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.engine.batch.jit import jit_engaged, maybe_jit
 from repro.engine.batch.model import BatchModel
 from repro.engine.batch.trace import TraceEntry, record_traffic_trace
 from repro.engine.rng import RngFactory
@@ -122,99 +111,6 @@ BUCKET_TARGET_NS = 16.0
 MAX_BUCKETS = 4096
 
 
-# --------------------------------------------------------------- jit helpers
-# The array-tier numeric kernels.  Array-in/scalar-out, no Python objects:
-# compiled with numba.njit when the JIT tier is engaged, and their own
-# pure-Python reference implementation otherwise (the equivalence tests run
-# them interpreted; CI's optional-deps job runs them compiled).  All operate
-# on the per-replicate float64 view ``qv[router, row, column]``.
-
-@maybe_jit
-def _hysteretic_fold(current: float, target: float, alpha: float,
-                     beta: float) -> float:
-    """Hysteretic Q-update (Equation 3): optimistic rate towards worse values."""
-    delta = target - current
-    rate = alpha if delta < 0.0 else beta
-    return current + rate * delta
-
-
-@maybe_jit
-def _fold_one(qv: np.ndarray, router: int, row: int, column: int,
-              target: float, alpha: float, beta: float) -> None:
-    """Apply one hysteretic update in place (array tier)."""
-    current = qv[router, row, column]
-    delta = target - current
-    if delta < 0.0:
-        qv[router, row, column] = current + alpha * delta
-    else:
-        qv[router, row, column] = current + beta * delta
-
-
-@maybe_jit
-def _row_min(qv: np.ndarray, router: int, row: int) -> float:
-    """Minimum of one table row (array tier)."""
-    q = qv[router, row, 0]
-    for column in range(1, qv.shape[2]):
-        value = qv[router, row, column]
-        if value < q:
-            q = value
-    return q
-
-
-@maybe_jit
-def _row_argmin(qv: np.ndarray, router: int, row: int) -> int:
-    """First-minimum column of one table row (array tier)."""
-    best = 0
-    q_best = qv[router, row, 0]
-    for column in range(1, qv.shape[2]):
-        value = qv[router, row, column]
-        if value < q_best:
-            q_best = value
-            best = column
-    return best
-
-
-@maybe_jit
-def _qadp_source_choice(qv: np.ndarray, router: int, row: int, min_column: int,
-                        q_thld: float) -> int:
-    """Source-router Q-adp choice: minimal unless the advantage clears q_thld1.
-
-    Returns the chosen *column* (first minimum wins ties, like
-    ``list.index(min(...))`` on the scalar path).
-    """
-    q_min = qv[router, row, min_column]
-    best = 0
-    q_best = qv[router, row, 0]
-    for column in range(1, qv.shape[2]):
-        value = qv[router, row, column]
-        if value < q_best:
-            q_best = value
-            best = column
-    if q_min <= 0.0:
-        advantage = 0.0
-    else:
-        advantage = (q_min - q_best) / q_min
-    if advantage < q_thld:
-        return min_column
-    return best
-
-
-@maybe_jit
-def _qadp_reroute_choice(qv: np.ndarray, router: int, row: int,
-                         min_column: int, rand_column: int,
-                         q_thld: float) -> int:
-    """Intermediate Q-adp choice between the minimal and one random column."""
-    q_min = qv[router, row, min_column]
-    q_best = qv[router, row, rand_column]
-    if q_min <= 0.0:
-        advantage = 0.0
-    else:
-        advantage = (q_min - q_best) / q_min
-    if advantage < q_thld:
-        return min_column
-    return rand_column
-
-
 class ReplicateState:
     """Mutable per-replicate simulation state (see BatchKernel)."""
 
@@ -223,15 +119,13 @@ class ReplicateState:
         "bufs", "out_busy", "waiting", "cred",
         "pend_wakes", "pend_cred", "pend_qfb",
         "nic_busy", "nic_q", "nic_retry", "nic_cred", "pend_nic",
-        "qv", "qt", "pool", "rng", "trace", "ptr", "executed", "elided",
+        "qt", "pool", "rng", "trace", "ptr", "executed", "elided",
         "glog", "dlog",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
     )
 
-    def __init__(self, model: BatchModel, seed: int,
-                 qv: Optional[np.ndarray],
-                 qt: Optional[List[List[List[float]]]]) -> None:
+    def __init__(self, model: BatchModel, seed: int) -> None:
         size = model.num_routers * model.k
         num_vcs = model.num_vcs
         self.seed = seed
@@ -261,8 +155,10 @@ class ReplicateState:
         self.nic_retry = [False] * num_nodes
         self.nic_cred = [model.nic_cred_cap] * num_nodes
         self.pend_nic: List[List[Tuple[float, int]]] = [[] for _ in range(num_nodes)]
-        self.qv = qv  # array tier: [router, row, col] float64 view
-        self.qt = qt  # flat tier: nested per-router Python lists
+        # Q-tables [router][row][column]; empty under MIN, which reads none.
+        self.qt: List[List[List[float]]] = (
+            [] if model.init_values is None else model.init_values.tolist()
+        )
         self.pool: List[List] = []  # recycled packet records (never-waited only)
         # The same named stream the scalar routing draws from on attach.
         self.rng = RngFactory(seed).py(f"routing:{model.spec.routing}")
@@ -308,36 +204,11 @@ class ReplicateState:
 class BatchKernel:
     """Advances all replicates of one batch in lockstep time slices."""
 
-    def __init__(self, model: BatchModel, seeds: List[int], *,
-                 array_path: Optional[bool] = None) -> None:
+    def __init__(self, model: BatchModel, seeds: List[int]) -> None:
         self.model = model
         self.seeds = list(seeds)
         self.horizon = float(model.spec.sim_time_ns)
-        if array_path is None:
-            array_path = jit_engaged()
-        self.array_path = array_path
-        if model.init_values is not None and array_path:
-            # Array-tier state layout: Q-values of the whole batch in one
-            # array indexed [replicate, router, row, column].
-            self.qvalues: Optional[np.ndarray] = np.repeat(
-                model.init_values[None, ...], len(self.seeds), axis=0
-            )
-        else:
-            self.qvalues = None
-        if model.init_values is not None and not array_path:
-            states = [
-                ReplicateState(model, seed, None, model.init_values.tolist())
-                for seed in self.seeds
-            ]
-        else:
-            states = [
-                ReplicateState(
-                    model, seed,
-                    None if self.qvalues is None else self.qvalues[i], None,
-                )
-                for i, seed in enumerate(self.seeds)
-            ]
-        self.states = states
+        self.states = [ReplicateState(model, seed) for seed in self.seeds]
         self.now = 0.0
 
     # ------------------------------------------------------------- lockstep
@@ -390,31 +261,22 @@ class BatchKernel:
                         elided += 1
                 del pend[:]
             qt = st.qt
-            qv = st.qv
             for router, pend in enumerate(st.pend_qfb):
                 if not pend:
                     continue
                 # Pends are kept sorted by (time, seq): maturity is a prefix.
                 applied = 0
-                if qt is not None:
-                    table = qt[router]
-                    for entry in pend:
-                        if entry[0] > until:
-                            break
-                        row = table[entry[2]]
-                        column = entry[3]
-                        current = row[column]
-                        delta = entry[4] - current
-                        rate = alpha if delta < 0.0 else beta
-                        row[column] = current + rate * delta
-                        applied += 1
-                else:
-                    for entry in pend:
-                        if entry[0] > until:
-                            break
-                        _fold_one(qv, router, entry[2], entry[3], entry[4],
-                                  alpha, beta)
-                        applied += 1
+                table = qt[router]
+                for entry in pend:
+                    if entry[0] > until:
+                        break
+                    row = table[entry[2]]
+                    column = entry[3]
+                    current = row[column]
+                    delta = entry[4] - current
+                    rate = alpha if delta < 0.0 else beta
+                    row[column] = current + rate * delta
+                    applied += 1
                 st.c_fb_app += applied
                 elided += applied
                 del pend[:]
@@ -486,7 +348,6 @@ class BatchKernel:
         ptr = st.ptr
         pool = st.pool
         qt = st.qt
-        qv = st.qv
         rand = st.rng.random
         randrange = st.rng.randrange
         int_ = int
@@ -737,32 +598,20 @@ class BatchKernel:
                             t2 = e0[0]
                             if t2 < now or (t2 == now and e0[1] < cur_seq):
                                 matured = 0
-                                if qt is not None:
-                                    table = qt[router]
-                                    for entry in pend:
-                                        t2 = entry[0]
-                                        if t2 < now or (t2 == now
-                                                        and entry[1] < cur_seq):
-                                            row_l = table[entry[2]]
-                                            column = entry[3]
-                                            current = row_l[column]
-                                            delta = entry[4] - current
-                                            rate = alpha if delta < 0.0 else beta
-                                            row_l[column] = current + rate * delta
-                                            matured += 1
-                                        else:
-                                            break
-                                else:
-                                    for entry in pend:
-                                        t2 = entry[0]
-                                        if t2 < now or (t2 == now
-                                                        and entry[1] < cur_seq):
-                                            _fold_one(qv, router, entry[2],
-                                                      entry[3], entry[4],
-                                                      alpha, beta)
-                                            matured += 1
-                                        else:
-                                            break
+                                table = qt[router]
+                                for entry in pend:
+                                    t2 = entry[0]
+                                    if t2 < now or (t2 == now
+                                                    and entry[1] < cur_seq):
+                                        row_l = table[entry[2]]
+                                        column = entry[3]
+                                        current = row_l[column]
+                                        delta = entry[4] - current
+                                        rate = alpha if delta < 0.0 else beta
+                                        row_l[column] = current + rate * delta
+                                        matured += 1
+                                    else:
+                                        break
                                 del pend[:matured]
                                 c_fb_app += matured
                                 elided += matured
@@ -775,23 +624,17 @@ class BatchKernel:
                                 # Source router: minimal vs. global best.
                                 row = dst_group * p_ + pkt[5]
                                 min_port = min_next_r[dst_router]
-                                if qt is not None:
-                                    row_l = qt[router][row]
-                                    q_min = row_l[min_port - first_port]
-                                    q_best = min(row_l)
-                                    best_port = row_l.index(q_best) + first_port
-                                    if q_min <= 0.0:
-                                        advantage = 0.0
-                                    else:
-                                        advantage = (q_min - q_best) / q_min
-                                    temp_port = (min_port
-                                                 if advantage < q_thld1
-                                                 else best_port)
+                                row_l = qt[router][row]
+                                q_min = row_l[min_port - first_port]
+                                q_best = min(row_l)
+                                best_port = row_l.index(q_best) + first_port
+                                if q_min <= 0.0:
+                                    advantage = 0.0
                                 else:
-                                    temp_port = first_port + _qadp_source_choice(
-                                        qv, router, row,
-                                        min_port - first_port, q_thld1,
-                                    )
+                                    advantage = (q_min - q_best) / q_min
+                                temp_port = (min_port
+                                             if advantage < q_thld1
+                                             else best_port)
                                 if temp_port == min_port:
                                     c_src_min += 1
                                 else:
@@ -815,25 +658,16 @@ class BatchKernel:
                                     rand_port = local_ports[
                                         randrange(len_(local_ports))
                                     ]
-                                    if qt is not None:
-                                        row_l = qt[router][row]
-                                        q_min = row_l[min_port - first_port]
-                                        q_best = row_l[rand_port - first_port]
-                                        if q_min <= 0.0:
-                                            advantage = 0.0
-                                        else:
-                                            advantage = (q_min - q_best) / q_min
-                                        temp_port = (min_port
-                                                     if advantage < q_thld2
-                                                     else rand_port)
+                                    row_l = qt[router][row]
+                                    q_min = row_l[min_port - first_port]
+                                    q_best = row_l[rand_port - first_port]
+                                    if q_min <= 0.0:
+                                        advantage = 0.0
                                     else:
-                                        temp_port = (first_port
-                                                     + _qadp_reroute_choice(
-                                                         qv, router, row,
-                                                         min_port - first_port,
-                                                         rand_port - first_port,
-                                                         q_thld2,
-                                                     ))
+                                        advantage = (q_min - q_best) / q_min
+                                    temp_port = (min_port
+                                                 if advantage < q_thld2
+                                                 else rand_port)
                                     if temp_port == min_port:
                                         c_int_min += 1
                                     else:
@@ -853,14 +687,9 @@ class BatchKernel:
                                 c_forced += 1
                                 out = min_next_r[dst_router]
                             else:
-                                if qt is not None:
-                                    row_l = qt[router][dst_router]
-                                    best_port = (row_l.index(min(row_l))
-                                                 + first_port)
-                                else:
-                                    best_port = (_row_argmin(qv, router,
-                                                             dst_router)
-                                                 + first_port)
+                                row_l = qt[router][dst_router]
+                                best_port = (row_l.index(min(row_l))
+                                             + first_port)
                                 candidates = explore[router]
                                 if (epsilon > 0.0 and candidates
                                         and rand() < epsilon):
@@ -880,15 +709,9 @@ class BatchKernel:
                             if router == pkt[2]:
                                 q_next = 0.0
                             elif onpolicy and out >= num_host_r:
-                                if qt is not None:
-                                    q_next = qt[router][frow][out - first_port]
-                                else:
-                                    q_next = qv[router, frow, out - first_port]
+                                q_next = qt[router][frow][out - first_port]
                             else:
-                                if qt is not None:
-                                    q_next = min(qt[router][frow])
-                                else:
-                                    q_next = _row_min(qv, router, frow)
+                                q_next = min(qt[router][frow])
                             c_fb_sent += 1
                             s2 = nseq
                             nseq = s2 + 1

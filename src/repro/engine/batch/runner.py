@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.engine.batch.jit import jit_engaged
 from repro.engine.batch.kernel import BatchKernel, ReplicateState
 from repro.engine.batch.model import KIND_QADP, KIND_QROUTING, build_model
 
@@ -34,8 +33,7 @@ DEFAULT_SLICES = 1
 class BatchSimulation:
     """N replicates of one spec advancing in lockstep (see module docstring)."""
 
-    def __init__(self, spec: "ExperimentSpec", seeds: Sequence[int], *,
-                 array_path: "bool | None" = None) -> None:
+    def __init__(self, spec: "ExperimentSpec", seeds: Sequence[int]) -> None:
         self.spec = spec
         self.seeds = list(seeds)
         self.model = build_model(spec)  # raises UnsupportedByBackend early
@@ -46,8 +44,7 @@ class BatchSimulation:
         if was_enabled:
             gc.disable()
         try:
-            self.kernel = BatchKernel(self.model, self.seeds,
-                                      array_path=array_path)
+            self.kernel = BatchKernel(self.model, self.seeds)
         finally:
             if was_enabled:
                 gc.enable()
@@ -106,24 +103,23 @@ class BatchSimulation:
         throughput_times = collector.delivery_series.bin_times() / 1_000.0
         throughput_values = collector.throughput_series()
 
-        # The tier actually used, so benchmark numbers can't be misattributed
-        # to a compiled path that never ran (scalar results lack this key;
-        # equivalence comparisons pop it before comparing).
-        diagnostics: Dict = {"jit_engaged": jit_engaged()}
+        diagnostics: Dict = {}
         kind = model.kind
         if kind == KIND_QADP:
-            diagnostics.update({
+            diagnostics = {
                 "source_minimal": st.c_src_min,
                 "source_best": st.c_src_best,
                 "intermediate_minimal": st.c_int_min,
                 "intermediate_reroutes": st.c_int_rr,
                 "feedback_sent": st.c_fb_sent,
                 "feedback_applied": st.c_fb_app,
-            })
-            diagnostics["table_memory_bytes"] = model.table_memory_bytes
+                "table_memory_bytes": model.table_memory_bytes,
+            }
         elif kind == KIND_QROUTING:
-            diagnostics["table_memory_bytes"] = model.table_memory_bytes
-            diagnostics["forced_minimal"] = st.c_forced
+            diagnostics = {
+                "table_memory_bytes": model.table_memory_bytes,
+                "forced_minimal": st.c_forced,
+            }
         return ExperimentResult(
             spec=spec.with_overrides(seed=st.seed),
             stats=stats,

@@ -6,6 +6,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import all_rules, run_check
 from repro.analysis.baseline import (
     Baseline,
@@ -92,6 +94,20 @@ def test_d103_flags_uuid_everywhere_in_src(tmp_path):
             return uuid.uuid4()
     """)
     assert "D103" in rules_hit(findings)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import os\nFLAG = os.environ.get('REPRO_X', '')\n",
+        "import os\nFLAG = os.getenv('REPRO_X')\n",
+        "from os import environ\n",
+    ],
+)
+def test_d103_flags_environment_reads_only_in_sim_scope(tmp_path, source):
+    assert "D103" in rules_hit(check_snippet(tmp_path, "repro.engine.bad", source))
+    # Runner plumbing (REPRO_WORKERS, REPRO_SCALE, ...) legitimately reads it.
+    assert not check_snippet(tmp_path, "repro.experiments.fine", source)
 
 
 def test_d104_flags_set_iteration_but_not_sorted(tmp_path):

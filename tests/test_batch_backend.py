@@ -10,6 +10,8 @@ sizes, and batch compositions, plus the harness/runner integration.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.engine.batch import BatchSimulation, UnsupportedByBackend, run_batch
 from repro.engine.rng import derive_replicate_seeds
 from repro.experiments import RunOptions, SweepRunner, run_replicates
 from repro.experiments.harness import ExperimentSpec, _execute
+from repro.experiments.parallel import ExperimentResultData
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
@@ -38,13 +41,6 @@ def _spec(routing: str, pattern: str = "UR", load: float = 0.4,
     )
 
 
-def _diag_without_tier(result) -> dict:
-    """Diagnostics minus the batch-only ``jit_engaged`` tier marker."""
-    diag = dict(result.routing_diagnostics)
-    diag.pop("jit_engaged", None)
-    return diag
-
-
 def _assert_identical(scalar_result, scalar_events, batched_result,
                       batched_events) -> None:
     s = scalar_result.stats.to_dict()
@@ -54,8 +50,7 @@ def _assert_identical(scalar_result, scalar_events, batched_result,
     assert scalar_events == batched_events
     assert np.array_equal(scalar_result.latencies_ns, batched_result.latencies_ns)
     assert np.array_equal(scalar_result.hops, batched_result.hops)
-    assert "jit_engaged" in batched_result.routing_diagnostics
-    assert _diag_without_tier(scalar_result) == _diag_without_tier(batched_result)
+    assert scalar_result.routing_diagnostics == batched_result.routing_diagnostics
     for idx in (0, 1):
         assert np.array_equal(scalar_result.latency_timeline_us[idx],
                               batched_result.latency_timeline_us[idx])
@@ -155,7 +150,7 @@ def test_run_replicates_backends_agree():
     for s, b in zip(scalar, batched):
         assert s.stats.to_dict() == b.stats.to_dict()
         assert np.array_equal(s.latencies_ns, b.latencies_ns)
-        assert _diag_without_tier(s) == _diag_without_tier(b)
+        assert s.routing_diagnostics == b.routing_diagnostics
     # The harness stamps the batch's shared wall time onto every replicate.
     assert all(b.wall_time_s > 0.0 for b in batched)
 
@@ -177,6 +172,13 @@ def test_run_replicates_explicit_seeds():
         run_replicates(spec)
 
 
+def _payload(result) -> dict:
+    """Every :class:`ExperimentResultData` field of ``result`` but the wall time."""
+    payload = dataclasses.asdict(ExperimentResultData.from_result(result))
+    del payload["wall_time_s"]
+    return payload
+
+
 def test_sweep_runner_chunks_batches_and_shares_cache(tmp_path):
     spec = _spec("Q-adp", load=0.3, sim=3_000.0, warm=1_000.0, seed=7)
     warm = SweepRunner(workers=1, cache_dir=tmp_path)
@@ -189,6 +191,11 @@ def test_sweep_runner_chunks_batches_and_shares_cache(tmp_path):
     assert reuse.simulated == 0 and reuse.cache_hits == 5
     for b, s in zip(batched, scalar):
         assert b.stats.to_dict() == s.stats.to_dict()
+    # ... and an entry's content does not depend on which backend filled it:
+    # every field but the host-time one equals what a scalar run produces.
+    computed = SweepRunner(workers=1).run_replicates(spec, 5, backend="scalar")
+    for cached, fresh in zip(scalar, computed):
+        np.testing.assert_equal(_payload(cached), _payload(fresh))
     with pytest.raises(ValueError, match="backend"):
         warm.run_replicates(spec, 2, backend="vectorized")
 

@@ -1,29 +1,15 @@
-"""Calendar-queue scheduler edge cases and the JIT tier's engagement logic.
+"""Calendar-queue scheduler edge cases.
 
 The batched kernel's calendar queue must preserve the scalar heap's exact
 ``(time, seq)`` total order while draining bucket by bucket.  The
 equivalence suite proves end-to-end bit-identity; these tests pin the
 scheduler mechanisms in isolation — boundary-time bucket assignment,
 same-time ordering across slice re-entries, empty-bucket skipping, bucket
-freeing, and payload-pool recycling — plus the once-per-process engagement
-protocol of :mod:`repro.engine.batch.jit`.
+freeing, and payload-pool recycling.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
-
-import pytest
-
-from repro.engine.batch.jit import (
-    _reset_engagement_for_tests,
-    engagement_report,
-    jit_engaged,
-    jit_requested,
-    maybe_jit,
-    numba_available,
-)
 from repro.engine.batch.kernel import EV_RECV, EV_SERVE, BatchKernel
 from repro.engine.batch.model import build_model
 from repro.experiments.harness import ExperimentSpec
@@ -152,53 +138,3 @@ def test_payload_pool_recycles_only_never_waited_records():
         # never be recycled (a stale waiting entry may still alias them).
         assert pkt[12] is None
 
-
-# ----------------------------------------------------------------- JIT tier
-@pytest.fixture
-def fresh_engagement():
-    """Resolve the tier from a clean per-process cache, and leave it clean."""
-    _reset_engagement_for_tests()
-    yield
-    _reset_engagement_for_tests()
-
-
-def test_jit_requested_parses_truthy_flag_values(monkeypatch, fresh_engagement):
-    for value, expected in [
-        ("1", True), ("true", True), ("YES", True), (" on ", True),
-        ("0", False), ("", False), ("off", False), ("never", False),
-    ]:
-        monkeypatch.setenv("REPRO_BATCH_JIT", value)
-        assert jit_requested() is expected
-    monkeypatch.delenv("REPRO_BATCH_JIT")
-    assert jit_requested() is False
-
-
-def test_requested_but_missing_numba_warns_once(monkeypatch, fresh_engagement):
-    if numba_available():  # pragma: no cover - CI optional-deps job
-        pytest.skip("numba is installed; the fallback warning cannot fire")
-    monkeypatch.setenv("REPRO_BATCH_JIT", "1")
-    with pytest.warns(RuntimeWarning, match=r"repro-qadaptive\[jit\]"):
-        assert jit_engaged() is False
-    # Engagement is cached per process: asking again must not warn again.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert jit_engaged() is False
-
-
-def test_engagement_report_is_json_ready(monkeypatch, fresh_engagement):
-    monkeypatch.delenv("REPRO_BATCH_JIT", raising=False)
-    report = engagement_report()
-    assert report["requested"] is False
-    assert report["engaged"] is False
-    assert report["engaged"] == (report["requested"] and report["numba_available"])
-    assert isinstance(report["compiled_functions"], list)
-    json.dumps(report)  # the block feeds BENCH_core.json verbatim
-
-
-def test_maybe_jit_is_identity_when_disengaged(monkeypatch, fresh_engagement):
-    monkeypatch.delenv("REPRO_BATCH_JIT", raising=False)
-
-    def helper(x: float) -> float:
-        return x + 1.0
-
-    assert maybe_jit(helper) is helper
