@@ -23,7 +23,7 @@ pytestmark = pytest.mark.parallel
 
 
 def test_ablation_hyperparams(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     thresholds = (0.0, 0.2, 0.5) if full else (0.2, 0.5)
     modes = ("onpolicy", "greedy")
 

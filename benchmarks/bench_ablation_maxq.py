@@ -24,7 +24,7 @@ pytestmark = pytest.mark.parallel
 
 
 def test_ablation_maxq(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     maxq_values = (1, 3, 5, 7) if full else (1, 5)
     patterns = ("UR", "ADV+1", "ADV+4") if full else ("UR", "ADV+1")
 

@@ -4,7 +4,7 @@ The paper sweeps the offered load under UR, ADV+1 and ADV+4 for six routing
 algorithms.  At the default benchmark scale the sweep is restricted to a
 representative subset (UR and ADV+1; MIN, VALn, UGALn, Q-adp; two loads per
 pattern) so it completes in a couple of minutes — the full grid is selected by
-``REPRO_SCALE=reduced`` or ``REPRO_PAPER_SCALE=1``.
+``REPRO_SCALE=reduced`` or ``REPRO_SCALE=paper``.
 """
 
 import os
@@ -22,7 +22,7 @@ FAST_PATTERNS = ("UR", "ADV+1")
 
 
 def test_figure5_load_sweep(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     algorithms = PAPER_ALGORITHMS if full else FAST_ALGORITHMS
     patterns = ("UR", "ADV+1", "ADV+4") if full else FAST_PATTERNS
 

@@ -13,7 +13,7 @@ pytestmark = pytest.mark.parallel
 
 
 def test_figure6_tail_latency(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     patterns = ("UR", "ADV+1", "ADV+4") if full else ("UR", "ADV+1")
 
     data = run_once(benchmark, figure6_tail_latency, scale, PAPER_ALGORITHMS, patterns,

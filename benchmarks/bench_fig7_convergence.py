@@ -17,7 +17,7 @@ pytestmark = pytest.mark.parallel
 
 
 def test_figure7_convergence(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     cases = None if full else (
         ("UR", scale.ur_reference_load),
         ("ADV+1", scale.adv_reference_load),

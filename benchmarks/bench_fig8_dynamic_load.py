@@ -11,7 +11,7 @@ pytestmark = pytest.mark.parallel
 
 
 def test_figure8_dynamic_load(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     ur_lo = round(scale.ur_reference_load / 2, 3)
     cases = None if full else (
         ("UR", ur_lo, scale.ur_reference_load),

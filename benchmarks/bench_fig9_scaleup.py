@@ -3,8 +3,7 @@
 The paper evaluates UR, ADV+1, 3D Stencil, Many-to-Many and Random Neighbors
 on its 2,550-node system.  At the default benchmark scale the "scale-up"
 system is the 342-node balanced Dragonfly and a subset of algorithms is used;
-the full configuration is selected by ``REPRO_PAPER_SCALE=1`` /
-``REPRO_SCALE=paper-2550``.
+the full configuration is selected by ``REPRO_SCALE=paper-2550``.
 """
 
 import math
@@ -23,7 +22,7 @@ ALL_PATTERNS = ("UR", "ADV+1", "3D Stencil", "Many to Many", "Random Neighbors")
 
 
 def test_figure9_scaleup(benchmark, run_once, scale, runner):
-    full = bool(os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"))
+    full = bool(os.environ.get("REPRO_SCALE"))
     algorithms = PAPER_ALGORITHMS if full else FAST_ALGORITHMS
     # the benchmark default keeps the run short by using the base (not scale-up)
     # system for the five patterns; the pattern mix is unchanged

@@ -8,11 +8,11 @@ which traffic pattern — is already visible at that scale.
 
 Environment variables:
 
-* ``REPRO_SCALE=reduced|paper-1056|paper-2550`` — use one of the larger presets;
-* ``REPRO_PAPER_SCALE=1`` — shorthand for the paper's 1,056-node system.
+* ``REPRO_SCALE=reduced|paper|paper-2550`` — use one of the larger presets
+  (``paper`` is the 1,056-node system).
 
-The numbers produced at the default scale are recorded and compared against
-the paper in EXPERIMENTS.md.
+The reduced-scale comparison against the paper is the ``headline`` study
+(``repro-sim study run headline``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def pytest_configure(config):
 
 def bench_scale() -> ExperimentScale:
     """Scale used by the benchmarks (env-overridable, fast by default)."""
-    if os.environ.get("REPRO_SCALE") or os.environ.get("REPRO_PAPER_SCALE"):
+    if os.environ.get("REPRO_SCALE"):
         return default_scale()
     return _FAST_BENCH_SCALE
 

@@ -7,7 +7,7 @@ Many-to-Many (parallel FFT style all-to-all inside communicators) and Random
 Neighbors (NAMD-style load balancing) — plus UR and ADV+1 as references.
 
 By default this runs on the reduced 72-node system; pass ``--medium`` to use
-the 342-node system (slower), or set REPRO_PAPER_SCALE=1 and use the
+the 342-node system (slower), or set REPRO_SCALE=paper and use the
 benchmark harness for the full 2,550-node configuration.
 
 Run:

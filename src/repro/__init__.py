@@ -35,9 +35,7 @@ Public surface
 (:func:`run_experiment`, :class:`ExperimentSpec`, :class:`RunOptions`,
 :class:`Study`, :class:`FaultSchedule`, :class:`ArtifactStore`,
 :class:`ProbeBus`, the registries) are re-exported lazily (PEP 562), so
-``import repro`` stays as cheap as the simulator core.  ``DragonflyNetwork``
-is a deprecated alias of the topology-generic :class:`Network` and will be
-removed in repro 2.0.
+``import repro`` stays as cheap as the simulator core.
 """
 
 from typing import TYPE_CHECKING
@@ -66,12 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only re-exports
     from repro.store import ArtifactStore
     from repro.traffic import PATTERN_REGISTRY
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ArtifactStore",
     "DragonflyConfig",
-    "DragonflyNetwork",
     "DragonflyTopology",
     "ExperimentResult",
     "ExperimentSpec",
@@ -119,14 +116,8 @@ def __getattr__(name: str) -> object:
         import importlib
 
         return getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
-    if name == "DragonflyNetwork":
-        # Delegates to the shim in repro.network.network, which emits the
-        # DeprecationWarning and returns the topology-generic Network.
-        from repro.network import network as _network
-
-        return _network.DragonflyNetwork
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS) | {"DragonflyNetwork"})
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -14,8 +14,7 @@ rests on — and the ones a stray line of code silently breaks:
   publishes.
 * **Serialization** (``S`` rules) — every spec/config field round-trips
   through ``to_dict``/``from_dict`` (and therefore folds into the cache
-  fingerprint), loaders stay strict, and a schema bump never drops the
-  legacy-loader branch for older documents.
+  fingerprint) and loaders stay strict.
 * **Registry** (``R`` rules) — everything registered (routing algorithms,
   traffic patterns, telemetry probes) declares its contract completely:
   explicit ``supported_topologies``, a ``name``, the protocol methods, and a

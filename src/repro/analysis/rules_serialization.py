@@ -5,9 +5,7 @@ The result cache, the checkpoint store and the study files all key on the
 ``to_dict`` never reads is therefore invisible to the fingerprint: two specs
 that differ only in that field silently share a cache entry and replay the
 wrong result.  Symmetrically, a ``from_dict`` that stops validating keys
-turns a typo in a study file into a silently different experiment, and a
-schema bump without the legacy-loader branch strands every committed
-document.
+turns a typo in a study file into a silently different experiment.
 
 ====== ====================================================================
 S301   every dataclass field of a ``to_dict``/``from_dict`` class must be
@@ -16,9 +14,6 @@ S301   every dataclass field of a ``to_dict``/``from_dict`` class must be
        ``# repro: ignore[S301]`` exemption on its declaration line
 S302   every ``from_dict`` in serialization scope must go through the strict
        validators (``check_keys``/``check_schema``)
-S303   ``*_SCHEMA_VERSION`` must be a member of its ``*_SCHEMA_COMPAT``
-       tuple and the tuple must stay contiguous from 1 — bumping the version
-       without keeping the legacy-loader branch breaks committed documents
 S304   ``to_dict`` and ``from_dict`` come in pairs in serialization scope
        (a one-way export cannot round-trip through study files or caches)
 ====== ====================================================================
@@ -27,7 +22,7 @@ S304   ``to_dict`` and ``from_dict`` come in pairs in serialization scope
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis.core import (
     ClassInfo,
@@ -160,57 +155,6 @@ def check_strict_loader(project: Project) -> Iterator[Finding]:
                     f"{info.name}.from_dict validates nothing: unknown keys in "
                     "a scenario/config document must raise, not silently "
                     "change the experiment — route it through check_keys()",
-                )
-
-
-@rule("S303", "schema-compat-break", "error",
-      "*_SCHEMA_VERSION must stay inside a contiguous *_SCHEMA_COMPAT range")
-def check_schema_compat(project: Project) -> Iterator[Finding]:
-    rule_obj = RULE_REGISTRY["S303"]
-    for module in project.modules:
-        versions: Dict[str, tuple] = {}
-        compats: Dict[str, tuple] = {}
-        for node in module.tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            name = target.id
-            try:
-                value = ast.literal_eval(node.value)
-            except (ValueError, TypeError, SyntaxError):
-                continue
-            if name.endswith("_SCHEMA_VERSION") and isinstance(value, int):
-                versions[name[: -len("_SCHEMA_VERSION")]] = (node, value)
-            elif name.endswith("_SCHEMA_COMPAT") and isinstance(value, (tuple, list)):
-                compats[name[: -len("_SCHEMA_COMPAT")]] = (node, tuple(value))
-        for prefix, (node, version) in versions.items():
-            compat = compats.get(prefix)
-            if compat is None:
-                yield module.finding(
-                    rule_obj, node,
-                    f"{prefix}_SCHEMA_VERSION has no matching "
-                    f"{prefix}_SCHEMA_COMPAT tuple: the set of readable legacy "
-                    "versions must be declared next to the writer version",
-                )
-                continue
-            compat_node, readable = compat
-            expected = tuple(range(1, version + 1))
-            if version not in readable:
-                yield module.finding(
-                    rule_obj, node,
-                    f"{prefix}_SCHEMA_VERSION ({version}) is not in "
-                    f"{prefix}_SCHEMA_COMPAT {readable}: a build must be able "
-                    "to read what it writes",
-                )
-            elif readable != expected:
-                yield module.finding(
-                    rule_obj, compat_node,
-                    f"{prefix}_SCHEMA_COMPAT {readable} is not the contiguous "
-                    f"range {expected}: dropping an older version strands every "
-                    "committed document of that version — keep the "
-                    "legacy-loader branch when bumping the schema",
                 )
 
 

@@ -305,7 +305,7 @@ def _cmd_checkpoint_list(args: argparse.Namespace) -> int:
         return 0
     for m in manifests:
         topo = dict(m.topology)
-        family = topo.pop("family", "dragonfly")
+        family = topo.pop("family", "?")
         dims = ",".join(f"{key}={value}" for key, value in topo.items())
         print(f"{m.checkpoint_id:28s} {m.routing:10s} "
               f"{family}[{dims}]  "

@@ -266,9 +266,6 @@ class TabularMarlRouting(RoutingAlgorithm):
                 f"be loaded into {self.name!r}"
             )
         topology = dict(state.get("topology", {}))
-        # Checkpoints written before the topology registry carry bare
-        # Dragonfly dims without a family tag.
-        topology.setdefault("family", "dragonfly")
         own_topology = config_to_dict(self.topo.config)
         if topology != own_topology:
             raise ValueError(

@@ -16,13 +16,12 @@ from repro.experiments.harness import (
     run_replicates,
     train_experiment,
 )
-from repro.experiments.options import LEGACY_REMOVAL, RunOptions
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     ExperimentResultData,
     ResultCache,
     SweepRunner,
     default_runner,
-    derive_run_seed,
     print_progress,
     spec_fingerprint,
 )
@@ -42,13 +41,11 @@ __all__ = [
     "ExperimentResultData",
     "ExperimentScale",
     "ExperimentSpec",
-    "LEGACY_REMOVAL",
     "ResultCache",
     "RunOptions",
     "SweepRunner",
     "available_scales",
     "default_runner",
-    "derive_run_seed",
     "print_progress",
     "spec_fingerprint",
     "PAPER_SCALE_1056",

@@ -1,8 +1,8 @@
 """Reproduction of every table and figure of the paper's evaluation.
 
 Each function regenerates the data series behind one table/figure and returns
-plain dictionaries (JSON-friendly) so benchmarks, examples and EXPERIMENTS.md
-can print or compare them.  The mapping to the paper:
+plain dictionaries (JSON-friendly) so benchmarks, examples and the CLI can
+print or compare them.  The mapping to the paper:
 
 ====================== ==========================================================
 function               paper artefact
@@ -27,7 +27,7 @@ share cache fingerprints — ``repro-sim figure fig5`` and ``repro-sim study
 run fig5`` memoize into the same entries.
 
 All functions take an :class:`~repro.experiments.presets.ExperimentScale`;
-the default (``BENCH_SCALE`` unless ``REPRO_PAPER_SCALE=1``) keeps run times
+the default (``BENCH_SCALE`` unless ``REPRO_SCALE`` is set) keeps run times
 reasonable for pure Python.
 """
 

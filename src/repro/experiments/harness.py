@@ -22,13 +22,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.experiments.options import UNSET, RunOptions
+from repro.experiments.options import RunOptions
 from repro.faults.schedule import FaultSchedule
 from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.routing import canonical_routing_name, make_routing
 from repro.scenarios.serialize import (
-    SPEC_SCHEMA_COMPAT,
     SPEC_SCHEMA_VERSION,
     check_keys,
     check_schema,
@@ -219,29 +218,16 @@ class ExperimentSpec:
         """
         check_keys(
             data,
-            required=("schema", "routing", "pattern"),
-            optional=("topology", "config", "offered_load", "schedule",
-                      "sim_time_ns", "warmup_ns", "seed", "arrival",
-                      "stats_bin_ns", "routing_kwargs", "pattern_kwargs",
-                      "network_params", "label", "warm_start", "telemetry",
-                      "faults"),
+            required=("schema", "topology", "routing", "pattern"),
+            optional=("offered_load", "schedule", "sim_time_ns", "warmup_ns",
+                      "seed", "arrival", "stats_bin_ns", "routing_kwargs",
+                      "pattern_kwargs", "network_params", "label",
+                      "warm_start", "telemetry", "faults"),
             context="ExperimentSpec",
         )
-        # Documents are written at SPEC_SCHEMA_VERSION; version-1 documents
-        # (pre-warm_start), version-2 documents (pre-telemetry), version-3
-        # documents (Dragonfly-only ``config`` block instead of ``topology``)
-        # and version-4 documents (pre-faults) migrate transparently — every
-        # field they may carry reads identically and the newer fields keep
-        # their defaults.
-        check_schema(data, SPEC_SCHEMA_COMPAT, "ExperimentSpec")
-        if ("topology" in data) == ("config" in data):
-            raise ValueError(
-                "ExperimentSpec: expected exactly one of 'topology' (schema 4) "
-                "or the legacy 'config' block (schema <= 3)"
-            )
-        topology_block = data["topology"] if "topology" in data else data["config"]
+        check_schema(data, SPEC_SCHEMA_VERSION, "ExperimentSpec")
         kwargs: Dict = {
-            "config": config_from_dict(topology_block),
+            "config": config_from_dict(data["topology"]),
             "routing": data["routing"],
             "pattern": data["pattern"],
             "offered_load": data.get("offered_load"),
@@ -324,7 +310,7 @@ class ExperimentResult:
         return self.stats.mean_hops
 
     def summary_row(self) -> Dict[str, object]:
-        """Flat dictionary used by the report tables and EXPERIMENTS.md.
+        """Flat dictionary used by the report tables (e.g. the ``headline`` study).
 
         Values are floats/ints except ``routing`` and ``pattern`` (names) and
         ``offered_load``, which is the string sentinel ``"dyn"`` for
@@ -442,9 +428,6 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
 def run_experiment(
     spec: ExperimentSpec,
     options: Optional[RunOptions] = None,
-    *,
-    save_state: object = UNSET,
-    store: object = UNSET,
 ) -> ExperimentResult:
     """Run one experiment to completion and collect its results.
 
@@ -456,15 +439,10 @@ def run_experiment(
     ``result.routing_diagnostics["checkpoint"]``.  Requesting it for an
     algorithm without learned state is an error.  ``options.telemetry`` and
     ``options.faults`` fold into the spec (the spec's own fields win).
-
-    The bare ``save_state=`` / ``store=`` keywords are deprecated aliases
-    (removed in repro 2.0).
     """
-    options = (options or RunOptions()).merged_legacy(
-        "run_experiment", save_state=save_state, store=store)
+    options = options or RunOptions()
     spec = options.apply_to_spec(spec)
     save_state = options.save_state
-    store = options.store
     if save_state is not None:
         # Fail before simulating: a save request on a learned-state-free
         # algorithm must not cost the whole run first.
@@ -482,7 +460,7 @@ def run_experiment(
     if save_state is not None:
         from repro.store import resolve_store
 
-        checkpoint = resolve_store(store).save_from(
+        checkpoint = resolve_store(options.store).save_from(
             network.routing,
             trained_sim_ns=network.sim.now,
             spec=spec,
@@ -568,10 +546,6 @@ class TrainResult:
 
 def train_experiment(
     spec: ExperimentSpec,
-    store: object = UNSET,
-    *,
-    name: object = UNSET,
-    reuse: object = UNSET,
     options: Optional[RunOptions] = None,
 ) -> TrainResult:
     """Run a training spec and persist its learned state as a checkpoint.
@@ -580,20 +554,16 @@ def train_experiment(
     (the default) and a checkpoint whose manifest records this spec's
     fingerprint already exists, it is returned without simulating — the
     checkpoint store plays the same role for learned state that the result
-    cache plays for measurements.  The bare ``store``/``name=``/``reuse=``
-    parameters are deprecated aliases (removed in repro 2.0); pass
-    ``options=RunOptions(store=..., name=..., reuse=...)``.
+    cache plays for measurements.  ``options.name`` is the checkpoint id and
+    ``options.store`` the artifact store it is saved in.
     """
     from repro.experiments.parallel import spec_fingerprint
     from repro.routing.base import is_checkpointable
     from repro.store import resolve_store
 
-    options = (options or RunOptions()).merged_legacy(
-        "train_experiment", store=store, name=name, reuse=reuse)
+    options = options or RunOptions()
     spec = options.apply_to_spec(spec)
-    store = options.store
     name = options.name
-    reuse = options.reuse
     if not is_checkpointable(make_routing(spec.routing, **spec.routing_kwargs)):
         raise ValueError(
             f"routing {spec.routing!r} has no learned state to train; "
@@ -604,9 +574,9 @@ def train_experiment(
         from repro.store import ArtifactStore
 
         ArtifactStore.validate_id(name)
-    store = resolve_store(store)
+    store = resolve_store(options.store)
     fingerprint = spec_fingerprint(spec)
-    if reuse:
+    if options.reuse:
         existing = store.find_by_fingerprint(fingerprint)
         if existing is not None:
             if name is None or existing.checkpoint_id == name:
@@ -647,7 +617,6 @@ def run_load_sweep(
     train_ns: Optional[float] = None,
     train_load: Optional[float] = None,
     eval_warmup_ns: Optional[float] = None,
-    store: object = UNSET,
     options: Optional[RunOptions] = None,
 ) -> Dict[str, List[ExperimentResult]]:
     """Sweep offered load for several algorithms under one traffic pattern.
@@ -658,8 +627,7 @@ def run_load_sweep(
     built from ``options`` (``workers``/``cache``/``progress``), falling back
     to the ``REPRO_WORKERS`` / ``REPRO_CACHE`` environment variables (serial,
     uncached if unset).  ``options.telemetry``/``options.faults`` fold into
-    every *evaluation* spec (training runs stay fault-free); the bare
-    ``store=`` keyword is a deprecated alias (removed in repro 2.0).
+    every *evaluation* spec (training runs stay fault-free).
 
     Train-once/eval-many (``train_once=True``): instead of every load point
     re-learning routing state from scratch during its own ``warmup_ns``, each
@@ -668,15 +636,14 @@ def run_load_sweep(
     ``loads``) — and the resulting checkpoint warm-starts every load point,
     which then only needs the short ``eval_warmup_ns`` settling window
     (default: a fifth of ``warmup_ns``) before measuring.  Checkpoints live
-    in ``store`` (default: the standard artifact store), so worker processes
+    in ``options.store`` (default: the standard artifact store), so worker processes
     restore state from disk instead of receiving pickled arrays, and a
     repeated sweep reuses the training run outright.  Algorithms without
     learned state (MIN, UGAL, ...) are unaffected and keep the full warm-up.
     """
     from repro.experiments.parallel import resolve_runner
 
-    options = (options or RunOptions()).merged_legacy("run_load_sweep", store=store)
-    store = options.store
+    options = options or RunOptions()
     routing_kwargs = routing_kwargs or {}
     runner = resolve_runner(runner if runner is not None else options.make_runner())
     loads = list(loads)
@@ -688,7 +655,7 @@ def run_load_sweep(
 
         if not loads:
             raise ValueError("train_once needs a non-empty loads axis")
-        store = resolve_store(store)
+        store = resolve_store(options.store)
         train_time = train_ns if train_ns is not None else warmup_ns
         reference_load = (train_load if train_load is not None
                           else sorted(loads)[len(loads) // 2])

@@ -1,17 +1,10 @@
 """Unified run-options facade for the experiment entry points.
 
-Before this module, the run-time knobs of the harness were spread over
-per-function keyword sprawl: ``run_experiment(save_state=, store=)``,
-``train_experiment(store, name=, reuse=)``, ``run_load_sweep(runner=,
-store=)``, ``Study.run(runner=, store=)`` — and the fault layer would have
-added a ``faults=`` keyword to each.  :class:`RunOptions` consolidates them:
-one dataclass carries everything that controls *how* a run executes (storage,
-parallelism, caching, progress, telemetry, faults), while the spec/study
-keeps describing *what* is simulated.
+One dataclass, :class:`RunOptions`, carries everything that controls *how* a
+run executes (storage, parallelism, caching, progress, telemetry, faults),
+while the spec/study keeps describing *what* is simulated.
 
-Every entry point accepts ``options=RunOptions(...)``; the legacy keywords
-keep working but emit :class:`DeprecationWarning` and will be removed in
-repro 2.0 (see the API-migration table in the README).  Fields irrelevant to
+Every entry point accepts ``options=RunOptions(...)``.  Fields irrelevant to
 an entry point (e.g. ``workers`` on a single :func:`run_experiment`) are
 simply unused there.
 """
@@ -19,8 +12,7 @@ simply unused there.
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from repro.faults.schedule import FaultSchedule
@@ -30,31 +22,7 @@ if TYPE_CHECKING:  # runtime imports stay local: parallel imports the harness
     from repro.experiments.parallel import RunProgress, SweepRunner
     from repro.store import ArtifactStore
 
-__all__ = ["RunOptions", "UNSET", "warn_legacy_option"]
-
-#: release in which the deprecated per-function keywords disappear.
-LEGACY_REMOVAL = "repro 2.0"
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-#: sentinel default of every deprecated legacy keyword.
-UNSET = _Unset()
-
-
-def warn_legacy_option(function: str, keyword: str) -> None:
-    """One standard deprecation warning per legacy keyword use."""
-    warnings.warn(
-        f"{function}({keyword}=...) is deprecated and will be removed in "
-        f"{LEGACY_REMOVAL}; pass options=RunOptions({keyword}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["RunOptions"]
 
 
 @dataclass
@@ -123,30 +91,6 @@ class RunOptions:
             raise ValueError(
                 f"backend must be 'scalar' or 'batched', got {self.backend!r}"
             )
-
-    # ------------------------------------------------------------ legacy merge
-    def merged_legacy(self, function: str, **legacy: object) -> "RunOptions":
-        """Fold deprecated per-function keywords into a copy of these options.
-
-        Every keyword actually passed (not :data:`UNSET`) emits a
-        :class:`DeprecationWarning`; passing a legacy keyword *and* the same
-        field on ``options`` is a hard error — silently preferring one would
-        make the migration ambiguous.
-        """
-        updates: Dict[str, object] = {}
-        for keyword, value in legacy.items():
-            if isinstance(value, _Unset):
-                continue
-            warn_legacy_option(function, keyword)
-            default = type(self).__dataclass_fields__[keyword].default
-            if getattr(self, keyword) != default and getattr(self, keyword) != value:
-                raise ValueError(
-                    f"{function}: {keyword!r} was passed both as a legacy "
-                    f"keyword and via options=RunOptions(...); drop the "
-                    "legacy keyword"
-                )
-            updates[keyword] = value
-        return replace(self, **updates) if updates else self
 
     # -------------------------------------------------------------- resolution
     def apply_to_spec(self, spec: "ExperimentSpec") -> "ExperimentSpec":

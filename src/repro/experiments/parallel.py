@@ -25,9 +25,9 @@ module provides the machinery:
 Determinism: a run is fully determined by its spec (the simulator draws every
 random number from streams seeded by ``spec.seed``), so parallel execution
 cannot change any result — only the wall-clock time.  For *replicated* runs
-of one spec, :func:`derive_run_seed` derives the per-run seed from
-``(spec.seed, run_index)``; run index 0 keeps the base seed so a single run
-is unchanged.
+of one spec, :func:`repro.engine.rng.derive_replicate_seed` derives the
+per-run seed from ``(spec.seed, run_index)``; run index 0 keeps the base seed
+so a single run is unchanged.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ DEFAULT_CACHE_DIR = Path(".cache") / "experiments"
 
 
 # --------------------------------------------------------------- fingerprints
-def derive_run_seed(base_seed: int, run_index: int) -> int:
-    """Deterministic per-run seed for replicate ``run_index`` of one spec.
-
-    Thin alias of :func:`repro.engine.rng.derive_replicate_seed`, kept for
-    the established import path; the derivation itself lives in the engine so
-    the scalar and batched backends share one definition.
-    """
-    return derive_replicate_seed(base_seed, run_index)
-
-
 def _json_default(value: object) -> object:
     """Reduce the few non-JSON scalars a spec may carry (numpy numbers)."""
     if isinstance(value, (np.floating, np.integer)):
@@ -361,7 +351,7 @@ class SweepRunner:
     ) -> List[ExperimentSpec]:
         """Copies of ``spec`` with per-run seeds derived from (seed, index)."""
         return [
-            spec.with_overrides(seed=derive_run_seed(spec.seed, index))
+            spec.with_overrides(seed=derive_replicate_seed(spec.seed, index))
             for index in range(replicates)
         ]
 

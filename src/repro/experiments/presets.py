@@ -8,11 +8,11 @@ so the harness ships three scales:
 * ``BENCH_SCALE`` — the default for the pytest benchmarks: a 72-node balanced
   Dragonfly, short windows.  Every figure's *code path* runs end to end in
   minutes; trends (who wins under which pattern) are already visible.
-* ``REDUCED_SCALE`` — the scale used to produce EXPERIMENTS.md: the same
+* ``REDUCED_SCALE`` — the scale of the ``headline`` study: the same
   72-node system with windows long enough for Q-adaptive to converge.
 * ``PAPER_SCALE_1056`` / ``PAPER_SCALE_2550`` — the exact Table 1 systems and
   Section 5/6 windows; select with the environment variable
-  ``REPRO_PAPER_SCALE=1`` (budget: hours to days of CPU time).
+  ``REPRO_SCALE=paper`` (budget: hours to days of CPU time).
 
 Offered-load points are scaled alongside the topology: the 72-node system
 saturates earlier than the 1,056-node one (fewer parallel local links), so
@@ -95,7 +95,7 @@ BENCH_SCALE = ExperimentScale(
     adv_reference_load=0.3,
 )
 
-#: Scale used to produce EXPERIMENTS.md (long enough for Q-adaptive to converge).
+#: Scale of the ``headline`` study (long enough for Q-adaptive to converge).
 REDUCED_SCALE = ExperimentScale(
     name="reduced",
     config=DragonflyConfig.small_72(),
@@ -246,16 +246,13 @@ def scale_by_name(name: str) -> ExperimentScale:
 def default_scale(env: Optional[Dict[str, str]] = None) -> ExperimentScale:
     """Scale selected by the environment.
 
-    ``REPRO_SCALE=<name>`` picks a named preset; the shorthand
-    ``REPRO_PAPER_SCALE=1`` selects the 1,056-node paper scale.  The default
-    is ``BENCH_SCALE``.
+    ``REPRO_SCALE=<name>`` picks a named preset (``paper`` is the 1,056-node
+    paper scale).  The default is ``BENCH_SCALE``.
     """
     environment = os.environ if env is None else env
     explicit = environment.get("REPRO_SCALE")
     if explicit:
         return scale_by_name(explicit)
-    if environment.get("REPRO_PAPER_SCALE") in ("1", "true", "yes"):
-        return PAPER_SCALE_1056
     return BENCH_SCALE
 
 

@@ -24,7 +24,6 @@ identical to a build without fault support.
 """
 
 from repro.faults.schedule import (
-    FAULTS_SCHEMA_COMPAT,
     FAULTS_SCHEMA_VERSION,
     FaultEvent,
     FaultSchedule,
@@ -32,7 +31,6 @@ from repro.faults.schedule import (
 from repro.faults.controller import FaultController
 
 __all__ = [
-    "FAULTS_SCHEMA_COMPAT",
     "FAULTS_SCHEMA_VERSION",
     "FaultController",
     "FaultEvent",

@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # typing only: schedules are built against a topology
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULTS_SCHEMA_COMPAT",
     "FAULTS_SCHEMA_VERSION",
     "FaultEvent",
     "FaultSchedule",
@@ -32,9 +31,6 @@ __all__ = [
 
 #: schema version of a serialized FaultSchedule block.
 FAULTS_SCHEMA_VERSION = 1
-
-#: fault schema versions this build can read.
-FAULTS_SCHEMA_COMPAT = (1,)
 
 #: event kinds, in tie-break order for events sharing a timestamp: a link
 #: that goes down and up at the same instant ends up down.
@@ -232,7 +228,7 @@ class FaultSchedule:
         from repro.scenarios.serialize import check_keys, check_schema
 
         check_keys(data, required=("schema", "events"), context="FaultSchedule")
-        check_schema(data, FAULTS_SCHEMA_COMPAT, context="FaultSchedule")
+        check_schema(data, FAULTS_SCHEMA_VERSION, context="FaultSchedule")
         rows = data["events"]
         if not isinstance(rows, (list, tuple)):
             raise ValueError(f"FaultSchedule events must be a list, got {rows!r}")

@@ -15,7 +15,7 @@ Attach probes directly::
 
     from repro.instrument import LinkUtilizationProbe
 
-    net = DragonflyNetwork(config, routing, seed=1)
+    net = Network(config, routing, seed=1)
     probe = LinkUtilizationProbe(bin_ns=1_000.0)
     net.attach_probe(probe)
     net.run(until=50_000.0)

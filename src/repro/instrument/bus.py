@@ -7,7 +7,7 @@ the PR-3 monomorphic hot path intact:
 
 * A :class:`ProbeBus` holds the listeners of every hook.
 * Publishers never call the bus per event.  Instead the owning
-  :class:`~repro.network.network.DragonflyNetwork` resolves each hook to an
+  :class:`~repro.network.network.Network` resolves each hook to an
   *emitter* once, after every attach/detach, and stores it in a flat slot on
   the publishing component (``router._ev_link_busy``, ``nic._ev_delivery``,
   ...).  With no listener the slot is ``None`` and the per-event cost is a

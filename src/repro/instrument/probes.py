@@ -18,7 +18,7 @@ Each probe measures one per-entity view the aggregate
   *routes around* a failure — the paper-relevant resilience measurement).
 
 Probes are attached with
-:meth:`~repro.network.network.DragonflyNetwork.attach_probe` (or declared on
+:meth:`~repro.network.network.Network.attach_probe` (or declared on
 an :class:`~repro.experiments.harness.ExperimentSpec` via ``telemetry=...``)
 and produce JSON-ready payloads from :meth:`summary` — plain dicts of
 numbers/strings/lists only, safe to pickle across worker processes, cache on

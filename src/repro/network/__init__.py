@@ -9,8 +9,7 @@ This package models the hardware a Dragonfly routing algorithm runs on:
   channels, credit-based flow control and per-output-port serialization;
 * :class:`~repro.network.nic.Nic` — node injection/ejection;
 * :class:`~repro.network.network.Network` — wires everything together on top
-  of any registered :class:`~repro.topology.base.Topology`
-  (``DragonflyNetwork`` is a deprecated alias, removed in repro 2.0).
+  of any registered :class:`~repro.topology.base.Topology`.
 """
 
 from repro.network.credits import OutputCredits
@@ -23,7 +22,6 @@ from repro.network.router import Router
 
 __all__ = [
     "Channel",
-    "DragonflyNetwork",
     "Network",
     "Nic",
     "NetworkParams",
@@ -32,11 +30,3 @@ __all__ = [
     "Router",
 ]
 
-
-def __getattr__(name: str) -> type:
-    if name == "DragonflyNetwork":
-        # The shim in repro.network.network emits the DeprecationWarning.
-        from repro.network import network as _network
-
-        return _network.DragonflyNetwork
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

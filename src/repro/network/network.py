@@ -5,7 +5,7 @@ every router and NIC for a topology config (Dragonfly, fat-tree, mesh/torus —
 any family registered in :data:`repro.topology.registry.TOPOLOGIES`), connects
 them according to the topology's wiring tables, attaches a routing algorithm
 and a statistics collector, and exposes packet creation/injection plus
-``run``.  :data:`DragonflyNetwork` remains as a backwards-compatible alias.
+``run``.
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -292,22 +292,3 @@ class Network:
             f"routing={getattr(self.routing, 'name', self.routing.__class__.__name__)}>"
         )
 
-
-def __getattr__(name: str) -> type:
-    """Deprecated alias from before the network became topology-generic.
-
-    ``DragonflyNetwork`` resolves to :class:`Network` with a
-    :class:`DeprecationWarning`; it will be removed in repro 2.0.
-    """
-    if name == "DragonflyNetwork":
-        import warnings
-
-        warnings.warn(
-            "DragonflyNetwork is a deprecated alias of the topology-generic "
-            "Network and will be removed in repro 2.0; use repro.Network "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Network
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,6 @@ class Nic:
         "credits",
         "busy_until",
         "inject_queue",
-        "_on_delivery",
         "injected_packets",
         "delivered_packets",
         "dropped_packets",
@@ -58,7 +57,6 @@ class Nic:
         self.credits: Optional[OutputCredits] = None
         self.busy_until = 0.0
         self.inject_queue: Deque[Packet] = deque()
-        self._on_delivery: Optional[Callable[[Packet, float], None]] = None
         self.injected_packets = 0
         self.delivered_packets = 0
         self.dropped_packets = 0
@@ -149,40 +147,12 @@ class Nic:
         self._try_inject()
 
     # --------------------------------------------------------------- ejection
-    @property
-    def on_delivery(self) -> Optional[Callable[[Packet, float], None]]:
-        """Deprecated single-listener delivery slot (removed in repro 2.0).
-
-        Any number of listeners can observe deliveries through the network's
-        probe bus (the ``packet_delivered`` hook — see
-        :mod:`repro.instrument.bus`); this slot holds exactly one callback
-        and predates the bus.  Assigning to it still works but warns.
-        """
-        return self._on_delivery
-
-    @on_delivery.setter
-    def on_delivery(
-        self, callback: Optional[Callable[[Packet, float], None]]
-    ) -> None:
-        import warnings
-
-        warnings.warn(
-            "nic.on_delivery is deprecated and will be removed in repro 2.0; "
-            "subscribe to the 'packet_delivered' hook of the network's probe "
-            "bus instead (repro.instrument)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._on_delivery = callback
-
     def receive_packet(self, packet: Packet, port: int, vc: int) -> None:
         """Final delivery of a packet to this node.
 
         Delivery listeners go through the network's probe bus
         (``_ev_delivery``, the ``packet_delivered`` hook), so any number of
-        listeners can observe deliveries.  The legacy ``on_delivery`` slot is
-        still honoured for code that wires a NIC by hand, *in addition to*
-        the bus — it no longer silently replaces the stats collector.
+        listeners can observe deliveries.
         """
         now = self.sim.now
         packet.deliver_time_ns = now
@@ -190,9 +160,6 @@ class Nic:
         ev = self._ev_delivery
         if ev is not None:
             ev(packet, now)
-        cb = self._on_delivery
-        if cb is not None:
-            cb(packet, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic node={self.node} queued={len(self.inject_queue)}>"

@@ -750,12 +750,12 @@ def headline_study(
     cases: Sequence[Tuple[str, float]] = (("UR", 0.5), ("UR", 0.7), ("ADV+1", 0.35)),
     algorithms: Optional[Sequence[str]] = None,
 ) -> Study:
-    """The reduced-scale headline table recorded in EXPERIMENTS.md."""
+    """The reduced-scale headline comparison (``repro-sim study run headline``)."""
     scale = scale or REDUCED_SCALE
     algorithms = tuple(algorithms or PAPER_ALGORITHMS)
     return Study(
         name="headline",
-        description="EXPERIMENTS.md headline comparison (reduced scale)",
+        description="headline comparison (reduced scale)",
         config=scale.config,
         sim_time_ns=scale.sim_time_ns,
         warmup_ns=scale.warmup_ns,
@@ -788,7 +788,7 @@ register_study("ablation-maxq", ablation_maxq_study,
 register_study("ablation-hyperparams", ablation_hyperparams_study,
                metadata={"summary": "Section 4: q_thld1/feedback ablation"})
 register_study("headline", headline_study,
-               metadata={"summary": "EXPERIMENTS.md headline table (reduced scale)"})
+               metadata={"summary": "headline comparison table (reduced scale)"})
 register_study("transfer", transfer_study,
                metadata={"summary": "staged: train Q-adp on UR, evaluate on "
                                     "adversarial/shifted traffic"})

@@ -22,37 +22,15 @@ object instead of a bare dict.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Any, Collection, Dict, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
-#: schema version of a serialized ExperimentSpec document.
-#: (2: added the optional ``warm_start`` checkpoint reference.
-#:  3: added the optional ``telemetry`` probe list.
-#:  4: the Dragonfly-only ``config`` block became the topology-generic
-#:     ``topology`` block carrying a ``family`` discriminator.
-#:  5: added the optional ``faults`` block — a serialized
-#:     :class:`~repro.faults.schedule.FaultSchedule`.)
+#: schema version of a serialized ExperimentSpec document: the one version
+#: this build writes and reads.
 SPEC_SCHEMA_VERSION = 5
 
-#: spec schema versions this build can read.  Version-1 documents predate
-#: ``warm_start``, version-2 documents predate ``telemetry``, version-3
-#: documents spell the topology as a family-less Dragonfly ``config`` block,
-#: version-4 documents predate ``faults``; all load unchanged with the newer
-#: fields at their defaults.
-SPEC_SCHEMA_COMPAT = (1, 2, 3, 4, 5)
-
-#: schema version of a serialized Study document.
-#: (2: added the optional ``train`` stage for staged train/eval studies.
-#:  3: added the optional ``telemetry`` probe lists on studies/scenarios.
-#:  4: ``config`` blocks became topology-generic, carrying an optional
-#:     ``family`` discriminator that defaults to ``"dragonfly"``.
-#:  5: added the optional ``faults`` blocks on studies/scenarios.)
+#: schema version of a serialized Study document: the one version this build
+#: writes and reads.
 STUDY_SCHEMA_VERSION = 5
-
-#: study schema versions this build can read.  Version-1 documents predate
-#: the ``train`` stage, version-2 documents predate ``telemetry``, version-3
-#: documents predate topology families, version-4 documents predate
-#: ``faults``; all load unchanged with the newer fields at their defaults.
-STUDY_SCHEMA_COMPAT = (1, 2, 3, 4, 5)
 
 #: tag → (module, class) of hyper-parameter objects allowed inside kwargs.
 PARAM_CODECS: Dict[str, Tuple[str, str]] = {
@@ -84,24 +62,16 @@ def check_keys(
         )
 
 
-def check_schema(data: Mapping[str, Any],
-                 expected: Union[int, Collection[int]], context: str) -> None:
+def check_schema(data: Mapping[str, Any], expected: int, context: str) -> None:
     """Validate the ``schema`` field of a top-level document.
 
-    ``expected`` is either a single version or a sequence of readable
-    versions (documents are always *written* at the newest version; older
-    readable versions cover forward migration of existing files).
+    A build reads exactly the version it writes.
     """
-    supported = expected if isinstance(expected, (tuple, list, frozenset, set)) \
-        else (expected,)
     version = data.get("schema")
-    if version not in supported:
-        versions = sorted(supported)
-        readable = (f"version {versions[0]}" if len(versions) == 1
-                    else f"versions {versions}")
+    if version != expected:
         raise ValueError(
             f"{context}: unsupported schema version {version!r} "
-            f"(this build reads {readable})"
+            f"(this build reads version {expected})"
         )
 
 

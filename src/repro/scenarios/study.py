@@ -19,7 +19,7 @@ Expansion order is part of the contract: scenarios in declaration order, then
 pattern → routing → load → replicate within each scenario.  Replicate 0 keeps
 the scenario's base seed (so one-replicate studies reproduce single runs
 bit-for-bit); higher replicates derive their seed with
-:func:`~repro.experiments.parallel.derive_run_seed`.
+:func:`~repro.engine.rng.derive_replicate_seed`.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from typing import (
     Union,
 )
 
-from repro.experiments.options import UNSET, RunOptions
+from repro.experiments.options import RunOptions
 from repro.faults.schedule import FaultSchedule
 from repro.network.params import NetworkParams
 from repro.routing import canonical_routing_name
 from repro.scenarios.serialize import (
-    STUDY_SCHEMA_COMPAT,
     STUDY_SCHEMA_VERSION,
     check_keys,
     check_schema,
@@ -381,8 +380,8 @@ class Study:
     # -------------------------------------------------------------- expansion
     def expand(self) -> List[StudyPoint]:
         """Deterministically expand every scenario grid into study points."""
+        from repro.engine.rng import derive_replicate_seed
         from repro.experiments.harness import ExperimentSpec
-        from repro.experiments.parallel import derive_run_seed
 
         points: List[StudyPoint] = []
         for scenario in self.scenarios:
@@ -420,7 +419,7 @@ class Study:
                                 schedule=scenario.schedule,
                                 sim_time_ns=sim_time,
                                 warmup_ns=warmup,
-                                seed=derive_run_seed(base_seed, index),
+                                seed=derive_replicate_seed(base_seed, index),
                                 routing_kwargs=dict(routing_kwargs),
                                 pattern_kwargs=dict(pattern_kwargs),
                                 network_params=network_params,
@@ -440,8 +439,7 @@ class Study:
         return getattr(self, name) if value is None else value
 
     # -------------------------------------------------------------- execution
-    def run(self, runner: Optional["SweepRunner"] = None,
-            store: object = UNSET, *,
+    def run(self, runner: Optional["SweepRunner"] = None, *,
             options: Optional[RunOptions] = None) -> "StudyResult":
         """Execute every expanded spec through a sweep runner.
 
@@ -457,13 +455,11 @@ class Study:
         Staged studies (``train`` set) run their training stage first —
         through the artifact store ``options.store`` (default: the standard
         ``.cache/checkpoints`` store) — and warm-start the matching eval
-        specs from the resulting checkpoints.  The bare ``store=`` keyword is
-        a deprecated alias (removed in repro 2.0).
+        specs from the resulting checkpoints.
         """
         from repro.experiments.parallel import resolve_runner
 
-        options = (options or RunOptions()).merged_legacy("Study.run", store=store)
-        store = options.store
+        options = options or RunOptions()
         runner = resolve_runner(runner if runner is not None else options.make_runner())
         points = self.expand()
         if options.telemetry or options.faults is not None:
@@ -474,7 +470,7 @@ class Study:
             ]
         checkpoints: Dict[str, str] = {}
         if self.train is not None:
-            checkpoints = self.run_train_stage(store)
+            checkpoints = self.run_train_stage(options.store)
             # Warm-start only the points that can actually load the
             # checkpoint: training runs on the study-level config, so
             # scenarios overriding it to a different topology run cold
@@ -616,9 +612,7 @@ class Study:
                       "telemetry", "faults"),
             context="Study",
         )
-        # Documents are written at STUDY_SCHEMA_VERSION; version-1 documents
-        # (pre-train-stage) load unchanged as single-stage studies.
-        check_schema(data, STUDY_SCHEMA_COMPAT, "Study")
+        check_schema(data, STUDY_SCHEMA_VERSION, "Study")
         if not isinstance(data["scenarios"], (list, tuple)):
             raise ValueError("Study: 'scenarios' must be a list")
         kwargs: Dict = {

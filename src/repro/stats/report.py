@@ -1,8 +1,8 @@
 """Plain-text report formatting for experiment results.
 
 The experiment harness returns dictionaries / dataclasses; these helpers turn
-them into aligned text tables so that examples, benchmarks and EXPERIMENTS.md
-can print the same rows the paper's figures plot.
+them into aligned text tables so that examples, benchmarks and the CLI can
+print the same rows the paper's figures plot.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ def json_safe(value: object) -> object:
 
     ``json.dump`` writes ``float("nan")`` as the bare token ``NaN`` (and the
     infinities as ``Infinity``), which is not JSON — strict parsers reject
-    it.  Every export path (CLI ``--export``/``--json``/``--out``,
-    ``scripts/collect_experiments.py``) routes its payload through this
-    helper, so empty-sample summaries serialize as ``null``.
+    it.  Every export path (CLI ``--export``/``--json``/``--out``) routes its
+    payload through this helper, so empty-sample summaries serialize as
+    ``null``.
     """
     if isinstance(value, float):  # bool is not a float; ints pass through below
         return value if math.isfinite(value) else None

@@ -54,9 +54,6 @@ if TYPE_CHECKING:  # circular at runtime: routing/harness import the store
 #: schema version of a checkpoint manifest document.
 MANIFEST_SCHEMA_VERSION = 1
 
-#: manifest versions this build can read (contiguous from 1).
-MANIFEST_SCHEMA_COMPAT = (1,)
-
 #: default location of the on-disk checkpoint store, relative to the CWD
 #: (sibling of the experiment result cache).
 DEFAULT_STORE_DIR = Path(".cache") / "checkpoints"
@@ -71,9 +68,7 @@ class CheckpointManifest:
 
     checkpoint_id: str
     routing: str
-    #: family-tagged topology dims (``{"family": ..., **config dims}``);
-    #: manifests written before the topology registry lack ``"family"`` and
-    #: are read as Dragonfly.
+    #: family-tagged topology dims (``{"family": ..., **config dims}``).
     topology: Dict[str, Any]
     table_kind: str
     state_version: int
@@ -129,7 +124,7 @@ class CheckpointManifest:
                       "created_at", "state_digest"),
             context="CheckpointManifest",
         )
-        check_schema(data, MANIFEST_SCHEMA_COMPAT, "CheckpointManifest")
+        check_schema(data, MANIFEST_SCHEMA_VERSION, "CheckpointManifest")
         return cls(
             checkpoint_id=data["checkpoint_id"],
             routing=data["routing"],
@@ -239,9 +234,8 @@ class Checkpoint:
         be loaded into an algorithm ``routing`` on ``topology``.
 
         ``topology`` is the family-tagged dict form of a config
-        (:func:`repro.topology.registry.config_to_dict`); a missing
-        ``"family"`` key — on either side, for manifests written before the
-        topology registry existed — means Dragonfly.
+        (:func:`repro.topology.registry.config_to_dict`); the manifest's
+        topology block must carry ``"family"`` too.
         """
         manifest = self.manifest
         if manifest.routing != routing:
@@ -250,9 +244,12 @@ class Checkpoint:
                 f"{manifest.routing!r}; it cannot warm-start a {routing!r} run"
             )
         trained = dict(manifest.topology)
-        trained.setdefault("family", "dragonfly")
+        if "family" not in trained:
+            raise ValueError(
+                f"checkpoint {self.path}: manifest topology block {trained} "
+                "is missing required field 'family'"
+            )
         requested = dict(topology)
-        requested.setdefault("family", "dragonfly")
         if trained != requested:
             what = ("topology families" if trained["family"] != requested["family"]
                     else "topologies")

@@ -9,9 +9,7 @@ and ``"fattree"`` all resolve to the same entry.
 
 Serialized configs are family-tagged: :func:`config_to_dict` adds a
 ``"family"`` key next to the config's own fields and :func:`config_from_dict`
-dispatches on it (missing ``"family"`` means ``"dragonfly"``, which is how
-pre-topology-aware documents — spec schema <= 3, manifest topology dicts of
-just ``{"p","a","h"}`` — keep loading).
+dispatches on it.
 """
 
 from __future__ import annotations
@@ -149,14 +147,14 @@ def config_to_dict(config: Any) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Dict[str, Any]) -> Any:
-    """Rebuild a config from its (possibly family-tagged) dict form.
-
-    A missing ``"family"`` key means ``"dragonfly"``: documents written
-    before the topology registry existed carried bare ``{"p","a","h"}``
-    dicts and must keep loading unchanged.
-    """
+    """Rebuild a config from its family-tagged dict form."""
     payload = dict(data)
-    family = payload.pop("family", "dragonfly")
+    if "family" not in payload:
+        raise ValueError(
+            f"topology block {data!r} is missing required field 'family'; "
+            f"known: {available_topologies()}"
+        )
+    family = payload.pop("family")
     if not isinstance(family, str):
         raise ValueError(f"topology 'family' must be a string, got {family!r}")
     try:

@@ -6,8 +6,8 @@ purposes in this repository:
 
 * **validation** — the simulator's measured saturation throughput must not
   exceed these bounds (tests assert this), and
-* **interpretation** — EXPERIMENTS.md uses them to explain where the reduced
-  72-node system saturates relative to the paper's 1,056-node system.
+* **interpretation** — they explain where the reduced 72-node system of the
+  ``headline`` study saturates relative to the paper's 1,056-node system.
 
 All throughputs are expressed as a fraction of the aggregate node injection
 bandwidth (the same normalisation the paper uses for "offered load" and

@@ -39,7 +39,7 @@ def test_every_rule_family_registered():
     codes = {r.code for r in all_rules()}
     assert {"D101", "D102", "D103", "D104", "D105", "D106"} <= codes
     assert {"H201", "H202", "H203", "H204", "H205"} <= codes
-    assert {"S301", "S302", "S303", "S304"} <= codes
+    assert {"S301", "S302", "S304"} <= codes
     assert {"R401", "R402", "R403", "R404"} <= codes
 
 
@@ -266,24 +266,6 @@ def test_s302_flags_lax_loader(tmp_path):
                 return cls(data["x"])
     """)
     assert "S302" in rules_hit(findings)
-
-
-def test_s303_flags_non_contiguous_compat(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.versions", """
-        DOC_SCHEMA_VERSION = 3
-        DOC_SCHEMA_COMPAT = (1, 3)
-    """)
-    s303 = [f for f in findings if f.rule == "S303"]
-    assert len(s303) == 1
-    assert "contiguous" in s303[0].message
-
-
-def test_s303_accepts_contiguous_compat(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.versions_ok", """
-        DOC_SCHEMA_VERSION = 3
-        DOC_SCHEMA_COMPAT = (1, 2, 3)
-    """)
-    assert "S303" not in rules_hit(findings)
 
 
 def test_s304_flags_one_way_serializer(tmp_path):

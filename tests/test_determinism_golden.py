@@ -76,6 +76,7 @@ def _warmstart_fingerprint(store_dir) -> dict:
     seeded, so the fingerprint is machine independent like the cold ones.
     """
     from repro.experiments.harness import train_experiment
+    from repro.experiments.options import RunOptions
     from repro.store import ArtifactStore
 
     train_spec = ExperimentSpec(
@@ -87,7 +88,7 @@ def _warmstart_fingerprint(store_dir) -> dict:
         warmup_ns=0.0,
         seed=11,
     )
-    trained = train_experiment(train_spec, ArtifactStore(store_dir))
+    trained = train_experiment(train_spec, options=RunOptions(store=ArtifactStore(store_dir)))
     spec = train_spec.with_overrides(
         sim_time_ns=6_000.0,
         warmup_ns=2_000.0,

@@ -1,5 +1,9 @@
 """Tests for the experiment harness, presets and figure drivers."""
 
+import inspect
+import tomllib
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -19,8 +23,10 @@ from repro.experiments import (
     run_load_sweep,
     table1_configurations,
     table_qtable_memory,
+    train_experiment,
 )
 from repro.experiments.presets import PAPER_ALGORITHMS, scale_by_name
+from repro.scenarios import Study
 from repro.topology.config import DragonflyConfig
 
 TINY = DragonflyConfig.tiny()
@@ -51,8 +57,38 @@ def test_scale_presets_are_consistent():
 
 def test_default_scale_env_selection():
     assert default_scale(env={}) is BENCH_SCALE
-    assert default_scale(env={"REPRO_PAPER_SCALE": "1"}) is PAPER_SCALE_1056
+    assert default_scale(env={"REPRO_SCALE": "paper"}) is PAPER_SCALE_1056
     assert default_scale(env={"REPRO_SCALE": "reduced"}) is REDUCED_SCALE
+    # one spelling per scale: REPRO_PAPER_SCALE is not an option
+    assert default_scale(env={"REPRO_PAPER_SCALE": "1"}) is BENCH_SCALE
+
+
+# ------------------------------------------------- one spelling per run option
+def test_entry_points_take_run_options_only():
+    for entry_point in (run_experiment, train_experiment, run_load_sweep, Study.run):
+        parameters = inspect.signature(entry_point).parameters
+        assert "options" in parameters
+        assert not {"save_state", "store", "name", "reuse"} & set(parameters)
+
+
+def test_removed_aliases_stay_removed():
+    import repro
+    import repro.experiments
+    import repro.network
+    import repro.network.network
+    from repro.network.nic import Nic
+
+    for module in (repro, repro.network, repro.network.network):
+        assert not hasattr(module, "DragonflyNetwork")
+    assert not hasattr(Nic, "on_delivery")
+    assert not hasattr(repro.experiments, "derive_run_seed")
+
+
+def test_version_is_single_sourced():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert "version" not in project
+    assert "version" in project["dynamic"]
 
 
 # --------------------------------------------------------------------- tables

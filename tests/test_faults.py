@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -246,13 +245,17 @@ def test_fault_spec_round_trips_at_schema_5():
 
 @pytest.mark.parametrize("legacy_schema", [1, 2, 3, 4])
 def test_legacy_spec_documents_still_load(legacy_schema):
-    """Schema 1–4 documents (pre-faults and earlier) read unchanged."""
+    """Contract: they do not — a build reads exactly the schema it writes."""
     data = _spec_doc()
     del data["faults"]
+    assert ExperimentSpec.from_dict(data).faults is None
     data["schema"] = legacy_schema
-    spec = ExperimentSpec.from_dict(data)
-    assert spec.faults is None
-    assert spec.routing == "MIN"
+    with pytest.raises(
+        ValueError,
+        match=rf"ExperimentSpec: unsupported schema version {legacy_schema} "
+              r"\(this build reads version 5\)",
+    ):
+        ExperimentSpec.from_dict(data)
 
 
 def test_fingerprint_folds_fault_schedule():
@@ -275,22 +278,6 @@ def test_spec_rejects_non_schedule_faults():
 
 
 # ------------------------------------------------------- RunOptions facade
-def test_legacy_keywords_warn_and_still_work(tmp_path):
-    spec = _fault_spec("dragonfly", "MIN").with_overrides(faults=None)
-    with pytest.warns(DeprecationWarning,
-                      match=r"run_experiment\(store=.*RunOptions"):
-        run_experiment(spec, store=str(tmp_path))
-
-
-def test_legacy_keyword_conflicting_with_options_raises(tmp_path):
-    spec = _fault_spec("dragonfly", "MIN").with_overrides(faults=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ValueError, match="both"):
-            run_experiment(spec, options=RunOptions(store="elsewhere"),
-                           store=str(tmp_path))
-
-
 def test_options_fold_faults_and_telemetry_into_spec():
     spec = _fault_spec("dragonfly", "MIN").with_overrides(
         faults=None, telemetry=("link-util",))

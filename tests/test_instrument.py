@@ -141,8 +141,7 @@ def test_all_hooks_documented():
 
 # ----------------------------------------------------- delivery listener fix
 def test_two_delivery_listeners_both_fire():
-    """Regression: ``nic.on_delivery`` used to silently overwrite the stats
-    collector; bus listeners now stack instead of replacing each other."""
+    """Bus listeners stack: none replaces another or the stats collector."""
     net = _tiny_network("MIN")
     first_log: list = []
     second_log: list = []
@@ -152,21 +151,6 @@ def test_two_delivery_listeners_both_fire():
     assert net.collector.delivered > 0  # the default collector still counts
     assert len(first_log) == net.collector.delivered
     assert len(second_log) == net.collector.delivered
-
-
-def test_legacy_on_delivery_slot_still_fires():
-    net = _tiny_network("MIN")
-    seen: list = []
-    # The single-listener slot is deprecated (removed in repro 2.0): the
-    # assignment must warn, but the behaviour is kept until then.
-    with pytest.warns(DeprecationWarning, match="on_delivery is deprecated"):
-        net.nics[0].on_delivery = lambda packet, now: seen.append(packet)
-    assert net.nics[0].on_delivery is not None  # reading stays silent
-    _drive(net, until=6_000.0)
-    assert net.nics[0].delivered_packets > 0
-    assert len(seen) == net.nics[0].delivered_packets
-    # ... and the collector observed every delivery too (no overwrite).
-    assert net.collector.delivered == sum(n.delivered_packets for n in net.nics)
 
 
 def test_detach_probe_stops_events():
@@ -309,8 +293,11 @@ def test_spec_telemetry_canonicalised_and_serialized():
 def test_spec_v2_documents_still_load():
     data = _telemetry_spec(telemetry=()).to_dict()
     assert "telemetry" not in data
-    data["schema"] = 2
     assert ExperimentSpec.from_dict(data).telemetry == ()
+    data["schema"] = 2
+    with pytest.raises(ValueError, match=r"ExperimentSpec: unsupported schema version 2 "
+                                         r"\(this build reads version 5\)"):
+        ExperimentSpec.from_dict(data)
 
 
 def test_telemetry_changes_fingerprint():
@@ -412,8 +399,10 @@ def test_study_documents_written_at_schema_5_and_v2_still_loads():
     data = study.to_dict()
     assert data["schema"] == 5 and data["telemetry"] == ["link-util"]
     assert Study.from_dict(data).to_dict() == data
-    # A pre-telemetry (v2) document reads unchanged with no probes attached.
-    v2 = {k: v for k, v in data.items() if k != "telemetry"}
-    v2["schema"] = 2
-    clone = Study.from_dict(v2)
+    # telemetry is optional; a schema-2 document is not readable.
+    bare = {k: v for k, v in data.items() if k != "telemetry"}
+    clone = Study.from_dict(bare)
     assert clone.telemetry == () and clone.specs()[0].telemetry == ()
+    with pytest.raises(ValueError, match=r"Study: unsupported schema version 2 "
+                                         r"\(this build reads version 5\)"):
+        Study.from_dict({**bare, "schema": 2})

@@ -148,16 +148,3 @@ def test_run_stats_counts_match_collector():
     assert stats.measured_packets == 2
     assert stats.mean_hops >= 0
 
-
-def test_dragonfly_network_alias_is_deprecated_shim():
-    """``DragonflyNetwork`` predates the topology-generic core: accessing the
-    alias must warn (removed in repro 2.0) but still resolve to Network."""
-    import repro
-    import repro.network
-    import repro.network.network as network_module
-
-    for module in (repro, repro.network, network_module):
-        with pytest.warns(DeprecationWarning, match="DragonflyNetwork is a"
-                                                    " deprecated alias"):
-            alias = module.DragonflyNetwork
-        assert alias is Network

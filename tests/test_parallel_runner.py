@@ -9,11 +9,11 @@ from repro.experiments import (
     ExperimentSpec,
     ResultCache,
     SweepRunner,
-    derive_run_seed,
     run_experiment,
     run_load_sweep,
     spec_fingerprint,
 )
+from repro.engine.rng import derive_replicate_seed
 from repro.experiments.parallel import RunProgress, default_runner
 from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
@@ -94,18 +94,19 @@ def test_parallel_workers_reproduce_serial_summary_rows():
         assert rows_serial == rows_parallel
 
 
-def test_derive_run_seed_keeps_index_zero_and_spreads_the_rest():
-    assert derive_run_seed(7, 0) == 7
-    seeds = {derive_run_seed(7, i) for i in range(8)}
+def test_derive_replicate_seed_keeps_index_zero_and_spreads_the_rest():
+    assert derive_replicate_seed(7, 0) == 7
+    seeds = {derive_replicate_seed(7, i) for i in range(8)}
     assert len(seeds) == 8
-    assert derive_run_seed(7, 3) == derive_run_seed(7, 3)
-    assert derive_run_seed(7, 3) != derive_run_seed(8, 3)
+    assert derive_replicate_seed(7, 3) == derive_replicate_seed(7, 3)
+    assert derive_replicate_seed(7, 3) != derive_replicate_seed(8, 3)
 
 
 def test_expand_replicates_derives_per_run_seeds():
     runner = SweepRunner(workers=1)
     replicates = runner.expand_replicates(_spec(seed=9), 3)
-    assert [r.seed for r in replicates] == [9, derive_run_seed(9, 1), derive_run_seed(9, 2)]
+    expected = [9, derive_replicate_seed(9, 1), derive_replicate_seed(9, 2)]
+    assert [r.seed for r in replicates] == expected
     assert all(r.routing == "MIN" for r in replicates)
 
 

@@ -10,7 +10,6 @@ and every committed batched fingerprint.
 import pytest
 
 from repro.engine.rng import derive_replicate_seed, derive_replicate_seeds
-from repro.experiments import derive_run_seed
 
 #: first 8 seeds derived from base seed 7 (sha256-based, machine-independent).
 PINNED_SEEDS_BASE_7 = [
@@ -39,11 +38,6 @@ def test_seeds_are_distinct_and_base_dependent():
     seeds = derive_replicate_seeds(7, 32)
     assert len(set(seeds)) == 32
     assert derive_replicate_seeds(8, 32) != seeds
-
-
-def test_legacy_alias_matches_the_engine_derivation():
-    for index in range(8):
-        assert derive_run_seed(7, index) == derive_replicate_seed(7, index)
 
 
 def test_negative_count_is_rejected():

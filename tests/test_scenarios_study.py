@@ -1,11 +1,14 @@
 """Tests for the Study layer: expansion, serialization, execution, parity."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.core.qadaptive import QAdaptiveParams
-from repro.experiments import SweepRunner, derive_run_seed, figure5_sweep, spec_fingerprint
+from repro.engine.rng import derive_replicate_seed
+from repro.experiments import SweepRunner, figure5_sweep, spec_fingerprint
 from repro.experiments.presets import BENCH_SCALE
 from repro.scenarios import Scenario, Study, load_study, study_by_name
 from repro.scenarios.catalog import (
@@ -97,7 +100,7 @@ def test_replicates_derive_seeds_and_keep_replicate_zero():
                  replicates=3, seed=9),
     ])
     seeds = [p.spec.seed for p in study.expand()]
-    assert seeds == [9, derive_run_seed(9, 1), derive_run_seed(9, 2)]
+    assert seeds == [9, derive_replicate_seed(9, 1), derive_replicate_seed(9, 2)]
     assert [p.replicate for p in study.expand()] == [0, 1, 2]
 
 
@@ -162,6 +165,19 @@ def test_study_json_and_yaml_files_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         Study.load(bad)
+
+
+def test_readme_scenario_examples_load_with_this_build():
+    """Every copy-paste scenario file in README.md is readable as written."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    documents = [json.loads(block) for block in blocks if '"scenarios"' in block]
+    assert len(documents) >= 2
+    for document in documents:
+        study = Study.from_dict(document)
+        assert study.name == document["name"]
+        assert study.specs()
+        assert Study.from_dict(study.to_dict()).to_dict() == study.to_dict()
 
 
 def test_load_study_resolves_names_and_paths(tmp_path):

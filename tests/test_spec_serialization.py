@@ -103,14 +103,13 @@ def test_spec_dict_is_json_ready_and_versioned():
 
 
 def test_spec_schema_v1_documents_still_load():
-    """Migration: pre-warm_start (schema 1) documents read unchanged."""
+    """Contract: they do not — the spec is fine, the schema-1 stamp is rejected."""
     data = _spec().to_dict()
     assert "warm_start" not in data
-    v1 = dict(data)
-    v1["schema"] = 1
-    clone = ExperimentSpec.from_dict(v1)
-    assert clone == _spec()
-    assert clone.warm_start is None
+    assert ExperimentSpec.from_dict(data).warm_start is None
+    with pytest.raises(ValueError, match=r"ExperimentSpec: unsupported schema version 1 "
+                                         r"\(this build reads version 5\)"):
+        ExperimentSpec.from_dict({**data, "schema": 1})
 
 
 def test_spec_warm_start_round_trips_and_changes_fingerprint(tmp_path):

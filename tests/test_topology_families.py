@@ -92,8 +92,9 @@ def test_family_tagged_config_round_trip(config):
 
 
 def test_config_from_dict_defaults_to_dragonfly():
-    """Pre-registry documents carried bare {p,a,h} dicts; they keep loading."""
-    assert config_from_dict({"p": 2, "a": 4, "h": 2}) == DragonflyConfig(p=2, a=4, h=2)
+    """Contract: it does not — a family-less topology block is rejected."""
+    with pytest.raises(ValueError, match="missing required field 'family'"):
+        config_from_dict({"p": 2, "a": 4, "h": 2})
 
 
 def test_config_from_dict_rejects_unknown_family():
@@ -228,21 +229,29 @@ def test_spec_topology_block_round_trips(config):
 
 
 def test_spec_schema_v3_config_block_still_loads():
-    """v≤3 documents carry the Dragonfly config under the legacy key."""
+    """Contract: it does not — neither the ``config`` key, nor a family-less
+    ``topology`` block, nor the schema-3 stamp is readable."""
     spec = _spec(DragonflyConfig.small_72())
-    legacy = spec.to_dict()
-    legacy["config"] = {k: v for k, v in legacy.pop("topology").items()
-                       if k != "family"}
-    legacy["schema"] = 3
-    assert ExperimentSpec.from_dict(legacy) == spec
+    data = spec.to_dict()
+    bare = {k: v for k, v in data["topology"].items() if k != "family"}
+    with pytest.raises(ValueError, match=r"ExperimentSpec: unsupported schema version 3 "
+                                         r"\(this build reads version 5\)"):
+        ExperimentSpec.from_dict({**data, "schema": 3})
+    with pytest.raises(ValueError, match="missing required field 'family'"):
+        ExperimentSpec.from_dict({**data, "topology": bare})
+    legacy = {k: v for k, v in data.items() if k != "topology"}
+    legacy["config"] = bare
+    with pytest.raises(ValueError, match=r"missing required field\(s\) \['topology'\]"):
+        ExperimentSpec.from_dict(legacy)
 
 
 def test_spec_rejects_both_or_neither_config_key():
     data = _spec(DragonflyConfig.small_72()).to_dict()
     both = dict(data)
     both["config"] = {"p": 2, "a": 4, "h": 2}
-    with pytest.raises(ValueError, match="exactly one of"):
+    with pytest.raises(ValueError, match=r"ExperimentSpec: unknown field\(s\) \['config'\]"):
         ExperimentSpec.from_dict(both)
     neither = {k: v for k, v in data.items() if k != "topology"}
-    with pytest.raises(ValueError, match="exactly one of"):
+    with pytest.raises(ValueError, match=r"ExperimentSpec: missing required field\(s\) "
+                                         r"\['topology'\]"):
         ExperimentSpec.from_dict(neither)
