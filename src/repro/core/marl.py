@@ -75,13 +75,22 @@ class TabularMarlRouting(RoutingAlgorithm):
     def _build_table(self, router_id: int) -> _PortQTable:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _initial_values(self) -> np.ndarray:  # pragma: no cover - abstract
+        """``[routers, rows, cols]`` initial values of every router's table."""
+        raise NotImplementedError
+
     def _row_for(self, packet: Packet) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
     # ----------------------------------------------------------------- wiring
     def _setup(self) -> None:
         topo = self.topo
+        # One ``[routers, rows, cols]`` block holds every value of the system;
+        # each router's table is a view of its slice.
+        self.values = self._initial_values()
         self.tables = [self._build_table(r) for r in topo.all_routers()]
+        for table, values in zip(self.tables, self.values, strict=True):
+            table.values = values
         # Hot-path caches: host-port math and a direct event-queue push for
         # the delayed feedback (bypassing the Simulator.after wrapper).
         self._hosts_per_router = topo.hosts_per_router

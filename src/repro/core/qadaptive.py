@@ -30,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.hysteretic import HystereticParams
 from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy, select_with_threshold
-from repro.core.qtable import TwoLevelQTable
+from repro.core.qtable import TwoLevelQTable, two_level_initial_values
 from repro.network.packet import Packet
 from repro.network.router import Router
 from repro.topology.dragonfly import DragonflyTopology
@@ -135,9 +137,10 @@ class QAdaptiveRouting(TabularMarlRouting):
         self._router_group = self.topo.router_groups()
 
     def _build_table(self, router_id: int) -> TwoLevelQTable:
-        table = TwoLevelQTable(router_id, self.topo)
-        table.initialize_uncongested(self.network.params.timing())
-        return table
+        return TwoLevelQTable(router_id, self.topo)
+
+    def _initial_values(self) -> np.ndarray:
+        return two_level_initial_values(self.topo, self.network.params.timing())
 
     def _row_for(self, packet: Packet) -> int:
         return self._router_group[packet.dst_router] * self.topo.p + packet.src_node_local

@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+
 from repro.core.hysteretic import HystereticParams
 from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy
-from repro.core.qtable import QRoutingTable
+from repro.core.qtable import QRoutingTable, qrouting_initial_values
 from repro.network.packet import Packet
 from repro.network.router import Router
 from repro.topology.base import Topology
@@ -97,9 +99,10 @@ class QRoutingAlgorithm(TabularMarlRouting):
 
     # ------------------------------------------------------------------ tables
     def _build_table(self, router_id: int) -> QRoutingTable:
-        table = QRoutingTable(router_id, self.topo)
-        table.initialize_uncongested(self.network.params.timing())
-        return table
+        return QRoutingTable(router_id, self.topo)
+
+    def _initial_values(self) -> np.ndarray:
+        return qrouting_initial_values(self.topo, self.network.params.timing())
 
     def _row_for(self, packet: Packet) -> int:
         return packet.dst_router

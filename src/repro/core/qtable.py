@@ -14,6 +14,13 @@ still have to travel.
   Dragonfly (``a = 2p``) this is exactly half the rows — the 50 % memory
   saving claimed by the paper — and rows are shared by all destinations in a
   group, which keeps them fresh even for rarely used destinations.
+
+Initial values (the uncongested minimal delivery time, Section 5.1) are
+computed for the whole system at once — :func:`two_level_initial_values` and
+:func:`qrouting_initial_values` return one ``[routers, rows, cols]`` block
+straight from the topology's wiring arrays — and the routing algorithm makes
+each router's table a view of its slice (see
+:meth:`repro.core.marl.TabularMarlRouting._setup`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from repro.topology.base import PortType, Topology
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.paths import LinkTiming, min_time_router_to_group, uncongested_delivery_time
+from repro.topology.paths import LinkTiming
 
 #: initial value of table columns behind unconnected ports (mesh edges):
 #: large enough never to win a minimum, finite so telemetry aggregates stay
@@ -183,60 +190,8 @@ class QRoutingTable(_PortQTable):
         return dst_router
 
     def initialize_uncongested(self, timing: LinkTiming) -> None:
-        """Initialise every entry to the congestion-free minimal delivery time.
-
-        The Dragonfly closed form accounts for the local/global link split;
-        every other family uses the generic minimal-hop estimate (all
-        router-to-router links share one latency class there).  Columns of
-        unconnected ports start at :data:`UNREACHABLE_NS` so they never win.
-        """
-        if self.topo.family != "dragonfly":
-            self._initialize_uncongested_generic(timing)
-            return
-        topo = self.topo
-        eject = timing.hop_time(topo.port_type(0))
-        local = timing.hop_time(topo.port_type(topo.p))
-        glob = timing.hop_time(topo.port_type(topo.k - 1))
-        src_id = self.router_id
-        for col in range(self.num_ports):
-            port = self.port_of_column(col)
-            neighbor, _ = topo.neighbor_of(src_id, port)
-            first = local if topo.is_local_port(port) else glob
-            n_group = topo.group_of_router(neighbor)
-            for dest in range(topo.num_routers):
-                d_group = topo.group_of_router(dest)
-                if neighbor == dest:
-                    remaining = 0.0
-                elif n_group == d_group:
-                    remaining = local
-                else:
-                    remaining = 0.0
-                    if topo.global_port_to_group(neighbor, d_group) is None:
-                        remaining += local
-                    remaining += glob
-                    if topo.gateway_router(d_group, n_group) != dest:
-                        remaining += local
-                self.values[dest, col] = first + remaining + eject
-
-    def _initialize_uncongested_generic(self, timing: LinkTiming) -> None:
-        topo = self.topo
-        eject = timing.hop_time(PortType.HOST)
-        local = timing.hop_time(PortType.LOCAL)
-        src_id = self.router_id
-        for col in range(self.num_ports):
-            port = self.port_of_column(col)
-            neighbor = topo.neighbor_of(src_id, port)
-            if neighbor is None:
-                self.values[:, col] = UNREACHABLE_NS
-                continue
-            first = timing.hop_time(topo.link_kind(src_id, port))
-            neighbor_router = neighbor[0]
-            for dest in range(topo.num_routers):
-                if neighbor_router == dest:
-                    remaining = 0.0
-                else:
-                    remaining = topo.minimal_hops(neighbor_router, dest) * local
-                self.values[dest, col] = first + remaining + eject
+        """Fill this table with its slice of :func:`qrouting_initial_values`."""
+        self.values[:, :] = qrouting_initial_values(self.topo, timing)[self.router_id]
 
 
 class TwoLevelQTable(_PortQTable):
@@ -252,21 +207,70 @@ class TwoLevelQTable(_PortQTable):
         return dst_group * self.topo.p + src_node_local
 
     def initialize_uncongested(self, timing: LinkTiming) -> None:
-        """Initialise every entry to the congestion-free delivery time via that port.
+        """Fill this table with its slice of :func:`two_level_initial_values`."""
+        self.values[:, :] = two_level_initial_values(self.topo, timing)[self.router_id]
 
-        Section 5.1: "Q-values are initialized to the theoretical packet
-        delivery time without any congestion through a minimal routing path."
-        All ``p`` source-node rows of a destination group start identical; they
-        diverge as learning differentiates per-source congestion.
-        """
-        topo = self.topo
-        p = topo.p
-        for col in range(self.num_ports):
-            port = self.port_of_column(col)
-            for group in range(topo.g):
-                estimate = uncongested_delivery_time(topo, self.router_id, port, group, timing)
-                for node_local in range(p):
-                    self.values[group * p + node_local, col] = estimate
+
+def two_level_initial_values(topo: DragonflyTopology, timing: LinkTiming) -> np.ndarray:
+    """Initial two-level tables of every router: ``[routers, g·p, cols]`` float64.
+
+    Section 5.1: "Q-values are initialized to the theoretical packet
+    delivery time without any congestion through a minimal routing path" —
+    entry by entry :func:`~repro.topology.paths.uncongested_delivery_time`,
+    computed here for the whole system from the topology's wiring arrays.
+    All ``p`` source-node rows of a destination group start identical; they
+    diverge as learning differentiates per-source congestion.
+    """
+    first_port, _ = topo.table_port_span()
+    eject = timing.hop_time(PortType.HOST)
+    local = timing.hop_time(PortType.LOCAL)
+    glob = timing.hop_time(PortType.GLOBAL)
+    # min_time[router, group]: min_time_router_to_group for every pair.
+    min_time = np.where(topo._global_port_to_group >= 0, glob + eject, local + glob + eject)
+    min_time[np.arange(topo.num_routers), topo.router_groups()] = eject
+    first = np.where(np.arange(first_port, topo.k) < topo.global_ports.start, local, glob)
+    via = first[:, None] + min_time[topo._neighbor_router[:, first_port:]]  # [r, col, group]
+    return np.repeat(via.transpose(0, 2, 1), topo.p, axis=1)
+
+
+def qrouting_initial_values(topo: Topology, timing: LinkTiming) -> np.ndarray:
+    """Initial Q-routing tables of every router: ``[routers, routers, cols]`` float64.
+
+    Entry ``[r, dest, col]`` is the first hop through that port, plus the
+    congestion-free minimal time from the neighbour to ``dest``, plus
+    ejection.  The Dragonfly closed form accounts for the local/global link
+    split; every other family uses the minimal-hop estimate (all
+    router-to-router links share one latency class there).  Columns of
+    unconnected ports start at :data:`UNREACHABLE_NS` so they never win.
+    """
+    first_port, num_ports = topo.table_port_span()
+    m = topo.num_routers
+    eject = timing.hop_time(PortType.HOST)
+    local = timing.hop_time(PortType.LOCAL)
+    neighbor = np.full((m, num_ports), -1, dtype=np.int64)
+    first = np.zeros((m, num_ports))
+    for router in range(m):
+        for col in range(num_ports):
+            pair = topo.neighbor_of(router, first_port + col)
+            if pair is not None:
+                neighbor[router, col] = pair[0]
+                first[router, col] = timing.hop_time(topo.link_kind(router, first_port + col))
+    # remaining[n, dest]: time from neighbour n until the packet reaches dest.
+    if isinstance(topo, DragonflyTopology):
+        glob = timing.hop_time(PortType.GLOBAL)
+        groups = np.asarray(topo.router_groups())
+        direct = topo._global_port_to_group[:, groups] >= 0
+        at_gateway = topo._gateway_router[groups, groups[:, None]] == np.arange(m)
+        remaining = (np.where(direct, 0.0, local) + glob) + np.where(at_gateway, 0.0, local)
+        remaining[groups[:, None] == groups] = local
+        np.fill_diagonal(remaining, 0.0)
+    else:
+        remaining = local * np.array(
+            [[topo.minimal_hops(n, dest) for dest in range(m)] for n in range(m)]
+        )
+    values = first[:, :, None] + remaining[neighbor] + eject  # [r, col, dest]
+    values[neighbor < 0] = UNREACHABLE_NS
+    return np.ascontiguousarray(values.transpose(0, 2, 1))
 
 
 def qtable_memory_comparison(config: DragonflyConfig, value_bytes: int = 8) -> Dict[str, float]:
@@ -296,6 +300,7 @@ __all__ = [
     "QRoutingTable",
     "TABLE_STATE_VERSION",
     "TwoLevelQTable",
+    "qrouting_initial_values",
     "qtable_memory_comparison",
-    "min_time_router_to_group",
+    "two_level_initial_values",
 ]

@@ -5,8 +5,11 @@ everything that does not depend on the seed — topology wiring, per-port
 delays, credit capacities, minimal-route tables, routing hyper-parameters,
 and the initial (uncongested) Q-tables — is computed once per batch by
 building one real :class:`~repro.network.network.Network` and flattening its
-state into plain lists indexed ``router * k + port``.  The kernel then only
-pays per-replicate cost for state that actually diverges between seeds.
+state into plain lists indexed ``router * k + port``.  The two large tables
+are taken whole, not rebuilt: ``min_next`` is the topology's own
+``minimal_next_table()`` and ``init_values`` a read-only view of the block the
+model network's Q-tables live in.  The kernel then only pays per-replicate
+cost for state that actually diverges between seeds.
 """
 
 from __future__ import annotations
@@ -126,8 +129,9 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     """Build the shared model of one batch (raises for unsupported specs)."""
     check_batchable(spec)
     # One real network resolves num_vcs, wires the topology, and initializes
-    # the routing tables exactly as every scalar replicate would.  Building it
-    # is cheap relative to a single replicate's event count.
+    # the routing tables exactly as every scalar replicate would.  It is paid
+    # once per batch rather than per replicate, and it still shows at paper
+    # scale: the ledger's ``batch.model_build_s`` is the number to watch.
     from repro.network.network import Network
     from repro.routing import canonical_routing_name, make_routing
 
@@ -189,10 +193,7 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
             model.remote_idx[f] = neighbor[0] * k + neighbor[1]
             model.cred_cap[f] = params.vc_buffer_packets
 
-    model.min_next = [
-        [topo.minimal_next_port(r, d) if d != r else -1 for d in range(num_routers)]
-        for r in range(num_routers)
-    ]
+    model.min_next = topo.minimal_next_table()
 
     model.nic_fidx = [
         topo.router_of_node(n) * k + topo.host_port_of_node(n)
@@ -203,11 +204,12 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     model.nic_cred_cap = params.vc_buffer_packets
 
     if kind != KIND_MIN:
-        tables = routing.tables
-        model.init_values = np.stack([table.values for table in tables]).astype(
-            np.float64, copy=True
-        )
-        model.first_port = tables[0].first_port
+        # The block the model network's tables view: read-only here, and every
+        # replicate copies it (``.tolist()``) before learning.
+        init_values = routing.values.view()
+        init_values.flags.writeable = False
+        model.init_values = init_values
+        model.first_port = routing.tables[0].first_port
         model.explore = [list(ports) for ports in routing._explore_ports]
         model.onpolicy = routing.feedback_mode == "onpolicy"
         model.alpha = routing.hysteretic.alpha

@@ -168,11 +168,21 @@ class Topology:
     def minimal_next_port(self, router: int, dest_router: int) -> int:
         """Next output port on a minimal path from ``router`` to ``dest_router``.
 
-        Deterministic (one canonical minimal path per pair) and memoized;
-        raises when ``router == dest_router`` (ejection is the caller's
-        decision, it needs the destination *node*).
+        Deterministic (one canonical minimal path per pair) and cheap to
+        repeat (a table or memo lookup); raises when ``router == dest_router``
+        (ejection is the caller's decision, it needs the destination *node*).
         """
         raise NotImplementedError
+
+    def minimal_next_table(self) -> List[List[int]]:
+        """Dense ``[router][dest_router]`` form of :meth:`minimal_next_port`.
+
+        ``-1`` on the diagonal.  Shared, do not mutate.  The default asks
+        pair by pair; families that hold the table return it directly.
+        """
+        routers = range(self.num_routers)
+        return [[self.minimal_next_port(r, d) if d != r else -1 for d in routers]
+                for r in routers]
 
     def minimal_hops(self, src_router: int, dest_router: int) -> int:
         """Router-to-router hops on the canonical minimal path (0..diameter)."""

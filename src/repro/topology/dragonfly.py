@@ -33,9 +33,10 @@ __all__ = ["DragonflyTopology", "PortType"]
 class DragonflyTopology(Topology):
     """Connectivity of a Dragonfly system described by a :class:`DragonflyConfig`.
 
-    The constructor precomputes neighbour tables so that all queries used on
-    the simulator hot path (``neighbor_of``, ``minimal_next_port``,
-    ``global_port_to_group``) are O(1) array lookups.
+    The constructor precomputes the neighbour, group and dense minimal-route
+    tables, so that all queries used on the simulator hot path
+    (``neighbor_of``, ``minimal_next_port``, ``global_port_to_group``) are
+    O(1) table lookups and set-up code can take whole tables at once.
     """
 
     family = "dragonfly"
@@ -51,7 +52,7 @@ class DragonflyTopology(Topology):
 
         Building the wiring tables is O(k·m) and a parameter sweep builds
         hundreds of identical networks; sharing the topology also shares its
-        memoized routing queries across runs of one process.
+        minimal-route table and memoized path queries across runs of one process.
         """
         topo = cls._instances.get(config)
         if topo is None:
@@ -155,10 +156,34 @@ class DragonflyTopology(Topology):
             [int(router) for router in row] for row in gateway_router
         ]
 
-        # Memo tables for the per-packet routing queries; filled lazily so
-        # construction stays O(k·m) even for the 2,550-node system.  Keys are
-        # flat ``router * m + dest`` ints (cheaper to hash than tuples).
-        self._min_port_cache: dict = {}
+        # Dense minimal-route table ``[router][dest_router]`` (-1 on the
+        # diagonal).  In the absolute arrangement a router's port towards
+        # another group depends only on its local index and on the group's
+        # endpoint number ``e`` (above), not on its own group: its own global
+        # port if it owns endpoint ``e``, else the local port to the owner
+        # ``e // h``.  A row is that per-endpoint list, every entry repeated
+        # over the ``a`` routers of the group, with the router's own group —
+        # its local all-to-all ports — spliced in at the group's position.
+        self._min_next: List[List[int]] = []
+        segments = []
+        for r_local in range(a):
+            local = [p + (t if t < r_local else t - 1) for t in range(a)]
+            local[r_local] = -1
+            remote = [
+                p + (a - 1) + e % h if e // h == r_local else local[e // h]
+                for e in range(a * h)
+                for _ in range(a)
+            ]
+            segments.append((local, remote))
+        for grp in range(g):
+            for local, remote in segments:
+                row = remote[: grp * a]
+                row += local
+                row += remote[grp * a :]
+                self._min_next.append(row)
+
+        # Memo tables for the remaining per-pair queries; filled lazily.  Keys
+        # are flat ``router * m + dest`` ints (cheaper to hash than tuples).
         self._min_hops_cache: dict = {}
         self._min_path_cache: dict = {}
 
@@ -301,29 +326,19 @@ class DragonflyTopology(Topology):
         """Next output port on a minimal path from ``router`` towards ``dest_router``.
 
         Raises if ``router == dest_router`` (ejection is the caller's decision,
-        since it needs the destination *node*).  Results are memoized — every
-        packet of a run asks the same questions over and over.
+        since it needs the destination *node*).  One lookup in the dense table
+        built at construction (same group: the local port; otherwise the
+        direct global port, else the local port to the group's gateway).
         """
         self._check_router(router)
         self._check_router(dest_router)
-        port = self._min_port_cache.get(router * self.num_routers + dest_router)
-        if port is not None:
-            return port
-        if router == dest_router:
+        port = self._min_next[router][dest_router]
+        if port < 0:
             raise ValueError("already at the destination router; eject instead")
-        src_group = self.group_of_router(router)
-        dst_group = self.group_of_router(dest_router)
-        if src_group == dst_group:
-            port = self.local_port_to(router, dest_router)
-        else:
-            direct = self._global_port_lists[router][dst_group]
-            if direct is not None:
-                port = direct
-            else:
-                gateway = self._gateway_lists[src_group][dst_group]
-                port = self.local_port_to(router, gateway)
-        self._min_port_cache[router * self.num_routers + dest_router] = port
         return port
+
+    def minimal_next_table(self) -> List[List[int]]:
+        return self._min_next
 
     def minimal_router_path(self, src_router: int, dest_router: int) -> List[int]:
         """Sequence of routers (inclusive of both ends) along the minimal path.

@@ -3,9 +3,10 @@
 These helpers are pure functions of the topology: they build the router
 sequences of minimal, Valiant-global (VALg) and Valiant-node (VALn) paths and
 estimate the delivery time of an uncongested packet along them.  The timing
-estimates are what Q-adaptive uses to initialise its Q-tables (Section 5.1 of
+estimates define what Q-adaptive initialises its Q-tables to (Section 5.1 of
 the paper: "Q-values are initialized to the theoretical packet delivery time
-without any congestion through a minimal routing path").
+without any congestion through a minimal routing path");
+:mod:`repro.core.qtable` computes the same values for whole tables at once.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def _memo(topo: DragonflyTopology) -> Dict:
     Stored on the topology instance so it lives exactly as long as the wiring
     it caches, and so sharing a topology across networks (see
     :meth:`DragonflyTopology.for_config`) shares the memoized answers too.
-    All helpers are pure functions of (topology, arguments), which makes the
-    memoization value-transparent.
+    The route and path-time helpers are pure functions of (topology,
+    arguments), which makes the memoization value-transparent.
     """
     memo = getattr(topo, "_paths_memo", None)
     if memo is None:
@@ -167,20 +168,12 @@ def min_time_router_to_group(
     initialisation (per-destination-router detail is below the granularity of
     the two-level Q-table).
     """
-    key = ("mintime", router, dest_group, timing)
-    memo = _memo(topo)
-    total = memo.get(key)
-    if total is None:
-        group = topo.group_of_router(router)
-        eject = timing.hop_time(PortType.HOST)
-        if group == dest_group:
-            total = eject
-        elif topo.global_port_to_group(router, dest_group) is not None:
-            total = timing.hop_time(PortType.GLOBAL) + eject
-        else:
-            total = timing.hop_time(PortType.LOCAL) + timing.hop_time(PortType.GLOBAL) + eject
-        memo[key] = total
-    return total
+    eject = timing.hop_time(PortType.HOST)
+    if topo.group_of_router(router) == dest_group:
+        return eject
+    if topo.global_port_to_group(router, dest_group) is not None:
+        return timing.hop_time(PortType.GLOBAL) + eject
+    return timing.hop_time(PortType.LOCAL) + timing.hop_time(PortType.GLOBAL) + eject
 
 
 def uncongested_delivery_time(
@@ -190,21 +183,18 @@ def uncongested_delivery_time(
 
     This is the initial Q-value of entry ``(dest_group, out_port)``: traverse
     the link behind ``out_port`` and continue minimally from the neighbour.
-    Host ports are invalid here (Q-tables only cover network ports).
+    Host ports are invalid here (Q-tables only cover network ports).  It is
+    the per-entry reference of :func:`repro.core.qtable.two_level_initial_values`,
+    which fills whole tables without calling it.
     """
-    key = ("uncong", router, out_port, dest_group, timing)
-    memo = _memo(topo)
-    total = memo.get(key)
-    if total is None:
-        port_type = topo.port_type(out_port)
-        if port_type is PortType.HOST:
-            raise ValueError("uncongested_delivery_time is undefined for host ports")
-        neighbor = topo.neighbor_of(router, out_port)
-        assert neighbor is not None
-        first_hop = timing.hop_time(port_type)
-        total = first_hop + min_time_router_to_group(topo, neighbor[0], dest_group, timing)
-        memo[key] = total
-    return total
+    port_type = topo.port_type(out_port)
+    if port_type is PortType.HOST:
+        raise ValueError("uncongested_delivery_time is undefined for host ports")
+    neighbor = topo.neighbor_of(router, out_port)
+    assert neighbor is not None
+    return timing.hop_time(port_type) + min_time_router_to_group(
+        topo, neighbor[0], dest_group, timing
+    )
 
 
 def minimal_delivery_time(

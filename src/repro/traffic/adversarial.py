@@ -30,14 +30,15 @@ class AdversarialTraffic(TrafficPattern):
         self.name = f"ADV+{shift}"
 
     def _setup(self) -> None:
-        if self.shift >= self.topo.g:
+        topo = self.topo
+        if self.shift >= topo.g:
             raise ValueError(
-                f"adversarial shift {self.shift} must be smaller than the group count {self.topo.g}"
+                f"adversarial shift {self.shift} must be smaller than the group count {topo.g}"
             )
+        # Per-source target range, so a draw costs no topology calls.
+        targets = [topo.nodes_in_group((g + self.shift) % topo.g) for g in topo.all_groups()]
+        self._targets = [targets[topo.group_of_node(n)] for n in topo.all_nodes()]
 
     def destination(self, src_node: int) -> int:
-        topo = self.topo
-        src_group = topo.group_of_node(src_node)
-        dst_group = (src_group + self.shift) % topo.g
-        nodes = topo.nodes_in_group(dst_group)
+        nodes = self._targets[src_node]
         return nodes[self.rng.randrange(len(nodes))]

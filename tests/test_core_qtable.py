@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.core.qtable import QRoutingTable, TwoLevelQTable, qtable_memory_comparison
+import repro.core.qtable as qtable_module
+import repro.topology.paths as paths_module
+from repro.core.qtable import (
+    UNREACHABLE_NS,
+    QRoutingTable,
+    TwoLevelQTable,
+    qrouting_initial_values,
+    qtable_memory_comparison,
+    two_level_initial_values,
+)
+from repro.engine.batch import BatchSimulation
+from repro.engine.batch.model import build_model
+from repro.experiments.harness import ExperimentSpec, build_network
+from repro.topology.base import PortType
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.paths import LinkTiming, uncongested_delivery_time
+from repro.topology.registry import family_by_name, topology_for
 
 
 TOPO = DragonflyTopology(DragonflyConfig.small_72())
@@ -63,6 +77,74 @@ def test_initialize_uncongested_matches_path_estimates():
             for node_local in range(TOPO.p):
                 row = table.row_for(group, node_local)
                 assert table.value(row, port) == pytest.approx(expected)
+
+
+#: non-default constants whose sums round differently under reassociation, so
+#: "bit-identical" below also pins the order the three terms are added in.
+AWKWARD_TIMING = LinkTiming(serialization_ns=1 / 3, local_latency_ns=1e-3,
+                            global_latency_ns=123.456, host_latency_ns=7.7)
+
+
+@pytest.mark.parametrize("timing", [TIMING, AWKWARD_TIMING], ids=["default", "awkward"])
+@pytest.mark.parametrize("pah", [(2, 4, 2), (4, 8, 4), (1, 4, 2)], ids=str)
+def test_two_level_block_is_bit_identical_to_the_per_entry_reference(pah, timing):
+    topo = DragonflyTopology(DragonflyConfig(*pah))
+    block = two_level_initial_values(topo, timing)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    expected = np.array([
+        [[uncongested_delivery_time(topo, router, port, group, timing)
+          for port in topo.non_host_ports]
+         for group in range(topo.g) for _node_local in range(topo.p)]
+        for router in topo.all_routers()
+    ])
+    assert np.array_equal(block, expected)
+
+
+def _qrouting_reference(topo, timing, src_id):
+    """The per-entry loops ``QRoutingTable.initialize_uncongested`` used to run."""
+    first_port, num_ports = topo.table_port_span()
+    values = np.zeros((topo.num_routers, num_ports))
+    eject = timing.hop_time(PortType.HOST)
+    local = timing.hop_time(PortType.LOCAL)
+    glob = timing.hop_time(PortType.GLOBAL)
+    for col in range(num_ports):
+        port = first_port + col
+        neighbor = topo.neighbor_of(src_id, port)
+        if neighbor is None:
+            values[:, col] = UNREACHABLE_NS
+            continue
+        first = timing.hop_time(topo.link_kind(src_id, port))
+        neighbor = neighbor[0]
+        for dest in range(topo.num_routers):
+            if neighbor == dest:
+                remaining = 0.0
+            elif topo.family != "dragonfly":
+                remaining = topo.minimal_hops(neighbor, dest) * local
+            elif topo.group_of_router(neighbor) == topo.group_of_router(dest):
+                remaining = local
+            else:
+                n_group, d_group = topo.group_of_router(neighbor), topo.group_of_router(dest)
+                remaining = 0.0
+                if topo.global_port_to_group(neighbor, d_group) is None:
+                    remaining += local
+                remaining += glob
+                if topo.gateway_router(d_group, n_group) != dest:
+                    remaining += local
+            values[dest, col] = first + remaining + eject
+    return values
+
+
+@pytest.mark.parametrize("timing", [TIMING, AWKWARD_TIMING], ids=["default", "awkward"])
+@pytest.mark.parametrize("family", ["dragonfly", "fattree", "mesh", "torus"])
+def test_qrouting_block_is_bit_identical_to_the_per_entry_reference(family, timing):
+    topo = topology_for(family_by_name(family).presets["tiny"]())
+    block = qrouting_initial_values(topo, timing)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    for router in topo.all_routers():
+        assert np.array_equal(block[router], _qrouting_reference(topo, timing, router))
+        table = QRoutingTable(router, topo)
+        table.initialize_uncongested(timing)
+        assert np.array_equal(table.values, block[router])
 
 
 def test_qrouting_initialization_favours_minimal_port():
@@ -148,3 +230,59 @@ def test_load_state_rejects_wrong_kind_version_and_shape():
     other_topo = DragonflyTopology(DragonflyConfig.tiny())
     with pytest.raises(ValueError, match="shape mismatch"):
         two_level.load_state(TwoLevelQTable(0, other_topo).state_dict())
+
+
+# --------------------------------------------- whole-system block and its views
+def test_paper_scale_setup_makes_no_per_entry_calls(monkeypatch):
+    """Set-up guard by count, not by clock: at 1,056 nodes the Q-adp network and
+    the batched model are built from tables (95,832 ``uncongested_delivery_time``
+    and 69,432 ``minimal_next_port`` calls when they were built entry by entry)."""
+    calls = {"uncongested_delivery_time": 0, "minimal_next_port": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    per_entry = counted("uncongested_delivery_time", uncongested_delivery_time)
+    monkeypatch.setattr(paths_module, "uncongested_delivery_time", per_entry)
+    monkeypatch.setattr(qtable_module, "uncongested_delivery_time", per_entry, raising=False)
+    monkeypatch.setattr(DragonflyTopology, "minimal_next_port",
+                        counted("minimal_next_port", DragonflyTopology.minimal_next_port))
+    spec = ExperimentSpec(config=DragonflyConfig.paper_1056(), routing="Q-adp",
+                          pattern="ADV+1", offered_load=0.3, sim_time_ns=200.0,
+                          warmup_ns=0.0, seed=7)
+    network, _ = build_network(spec)
+    assert network.routing.values.shape == (264, 132, 11)
+    BatchSimulation(spec, [7])
+    assert calls == {"uncongested_delivery_time": 0, "minimal_next_port": 0}
+
+
+_SMALL_QADP = ExperimentSpec(config=DragonflyConfig.small_72(), routing="Q-adp", pattern="UR",
+                           offered_load=0.3, sim_time_ns=1_000.0, warmup_ns=0.0, seed=3)
+
+
+def test_router_tables_are_isolated_views_of_one_block():
+    routing = build_network(_SMALL_QADP)[0].routing
+    before = routing.values.copy()
+    table = routing.table(5)
+    assert np.shares_memory(table.values, routing.values)
+    snap, state = table.snapshot(), table.state_dict()["values"]
+    table.values[:, :] = -1.0
+    table.set_value(0, TOPO.local_ports[0], -2.0)
+    # the neighbours' tables are untouched, and the block sees the write
+    assert np.array_equal(routing.table(4).values, before[4])
+    assert np.array_equal(routing.table(6).values, before[6])
+    assert routing.values[5, 0, 0] == -2.0
+    # snapshot() and state_dict() handed out copies, not views
+    assert np.array_equal(snap, before[5]) and np.array_equal(state, before[5])
+    assert not np.shares_memory(snap, routing.values)
+    assert not np.shares_memory(state, routing.values)
+
+
+def test_batch_model_initial_values_are_read_only():
+    init_values = build_model(_SMALL_QADP).init_values
+    assert np.array_equal(init_values, two_level_initial_values(TOPO, TIMING))
+    with pytest.raises(ValueError, match="read-only"):
+        init_values[0, 0, 0] = 0.0

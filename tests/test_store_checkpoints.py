@@ -57,6 +57,10 @@ def test_export_import_round_trip_is_bit_exact(routing, config):
     fresh.routing.import_state(state)
     restored = fresh.routing.export_state()
     assert np.array_equal(restored["values"], state["values"])
+    # the import went through the per-router views into the one shared block
+    assert np.array_equal(fresh.routing.values, state["values"])
+    assert all(np.shares_memory(table.values, fresh.routing.values)
+               for table in fresh.routing.tables)
     assert np.array_equal(restored["updates"], state["updates"])
     assert restored["feedback_sent"] == state["feedback_sent"]
     assert restored["feedback_applied"] == state["feedback_applied"]

@@ -123,6 +123,17 @@ def test_wiring_is_symmetric(config):
             assert topo.neighbor_of(peer, peer_port) == (router, port)
 
 
+@pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
+def test_minimal_next_table_is_the_per_pair_query_tabulated(config):
+    topo = topology_for(config)
+    table = topo.minimal_next_table()
+    for router in topo.all_routers():
+        assert table[router] == [
+            -1 if dest == router else topo.minimal_next_port(router, dest)
+            for dest in topo.all_routers()
+        ]
+
+
 def test_fattree_structure():
     topo = FatTreeTopology.for_config(FatTreeConfig.tiny())  # k=4
     k = 4

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.config import DragonflyConfig
@@ -61,6 +62,44 @@ def test_minimal_paths_respect_diameter_and_connectivity(config, src_raw, dst_ra
     # the path never visits a group other than source, destination, or a gateway step
     groups = {topo.group_of_router(r) for r in path}
     assert groups <= {topo.group_of_router(src), topo.group_of_router(dst)}
+
+
+def _minimal_next_port_reference(topo, router, dest_router):
+    """The per-pair rule the dense table replaced, from the group-level queries."""
+    src_group, dst_group = topo.group_of_router(router), topo.group_of_router(dest_router)
+    if src_group == dst_group:
+        return topo.local_port_to(router, dest_router)
+    direct = topo.global_port_to_group(router, dst_group)
+    if direct is not None:
+        return direct
+    return topo.local_port_to(router, topo.gateway_router(src_group, dst_group))
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs)
+def test_dense_minimal_next_table_matches_the_per_pair_rule(config):
+    topo = DragonflyTopology(config)
+    table = topo.minimal_next_table()
+    assert len(table) == topo.num_routers
+    for router in topo.all_routers():
+        assert len(table[router]) == topo.num_routers
+        assert table[router][router] == -1
+        with pytest.raises(ValueError, match="eject instead"):
+            topo.minimal_next_port(router, router)
+        for dest in topo.all_routers():
+            if dest == router:
+                continue
+            port = table[router][dest]
+            assert type(port) is int
+            assert port == topo.minimal_next_port(router, dest)
+            assert port == _minimal_next_port_reference(topo, router, dest)
+            # walking the table reaches the destination in minimal_hops hops
+            current, hops = router, 0
+            while current != dest:
+                current = topo.neighbor_of(current, table[current][dest])[0]
+                hops += 1
+                assert hops <= topo.diameter
+            assert hops == topo.minimal_hops(router, dest)
 
 
 @settings(max_examples=20, deadline=None)
