@@ -20,9 +20,11 @@ H205   every probe-bus publish (``self._ev_*(...)``) anywhere in simulation
 
 The hot list (:data:`HOT_FUNCTIONS`) is the PR-3/PR-5 inventory: the
 simulator run loop and schedulers, event-queue push/pop, the router
-route/forward/serve path, the NIC inject/receive path, packet creation, and
-the traffic generator's per-packet driving loop.  Extend it when new code
-joins the per-event path.
+route/forward/serve path, the NIC inject/receive path, packet creation, the
+traffic generator's per-packet driving loop, and the flat kernel's drain with
+the per-decision functions of its decision table (``factory.function``: the
+functions are built once per drain by factories that are not hot themselves).
+Extend it when new code joins the per-event path.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "TrafficGenerator._generate", "TrafficGenerator._schedule_next",
     }),
     "repro.engine.batch.kernel": frozenset({"BatchKernel._advance"}),
+    "repro.engine.batch.decisions": frozenset({
+        "valg.decide", "valn.decide", "val.decide",
+        "_ugal.decide", "_ugal.diverts", "_ugal.congestion",
+    }),
 }
 
 #: packages where every ``self._ev_*`` publish must be None-guarded.
@@ -67,18 +73,22 @@ PUBLISH_SCOPE = ("repro.engine", "repro.network", "repro.core", "repro.traffic")
 
 
 def _hot_functions(module: SourceModule) -> Iterator[Tuple[str, ast.FunctionDef]]:
-    """Yield ``(qualname, node)`` of this module's hot-listed functions."""
+    """Yield ``(qualname, node)`` of this module's hot-listed functions.
+
+    ``Owner.name`` names a method of a class or a function defined directly
+    inside a top-level factory function.
+    """
     wanted = HOT_FUNCTIONS.get(module.module)
     if not wanted:
         return
     for node in module.tree.body:
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             for child in node.body:
                 if isinstance(child, ast.FunctionDef):
                     qualname = f"{node.name}.{child.name}"
                     if qualname in wanted:
                         yield qualname, child
-        elif isinstance(node, ast.FunctionDef) and node.name in wanted:
+        if isinstance(node, ast.FunctionDef) and node.name in wanted:
             yield node.name, node
 
 

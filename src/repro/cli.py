@@ -208,7 +208,7 @@ def _run_replicate_batch(args: argparse.Namespace, spec: "ExperimentSpec") -> in
 
     ``UnsupportedByBackend`` (a ``ValueError``) surfaces as a clean exit — the
     batched backend refuses telemetry/faults/warm-start specs up front rather
-    than approximating them.
+    than approximating them or falling back.
     """
     replicates = args.replicates if args.replicates is not None else 1
     if replicates < 1:
@@ -547,10 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "summary row per replicate")
     run_p.add_argument("--backend", choices=("scalar", "batched"),
                        default="scalar",
-                       help="replicate execution backend: 'scalar' runs one "
-                            "simulator per seed; 'batched' advances all "
-                            "replicates in lockstep with bit-identical "
-                            "per-replicate results (default: scalar)")
+                       help="how replicates are grouped: 'scalar' is one run "
+                            "per seed, each on the flat kernel when it can "
+                            "reproduce the spec and on the object graph "
+                            "otherwise; 'batched' advances all replicates in "
+                            "lockstep chunks on the flat kernel (bit-identical "
+                            "per replicate) and refuses what the kernel cannot "
+                            "reproduce instead of falling back (default: scalar)")
     add_store(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -623,10 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "'repro-sim report'")
     srun_p.add_argument("--backend", choices=("scalar", "batched"),
                         default="scalar",
-                        help="replicate execution backend: 'scalar' runs one "
-                             "simulator per point; 'batched' advances the "
-                             "replicates of each scenario point in lockstep "
-                             "with bit-identical results (default: scalar)")
+                        help="how runs are grouped: 'scalar' is one run per "
+                             "point, each on the flat kernel when it can "
+                             "reproduce the spec and on the object graph "
+                             "otherwise; 'batched' advances the replicates of "
+                             "each scenario point in lockstep chunks on the "
+                             "flat kernel (bit-identical results) and refuses "
+                             "what the kernel cannot reproduce instead of "
+                             "falling back (default: scalar)")
     add_parallel(srun_p)
     add_store(srun_p)
     srun_p.set_defaults(func=_cmd_study_run)

@@ -8,11 +8,14 @@ is paid once per batch, each replicate's Q-tables are nested lists indexed
 without travelling through the per-replicate calendar queues
 (:mod:`repro.engine.batch.kernel`).
 
-Per-replicate results are **bit-identical** to the scalar backend — same
+Per-replicate results are **bit-identical** to the object-graph engine — same
 event ordering, same float accumulation order, same RNG draws — or the spec
 is refused up front with :class:`UnsupportedByBackend` (never a silent
-approximation).  Select it through ``RunOptions(backend="batched")``, the
-harness's ``run_replicates``, or the CLI's ``run --backend batched``.
+approximation).  ``run_experiment`` runs every spec the kernel accepts here as
+a batch of one, on its own; lockstep batches of many seeds are selected
+through ``RunOptions(backend="batched")``, the harness's ``run_replicates``,
+or the CLI's ``run --backend batched``.  :func:`check_batchable` answers which
+engine a spec gets.
 """
 
 from repro.engine.batch.errors import UnsupportedByBackend

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 
 class UnsupportedByBackend(ValueError):
-    """The batched backend cannot reproduce this spec bit-identically.
+    """The flat kernel cannot reproduce this spec bit-identically.
 
     Raised *before* any simulation work happens, so a spec is either refused
-    loudly or produces exactly the scalar backend's results — never a silent
-    approximation.  The message names the offending spec feature; rerun with
-    ``backend="scalar"`` (the default) for full feature coverage.
+    loudly or produces exactly the object-graph engine's results — never a
+    silent approximation.  The message names the offending spec feature.
+    ``run_experiment`` catches it and runs the spec on the object graph; the
+    explicit lockstep entry points (``run_batch``, ``backend="batched"``) let
+    it propagate.
     """

@@ -28,6 +28,26 @@ route/forward chain, waiter serve, traffic replay, NIC injection, Q-table
 folds — into one loop with every constant bound as a local, so an event
 costs no Python frame of its own.
 
+**Decision kinds.**  The routing step dispatches on ``model.kind``:
+
+==== ========== ==========================================================
+kind routing    decided by
+==== ========== ==========================================================
+0    MIN        inline: one ``min_next`` lookup
+1    Q-adp      inline: two-level table read, feedback pended per router
+2    Q-routing  inline: flat table read, feedback pended per router
+3    VALg       ``decisions.valg``
+4    VALn       ``decisions.valn``
+5    VAL        ``decisions.val``
+6    UGALg      ``decisions.ugalg``  (congestion read of two ports)
+7    UGALn      ``decisions.ugaln``  (congestion read of two ports)
+8    PAR        ``decisions.par``    (UGALn + one re-evaluation)
+==== ========== ==========================================================
+
+Kinds 3–8 are the rows of :data:`repro.engine.batch.decisions.DECISION_TABLE`:
+one plain function per kind, built once per ``_advance`` call and costing the
+kinds routed inline nothing but one local ``None`` test.
+
 **Q-tables.**  Each replicate's Q-tables are nested Python lists indexed
 ``[router][row][column]``: the per-decision path is scalar float math on a
 5- to 11-column row, where plain lists avoid numpy-scalar boxing.
@@ -77,6 +97,7 @@ from bisect import insort
 from collections import deque
 from typing import List, Tuple
 
+from repro.engine.batch.decisions import decision_for
 from repro.engine.batch.model import BatchModel
 from repro.engine.batch.trace import TraceEntry, record_traffic_trace
 from repro.engine.rng import RngFactory
@@ -101,7 +122,7 @@ P_HOPS = 6
 P_OUT = 7  # routed out_port (decision of the current router)
 P_OVC = 8  # routed out_vc
 P_ARR = 9  # router_arrival_ns
-P_SCRATCH = 10  # Q-adp one-shot intermediate-reroute flag
+P_SCRATCH = 10  # routing-private: Q-adp one-shot flag, Valiant/UGAL/PAR path state
 P_QFB = 11  # pending feedback (prev_router, row, column, prev_arrival)
 P_WAITED = 12  # joined a waiting queue at least once => never pool-recycled
 
@@ -123,6 +144,7 @@ class ReplicateState:
         "glog", "dlog",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
+        "c_minimal", "c_nonminimal", "c_reevaluations", "c_diverted",
     )
 
     def __init__(self, model: BatchModel, seed: int) -> None:
@@ -180,6 +202,11 @@ class ReplicateState:
         self.c_fb_sent = 0
         self.c_fb_app = 0
         self.c_forced = 0
+        # UGALg / UGALn / PAR tallies, kept by their decision functions.
+        self.c_minimal = 0
+        self.c_nonminimal = 0
+        self.c_reevaluations = 0
+        self.c_diverted = 0
         # Mirror TrafficGenerator.start(): one initial event per driven node,
         # sequence numbers allocated in ascending node order.  Plain appends:
         # bucket 0 is sorted when the drain cursor enters it.
@@ -212,7 +239,7 @@ class BatchKernel:
         self.now = 0.0
 
     # ------------------------------------------------------------- lockstep
-    def run(self, until: float, slices: int = 8) -> None:
+    def run(self, until: float, slices: int) -> None:
         """Advance every replicate to ``until`` in ``slices`` lockstep steps.
 
         The cyclic garbage collector is suspended for the duration of the
@@ -289,7 +316,8 @@ class BatchKernel:
         This is the whole per-event path of the batched backend in one frame:
         calendar fetch, dispatch, the route-and-forward chain, waiter serve,
         traffic replay, NIC injection and every elision protocol, with all
-        constants and mutable state bound as locals once per slice.
+        constants and mutable state bound as locals once per slice.  The one
+        call-out is the routing decision of a decision-table kind.
         """
         m = self.model
         # --- calendar cursor ---
@@ -308,6 +336,8 @@ class BatchKernel:
         ser = m.ser
         max_vc = m.max_vc
         kind = m.kind
+        learned = m.learned
+        decide = decision_for(m, st)  # None for the kinds routed inline below
         horizon = self.horizon
         hop_delay = m.hop_delay
         lat = m.lat
@@ -357,7 +387,7 @@ class BatchKernel:
         # --- cached counters (written back on exit) ---
         nseq = st.seq
         executed = st.executed
-        elided = st.elided
+        elided = 0  # added to st.elided on exit: decision functions add theirs directly
         c_src_min = st.c_src_min
         c_src_best = st.c_src_best
         c_int_min = st.c_int_min
@@ -587,6 +617,8 @@ class BatchKernel:
                         out = pkt[1] % hpr
                     elif kind == 0:  # KIND_MIN
                         out = min_next_r[dst_router]
+                    elif decide is not None:  # a row of the decision table
+                        out = decide(router, pkt, now, cur_seq)
                     else:
                         # Fold in pended Q-feedback that scalar executed
                         # before this event.  Pends are sorted by (time,
@@ -700,7 +732,7 @@ class BatchKernel:
                     # pended towards its target router instead of scheduled
                     # (feedback elision); this router's table was brought up
                     # to date at the top of the routing step.
-                    if kind != 0:
+                    if learned:
                         qfb = pkt[11]
                         if qfb is not None:
                             pkt[11] = None
@@ -722,7 +754,7 @@ class BatchKernel:
                                 insort(pq, entry)
                             else:
                                 pq.append(entry)
-                    if kind != 0 and out >= num_host_r:
+                    if learned and out >= num_host_r:
                         # routing.on_forward: tag the hop for the next
                         # router's feedback.  Every field is fixed by decide
                         # time and each routed head forwards exactly once, so
@@ -887,7 +919,7 @@ class BatchKernel:
         st.cal_i = i
         st.seq = nseq
         st.executed = executed
-        st.elided = elided
+        st.elided += elided
         st.c_src_min = c_src_min
         st.c_src_best = c_src_best
         st.c_int_min = c_int_min

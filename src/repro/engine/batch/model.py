@@ -26,53 +26,86 @@ if TYPE_CHECKING:  # typing only
     from repro.network.params import NetworkParams
     from repro.topology.base import Topology
 
-#: routing kinds the kernel implements (index = dispatch code).
+#: decision kinds the kernel implements.  MIN and the two learned kinds are
+#: routed inline by ``BatchKernel._advance``; the rest are rows of the decision
+#: table in :mod:`repro.engine.batch.decisions`.
 KIND_MIN = 0
 KIND_QADP = 1
 KIND_QROUTING = 2
+KIND_VALG = 3
+KIND_VALN = 4
+KIND_VAL = 5
+KIND_UGALG = 6
+KIND_UGALN = 7
+KIND_PAR = 8
 
-_KIND_OF_ROUTING = {"MIN": KIND_MIN, "Q-adp": KIND_QADP, "Q-routing": KIND_QROUTING}
+_KIND_OF_ROUTING = {
+    "MIN": KIND_MIN, "Q-adp": KIND_QADP, "Q-routing": KIND_QROUTING,
+    "VALg": KIND_VALG, "VALn": KIND_VALN, "VAL": KIND_VAL,
+    "UGALg": KIND_UGALG, "UGALn": KIND_UGALN, "PAR": KIND_PAR,
+}
+_LEARNED_KINDS = (KIND_QADP, KIND_QROUTING)
+#: kinds whose decisions read the Dragonfly port/gateway tables below (VALn
+#: needs neither: it only routes minimally towards routers).
+_GROUP_TABLE_KINDS = (KIND_QADP, KIND_VALG, KIND_UGALG, KIND_UGALN, KIND_PAR)
+
+
+def _kind_of(routing_name: str) -> Optional[int]:
+    """Decision kind of a built-in routing, ``None`` for anything plugged in.
+
+    The kernel mirrors the package's own routing classes, so a name a plugin
+    registered — or took over with ``replace=True`` — has no kind.
+    """
+    from repro.routing import ROUTING_REGISTRY
+
+    kind = _KIND_OF_ROUTING.get(routing_name)
+    if kind is None:
+        return None
+    factory = ROUTING_REGISTRY.factory(routing_name)
+    return kind if factory.__module__.startswith("repro.") else None
 
 
 def check_batchable(spec: "ExperimentSpec") -> None:
     """Refuse every spec feature the kernel does not reproduce bit-identically.
 
     The checks run before any simulation work: a spec either raises
-    :class:`UnsupportedByBackend` here or produces exactly the scalar
-    backend's per-replicate results.
+    :class:`UnsupportedByBackend` here (``run_experiment`` then runs it on the
+    object-graph engine) or produces exactly that engine's per-replicate
+    results.  Calling it is also how to ask which engine a spec gets.
     """
     if spec.telemetry:
         raise UnsupportedByBackend(
-            "the batched backend runs probes-off only; telemetry probes "
-            f"{list(spec.telemetry)} need the scalar backend"
+            "the flat kernel runs probes-off only; telemetry probes "
+            f"{list(spec.telemetry)} are published by the object-graph engine"
         )
     if spec.faults is not None:
         raise UnsupportedByBackend(
             "fault schedules (degraded-mode routing) are only simulated by "
-            "the scalar backend"
+            "the object-graph engine"
         )
     if spec.warm_start is not None:
         raise UnsupportedByBackend(
-            "warm-started Q-tables are only loaded by the scalar backend"
+            "warm-started Q-tables are only loaded by the object-graph engine"
         )
     from repro.routing import canonical_routing_name
 
     routing_name = canonical_routing_name(spec.routing)
-    if routing_name not in _KIND_OF_ROUTING:
+    if _kind_of(routing_name) is None:
         raise UnsupportedByBackend(
-            f"routing {routing_name!r} has no batched kernel; supported: "
-            f"{sorted(_KIND_OF_ROUTING)} (use backend='scalar' for the rest)"
+            f"routing {routing_name!r} has no batched kernel: the flat kernel "
+            f"mirrors the built-in algorithms {sorted(_KIND_OF_ROUTING)} only, "
+            "and this one was registered from outside the package"
         )
     params = spec.network_params
     if params is not None:
         if params.record_paths:
             raise UnsupportedByBackend(
-                "record_paths=True is only supported by the scalar backend"
+                "record_paths=True is only supported by the object-graph engine"
             )
         if params.injection_queue_packets is not None:
             raise UnsupportedByBackend(
                 "finite injection queues drop packets based on backpressure "
-                "the traffic trace cannot know; use the scalar backend"
+                "the traffic trace cannot know; the object-graph engine runs them"
             )
 
 
@@ -106,7 +139,8 @@ class BatchModel:
     nic_router: List[int] = field(default_factory=list)
     nic_hop_delay: float = 0.0
     nic_cred_cap: int = 0  # credits towards the router host input (vc 0)
-    # --- learned routing (kind != MIN) ---
+    # --- learned routing (Q-adp, Q-routing) ---
+    learned: bool = False
     init_values: Optional[np.ndarray] = None  # [routers, rows, cols] float64
     first_port: int = 0
     explore: List[List[int]] = field(default_factory=list)  # [router] candidates
@@ -120,9 +154,15 @@ class BatchModel:
     q_thld1: float = 0.0
     q_thld2: float = 0.0
     local_ports: List[int] = field(default_factory=list)
-    direct: List[List[int]] = field(default_factory=list)  # [router][group] port, -1
     # --- Q-routing only ---
     max_q: int = 0
+    # --- Dragonfly tables (Q-adp: ``direct`` only; VALg / UGALg / UGALn /
+    # PAR: both) ---
+    direct: List[List[int]] = field(default_factory=list)  # [router][group] port, -1
+    gateway: List[List[int]] = field(default_factory=list)  # [group][to_group] router, -1
+    bias: float = 0.0  # UGALg / UGALn / PAR: added to the non-minimal side
+    # --- VAL only ---
+    host_routers: List[int] = field(default_factory=list)  # intermediate candidates
 
 
 def build_model(spec: "ExperimentSpec") -> BatchModel:
@@ -203,7 +243,8 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     model.nic_hop_delay = ser + params.host_link_latency_ns
     model.nic_cred_cap = params.vc_buffer_packets
 
-    if kind != KIND_MIN:
+    if kind in _LEARNED_KINDS:
+        model.learned = True
         # The block the model network's tables view: read-only here, and every
         # replicate copies it (``.tolist()``) before learning.
         init_values = routing.values.view()
@@ -228,14 +269,23 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
         model.q_thld1 = routing.params.q_thld1
         model.q_thld2 = routing.params.q_thld2
         model.local_ports = list(topo.local_ports)
-        num_groups = topo.g
+    elif kind == KIND_QROUTING:
+        model.max_q = routing.params.max_q
+    elif kind == KIND_VAL:
+        model.host_routers = list(topo.host_routers())
+    if kind in _GROUP_TABLE_KINDS:
+        groups = range(topo.g)
         model.direct = [
             [
                 -1 if (port := topo.global_port_to_group(r, g)) is None else port
-                for g in range(num_groups)
+                for g in groups
             ]
             for r in range(num_routers)
         ]
-    elif kind == KIND_QROUTING:
-        model.max_q = routing.params.max_q
+        if kind != KIND_QADP:
+            model.gateway = [
+                [-1 if i == j else topo.gateway_router(i, j) for j in groups]
+                for i in groups
+            ]
+            model.bias = getattr(routing, "bias", 0.0)  # VALg has none
     return model

@@ -16,7 +16,14 @@ import gc
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.engine.batch.kernel import BatchKernel, ReplicateState
-from repro.engine.batch.model import KIND_QADP, KIND_QROUTING, build_model
+from repro.engine.batch.model import (
+    KIND_PAR,
+    KIND_QADP,
+    KIND_QROUTING,
+    KIND_UGALG,
+    KIND_UGALN,
+    build_model,
+)
 
 if TYPE_CHECKING:  # typing only
     from repro.experiments.harness import ExperimentResult, ExperimentSpec
@@ -120,6 +127,14 @@ class BatchSimulation:
                 "table_memory_bytes": model.table_memory_bytes,
                 "forced_minimal": st.c_forced,
             }
+        elif kind in (KIND_UGALG, KIND_UGALN, KIND_PAR):
+            diagnostics = {
+                "minimal_decisions": st.c_minimal,
+                "nonminimal_decisions": st.c_nonminimal,
+            }
+            if kind == KIND_PAR:
+                diagnostics["reevaluations"] = st.c_reevaluations
+                diagnostics["diverted_packets"] = st.c_diverted
         return ExperimentResult(
             spec=spec.with_overrides(seed=st.seed),
             stats=stats,
@@ -141,8 +156,10 @@ def run_batch(
     """Run ``spec`` under every seed in lockstep; results ordered like ``seeds``.
 
     Raises :class:`~repro.engine.batch.errors.UnsupportedByBackend` before any
-    simulation work when the spec uses a feature the batched kernel does not
-    reproduce bit-identically (telemetry, faults, warm starts, path recording,
-    finite injection queues, or a routing without a batched kernel).
+    simulation work when the spec uses a feature the flat kernel does not
+    reproduce bit-identically: telemetry, faults, warm starts, path recording,
+    finite injection queues, or a routing plugged in from outside the package
+    (every built-in routing has a decision kind).  This entry point never
+    falls back; ``run_experiment`` is the one that picks an engine per spec.
     """
     return BatchSimulation(spec, seeds).run(slices=slices).results()

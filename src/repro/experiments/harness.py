@@ -1,9 +1,11 @@
 """Single-experiment driver, train/eval pipelines, and load sweeps.
 
-``run_experiment`` builds a network + traffic generator from an
-:class:`ExperimentSpec`, runs it, and returns an :class:`ExperimentResult`
-bundling the aggregate statistics, the raw latency sample, and the binned
-time series needed by the convergence / dynamic-load figures.
+``run_experiment`` runs an :class:`ExperimentSpec` — on the flat kernel of
+:mod:`repro.engine.batch` when that reproduces the spec bit-identically,
+otherwise on a network + traffic generator built from it — and returns an
+:class:`ExperimentResult` bundling the aggregate statistics, the raw latency
+sample, and the binned time series needed by the convergence / dynamic-load
+figures.
 
 Learned-state lifecycle: a spec with ``warm_start`` restores a checkpoint
 (see :mod:`repro.store`) into the routing algorithm before any packet is
@@ -425,11 +427,37 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     return result, network
 
 
+def _execute_flat(spec: ExperimentSpec) -> Optional[ExperimentResult]:
+    """Run one spec as a batch of one on the flat kernel, or return ``None``
+    when the kernel refuses it (:func:`repro.engine.batch.check_batchable`
+    lists why).  The result equals :func:`_execute`'s field for field;
+    ``wall_time_s`` is the drain alone, as there."""
+    from repro.engine.batch import BatchSimulation, UnsupportedByBackend
+
+    try:
+        batch = BatchSimulation(spec, [spec.seed])
+    except UnsupportedByBackend:
+        return None
+    started = time.perf_counter()
+    batch.run()
+    wall = time.perf_counter() - started
+    result = batch.results()[0]
+    result.wall_time_s = wall
+    return result
+
+
 def run_experiment(
     spec: ExperimentSpec,
     options: Optional[RunOptions] = None,
 ) -> ExperimentResult:
     """Run one experiment to completion and collect its results.
+
+    The engine is chosen by capability, not by option: a spec the flat kernel
+    (:mod:`repro.engine.batch`) reproduces bit-identically runs there as a
+    batch of one; anything it refuses — telemetry, faults, a warm start, path
+    recording, a finite injection queue, a plugged-in routing — and any run
+    that must hand its live network to ``save_state`` runs on the
+    object-graph engine.  Results are identical either way.
 
     ``options`` (a :class:`~repro.experiments.options.RunOptions`) carries
     the execution knobs: ``options.save_state`` persists the learned routing
@@ -456,6 +484,10 @@ def run_experiment(
                 "(or other checkpointable algorithms)"
             )
         ArtifactStore.validate_id(save_state)
+    else:
+        flat = _execute_flat(spec)
+        if flat is not None:
+            return flat
     result, network = _execute(spec)
     if save_state is not None:
         from repro.store import resolve_store
@@ -484,16 +516,17 @@ def run_replicates(
     only a ``replicates`` count is given (index 0 keeps the base seed, so a
     single replicate is exactly ``run_experiment(spec)``).
 
-    ``options.backend`` selects the execution strategy:
+    ``options.backend`` selects how the replicates are grouped:
 
-    * ``"scalar"`` (default) — one full simulator per seed, serially;
+    * ``"scalar"`` (default) — one :func:`run_experiment` call per seed,
+      serially, each picking its engine by capability;
     * ``"batched"`` — all seeds advance in lockstep through
       :mod:`repro.engine.batch`; per-replicate results are bit-identical to
-      the scalar backend's, or the spec is refused with
+      the per-seed calls', or the spec is refused with
       :class:`~repro.engine.batch.errors.UnsupportedByBackend` (a
-      ``ValueError``).  ``wall_time_s`` is then the batch wall time split
-      evenly over the replicates (the kernel interleaves them; per-replicate
-      wall time has no scalar-equivalent meaning).
+      ``ValueError``) — no fallback.  ``wall_time_s`` is then the batch wall
+      time split evenly over the replicates (the kernel interleaves them;
+      per-replicate wall time has no scalar-equivalent meaning).
 
     ``options.save_state`` is rejected here: replicates would race for one
     checkpoint name.  Checkpoint a dedicated :func:`train_experiment` run

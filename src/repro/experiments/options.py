@@ -59,12 +59,18 @@ class RunOptions:
         :class:`~repro.faults.schedule.FaultSchedule` applied to every spec
         executed under these options (a spec's own ``faults`` wins).
     backend:
-        Replicate-execution backend: ``"scalar"`` (the default; one full
-        simulator per run) or ``"batched"`` (advance all replicates of one
-        spec in lockstep through :mod:`repro.engine.batch`, bit-identical
-        per replicate).  The batched backend refuses specs using features it
-        does not reproduce exactly — telemetry, faults, warm starts — with
-        :class:`~repro.engine.batch.errors.UnsupportedByBackend`.
+        How replicates are grouped, not which engine runs them.
+        ``"scalar"`` (the default): one
+        :func:`~repro.experiments.harness.run_experiment` call per seed,
+        which itself runs the spec on the flat kernel when the kernel
+        reproduces it bit-identically and on the object-graph engine
+        otherwise.  ``"batched"``: all replicates of one spec advance in
+        lockstep chunks through :mod:`repro.engine.batch` (set-up paid once
+        per chunk, bit-identical per replicate); a spec the kernel cannot
+        reproduce — telemetry, faults, warm starts, path recording, finite
+        injection queues, a plugged-in routing — is refused with
+        :class:`~repro.engine.batch.errors.UnsupportedByBackend` instead of
+        falling back.
     """
 
     save_state: Optional[str] = None

@@ -193,6 +193,33 @@ def test_hot_rules_ignore_functions_off_the_hot_list(tmp_path):
     assert not rules_hit(findings) & {"H201", "H202", "H203", "H204"}
 
 
+def test_hot_rules_reach_decision_functions_but_not_their_factory(tmp_path):
+    # The flat kernel's decision table: ``factory.decide`` is hot, the factory
+    # that builds it (a closure definition, once per drain) is not.
+    findings = check_snippet(tmp_path, "repro.engine.batch.decisions", """
+        def valn(m, st):
+            def decide(router, pkt, now, cur_seq):
+                try:
+                    return m.min_next[router][pkt[2]]
+                except IndexError:
+                    print("no route")
+            return decide
+    """)
+    assert {"H201", "H204"} <= rules_hit(findings)
+    assert "H202" not in rules_hit(findings)
+
+
+def test_every_hot_listed_function_exists():
+    """A rename must not silently take a function off the hot list."""
+    from repro.analysis.core import load_module
+    from repro.analysis.rules_hotpath import HOT_FUNCTIONS, _hot_functions
+
+    for module_name, qualnames in HOT_FUNCTIONS.items():
+        path = REPO_ROOT.joinpath("src", *module_name.split(".")).with_suffix(".py")
+        found = {qualname for qualname, _ in _hot_functions(load_module(path, REPO_ROOT))}
+        assert found == qualnames, module_name
+
+
 def test_h205_flags_unguarded_probe_publish(tmp_path):
     findings = check_snippet(tmp_path, "repro.network.probes_bad", """
         class Router:

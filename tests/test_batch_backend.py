@@ -1,11 +1,17 @@
-"""Batched-vs-scalar equivalence suite for the lockstep replicate backend.
+"""Flat-kernel-vs-object-graph equivalence suite.
 
-The batched backend's contract is *bit-identity*: every per-replicate
-statistic, sample array, timeline, diagnostic counter, and the event count
-must equal what the scalar backend produces for the same ``(spec, seed)`` —
-or the spec must be refused up front with :class:`UnsupportedByBackend`.
-These tests pin the contract across routings, patterns, topologies, batch
-sizes, and batch compositions, plus the harness/runner integration.
+The flat kernel's contract is *bit-identity*: every per-replicate statistic,
+sample array, timeline, diagnostic counter, and the event count must equal
+what the object-graph engine (``harness._execute``) produces for the same
+``(spec, seed)`` — or the spec must be refused up front with
+:class:`UnsupportedByBackend`.  These tests pin the contract across routings,
+patterns, topologies, batch sizes, and batch compositions, plus the
+harness/runner integration.
+
+``run_experiment`` itself picks the kernel whenever it can, so every
+reference here comes from ``_execute`` (which only ever runs the object
+graph), never from ``run_experiment`` / ``SweepRunner.run`` /
+``run_replicates(backend="scalar")``.
 """
 
 from __future__ import annotations
@@ -14,14 +20,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.batch import BatchSimulation, UnsupportedByBackend, run_batch
+from repro.engine.batch import (
+    BatchSimulation,
+    UnsupportedByBackend,
+    check_batchable,
+    run_batch,
+)
 from repro.engine.rng import derive_replicate_seeds
-from repro.experiments import RunOptions, SweepRunner, run_replicates
+from repro.experiments import RunOptions, SweepRunner, run_experiment, run_replicates
 from repro.experiments.harness import ExperimentSpec, _execute
 from repro.experiments.parallel import ExperimentResultData
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.network.network import Network
 from repro.network.params import NetworkParams
+from repro.routing import ROUTING_REGISTRY, MinimalRouting, register_algorithm
 from repro.topology.config import DragonflyConfig
 from repro.topology.mesh import MeshConfig
 
@@ -58,6 +73,16 @@ def _assert_identical(scalar_result, scalar_events, batched_result,
                               batched_result.throughput_timeline[idx])
 
 
+def _assert_flat_equals_object_graph(spec: ExperimentSpec) -> None:
+    scalar_result, network = _execute(spec)
+    batch = BatchSimulation(spec, [spec.seed]).run()
+    _assert_identical(scalar_result, network.sim.events_processed,
+                      batch.results()[0], batch.events_processed()[0])
+
+
+_DRAGONFLY_BASELINES = ("VALg", "VALn", "UGALg", "UGALn", "PAR")
+
+
 @pytest.mark.parametrize(
     "routing,pattern,config",
     [
@@ -67,14 +92,61 @@ def _assert_identical(scalar_result, scalar_events, batched_result,
         ("Q-routing", "UR", None),
         ("Q-routing", "UR", MeshConfig.small_72()),
         ("MIN", "UR", MeshConfig.small_72_torus()),
+        *[(routing, pattern, None) for routing in _DRAGONFLY_BASELINES
+          for pattern in ("UR", "ADV+1")],
+        ("VAL", "UR", MeshConfig.small_72()),
+        ("VAL", "UR", MeshConfig.small_72_torus()),
     ],
 )
 def test_batched_matches_scalar_bit_for_bit(routing, pattern, config):
-    spec = _spec(routing, pattern, config=config)
-    scalar_result, network = _execute(spec)
-    batch = BatchSimulation(spec, [spec.seed]).run()
-    _assert_identical(scalar_result, network.sim.events_processed,
-                      batch.results()[0], batch.events_processed()[0])
+    _assert_flat_equals_object_graph(_spec(routing, pattern, config=config))
+
+
+def test_ugal_bias_reaches_the_kernel():
+    spec = _spec("UGALn", "ADV+1", routing_kwargs={"bias": 2.0})
+    _assert_flat_equals_object_graph(spec)
+    unbiased = run_batch(spec.with_overrides(routing_kwargs={}), [spec.seed])[0]
+    biased = run_batch(spec, [spec.seed])[0]
+    assert biased.routing_diagnostics != unbiased.routing_diagnostics
+
+
+def test_ugal_congested_read_path_at_paper_scale():
+    # 1 056 nodes under ADV+1: ports are contended, so UGAL's congestion read
+    # meets waiters, consumed credits and pended credit returns all at once.
+    spec = _spec("UGALn", "ADV+1", load=0.4, config=DragonflyConfig.paper_1056(),
+                 sim=1_500.0, warm=500.0)
+    _assert_flat_equals_object_graph(spec)
+
+
+@st.composite
+def _batchable_specs(draw):
+    """Tiny Dragonflies under any routing the kernel accepts."""
+    p = draw(st.integers(1, 2))
+    a = draw(st.sampled_from((2, 4)))
+    h = draw(st.integers(1, 2))
+    config = DragonflyConfig(p=p, a=a, h=h)
+    routing = draw(st.sampled_from(
+        ("MIN", "VAL", "VALg", "VALn", "UGALg", "UGALn", "PAR", "Q-adp",
+         "Q-routing")))
+    shift = draw(st.integers(0, config.num_groups - 1))
+    return ExperimentSpec(
+        config=config,
+        routing=routing,
+        pattern="UR" if shift == 0 else f"ADV+{shift}",
+        offered_load=draw(st.sampled_from((0.1, 0.35, 0.6, 0.9))),
+        sim_time_ns=2_500.0,
+        warmup_ns=500.0,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(_batchable_specs())
+def test_generated_specs_match_the_object_graph(spec):
+    """Differential seed of ROADMAP item 1(b): whole-result equality over
+    generated specs, not a hand-picked list."""
+    check_batchable(spec)
+    _assert_flat_equals_object_graph(spec)
 
 
 def test_batched_results_are_probe_free():
@@ -107,8 +179,23 @@ def test_batch_composition_independence():
     assert np.array_equal(forward[0].latencies_ns, backward[1].latencies_ns)
 
 
+class _PluggedInRouting(MinimalRouting):
+    """A routing registered from outside the package (behaves like MIN)."""
+
+    name = "PluggedIn"
+
+
+@pytest.fixture
+def plugged_in():
+    register_algorithm("PluggedIn", _PluggedInRouting)
+    try:
+        yield "PluggedIn"
+    finally:
+        ROUTING_REGISTRY.unregister("PluggedIn")
+
+
 def test_events_processed_counts_match_scalar():
-    for routing in ("MIN", "Q-adp", "Q-routing"):
+    for routing in ("MIN", "Q-adp", "Q-routing", "UGALn"):
         spec = _spec(routing)
         _, network = _execute(spec)
         batch = BatchSimulation(spec, [spec.seed]).run()
@@ -122,13 +209,13 @@ def test_events_processed_counts_match_scalar():
         ({"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
          "fault schedules"),
         ({"warm_start": "some-checkpoint"}, "warm-started"),
-        ({"routing": "VALg"}, "no batched kernel"),
+        ({"routing": "PluggedIn"}, "no batched kernel"),
         ({"network_params": NetworkParams(injection_queue_packets=4)},
          "finite injection queues"),
         ({"network_params": NetworkParams(record_paths=True)}, "record_paths"),
     ],
 )
-def test_unsupported_specs_are_refused_up_front(overrides, match):
+def test_unsupported_specs_are_refused_up_front(overrides, match, plugged_in):
     routing = overrides.pop("routing", "Q-adp")
     spec = _spec(routing, **overrides)
     with pytest.raises(UnsupportedByBackend, match=match):
@@ -147,10 +234,12 @@ def test_run_replicates_backends_agree():
     expected = derive_replicate_seeds(7, 3)
     assert [r.spec.seed for r in scalar] == expected
     assert [r.spec.seed for r in batched] == expected
-    for s, b in zip(scalar, batched):
-        assert s.stats.to_dict() == b.stats.to_dict()
-        assert np.array_equal(s.latencies_ns, b.latencies_ns)
-        assert s.routing_diagnostics == b.routing_diagnostics
+    for seed, s, b in zip(expected, scalar, batched):
+        reference = _execute(spec.with_overrides(seed=seed))[0]
+        for result in (s, b):
+            assert reference.stats.to_dict() == result.stats.to_dict()
+            assert np.array_equal(reference.latencies_ns, result.latencies_ns)
+            assert reference.routing_diagnostics == result.routing_diagnostics
     # The harness stamps the batch's shared wall time onto every replicate.
     assert all(b.wall_time_s > 0.0 for b in batched)
 
@@ -191,11 +280,10 @@ def test_sweep_runner_chunks_batches_and_shares_cache(tmp_path):
     assert reuse.simulated == 0 and reuse.cache_hits == 5
     for b, s in zip(batched, scalar):
         assert b.stats.to_dict() == s.stats.to_dict()
-    # ... and an entry's content does not depend on which backend filled it:
-    # every field but the host-time one equals what a scalar run produces.
-    computed = SweepRunner(workers=1).run_replicates(spec, 5, backend="scalar")
-    for cached, fresh in zip(scalar, computed):
-        np.testing.assert_equal(_payload(cached), _payload(fresh))
+    # ... and an entry's content does not depend on which engine filled it:
+    # every field but the host-time one equals what the object graph produces.
+    for cached in scalar:
+        np.testing.assert_equal(_payload(cached), _payload(_execute(cached.spec)[0]))
     with pytest.raises(ValueError, match="backend"):
         warm.run_replicates(spec, 2, backend="vectorized")
 
@@ -237,15 +325,14 @@ def test_run_batched_groups_mixed_specs():
         specs.append(high.with_overrides(seed=seed))
     batched = runner.run_batched(specs)
     assert runner.simulated == 4
-    scalar = SweepRunner(workers=1).run(specs)
-    for b, s in zip(batched, scalar):
-        assert b.spec == s.spec
-        assert b.stats.to_dict() == s.stats.to_dict()
+    for b, spec in zip(batched, specs):
+        assert b.spec == spec
+        assert b.stats.to_dict() == _execute(spec)[0].stats.to_dict()
 
 
 def test_study_backend_option_matches_scalar():
     from repro.scenarios import Scenario, Study
-    from repro.topology.config import DragonflyConfig
+    from repro.scenarios.study import StudyResult
 
     study = Study(
         name="backend-demo", config=DragonflyConfig.tiny(),
@@ -253,10 +340,14 @@ def test_study_backend_option_matches_scalar():
         scenarios=[Scenario(name="mini", routing=("Q-adp",), pattern=("UR",),
                             loads=(0.2, 0.4), replicates=2)],
     )
+    points = study.expand()
+    reference = StudyResult(study=study, points=points,
+                            results=[_execute(point.spec)[0] for point in points])
     scalar = study.run(SweepRunner(workers=1))
     batched = study.run(SweepRunner(workers=1),
                         options=RunOptions(backend="batched"))
-    assert scalar.rows() == batched.rows()
+    assert scalar.rows() == reference.rows()
+    assert batched.rows() == reference.rows()
 
 
 def test_cli_study_run_batched(tmp_path, capsys):
@@ -264,7 +355,7 @@ def test_cli_study_run_batched(tmp_path, capsys):
 
     from repro.cli import main
     from repro.scenarios import Scenario, Study
-    from repro.topology.config import DragonflyConfig
+    from repro.scenarios.study import StudyResult
 
     study = Study(
         name="cli-batched", config=DragonflyConfig.tiny(),
@@ -272,10 +363,128 @@ def test_cli_study_run_batched(tmp_path, capsys):
         scenarios=[Scenario(name="mini", routing=("MIN",), pattern=("UR",),
                             loads=(0.3,), replicates=2)],
     )
+    points = study.expand()
+    reference = StudyResult(study=study, points=points,
+                            results=[_execute(point.spec)[0] for point in points])
     path = study.save(tmp_path / "demo.json")
     assert main(["study", "run", str(path)]) == 0
     scalar_payload = json.loads(capsys.readouterr().out)
     assert main(["study", "run", str(path), "--backend", "batched"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"] == 2 and payload["simulated"] == 2
-    assert payload["rows"] == scalar_payload["rows"]
+    assert payload["rows"] == scalar_payload["rows"] == reference.rows()
+
+
+# ------------------------------------------------- engine choice by capability
+@pytest.fixture
+def object_graph_runs(monkeypatch):
+    """Counts ``Network.run`` calls: the drain only the object graph makes."""
+    calls = []
+    real_run = Network.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "run", counting_run)
+    return calls
+
+
+@pytest.mark.parametrize("routing", ["MIN", "VALn", "UGALn", "PAR", "Q-adp"])
+def test_run_experiment_picks_the_kernel_for_a_batchable_spec(routing, monkeypatch):
+    spec = _spec(routing, "ADV+1", sim=3_000.0, warm=1_000.0)
+    reference = _execute(spec)[0]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a batchable spec must not drain the object graph")
+
+    monkeypatch.setattr(Network, "run", refuse)
+    result = run_experiment(spec)
+    assert result.spec == spec
+    assert result.wall_time_s > 0.0
+    np.testing.assert_equal(_payload(result), _payload(reference))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"telemetry": ("link-util",)},
+        {"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
+        {"network_params": NetworkParams(record_paths=True)},
+        {"network_params": NetworkParams(injection_queue_packets=4)},
+        {"routing": "PluggedIn"},
+    ],
+    ids=["telemetry", "faults", "record_paths", "injection_queue", "plugin"],
+)
+def test_run_experiment_falls_back_to_the_object_graph(overrides, plugged_in,
+                                                       object_graph_runs):
+    overrides = dict(overrides)
+    spec = _spec(overrides.pop("routing", "Q-adp"), sim=3_000.0, warm=1_000.0,
+                 **overrides)
+    with pytest.raises(UnsupportedByBackend):
+        check_batchable(spec)
+    reference = _execute(spec)[0]
+    del object_graph_runs[:]
+    result = run_experiment(spec)
+    assert len(object_graph_runs) == 1
+    np.testing.assert_equal(_payload(result), _payload(reference))
+    if spec.telemetry:
+        assert result.telemetry["link-util"]
+
+
+def test_a_replaced_builtin_routing_is_a_plugin(object_graph_runs):
+    spec = _spec("MIN", sim=3_000.0, warm=1_000.0)
+    check_batchable(spec)
+    original = ROUTING_REGISTRY.get("MIN")
+    register_algorithm("MIN", _PluggedInRouting, replace=True)
+    try:
+        with pytest.raises(UnsupportedByBackend, match="no batched kernel"):
+            check_batchable(spec)
+        run_experiment(spec)
+        assert len(object_graph_runs) == 1
+    finally:
+        register_algorithm("MIN", MinimalRouting, aliases=original.aliases,
+                           metadata=original.metadata, replace=True)
+    check_batchable(spec)
+
+
+def test_warm_start_and_save_state_run_the_object_graph(tmp_path, object_graph_runs):
+    from repro.store import ArtifactStore
+
+    store = ArtifactStore(tmp_path / "store")
+    spec = _spec("Q-adp", sim=3_000.0, warm=1_000.0)
+    # save_state needs the live network, so even a batchable spec stays put.
+    check_batchable(spec)
+    saved = run_experiment(spec, RunOptions(save_state="tag", store=store))
+    assert len(object_graph_runs) == 1
+    checkpoint = saved.routing_diagnostics.pop("checkpoint")
+    np.testing.assert_equal(_payload(saved), _payload(_execute(spec)[0]))
+
+    warm = spec.with_overrides(warm_start=checkpoint)
+    reference = _execute(warm)[0]
+    del object_graph_runs[:]
+    result = run_experiment(warm)
+    assert len(object_graph_runs) == 1
+    assert result.routing_diagnostics["warm_start"] == checkpoint
+    np.testing.assert_equal(_payload(result), _payload(reference))
+
+
+def test_pool_and_serial_sweeps_agree_and_share_the_cache(tmp_path):
+    specs = [_spec(routing, "ADV+1", load=0.3, sim=3_000.0, warm=1_000.0)
+             for routing in ("MIN", "VALn", "UGALn", "PAR", "Q-adp")]
+    serial = SweepRunner(workers=1, cache_dir=tmp_path)
+    expected = serial.run(specs)
+    assert serial.simulated == len(specs)
+    for result, spec in zip(expected, specs):
+        np.testing.assert_equal(_payload(result), _payload(_execute(spec)[0]))
+    pooled = SweepRunner(workers=2).run(specs)
+    for p, s in zip(pooled, expected):
+        assert p.spec == s.spec
+        np.testing.assert_equal(_payload(p), _payload(s))
+    # Same fingerprints, same payloads: the pool is served by the serial
+    # run's entries without simulating.
+    reuse = SweepRunner(workers=2, cache_dir=tmp_path)
+    cached = reuse.run(specs)
+    assert (reuse.simulated, reuse.cache_hits) == (0, len(specs))
+    for c, s in zip(cached, expected):
+        np.testing.assert_equal(_payload(c), _payload(s))

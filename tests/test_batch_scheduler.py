@@ -102,7 +102,7 @@ def test_empty_buckets_are_skipped_and_drained_buckets_freed():
     t = (last - 0.5) / st.inv_w
     _schedule(kernel, (t, 0, EV_SERVE, 0, 0, None))
     st.seq = 1
-    kernel.run(kernel.horizon)
+    kernel.run(kernel.horizon, slices=1)
     assert st.executed == 1
     assert st.cal_b == last
     assert all(not lst for lst in st.cal[:last])
@@ -111,7 +111,7 @@ def test_empty_buckets_are_skipped_and_drained_buckets_freed():
 def test_full_run_frees_every_drained_bucket():
     kernel = _kernel()
     st = kernel.states[0]
-    kernel.run(kernel.horizon)
+    kernel.run(kernel.horizon, slices=1)
     kernel.finalize(kernel.horizon)
     assert st.cal_b == st.num_buckets - 1
     assert all(not lst for lst in st.cal[: st.cal_b])
@@ -127,7 +127,7 @@ def test_payload_pool_recycles_only_never_waited_records():
     # first generation must pop it and stamp it as a live packet.
     sentinel = [None] * 13
     st.pool.append(sentinel)
-    kernel.run(kernel.horizon)
+    kernel.run(kernel.horizon, slices=1)
     assert sentinel[0] is not None  # recycled record became a live packet
     # Delivery elision returned records to the pool, each exactly once.
     assert st.pool
