@@ -204,26 +204,18 @@ def _resolve_warm_start(args: argparse.Namespace) -> str:
 
 
 def _run_replicate_batch(args: argparse.Namespace, spec: "ExperimentSpec") -> int:
-    """``run --replicates N [--backend batched]``: one summary row per seed.
-
-    ``UnsupportedByBackend`` (a ``ValueError``) surfaces as a clean exit — the
-    batched backend refuses telemetry/faults/warm-start specs up front rather
-    than approximating them or falling back.
-    """
-    replicates = args.replicates if args.replicates is not None else 1
-    if replicates < 1:
+    """``run --replicates N``: one summary row per seed."""
+    if args.replicates < 1:
         raise SystemExit("--replicates must be at least 1")
-    options = RunOptions(backend=args.backend, save_state=args.save_state,
-                         store=args.store)
+    options = RunOptions(save_state=args.save_state, store=args.store)
     try:
-        results = run_replicates(spec, replicates, options=options)
+        results = run_replicates(spec, args.replicates, options=options)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     rows = [dict(seed=result.spec.seed, **result.summary_row())
             for result in results]
     if args.json:
-        print(json.dumps(json_safe({"backend": args.backend, "rows": rows}),
-                         indent=2))
+        print(json.dumps(json_safe({"rows": rows}), indent=2))
     else:
         print(format_table(rows))
     return 0
@@ -241,7 +233,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     faults = _faults_from_args(args)
     if faults is not None:
         spec = spec.with_overrides(faults=faults)
-    if args.replicates is not None or args.backend != "scalar":
+    if args.replicates is not None:
         return _run_replicate_batch(args, spec)
     try:
         result = run_experiment(
@@ -366,8 +358,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     study = _study_from_args(args)
     runner = _runner_from_args(args)
     try:
-        result = study.run(runner, options=RunOptions(store=args.store,
-                                                      backend=args.backend))
+        result = study.run(runner, options=RunOptions(store=args.store))
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     rows = result.rows()
@@ -545,15 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run N replicates under seeds derived from --seed "
                             "(index 0 keeps the base seed) and print one "
                             "summary row per replicate")
-    run_p.add_argument("--backend", choices=("scalar", "batched"),
-                       default="scalar",
-                       help="how replicates are grouped: 'scalar' is one run "
-                            "per seed, each on the flat kernel when it can "
-                            "reproduce the spec and on the object graph "
-                            "otherwise; 'batched' advances all replicates in "
-                            "lockstep chunks on the flat kernel (bit-identical "
-                            "per replicate) and refuses what the kernel cannot "
-                            "reproduce instead of falling back (default: scalar)")
     add_store(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -624,16 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="save the full study result (summary rows + "
                              "telemetry payloads) as a JSON document for "
                              "'repro-sim report'")
-    srun_p.add_argument("--backend", choices=("scalar", "batched"),
-                        default="scalar",
-                        help="how runs are grouped: 'scalar' is one run per "
-                             "point, each on the flat kernel when it can "
-                             "reproduce the spec and on the object graph "
-                             "otherwise; 'batched' advances the replicates of "
-                             "each scenario point in lockstep chunks on the "
-                             "flat kernel (bit-identical results) and refuses "
-                             "what the kernel cannot reproduce instead of "
-                             "falling back (default: scalar)")
     add_parallel(srun_p)
     add_store(srun_p)
     srun_p.set_defaults(func=_cmd_study_run)

@@ -262,7 +262,7 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
         ):
             raise UnsupportedByBackend(
                 "on-policy feedback on a topology with host ports outside the "
-                "table span is only supported by the scalar backend"
+                "table span is only supported by the object-graph engine"
             )
     if kind == KIND_QADP:
         model.p = topo.p

@@ -105,11 +105,6 @@ class BatchSimulation:
         # drained early, so the aggregation window is always the horizon.
         stats = collector.finalize(spec.sim_time_ns)
 
-        latency_times = collector.latency_series.bin_times() / 1_000.0
-        latency_means = collector.latency_series.means() / 1_000.0
-        throughput_times = collector.delivery_series.bin_times() / 1_000.0
-        throughput_values = collector.throughput_series()
-
         diagnostics: Dict = {}
         kind = model.kind
         if kind == KIND_QADP:
@@ -135,17 +130,8 @@ class BatchSimulation:
             if kind == KIND_PAR:
                 diagnostics["reevaluations"] = st.c_reevaluations
                 diagnostics["diverted_packets"] = st.c_diverted
-        return ExperimentResult(
-            spec=spec.with_overrides(seed=st.seed),
-            stats=stats,
-            latencies_ns=collector.latency_array_ns(),
-            hops=collector.hops_array(),
-            latency_timeline_us=(latency_times, latency_means),
-            throughput_timeline=(throughput_times, throughput_values),
-            routing_diagnostics=diagnostics,
-            wall_time_s=0.0,
-            telemetry={},
-        )
+        return ExperimentResult.from_collector(
+            spec.with_overrides(seed=st.seed), collector, stats, diagnostics)
 
 
 def run_batch(

@@ -12,7 +12,6 @@ from repro.experiments.harness import (
     ExperimentSpec,
     TrainResult,
     run_experiment,
-    run_load_sweep,
     run_replicates,
     train_experiment,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "figure9_scaleup",
     "TrainResult",
     "run_experiment",
-    "run_load_sweep",
     "run_replicates",
     "table1_configurations",
     "table_qtable_memory",

@@ -1,4 +1,4 @@
-"""Single-experiment driver, train/eval pipelines, and load sweeps.
+"""Single-experiment driver, replicate runs, and the train pipeline.
 
 ``run_experiment`` runs an :class:`ExperimentSpec` — on the flat kernel of
 :mod:`repro.engine.batch` when that reproduces the spec bit-identically,
@@ -10,9 +10,9 @@ figures.
 Learned-state lifecycle: a spec with ``warm_start`` restores a checkpoint
 (see :mod:`repro.store`) into the routing algorithm before any packet is
 injected; :func:`train_experiment` runs a spec and persists the learned
-state afterwards (memoized by spec fingerprint); and
-``run_load_sweep(train_once=True)`` feeds one training run per algorithm to
-every load point instead of re-learning from scratch at each.
+state afterwards (memoized by spec fingerprint); a staged
+:class:`~repro.scenarios.study.Study` feeds one such training run per
+algorithm to every evaluation point instead of re-learning at each.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.scenarios.serialize import (
     decode_kwargs,
     encode_kwargs,
 )
-from repro.stats.collectors import RunStats
+from repro.stats.collectors import RunStats, StatsCollector
 from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import (
     LoadSchedule,
@@ -46,7 +46,6 @@ from repro.traffic import (
 )
 
 if TYPE_CHECKING:  # runtime imports stay local: the store imports spec types
-    from repro.experiments.parallel import SweepRunner
     from repro.store import ArtifactStore
 
 #: anything :func:`repro.store.resolve_store` accepts.
@@ -290,6 +289,32 @@ class ExperimentResult:
     #: are JSON-ready plain data — see :mod:`repro.instrument.probes`.
     telemetry: Dict[str, Dict] = field(default_factory=dict)
 
+    @classmethod
+    def from_collector(
+        cls,
+        spec: ExperimentSpec,
+        collector: StatsCollector,
+        stats: RunStats,
+        diagnostics: Dict,
+        wall_time_s: float = 0.0,
+        telemetry: Optional[Dict[str, Dict]] = None,
+    ) -> "ExperimentResult":
+        """The result of a finished run, read off its finalized collector
+        (the one assembly both engines share)."""
+        return cls(
+            spec=spec,
+            stats=stats,
+            latencies_ns=collector.latency_array_ns(),
+            hops=collector.hops_array(),
+            latency_timeline_us=(collector.latency_series.bin_times() / 1_000.0,
+                                 collector.latency_series.means() / 1_000.0),
+            throughput_timeline=(collector.delivery_series.bin_times() / 1_000.0,
+                                 collector.throughput_series()),
+            routing_diagnostics=diagnostics,
+            wall_time_s=wall_time_s,
+            telemetry=telemetry or {},
+        )
+
     # ------------------------------------------------------------ convenience
     @property
     def mean_latency_us(self) -> float:
@@ -391,12 +416,6 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     wall = time.perf_counter() - started
     stats = network.finalize()
 
-    collector = network.collector
-    latency_times = collector.latency_series.bin_times() / 1_000.0
-    latency_means = collector.latency_series.means() / 1_000.0
-    throughput_times = collector.delivery_series.bin_times() / 1_000.0
-    throughput_values = collector.throughput_series()
-
     diagnostics: Dict = {}
     routing = network.routing
     if hasattr(routing, "decision_counts"):
@@ -413,15 +432,8 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     if controller is not None:
         diagnostics.update(controller.diagnostics())
 
-    result = ExperimentResult(
-        spec=spec,
-        stats=stats,
-        latencies_ns=collector.latency_array_ns(),
-        hops=collector.hops_array(),
-        latency_timeline_us=(latency_times, latency_means),
-        throughput_timeline=(throughput_times, throughput_values),
-        routing_diagnostics=diagnostics,
-        wall_time_s=wall,
+    result = ExperimentResult.from_collector(
+        spec, network.collector, stats, diagnostics, wall_time_s=wall,
         telemetry={name: probe.summary(network.sim.now) for name, probe in probes},
     )
     return result, network
@@ -633,100 +645,3 @@ def train_experiment(
     )
     result.routing_diagnostics["checkpoint"] = str(checkpoint.path)
     return TrainResult(checkpoint=checkpoint, result=result, reused=False)
-
-
-def run_load_sweep(
-    config: object,
-    algorithms: Sequence[str],
-    pattern: str,
-    loads: Sequence[float],
-    warmup_ns: float,
-    measure_ns: float,
-    seed: int = 1,
-    routing_kwargs: Optional[Dict[str, Dict]] = None,
-    network_params: Optional[NetworkParams] = None,
-    runner: Optional["SweepRunner"] = None,
-    train_once: bool = False,
-    train_ns: Optional[float] = None,
-    train_load: Optional[float] = None,
-    eval_warmup_ns: Optional[float] = None,
-    options: Optional[RunOptions] = None,
-) -> Dict[str, List[ExperimentResult]]:
-    """Sweep offered load for several algorithms under one traffic pattern.
-
-    Returns ``{algorithm: [result_per_load]}`` in the order of ``loads``; this
-    is the data behind each column of Figure 5.  ``runner`` is an optional
-    :class:`~repro.experiments.parallel.SweepRunner`; when unset, one is
-    built from ``options`` (``workers``/``cache``/``progress``), falling back
-    to the ``REPRO_WORKERS`` / ``REPRO_CACHE`` environment variables (serial,
-    uncached if unset).  ``options.telemetry``/``options.faults`` fold into
-    every *evaluation* spec (training runs stay fault-free).
-
-    Train-once/eval-many (``train_once=True``): instead of every load point
-    re-learning routing state from scratch during its own ``warmup_ns``, each
-    *checkpointable* algorithm is trained exactly once — for ``train_ns``
-    (default: ``warmup_ns``) at ``train_load`` (default: the median of
-    ``loads``) — and the resulting checkpoint warm-starts every load point,
-    which then only needs the short ``eval_warmup_ns`` settling window
-    (default: a fifth of ``warmup_ns``) before measuring.  Checkpoints live
-    in ``options.store`` (default: the standard artifact store), so worker processes
-    restore state from disk instead of receiving pickled arrays, and a
-    repeated sweep reuses the training run outright.  Algorithms without
-    learned state (MIN, UGAL, ...) are unaffected and keep the full warm-up.
-    """
-    from repro.experiments.parallel import resolve_runner
-
-    options = options or RunOptions()
-    routing_kwargs = routing_kwargs or {}
-    runner = resolve_runner(runner if runner is not None else options.make_runner())
-    loads = list(loads)
-
-    warm_starts: Dict[str, str] = {}
-    if train_once:
-        from repro.routing.base import is_checkpointable
-        from repro.store import resolve_store
-
-        if not loads:
-            raise ValueError("train_once needs a non-empty loads axis")
-        store = resolve_store(options.store)
-        train_time = train_ns if train_ns is not None else warmup_ns
-        reference_load = (train_load if train_load is not None
-                          else sorted(loads)[len(loads) // 2])
-        for algorithm in algorithms:
-            kwargs = dict(routing_kwargs.get(algorithm, {}))
-            if not is_checkpointable(make_routing(algorithm, **kwargs)):
-                continue
-            train_spec = ExperimentSpec(
-                config=config,
-                routing=algorithm,
-                pattern=pattern,
-                offered_load=reference_load,
-                sim_time_ns=train_time,
-                warmup_ns=0.0,
-                seed=seed,
-                routing_kwargs=kwargs,
-                network_params=network_params,
-                label=f"train:{algorithm}",
-            )
-            trained = train_experiment(train_spec, options=RunOptions(store=store))
-            warm_starts[algorithm] = str(trained.checkpoint.path)
-
-    eval_warmup = eval_warmup_ns if eval_warmup_ns is not None else warmup_ns / 5.0
-    specs = []
-    for algorithm in algorithms:
-        warm = warm_starts.get(algorithm)
-        for load in loads:
-            specs.append(options.apply_to_spec(ExperimentSpec(
-                config=config,
-                routing=algorithm,
-                pattern=pattern,
-                offered_load=load,
-                sim_time_ns=(eval_warmup if warm else warmup_ns) + measure_ns,
-                warmup_ns=eval_warmup if warm else warmup_ns,
-                seed=seed,
-                routing_kwargs=dict(routing_kwargs.get(algorithm, {})),
-                network_params=network_params,
-                warm_start=warm,
-            )))
-    flat = iter(runner.run(specs))
-    return {algorithm: [next(flat) for _ in loads] for algorithm in algorithms}

@@ -59,16 +59,13 @@ class RunOptions:
         :class:`~repro.faults.schedule.FaultSchedule` applied to every spec
         executed under these options (a spec's own ``faults`` wins).
     backend:
-        How replicates are grouped, not which engine runs them.
+        Read by :func:`~repro.experiments.harness.run_replicates` only.
         ``"scalar"`` (the default): one
-        :func:`~repro.experiments.harness.run_experiment` call per seed,
-        which itself runs the spec on the flat kernel when the kernel
-        reproduces it bit-identically and on the object-graph engine
-        otherwise.  ``"batched"``: all replicates of one spec advance in
-        lockstep chunks through :mod:`repro.engine.batch` (set-up paid once
-        per chunk, bit-identical per replicate); a spec the kernel cannot
-        reproduce — telemetry, faults, warm starts, path recording, finite
-        injection queues, a plugged-in routing — is refused with
+        :func:`~repro.experiments.harness.run_experiment` call per seed, each
+        picking its engine by capability.  ``"batched"``: all seeds advance
+        in lockstep through :func:`repro.engine.batch.run_batch`
+        (bit-identical per replicate), which refuses a spec the flat kernel
+        cannot reproduce with
         :class:`~repro.engine.batch.errors.UnsupportedByBackend` instead of
         falling back.
     """

@@ -40,7 +40,6 @@ import os
 import pickle
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -224,29 +223,6 @@ def _run_spec_to_data(indexed_spec: Tuple[int, ExperimentSpec]) -> Tuple[int, Ex
     return index, ExperimentResultData.from_result(result)
 
 
-def _run_batch_chunk(
-    task: Tuple[List[int], ExperimentSpec, List[int]],
-) -> Tuple[List[int], List[ExperimentResultData]]:
-    """Worker entry point: one batched chunk — many seeds of one spec.
-
-    The batch's wall time is split evenly over its replicates (the kernel
-    interleaves them in lockstep, so a per-replicate wall time has no
-    scalar-equivalent meaning).
-    """
-    indices, spec, seeds = task
-    from repro.engine.batch import run_batch
-
-    began = time.perf_counter()
-    results = run_batch(spec, seeds)
-    share = (time.perf_counter() - began) / len(results) if results else 0.0
-    payload = []
-    for result in results:
-        data = ExperimentResultData.from_result(result)
-        data.wall_time_s = share
-        payload.append(data)
-    return indices, payload
-
-
 @dataclass
 class RunProgress:
     """One progress update, emitted as each run finishes (in completion order)."""
@@ -355,97 +331,12 @@ class SweepRunner:
             for index in range(replicates)
         ]
 
-    #: default replicate count per batched-kernel invocation.
-    BATCH_CHUNK = 32
-
     def run_replicates(
-        self,
-        spec: ExperimentSpec,
-        replicates: int,
-        *,
-        backend: str = "scalar",
-        batch_size: int = BATCH_CHUNK,
+        self, spec: ExperimentSpec, replicates: int
     ) -> List[ExperimentResult]:
-        """Run ``replicates`` seeds of one spec, in seed-derivation order.
-
-        ``backend="scalar"`` is exactly ``run(expand_replicates(...))``.
-        ``backend="batched"`` chunks the uncached replicates into groups of
-        ``batch_size`` and advances each group in lockstep through
-        :mod:`repro.engine.batch`; chunks fan out over the worker pool when
-        ``workers > 1``.  Because batched results are bit-identical to scalar
-        ones, both backends share the same cache entries — a sweep can warm
-        the cache with one backend and reuse it from the other.
-        """
-        expanded = self.expand_replicates(spec, replicates)
-        if backend == "scalar":
-            return self.run(expanded)
-        if backend != "batched":
-            raise ValueError(
-                f"backend must be 'scalar' or 'batched', got {backend!r}"
-            )
-        return self.run_batched(expanded, batch_size=batch_size)
-
-    def run_batched(
-        self,
-        specs: Sequence[ExperimentSpec],
-        *,
-        batch_size: int = BATCH_CHUNK,
-    ) -> List[ExperimentResult]:
-        """Run arbitrary specs through the batched kernel, in spec order.
-
-        Specs that are identical except for their ``seed`` (a study's
-        replicates of one scenario point) advance in lockstep chunks of up to
-        ``batch_size``; each distinct parameter combination gets its own
-        chunks.  Chunks fan out over the worker pool when ``workers > 1``.
-        Because batched results are bit-identical to scalar ones, cache
-        entries are shared with :meth:`run` — a sweep can warm the cache with
-        one backend and reuse it from the other.
-
-        Specs unsupported by the batched kernel raise
-        :class:`~repro.engine.batch.errors.UnsupportedByBackend`.
-        """
-        specs = list(specs)
-        total = len(specs)
-        results: List[Optional[ExperimentResult]] = [None] * total
-        done = 0
-        pending: List[int] = []
-        keys: Dict[int, str] = {}
-        for index, spec in enumerate(specs):
-            data = None
-            if self.cache is not None:
-                keys[index] = spec_fingerprint(spec)
-                data = self.cache.get(keys[index])
-            if data is not None:
-                self.cache_hits += 1
-                results[index] = data.to_result(spec)
-                done += 1
-                self._emit(done, total, spec, cached=True, wall_time_s=0.0)
-            else:
-                pending.append(index)
-        # Seed-mates join one lockstep group: the grouping key is the spec
-        # fingerprint with the seed canonicalised away.
-        groups: Dict[str, List[int]] = {}
-        for index in pending:
-            group_key = spec_fingerprint(specs[index].with_overrides(seed=0))
-            groups.setdefault(group_key, []).append(index)
-        batch_size = max(1, batch_size)
-        tasks = []
-        for members in groups.values():
-            for start in range(0, len(members), batch_size):
-                chunk = members[start:start + batch_size]
-                tasks.append((chunk, specs[chunk[0]],
-                              [specs[i].seed for i in chunk]))
-        for chunk, payload in self._execute_batches(tasks):
-            for index, data in zip(chunk, payload):
-                spec = specs[index]
-                self.simulated += 1
-                if self.cache is not None:
-                    self.cache.put(keys[index], data)
-                results[index] = data.to_result(spec)
-                done += 1
-                self._emit(done, total, spec, cached=False,
-                           wall_time_s=data.wall_time_s)
-        return results  # type: ignore[return-value]
+        """Run ``replicates`` seeds of one spec, in seed-derivation order:
+        ``run(expand_replicates(spec, replicates))`` — one job per seed."""
+        return self.run(self.expand_replicates(spec, replicates))
 
     # -------------------------------------------------------------- internals
     def _emit(self, done: int, total: int, spec: ExperimentSpec,
@@ -471,23 +362,6 @@ class SweepRunner:
         with ctx.Pool(processes=processes) as pool:
             for indexed_data in pool.imap_unordered(_run_spec_to_data, pending):
                 yield indexed_data
-
-    def _execute_batches(
-        self, tasks: Sequence[Tuple[List[int], ExperimentSpec, List[int]]],
-    ) -> Iterator[Tuple[List[int], List[ExperimentResultData]]]:
-        """Yield ``(indices, wire data)`` per batched chunk as chunks finish."""
-        if not tasks:
-            return
-        if self.workers <= 1 or len(tasks) == 1:
-            for task in tasks:
-                yield _run_batch_chunk(task)
-            return
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        processes = min(self.workers, len(tasks))
-        with ctx.Pool(processes=processes) as pool:
-            for chunk_data in pool.imap_unordered(_run_batch_chunk, tasks):
-                yield chunk_data
 
 
 # ----------------------------------------------------------- env-driven setup

@@ -1,9 +1,10 @@
 """Experiment scale presets.
 
 The paper evaluates a 1,056-node and a 2,550-node Dragonfly over measurement
-windows of 100 µs after convergence.  A pure-Python flit-level simulation of
-those systems is possible with this package but takes hours per data point,
-so the harness ships three scales:
+windows of 100 µs after convergence.  Measured here on 2 cores at 1,056
+nodes over a 20 µs horizon: Q-adp UR 0.6 23.0 s, Q-adp ADV+1 0.3 3.8 s,
+UGALn ADV+1 12.5 s, linear in the horizon — so minutes per 600 µs data
+point.  The harness ships three scales:
 
 * ``BENCH_SCALE`` — the default for the pytest benchmarks: a 72-node balanced
   Dragonfly, short windows.  Every figure's *code path* runs end to end in
@@ -12,7 +13,7 @@ so the harness ships three scales:
   72-node system with windows long enough for Q-adaptive to converge.
 * ``PAPER_SCALE_1056`` / ``PAPER_SCALE_2550`` — the exact Table 1 systems and
   Section 5/6 windows; select with the environment variable
-  ``REPRO_SCALE=paper`` (budget: hours to days of CPU time).
+  ``REPRO_SCALE=paper`` (budget: minutes per data point, see above).
 
 Offered-load points are scaled alongside the topology: the 72-node system
 saturates earlier than the 1,056-node one (fewer parallel local links), so
@@ -150,7 +151,7 @@ SCALE_REGISTRY.register(
     "paper-1056", lambda: PAPER_SCALE_1056,
     aliases=("paper",),
     metadata={"family": "dragonfly",
-              "summary": "the paper's 1,056-node system (hours of CPU)"},
+              "summary": "the paper's 1,056-node system (minutes per data point)"},
 )
 SCALE_REGISTRY.register(
     "paper-2550", lambda: PAPER_SCALE_2550,

@@ -120,8 +120,9 @@ class Registry:
                     f"{self.kind} name(s) {taken} already registered by {owners}; "
                     "pass replace=True to override"
                 )
-            for key in taken:
-                self.unregister(self._entries[self._alias_of[key]].canonical)
+            # Distinct owners first: two taken keys may belong to one entry.
+            for owner in dict.fromkeys(self._alias_of[key] for key in taken):
+                self.unregister(owner)
         key = normalize_key(canonical)
         self._entries[key] = entry
         for alias_key in entry.lookup_keys():

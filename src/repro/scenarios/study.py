@@ -448,9 +448,6 @@ class Study:
         ``REPRO_WORKERS`` / ``REPRO_CACHE`` environment variables (serial,
         uncached when unset), exactly like the figure drivers.
         ``options.telemetry``/``options.faults`` fold into every eval spec.
-        ``options.backend="batched"`` runs the replicates of each scenario
-        point in lockstep through :mod:`repro.engine.batch` (bit-identical
-        results, shared cache entries with the scalar backend).
 
         Staged studies (``train`` set) run their training stage first —
         through the artifact store ``options.store`` (default: the standard
@@ -486,13 +483,7 @@ class Study:
                     and point.spec.config == self.config) else point
                 for point in points
             ]
-        specs = [point.spec for point in points]
-        if options.backend == "batched":
-            # Seed-mates of each scenario point advance in lockstep through
-            # the batched kernel; results stay bit-identical to scalar runs.
-            results = runner.run_batched(specs)
-        else:
-            results = runner.run(specs)
+        results = runner.run([point.spec for point in points])
         return StudyResult(study=self, points=points, results=results,
                            checkpoints=checkpoints)
 

@@ -12,8 +12,7 @@ patterns, and sessions:
   list / inspect / prune and a spec-fingerprint index.
 
 Entry points above this layer: ``ExperimentSpec(warm_start=...)``,
-:func:`repro.experiments.harness.train_experiment`,
-``run_load_sweep(train_once=True)``, staged studies
+:func:`repro.experiments.harness.train_experiment`, staged studies
 (:class:`repro.scenarios.study.TrainStage`), and the ``repro-sim train`` /
 ``repro-sim checkpoint`` CLI verbs.
 """

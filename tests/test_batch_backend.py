@@ -11,7 +11,7 @@ harness/runner integration.
 ``run_experiment`` itself picks the kernel whenever it can, so every
 reference here comes from ``_execute`` (which only ever runs the object
 graph), never from ``run_experiment`` / ``SweepRunner.run`` /
-``run_replicates(backend="scalar")``.
+``run_replicates``.
 """
 
 from __future__ import annotations
@@ -268,111 +268,59 @@ def _payload(result) -> dict:
     return payload
 
 
-def test_sweep_runner_chunks_batches_and_shares_cache(tmp_path):
+def test_sweep_runner_replicates_fan_out_as_separate_jobs():
+    """Seed-mates are one job each — never one serial chunk — and every job's
+    result is what the lockstep batch of the same seeds produces."""
+    jobs = []
+
+    class Spy(SweepRunner):
+        def _execute(self, pending):
+            jobs.extend(pending)
+            return super()._execute(pending)
+
     spec = _spec("Q-adp", load=0.3, sim=3_000.0, warm=1_000.0, seed=7)
-    warm = SweepRunner(workers=1, cache_dir=tmp_path)
-    batched = warm.run_replicates(spec, 5, backend="batched", batch_size=2)
-    assert warm.simulated == 5 and warm.cache_hits == 0
-    # Bit-identity makes cache entries backend-agnostic: a scalar re-run of
-    # the same replicates is served entirely from the batched run's cache.
-    reuse = SweepRunner(workers=1, cache_dir=tmp_path)
-    scalar = reuse.run_replicates(spec, 5, backend="scalar")
-    assert reuse.simulated == 0 and reuse.cache_hits == 5
-    for b, s in zip(batched, scalar):
-        assert b.stats.to_dict() == s.stats.to_dict()
-    # ... and an entry's content does not depend on which engine filled it:
-    # every field but the host-time one equals what the object graph produces.
-    for cached in scalar:
-        np.testing.assert_equal(_payload(cached), _payload(_execute(cached.spec)[0]))
-    with pytest.raises(ValueError, match="backend"):
-        warm.run_replicates(spec, 2, backend="vectorized")
+    seeds = derive_replicate_seeds(7, 4)
+    runner = Spy(workers=2)
+    results = runner.run_replicates(spec, 4)
+    assert [job_spec.seed for _, job_spec in jobs] == seeds
+    assert runner.simulated == 4
+    for result, lockstep in zip(results, run_batch(spec, seeds), strict=True):
+        assert result.spec == lockstep.spec
+        np.testing.assert_equal(_payload(result), _payload(lockstep))
 
 
-def test_cli_run_replicates_batched(capsys):
+def test_cli_run_replicates(capsys):
+    import json
+
     from repro.cli import main
 
     code = main([
         "run", "--routing", "Q-adp", "--pattern", "UR", "--load", "0.4",
         "--time-us", "3", "--warmup-us", "1", "--seed", "7",
-        "--replicates", "2", "--backend", "batched", "--json",
+        "--replicates", "2", "--json",
     ])
     assert code == 0
-    import json
-
     payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"] == "batched"
+    assert set(payload) == {"rows"}
     assert [row["seed"] for row in payload["rows"]] == derive_replicate_seeds(7, 2)
 
 
-def test_cli_refuses_unsupported_batched_spec():
-    from repro.cli import main
-
-    with pytest.raises(SystemExit, match="probes-off"):
-        main([
-            "run", "--routing", "Q-adp", "--time-us", "3",
-            "--backend", "batched", "--telemetry", "link-util",
-        ])
-
-
-def test_run_batched_groups_mixed_specs():
-    """Interleaved seed-mates of two parameter points regroup correctly."""
-    runner = SweepRunner(workers=1)
-    low = _spec("MIN", load=0.2, sim=3_000.0, warm=1_000.0, seed=5)
-    high = _spec("MIN", load=0.5, sim=3_000.0, warm=1_000.0, seed=5)
-    specs = []
-    for seed in derive_replicate_seeds(5, 2):
-        specs.append(low.with_overrides(seed=seed))
-        specs.append(high.with_overrides(seed=seed))
-    batched = runner.run_batched(specs)
-    assert runner.simulated == 4
-    for b, spec in zip(batched, specs):
-        assert b.spec == spec
-        assert b.stats.to_dict() == _execute(spec)[0].stats.to_dict()
-
-
-def test_study_backend_option_matches_scalar():
+def test_study_replicates_equal_a_lockstep_batch():
     from repro.scenarios import Scenario, Study
-    from repro.scenarios.study import StudyResult
 
     study = Study(
-        name="backend-demo", config=DragonflyConfig.tiny(),
-        sim_time_ns=3_000.0, warmup_ns=1_000.0,
+        name="replicates-demo", config=DragonflyConfig.tiny(),
+        sim_time_ns=3_000.0, warmup_ns=1_000.0, seed=5,
         scenarios=[Scenario(name="mini", routing=("Q-adp",), pattern=("UR",),
-                            loads=(0.2, 0.4), replicates=2)],
+                            loads=(0.3,), replicates=3)],
     )
-    points = study.expand()
-    reference = StudyResult(study=study, points=points,
-                            results=[_execute(point.spec)[0] for point in points])
-    scalar = study.run(SweepRunner(workers=1))
-    batched = study.run(SweepRunner(workers=1),
-                        options=RunOptions(backend="batched"))
-    assert scalar.rows() == reference.rows()
-    assert batched.rows() == reference.rows()
-
-
-def test_cli_study_run_batched(tmp_path, capsys):
-    import json
-
-    from repro.cli import main
-    from repro.scenarios import Scenario, Study
-    from repro.scenarios.study import StudyResult
-
-    study = Study(
-        name="cli-batched", config=DragonflyConfig.tiny(),
-        sim_time_ns=3_000.0, warmup_ns=1_000.0,
-        scenarios=[Scenario(name="mini", routing=("MIN",), pattern=("UR",),
-                            loads=(0.3,), replicates=2)],
-    )
-    points = study.expand()
-    reference = StudyResult(study=study, points=points,
-                            results=[_execute(point.spec)[0] for point in points])
-    path = study.save(tmp_path / "demo.json")
-    assert main(["study", "run", str(path)]) == 0
-    scalar_payload = json.loads(capsys.readouterr().out)
-    assert main(["study", "run", str(path), "--backend", "batched"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["runs"] == 2 and payload["simulated"] == 2
-    assert payload["rows"] == scalar_payload["rows"] == reference.rows()
+    result = study.run(SweepRunner(workers=1))
+    base = result.points[0].spec
+    assert base.seed == 5
+    lockstep = run_batch(base, derive_replicate_seeds(5, 3))
+    for (point, ran), expected in zip(result, lockstep, strict=True):
+        assert point.spec == expected.spec
+        np.testing.assert_equal(_payload(ran), _payload(expected))
 
 
 # ------------------------------------------------- engine choice by capability

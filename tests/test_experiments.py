@@ -20,7 +20,6 @@ from repro.experiments import (
     figure8_dynamic_load,
     figure9_scaleup,
     run_experiment,
-    run_load_sweep,
     table1_configurations,
     table_qtable_memory,
     train_experiment,
@@ -65,7 +64,7 @@ def test_default_scale_env_selection():
 
 # ------------------------------------------------- one spelling per run option
 def test_entry_points_take_run_options_only():
-    for entry_point in (run_experiment, train_experiment, run_load_sweep, Study.run):
+    for entry_point in (run_experiment, train_experiment, Study.run):
         parameters = inspect.signature(entry_point).parameters
         assert "options" in parameters
         assert not {"save_state", "store", "name", "reuse"} & set(parameters)
@@ -76,12 +75,23 @@ def test_removed_aliases_stay_removed():
     import repro.experiments
     import repro.network
     import repro.network.network
+    from repro.cli import main
+    from repro.experiments import SweepRunner
     from repro.network.nic import Nic
 
     for module in (repro, repro.network, repro.network.network):
         assert not hasattr(module, "DragonflyNetwork")
     assert not hasattr(Nic, "on_delivery")
     assert not hasattr(repro.experiments, "derive_run_seed")
+    # one way to run a list of specs: SweepRunner.run
+    assert not hasattr(repro.experiments, "run_load_sweep")
+    assert not hasattr(SweepRunner, "run_batched")
+    assert "backend" not in inspect.signature(SweepRunner.run_replicates).parameters
+    for argv in (["run", "--backend", "scalar"],
+                 ["study", "run", "fig5", "--backend", "scalar"]):
+        with pytest.raises(SystemExit) as usage_error:
+            main(argv)
+        assert usage_error.value.code == 2  # argparse: unrecognized arguments
 
 
 def test_version_is_single_sourced():
@@ -151,15 +161,6 @@ def test_summary_row_reports_dyn_for_schedule_runs():
     )
     row = run_experiment(spec).summary_row()
     assert row["offered_load"] == "dyn"
-
-
-def test_run_load_sweep_shape():
-    sweep = run_load_sweep(
-        config=TINY, algorithms=("MIN", "VALn"), pattern="UR", loads=(0.1, 0.3),
-        warmup_ns=2_000.0, measure_ns=2_000.0, seed=1,
-    )
-    assert set(sweep) == {"MIN", "VALn"}
-    assert all(len(results) == 2 for results in sweep.values())
 
 
 # -------------------------------------------------------------------- figures

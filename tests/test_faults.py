@@ -244,8 +244,8 @@ def test_fault_spec_round_trips_at_schema_5():
 
 
 @pytest.mark.parametrize("legacy_schema", [1, 2, 3, 4])
-def test_legacy_spec_documents_still_load(legacy_schema):
-    """Contract: they do not — a build reads exactly the schema it writes."""
+def test_legacy_spec_documents_are_rejected(legacy_schema):
+    """A build reads exactly the schema it writes."""
     data = _spec_doc()
     del data["faults"]
     assert ExperimentSpec.from_dict(data).faults is None

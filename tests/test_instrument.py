@@ -290,7 +290,7 @@ def test_spec_telemetry_canonicalised_and_serialized():
         _telemetry_spec(telemetry=("bogus",))
 
 
-def test_spec_v2_documents_still_load():
+def test_spec_v2_documents_are_rejected():
     data = _telemetry_spec(telemetry=()).to_dict()
     assert "telemetry" not in data
     assert ExperimentSpec.from_dict(data).telemetry == ()
@@ -388,7 +388,7 @@ def test_report_max_rows_one_does_not_crash():
     assert "Q-convergence" in render_report(doc, max_rows=1)
 
 
-def test_study_documents_written_at_schema_5_and_v2_still_loads():
+def test_study_documents_written_at_schema_5_and_v2_is_rejected():
     from repro.scenarios.study import Scenario, Study
 
     study = Study(

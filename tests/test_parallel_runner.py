@@ -10,12 +10,12 @@ from repro.experiments import (
     ResultCache,
     SweepRunner,
     run_experiment,
-    run_load_sweep,
     spec_fingerprint,
 )
 from repro.engine.rng import derive_replicate_seed
 from repro.experiments.parallel import RunProgress, default_runner
 from repro.network.params import NetworkParams
+from repro.scenarios import Scenario, Study
 from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule
 
@@ -81,17 +81,17 @@ def test_result_data_round_trip():
 # ---------------------------------------------------------------- determinism
 def test_parallel_workers_reproduce_serial_summary_rows():
     """Figure 5-style sweep: MIN/UGALn/Q-adp x UR x 3 loads, workers=1 == workers=4."""
-    kwargs = dict(
-        config=TINY, algorithms=("MIN", "UGALn", "Q-adp"), pattern="UR",
-        loads=(0.1, 0.2, 0.3), warmup_ns=2_000.0, measure_ns=2_000.0, seed=1,
+    study = Study(
+        name="fig5-mini", config=TINY, sim_time_ns=4_000.0, warmup_ns=2_000.0,
+        seed=1,
+        scenarios=[Scenario(name="ur", routing=("MIN", "UGALn", "Q-adp"),
+                            pattern=("UR",), loads=(0.1, 0.2, 0.3))],
     )
-    serial = run_load_sweep(runner=SweepRunner(workers=1), **kwargs)
-    parallel = run_load_sweep(runner=SweepRunner(workers=4), **kwargs)
-    assert set(serial) == set(parallel) == {"MIN", "UGALn", "Q-adp"}
-    for algorithm in serial:
-        rows_serial = [r.summary_row() for r in serial[algorithm]]
-        rows_parallel = [r.summary_row() for r in parallel[algorithm]]
-        assert rows_serial == rows_parallel
+    serial = study.run(SweepRunner(workers=1)).rows()
+    parallel = study.run(SweepRunner(workers=4)).rows()
+    assert {row["routing"] for row in serial} == {"MIN", "UGALn", "Q-adp"}
+    assert len(serial) == 9
+    assert serial == parallel
 
 
 def test_derive_replicate_seed_keeps_index_zero_and_spreads_the_rest():

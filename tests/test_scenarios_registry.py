@@ -52,6 +52,16 @@ def test_duplicate_registration_errors_unless_replaced():
         registry.unregister("foo")
 
 
+def test_replace_unregisters_an_owner_hit_through_two_keys_once():
+    registry = Registry("thing")
+    registry.register("Foo", dict, aliases=("the foo",))
+    registry.register("Bar", set)
+    # Two keys of one old entry plus one of another: each owner goes once.
+    registry.register("Foo", list, aliases=("the foo", "bar"), replace=True)
+    assert registry.names() == ["Foo"]
+    assert registry.factory("the-foo") is list and registry.factory("bar") is list
+
+
 def test_listing_never_calls_factories_or_loaders():
     calls = {"factory": 0, "loader": 0}
 

@@ -102,8 +102,8 @@ def test_spec_dict_is_json_ready_and_versioned():
     json.dumps(data)  # no custom types anywhere
 
 
-def test_spec_schema_v1_documents_still_load():
-    """Contract: they do not — the spec is fine, the schema-1 stamp is rejected."""
+def test_spec_schema_v1_documents_are_rejected():
+    """The spec is fine, the schema-1 stamp is rejected."""
     data = _spec().to_dict()
     assert "warm_start" not in data
     assert ExperimentSpec.from_dict(data).warm_start is None

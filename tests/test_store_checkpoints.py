@@ -1,5 +1,5 @@
 """Tests for the learned-state lifecycle: export/import, the artifact store,
-warm-started experiments, train-once/eval-many sweeps, and staged studies."""
+warm-started experiments, and staged (train-once/eval-many) studies."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.experiments.harness import (
     ExperimentSpec,
     build_network,
     run_experiment,
-    run_load_sweep,
     train_experiment,
 )
 from repro.experiments.options import RunOptions
@@ -338,51 +337,6 @@ def test_overwriting_a_checkpoint_changes_warm_fingerprints(tmp_path):
 def test_train_experiment_rejects_stateless_routing(tmp_path):
     with pytest.raises(ValueError, match="no learned state to train"):
         train_experiment(_spec(routing="MIN"), options=RunOptions(store=tmp_path))
-
-
-# ------------------------------------------------- train-once/eval-many sweep
-def test_run_load_sweep_train_once_feeds_all_loads(tmp_path):
-    loads = [0.1, 0.2, 0.3, 0.4]
-    store = ArtifactStore(tmp_path)
-    runner = SweepRunner(workers=1)
-    results = run_load_sweep(
-        TINY, ["MIN", "Q-adp"], "UR", loads,
-        warmup_ns=4_000.0, measure_ns=2_000.0, seed=5,
-        runner=runner, train_once=True, options=RunOptions(store=store),
-    )
-    assert len(results["Q-adp"]) == len(loads) == len(results["MIN"])
-    # exactly one training run happened, its checkpoint feeds every load point
-    assert len(store) == 1
-    checkpoint_path = str(store.list()[0].checkpoint_id)
-    for result in results["Q-adp"]:
-        warm = result.spec.warm_start
-        assert warm is not None and checkpoint_path in warm
-        assert result.routing_diagnostics["warm_start"] == warm
-        # eval runs use the short settling warm-up, not the full training one
-        assert result.spec.warmup_ns == pytest.approx(4_000.0 / 5.0)
-    for result in results["MIN"]:
-        assert result.spec.warm_start is None
-        assert result.spec.warmup_ns == 4_000.0
-    # the training run is reused on a re-sweep: store still holds one entry
-    run_load_sweep(
-        TINY, ["Q-adp"], "UR", loads,
-        warmup_ns=4_000.0, measure_ns=2_000.0, seed=5,
-        runner=runner, train_once=True, options=RunOptions(store=store),
-    )
-    assert len(store) == 1
-
-
-def test_run_load_sweep_cold_path_is_unchanged(tmp_path):
-    """train_once=False must build exactly the specs the seed harness built."""
-    results = run_load_sweep(
-        TINY, ["MIN"], "UR", [0.2, 0.3],
-        warmup_ns=2_000.0, measure_ns=2_000.0, seed=5,
-    )
-    for result, load in zip(results["MIN"], [0.2, 0.3], strict=True):
-        assert result.spec.offered_load == load
-        assert result.spec.warm_start is None
-        assert result.spec.warmup_ns == 2_000.0
-        assert result.spec.sim_time_ns == 4_000.0
 
 
 # ------------------------------------------------------------ staged studies

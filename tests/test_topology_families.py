@@ -91,8 +91,8 @@ def test_family_tagged_config_round_trip(config):
     assert config_from_dict(data) == config
 
 
-def test_config_from_dict_defaults_to_dragonfly():
-    """Contract: it does not — a family-less topology block is rejected."""
+def test_config_from_dict_requires_a_family():
+    """A family-less topology block is rejected."""
     with pytest.raises(ValueError, match="missing required field 'family'"):
         config_from_dict({"p": 2, "a": 4, "h": 2})
 
@@ -239,9 +239,9 @@ def test_spec_topology_block_round_trips(config):
     assert clone == spec
 
 
-def test_spec_schema_v3_config_block_still_loads():
-    """Contract: it does not — neither the ``config`` key, nor a family-less
-    ``topology`` block, nor the schema-3 stamp is readable."""
+def test_spec_schema_v3_config_block_is_rejected():
+    """Neither the ``config`` key, nor a family-less ``topology`` block, nor
+    the schema-3 stamp is readable."""
     spec = _spec(DragonflyConfig.small_72())
     data = spec.to_dict()
     bare = {k: v for k, v in data["topology"].items() if k != "family"}
