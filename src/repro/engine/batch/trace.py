@@ -3,11 +3,18 @@
 The batched kernel replays traffic instead of re-deriving it: every traffic
 pattern's ``destination()`` and the generator's arrival draws are pure
 functions of ``(spec, seed)`` and independent of network backpressure
-(generation is open-loop — the source queue absorbs congestion).  So the
-*real* :class:`~repro.traffic.generator.TrafficGenerator` is run once per
-replicate against a stub network that records instead of simulating, and the
-kernel replays the resulting per-node ``(time, destination)`` schedule while
-allocating event sequence numbers at exactly the points the scalar run would.
+(generation is open-loop — the source queue absorbs congestion).  So
+:func:`record_traffic_trace` runs the generator's schedule once per replicate
+as one loop over a private heap, mirroring
+:class:`~repro.traffic.generator.TrafficGenerator` draw for draw:
+``start`` (one staggered first wake-up per node), ``_generate`` (one
+destination and one interval per packet), ``_schedule_next`` (clamp at the
+next phase boundary) and ``_resample`` (redraw at the boundary), with the
+inter-arrival mean of ``_interval``.  The kernel replays the resulting
+per-node ``(time, destination)`` schedule while allocating event sequence
+numbers at exactly the points the scalar run would.
+``tests/test_traffic_generator.py`` pins the loop against a recorder that
+drives the real generator, entry for entry.
 
 Entries with ``destination == -1`` are generator wake-ups that produce no
 packet (phase-boundary resamples, zero-load phases) but still allocate a
@@ -17,11 +24,11 @@ same-time events would tie-break differently.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.engine.rng import RngFactory
-from repro.traffic.generator import LoadSchedule, TrafficGenerator
+from repro.traffic.generator import LoadSchedule
 
 if TYPE_CHECKING:  # typing only
     from repro.network.params import NetworkParams
@@ -31,87 +38,7 @@ if TYPE_CHECKING:  # typing only
 #: one generator wake-up of one node: (time_ns, destination node or -1).
 TraceEntry = Tuple[float, int]
 
-
-class _NullCollector:
-    """Offered-load sink: the generator publishes the schedule's first load here."""
-
-    __slots__ = ("offered_load",)
-
-    def __init__(self) -> None:
-        self.offered_load: Optional[float] = None
-
-
-class _SinkNics:
-    """``network.nics[node].inject(...)`` surface that swallows every packet."""
-
-    __slots__ = ()
-
-    def __getitem__(self, node: int) -> "_SinkNics":
-        return self
-
-    def inject(self, packet: object) -> bool:
-        return True
-
-
-class _TraceQueue:
-    """Tuple-heap stand-in for the scalar EventQueue, push-order sequencing.
-
-    The generator's callback execution order is fully determined by push
-    order and ``(time, seq)`` heap ordering — both identical to the real
-    :class:`~repro.engine.events.EventQueue` — so recording through this
-    costs no Event objects and no watchdog machinery.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple] = []
-        self._seq = 0
-
-    def push(self, time_ns: float, callback, args: Tuple) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time_ns, seq, callback, args))
-
-
-class _TraceSim:
-    """The slice of the Simulator surface a :class:`TrafficGenerator` drives."""
-
-    __slots__ = ("_now", "_queue")
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._queue = _TraceQueue()
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def at(self, time_ns: float, callback, *args) -> None:
-        self._queue.push(time_ns, callback, args)
-
-
-class _TraceNetwork:
-    """Just enough network surface for a :class:`TrafficGenerator` to drive.
-
-    ``create_packet`` records ``(src, dst)`` instead of building a packet, and
-    the simulator is private to the trace, so recording never perturbs the
-    replicate's RNG streams or event ordering.
-    """
-
-    __slots__ = ("topo", "params", "rng", "sim", "collector", "nics", "created")
-
-    def __init__(self, topo: "Topology", params: "NetworkParams", seed: int) -> None:
-        self.topo = topo
-        self.params = params
-        self.rng = RngFactory(seed)
-        self.sim = _TraceSim()
-        self.collector = _NullCollector()
-        self.nics = _SinkNics()
-        self.created: List[Tuple[int, int]] = []
-
-    def create_packet(self, src: int, dst: int, now: float) -> None:
-        self.created.append((src, dst))
+_INF = float("inf")
 
 
 def record_traffic_trace(
@@ -126,35 +53,100 @@ def record_traffic_trace(
 ) -> List[List[TraceEntry]]:
     """Record every generator wake-up of one replicate as per-node entry lists.
 
-    Executes the stub event queue exactly like ``Simulator.run(until)`` would
-    (events at ``until`` included); wake-ups scheduled past ``until`` are
-    appended as trailing ``(time, -1)`` entries because the scalar run pushes
-    them (allocating a sequence number) even though they never execute.
+    Executes the generator's events exactly like ``Simulator.run(until)``
+    would (events at ``until`` included); wake-ups scheduled past ``until``
+    are appended as trailing ``(time, -1)`` entries because the scalar run
+    pushes them (allocating a sequence number) even though they never execute.
     """
-    network = _TraceNetwork(topo, params, seed)
-    generator = TrafficGenerator(
-        network, pattern, offered_load=offered_load, schedule=schedule, arrival=arrival
-    )
-    generator.start()
+    if (offered_load is None) == (schedule is None):
+        raise ValueError("specify exactly one of offered_load or schedule")
+    if arrival not in ("exponential", "deterministic"):
+        raise ValueError("arrival must be 'exponential' or 'deterministic'")
+    deterministic = arrival == "deterministic"
+    rng = RngFactory(seed)
+    pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))
+    destination = pattern.destination
+    arrivals = rng.py("traffic:arrivals")
+    random = arrivals.random
+    expovariate = arrivals.expovariate
+    if schedule is None:
+        schedule = LoadSchedule.constant(offered_load)
+    # Phase cursor k = number of phases started by now: the load is
+    # loads[k] (the first phase's load before it starts, as in
+    # LoadSchedule.load_at) and the next boundary starts[k] (inf: none).
+    phases = schedule.phases
+    starts = [phase.start_ns for phase in phases] + [_INF]
+    loads = [phases[0].load] + [phase.load for phase in phases]
+    packet_ns = params.serialization_ns
+    means = [packet_ns / load if load > 0.0 else _INF for load in loads]
+    rates = [1.0 / mean for mean in means]
+    k = 0
+    while starts[k] <= 0.0:
+        k += 1
+    change, load, mean, rate = starts[k], loads[k], means[k], rates[k]
+
+    # start(): one first wake-up per node, staggered by a fraction of one
+    # interval; heap entries are (time, seq, node, is_resample).
+    heap = []
+    seq = 0
+    for node in range(topo.num_nodes):
+        if load <= 0.0:
+            delay = _INF
+        elif deterministic:
+            delay = mean
+        else:
+            delay = expovariate(rate)
+        if delay == _INF:
+            if change == _INF:
+                continue
+            heap.append((change, seq, node, True))
+        else:
+            first = 0.0 + delay * random()
+            if first > change:
+                heap.append((change, seq, node, True))
+            else:
+                heap.append((first, seq, node, False))
+        seq += 1
+    heapify(heap)
 
     entries: List[List[TraceEntry]] = [[] for _ in range(topo.num_nodes)]
-    sim = network.sim
-    heap = sim._queue._heap
-    created = network.created
     while heap:
-        entry = heap[0]
-        time_ns = entry[0]
+        time_ns, _, node, resample = heap[0]
         if time_ns > until:
             break
-        heappop(heap)
-        sim._now = time_ns
-        marker = len(created)
-        entry[2](*entry[3])
-        node = entry[3][0]
-        dst = created[marker][1] if len(created) > marker else -1
-        entries[node].append((time_ns, dst))
+        if time_ns >= change:
+            while starts[k] <= time_ns:
+                k += 1
+            change, load, mean, rate = starts[k], loads[k], means[k], rates[k]
+        if resample:  # _resample(): discard the stale interval and redraw
+            entries[node].append((time_ns, -1))
+            if load <= 0.0:
+                delay = _INF
+            elif deterministic:
+                delay = mean
+                if delay != _INF:
+                    delay *= random()
+            else:
+                delay = expovariate(rate)
+        elif load > 0.0:  # _generate()
+            entries[node].append((time_ns, destination(node)))
+            delay = mean if deterministic else expovariate(rate)
+        else:
+            entries[node].append((time_ns, -1))
+            delay = _INF
+        # _schedule_next(): clamp at the next phase boundary.
+        if delay == _INF:
+            if change == _INF:
+                heappop(heap)
+                continue
+            heapreplace(heap, (change, seq, node, True))
+        elif time_ns + delay > change:
+            heapreplace(heap, (change, seq, node, True))
+        else:
+            heapreplace(heap, (time_ns + delay, seq, node, False))
+        seq += 1
     # Push-only leftovers: scheduled (seq allocated) but never executed.
     while heap:
-        entry = heappop(heap)
-        entries[entry[3][0]].append((entry[0], -1))
+        time_ns, _, node, _ = heappop(heap)
+        entries[node].append((time_ns, -1))
     return entries

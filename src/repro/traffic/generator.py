@@ -14,6 +14,7 @@ reproduce the dynamic-load experiment of Figure 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -31,13 +32,13 @@ class LoadPhase:
     load: float
 
     def __post_init__(self) -> None:
-        if self.load < 0.0:
-            raise ValueError("offered load cannot be negative")
-        if self.load > 1.0:
+        if not 0.0 <= self.load <= 1.0:
             raise ValueError(
-                f"offered load cannot exceed 1.0 (the injection bandwidth), "
-                f"got {self.load}"
+                f"phase load must be a number in [0, 1]: it cannot be negative "
+                f"or exceed 1.0 (the injection bandwidth), got {self.load}"
             )
+        if not math.isfinite(self.start_ns):
+            raise ValueError(f"phase start_ns must be finite, got {self.start_ns}")
 
 
 class LoadSchedule:
@@ -110,7 +111,10 @@ class LoadSchedule:
 
 
 class TrafficGenerator:
-    """Drives one traffic pattern on one network at a given offered load."""
+    """Drives one traffic pattern on one network at a given offered load.
+
+    A change to its draw order must be mirrored in :mod:`repro.engine.batch.trace`.
+    """
 
     def __init__(
         self,

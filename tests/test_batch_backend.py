@@ -39,6 +39,7 @@ from repro.network.params import NetworkParams
 from repro.routing import ROUTING_REGISTRY, MinimalRouting, register_algorithm
 from repro.topology.config import DragonflyConfig
 from repro.topology.mesh import MeshConfig
+from repro.traffic import LoadSchedule
 
 
 def _spec(routing: str, pattern: str = "UR", load: float = 0.4,
@@ -81,6 +82,7 @@ def _assert_flat_equals_object_graph(spec: ExperimentSpec) -> None:
 
 
 _DRAGONFLY_BASELINES = ("VALg", "VALn", "UGALg", "UGALn", "PAR")
+_STEP = LoadSchedule.step(0.2, 2_000.0, 0.6)
 
 
 @pytest.mark.parametrize(
@@ -96,10 +98,29 @@ _DRAGONFLY_BASELINES = ("VALg", "VALn", "UGALg", "UGALn", "PAR")
           for pattern in ("UR", "ADV+1")],
         ("VAL", "UR", MeshConfig.small_72()),
         ("VAL", "UR", MeshConfig.small_72_torus()),
+        # Traffic the generated specs never draw (Figure 8 runs on the
+        # kernel): the other patterns, load schedules, deterministic
+        # arrivals.  A dict in the config column holds spec overrides.
+        *[("Q-adp", pattern, None) for pattern in (
+            "Hotspot", "Permutation", "3D Stencil", "Many to Many",
+            "Random Neighbors")],
+        pytest.param("Q-adp", "UR", {"schedule": _STEP}, id="Q-adp-UR-step"),
+        pytest.param("UGALn", "UR",
+                     {"schedule": LoadSchedule([(0.0, 0.0), (1_500.0, 0.5)])},
+                     id="UGALn-UR-idle-then-on"),
+        pytest.param("MIN", "UR",
+                     {"schedule": LoadSchedule([(0.0, 0.5), (1_500.0, 0.0),
+                                                (3_000.0, 0.3)])},
+                     id="MIN-UR-on-off-on"),
+        pytest.param("Q-routing", "UR", {"arrival": "deterministic"},
+                     id="Q-routing-UR-deterministic"),
+        pytest.param("PAR", "UR", {"schedule": _STEP, "arrival": "deterministic"},
+                     id="PAR-UR-step-deterministic"),
     ],
 )
 def test_batched_matches_scalar_bit_for_bit(routing, pattern, config):
-    _assert_flat_equals_object_graph(_spec(routing, pattern, config=config))
+    overrides = config if isinstance(config, dict) else {"config": config}
+    _assert_flat_equals_object_graph(_spec(routing, pattern, **overrides))
 
 
 def test_ugal_bias_reaches_the_kernel():

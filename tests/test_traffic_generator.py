@@ -1,11 +1,28 @@
 """Tests for the offered-load workload driver and load schedules."""
 
-import pytest
+import json
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.batch.trace import record_traffic_trace
+from repro.engine.rng import RngFactory
 from repro.network.network import Network
+from repro.network.params import NetworkParams
 from repro.routing.minimal import MinimalRouting
 from repro.topology.config import DragonflyConfig
-from repro.traffic import LoadSchedule, TrafficGenerator, UniformRandomTraffic
+from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.mesh import MeshConfig, MeshTopology
+from repro.traffic import (
+    LoadSchedule,
+    TrafficGenerator,
+    UniformRandomTraffic,
+    available_patterns,
+    make_pattern,
+)
 
 
 def _network(seed=5):
@@ -38,6 +55,25 @@ def test_schedule_orders_phases_and_validates():
         LoadSchedule([])
     with pytest.raises(ValueError):
         LoadSchedule([(0.0, -0.1)])
+
+
+@pytest.mark.parametrize("phases,field", [
+    ([(0.0, float("nan"))], "load"),
+    ([(0.0, 0.2), (1_000.0, float("nan"))], "load"),
+    ([(float("nan"), 0.3)], "start_ns"),
+    ([(float("inf"), 0.3)], "start_ns"),
+    ([(0.0, 0.2), (float("-inf"), 0.3)], "start_ns"),
+])
+def test_schedule_rejects_nan_loads_and_non_finite_starts(phases, field):
+    # NaN slips past `load < 0` / `load > 1`; the spec used to be accepted
+    # and the kernel then died converting the NaN to an integer.
+    with pytest.raises(ValueError, match=field):
+        LoadSchedule(phases)
+
+
+def test_schedule_from_json_rejects_nan_load():
+    with pytest.raises(ValueError, match="load"):
+        LoadSchedule.from_dict(json.loads('{"phases": [[0, NaN]]}'))
 
 
 # ----------------------------------------------------------- TrafficGenerator
@@ -200,3 +236,118 @@ def test_same_seed_reproduces_identical_traffic():
         results.append((stats.generated_packets, stats.delivered_packets,
                         round(stats.mean_latency_ns, 6)))
     assert results[0] == results[1]
+
+
+# ------------------------------------------------ kernel trace vs. generator
+class _TraceNetwork:
+    """Just enough network surface for a real :class:`TrafficGenerator`.
+
+    ``create_packet`` records ``(src, dst)`` instead of building a packet; the
+    ``sim`` side is a tuple heap with push-order sequencing, which executes
+    callbacks in exactly the ``(time, seq)`` order of the real event queue.
+    """
+
+    def __init__(self, topo, params, seed: int) -> None:
+        self.topo = topo
+        self.params = params
+        self.rng = RngFactory(seed)
+        self.sim = self
+        self.collector = self
+        self.nics = self
+        self.offered_load: Optional[float] = None
+        self.created: List[Tuple[int, int]] = []
+        self.heap: List[Tuple] = []
+        self._queue = self
+        self._now = 0.0
+        self._seq = 0
+
+    @property
+    def now(self) -> float:
+        return self._now
+
+    def push(self, time_ns, callback, args) -> None:
+        heappush(self.heap, (time_ns, self._seq, callback, args))
+        self._seq += 1
+
+    def at(self, time_ns, callback, *args) -> None:
+        self.push(time_ns, callback, args)
+
+    def create_packet(self, src: int, dst: int, now: float) -> None:
+        self.created.append((src, dst))
+
+    def __getitem__(self, node: int) -> "_TraceNetwork":
+        return self
+
+    def inject(self, packet) -> bool:
+        return True
+
+
+def _oracle_trace(topo, params, pattern, seed, offered_load, schedule, arrival, until):
+    """Reference recorder: the real generator driven through a stub network."""
+    network = _TraceNetwork(topo, params, seed)
+    TrafficGenerator(network, pattern, offered_load=offered_load,
+                     schedule=schedule, arrival=arrival).start()
+    entries = [[] for _ in range(topo.num_nodes)]
+    heap, created = network.heap, network.created
+    while heap and heap[0][0] <= until:
+        time_ns, _, callback, args = heappop(heap)
+        network._now = time_ns
+        marker = len(created)
+        callback(*args)
+        dst = created[marker][1] if len(created) > marker else -1
+        entries[args[0]].append((time_ns, dst))
+    while heap:  # pushed (sequence number allocated) but never executed
+        time_ns, _, _, args = heappop(heap)
+        entries[args[0]].append((time_ns, -1))
+    return entries
+
+
+_TRACE_TOPOLOGIES = (
+    DragonflyTopology(DragonflyConfig(p=1, a=2, h=2)),  # 10 nodes, 5 groups
+    MeshTopology(MeshConfig.tiny()),
+    MeshTopology(MeshConfig(rows=4, cols=4, p=1, wrap=True)),
+)
+
+
+def _trace_pattern_kwargs(topo, name: str) -> dict:
+    # The grid patterns default to the Dragonfly's p × a × g grid.
+    if name in ("3D Stencil", "Many to Many") and isinstance(topo, MeshTopology):
+        return {"dims": (2, 2, topo.num_nodes // 4)}
+    return {}
+
+
+# Loads so small that 32 ns / load overflows to inf are left out: the real
+# generator then divides by zero.
+_PHASE_LOADS = st.one_of(st.sampled_from((0.0, 0.02, 0.5, 1.0)),
+                         st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _trace_cases(draw):
+    topo = draw(st.sampled_from(_TRACE_TOPOLOGIES))
+    name = draw(st.sampled_from(available_patterns()))
+    until = draw(st.floats(0.0, 3_000.0))
+    if draw(st.booleans()):
+        load, schedule = draw(st.floats(0.01, 1.0)), None
+    else:
+        starts = draw(st.lists(st.floats(0.0, 3_500.0), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            starts[0] = 0.0
+        load, schedule = None, LoadSchedule([(start, draw(_PHASE_LOADS))
+                                             for start in starts])
+    arrival = draw(st.sampled_from(("exponential", "deterministic")))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return topo, name, seed, load, schedule, arrival, until
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trace_cases())
+def test_recorded_trace_equals_the_real_generator(case):
+    """The kernel's one-loop recorder mirrors TrafficGenerator draw for draw."""
+    topo, name, seed, load, schedule, arrival, until = case
+    params = NetworkParams()
+    kwargs = _trace_pattern_kwargs(topo, name)
+    expected = _oracle_trace(topo, params, make_pattern(name, **kwargs), seed,
+                             load, schedule, arrival, until)
+    assert record_traffic_trace(topo, params, make_pattern(name, **kwargs), seed,
+                                load, schedule, arrival, until) == expected
