@@ -21,8 +21,8 @@ H205   every probe-bus publish (``self._ev_*(...)``) anywhere in simulation
 The hot list (:data:`HOT_FUNCTIONS`) is the PR-3/PR-5 inventory: the
 simulator run loop and schedulers, event-queue push/pop, the router
 route/forward/serve path, the NIC inject/receive path, packet creation, the
-traffic generator's per-packet driving loop, the flat kernel's trace recorder
-(one loop iteration per generator wake-up), and the flat kernel's drain with
+traffic wake-up stream with its two consumers (the object graph's per-wake-up
+event and the flat kernel's trace recorder), and the flat kernel's drain with
 the per-decision functions of its decision table (``factory.function``: the
 functions are built once per drain by factories that are not hot themselves).
 Extend it when new code joins the per-event path.
@@ -59,9 +59,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "Nic.inject", "Nic._try_inject", "Nic.receive_packet", "Nic.credit_return",
     }),
     "repro.network.network": frozenset({"Network.create_packet"}),
-    "repro.traffic.generator": frozenset({
-        "TrafficGenerator._generate", "TrafficGenerator._schedule_next",
-    }),
+    "repro.traffic.generator": frozenset({"TrafficGenerator._wake", "_wakeups"}),
     "repro.engine.batch.kernel": frozenset({"BatchKernel._advance"}),
     "repro.engine.batch.trace": frozenset({"record_traffic_trace"}),
     "repro.engine.batch.decisions": frozenset({

@@ -207,8 +207,8 @@ class ReplicateState:
         self.c_nonminimal = 0
         self.c_reevaluations = 0
         self.c_diverted = 0
-        # Mirror TrafficGenerator.start(): one initial event per driven node,
-        # sequence numbers allocated in ascending node order.  Plain appends:
+        # The wake-up stream's initial pushes: one event per node that has a
+        # first wake-up, sequence numbers in ascending node order.  Plain appends:
         # bucket 0 is sorted when the drain cursor enters it.
         cal = self.cal
         inv_w = self.inv_w
@@ -469,7 +469,7 @@ class BatchKernel:
             else:  # NIC-side events: EV_GEN (3) / EV_CREDIT_N (4) / EV_NIC_RETRY (5)
                 node = a
                 if code == 3:
-                    # Replay one generator wake-up (TrafficGenerator._generate).
+                    # Replay one wake-up of the traffic stream (traffic_wakeups).
                     entries = trace[node]
                     index = ptr[node]
                     dst = entries[index][1]

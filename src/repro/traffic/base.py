@@ -3,7 +3,7 @@
 A traffic pattern answers one question: *given a source node, which node does
 the next message go to?*  Patterns are pure destination selectors — message
 timing (offered load) is the job of
-:class:`~repro.traffic.generator.TrafficGenerator`.
+:func:`~repro.traffic.generator.traffic_wakeups`.
 """
 
 from __future__ import annotations

@@ -6,22 +6,31 @@ means every node generates one packet per packet-serialization time
 (``packet_bytes / bandwidth`` — 32 ns for the default parameters).  Messages
 are single packets; generation is open-loop (the source queue absorbs
 backpressure), which is the standard throughput/latency evaluation
-methodology the paper uses.
+methodology the paper uses.  A piecewise-constant :class:`LoadSchedule`
+reproduces the dynamic-load experiment of Figure 8.
 
-The generator also supports a piecewise-constant :class:`LoadSchedule` to
-reproduce the dynamic-load experiment of Figure 8.
+Being open-loop, the traffic of a run is a pure function of ``(spec, seed)``,
+defined once by :func:`traffic_wakeups`.  The flat kernel records that
+stream (:func:`repro.engine.batch.trace.record_traffic_trace`); the object
+graph replays it lazily on its event queue (:class:`TrafficGenerator`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heapreplace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # typing only: the harness hands us the built network
+    from repro.engine.rng import RngFactory
     from repro.network.network import Network
+    from repro.network.params import NetworkParams
+    from repro.topology.base import Topology
 
 from repro.traffic.base import TrafficPattern
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -59,24 +68,6 @@ class LoadSchedule:
         """Figure 8 style schedule: one load change at ``step_time_ns``."""
         return cls([(0.0, initial_load), (step_time_ns, new_load)])
 
-    def load_at(self, time_ns: float) -> float:
-        current = self.phases[0].load
-        for phase in self.phases:
-            if time_ns >= phase.start_ns:
-                current = phase.load
-            else:
-                break
-        return current
-
-    def next_change_after(self, time_ns: float) -> Optional[float]:
-        for phase in self.phases:
-            if phase.start_ns > time_ns:
-                return phase.start_ns
-        return None
-
-    def max_load(self) -> float:
-        return max(phase.load for phase in self.phases)
-
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         """JSON-ready form: ``{"phases": [[start_ns, load], ...]}``."""
@@ -110,137 +101,132 @@ class LoadSchedule:
         return f"<LoadSchedule {steps}>"
 
 
-class TrafficGenerator:
-    """Drives one traffic pattern on one network at a given offered load.
+def traffic_wakeups(topo: "Topology", params: "NetworkParams", pattern: TrafficPattern,
+                    rng: "RngFactory", offered_load: Optional[float],
+                    schedule: Optional[LoadSchedule], arrival: str) -> Iterator[Any]:
+    """Every generator wake-up of one run, in event-queue order.
 
-    A change to its draw order must be mirrored in :mod:`repro.engine.batch.trace`.
+    The first item is the list of initial ``(time_ns, node)`` pushes in node
+    order; each later item is one executed wake-up ``(time_ns, node,
+    destination or -1, next wake-up time or None)``.  A ``-1`` wake-up makes
+    no packet (a phase-boundary resample, an idle phase) but is still an
+    event.  Pushing each wake-up's successor as it executes reproduces the
+    stream's ``(time, push order)`` sequence.  Arguments are checked and the
+    pattern set up on the call; draws happen as the stream is consumed.
+    """
+    if (offered_load is None) == (schedule is None):
+        raise ValueError("specify exactly one of offered_load or schedule")
+    if arrival not in ("exponential", "deterministic"):
+        raise ValueError("arrival must be 'exponential' or 'deterministic'")
+    if schedule is None:
+        schedule = LoadSchedule.constant(offered_load)
+    pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))
+    return _wakeups(topo.num_nodes, params.serialization_ns, pattern.destination, rng,
+                    schedule.phases, arrival == "deterministic")
+
+
+def _wakeups(num_nodes: int, packet_ns: float, destination: Callable[[int], int],
+             rng: "RngFactory", phases: List[LoadPhase], deterministic: bool) -> Iterator[Any]:
+    arrivals = rng.py("traffic:arrivals")
+    random = arrivals.random
+    expovariate = arrivals.expovariate
+    # Phase cursor k = number of phases started by now: the mean interval is
+    # means[k] (the first phase's before it starts) and the next boundary
+    # starts[k] (inf: none).  A mean of inf — a zero load, or one so small
+    # that the division overflows — is an idle phase.
+    starts = [phase.start_ns for phase in phases] + [_INF]
+    loads = [phases[0].load] + [phase.load for phase in phases]
+    means = [packet_ns / load if load > 0.0 else _INF for load in loads]
+    rates = [1.0 / mean for mean in means]
+    k = 0
+    while starts[k] <= 0.0:
+        k += 1
+    change, mean, rate = starts[k], means[k], rates[k]
+
+    # One first wake-up per node, staggered by a fraction of one interval so
+    # sources start de-synchronised; an idle node first wakes at the next
+    # boundary.  Heap entries are (time, push order, node, is_resample).
+    heap = []
+    seq = 0
+    for node in range(num_nodes):
+        delay = mean if mean == _INF or deterministic else expovariate(rate)
+        first = _INF if delay == _INF else delay * random()
+        if first > change:
+            heap.append((change, seq, node, True))
+        elif first != _INF:
+            heap.append((first, seq, node, False))
+        else:
+            continue  # idle for good
+        seq += 1
+    yield [(time_ns, node) for time_ns, _, node, _ in heap]
+    heapify(heap)
+
+    while heap:
+        time_ns, _, node, resample = heap[0]
+        if time_ns >= change:
+            while starts[k] <= time_ns:
+                k += 1
+            change, mean, rate = starts[k], means[k], rates[k]
+        dst = -1
+        if mean == _INF:
+            delay = _INF
+        elif resample:
+            # At a boundary the stale interval is discarded and redrawn.
+            # Deterministic sources re-stagger, or every node clamped at the
+            # boundary would inject in lockstep; exponential redraws are
+            # memoryless and need none.
+            delay = mean * random() if deterministic else expovariate(rate)
+        else:
+            dst = destination(node)
+            delay = mean if deterministic else expovariate(rate)
+        # An interval is only valid while its load lasts: one reaching past
+        # the next boundary wakes the node at the boundary instead, so a load
+        # step takes effect at once (Figure 8 depends on it).
+        if delay == _INF and change == _INF:
+            heappop(heap)
+            yield time_ns, node, dst, None
+            continue
+        if time_ns + delay > change:
+            next_ns, resample = change, True
+        else:
+            next_ns, resample = time_ns + delay, False
+        heapreplace(heap, (next_ns, seq, node, resample))
+        seq += 1
+        yield time_ns, node, dst, next_ns
+
+
+class TrafficGenerator:
+    """Replays :func:`traffic_wakeups` on a network's event queue.
+
+    Each wake-up is one event: it takes the next item of the stream, injects
+    a packet when the item has a destination and schedules the node's next
+    wake-up.  Draws happen only as the simulation reaches them.
     """
 
-    def __init__(
-        self,
-        network: "Network",
-        pattern: TrafficPattern,
-        offered_load: Optional[float] = None,
-        schedule: Optional[LoadSchedule] = None,
-        arrival: str = "exponential",
-        start_ns: float = 0.0,
-        stop_ns: Optional[float] = None,
-        nodes: Optional[Sequence[int]] = None,
-    ) -> None:
-        if (offered_load is None) == (schedule is None):
-            raise ValueError("specify exactly one of offered_load or schedule")
-        if arrival not in ("exponential", "deterministic"):
-            raise ValueError("arrival must be 'exponential' or 'deterministic'")
+    def __init__(self, network: "Network", pattern: TrafficPattern,
+                 offered_load: Optional[float] = None,
+                 schedule: Optional[LoadSchedule] = None,
+                 arrival: str = "exponential") -> None:
+        self._next = traffic_wakeups(network.topo, network.params, pattern, network.rng,
+                                     offered_load, schedule, arrival).__next__
+        self._push = network.sim._queue.push
         self.network = network
-        self.pattern = pattern
-        self.schedule = schedule if schedule is not None else LoadSchedule.constant(offered_load)
-        self.arrival = arrival
-        self.start_ns = start_ns
-        self.stop_ns = stop_ns
-        self.nodes = list(nodes) if nodes is not None else list(network.topo.all_nodes())
         self.generated = 0
+        network.collector.offered_load = (
+            float(offered_load) if schedule is None else schedule.phases[0].load
+        )
 
-        pattern.setup(network.topo, network.rng.py(f"traffic:{pattern.name}"))
-        self._rng = network.rng.py("traffic:arrivals")
-        self._packet_time_ns = network.params.serialization_ns
-        network.collector.offered_load = self.schedule.phases[0].load
-        # Fast-path caches for the per-packet driving loop: after the last
-        # phase boundary the load never changes again (for a constant
-        # schedule that is the whole run).
-        self._last_change_ns = self.schedule.phases[-1].start_ns
-        self._final_load = self.schedule.phases[-1].load
-
-    # ----------------------------------------------------------------- driving
     def start(self) -> None:
-        """Schedule the first generation event of every driven node."""
-        sim = self.network.sim
-        initial_load = self.schedule.load_at(self.start_ns)
-        for node in self.nodes:
-            delay = self._interval(initial_load)
-            if delay == float("inf"):
-                # Idle at start: wake up at the first load change (if any) and
-                # draw a fresh interval under the new load.
-                change = self.schedule.next_change_after(self.start_ns)
-                if change is None:
-                    continue
-                sim.at(change, self._resample, node)
-                continue
-            # De-synchronise sources: the first packet of each node appears
-            # a random fraction of one interval after start.
-            first = max(self.start_ns + delay * self._rng.random(), self.start_ns)
-            change = self.schedule.next_change_after(self.start_ns)
-            if change is not None and first > change:
-                sim.at(change, self._resample, node)
-            else:
-                sim.at(first, self._generate, node)
+        """Schedule the first wake-up of every node."""
+        at = self.network.sim.at
+        for time_ns, node in self._next():
+            at(time_ns, self._wake, node)
 
-    def _interval(self, load: float) -> float:
-        """Time to the next message of one node at the given offered load."""
-        if load <= 0.0:
-            return float("inf")
-        mean = self._packet_time_ns / load
-        if self.arrival == "deterministic":
-            return mean
-        return self._rng.expovariate(1.0 / mean)
-
-    def _generate(self, node: int) -> None:
-        sim = self.network.sim
-        now = sim._now
-        if self.stop_ns is not None and now >= self.stop_ns:
-            return
-        if now >= self._last_change_ns:
-            load = self._final_load
-        else:
-            load = self.schedule.load_at(now)
-        if load > 0.0:
-            dest = self.pattern.destination(node)
-            packet = self.network.create_packet(node, dest, now)
-            self.network.nics[node].inject(packet)
+    def _wake(self, node: int) -> None:
+        time_ns, _, dst, next_ns = self._next()
+        if dst >= 0:
+            network = self.network
+            network.nics[node].inject(network.create_packet(node, dst, time_ns))
             self.generated += 1
-            delay = self._interval(load)
-        else:
-            delay = float("inf")
-        self._schedule_next(node, now, delay)
-
-    def _schedule_next(self, node: int, now: float, delay: float) -> None:
-        """Arm the next generation of ``node``, clamping at phase boundaries.
-
-        An interval drawn under the current load is only valid while that load
-        lasts: if it reaches past the next :class:`LoadSchedule` change, the
-        node instead wakes *at* the boundary and resamples under the new load,
-        so a load step takes effect immediately rather than one stale interval
-        late (the Figure 8 experiment depends on this).
-        """
-        sim = self.network.sim
-        if now >= self._last_change_ns:
-            change = None
-        else:
-            change = self.schedule.next_change_after(now)
-        if delay == float("inf"):
-            # Idle phase: sleep until the next load change (or stop for good).
-            if change is None:
-                return
-            sim.at(change, self._resample, node)
-            return
-        if change is not None and now + delay > change:
-            sim.at(change, self._resample, node)
-            return
-        # Direct queue push: the interval is non-negative by construction and
-        # this runs once per generated packet.
-        sim._queue.push(now + delay, self._generate, (node,))
-
-    def _resample(self, node: int) -> None:
-        """Phase boundary reached: discard the stale interval and redraw."""
-        sim = self.network.sim
-        now = sim.now
-        if self.stop_ns is not None and now >= self.stop_ns:
-            return
-        delay = self._interval(self.schedule.load_at(now))
-        if delay != float("inf") and self.arrival == "deterministic":
-            # Every node whose stale interval spanned the boundary resamples
-            # at the same instant; stagger the first post-boundary packet (as
-            # start() staggers the first packet of the run) so deterministic
-            # sources don't inject in lockstep for the rest of the phase.
-            # Exponential arrivals need no stagger: the redraw is memoryless.
-            delay *= self._rng.random()
-        self._schedule_next(node, now, delay)
+        if next_ns is not None:
+            self._push(next_ns, self._wake, (node,))

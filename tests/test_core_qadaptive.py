@@ -7,7 +7,7 @@ from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
-from repro.traffic import AdversarialTraffic, TrafficGenerator, UniformRandomTraffic
+from repro.traffic import AdversarialTraffic, LoadSchedule, TrafficGenerator, UniformRandomTraffic
 
 
 CONFIG = DragonflyConfig.small_72()
@@ -125,7 +125,8 @@ def test_source_and_intermediate_decisions_counted_under_adversarial():
 def test_all_packets_delivered_after_drain():
     routing = QAdaptiveRouting()
     net = _network(routing)
-    gen = TrafficGenerator(net, AdversarialTraffic(1), offered_load=0.25, stop_ns=10_000.0)
+    gen = TrafficGenerator(net, AdversarialTraffic(1),
+                           schedule=LoadSchedule.step(0.25, 10_000.0, 0.0))
     gen.start()
     net.run(until=10_000.0)
     net.drain(extra_ns=200_000.0)

@@ -7,7 +7,7 @@ from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
-from repro.traffic import TrafficGenerator, UniformRandomTraffic
+from repro.traffic import LoadSchedule, TrafficGenerator, UniformRandomTraffic
 
 
 CONFIG = DragonflyConfig.small_72()
@@ -69,7 +69,8 @@ def test_hop_bound_maxq_plus_three():
 def test_learning_happens_and_packets_delivered():
     routing = QRoutingAlgorithm(max_q=4)
     net = Network(CONFIG, routing, seed=4)
-    gen = TrafficGenerator(net, UniformRandomTraffic(), offered_load=0.25, stop_ns=8_000.0)
+    gen = TrafficGenerator(net, UniformRandomTraffic(),
+                           schedule=LoadSchedule.step(0.25, 8_000.0, 0.0))
     gen.start()
     net.run(until=8_000.0)
     net.drain(extra_ns=100_000.0)

@@ -12,7 +12,7 @@ from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.routing import make_routing
 from repro.topology.config import DragonflyConfig
-from repro.traffic import TrafficGenerator, make_pattern
+from repro.traffic import LoadSchedule, TrafficGenerator, make_pattern
 
 
 CONFIG = DragonflyConfig.small_72()
@@ -35,7 +35,9 @@ def _run(algorithm, pattern, load=0.25, horizon=12_000.0, record_paths=False, se
         params=NetworkParams(record_paths=record_paths),
         seed=seed,
     )
-    gen = TrafficGenerator(net, make_pattern(pattern), offered_load=load, stop_ns=horizon)
+    # Generation stops at the horizon, so a drain afterwards empties the network.
+    gen = TrafficGenerator(net, make_pattern(pattern),
+                           schedule=LoadSchedule.step(load, horizon, 0.0))
     gen.start()
     net.run(until=horizon)
     return net
