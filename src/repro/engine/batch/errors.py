@@ -10,6 +10,6 @@ class UnsupportedByBackend(ValueError):
     loudly or produces exactly the object-graph engine's results — never a
     silent approximation.  The message names the offending spec feature.
     ``run_experiment`` catches it and runs the spec on the object graph; the
-    explicit lockstep entry points (``run_batch``, ``BatchSimulation``) let it
-    propagate.
+    explicit many-seed entry points (``run_batch``, ``BatchSimulation``) let
+    it propagate.
     """

@@ -532,12 +532,13 @@ def run_replicates(
 
     * ``"scalar"`` (default) — one :func:`run_experiment` call per seed,
       serially, each picking its engine by capability;
-    * ``"batched"`` — all seeds advance in lockstep through
-      :mod:`repro.engine.batch`; per-replicate results are bit-identical to
-      the per-seed calls', or the spec is refused with
+    * ``"batched"`` — the seeds run concurrently through
+      :mod:`repro.engine.batch`, one job per seed on up to one worker per
+      CPU; per-replicate results are bit-identical to the per-seed calls', or
+      the spec is refused with
       :class:`~repro.engine.batch.errors.UnsupportedByBackend` (a
       ``ValueError``) — no fallback.  ``wall_time_s`` is then the batch wall
-      time split evenly over the replicates (the kernel interleaves them;
+      time split evenly over the replicates (the seeds run concurrently;
       per-replicate wall time has no scalar-equivalent meaning).
 
     ``options.save_state`` is rejected here: replicates would race for one

@@ -62,10 +62,10 @@ class RunOptions:
         Read by :func:`~repro.experiments.harness.run_replicates` only.
         ``"scalar"`` (the default): one
         :func:`~repro.experiments.harness.run_experiment` call per seed, each
-        picking its engine by capability.  ``"batched"``: all seeds advance
-        in lockstep through :func:`repro.engine.batch.run_batch`
-        (bit-identical per replicate), which refuses a spec the flat kernel
-        cannot reproduce with
+        picking its engine by capability.  ``"batched"``: the seeds run
+        concurrently, one job per seed on up to one worker per CPU, through
+        :func:`repro.engine.batch.run_batch` (bit-identical per replicate),
+        which refuses a spec the flat kernel cannot reproduce with
         :class:`~repro.engine.batch.errors.UnsupportedByBackend` instead of
         falling back.
     """

@@ -18,7 +18,8 @@ module provides the machinery:
   treated as misses and deleted.
 * :class:`SweepRunner` — runs a list of specs, in-process when ``workers=1``
   (bitwise-identical to calling :func:`run_experiment` in a loop) or on a
-  worker pool when ``workers>1``.  Results come back in spec order either
+  worker pool (:mod:`repro.engine.fanout`) when ``workers>1`` — unless the
+  caller is itself a pool worker.  Results come back in spec order either
   way, and completed runs are memoized in the cache so that re-running a
   figure script only simulates what changed.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import sys
@@ -46,6 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, T
 
 import numpy as np
 
+from repro.engine import fanout
 from repro.engine.rng import derive_replicate_seed
 from repro.experiments.harness import ExperimentResult, ExperimentSpec, run_experiment
 from repro.stats.collectors import RunStats
@@ -273,7 +274,7 @@ class SweepRunner:
         progress: Optional[Callable[[RunProgress], None]] = None,
     ) -> None:
         if workers is None or workers <= 0:
-            workers = multiprocessing.cpu_count()
+            workers = os.cpu_count() or 1
         self.workers = int(workers)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
@@ -348,20 +349,11 @@ class SweepRunner:
         self, pending: Sequence[Tuple[int, ExperimentSpec]],
     ) -> Iterator[Tuple[int, ExperimentResultData]]:
         """Yield ``(index, ExperimentResultData)`` as runs finish."""
-        if not pending:
-            return
-        if self.workers <= 1 or len(pending) == 1:
-            for indexed in pending:
-                yield _run_spec_to_data(indexed)
-            return
-        # "fork" inherits the parent's imports and sys.path, which keeps
-        # worker start-up cheap; fall back to the platform default elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        processes = min(self.workers, len(pending))
-        with ctx.Pool(processes=processes) as pool:
-            for indexed_data in pool.imap_unordered(_run_spec_to_data, pending):
-                yield indexed_data
+        if fanout.in_process(len(pending), self.workers):
+            yield from map(_run_spec_to_data, pending)
+        else:
+            yield from fanout.imap_unordered(
+                _run_spec_to_data, pending, min(self.workers, len(pending)))
 
 
 # ----------------------------------------------------------- env-driven setup

@@ -17,12 +17,15 @@ graph), never from ``run_experiment`` / ``SweepRunner.run`` /
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import fanout
 from repro.engine.batch import (
     BatchSimulation,
     UnsupportedByBackend,
@@ -178,16 +181,49 @@ def test_batched_results_are_probe_free():
 
 def test_batch_size_invariance():
     # A replicate's outcome depends only on (spec, seed) — never on the size
-    # of the batch it rides in.  N=1 must equal the same seed's slice of N=32.
+    # of the batch it rides in.  Every seed of a pooled N=32 batch must equal
+    # the same seed run as a batch of one, in-process.
     spec = _spec("Q-adp", load=0.3, sim=3_000.0, warm=1_000.0, seed=7)
     seeds = derive_replicate_seeds(7, 32)
-    big = run_batch(spec, seeds)
-    lone = run_batch(spec, [seeds[0]])[0]
-    assert lone.stats.to_dict() == big[0].stats.to_dict()
-    assert np.array_equal(lone.latencies_ns, big[0].latencies_ns)
-    mid = run_batch(spec, [seeds[17]])[0]
-    assert mid.stats.to_dict() == big[17].stats.to_dict()
-    assert np.array_equal(mid.latencies_ns, big[17].latencies_ns)
+    big = BatchSimulation(spec, seeds)
+    for seed, result, events in zip(seeds, big.results(), big.events_processed(),
+                                    strict=True):
+        lone = BatchSimulation(spec, [seed])
+        assert lone.events_processed() == [events]
+        (alone,) = lone.results()
+        assert result.spec == alone.spec
+        np.testing.assert_equal(_payload(result), _payload(alone))
+
+
+def test_many_seeds_fan_out_one_process_per_cpu(monkeypatch):
+    pools = []
+    real = fanout.imap_unordered
+
+    def spy(func, jobs, processes, *args):
+        pools.append((len(jobs), processes))
+        return real(func, jobs, processes, *args)
+
+    monkeypatch.setattr(fanout, "imap_unordered", spy)
+    spec = _spec("Q-routing", load=0.3, sim=3_000.0, warm=1_000.0)
+    cpus = os.cpu_count() or 1
+    for count in (1, 2, 5):
+        sim = BatchSimulation(spec, derive_replicate_seeds(11, count))
+        first, second = sim.results(), sim.results()
+        # Fresh result objects on every call, equal field for field.
+        for a, b in zip(first, second, strict=True):
+            assert a is not b and a.latencies_ns is not b.latencies_ns
+            np.testing.assert_equal(_payload(a), _payload(b))
+    assert pools == ([(2, 2), (5, min(5, cpus))] if cpus >= 2 else [])
+
+
+def test_events_processed_runs_the_batch_first():
+    spec = _spec("Q-adp", load=0.3, sim=3_000.0, warm=1_000.0)
+    seeds = [7, 11]
+    expected = [BatchSimulation(spec, [seed]).run().events_processed()[0]
+                for seed in seeds]
+    assert all(events > 0 for events in expected)
+    assert BatchSimulation(spec, seeds).events_processed() == expected
+    assert BatchSimulation(spec, seeds[:1]).events_processed() == expected[:1]
 
 
 def test_batch_composition_independence():
@@ -290,8 +326,8 @@ def _payload(result) -> dict:
 
 
 def test_sweep_runner_replicates_fan_out_as_separate_jobs():
-    """Seed-mates are one job each — never one serial chunk — and every job's
-    result is what the lockstep batch of the same seeds produces."""
+    """Seed-mates are one job each and every job's result is what the
+    engine-level batch of the same seeds produces."""
     jobs = []
 
     class Spy(SweepRunner):
@@ -305,9 +341,29 @@ def test_sweep_runner_replicates_fan_out_as_separate_jobs():
     results = runner.run_replicates(spec, 4)
     assert [job_spec.seed for _, job_spec in jobs] == seeds
     assert runner.simulated == 4
-    for result, lockstep in zip(results, run_batch(spec, seeds), strict=True):
-        assert result.spec == lockstep.spec
-        np.testing.assert_equal(_payload(result), _payload(lockstep))
+    for result, batched in zip(results, run_batch(spec, seeds), strict=True):
+        assert result.spec == batched.spec
+        np.testing.assert_equal(_payload(result), _payload(batched))
+
+
+def _nested_payloads(spec):
+    """Pool job: a 2-spec sweep on 2 workers and a 2-seed batch."""
+    seeds = derive_replicate_seeds(spec.seed, 2)
+    sweep = SweepRunner(workers=2).run(
+        [spec.with_overrides(seed=seed) for seed in seeds])
+    return [_payload(result) for result in sweep + run_batch(spec, seeds)]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_pools_inside_a_pool_worker_run_in_process():
+    # A daemonic pool worker may not have children: both pools must step
+    # aside there instead of raising.
+    spec = _spec("Q-adp", load=0.3, sim=3_000.0, warm=1_000.0, seed=7)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        nested = pool.apply(_nested_payloads, (spec,))
+    for got, expected in zip(nested, _nested_payloads(spec), strict=True):
+        np.testing.assert_equal(got, expected)
 
 
 def test_cli_run_replicates(capsys):
@@ -338,8 +394,8 @@ def test_study_replicates_equal_a_lockstep_batch():
     result = study.run(SweepRunner(workers=1))
     base = result.points[0].spec
     assert base.seed == 5
-    lockstep = run_batch(base, derive_replicate_seeds(5, 3))
-    for (point, ran), expected in zip(result, lockstep, strict=True):
+    batched = run_batch(base, derive_replicate_seeds(5, 3))
+    for (point, ran), expected in zip(result, batched, strict=True):
         assert point.spec == expected.spec
         np.testing.assert_equal(_payload(ran), _payload(expected))
 
