@@ -19,7 +19,7 @@ H205   every probe-bus publish (``self._ev_*(...)``) anywhere in simulation
 ====== ====================================================================
 
 The hot list (:data:`HOT_FUNCTIONS`) is the PR-3/PR-5 inventory: the
-simulator run loop and schedulers, event-queue push/pop, the router
+simulator run loop and its scheduling calls (``Simulator.push``), the router
 route/forward/serve path, the NIC inject/receive path, packet creation, the
 traffic wake-up stream with its two consumers (the object graph's per-wake-up
 event and the flat kernel's trace recorder), and the flat kernel's drain with
@@ -46,10 +46,7 @@ from repro.analysis.core import (
 #: module -> qualified function names on the per-event hot path.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro.engine.simulator": frozenset({
-        "Simulator.run", "Simulator.at", "Simulator.after", "Simulator.step",
-    }),
-    "repro.engine.events": frozenset({
-        "EventQueue.push", "EventQueue.pop", "EventQueue.peek_time", "Event.cancel",
+        "Simulator.run", "Simulator.push", "Simulator.at", "Simulator.after",
     }),
     "repro.network.router": frozenset({
         "Router.receive_packet", "Router.credit_return", "Router._route_head",

@@ -91,12 +91,12 @@ class TabularMarlRouting(RoutingAlgorithm):
         self.tables = [self._build_table(r) for r in topo.all_routers()]
         for table, values in zip(self.tables, self.values, strict=True):
             table.values = values
-        # Hot-path caches: host-port math and a direct event-queue push for
-        # the delayed feedback (bypassing the Simulator.after wrapper).
+        # Hot-path caches: host-port math and the unchecked Simulator.push
+        # for the delayed feedback.
         self._hosts_per_router = topo.hosts_per_router
         self._num_host_ports = [topo.num_host_ports(r) for r in topo.all_routers()]
         self._sim = self.network.sim
-        self._push = self.network.sim._queue.push
+        self._push = self.network.sim.push
         # Per-router candidate lists for ε-greedy exploration: built once
         # instead of per decision (on Dragonfly every router shares one list).
         self._explore_ports = [topo.network_ports_of(r) for r in topo.all_routers()]

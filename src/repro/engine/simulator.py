@@ -1,4 +1,4 @@
-"""Simulation kernel: a wall clock plus an event calendar.
+"""Simulation kernel: a clock plus an event calendar.
 
 Typical use::
 
@@ -9,18 +9,21 @@ Typical use::
 Components hold a reference to the shared :class:`Simulator` and schedule
 their own callbacks; the kernel knows nothing about networks or routers.
 
-``run`` operates directly on the calendar's raw heap entries (see
-:mod:`repro.engine.events`): one monomorphic loop with no per-event method
-dispatch, attribute chasing, or handle churn — executed entries go straight
-back to the queue's pool before their callback runs.
+The calendar is one binary heap of plain ``(time, seq, callback, args)``
+tuples, the same entry shape the flat kernel's calendar uses.  ``seq`` is a
+unique, increasing counter, so events run in ``(time, seq)`` order — ties
+in schedule order — and ``heapq``'s C-level tuple comparison never reaches
+the callback.  Scheduling hands out no handle: an event, once scheduled,
+runs.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.engine.events import POOL_CAP, Event, EventQueue
+#: One calendar entry: ``(time, seq, callback, args)``.
+_Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
 
 
 class SimulationError(RuntimeError):
@@ -36,10 +39,11 @@ class Simulator:
         Initial value of the simulation clock in nanoseconds.
     """
 
-    __slots__ = ("_queue", "_now", "_events_processed", "_running")
+    __slots__ = ("_heap", "_seq", "_now", "_events_processed", "_running")
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._queue = EventQueue()
+        self._heap: List[_Entry] = []
+        self._seq = 0
         self._now = float(start_time)
         self._events_processed = 0
         self._running = False
@@ -57,157 +61,63 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still in the calendar."""
-        return len(self._queue)
+        """Number of events still in the calendar."""
+        return len(self._heap)
 
     # ------------------------------------------------------------- scheduling
-    # at()/after() inline EventQueue.push — they are the public scheduling API
-    # and sit on the per-event hot path of every component and client script.
-    def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def push(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """Schedule ``callback(*args)`` at absolute ``time``, unchecked.
+
+        The one insert into the calendar: :meth:`at` and :meth:`after` check
+        their arguments and call it, and the network components bind it once
+        for their per-event pushes, whose ``time`` is never before the clock.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, callback, args))
+
+    def at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} ns: clock is already at {self._now} ns"
             )
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        pool = queue._pool
-        if pool:
-            event = pool.pop()
-            event[0] = time
-            event[1] = seq
-            event[2] = callback
-            event[3] = args
-        else:
-            event = Event(time, seq, callback, args, queue)
-        heappush(queue._heap, event)
-        return event
+        self.push(time, callback, args)
 
-    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` ``delay`` nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} ns")
-        time = self._now + delay
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        pool = queue._pool
-        if pool:
-            event = pool.pop()
-            event[0] = time
-            event[1] = seq
-            event[2] = callback
-            event[3] = args
-        else:
-            event = Event(time, seq, callback, args, queue)
-        heappush(queue._heap, event)
-        return event
+        self.push(self._now + delay, callback, args)
 
     # ---------------------------------------------------------------- running
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Execute events in timestamp order.
+    def run(self, until: Optional[float] = None) -> float:
+        """Execute events in ``(time, seq)`` order; return the clock.
 
-        Parameters
-        ----------
-        until:
-            Stop once the clock would pass this time (the clock is advanced to
-            ``until`` on return).  ``None`` runs until the calendar is empty.
-        max_events:
-            Optional safety limit on the number of events executed in this
-            call.
-
-        Returns
-        -------
-        float
-            The simulation time on return.
-
-        Clock semantics
-        ---------------
-        The clock only advances to ``until`` once every event scheduled at or
-        before ``until`` has been executed.  If ``max_events`` stops the run
-        with such events still pending, the clock stays at the last executed
-        event — jumping ahead would let already scheduled events fire in the
-        clock's past.  A ``max_events`` exit therefore leaves the calendar in
-        a state where a follow-up ``run``/``at`` call behaves exactly as if
-        the first call had been interrupted mid-flight; in particular, when
-        the event budget happens to run out together with the calendar (or
-        with no work left before ``until``), the clock *does* advance to
-        ``until`` just like an unlimited run.
+        ``until`` runs every event scheduled at or before it, then sets the
+        clock to ``until``; it may not lie before the clock.  ``None`` runs
+        until the calendar is empty and leaves the clock at the last event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} ns: clock is already at {self._now} ns"
+            )
         self._running = True
         executed = 0
-        queue = self._queue
-        pool = queue._pool
-        # Sentinels keep the inner loop monomorphic: one float compare per
-        # event instead of ``is not None`` branches.
+        # A sentinel keeps the loop to one float compare per event.
         bound = float("inf") if until is None else until
-        budget = float("inf") if max_events is None else max_events
+        heap = self._heap
         try:
-            # Both the heap and the pool lists are only ever mutated in
-            # place (compaction included), so the locals stay valid across
-            # arbitrary callback side effects.
-            heap = queue._heap
-            pool_append = pool.append
-            while True:
-                if not heap:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                entry = heap[0]
-                if entry[2] is None:
-                    # Lazily-cancelled head: reclaim it and look again.
-                    heappop(heap)
-                    queue._cancelled -= 1
-                    if len(pool) < POOL_CAP:
-                        entry[3] = ()
-                        pool_append(entry)
-                    continue
-                next_time = entry[0]
-                if next_time > bound:
-                    self._now = until
-                    break
-                # Charge the event budget only for events that would actually
-                # run: when it runs out together with the work (queue empty or
-                # nothing left before ``until``), the clock must still advance
-                # to ``until`` exactly like an unlimited run, so that callers
-                # composing run() with at()/after() see one consistent clock.
-                if executed >= budget:
-                    break
-                heappop(heap)
-                self._now = next_time
-                callback = entry[2]
-                args = entry[3]
-                # Recycle the entry before the callback runs: the callback and
-                # args are safe in locals, and any push() the callback makes
-                # can reuse the slot immediately.
-                entry[2] = None
-                entry[3] = ()
-                if len(pool) < POOL_CAP:
-                    pool_append(entry)
+            while heap and heap[0][0] <= bound:
+                time, _, callback, args = heappop(heap)
+                self._now = time
                 callback(*args)
                 executed += 1
+            if until is not None:
+                self._now = until
         finally:
             self._running = False
             self._events_processed += executed
         return self._now
-
-    def step(self) -> bool:
-        """Execute exactly one event. Returns ``False`` if the calendar is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event[0]
-        callback = event[2]
-        args = event[3]
-        callback(*args)
-        self._events_processed += 1
-        return True
-
-    def reset(self, start_time: float = 0.0) -> None:
-        """Drop all pending events and rewind the clock."""
-        self._queue.clear()
-        self._now = float(start_time)
-        self._events_processed = 0

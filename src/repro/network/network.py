@@ -260,9 +260,9 @@ class Network:
         return packet
 
     # ---------------------------------------------------------------- running
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Advance the simulation (time in nanoseconds)."""
-        return self.sim.run(until=until, max_events=max_events)
+        return self.sim.run(until=until)
 
     def drain(self, extra_ns: float = 1_000_000.0) -> float:
         """Run until every in-flight packet is delivered (bounded by ``extra_ns``)."""

@@ -63,7 +63,7 @@ class Nic:
         self._retry_pending = False
         self.serialization_ns = params.serialization_ns
         # Flattened host-link state (filled by connect()), mirroring Router.
-        self._push = sim._queue.push
+        self._push = sim.push
         self._recv_cb: Optional[Callable] = None
         self._lat = 0.0
         self._hop_delay = 0.0

@@ -23,7 +23,7 @@ The router delegates all path selection to the attached routing algorithm via
 Hot-path layout: :meth:`connect` flattens each channel into parallel per-port
 arrays (receive callback, latency, remote port, credit counters) so that the
 per-flit code in :meth:`_forward` / :meth:`_serve_waiting` runs on plain list
-indexing and direct event-queue pushes instead of chasing ``Channel`` /
+indexing and direct ``Simulator.push`` calls instead of chasing ``Channel`` /
 ``OutputCredits`` attributes per packet.  Event-push order and timestamp
 arithmetic exactly mirror the un-flattened code, keeping runs bit-for-bit
 deterministic.
@@ -117,7 +117,7 @@ class Router:
         self._p = topo.num_host_ports(router_id)
         self._max_vc = num_vcs - 1
         self._buf_cap = params.vc_buffer_packets
-        self._push = sim._queue.push
+        self._push = sim.push
         self._recv_cb = [None] * k  # endpoint.receive_packet across the port
         self._ret_cb = [None] * k  # endpoint.credit_return across the port
         self._lat: List[float] = [0.0] * k  # channel propagation latency

@@ -81,7 +81,6 @@ class StatsCollector:
         self.hop_series = TimeSeries(bin_ns)
 
         self.offered_load: Optional[float] = None
-        self.end_ns: Optional[float] = None
 
     # ----------------------------------------------------------- probe wiring
     def subscriptions(self) -> Dict[str, Callable]:
@@ -94,9 +93,7 @@ class StatsCollector:
     # --------------------------------------------------------------- recording
     def record_generated(self, packet: Packet) -> None:
         self.generated += 1
-        if packet.create_time_ns >= self.warmup_ns and (
-            self.end_ns is None or packet.create_time_ns < self.end_ns
-        ):
+        if packet.create_time_ns >= self.warmup_ns:
             self.generated_in_window += 1
 
     def record_delivery(self, packet: Packet, now: float) -> None:
@@ -113,8 +110,7 @@ class StatsCollector:
         # throughput an unbiased steady-state flux and lets saturated runs
         # (source queues growing without bound) still report the latency of
         # whatever the network managed to deliver, as the paper's plots do.
-        in_window = now >= self.warmup_ns and (self.end_ns is None or now < self.end_ns)
-        if in_window:
+        if now >= self.warmup_ns:
             self.latencies_ns.append(latency)
             self.hop_counts.append(packet.hops)
             self.delivered_bytes_in_window += packet.size_bytes
@@ -131,14 +127,8 @@ class StatsCollector:
         tally is the length of the suffix at or past the warm-up.
         """
         self.generated += len(create_times_ns)
-        warmup = self.warmup_ns
-        end = self.end_ns
-        if end is None:
-            self.generated_in_window += (
-                len(create_times_ns) - bisect_left(create_times_ns, warmup))
-        else:
-            self.generated_in_window += sum(
-                1 for t in create_times_ns if warmup <= t < end)
+        self.generated_in_window += (
+            len(create_times_ns) - bisect_left(create_times_ns, self.warmup_ns))
 
     def replay_deliveries(
         self,
@@ -156,7 +146,6 @@ class StatsCollector:
         del_sums, del_counts = self.delivery_series.accumulators()
         hop_sums, hop_counts = self.hop_series.accumulators()
         warmup = self.warmup_ns
-        end = float("inf") if self.end_ns is None else self.end_ns
         lat_append = self.latencies_ns.append
         hops_append = self.hop_counts.append
         delivered = self.delivered
@@ -173,7 +162,7 @@ class StatsCollector:
             del_counts[idx] = del_counts.get(idx, 0) + 1
             hop_sums[idx] = hop_sums.get(idx, 0.0) + hops
             hop_counts[idx] = hop_counts.get(idx, 0) + 1
-            if warmup <= now < end:
+            if now >= warmup:
                 lat_append(latency)
                 hops_append(hops)
                 delivered_bytes += size_bytes
@@ -207,7 +196,7 @@ class StatsCollector:
 
     def finalize(self, sim_end_ns: float) -> RunStats:
         """Build the aggregated :class:`RunStats` for a run that ended at ``sim_end_ns``."""
-        window = (self.end_ns if self.end_ns is not None else sim_end_ns) - self.warmup_ns
+        window = sim_end_ns - self.warmup_ns
         latencies = self.latency_array_ns()
         hops = self.hops_array()
         return RunStats(

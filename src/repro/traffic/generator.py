@@ -209,7 +209,7 @@ class TrafficGenerator:
                  arrival: str = "exponential") -> None:
         self._next = traffic_wakeups(network.topo, network.params, pattern, network.rng,
                                      offered_load, schedule, arrival).__next__
-        self._push = network.sim._queue.push
+        self._push = network.sim.push
         self.network = network
         self.generated = 0
         network.collector.offered_load = (

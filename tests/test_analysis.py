@@ -145,12 +145,12 @@ def test_d106_flags_builtin_hash_in_scope(tmp_path):
 
 
 # ---------------------------------------------------------------------- H: hot path
-HOT_MODULE = "repro.engine.events"
+HOT_MODULE = "repro.engine.simulator"
 
 
 def test_h201_flags_try_except_in_hot_function(tmp_path):
     findings = check_snippet(tmp_path, HOT_MODULE, """
-        class EventQueue:
+        class Simulator:
             def push(self, ev):
                 try:
                     self.heap.append(ev)
@@ -162,7 +162,7 @@ def test_h201_flags_try_except_in_hot_function(tmp_path):
 
 def test_h201_allows_try_finally(tmp_path):
     findings = check_snippet(tmp_path, HOT_MODULE, """
-        class EventQueue:
+        class Simulator:
             def push(self, ev):
                 try:
                     self.heap.append(ev)
@@ -174,7 +174,7 @@ def test_h201_allows_try_finally(tmp_path):
 
 def test_h202_flags_closure_h203_kwargs_h204_print(tmp_path):
     findings = check_snippet(tmp_path, HOT_MODULE, """
-        class EventQueue:
+        class Simulator:
             def push(self, ev, **extra):
                 def on_fire():
                     return ev
@@ -186,7 +186,7 @@ def test_h202_flags_closure_h203_kwargs_h204_print(tmp_path):
 
 def test_hot_rules_ignore_functions_off_the_hot_list(tmp_path):
     findings = check_snippet(tmp_path, HOT_MODULE, """
-        class EventQueue:
+        class Simulator:
             def debug_dump(self, **extra):
                 print("state", extra)
     """)

@@ -6,22 +6,22 @@ The optimized event core, flattened router path, and memoized topology
 lookups must reproduce every fingerprint **bit-for-bit** — the optimization
 contract is "same seed ⇒ identical events and statistics".
 
-The property tests pin down the ordering rules the fingerprints rely on:
-stable FIFO order for simultaneous events, regardless of heap internals,
-cancellations, or compactions.
+The property test pins down the ordering rule the fingerprints rely on:
+events run in ``(time, schedule order)``, so simultaneous events run FIFO,
+including those a callback schedules at the current time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batch import BatchSimulation, UnsupportedByBackend, check_batchable
-from repro.engine.events import EventQueue
 from repro.engine.simulator import Simulator
 from repro.experiments.harness import ExperimentSpec, build_network
 from repro.topology.config import DragonflyConfig
@@ -155,49 +155,33 @@ def test_same_seed_same_summary_row_across_runs():
 
 # ----------------------------------------------------------- property tests
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                min_size=1, max_size=60))
-def test_equal_and_mixed_times_pop_in_push_order(times):
-    """Events pop by (time, insertion order): ties always resolve FIFO."""
-    queue = EventQueue()
-    handles = [queue.push(t, lambda: None) for t in times]
-    # stable sort on time == (time, seq) order
-    expected = [handles[i] for _, i in sorted((t, i) for i, t in enumerate(times))]
-    popped = []
-    while queue:
-        popped.append(queue.pop())
-    assert popped == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-                       st.booleans()),
-             min_size=1, max_size=80)
-)
-def test_tie_order_survives_cancellation_and_compaction(entries):
-    """Cancelling any subset (forcing compactions) never reorders survivors."""
-    queue = EventQueue()
-    handles = [(queue.push(t, lambda: None), t, cancel) for t, cancel in entries]
-    for handle, _, cancel in handles:
-        if cancel:
-            handle.cancel()
-    survivors = [(t, i) for i, (_, t, cancel) in enumerate(handles) if not cancel]
-    expected = [handles[i][0] for _, i in sorted(survivors, key=lambda pair: pair[0])]
-    popped = []
-    while queue:
-        popped.append(queue.pop())
-    assert popped == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+                          st.sampled_from(["none", "after", "push"])),
                 min_size=1, max_size=40))
-def test_simulator_executes_simultaneous_callbacks_in_schedule_order(times):
+def test_simulator_executes_simultaneous_callbacks_in_schedule_order(entries):
+    """Events run by (time, schedule order).  An event a callback schedules at
+    ``now`` (through ``after(0.0, ...)`` or ``push(now, ...)``) runs after
+    every same-time event already queued, in the order it was scheduled."""
     sim = Simulator()
     seen = []
-    order = sorted(range(len(times)), key=lambda i: times[i])  # stable
-    for i, t in enumerate(times):
-        sim.at(t, seen.append, i)
+
+    def fire(i, spawn):
+        seen.append(i)
+        if spawn == "after":
+            sim.after(0.0, seen.append, ("child", i))
+        elif spawn == "push":
+            sim.push(sim.now, seen.append, (("child", i),))
+
+    for i, (t, spawn) in enumerate(entries):
+        sim.at(t, fire, i, spawn)
     sim.run()
-    assert seen == order
+    # Reference: one FIFO per timestamp; a child joins the back of its own.
+    expected = []
+    for t in sorted({t for t, _ in entries}):
+        fifo = deque(i for i, (ti, _) in enumerate(entries) if ti == t)
+        while fifo:
+            item = fifo.popleft()
+            expected.append(item)
+            if isinstance(item, int) and entries[item][1] != "none":
+                fifo.append(("child", item))
+    assert seen == expected

@@ -58,73 +58,20 @@ def test_cannot_schedule_in_the_past(sim):
         sim.after(-1.0, lambda: None)
 
 
-def test_max_events_limits_execution(sim):
+def test_run_until_before_the_clock_is_refused(sim):
+    """The clock never rewinds: once the t=10 event has run, ``run(until=5)``
+    must not let ``at(6, ...)`` schedule into the already-executed past."""
     seen = []
-    for i in range(10):
-        sim.after(float(i), seen.append, i)
-    sim.run(max_events=4)
-    assert seen == [0, 1, 2, 3]
-    assert sim.events_processed == 4
-
-
-def test_exhausted_event_budget_still_advances_clock_to_until(sim):
-    """When max_events runs out together with the work, the clock must reach
-    ``until`` exactly like an unlimited run, so follow-up at()/after() calls
-    observe a consistent clock."""
-    seen = []
-    for i in range(4):
-        sim.after(float(i), seen.append, i)
-    sim.run(until=100.0, max_events=4)
-    assert seen == [0, 1, 2, 3]
-    assert sim.now == 100.0
-    # a caller that trusts the run(until=...) contract can schedule freely
-    sim.at(100.0, seen.append, "late")
-    sim.run(until=100.0)
-    assert seen[-1] == "late"
-
-
-def test_event_budget_with_pending_work_keeps_clock_at_last_event(sim):
-    """With events still pending before ``until`` the clock must NOT jump
-    ahead, or those events would fire in the clock's past."""
-    seen = []
-    for i in range(10):
-        sim.after(float(i), seen.append, i)
-    end = sim.run(until=100.0, max_events=4)
-    assert end == sim.now == 3.0
-    assert sim.pending_events == 6
-    sim.run(until=100.0)
-    assert seen == list(range(10))
-    assert sim.now == 100.0
-
-
-def test_zero_event_budget_on_empty_calendar_advances_to_until(sim):
-    sim.run(until=7.0, max_events=0)
-    assert sim.now == 7.0
-
-
-def test_step_executes_single_event(sim):
-    seen = []
-    sim.after(1.0, seen.append, "x")
-    assert sim.step() is True
-    assert seen == ["x"]
-    assert sim.step() is False
-
-
-def test_cancelled_event_not_executed(sim):
-    seen = []
-    handle = sim.after(1.0, seen.append, "x")
-    handle.cancel()
+    sim.at(10.0, seen.append, 10)
+    sim.at(30.0, seen.append, 30)
+    sim.run(until=20.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=5.0)
+    assert sim.now == 20.0
+    with pytest.raises(SimulationError):
+        sim.at(6.0, seen.append, 6)
     sim.run()
-    assert seen == []
-
-
-def test_reset_clears_pending_events(sim):
-    sim.after(1.0, lambda: None)
-    sim.reset()
-    assert sim.pending_events == 0
-    assert sim.now == 0.0
-    sim.run()
-    assert sim.events_processed == 0
+    assert seen == [10, 30]
 
 
 def test_run_is_not_reentrant(sim):

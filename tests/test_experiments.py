@@ -92,6 +92,18 @@ def test_removed_aliases_stay_removed():
         with pytest.raises(SystemExit) as usage_error:
             main(argv)
         assert usage_error.value.code == 2  # argparse: unrecognized arguments
+    # one event shape: a tuple heap owned by Simulator, with no handles
+    import repro.engine
+    from repro.engine import Simulator
+
+    with pytest.raises(ImportError):
+        import repro.engine.events  # noqa: F401
+    assert not hasattr(repro.engine, "Event")
+    assert not hasattr(repro.engine, "EventQueue")
+    assert not hasattr(Simulator, "step")
+    assert not hasattr(Simulator, "reset")
+    assert "max_events" not in inspect.signature(Simulator.run).parameters
+    assert "max_events" not in inspect.signature(repro.network.Network.run).parameters
 
 
 def test_version_is_single_sourced():

@@ -138,16 +138,6 @@ def test_collector_finalize_builds_runstats():
     assert "latency_p99" in d
 
 
-def test_collector_end_window():
-    collector = StatsCollector(warmup_ns=0.0, num_nodes=1, node_bandwidth_bytes_per_ns=4.0)
-    collector.end_ns = 100.0
-    inside = _packet(0, create=0.0)
-    outside = _packet(1, create=0.0)
-    collector.record_delivery(inside, now=50.0)
-    collector.record_delivery(outside, now=150.0)
-    assert len(collector.latencies_ns) == 1
-
-
 # --------------------------------------------------------------------- report
 def test_format_table_alignment_and_floats():
     rows = [{"a": 1, "b": 0.5}, {"a": 20, "b": 1.25}]

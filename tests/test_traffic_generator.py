@@ -238,7 +238,6 @@ class _TraceNetwork:
         self.offered_load: Optional[float] = None
         self.created: List[Tuple[int, int]] = []
         self.heap: List[Tuple] = []
-        self._queue = self
         self._now = 0.0
         self._seq = 0
 
