@@ -21,11 +21,14 @@ H205   every probe-bus publish (``self._ev_*(...)``) anywhere in simulation
 The hot list (:data:`HOT_FUNCTIONS`) is the PR-3/PR-5 inventory: the
 simulator run loop and its scheduling calls (``Simulator.push``), the router
 route/forward/serve path, the NIC inject/receive path, packet creation, the
-traffic wake-up stream with its two consumers (the object graph's per-wake-up
-event and the flat kernel's trace recorder), and the flat kernel's drain with
-the per-decision functions of its decision table (``factory.function``: the
-functions are built once per drain by factories that are not hot themselves).
-Extend it when new code joins the per-event path.
+learned per-hop path (the shared route / feedback send / hysteretic fold /
+forward tag of ``TabularMarlRouting`` and the Q-adp and Q-routing decisions
+that read the value block), the traffic wake-up stream with its two consumers
+(the object graph's per-wake-up event and the flat kernel's trace recorder),
+and the flat kernel's drain with the per-decision functions of its decision
+table (``factory.function``: the functions are built once per drain by
+factories that are not hot themselves).  Extend it when new code joins the
+per-event path.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "Nic.inject", "Nic._try_inject", "Nic.receive_packet", "Nic.credit_return",
     }),
     "repro.network.network": frozenset({"Network.create_packet"}),
+    "repro.core.marl": frozenset({
+        "TabularMarlRouting.route", "TabularMarlRouting._send_feedback",
+        "TabularMarlRouting._apply_feedback", "TabularMarlRouting.on_forward",
+    }),
+    "repro.core.qadaptive": frozenset({"QAdaptiveRouting.decide"}),
+    "repro.core.qrouting": frozenset({"QRoutingAlgorithm.decide"}),
     "repro.traffic.generator": frozenset({"TrafficGenerator._wake", "_wakeups"}),
     "repro.engine.batch.kernel": frozenset({"BatchKernel._advance"}),
     "repro.engine.batch.trace": frozenset({"record_traffic_trace"}),

@@ -13,6 +13,12 @@ same cooperative independent-learner protocol:
 4. *x* folds the target into its table with the hysteretic update of
    Equation 3.
 
+Every router's table is its slice of one ``values[router, row, col]`` block
+(the layout of :mod:`repro.core.qtable`, shared with the flat kernel): column
+``col`` is network port ``first_port + col``, and the subclass defines what a
+row is (:meth:`TabularMarlRouting._row_for`).  There is no per-router table
+object; decisions and updates index the block directly.
+
 The feedback travels against the link direction, so it is applied after the
 reverse-link latency — mimicking a value piggy-backed on credit/control flits,
 which is how the paper argues the scheme needs no extra bandwidth.
@@ -25,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.core.hysteretic import HystereticParams
-from repro.core.qtable import TABLE_STATE_VERSION, _PortQTable
+from repro.core.qtable import TABLE_STATE_VERSION
 from repro.network.packet import Packet
 from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
@@ -36,7 +42,12 @@ ROUTING_STATE_VERSION = 1
 
 
 class TabularMarlRouting(RoutingAlgorithm):
-    """Base class for Q-routing / Q-adaptive: owns the tables and the feedback loop."""
+    """Base class for Q-routing / Q-adaptive: owns the value block and the feedback loop."""
+
+    #: table design recorded as ``table_kind`` in checkpoints: a fixed
+    #: string, since checkpoints on disk carry it and it enters their
+    #: ``state_digest``.
+    table_kind = ""
 
     #: ``q_update`` telemetry emitter (see :mod:`repro.instrument.bus`),
     #: resolved by the network after every probe attach/detach; the class
@@ -48,33 +59,27 @@ class TabularMarlRouting(RoutingAlgorithm):
     #: the unmasked fast path at one attribute check.
     _fault_live = None
 
-    def __init__(
-        self,
-        hysteretic: HystereticParams,
-        learning_enabled: bool = True,
-        feedback_mode: str = "greedy",
-    ) -> None:
+    #: ``[routers, rows, cols]`` learned values, built on attach.
+    values: np.ndarray
+    #: network port of column 0 (``Topology.table_port_span``).
+    first_port: int
+
+    def __init__(self, hysteretic: HystereticParams, feedback_mode: str = "greedy") -> None:
         super().__init__()
         if feedback_mode not in ("greedy", "onpolicy"):
             raise ValueError("feedback_mode must be 'greedy' or 'onpolicy'")
         self.hysteretic = hysteretic
-        self.learning_enabled = learning_enabled
         #: "greedy" sends min-over-row (Q-routing's "smallest Q-value");
         #: "onpolicy" sends the Q-value of the port actually selected, which
         #: reflects the constrained (mostly minimal) behaviour of downstream
         #: routers more accurately.
         self.feedback_mode = feedback_mode
-        self.tables: List[_PortQTable] = []
+        #: applied updates per router
+        self.updates: List[int] = []
         self.feedback_sent = 0
         self.feedback_applied = 0
-        #: when True, feedback is applied immediately instead of after the
-        #: reverse-link latency (useful for deterministic unit tests)
-        self.instant_feedback = False
 
     # ------------------------------------------------------- subclass contract
-    def _build_table(self, router_id: int) -> _PortQTable:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _initial_values(self) -> np.ndarray:  # pragma: no cover - abstract
         """``[routers, rows, cols]`` initial values of every router's table."""
         raise NotImplementedError
@@ -85,12 +90,9 @@ class TabularMarlRouting(RoutingAlgorithm):
     # ----------------------------------------------------------------- wiring
     def _setup(self) -> None:
         topo = self.topo
-        # One ``[routers, rows, cols]`` block holds every value of the system;
-        # each router's table is a view of its slice.
         self.values = self._initial_values()
-        self.tables = [self._build_table(r) for r in topo.all_routers()]
-        for table, values in zip(self.tables, self.values, strict=True):
-            table.values = values
+        self.first_port = topo.table_port_span()[0]
+        self.updates = [0] * topo.num_routers
         # Hot-path caches: host-port math and the unchecked Simulator.push
         # for the delayed feedback.
         self._hosts_per_router = topo.hosts_per_router
@@ -122,13 +124,9 @@ class TabularMarlRouting(RoutingAlgorithm):
         ]
         self._fault_live = live_ports
 
-    def table(self, router_id: int) -> _PortQTable:
-        """Value table of one router (inspection / tests)."""
-        return self.tables[router_id]
-
     def total_table_memory_bytes(self) -> int:
         """Router memory consumed by all value tables in the system."""
-        return sum(t.memory_bytes() for t in self.tables)
+        return self.values.nbytes
 
     # -------------------------------------------------------------- RL updates
     def route(self, router: Router, packet: Packet, in_port: int) -> int:
@@ -151,37 +149,29 @@ class TabularMarlRouting(RoutingAlgorithm):
     def _send_feedback(self, router: Router, packet: Packet, in_port: int,
                        out_port: int) -> None:
         """Send the pending feedback of the previous hop back to its router."""
-        feedback = packet.qfeedback
-        if feedback is None or not self.learning_enabled:
-            return
+        prev_router, row, column, prev_arrival_ns = packet.qfeedback
         packet.qfeedback = None
-        prev_router, row, column, prev_arrival_ns = feedback
         reward = packet.router_arrival_ns - prev_arrival_ns
-        if router.id == packet.dst_router:
+        router_id = router.id
+        if router_id == packet.dst_router:
             q_next = 0.0
-        elif self.feedback_mode == "onpolicy" and out_port >= self._num_host_ports[router.id]:
-            q_next = self.tables[router.id].value(row, out_port)
+        elif self.feedback_mode == "onpolicy" and out_port >= self._num_host_ports[router_id]:
+            q_next = self.values.item(router_id, row, out_port - self.first_port)
         else:
-            q_next = self.tables[router.id].min_value(row)
-        target = reward + q_next
+            q_next = min(self.values[router_id, row].tolist())
         self.feedback_sent += 1
-        if self.instant_feedback:
-            self._apply_feedback(prev_router, row, column, target)
-            return
-        reverse_latency = router._lat[in_port]
-        self._push(self._sim._now + reverse_latency, self._apply_feedback,
-                   (prev_router, row, column, target))
+        self._push(self._sim._now + router._lat[in_port], self._apply_feedback,
+                   (prev_router, row, column, reward + q_next))
 
     def _apply_feedback(self, router_id: int, row: int, column: int, target: float) -> None:
         """Hysteretic update of one table entry (Equation 3)."""
-        table = self.tables[router_id]
-        values = table.values
-        current = values.item(row, column)
+        values = self.values
+        current = values.item(router_id, row, column)
         delta = target - current
         rate = self.hysteretic.alpha if delta < 0.0 else self.hysteretic.beta
         new = current + rate * delta
-        values[row, column] = new
-        table.updates += 1
+        values[router_id, row, column] = new
+        self.updates[router_id] += 1
         self.feedback_applied += 1
         if self._ev_q_update is not None:
             self._ev_q_update(router_id, row, column, current, new, self._sim._now)
@@ -189,59 +179,45 @@ class TabularMarlRouting(RoutingAlgorithm):
     def on_forward(self, router: Router, packet: Packet, in_port: int, out_port: int,
                    now: float) -> None:
         """Tag the packet so the next router can send feedback for this hop."""
-        if not self.learning_enabled or out_port < self._num_host_ports[router.id]:
+        if out_port < self._num_host_ports[router.id]:
             return  # ejection needs no further estimate
-        table = self.tables[router.id]
         packet.qfeedback = (
             router.id,
             self._row_for(packet),
-            table.column_of_port(out_port),
+            out_port - self.first_port,
             packet.router_arrival_ns,
         )
 
-    # ------------------------------------------------------------- diagnostics
-    def freeze(self) -> None:
-        """Stop learning (tables stay fixed); useful for ablations."""
-        self.learning_enabled = False
-
-    def unfreeze(self) -> None:
-        self.learning_enabled = True
-
-    def table_snapshot(self, router_id: Optional[int] = None) -> Any:
-        """Copy of one router's table, or the mean Q-value per router when ``None``."""
-        if router_id is not None:
-            return self.tables[router_id].snapshot()
-        return [float(t.values.mean()) for t in self.tables]
-
     # ------------------------------------------------- learned-state lifecycle
+    def _require_attached(self, action: str) -> None:
+        if self.network is None:
+            raise RuntimeError(
+                f"{self.name}: cannot {action} state before the algorithm is "
+                "attached to a network (no tables exist yet)"
+            )
+
     def export_state(self) -> Dict[str, Any]:
         """Snapshot of all learned state (the :class:`CheckpointableRouting`
         contract of :mod:`repro.routing.base`).
 
-        The payload bundles every per-router value table (stacked into one
-        ``(num_routers, rows, cols)`` array), the per-table update counters,
-        the feedback counters, and the learning hyper-parameters — enough to
-        resume, inspect, or transfer a trained policy.  Only valid after
+        The payload bundles a copy of the ``(num_routers, rows, cols)`` value
+        block, the per-router update counters, the feedback counters, and the
+        learning hyper-parameters — enough to resume, inspect, or transfer a
+        trained policy.  Only valid after
         :meth:`~repro.routing.base.RoutingAlgorithm.attach`.
         """
-        if not self.tables:
-            raise RuntimeError(
-                f"{self.name}: cannot export state before the algorithm is "
-                "attached to a network (no tables exist yet)"
-            )
-        table_states = [table.state_dict() for table in self.tables]
+        self._require_attached("export")
         params = getattr(self, "params", None)
         return {
             "version": ROUTING_STATE_VERSION,
             "routing": self.name,
             "topology": config_to_dict(self.topo.config),
             "table_version": TABLE_STATE_VERSION,
-            "table_kind": table_states[0]["kind"],
-            "first_port": table_states[0]["first_port"],
+            "table_kind": self.table_kind,
+            "first_port": self.first_port,
             "hyperparams": params.to_dict() if params is not None else {},
-            "values": np.stack([state["values"] for state in table_states]),
-            "updates": np.array([state["updates"] for state in table_states],
-                                dtype=np.int64),
+            "values": self.values.copy(),
+            "updates": np.array(self.updates, dtype=np.int64),
             "feedback_sent": int(self.feedback_sent),
             "feedback_applied": int(self.feedback_applied),
         }
@@ -249,19 +225,15 @@ class TabularMarlRouting(RoutingAlgorithm):
     def import_state(self, state: Mapping[str, Any]) -> None:
         """Restore an :meth:`export_state` payload into this attached algorithm.
 
-        Validation is layered: the routing-level checks (payload version,
-        routing name, topology, table count) produce errors naming what was
-        trained vs. what is being loaded, then every per-router table is
-        restored through :meth:`_PortQTable.load_state`, which re-validates
-        design and shape.  Hyper-parameters are *not* overwritten — the live
-        algorithm keeps its own (so a policy trained with exploration can be
-        evaluated greedily) — but a mismatch is visible in the payload.
+        Every check runs before anything is written, each error naming what
+        was trained vs. what is being loaded: payload and table-layout
+        versions, routing name, topology, router count, update counters,
+        table design, block shape and column offset.  Hyper-parameters are
+        *not* overwritten — the live algorithm keeps its own (so a policy
+        trained with exploration can be evaluated greedily) — but a mismatch
+        is visible in the payload.
         """
-        if not self.tables:
-            raise RuntimeError(
-                f"{self.name}: cannot import state before the algorithm is "
-                "attached to a network (no tables exist yet)"
-            )
+        self._require_attached("import")
         version = state.get("version")
         if version != ROUTING_STATE_VERSION:
             raise ValueError(
@@ -282,31 +254,45 @@ class TabularMarlRouting(RoutingAlgorithm):
                 f"is {own_topology} — learned tables do not transfer across "
                 "topologies"
             )
+        num_routers = len(self.values)
         values = np.asarray(state["values"], dtype=np.float64)
-        if values.ndim != 3 or values.shape[0] != len(self.tables):
+        if values.ndim != 3 or values.shape[0] != num_routers:
             raise ValueError(
                 f"checkpoint holds tables for {values.shape[0] if values.ndim == 3 else '?'} "
-                f"routers; this network has {len(self.tables)}"
+                f"routers; this network has {num_routers}"
             )
-        updates = np.asarray(state.get("updates", np.zeros(len(self.tables))),
-                             dtype=np.int64)
-        if updates.shape != (len(self.tables),):
+        updates = np.asarray(state.get("updates", np.zeros(num_routers)), dtype=np.int64)
+        if updates.shape != (num_routers,):
             raise ValueError(
                 f"checkpoint holds update counters for {updates.shape} routers; "
-                f"this network has {len(self.tables)} — the payload is "
+                f"this network has {num_routers} — the payload is "
                 "truncated or corrupted"
             )
         table_version = state.get("table_version", TABLE_STATE_VERSION)
-        table_kind = state.get("table_kind")
-        first_port = state.get("first_port", self.tables[0].first_port)
-        for table, table_values, table_updates in zip(self.tables, values, updates,
-                                                       strict=True):
-            table.load_state({
-                "version": table_version,
-                "kind": table_kind,
-                "first_port": first_port,
-                "values": table_values,
-                "updates": int(table_updates),
-            })
+        if table_version != TABLE_STATE_VERSION:
+            raise ValueError(
+                f"Q-table state version {table_version!r} is not supported "
+                f"(this build reads version {TABLE_STATE_VERSION})"
+            )
+        kind = state.get("table_kind")
+        if kind != self.table_kind:
+            raise ValueError(
+                f"cannot load {kind!r} state into a {self.table_kind} "
+                "(different table design)"
+            )
+        if values.shape != self.values.shape:
+            raise ValueError(
+                f"Q-table shape mismatch: state has {values.shape}, this network "
+                f"expects {self.values.shape} — the checkpoint was trained on a "
+                "different topology or table configuration"
+            )
+        first_port = int(state.get("first_port", self.first_port))
+        if first_port != self.first_port:
+            raise ValueError(
+                f"Q-table port-offset mismatch: state maps columns from port "
+                f"{first_port}, this network from port {self.first_port}"
+            )
+        self.values[...] = values
+        self.updates = updates.tolist()
         self.feedback_sent = int(state.get("feedback_sent", 0))
         self.feedback_applied = int(state.get("feedback_applied", 0))

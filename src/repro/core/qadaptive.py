@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.hysteretic import HystereticParams
 from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy, select_with_threshold
-from repro.core.qtable import TwoLevelQTable, two_level_initial_values
+from repro.core.qtable import two_level_initial_values
 from repro.network.packet import Packet
 from repro.network.router import Router
 from repro.topology.dragonfly import DragonflyTopology
@@ -103,6 +103,7 @@ class QAdaptiveRouting(TabularMarlRouting):
     """Q-adaptive routing with the two-level Q-table (the paper's "Q-adp")."""
 
     name = "Q-adp"
+    table_kind = "TwoLevelQTable"
 
     #: the two-level table rows and the intermediate-group re-route are
     #: defined in terms of Dragonfly group structure
@@ -135,9 +136,6 @@ class QAdaptiveRouting(TabularMarlRouting):
         self._local_ports_of = [self._local_ports] * self.topo.num_routers
         self._dead_ports = None
         self._router_group = self.topo.router_groups()
-
-    def _build_table(self, router_id: int) -> TwoLevelQTable:
-        return TwoLevelQTable(router_id, self.topo)
 
     def _initial_values(self) -> np.ndarray:
         return two_level_initial_values(self.topo, self.network.params.timing())
@@ -176,7 +174,6 @@ class QAdaptiveRouting(TabularMarlRouting):
         if router.group == dst_group:
             return self._min_next(router.id, packet.dst_router)
 
-        table = self.tables[router.id]
         row = self._row_for(packet)
 
         # (2) Source router: ΔV rule over the whole row with threshold q_thld1.
@@ -185,8 +182,8 @@ class QAdaptiveRouting(TabularMarlRouting):
             # One bulk tolist() is cheaper than separate numpy scalar reads
             # for q_min and the row argmin; list.index(min(...)) matches
             # argmin's first-occurrence tie-breaking exactly.
-            first_port = table.first_port
-            row_values = table.values[row].tolist()
+            first_port = self.first_port
+            row_values = self.values[router.id, row].tolist()
             q_min = row_values[min_port - first_port]
             if self._fault_live is None:
                 q_best = min(row_values)
@@ -225,8 +222,10 @@ class QAdaptiveRouting(TabularMarlRouting):
             min_port = self._min_next(router.id, packet.dst_router)
             local_ports = self._local_ports_of[router.id]
             best_port = local_ports[self.rng.randrange(len(local_ports))]
-            q_min = table.value(row, min_port)
-            q_best = table.value(row, best_port)
+            values = self.values
+            first_port = self.first_port
+            q_min = values.item(router.id, row, min_port - first_port)
+            q_best = values.item(router.id, row, best_port - first_port)
             temp_port, _ = select_with_threshold(
                 min_port, q_min, best_port, q_best, self.params.q_thld2
             )
@@ -240,12 +239,6 @@ class QAdaptiveRouting(TabularMarlRouting):
         return self._min_next(router.id, packet.dst_router)
 
     # ------------------------------------------------------------- diagnostics
-    def mean_q_value(self) -> float:
-        """System-wide average Q-value (a cheap convergence indicator)."""
-        if not self.tables:
-            return float("nan")
-        return float(sum(t.values.mean() for t in self.tables) / len(self.tables))
-
     def decision_counts(self) -> dict:
         return {
             "source_minimal": self.source_minimal_decisions,

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.hysteretic import HystereticParams
 from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy
-from repro.core.qtable import QRoutingTable, qrouting_initial_values
+from repro.core.qtable import qrouting_initial_values
 from repro.network.packet import Packet
 from repro.network.router import Router
 from repro.topology.base import Topology
@@ -81,6 +81,7 @@ class QRoutingAlgorithm(TabularMarlRouting):
     """Q-routing with the naive ``maxQ`` hop threshold (the paper's baseline)."""
 
     name = "Q-routing"
+    table_kind = "QRoutingTable"
     #: topology-generic: learns per-port Q-values over any family's ports.
     supported_topologies = None
 
@@ -98,9 +99,6 @@ class QRoutingAlgorithm(TabularMarlRouting):
         return self.params.max_q + topo.diameter
 
     # ------------------------------------------------------------------ tables
-    def _build_table(self, router_id: int) -> QRoutingTable:
-        return QRoutingTable(router_id, self.topo)
-
     def _initial_values(self) -> np.ndarray:
         return qrouting_initial_values(self.topo, self.network.params.timing())
 
@@ -113,18 +111,19 @@ class QRoutingAlgorithm(TabularMarlRouting):
             # Naive livelock/deadlock fix: fall back to minimal routing.
             self.forced_minimal += 1
             return self._min_next(router.id, packet.dst_router)
-        table = self.tables[router.id]
-        row = packet.dst_router
+        first_port = self.first_port
+        # list.index(min(...)) matches argmin's first-occurrence tie-breaking.
+        row_values = self.values[router.id, packet.dst_router].tolist()
         if self._fault_live is None:
-            best_port, _ = table.best_port(row)
+            best_port = row_values.index(min(row_values)) + first_port
         else:
             # Degraded mode: the greedy argmin only ranks surviving ports
             # (dead ports hold stale estimates that no feedback refreshes).
             ports = self._explore_ports[router.id]
             best_port = ports[0]
-            best_value = table.value(row, best_port)
+            best_value = row_values[best_port - first_port]
             for port in ports[1:]:
-                value = table.value(row, port)
+                value = row_values[port - first_port]
                 if value < best_value:
                     best_port, best_value = port, value
         self.greedy_decisions += 1

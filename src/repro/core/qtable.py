@@ -15,17 +15,21 @@ still have to travel.
   saving claimed by the paper — and rows are shared by all destinations in a
   group, which keeps them fresh even for rarely used destinations.
 
-Initial values (the uncongested minimal delivery time, Section 5.1) are
-computed for the whole system at once — :func:`two_level_initial_values` and
-:func:`qrouting_initial_values` return one ``[routers, rows, cols]`` block
-straight from the topology's wiring arrays — and the routing algorithm makes
-each router's table a view of its slice (see
-:meth:`repro.core.marl.TabularMarlRouting._setup`).
+Both designs are held the same way: one ``values[router, row, col]`` float64
+block for the whole system, column ``col`` being network port
+``first_port + col``.  :func:`two_level_initial_values` and
+:func:`qrouting_initial_values` build that block's initial values (the
+uncongested minimal delivery time, Section 5.1) straight from the topology's
+wiring arrays; the object graph learns in it
+(:class:`repro.core.marl.TabularMarlRouting` owns it as ``routing.values``)
+and the flat kernel copies it per run.  The row of a packet is
+``dst_group * p + src_node_local`` for the two-level table and
+``dst_router`` for Q-routing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -39,176 +43,10 @@ from repro.topology.paths import LinkTiming
 #: well-defined.
 UNREACHABLE_NS = 1e12
 
-
-#: version of the ``state_dict`` payload of one table.  Bump when the layout
-#: of the serialized state changes incompatibly.
+#: version of the table layout inside an ``export_state`` payload (recorded
+#: as ``table_version``).  Bump when the layout of the value block changes
+#: incompatibly.
 TABLE_STATE_VERSION = 1
-
-
-class _PortQTable:
-    """Shared implementation: a dense (rows × network-ports) value table."""
-
-    def __init__(self, num_rows: int, topo: Topology, value_bytes: int = 8) -> None:
-        self.topo = topo
-        self.first_port, self.num_ports = topo.table_port_span()
-        self.num_rows = num_rows
-        self.value_bytes = value_bytes
-        self.values = np.zeros((num_rows, self.num_ports), dtype=np.float64)
-        self.updates = 0
-
-    # ------------------------------------------------------------ port <-> col
-    def column_of_port(self, port: int) -> int:
-        col = port - self.first_port
-        if col < 0 or col >= self.num_ports:
-            raise ValueError(f"port {port} has no Q-table column (host port?)")
-        return col
-
-    def port_of_column(self, col: int) -> int:
-        if col < 0 or col >= self.num_ports:
-            raise ValueError(f"column {col} out of range")
-        return col + self.first_port
-
-    # ------------------------------------------------------------------ access
-    def value(self, row: int, port: int) -> float:
-        # Per-hop hot path: ndarray.item() hands back a Python float directly,
-        # skipping both the bounds helper and a numpy-scalar round trip.
-        col = port - self.first_port
-        if col < 0 or col >= self.num_ports:
-            raise ValueError(f"port {port} has no Q-table column (host port?)")
-        return self.values.item(row, col)
-
-    def set_value(self, row: int, port: int, value: float) -> None:
-        self.values[row, self.column_of_port(port)] = value
-
-    def min_value(self, row: int) -> float:
-        """Smallest estimated delivery time of the row (the row's Q_y)."""
-        return self.values[row].min().item()
-
-    def best_port(self, row: int, candidate_ports: Optional[Sequence[int]] = None
-                  ) -> Tuple[int, float]:
-        """Port with the smallest Q-value of ``row`` (restricted to ``candidate_ports``)."""
-        row_values = self.values[row]
-        if candidate_ports is None:
-            col = int(row_values.argmin())
-            return col + self.first_port, row_values.item(col)
-        if len(candidate_ports) == 0:
-            raise ValueError(
-                "best_port needs at least one candidate port; an empty sequence "
-                "would yield the bogus port -1 (pass None for all network ports)"
-            )
-        best_port = -1
-        best_value = float("inf")
-        first_port = self.first_port
-        for port in candidate_ports:
-            value = row_values.item(port - first_port)
-            if value < best_value:
-                best_value = value
-                best_port = port
-        return best_port, best_value
-
-    def apply_delta(self, row: int, port: int, delta: float) -> None:
-        """Add ``delta`` to one entry (used by the hysteretic update)."""
-        self.values[row, self.column_of_port(port)] += delta
-        self.updates += 1
-
-    # ------------------------------------------------------------------ memory
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.num_rows, self.num_ports)
-
-    def memory_bytes(self) -> int:
-        """Router memory needed to hold this table at ``value_bytes`` per entry."""
-        return self.num_rows * self.num_ports * self.value_bytes
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the value matrix (for convergence diagnostics / tests)."""
-        return self.values.copy()
-
-    # ------------------------------------------------------------- persistence
-    def state_dict(self) -> Dict:
-        """Versioned, copy-safe serialization of the learned table state.
-
-        The payload carries the table design (``kind``), its geometry, the
-        full value matrix, and the update counter — everything needed to
-        restore the table bit-for-bit with :meth:`load_state`.
-        """
-        return {
-            "version": TABLE_STATE_VERSION,
-            "kind": type(self).__name__,
-            "num_rows": self.num_rows,
-            "num_ports": self.num_ports,
-            "first_port": self.first_port,
-            "values": self.values.copy(),
-            "updates": int(self.updates),
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        """Restore a :meth:`state_dict` payload, validating version and shape.
-
-        Raises :class:`ValueError` with a descriptive message when the state
-        was produced by an incompatible build, a different table design, or a
-        different topology (shape mismatch) — a checkpoint must never be
-        silently coerced into the wrong table.
-        """
-        version = state.get("version")
-        if version != TABLE_STATE_VERSION:
-            raise ValueError(
-                f"Q-table state version {version!r} is not supported "
-                f"(this build reads version {TABLE_STATE_VERSION})"
-            )
-        kind = state.get("kind")
-        if kind != type(self).__name__:
-            raise ValueError(
-                f"cannot load {kind!r} state into a {type(self).__name__} "
-                "(different table design)"
-            )
-        values = np.asarray(state["values"], dtype=np.float64)
-        if values.shape != self.values.shape:
-            raise ValueError(
-                f"Q-table shape mismatch: state has {values.shape}, this table "
-                f"expects {self.values.shape} — the checkpoint was trained on a "
-                "different topology or table configuration"
-            )
-        first_port = int(state.get("first_port", self.first_port))
-        if first_port != self.first_port:
-            raise ValueError(
-                f"Q-table port-offset mismatch: state maps columns from port "
-                f"{first_port}, this table from port {self.first_port}"
-            )
-        self.values[:, :] = values
-        self.updates = int(state.get("updates", 0))
-
-
-class QRoutingTable(_PortQTable):
-    """Original Q-routing table: one row per destination router (Table 2)."""
-
-    def __init__(self, router_id: int, topo: Topology, value_bytes: int = 8) -> None:
-        super().__init__(topo.num_routers, topo, value_bytes)
-        self.router_id = router_id
-
-    def row_for(self, dst_router: int) -> int:
-        return dst_router
-
-    def initialize_uncongested(self, timing: LinkTiming) -> None:
-        """Fill this table with its slice of :func:`qrouting_initial_values`."""
-        self.values[:, :] = qrouting_initial_values(self.topo, timing)[self.router_id]
-
-
-class TwoLevelQTable(_PortQTable):
-    """The paper's two-level Q-table: rows indexed by (destination group, source node)."""
-
-    def __init__(self, router_id: int, topo: DragonflyTopology, value_bytes: int = 8) -> None:
-        super().__init__(topo.g * topo.p, topo, value_bytes)
-        self.router_id = router_id
-
-    def row_for(self, dst_group: int, src_node_local: int) -> int:
-        """Row of a packet generated on node-local index ``src_node_local`` heading
-        to ``dst_group`` (``row = dst_group * p + src_node_local``)."""
-        return dst_group * self.topo.p + src_node_local
-
-    def initialize_uncongested(self, timing: LinkTiming) -> None:
-        """Fill this table with its slice of :func:`two_level_initial_values`."""
-        self.values[:, :] = two_level_initial_values(self.topo, timing)[self.router_id]
 
 
 def two_level_initial_values(topo: DragonflyTopology, timing: LinkTiming) -> np.ndarray:
@@ -297,9 +135,7 @@ def qtable_memory_comparison(config: DragonflyConfig, value_bytes: int = 8) -> D
 
 
 __all__ = [
-    "QRoutingTable",
     "TABLE_STATE_VERSION",
-    "TwoLevelQTable",
     "qrouting_initial_values",
     "qtable_memory_comparison",
     "two_level_initial_values",

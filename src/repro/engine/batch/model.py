@@ -7,8 +7,9 @@ and the initial (uncongested) Q-tables — is computed once per batch by
 building one real :class:`~repro.network.network.Network` and flattening its
 state into plain lists indexed ``router * k + port``.  The two large tables
 are taken whole, not rebuilt: ``min_next`` is the topology's own
-``minimal_next_table()`` and ``init_values`` a read-only view of the block the
-model network's Q-tables live in.  The kernel then only pays per-replicate
+``minimal_next_table()`` and ``init_values`` a read-only view of the model
+network's ``routing.values`` — the same ``[routers, rows, cols]`` Q-value
+block the object graph learns in.  The kernel then only pays per-replicate
 cost for state that actually diverges between seeds.
 """
 
@@ -245,12 +246,12 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
 
     if kind in _LEARNED_KINDS:
         model.learned = True
-        # The block the model network's tables view: read-only here, and every
+        # The model network's learned-value block: read-only here, and every
         # replicate copies it (``.tolist()``) before learning.
         init_values = routing.values.view()
         init_values.flags.writeable = False
         model.init_values = init_values
-        model.first_port = routing.tables[0].first_port
+        model.first_port = routing.first_port
         model.explore = [list(ports) for ports in routing._explore_ports]
         model.onpolicy = routing.feedback_mode == "onpolicy"
         model.alpha = routing.hysteretic.alpha

@@ -3,8 +3,8 @@
 A *checkpoint* is one directory holding two files:
 
 * ``state.npz`` — the numeric payload of
-  :meth:`~repro.core.marl.TabularMarlRouting.export_state`: the stacked
-  per-router value tables and their update counters.
+  :meth:`~repro.core.marl.TabularMarlRouting.export_state`: the
+  ``[routers, rows, cols]`` value block and the per-router update counters.
 * ``manifest.json`` — everything needed to decide whether the state may be
   loaded, *without* touching the arrays: a schema version, the routing name
   and table design, the topology it was trained on, the learning
@@ -201,7 +201,12 @@ class Checkpoint:
 
     # ------------------------------------------------------------------ state
     def state(self) -> Dict[str, Any]:
-        """The full ``import_state`` payload (arrays loaded on first access)."""
+        """The full ``import_state`` payload (arrays loaded on first access).
+
+        A manifest carrying a ``state_digest`` is checked against the loaded
+        payload, so a ``state.npz`` torn or swapped in place is rejected
+        instead of silently warm-starting runs cached under the old digest.
+        """
         if self._state is None:
             manifest = self.manifest
             state_path = self.path / _STATE_NAME
@@ -213,7 +218,7 @@ class Checkpoint:
                 raise ValueError(
                     f"{state_path} is not a readable checkpoint payload: {exc}"
                 ) from exc
-            self._state = {
+            state: Dict[str, Any] = {
                 "version": manifest.state_version,
                 "routing": manifest.routing,
                 "topology": dict(manifest.topology),
@@ -226,6 +231,13 @@ class Checkpoint:
                 "feedback_sent": manifest.feedback_sent,
                 "feedback_applied": manifest.feedback_applied,
             }
+            if (manifest.state_digest is not None
+                    and ArtifactStore.state_digest(state) != manifest.state_digest):
+                raise ValueError(
+                    f"{state_path} does not match its manifest's state_digest: "
+                    "the checkpoint payload was modified or torn after it was saved"
+                )
+            self._state = state
         return self._state
 
     # ------------------------------------------------------------ application

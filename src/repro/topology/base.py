@@ -211,8 +211,9 @@ class Topology:
         """``(first_port, num_ports)`` of learned per-port value tables.
 
         One uniform span per topology (even when routers differ in connected
-        ports), so per-router tables stack into one dense array for
-        checkpointing; unconnected columns are simply never chosen.
+        ports), so every router's table is one slice of a dense
+        ``[routers, rows, cols]`` block; unconnected columns are simply never
+        chosen.
         """
         raise NotImplementedError
 

@@ -35,10 +35,10 @@ def test_vc_budget_scales_with_maxq():
 def test_tables_are_per_destination_router():
     routing = QRoutingAlgorithm(max_q=2)
     net = Network(CONFIG, routing, seed=3)
-    table = routing.table(0)
-    assert table.shape == (net.topo.num_routers, net.topo.k - net.topo.p)
+    topo = net.topo
+    assert routing.values.shape == (topo.num_routers, topo.num_routers, topo.k - topo.p)
     # twice the rows of the two-level design for a balanced Dragonfly
-    assert table.num_rows == 2 * net.topo.g * net.topo.p
+    assert routing.values.shape[1] == 2 * topo.g * topo.p
 
 
 def test_maxq_zero_behaves_like_minimal_routing():

@@ -1,21 +1,23 @@
-"""Tests for the Q-table designs (Tables 2 and 3 of the paper)."""
+"""Tests for the Q-table designs (Tables 2 and 3 of the paper) and the
+``[routers, rows, cols]`` value block both engines hold them in."""
 
 import numpy as np
 import pytest
 
 import repro.core.qtable as qtable_module
 import repro.topology.paths as paths_module
+from repro.core.hysteretic import hysteretic_update
+from repro.core.qrouting import QRoutingAlgorithm
 from repro.core.qtable import (
     UNREACHABLE_NS,
-    QRoutingTable,
-    TwoLevelQTable,
     qrouting_initial_values,
     qtable_memory_comparison,
     two_level_initial_values,
 )
 from repro.engine.batch import BatchSimulation
 from repro.engine.batch.model import build_model
-from repro.experiments.harness import ExperimentSpec, build_network
+from repro.experiments.harness import ExperimentSpec, _execute, build_network, run_experiment
+from repro.network.network import Network
 from repro.topology.base import PortType
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
@@ -28,13 +30,13 @@ TIMING = LinkTiming()
 
 
 def test_two_level_table_shape_matches_paper():
-    table = TwoLevelQTable(0, TOPO)
-    assert table.shape == (TOPO.g * TOPO.p, TOPO.k - TOPO.p)
+    block = two_level_initial_values(TOPO, TIMING)
+    assert block.shape == (TOPO.num_routers, TOPO.g * TOPO.p, TOPO.k - TOPO.p)
 
 
 def test_qrouting_table_shape_matches_paper():
-    table = QRoutingTable(0, TOPO)
-    assert table.shape == (TOPO.num_routers, TOPO.k - TOPO.p)
+    block = qrouting_initial_values(TOPO, TIMING)
+    assert block.shape == (TOPO.num_routers, TOPO.num_routers, TOPO.k - TOPO.p)
 
 
 def test_two_level_table_is_half_the_size_for_balanced_dragonfly():
@@ -50,33 +52,62 @@ def test_memory_saving_differs_for_unbalanced_config():
     assert comparison["saving_fraction"] == pytest.approx(1.0 - (9 * 1) / 36)
 
 
+@pytest.mark.parametrize("routing", ["Q-adp", "Q-routing"])
+def test_table_memory_matches_the_paper_on_both_engines(routing):
+    """Tables 2 vs 3 end to end: the system memory both engines report is
+    ``qtable_memory_comparison``'s two-level (Q-adp) or original (Q-routing)
+    total."""
+    config = DragonflyConfig.small_72()
+    expected = qtable_memory_comparison(config)[
+        "system_two_level_bytes" if routing == "Q-adp" else "system_original_bytes"]
+    spec = ExperimentSpec(config=config, routing=routing, pattern="UR", offered_load=0.2,
+                          sim_time_ns=1_000.0, warmup_ns=0.0, seed=3)
+    kernel = run_experiment(spec)
+    object_graph, _ = _execute(spec)
+    assert kernel.routing_diagnostics["table_memory_bytes"] == expected
+    assert object_graph.routing_diagnostics["table_memory_bytes"] == expected
+
+
+_SMALL_QADP = ExperimentSpec(config=DragonflyConfig.small_72(), routing="Q-adp", pattern="UR",
+                           offered_load=0.3, sim_time_ns=1_000.0, warmup_ns=0.0, seed=3)
+
+
 def test_row_for_two_level_indexing():
-    table = TwoLevelQTable(0, TOPO)
-    assert table.row_for(dst_group=0, src_node_local=0) == 0
-    assert table.row_for(dst_group=3, src_node_local=1) == 3 * TOPO.p + 1
-    assert table.row_for(dst_group=TOPO.g - 1, src_node_local=TOPO.p - 1) == table.num_rows - 1
+    network = build_network(_SMALL_QADP)[0]
+    routing, topo = network.routing, network.topo
+    nodes_per_group = topo.a * topo.p
+    last_row = routing.values.shape[1] - 1
+    for src, dst, row in ((0, 1, 0),
+                          (1, 3 * nodes_per_group, 3 * topo.p + 1),
+                          (topo.p - 1, topo.num_nodes - 1, last_row)):
+        assert routing._row_for(network.create_packet(src, dst)) == row
 
 
 def test_column_port_roundtrip():
-    table = TwoLevelQTable(0, TOPO)
-    for port in TOPO.non_host_ports:
-        assert table.port_of_column(table.column_of_port(port)) == port
-    with pytest.raises(ValueError):
-        table.column_of_port(0)  # host port
-    with pytest.raises(ValueError):
-        table.port_of_column(table.num_ports)
+    """The forward tag names column ``port - first_port``; ejection tags nothing."""
+    network = build_network(_SMALL_QADP)[0]
+    routing, topo = network.routing, network.topo
+    router = network.routers[0]
+    for port in topo.non_host_ports:
+        packet = network.create_packet(0, topo.num_nodes - 1)
+        routing.on_forward(router, packet, 0, port, 0.0)
+        column = packet.qfeedback[2]
+        assert 0 <= column < routing.values.shape[2]
+        assert column + routing.first_port == port
+    packet = network.create_packet(0, 1)
+    routing.on_forward(router, packet, 0, topo.host_port_of_node(1), 0.0)
+    assert packet.qfeedback is None
 
 
 def test_initialize_uncongested_matches_path_estimates():
     router_id = 7
-    table = TwoLevelQTable(router_id, TOPO)
-    table.initialize_uncongested(TIMING)
+    table = two_level_initial_values(TOPO, TIMING)[router_id]
     for port in TOPO.non_host_ports:
         for group in range(TOPO.g):
             expected = uncongested_delivery_time(TOPO, router_id, port, group, TIMING)
             for node_local in range(TOPO.p):
-                row = table.row_for(group, node_local)
-                assert table.value(row, port) == pytest.approx(expected)
+                row = group * TOPO.p + node_local
+                assert table[row, port - TOPO.p] == pytest.approx(expected)
 
 
 #: non-default constants whose sums round differently under reassociation, so
@@ -101,7 +132,7 @@ def test_two_level_block_is_bit_identical_to_the_per_entry_reference(pah, timing
 
 
 def _qrouting_reference(topo, timing, src_id):
-    """The per-entry loops ``QRoutingTable.initialize_uncongested`` used to run."""
+    """Per-entry loops computing one router's Q-routing initial values."""
     first_port, num_ports = topo.table_port_span()
     values = np.zeros((topo.num_routers, num_ports))
     eject = timing.hop_time(PortType.HOST)
@@ -142,94 +173,100 @@ def test_qrouting_block_is_bit_identical_to_the_per_entry_reference(family, timi
     assert block.dtype == np.float64 and block.flags.c_contiguous
     for router in topo.all_routers():
         assert np.array_equal(block[router], _qrouting_reference(topo, timing, router))
-        table = QRoutingTable(router, topo)
-        table.initialize_uncongested(timing)
-        assert np.array_equal(table.values, block[router])
 
 
 def test_qrouting_initialization_favours_minimal_port():
     router_id = 0
-    table = QRoutingTable(router_id, TOPO)
-    table.initialize_uncongested(TIMING)
+    table = qrouting_initial_values(TOPO, TIMING)[router_id]
     for dest in range(0, TOPO.num_routers, 7):
         if dest == router_id:
             continue
         min_port = TOPO.minimal_next_port(router_id, dest)
-        best_port, _ = table.best_port(dest)
-        assert table.value(dest, min_port) <= table.value(dest, best_port) + 1e-9
+        assert table[dest, min_port - TOPO.p] <= table[dest].min() + 1e-9
 
 
 def test_best_port_respects_candidate_restriction():
-    table = TwoLevelQTable(0, TOPO)
-    table.values[:] = 100.0
-    local_port = TOPO.local_ports[0]
-    global_port = TOPO.global_ports[0]
-    table.set_value(0, global_port, 1.0)
-    table.set_value(0, local_port, 5.0)
-    assert table.best_port(0)[0] == global_port
-    port, value = table.best_port(0, candidate_ports=list(TOPO.local_ports))
-    assert port == local_port and value == 5.0
-
-
-def test_best_port_rejects_empty_candidate_sequence():
-    """Regression: an empty candidate list used to return the bogus (-1, inf)."""
-    table = TwoLevelQTable(0, TOPO)
-    with pytest.raises(ValueError, match="at least one candidate port"):
-        table.best_port(0, candidate_ports=[])
-    with pytest.raises(ValueError, match="at least one candidate port"):
-        table.best_port(0, candidate_ports=())
+    """Q-routing's greedy pick is the row argmin, ranked over the live ports
+    only while faults are active."""
+    routing = QRoutingAlgorithm(epsilon=0.0)
+    network = Network(DragonflyConfig.small_72(), routing, seed=3)
+    topo = network.topo
+    packet = network.create_packet(0, topo.num_nodes - 1)
+    row = routing.values[0, packet.dst_router]
+    row[:] = 100.0
+    local_port, global_port = topo.local_ports[0], topo.global_ports[0]
+    row[global_port - routing.first_port] = 1.0
+    row[local_port - routing.first_port] = 5.0
+    router = network.routers[0]
+    assert routing.decide(router, packet, 0) == global_port
+    routing.on_fault_update([list(topo.local_ports)] * topo.num_routers, frozenset())
+    assert routing.decide(router, packet, 0) == local_port
 
 
 def test_min_value_and_apply_delta():
-    table = TwoLevelQTable(0, TOPO)
-    table.values[:] = 10.0
-    table.set_value(2, TOPO.local_ports[1], 4.0)
-    assert table.min_value(2) == 4.0
-    table.apply_delta(2, TOPO.local_ports[1], -1.5)
-    assert table.value(2, TOPO.local_ports[1]) == pytest.approx(2.5)
-    assert table.updates == 1
+    """Greedy feedback sends reward + the row minimum of the sending router,
+    folded into the previous hop's entry after the reverse-link latency."""
+    routing = QRoutingAlgorithm()
+    network = Network(DragonflyConfig.small_72(), routing, seed=3)
+    topo = network.topo
+    packet = network.create_packet(0, topo.num_nodes - 1)
+    dest = packet.dst_router
+    routing.values[1, dest, :] = 10.0
+    routing.values[1, dest, 3] = 4.0
+    routing.values[0, dest, 2] = 100.0
+    packet.qfeedback = (0, dest, 2, 0.0)
+    packet.router_arrival_ns = 50.0
+    in_port = topo.local_ports[0]
+    routing._send_feedback(network.routers[1], packet, in_port, topo.local_ports[1])
+    assert packet.qfeedback is None and routing.values[0, dest, 2] == 100.0
+    network.run()
+    assert network.sim.now == network.routers[1]._lat[in_port]
+    assert routing.values[0, dest, 2] == hysteretic_update(100.0, 50.0, 4.0, routing.hysteretic)
+    assert routing.updates[0] == sum(routing.updates) == 1
+    assert routing.feedback_sent == routing.feedback_applied == 1
 
 
 def test_snapshot_is_a_copy():
-    table = TwoLevelQTable(0, TOPO)
-    snap = table.snapshot()
-    table.values[0, 0] = 123.0
-    assert snap[0, 0] != 123.0
-    assert isinstance(snap, np.ndarray)
+    routing = build_network(_SMALL_QADP)[0].routing
+    snap = routing.export_state()["values"]
+    routing.values[0, 0, 0] = 123.0
+    assert snap[0, 0, 0] != 123.0
+    assert not np.shares_memory(snap, routing.values)
 
 
 def test_memory_bytes_accounting():
-    table = TwoLevelQTable(0, TOPO, value_bytes=4)
-    assert table.memory_bytes() == table.num_rows * table.num_ports * 4
+    routing = build_network(_SMALL_QADP)[0].routing
+    routers, rows, cols = routing.values.shape
+    assert routing.total_table_memory_bytes() == routers * rows * cols * 8
 
 
 # --------------------------------------------------------------- persistence
 def test_state_dict_round_trips_bit_exact():
-    source = TwoLevelQTable(3, TOPO)
-    source.initialize_uncongested(TIMING)
-    source.apply_delta(1, TOPO.local_ports[0], -2.5)
-    state = source.state_dict()
-    target = TwoLevelQTable(3, TOPO)
-    target.load_state(state)
+    source = build_network(_SMALL_QADP)[0].routing
+    source._apply_feedback(3, 1, 0, 2.5)
+    state = source.export_state()
+    target = build_network(_SMALL_QADP)[0].routing
+    target.import_state(state)
     assert np.array_equal(target.values, source.values)
     assert target.updates == source.updates
-    # the payload holds copies: mutating it later cannot corrupt the source
-    state["values"][0, 0] = -1.0
-    assert source.values[0, 0] != -1.0
+    # the import copied the payload: mutating it later cannot corrupt the target
+    state["values"][0, 0, 0] = -1.0
+    assert target.values[0, 0, 0] != -1.0
 
 
 def test_load_state_rejects_wrong_kind_version_and_shape():
-    two_level = TwoLevelQTable(0, TOPO)
-    qrouting = QRoutingTable(0, TOPO)
-    with pytest.raises(ValueError, match="different table design"):
-        two_level.load_state(qrouting.state_dict())
-    stale = two_level.state_dict()
-    stale["version"] = 99
-    with pytest.raises(ValueError, match="version 99"):
-        two_level.load_state(stale)
-    other_topo = DragonflyTopology(DragonflyConfig.tiny())
-    with pytest.raises(ValueError, match="shape mismatch"):
-        two_level.load_state(TwoLevelQTable(0, other_topo).state_dict())
+    routing = build_network(_SMALL_QADP)[0].routing
+    good = routing.export_state()
+    for key, value, message in (
+        ("table_kind", "QRoutingTable", "different table design"),
+        ("table_version", 99, "version 99"),
+        ("values", good["values"][:, :-1], "shape mismatch"),
+        ("first_port", 0, "port-offset mismatch"),
+    ):
+        routing.values[...] = -1.0
+        with pytest.raises(ValueError, match=message):
+            routing.import_state({**good, key: value})
+        assert (routing.values == -1.0).all()  # a rejected import writes nothing
 
 
 # --------------------------------------------- whole-system block and its views
@@ -259,26 +296,14 @@ def test_paper_scale_setup_makes_no_per_entry_calls(monkeypatch):
     assert calls == {"uncongested_delivery_time": 0, "minimal_next_port": 0}
 
 
-_SMALL_QADP = ExperimentSpec(config=DragonflyConfig.small_72(), routing="Q-adp", pattern="UR",
-                           offered_load=0.3, sim_time_ns=1_000.0, warmup_ns=0.0, seed=3)
-
-
 def test_router_tables_are_isolated_views_of_one_block():
+    """Each router's table is its slice of ``routing.values``: a fold into
+    router 5 moves that one entry and no neighbour's."""
     routing = build_network(_SMALL_QADP)[0].routing
     before = routing.values.copy()
-    table = routing.table(5)
-    assert np.shares_memory(table.values, routing.values)
-    snap, state = table.snapshot(), table.state_dict()["values"]
-    table.values[:, :] = -1.0
-    table.set_value(0, TOPO.local_ports[0], -2.0)
-    # the neighbours' tables are untouched, and the block sees the write
-    assert np.array_equal(routing.table(4).values, before[4])
-    assert np.array_equal(routing.table(6).values, before[6])
-    assert routing.values[5, 0, 0] == -2.0
-    # snapshot() and state_dict() handed out copies, not views
-    assert np.array_equal(snap, before[5]) and np.array_equal(state, before[5])
-    assert not np.shares_memory(snap, routing.values)
-    assert not np.shares_memory(state, routing.values)
+    routing._apply_feedback(5, 0, 0, -2.0)
+    assert np.argwhere(routing.values != before).tolist() == [[5, 0, 0]]
+    assert routing.updates[5] == sum(routing.updates) == 1
 
 
 def test_batch_model_initial_values_are_read_only():

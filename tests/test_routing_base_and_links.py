@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.marl import TabularMarlRouting
-from repro.core.qadaptive import QAdaptiveRouting
 from repro.network.link import Channel
 from repro.network.network import Network
 from repro.routing.base import RoutingAlgorithm
@@ -64,35 +63,6 @@ def test_marl_base_rejects_bad_feedback_mode():
 
     with pytest.raises(ValueError):
         Dummy(HystereticParams(), feedback_mode="nonsense")
-
-
-def test_instant_feedback_applies_synchronously():
-    routing = QAdaptiveRouting()
-    routing.instant_feedback = True
-    net = Network(DragonflyConfig.tiny(), routing, seed=1)
-    net.send(0, net.topo.num_nodes - 1)
-    net.run()
-    # with instant feedback every sent update has been applied by the end of the run
-    assert routing.feedback_sent == routing.feedback_applied > 0
-
-
-def test_feedback_skipped_when_learning_disabled():
-    routing = QAdaptiveRouting()
-    net = Network(DragonflyConfig.tiny(), routing, seed=1)
-    routing.freeze()
-    net.send(0, net.topo.num_nodes - 1)
-    net.run()
-    assert routing.feedback_sent == 0
-    assert routing.feedback_applied == 0
-
-
-def test_table_snapshot_modes():
-    routing = QAdaptiveRouting()
-    Network(DragonflyConfig.tiny(), routing, seed=1)
-    per_router_means = routing.table_snapshot()
-    assert len(per_router_means) == 6  # tiny() has 6 routers
-    single = routing.table_snapshot(0)
-    assert single.shape == routing.table(0).shape
 
 
 def test_required_vcs_default_equals_max_hops():

@@ -2,6 +2,7 @@
 warm-started experiments, and staged (train-once/eval-many) studies."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,14 +57,36 @@ def test_export_import_round_trip_is_bit_exact(routing, config):
     fresh.routing.import_state(state)
     restored = fresh.routing.export_state()
     assert np.array_equal(restored["values"], state["values"])
-    # the import went through the per-router views into the one shared block
     assert np.array_equal(fresh.routing.values, state["values"])
-    assert all(np.shares_memory(table.values, fresh.routing.values)
-               for table in fresh.routing.tables)
     assert np.array_equal(restored["updates"], state["updates"])
     assert restored["feedback_sent"] == state["feedback_sent"]
     assert restored["feedback_applied"] == state["feedback_applied"]
     assert restored["hyperparams"] == state["hyperparams"]
+
+
+#: ``ArtifactStore.state_digest`` and summed update counters of the tiny
+#: networks ``_trained_network(_spec(routing=...))`` trains.  Checkpoints
+#: already on disk carry these digests: a change to the payload layout or to
+#: the learning path moves them.
+PAYLOAD_PINS = {
+    "Q-adp": ("694a57d34715eb04e437c5edf1953d574fa327f33bd55dc9cc8deb8ebfdfed29", 337,
+              "TwoLevelQTable"),
+    "Q-routing": ("b68aadec9b4cd517ae1efa1cba776aaa1b1387f224d30f0f4031717ce653838f", 341,
+                  "QRoutingTable"),
+}
+
+
+@pytest.mark.parametrize("routing", sorted(PAYLOAD_PINS))
+def test_export_payload_is_pinned(routing):
+    state = _trained_network(_spec(routing=routing)).routing.export_state()
+    digest, updates, table_kind = PAYLOAD_PINS[routing]
+    assert ArtifactStore.state_digest(state) == digest
+    assert int(state["updates"].sum()) == updates
+    assert state["table_kind"] == table_kind and state["table_version"] == 1
+    assert list(state) == ["version", "routing", "topology", "table_version", "table_kind",
+                           "first_port", "hyperparams", "values", "updates",
+                           "feedback_sent", "feedback_applied"]
+    assert state["values"].dtype == np.float64 and state["updates"].dtype == np.int64
 
 
 def test_export_before_attach_is_an_error():
@@ -97,6 +120,27 @@ def test_store_save_load_round_trip(tmp_path):
     # loading by path works without the store
     by_path = Checkpoint.load(checkpoint.path)
     assert np.array_equal(by_path.state()["values"], state["values"])
+
+
+def test_torn_checkpoint_payload_is_rejected(tmp_path):
+    """A ``state.npz`` rewritten in place with a same-shaped array no longer
+    matches the manifest's ``state_digest``: loading it is an error naming
+    the path, not a silent warm start."""
+    store = ArtifactStore(tmp_path)
+    state = _trained_network(_spec()).routing.export_state()
+    path = store.save(state, name="torn").path
+    values = state["values"].copy()
+    values[0, 0, 0] += 1.0
+    np.savez_compressed(path / "state.npz", values=values, updates=state["updates"])
+    with pytest.raises(ValueError, match=re.escape(str(path / "state.npz"))):
+        Checkpoint.load(path).state()
+    with pytest.raises(ValueError, match="does not match its manifest's state_digest"):
+        run_experiment(_spec(warm_start=str(path)))
+    # a manifest without a digest loads as before
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest["state_digest"]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    assert np.array_equal(Checkpoint.load(path).state()["values"], values)
 
 
 def test_store_content_derived_ids_are_stable(tmp_path):
