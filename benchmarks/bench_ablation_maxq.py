@@ -38,7 +38,7 @@ def test_ablation_maxq(benchmark, run_once, scale, runner):
     data = run_once(benchmark, ablation_maxq, scale, maxq_values, patterns, runner=runner)
 
     rows = []
-    for per_maxq in data.values():
+    for pattern, per_maxq in data.items():
         for maxq, metrics in per_maxq.items():
             rows.append({"pattern": pattern, "maxQ": maxq, **metrics})
     print("\nSection 2.3.2 — naive Q-routing maxQ ablation\n" + format_table(rows))

@@ -4,13 +4,15 @@ Every replicate of a batch runs the *same* spec under a different seed, so
 everything that does not depend on the seed — topology wiring, per-port
 delays, credit capacities, minimal-route tables, routing hyper-parameters,
 and the initial (uncongested) Q-tables — is computed once per batch by
-building one real :class:`~repro.network.network.Network` and flattening its
-state into plain lists indexed ``router * k + port``.  The two large tables
-are taken whole, not rebuilt: ``min_next`` is the topology's own
-``minimal_next_table()`` and ``init_values`` a read-only view of the model
-network's ``routing.values`` — the same ``[routers, rows, cols]`` Q-value
-block the object graph learns in.  The kernel then only pays per-replicate
-cost for state that actually diverges between seeds.
+building one real :class:`~repro.network.network.Network` and reading its
+state as plain lists.  The large tables are taken whole, not rebuilt: the
+per-port wiring is the network's own port table (indexed
+``router * k + port``, the same lists its routers and NICs were wired from),
+``min_next`` is the topology's own ``minimal_next_table()`` and
+``init_values`` a read-only view of the model network's ``routing.values`` —
+the same ``[routers, rows, cols]`` Q-value block the object graph learns in.
+The kernel then only pays per-replicate cost for state that actually diverges
+between seeds.
 """
 
 from __future__ import annotations
@@ -107,6 +109,11 @@ def check_batchable(spec: "ExperimentSpec") -> None:
             raise UnsupportedByBackend(
                 "finite injection queues drop packets based on backpressure "
                 "the traffic trace cannot know; the object-graph engine runs them"
+            )
+        if params.ejection_credits is not None:
+            raise UnsupportedByBackend(
+                "finite ejection credits are returned by the NIC on delivery, "
+                "which the flat kernel elides; the object-graph engine runs them"
             )
 
 
@@ -205,44 +212,17 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     model.num_host = [topo.num_host_ports(r) for r in range(num_routers)]
     model.group = list(topo.router_groups())
 
-    # Flat per-port wiring, mirroring Network._build / Router.connect.
-    size = num_routers * k
-    model.hop_delay = [0.0] * size
-    model.lat = [0.0] * size
-    model.node_at = [-1] * size
-    model.remote_idx = [-1] * size
-    model.cred_cap = [None] * size
-    ser = model.ser
-    for router in range(num_routers):
-        base = router * k
-        num_host = model.num_host[router]
-        for port in range(k):
-            f = base + port
-            if port < num_host:
-                latency = params.host_link_latency_ns
-                model.hop_delay[f] = ser + latency
-                model.lat[f] = latency
-                model.node_at[f] = topo.node_at(router, port)
-                model.cred_cap[f] = params.ejection_credits
-                continue
-            neighbor = topo.neighbor_of(router, port)
-            if neighbor is None:
-                continue  # dark port (mesh edge, spare fat-tree column)
-            latency = params.link_latency_ns(topo.link_kind(router, port))
-            model.hop_delay[f] = ser + latency
-            model.lat[f] = latency
-            model.remote_idx[f] = neighbor[0] * k + neighbor[1]
-            model.cred_cap[f] = params.vc_buffer_packets
-
+    # The network's own port table (see Network._build), taken whole.
+    model.hop_delay = network.hop_delay
+    model.lat = network.lat
+    model.node_at = network.node_at
+    model.remote_idx = network.remote_idx
+    model.cred_cap = network.cred_cap
     model.min_next = topo.minimal_next_table()
-
-    model.nic_fidx = [
-        topo.router_of_node(n) * k + topo.host_port_of_node(n)
-        for n in range(model.num_nodes)
-    ]
-    model.nic_router = [topo.router_of_node(n) for n in range(model.num_nodes)]
-    model.nic_hop_delay = ser + params.host_link_latency_ns
-    model.nic_cred_cap = params.vc_buffer_packets
+    model.nic_fidx = network.nic_fidx
+    model.nic_router = [f // k for f in network.nic_fidx]
+    model.nic_hop_delay = network.nic_hop_delay
+    model.nic_cred_cap = network.nic_cred_cap
 
     if kind in _LEARNED_KINDS:
         model.learned = True

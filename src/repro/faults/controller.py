@@ -8,10 +8,11 @@ end absorbs flits into the void:
 * the port's receive callback is swapped for a counting sink, so anything
   still forwarded through it is *dropped* (and accounted) instead of
   delivered;
-* the port's credits are switched to infinite, so the sender never waits for
-  returns that will never come, and stale in-flight credit returns from the
+* the port's ``_cred_infinite`` flag is set, so the sender never waits for
+  returns that will never come, stale in-flight credit returns from the
   dying downstream are ignored by the router's existing infinite-credit
-  short-circuit (no leak, no overflow);
+  short-circuit (no leak, no overflow), and ``Router.used_credits`` reads
+  no credits in use on the port;
 * the waiter queue of the port is kicked once and drains through the normal
   ``_serve_waiting``/``_forward`` machinery — every event already in the pool
   completes unchanged, so the event pool is never corrupted.
@@ -21,12 +22,11 @@ packet routed *after* the failure sees the degraded routing state below.
 Both directions of a physical link die and recover together; a router outage
 takes down all its network links plus its ejection ports.
 
-Recovery restores the saved callbacks and refills the credit counters *in
-place* (the router's flattened hot-path arrays alias the
-:class:`~repro.network.credits.OutputCredits` lists) to ``capacity minus the
-downstream buffer occupancy``, so credits returned later by packets that
-survived the outage inside the downstream buffer top the counter out at
-exactly its capacity.
+Recovery restores the saved callback and flag and refills the router's
+credit counters ``_cred_counts[port]`` to ``capacity minus the downstream
+buffer occupancy`` (the downstream buffer is found through the network's port
+table), so credits returned later by packets that survived the outage inside
+the downstream buffer top the counter out at exactly its capacity.
 
 Degraded routing
 ----------------
@@ -57,9 +57,8 @@ if TYPE_CHECKING:  # typing only: the harness hands us the built network
 
 __all__ = ["FaultController"]
 
-#: saved per-port state: (receive callback, flattened infinite flag,
-#: OutputCredits._infinite flag).
-_SavedPort = Tuple[object, bool, bool]
+#: saved per-port state: (receive callback, infinite-credit flag).
+_SavedPort = Tuple[object, bool]
 
 
 class FaultController:
@@ -148,38 +147,30 @@ class FaultController:
         key = (router.id, port)
         if key in self._down_ports:
             return
-        credits = router.credits[port]
-        self._down_ports[key] = (
-            router._recv_cb[port],
-            router._cred_infinite[port],
-            credits._infinite,
-        )
+        self._down_ports[key] = (router._recv_cb[port], router._cred_infinite[port])
         router._recv_cb[port] = self._sink
         router._cred_infinite[port] = True
-        credits._infinite = True
         kicks.append((router, port))
 
     def _restore_port(self, router: "Router", port: int) -> None:
         saved = self._down_ports.pop((router.id, port), None)
         if saved is None:
             return
-        recv_cb, was_infinite, cred_was_infinite = saved
+        recv_cb, was_infinite = saved
         router._recv_cb[port] = recv_cb
         router._cred_infinite[port] = was_infinite
-        credits = router.credits[port]
-        credits._infinite = cred_was_infinite
         if not was_infinite:
-            # Refill in place (the hot-path counter list aliases this one) to
-            # capacity minus the packets that sat out the outage downstream:
-            # each of them still returns its credit when it leaves the buffer.
-            endpoint = router.channels[port].endpoint
-            remote_port = router._remote[port]
+            # Refill to capacity minus the packets that sat out the outage
+            # downstream: each of them still returns its credit when it
+            # leaves the buffer.  A NIC downstream buffers nothing.
+            network = self.network
+            k = network.topo.k
+            far = network.remote_idx[router.id * k + port]
+            bufs = network.routers[far // k].input_bufs[far % k] if far >= 0 else None
             counts = router._cred_counts[port]
             capacity = router._cred_cap[port]
-            bufs = getattr(endpoint, "input_bufs", None)
             for vc in range(len(counts)):
-                occupancy = len(bufs[remote_port][vc]) if bufs is not None else 0
-                counts[vc] = capacity - occupancy
+                counts[vc] = capacity - (len(bufs[vc]) if bufs is not None else 0)
 
     def _link_down(self, router_id: int, port: int,
                    kicks: List[Tuple["Router", int]]) -> None:

@@ -9,11 +9,13 @@ This package models the hardware a Dragonfly routing algorithm runs on:
   channels, credit-based flow control and per-output-port serialization;
 * :class:`~repro.network.nic.Nic` — node injection/ejection;
 * :class:`~repro.network.network.Network` — wires everything together on top
-  of any registered :class:`~repro.topology.base.Topology`.
+  of any registered :class:`~repro.topology.base.Topology`, from one flat
+  per-port table of link delays, far ends and credit capacities.
+
+Links and credits are not objects: each router and NIC keeps its per-port
+state in plain lists (see the hot-path notes in :mod:`repro.network.router`).
 """
 
-from repro.network.credits import OutputCredits
-from repro.network.link import Channel
 from repro.network.network import Network
 from repro.network.nic import Nic
 from repro.network.packet import Packet
@@ -21,11 +23,9 @@ from repro.network.params import NetworkParams
 from repro.network.router import Router
 
 __all__ = [
-    "Channel",
     "Network",
     "Nic",
     "NetworkParams",
-    "OutputCredits",
     "Packet",
     "Router",
 ]

@@ -2,10 +2,11 @@
 
 :class:`Network` is the main entry point of the simulation layer.  It builds
 every router and NIC for a topology config (Dragonfly, fat-tree, mesh/torus —
-any family registered in :data:`repro.topology.registry.TOPOLOGIES`), connects
-them according to the topology's wiring tables, attaches a routing algorithm
-and a statistics collector, and exposes packet creation/injection plus
-``run``.
+any family registered in :data:`repro.topology.registry.TOPOLOGIES`), wires
+them from one flat per-port table (link delays, far ends, credit capacities;
+see :meth:`Network._build`) that the batched kernel's model reads too,
+attaches a routing algorithm and a statistics collector, and exposes packet
+creation/injection plus ``run``.
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -30,14 +31,12 @@ if TYPE_CHECKING:  # typing only: repro.routing imports the network layer
 from repro.engine.rng import RngFactory
 from repro.engine.simulator import Simulator
 from repro.instrument.bus import Probe, ProbeBus
-from repro.network.credits import OutputCredits
-from repro.network.link import Channel
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.network.router import Router
 from repro.stats.collectors import RunStats, StatsCollector
-from repro.topology.base import PortType, Topology
+from repro.topology.base import Topology
 from repro.topology.registry import topology_for
 
 
@@ -114,47 +113,67 @@ class Network:
 
     # ------------------------------------------------------------------ build
     def _build(self) -> None:
+        """Fill the port table, then wire every router and NIC from it.
+
+        The table is flat, indexed ``f = router * k + port`` as the batched
+        kernel indexes it (its model takes the lists whole): ``hop_delay``
+        (serialization + latency, summed once so event times group as
+        ``now + (ser + latency)``) and ``lat``; the far end, ``node_at`` behind
+        a host port or ``remote_idx`` behind a network port, ``-1`` otherwise
+        (a dark port has neither); ``cred_cap``, the credits per VC, ``None``
+        for unlimited.  ``nic_fidx[node]``, ``nic_hop_delay`` and
+        ``nic_cred_cap`` wire the NICs.
+        """
         topo, params, sim = self.topo, self.params, self.sim
-        num_vcs = params.num_vcs
-        self.routers = [Router(r, topo, params, sim, num_vcs) for r in topo.all_routers()]
-        self.nics = [Nic(n, params, sim) for n in topo.all_nodes()]
-
-        for router in self.routers:
-            num_host = topo.num_host_ports(router.id)
-            for port in range(topo.k):
+        k = topo.k
+        ser = params.serialization_ns
+        size = topo.num_routers * k
+        self.hop_delay: List[float] = [0.0] * size
+        self.lat: List[float] = [0.0] * size
+        self.node_at: List[int] = [-1] * size
+        self.remote_idx: List[int] = [-1] * size
+        self.cred_cap: List[Optional[int]] = [None] * size
+        for router_id in topo.all_routers():
+            num_host = topo.num_host_ports(router_id)
+            for port in range(k):
+                f = router_id * k + port
                 if port < num_host:
-                    # Host (ejection) link towards the attached NIC.
-                    node = topo.node_at(router.id, port)
-                    channel = Channel(
-                        self.nics[node], 0, params.host_link_latency_ns, PortType.HOST
-                    )
-                    credits = OutputCredits(num_vcs, params.ejection_credits)
-                    router.connect(port, channel, credits)
-                    continue
-                # Router-to-router link; unconnected ports (mesh edges,
-                # hostless fat-tree switches' spare columns) stay dark.
-                neighbor = topo.neighbor_of(router.id, port)
-                if neighbor is None:
-                    continue
-                kind = topo.link_kind(router.id, port)
-                channel = Channel(
-                    self.routers[neighbor[0]],
-                    neighbor[1],
-                    params.link_latency_ns(kind),
-                    kind,
-                )
-                credits = OutputCredits(num_vcs, params.vc_buffer_packets)
-                router.connect(port, channel, credits)
-            router.attach_routing(self.routing)
+                    latency = params.host_link_latency_ns
+                    self.node_at[f] = topo.node_at(router_id, port)
+                    self.cred_cap[f] = params.ejection_credits
+                else:
+                    neighbor = topo.neighbor_of(router_id, port)
+                    if neighbor is None:
+                        continue
+                    latency = params.link_latency_ns(topo.link_kind(router_id, port))
+                    self.remote_idx[f] = neighbor[0] * k + neighbor[1]
+                    self.cred_cap[f] = params.vc_buffer_packets
+                self.lat[f] = latency
+                self.hop_delay[f] = ser + latency
+        self.nic_fidx: List[int] = [
+            topo.router_of_node(n) * k + topo.host_port_of_node(n) for n in topo.all_nodes()
+        ]
+        self.nic_hop_delay = ser + params.host_link_latency_ns
+        self.nic_cred_cap = params.vc_buffer_packets
 
-        for nic in self.nics:
-            router_id = topo.router_of_node(nic.node)
-            host_port = topo.host_port_of_node(nic.node)
-            channel = Channel(
-                self.routers[router_id], host_port, params.host_link_latency_ns, PortType.HOST
-            )
-            credits = OutputCredits(num_vcs, params.vc_buffer_packets)
-            nic.connect(channel, credits)
+        num_vcs = params.num_vcs
+        routers = [Router(r, topo, params, sim, num_vcs) for r in topo.all_routers()]
+        nics = [Nic(n, params, sim) for n in topo.all_nodes()]
+        for router in routers:
+            row = slice(router.id * k, router.id * k + k)
+            remote_idx = self.remote_idx[row]
+            ends = [
+                routers[f // k] if f >= 0 else nics[node] if node >= 0 else None
+                for f, node in zip(remote_idx, self.node_at[row], strict=True)
+            ]
+            remote = [f % k if f >= 0 else 0 for f in remote_idx]
+            router.wire(ends, remote, self.hop_delay[row], self.lat[row], self.cred_cap[row])
+            router.attach_routing(self.routing)
+        for nic in nics:
+            f = self.nic_fidx[nic.node]
+            nic.wire(routers[f // k], f % k, self.nic_hop_delay, self.nic_cred_cap)
+        self.routers = routers
+        self.nics = nics
 
     # ------------------------------------------------------------- telemetry
     def attach_probe(self, probe: Probe) -> Probe:

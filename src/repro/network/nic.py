@@ -5,21 +5,24 @@ host port of its router, subject to the host-link serialization rate and the
 credits of the router's host input buffer.  On the receive side it simply
 records the delivery (the ejection queue is modelled as always-consuming, so
 the network itself is the only bottleneck — the standard open-loop evaluation
-setup used by the paper).
+setup used by the paper).  Under finite ``ejection_credits`` it hands each
+slot back to the router at once, one host-link hop later.
+
+:meth:`Nic.wire` takes the host link from the network's port table; the
+credits ``_cred_counts[vc]`` towards the router's host input are always finite.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
-from repro.network.credits import OutputCredits
-from repro.network.link import Channel
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 
 if TYPE_CHECKING:  # typing only: the network wires NICs to the simulator
     from repro.engine.simulator import Simulator
+    from repro.network.router import Router
 
 
 class Nic:
@@ -29,8 +32,6 @@ class Nic:
         "node",
         "params",
         "sim",
-        "channel",
-        "credits",
         "busy_until",
         "inject_queue",
         "injected_packets",
@@ -40,11 +41,11 @@ class Nic:
         "serialization_ns",
         "_push",
         "_recv_cb",
-        "_lat",
+        "_ret_cb",
         "_hop_delay",
         "_remote",
         "_cred_counts",
-        "_cred_infinite",
+        "_cred_cap",
         "_ev_injected",
         "_ev_delivery",
     )
@@ -53,8 +54,6 @@ class Nic:
         self.node = node
         self.params = params
         self.sim = sim
-        self.channel: Optional[Channel] = None
-        self.credits: Optional[OutputCredits] = None
         self.busy_until = 0.0
         self.inject_queue: Deque[Packet] = deque()
         self.injected_packets = 0
@@ -62,30 +61,25 @@ class Nic:
         self.dropped_packets = 0
         self._retry_pending = False
         self.serialization_ns = params.serialization_ns
-        # Flattened host-link state (filled by connect()), mirroring Router.
-        self._push = sim.push
-        self._recv_cb: Optional[Callable] = None
-        self._lat = 0.0
-        self._hop_delay = 0.0
-        self._remote = 0
-        self._cred_counts: Optional[list] = None
-        self._cred_infinite = False
+        self._push = sim.push  # the host-link state is filled by wire()
         # Telemetry emitters (see repro.instrument.bus): resolved by the
         # network after every probe attach/detach; None = nobody listens.
         self._ev_injected: Optional[Callable] = None
         self._ev_delivery: Optional[Callable] = None
 
     # ----------------------------------------------------------------- wiring
-    def connect(self, channel: Channel, router_credits: OutputCredits) -> None:
-        """Attach the host link towards this node's router."""
-        self.channel = channel
-        self.credits = router_credits
-        self._recv_cb = channel.endpoint.receive_packet
-        self._lat = channel.latency_ns
-        self._hop_delay = self.serialization_ns + channel.latency_ns
-        self._remote = channel.remote_port
-        self._cred_counts = router_credits._credits
-        self._cred_infinite = router_credits._infinite
+    def wire(self, router: "Router", host_port: int, hop_delay: float, cred_cap: int) -> None:
+        """Attach the host link feeding ``host_port`` of ``router``.
+
+        ``router`` must be wired already: its ejection port decides whether
+        deliveries return credits.
+        """
+        self._recv_cb: Callable = router.receive_packet
+        self._ret_cb = None if router._cred_infinite[host_port] else router.credit_return
+        self._remote = host_port
+        self._hop_delay = hop_delay
+        self._cred_cap = cred_cap
+        self._cred_counts: List[int] = [cred_cap] * self.params.num_vcs
 
     # -------------------------------------------------------------- injection
     @property
@@ -114,14 +108,13 @@ class Nic:
             if self.busy_until > now:
                 self._schedule_retry(self.busy_until)
                 return
-            if not (self._cred_infinite or self._cred_counts[0] > 0):
+            if self._cred_counts[0] <= 0:
                 # Wait for the router to return a credit; credit_return() retries.
                 return
             packet = queue.popleft()
             ser = self.serialization_ns
             self.busy_until = now + ser
-            if not self._cred_infinite:
-                self._cred_counts[0] -= 1
+            self._cred_counts[0] -= 1
             packet.inject_time_ns = now
             if packet.path is not None:
                 packet.path.append(-1)  # sentinel marking the injection point
@@ -143,7 +136,10 @@ class Nic:
 
     def credit_return(self, port: int, vc: int) -> None:
         """The router freed a slot of its host input buffer."""
-        self.credits.put(vc)
+        counts = self._cred_counts
+        if counts[vc] >= self._cred_cap:
+            raise RuntimeError(f"credit overflow on vc {vc}: more returns than takes")
+        counts[vc] += 1
         self._try_inject()
 
     # --------------------------------------------------------------- ejection
@@ -160,6 +156,8 @@ class Nic:
         ev = self._ev_delivery
         if ev is not None:
             ev(packet, now)
+        if self._ret_cb is not None:
+            self._push(now + self._hop_delay, self._ret_cb, (self._remote, vc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic node={self.node} queued={len(self.inject_queue)}>"

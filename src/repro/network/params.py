@@ -40,7 +40,8 @@ class NetworkParams:
     ejection_credits:
         Credits of a router's host (ejection) port.  ``None`` means unlimited,
         i.e. the NIC always drains the network — the standard assumption that
-        keeps the network the only bottleneck.
+        keeps the network the only bottleneck.  A finite count comes back one
+        host-link hop after each delivery.
     record_paths:
         When True every packet records the list of routers it visited
         (useful in tests, costly in large runs).
@@ -66,6 +67,10 @@ class NetworkParams:
             raise ValueError("vc_buffer_packets must be at least 1")
         if self.num_vcs is not None and self.num_vcs < 1:
             raise ValueError("num_vcs must be at least 1 when specified")
+        for name in ("injection_queue_packets", "ejection_credits"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1 (or None for unlimited)")
 
     # --------------------------------------------------------------- derived
     @property

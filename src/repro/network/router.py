@@ -20,28 +20,29 @@ The router delegates all path selection to the attached routing algorithm via
 ``routing.route(router, packet, in_port)`` and notifies it of forwards through
 ``routing.on_forward`` (used by the RL algorithms for reward feedback).
 
-Hot-path layout: :meth:`connect` flattens each channel into parallel per-port
-arrays (receive callback, latency, remote port, credit counters) so that the
-per-flit code in :meth:`_forward` / :meth:`_serve_waiting` runs on plain list
-indexing and direct ``Simulator.push`` calls instead of chasing ``Channel`` /
-``OutputCredits`` attributes per packet.  Event-push order and timestamp
-arithmetic exactly mirror the un-flattened code, keeping runs bit-for-bit
-deterministic.
+Hot-path layout: per-port state is parallel plain lists indexed by port —
+receive / credit-return callbacks of the far end, its input port, the hop
+delay and link latency (the router's row of the network's port table, handed
+over by :meth:`wire`), and the credit counters ``_cred_counts[port][vc]``
+towards the far end's input buffer.  ``_cred_infinite[port]`` marks a port
+whose counters are not kept: an unlimited ejection port, or a port the fault
+controller took down.  The per-flit code in :meth:`_forward` /
+:meth:`_serve_waiting` runs on list indexing and direct ``Simulator.push``
+calls only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple, Union
 
-from repro.network.credits import OutputCredits
-from repro.network.link import Channel
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # typing only: routing attaches after construction
     from repro.engine.simulator import Simulator
+    from repro.network.nic import Nic
     from repro.routing.base import RoutingAlgorithm
 
 
@@ -56,9 +57,7 @@ class Router:
         "sim",
         "routing",
         "num_vcs",
-        "channels",
         "input_bufs",
-        "credits",
         "out_busy_until",
         "waiting",
         "serialization_ns",
@@ -99,36 +98,21 @@ class Router:
         self.serialization_ns = params.serialization_ns
 
         k = topo.k
-        self.channels: List[Optional[Channel]] = [None] * k
         self.input_bufs: List[List[Deque[Packet]]] = [
             [deque() for _ in range(num_vcs)] for _ in range(k)
         ]
-        # credits towards the entity downstream of each output port; host
-        # (ejection) ports are built with unlimited credits in connect().
-        self.credits: List[Optional[OutputCredits]] = [None] * k
         self.out_busy_until: List[float] = [0.0] * k
         # per output port: waiters (in_port, vc, packet) blocked on that port
         self.waiting: List[Deque[Tuple[int, int, Packet]]] = [deque() for _ in range(k)]
         self.forwarded_packets = 0
         self.ejected_packets = 0
 
-        # Flattened per-port hot-path state (filled by connect()).  ``_p`` is
-        # this router's ejection threshold: ports below it eject to a NIC.
+        # ``_p`` is this router's ejection threshold: ports below it eject
+        # to a NIC.  The per-port lists are filled by wire().
         self._p = topo.num_host_ports(router_id)
         self._max_vc = num_vcs - 1
         self._buf_cap = params.vc_buffer_packets
         self._push = sim.push
-        self._recv_cb = [None] * k  # endpoint.receive_packet across the port
-        self._ret_cb = [None] * k  # endpoint.credit_return across the port
-        self._lat: List[float] = [0.0] * k  # channel propagation latency
-        self._remote: List[int] = [0] * k  # endpoint input port fed by the port
-        self._cred_counts: List[Optional[List[int]]] = [None] * k
-        self._cred_infinite: List[bool] = [False] * k
-        self._cred_cap: List[Optional[int]] = [None] * k
-        # serialization + propagation for the link behind each port; the sum
-        # is precomputed once so event timestamps keep the exact float
-        # grouping ``now + (ser + latency)`` of the unflattened code.
-        self._hop_delay: List[float] = [0.0] * k
         # Telemetry emitters (see repro.instrument.bus): resolved by the
         # network after every probe attach/detach; None means nobody listens
         # and the per-event cost is one attribute load + None check.
@@ -137,19 +121,27 @@ class Router:
         self._ev_queue_depth = None
 
     # ----------------------------------------------------------------- wiring
-    def connect(self, port: int, channel: Channel, downstream_credits: OutputCredits) -> None:
-        """Attach ``channel`` (and the matching credit counters) to ``port``."""
-        self.channels[port] = channel
-        self.credits[port] = downstream_credits
-        endpoint = channel.endpoint
-        self._recv_cb[port] = endpoint.receive_packet
-        self._ret_cb[port] = endpoint.credit_return
-        self._lat[port] = channel.latency_ns
-        self._remote[port] = channel.remote_port
-        self._cred_counts[port] = downstream_credits._credits
-        self._cred_infinite[port] = downstream_credits._infinite
-        self._cred_cap[port] = downstream_credits.capacity
-        self._hop_delay[port] = self.serialization_ns + channel.latency_ns
+    def wire(
+        self,
+        ends: List[Union["Router", "Nic", None]],
+        remote: List[int],
+        hop_delay: List[float],
+        lat: List[float],
+        cred_cap: List[Optional[int]],
+    ) -> None:
+        """Take this router's row of the network's port table.
+
+        ``ends[port]`` is the router or NIC across ``port`` (``None`` when
+        dark) and ``remote[port]`` the input port of it the link feeds.
+        """
+        self._recv_cb = [None if end is None else end.receive_packet for end in ends]
+        self._ret_cb = [None if end is None else end.credit_return for end in ends]
+        self._remote = remote
+        self._hop_delay = hop_delay
+        self._lat = lat
+        self._cred_cap = cred_cap
+        self._cred_infinite = [cap is None for cap in cred_cap]
+        self._cred_counts = [[0 if cap is None else cap] * self.num_vcs for cap in cred_cap]
 
     def attach_routing(self, routing: "RoutingAlgorithm") -> None:
         self.routing = routing
@@ -298,8 +290,14 @@ class Router:
         return len(self.waiting[out_port])
 
     def used_credits(self, out_port: int) -> int:
-        """Downstream buffer occupancy estimate (credits in use) of ``out_port``."""
-        return self.credits[out_port].total_used()
+        """Downstream buffer occupancy estimate (credits in use) of ``out_port``.
+
+        A port without counters (unlimited, or taken down by a fault) has
+        none in use.
+        """
+        if self._cred_infinite[out_port]:
+            return 0
+        return self._cred_cap[out_port] * self.num_vcs - sum(self._cred_counts[out_port])
 
     def port_congestion(self, out_port: int) -> int:
         """Congestion estimate used by the adaptive baselines (Section 5.1).

@@ -270,6 +270,7 @@ def test_events_processed_counts_match_scalar():
         ({"network_params": NetworkParams(injection_queue_packets=4)},
          "finite injection queues"),
         ({"network_params": NetworkParams(record_paths=True)}, "record_paths"),
+        ({"network_params": NetworkParams(ejection_credits=2)}, "finite ejection credits"),
     ],
 )
 def test_unsupported_specs_are_refused_up_front(overrides, match, plugged_in):

@@ -29,6 +29,9 @@ GOLDEN_FAULTS_PATH = os.path.join(os.path.dirname(__file__), "data",
 with open(GOLDEN_FAULTS_PATH) as _fh:
     GOLDEN_FAULTS = json.load(_fh)
 
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_ugal_faults.json")) as _fh:
+    GOLDEN_UGAL_FAULTS = json.load(_fh)
+
 
 def _first_link(config) -> tuple:
     """Canonical first connected network link of a topology: (router, port)."""
@@ -97,6 +100,40 @@ def test_golden_fault_fingerprint_is_reproduced(key):
     """Identical seed + identical FaultSchedule ⇒ bit-identical fault run."""
     family, routing = key.split("/", 1)
     assert fault_fingerprint(family, routing) == GOLDEN_FAULTS[key]
+
+
+def _ugal_fault_spec(kind: str) -> ExperimentSpec:
+    """UGALn under ADV+1 with group 0's gateway to group 1 failing.
+
+    ``kind="link"`` takes down that global link, on every minimal path out of
+    group 0; ``kind="router"`` takes down the whole gateway router.
+    """
+    config = DragonflyConfig.small_72()
+    topo = topology_for(config)
+    router = topo.gateway_router(0, 1)
+    if kind == "link":
+        schedule = FaultSchedule.single_link_failure(
+            2_500.0, router, topo.global_port_to_group(router, 1), recover_ns=4_000.0)
+    else:
+        schedule = FaultSchedule.router_outage(2_500.0, router, recover_ns=4_000.0)
+    return ExperimentSpec(
+        config=config, routing="UGALn", pattern="ADV+1", offered_load=0.3,
+        sim_time_ns=6_000.0, warmup_ns=2_000.0, seed=11, faults=schedule,
+    )
+
+
+@pytest.mark.parametrize("kind", ["link", "router"])
+def test_ugaln_under_faults_is_pinned(kind):
+    """UGAL decides on ``Router.used_credits``, which reads 0 on a dead port.
+
+    Only the router outage routes onto dead ports (packets bound for the
+    dead router fall back to their healthy minimal port), so only that pin
+    sees a ``used_credits`` which ignores the infinite-credit flag; the link
+    failure is detoured around and pins everything else.
+    """
+    result = run_experiment(_ugal_fault_spec(kind))
+    observed = {"stats": result.stats.to_dict(), "diagnostics": result.routing_diagnostics}
+    assert observed == GOLDEN_UGAL_FAULTS[kind]
 
 
 def test_fault_run_repeats_bit_identical():

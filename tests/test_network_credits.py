@@ -1,56 +1,124 @@
-"""Unit tests for credit-based flow-control bookkeeping."""
+"""Credit-based flow control on the live network.
+
+Credits are plain lists on the routers and NICs, filled from the network's
+port table: ``Router._cred_counts[port][vc]`` (not kept while
+``Router._cred_infinite[port]`` is set) and ``Nic._cred_counts[vc]``
+towards the router's host input buffer.  These tests check them where they
+live.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.network.credits import OutputCredits
+from repro.experiments import ExperimentSpec
+from repro.network.network import Network
+from repro.network.params import NetworkParams
+from repro.routing.minimal import MinimalRouting
+from repro.topology.config import DragonflyConfig
+
+TINY_NODES = 6  # DragonflyConfig.tiny(): 6 routers, one node each
+
+
+def _network(**params):
+    return Network(DragonflyConfig.tiny(), MinimalRouting(), params=NetworkParams(**params))
+
+
+def _finite_counters(net):
+    """``(counter list, capacity)`` of every counted port of every router and NIC."""
+    counters = []
+    for router in net.routers:
+        for port, counts in enumerate(router._cred_counts):
+            if not router._cred_infinite[port]:
+                counters.append((counts, router._cred_cap[port]))
+    counters.extend((nic._cred_counts, nic._cred_cap) for nic in net.nics)
+    return counters
 
 
 def test_initial_credits_equal_capacity():
-    credits = OutputCredits(num_vcs=3, capacity=4)
-    for vc in range(3):
-        assert credits.available(vc)
-        assert credits.count(vc) == 4
-        assert credits.used(vc) == 0
-    assert credits.total_used() == 0
-    assert credits.total_available() == 12
+    net = _network(vc_buffer_packets=3, ejection_credits=2)
+    topo, num_vcs = net.topo, net.params.num_vcs
+    for router in net.routers:
+        for port in range(topo.k):
+            expected = 2 if port < topo.num_host_ports(router.id) else 3
+            assert router._cred_counts[port] == [expected] * num_vcs
+            assert router.used_credits(port) == 0
+    assert all(nic._cred_counts == [3] * num_vcs for nic in net.nics)
 
 
 def test_take_and_put_roundtrip():
-    credits = OutputCredits(num_vcs=2, capacity=2)
-    credits.take(0)
-    credits.take(0)
-    assert not credits.available(0)
-    assert credits.available(1)
-    assert credits.used(0) == 2
-    credits.put(0)
-    assert credits.available(0)
-    assert credits.total_used() == 1
-
-
-def test_underflow_raises():
-    credits = OutputCredits(num_vcs=1, capacity=1)
-    credits.take(0)
-    with pytest.raises(RuntimeError):
-        credits.take(0)
+    net = _network(vc_buffer_packets=2)
+    router = net.routers[0]
+    port = net.topo.non_host_ports[0]
+    counts = router._cred_counts[port]
+    counts[0] -= 2
+    counts[1] -= 1
+    assert router.used_credits(port) == 3
+    router.credit_return(port, 0)
+    assert counts[0] == 1
+    assert router.used_credits(port) == 2
 
 
 def test_overflow_raises():
-    credits = OutputCredits(num_vcs=1, capacity=1)
-    with pytest.raises(RuntimeError):
-        credits.put(0)
+    net = _network()
+    with pytest.raises(RuntimeError, match="credit overflow"):
+        net.routers[0].credit_return(net.topo.non_host_ports[0], 0)
+    with pytest.raises(RuntimeError, match="credit overflow"):
+        net.nics[0].credit_return(0, 0)
 
 
 def test_infinite_credits_never_exhaust():
-    credits = OutputCredits(num_vcs=2, capacity=None)
-    for _ in range(1000):
-        credits.take(1)
-    assert credits.available(1)
-    assert credits.total_used() == 0
-    credits.put(1)  # no-op, no overflow
+    """Ejection ports default to unlimited credits: nothing is counted."""
+    net = _network()
+    router = net.routers[0]
+    host_port = net.topo.host_ports[0]
+    assert router._cred_infinite[host_port]
+    for src in range(1, TINY_NODES):
+        for _ in range(30):
+            net.send(src, 0)
+    net.run(until=500.0)
+    assert router.used_credits(host_port) == 0
+    router.credit_return(host_port, 0)  # ignored: no overflow
+    net.run()
+    assert net.nics[0].delivered_packets == 30 * (TINY_NODES - 1)
 
 
 def test_invalid_construction():
-    with pytest.raises(ValueError):
-        OutputCredits(num_vcs=0, capacity=1)
-    with pytest.raises(ValueError):
-        OutputCredits(num_vcs=1, capacity=0)
+    """Credit and queue sizes below 1 fail where the parameters are built."""
+    spec = ExperimentSpec(
+        config=DragonflyConfig.tiny(), routing="MIN", pattern="UR", offered_load=0.2,
+        sim_time_ns=1_000.0, warmup_ns=0.0, network_params=NetworkParams(),
+    ).to_dict()
+    for field in ("ejection_credits", "injection_queue_packets", "vc_buffer_packets"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                NetworkParams(**{field: value})
+            spec["network_params"] = {field: value}
+            with pytest.raises(ValueError, match=field):
+                ExperimentSpec.from_dict(spec)
+
+
+_PAIRS = [(s, d) for s in range(TINY_NODES) for d in range(TINY_NODES) if s != d]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vc_buffer=st.integers(min_value=1, max_value=4),
+    ejection=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+    sends=st.lists(st.sampled_from(_PAIRS), max_size=60),
+    stop=st.floats(min_value=0.0, max_value=3_000.0),
+)
+def test_credit_conservation_on_live_network(vc_buffer, ejection, sends, stop):
+    """Counters stay within ``[0, capacity]`` mid-run and are all home after a drain."""
+    net = _network(vc_buffer_packets=vc_buffer, ejection_credits=ejection)
+    for src, dst in sends:
+        net.send(src, dst)
+    net.run(until=stop)
+    counters = _finite_counters(net)
+    for counts, cap in counters:
+        assert all(0 <= count <= cap for count in counts)
+    net.run()
+    assert net.finalize().delivered_packets == len(sends)
+    for counts, cap in counters:
+        assert counts == [cap] * len(counts)
+    for router in net.routers:
+        assert all(router.used_credits(port) == 0 for port in range(net.topo.k))

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.engine.batch.model import build_model
+from repro.experiments.harness import ExperimentSpec
 from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.routing.minimal import MinimalRouting
 from repro.topology.config import DragonflyConfig
+from repro.topology.fattree import FatTreeConfig
+from repro.topology.mesh import MeshConfig
 from repro.topology.paths import minimal_delivery_time
 
 
@@ -21,22 +25,62 @@ def test_component_counts_match_topology():
     assert net.num_nodes == 72 and net.num_routers == 36
 
 
+FAMILIES = {
+    "dragonfly": DragonflyConfig.small_72(),
+    "fattree": FatTreeConfig.tiny(),
+    "mesh": MeshConfig.small_72(),
+    "torus": MeshConfig.small_72_torus(),
+}
+
+
 def test_channels_wired_consistently_with_topology():
-    net = _network()
-    topo = net.topo
-    for router in net.routers:
-        for port in topo.non_host_ports:
-            channel = router.channels[port]
-            neighbor_id, neighbor_port = topo.neighbor_of(router.id, port)
-            assert channel.endpoint is net.routers[neighbor_id]
-            assert channel.remote_port == neighbor_port
-        for host_port in topo.host_ports:
-            node = topo.node_at(router.id, host_port)
-            assert router.channels[host_port].endpoint is net.nics[node]
-    for nic in net.nics:
-        router_id = topo.router_of_node(nic.node)
-        assert nic.channel.endpoint is net.routers[router_id]
-        assert nic.channel.remote_port == topo.host_port_of_node(nic.node)
+    """One port table wires both engines, on every topology family."""
+    for family, config in FAMILIES.items():
+        net = _network(config)
+        topo, params, k = net.topo, net.params, net.topo.k
+        dark = 0
+        for router in net.routers:
+            r = router.id
+            for port in range(k):
+                f = r * k + port
+                if port < topo.num_host_ports(r):
+                    node = topo.node_at(r, port)
+                    far, far_port = net.nics[node], 0
+                    latency = params.host_link_latency_ns
+                    assert (net.node_at[f], net.remote_idx[f]) == (node, -1)
+                    assert router._cred_cap[port] == params.ejection_credits
+                else:
+                    neighbor = topo.neighbor_of(r, port)
+                    if neighbor is None:
+                        dark += 1
+                        assert (net.node_at[f], net.remote_idx[f]) == (-1, -1)
+                        assert router._recv_cb[port] is None and router._ret_cb[port] is None
+                        continue
+                    far, far_port = net.routers[neighbor[0]], neighbor[1]
+                    latency = params.link_latency_ns(topo.link_kind(r, port))
+                    assert net.node_at[f] == -1
+                    assert net.remote_idx[f] == neighbor[0] * k + neighbor[1]
+                    assert router._cred_cap[port] == params.vc_buffer_packets
+                assert router._recv_cb[port] == far.receive_packet
+                assert router._ret_cb[port] == far.credit_return
+                assert router._remote[port] == far_port
+                assert router._lat[port] == net.lat[f] == latency
+                hop_delay = params.serialization_ns + latency
+                assert router._hop_delay[port] == net.hop_delay[f] == hop_delay
+        assert (dark > 0) == (family == "mesh"), family
+        for nic in net.nics:
+            r = topo.router_of_node(nic.node)
+            host_port = topo.host_port_of_node(nic.node)
+            assert net.nic_fidx[nic.node] == r * k + host_port
+            assert nic._recv_cb == net.routers[r].receive_packet
+            assert nic._remote == host_port
+        model = build_model(ExperimentSpec(
+            config=config, routing="MIN", pattern="UR", offered_load=0.2,
+            sim_time_ns=1_000.0, warmup_ns=0.0,
+        ))
+        for name in ("hop_delay", "lat", "node_at", "remote_idx", "cred_cap", "nic_fidx",
+                     "nic_hop_delay", "nic_cred_cap"):
+            assert getattr(model, name) == getattr(net, name), (family, name)
 
 
 def test_num_vcs_comes_from_routing_algorithm():
@@ -112,8 +156,7 @@ def test_many_packets_all_delivered_and_credits_restored():
     assert net.source_queued_packets() == 0
     for router in net.routers:
         for port in net.topo.non_host_ports:
-            credits = router.credits[port]
-            assert credits.total_used() == 0
+            assert router.used_credits(port) == 0
     stats = net.finalize()
     assert stats.delivered_packets == rng_nodes * (rng_nodes - 1)
 

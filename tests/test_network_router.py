@@ -72,11 +72,8 @@ def test_serve_waiting_preserves_fifo_order_after_failed_scan():
     topo = net.topo
     out_port = topo.non_host_ports[0]
     dst = next(n for n in topo.all_nodes() if topo.router_of_node(n) != 0)
-    credits = router.credits[out_port]
-
     # Exhaust VC 0 credits so the first (oldest) waiter cannot be served.
-    while credits.available(0):
-        credits.take(0)
+    router._cred_counts[out_port][0] = 0
     in_a, in_b = topo.non_host_ports[0], topo.non_host_ports[1]
     blocked = _stage_waiter(net, router, in_a, 0, out_port, 0, dst)
     served = _stage_waiter(net, router, in_b, 1, out_port, 1, dst)
@@ -96,10 +93,7 @@ def test_serve_waiting_restores_order_when_no_waiter_is_eligible():
     topo = net.topo
     out_port = topo.non_host_ports[0]
     dst = next(n for n in topo.all_nodes() if topo.router_of_node(n) != 0)
-    credits = router.credits[out_port]
-    for vc in range(net.params.num_vcs):
-        while credits.available(vc):
-            credits.take(vc)
+    router._cred_counts[out_port] = [0] * net.params.num_vcs
 
     in_a, in_b = topo.non_host_ports[0], topo.non_host_ports[1]
     first = _stage_waiter(net, router, in_a, 0, out_port, 0, dst)

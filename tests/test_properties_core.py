@@ -1,4 +1,4 @@
-"""Property-based tests on the RL machinery and flow-control invariants."""
+"""Property-based tests on the RL machinery and the statistics helpers."""
 
 import random
 
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.hysteretic import HystereticParams, hysteretic_update
 from repro.core.policy import delta_v, epsilon_greedy, select_with_threshold
-from repro.network.credits import OutputCredits
 from repro.stats.summary import summarize_latencies
 from repro.stats.timeseries import TimeSeries
 
@@ -64,30 +63,6 @@ def test_epsilon_greedy_always_returns_valid_port(seed, candidates):
     for epsilon in (0.0, 0.3, 1.0):
         choice = epsilon_greedy(rng, -99, candidates, epsilon)
         assert choice == -99 or choice in candidates
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=8),
-    st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=3)), max_size=60),
-)
-def test_credit_counters_never_exceed_capacity_or_go_negative(num_vcs, capacity, operations):
-    credits = OutputCredits(num_vcs=num_vcs, capacity=capacity)
-    outstanding = [0] * num_vcs
-    for is_take, vc_raw in operations:
-        vc = vc_raw % num_vcs
-        if is_take:
-            if credits.available(vc):
-                credits.take(vc)
-                outstanding[vc] += 1
-        else:
-            if outstanding[vc] > 0:
-                credits.put(vc)
-                outstanding[vc] -= 1
-        assert 0 <= credits.count(vc) <= capacity
-        assert credits.used(vc) == outstanding[vc]
-    assert credits.total_used() == sum(outstanding)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,14 +1,13 @@
-"""Tests for the routing base class, channels, and MARL feedback plumbing."""
+"""Tests for the routing base class and MARL feedback plumbing."""
 
 import pytest
 
 from repro.core.marl import TabularMarlRouting
-from repro.network.link import Channel
 from repro.network.network import Network
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.minimal import MinimalRouting
 from repro.topology.config import DragonflyConfig
-from repro.topology.dragonfly import DragonflyTopology, PortType
+from repro.topology.dragonfly import DragonflyTopology
 
 
 def test_routing_base_is_abstract():
@@ -45,13 +44,6 @@ def test_minimal_port_helper_matches_topology():
     packet = net.create_packet(0, topo.num_nodes - 1)
     router = net.routers[0]
     assert routing.minimal_port(router, packet) == topo.minimal_next_port(0, packet.dst_router)
-
-
-def test_channel_repr_and_fields():
-    channel = Channel(endpoint="X", remote_port=3, latency_ns=30.0, port_type=PortType.LOCAL)
-    assert channel.remote_port == 3
-    assert channel.latency_ns == 30.0
-    assert "local" in repr(channel)
 
 
 def test_marl_base_rejects_bad_feedback_mode():
