@@ -33,8 +33,10 @@ import numpy as np
 from repro.core.hysteretic import HystereticParams
 from repro.core.qtable import TABLE_STATE_VERSION
 from repro.network.packet import Packet
+from repro.network.params import NetworkParams
 from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
+from repro.topology.base import Topology
 from repro.topology.registry import config_to_dict
 
 #: version of the ``export_state`` payload of a tabular MARL algorithm.
@@ -80,9 +82,14 @@ class TabularMarlRouting(RoutingAlgorithm):
         self.feedback_applied = 0
 
     # ------------------------------------------------------- subclass contract
-    def _initial_values(self) -> np.ndarray:  # pragma: no cover - abstract
-        """``[routers, rows, cols]`` initial values of every router's table."""
-        raise NotImplementedError
+    def initial_values(self, topo: Topology, params: NetworkParams) -> np.ndarray:
+        """``[routers, rows, cols]`` initial values of every router's table.
+
+        A function of ``(topo, params)`` alone: the attached algorithm learns
+        in this block, and the flat kernel's model takes it without attaching
+        anything.
+        """
+        raise NotImplementedError  # pragma: no cover - abstract
 
     def _row_for(self, packet: Packet) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -90,7 +97,7 @@ class TabularMarlRouting(RoutingAlgorithm):
     # ----------------------------------------------------------------- wiring
     def _setup(self) -> None:
         topo = self.topo
-        self.values = self._initial_values()
+        self.values = self.initial_values(topo, self.network.params)
         self.first_port = topo.table_port_span()[0]
         self.updates = [0] * topo.num_routers
         # Hot-path caches: host-port math and the unchecked Simulator.push

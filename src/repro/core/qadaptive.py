@@ -37,6 +37,7 @@ from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy, select_with_threshold
 from repro.core.qtable import two_level_initial_values
 from repro.network.packet import Packet
+from repro.network.params import NetworkParams
 from repro.network.router import Router
 from repro.topology.dragonfly import DragonflyTopology
 
@@ -137,8 +138,8 @@ class QAdaptiveRouting(TabularMarlRouting):
         self._dead_ports = None
         self._router_group = self.topo.router_groups()
 
-    def _initial_values(self) -> np.ndarray:
-        return two_level_initial_values(self.topo, self.network.params.timing())
+    def initial_values(self, topo: DragonflyTopology, params: NetworkParams) -> np.ndarray:
+        return two_level_initial_values(topo, params.timing())
 
     def _row_for(self, packet: Packet) -> int:
         return self._router_group[packet.dst_router] * self.topo.p + packet.src_node_local

@@ -31,6 +31,7 @@ from repro.core.marl import TabularMarlRouting
 from repro.core.policy import epsilon_greedy
 from repro.core.qtable import qrouting_initial_values
 from repro.network.packet import Packet
+from repro.network.params import NetworkParams
 from repro.network.router import Router
 from repro.topology.base import Topology
 
@@ -99,8 +100,8 @@ class QRoutingAlgorithm(TabularMarlRouting):
         return self.params.max_q + topo.diameter
 
     # ------------------------------------------------------------------ tables
-    def _initial_values(self) -> np.ndarray:
-        return qrouting_initial_values(self.topo, self.network.params.timing())
+    def initial_values(self, topo: Topology, params: NetworkParams) -> np.ndarray:
+        return qrouting_initial_values(topo, params.timing())
 
     def _row_for(self, packet: Packet) -> int:
         return packet.dst_router

@@ -50,7 +50,10 @@ kinds routed inline nothing but one local ``None`` test.
 
 **Q-tables.**  Each replicate's Q-tables are nested Python lists indexed
 ``[router][row][column]``: the per-decision path is scalar float math on a
-5- to 11-column row, where plain lists avoid numpy-scalar boxing.
+5- to 11-column row, where plain lists avoid numpy-scalar boxing.  Every row
+is its own list, but the rows of a fresh replicate share one float object
+per distinct initial value (:func:`_table_lists`), so a paper-scale table
+costs list slots, not boxed floats, until learning rewrites an entry.
 
 **Payload pool.**  Packet records (plain 13-slot lists) are recycled
 through a per-replicate free list when they leave the network.  A packet
@@ -97,6 +100,8 @@ from bisect import insort
 from collections import deque
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.engine.batch.decisions import decision_for
 from repro.engine.batch.model import BatchModel
 from repro.engine.batch.trace import TraceEntry, record_traffic_trace
@@ -132,6 +137,22 @@ BUCKET_TARGET_NS = 16.0
 MAX_BUCKETS = 4096
 
 
+def _table_lists(values: np.ndarray) -> List[List[List[float]]]:
+    """``values.tolist()``, with one float object per distinct value.
+
+    The initial block holds a handful of distinct values (six on the paper's
+    1 056-node Q-adp tables), so the rows share their float objects instead
+    of boxing every entry; each row is still its own list, and a learning
+    write replaces one slot of one row.
+    """
+    floats, index = np.unique(values, return_inverse=True)
+    value_of = floats.tolist().__getitem__
+    return [
+        [list(map(value_of, row)) for row in table.tolist()]
+        for table in index.reshape(values.shape)
+    ]
+
+
 class ReplicateState:
     """Mutable per-replicate simulation state (see BatchKernel)."""
 
@@ -161,7 +182,10 @@ class ReplicateState:
         self.cal_b = 0  # drain cursor: current bucket ...
         self.cal_i = 0  # ... and offset of the next event within it
         self.seq = 0
-        self.bufs = [[deque() for _ in range(num_vcs)] for _ in range(size)]
+        # Input buffers: plain lists, never deeper than vc_buffer_packets (an
+        # empty deque costs over ten times an empty list, and there is one
+        # per port and VC); the forward pops the head with ``del buf[0]``.
+        self.bufs = [[[] for _ in range(num_vcs)] for _ in range(size)]
         self.out_busy = [0.0] * size
         self.waiting = [deque() for _ in range(size)]
         self.cred = [
@@ -179,7 +203,7 @@ class ReplicateState:
         self.pend_nic: List[List[Tuple[float, int]]] = [[] for _ in range(num_nodes)]
         # Q-tables [router][row][column]; empty under MIN, which reads none.
         self.qt: List[List[List[float]]] = (
-            [] if model.init_values is None else model.init_values.tolist()
+            [] if model.init_values is None else _table_lists(model.init_values)
         )
         self.pool: List[List] = []  # recycled packet records (never-waited only)
         # The same named stream the scalar routing draws from on attach.
@@ -839,7 +863,7 @@ class BatchKernel:
                             del pendc[:]
                         break  # chain blocked
                 # ---- forward (Router._forward) ----
-                buf.popleft()
+                del buf[0]
                 out_busy[fo] = now + ser
                 if cc is not None:
                     cc[out_vc] -= 1

@@ -3,16 +3,16 @@
 Every replicate of a batch runs the *same* spec under a different seed, so
 everything that does not depend on the seed — topology wiring, per-port
 delays, credit capacities, minimal-route tables, routing hyper-parameters,
-and the initial (uncongested) Q-tables — is computed once per batch by
-building one real :class:`~repro.network.network.Network` and reading its
-state as plain lists.  The large tables are taken whole, not rebuilt: the
-per-port wiring is the network's own port table (indexed
-``router * k + port``, the same lists its routers and NICs were wired from),
-``min_next`` is the topology's own ``minimal_next_table()`` and
-``init_values`` a read-only view of the model network's ``routing.values`` —
-the same ``[routers, rows, cols]`` Q-value block the object graph learns in.
-The kernel then only pays per-replicate cost for state that actually diverges
-between seeds.
+and the initial (uncongested) Q-tables — is computed once per batch, as
+plain lists, by the same pure functions the object graph is built from.  No
+:class:`~repro.network.network.Network` is built: the per-port wiring is
+:func:`~repro.network.network.port_table` (indexed ``router * k + port``,
+the lists a network wires its routers and NICs from), ``min_next`` is the
+topology's own ``minimal_next_table()`` and ``init_values`` a read-only
+block from the learned routing's ``initial_values(topo, params)`` — the
+same ``[routers, rows, cols]`` Q-value block the object graph learns in.
+The kernel then only pays per-replicate cost for state that actually
+diverges between seeds.
 """
 
 from __future__ import annotations
@@ -90,15 +90,27 @@ def check_batchable(spec: "ExperimentSpec") -> None:
         raise UnsupportedByBackend(
             "warm-started Q-tables are only loaded by the object-graph engine"
         )
-    from repro.routing import canonical_routing_name
+    from repro.routing import canonical_routing_name, make_routing
+    from repro.topology.registry import topology_for
 
     routing_name = canonical_routing_name(spec.routing)
-    if _kind_of(routing_name) is None:
+    kind = _kind_of(routing_name)
+    if kind is None:
         raise UnsupportedByBackend(
             f"routing {routing_name!r} has no batched kernel: the flat kernel "
             f"mirrors the built-in algorithms {sorted(_KIND_OF_ROUTING)} only, "
             "and this one was registered from outside the package"
         )
+    if kind in _LEARNED_KINDS:
+        routing = make_routing(spec.routing, **spec.routing_kwargs)
+        if routing.feedback_mode == "onpolicy":
+            topo = topology_for(spec.config)
+            first_port = topo.table_port_span()[0]
+            if any(topo.num_host_ports(r) < first_port for r in topo.all_routers()):
+                raise UnsupportedByBackend(
+                    "on-policy feedback on a topology with host ports outside "
+                    "the table span is only supported by the object-graph engine"
+                )
     params = spec.network_params
     if params is not None:
         if params.record_paths:
@@ -176,32 +188,27 @@ class BatchModel:
 def build_model(spec: "ExperimentSpec") -> BatchModel:
     """Build the shared model of one batch (raises for unsupported specs)."""
     check_batchable(spec)
-    # One real network resolves num_vcs, wires the topology, and initializes
-    # the routing tables exactly as every scalar replicate would.  It is paid
-    # once per batch rather than per replicate, and it still shows at paper
-    # scale: the ledger's ``batch.model_build_s`` is the number to watch.
-    from repro.network.network import Network
+    # The same pure functions the object graph is built from — the port
+    # table, the resolved parameters, the routing's initial value block —
+    # applied to the cached topology; no Network, router or NIC is built
+    # and no routing is attached.
+    from repro.network.network import port_table, resolve_params
     from repro.routing import canonical_routing_name, make_routing
+    from repro.topology.registry import topology_for
 
     routing = make_routing(spec.routing, **spec.routing_kwargs)
-    network = Network(
-        spec.config,
-        routing,
-        params=spec.network_params,
-        seed=spec.seed,
-        warmup_ns=spec.warmup_ns,
-        stats_bin_ns=spec.stats_bin_ns,
-    )
-    topo = network.topo
-    params = network.params
+    topo = topology_for(spec.config)
+    routing.check_topology(topo)
+    params = resolve_params(spec.network_params, routing, topo)
     kind = _KIND_OF_ROUTING[canonical_routing_name(spec.routing)]
     schedule = spec.schedule
     offered = schedule.phases[0].load if schedule is not None else spec.offered_load
 
-    model = BatchModel(spec=spec, topo=topo, params=params, kind=kind,
-                       offered_load=offered)
     k = topo.k
     num_routers = topo.num_routers
+    table = port_table(topo, params)
+    model = BatchModel(spec=spec, topo=topo, params=params, kind=kind,
+                       offered_load=offered, **table._asdict())
     model.k = k
     model.num_routers = num_routers
     model.num_nodes = topo.num_nodes
@@ -211,40 +218,22 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     model.hpr = topo.hosts_per_router
     model.num_host = [topo.num_host_ports(r) for r in range(num_routers)]
     model.group = list(topo.router_groups())
-
-    # The network's own port table (see Network._build), taken whole.
-    model.hop_delay = network.hop_delay
-    model.lat = network.lat
-    model.node_at = network.node_at
-    model.remote_idx = network.remote_idx
-    model.cred_cap = network.cred_cap
     model.min_next = topo.minimal_next_table()
-    model.nic_fidx = network.nic_fidx
-    model.nic_router = [f // k for f in network.nic_fidx]
-    model.nic_hop_delay = network.nic_hop_delay
-    model.nic_cred_cap = network.nic_cred_cap
+    model.nic_router = [f // k for f in model.nic_fidx]
 
     if kind in _LEARNED_KINDS:
         model.learned = True
-        # The model network's learned-value block: read-only here, and every
-        # replicate copies it (``.tolist()``) before learning.
-        init_values = routing.values.view()
+        # Read-only here: every replicate copies it before learning.
+        init_values = routing.initial_values(topo, params)
         init_values.flags.writeable = False
         model.init_values = init_values
-        model.first_port = routing.first_port
-        model.explore = [list(ports) for ports in routing._explore_ports]
+        model.first_port = topo.table_port_span()[0]
+        model.explore = [list(topo.network_ports_of(r)) for r in range(num_routers)]
         model.onpolicy = routing.feedback_mode == "onpolicy"
         model.alpha = routing.hysteretic.alpha
         model.beta = routing.hysteretic.beta
         model.epsilon = routing.params.epsilon
-        model.table_memory_bytes = routing.total_table_memory_bytes()
-        if model.onpolicy and any(
-            model.num_host[r] < model.first_port for r in range(num_routers)
-        ):
-            raise UnsupportedByBackend(
-                "on-policy feedback on a topology with host ports outside the "
-                "table span is only supported by the object-graph engine"
-            )
+        model.table_memory_bytes = init_values.nbytes
     if kind == KIND_QADP:
         model.p = topo.p
         model.q_thld1 = routing.params.q_thld1

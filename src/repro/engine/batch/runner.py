@@ -42,7 +42,9 @@ _worker_model: BatchModel  # a pool worker's batch model (see _adopt_model)
 def _gc_suspended() -> Iterator[None]:
     # Trace recording, state construction and assembly allocate heavily
     # against an already-large live heap; suspend the cyclic collector like
-    # the kernel drain does (nothing here forms cycles).
+    # the kernel drain does.  Nothing here forms cycles, and neither does the
+    # model (build_model builds no Network), so no garbage waits for a
+    # collection that never comes while the collector is off.
     was_enabled = gc.isenabled()
     gc.disable()
     try:

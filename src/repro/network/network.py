@@ -4,7 +4,7 @@
 every router and NIC for a topology config (Dragonfly, fat-tree, mesh/torus —
 any family registered in :data:`repro.topology.registry.TOPOLOGIES`), wires
 them from one flat per-port table (link delays, far ends, credit capacities;
-see :meth:`Network._build`) that the batched kernel's model reads too,
+see :func:`port_table`) that the batched kernel's model reads too,
 attaches a routing algorithm and a statistics collector, and exposes packet
 creation/injection plus ``run``.
 
@@ -23,7 +23,7 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 if TYPE_CHECKING:  # typing only: repro.routing imports the network layer
     from repro.routing.base import RoutingAlgorithm
@@ -38,6 +38,78 @@ from repro.network.router import Router
 from repro.stats.collectors import RunStats, StatsCollector
 from repro.topology.base import Topology
 from repro.topology.registry import topology_for
+
+
+def resolve_params(
+    params: Optional[NetworkParams], routing: "RoutingAlgorithm", topo: Topology
+) -> NetworkParams:
+    """``params`` (the paper's defaults when ``None``) with ``num_vcs``
+    resolved: the routing's :meth:`~repro.routing.base.RoutingAlgorithm.required_vcs`
+    on ``topo`` when unset."""
+    base = params if params is not None else NetworkParams()
+    num_vcs = base.num_vcs
+    if num_vcs is None:
+        num_vcs = routing.required_vcs(topo)
+    return base.with_num_vcs(num_vcs)
+
+
+class PortTable(NamedTuple):
+    """Per-port link and credit state of a whole system (see :func:`port_table`)."""
+
+    hop_delay: List[float]  # [f] serialization + link latency
+    lat: List[float]  # [f] link latency only
+    node_at: List[int]  # [f] node behind a host port, -1
+    remote_idx: List[int]  # [f] far end ``router * k + port`` of a network port, -1
+    cred_cap: List[Optional[int]]  # [f] credits per VC, None = unlimited
+    nic_fidx: List[int]  # [node] ``router * k + host port`` the NIC feeds
+    nic_hop_delay: float
+    nic_cred_cap: int  # credits of a NIC towards its router's host input
+
+
+def port_table(topo: Topology, params: NetworkParams) -> PortTable:
+    """The flat per-port table both engines are wired from.
+
+    Indexed ``f = router * k + port`` as the batched kernel indexes it:
+    ``hop_delay`` (serialization + latency, summed once so event times group
+    as ``now + (ser + latency)``) and ``lat``; the far end, ``node_at``
+    behind a host port or ``remote_idx`` behind a network port, ``-1``
+    otherwise (a dark port has neither); ``cred_cap``, the credits per VC,
+    ``None`` for unlimited.  ``nic_fidx[node]``, ``nic_hop_delay`` and
+    ``nic_cred_cap`` wire the NICs.  A pure function of ``(topo, params)``:
+    :class:`Network` wires its routers and NICs from it, and the kernel's
+    model (:func:`repro.engine.batch.build_model`) takes the lists whole
+    without building a network.
+    """
+    k = topo.k
+    ser = params.serialization_ns
+    size = topo.num_routers * k
+    hop_delay: List[float] = [0.0] * size
+    lat: List[float] = [0.0] * size
+    node_at: List[int] = [-1] * size
+    remote_idx: List[int] = [-1] * size
+    cred_cap: List[Optional[int]] = [None] * size
+    for router_id in topo.all_routers():
+        num_host = topo.num_host_ports(router_id)
+        for port in range(k):
+            f = router_id * k + port
+            if port < num_host:
+                latency = params.host_link_latency_ns
+                node_at[f] = topo.node_at(router_id, port)
+                cred_cap[f] = params.ejection_credits
+            else:
+                neighbor = topo.neighbor_of(router_id, port)
+                if neighbor is None:
+                    continue
+                latency = params.link_latency_ns(topo.link_kind(router_id, port))
+                remote_idx[f] = neighbor[0] * k + neighbor[1]
+                cred_cap[f] = params.vc_buffer_packets
+            lat[f] = latency
+            hop_delay[f] = ser + latency
+    nic_fidx = [
+        topo.router_of_node(n) * k + topo.host_port_of_node(n) for n in topo.all_nodes()
+    ]
+    return PortTable(hop_delay, lat, node_at, remote_idx, cred_cap, nic_fidx,
+                     ser + params.host_link_latency_ns, params.vc_buffer_packets)
 
 
 class Network:
@@ -81,11 +153,7 @@ class Network:
         else:
             self.topo = topology_for(config)
             self.config = config
-        base_params = params if params is not None else NetworkParams()
-        num_vcs = base_params.num_vcs
-        if num_vcs is None:
-            num_vcs = routing.required_vcs(self.topo)
-        self.params = base_params.with_num_vcs(num_vcs)
+        self.params = resolve_params(params, routing, self.topo)
         self.routing = routing
         self.sim = Simulator()
         self.rng = RngFactory(seed)
@@ -115,46 +183,14 @@ class Network:
     def _build(self) -> None:
         """Fill the port table, then wire every router and NIC from it.
 
-        The table is flat, indexed ``f = router * k + port`` as the batched
-        kernel indexes it (its model takes the lists whole): ``hop_delay``
-        (serialization + latency, summed once so event times group as
-        ``now + (ser + latency)``) and ``lat``; the far end, ``node_at`` behind
-        a host port or ``remote_idx`` behind a network port, ``-1`` otherwise
-        (a dark port has neither); ``cred_cap``, the credits per VC, ``None``
-        for unlimited.  ``nic_fidx[node]``, ``nic_hop_delay`` and
-        ``nic_cred_cap`` wire the NICs.
+        The table (:func:`port_table`) stays on the network under its field
+        names — ``network.remote_idx`` and friends, which the fault
+        controller reads.
         """
         topo, params, sim = self.topo, self.params, self.sim
         k = topo.k
-        ser = params.serialization_ns
-        size = topo.num_routers * k
-        self.hop_delay: List[float] = [0.0] * size
-        self.lat: List[float] = [0.0] * size
-        self.node_at: List[int] = [-1] * size
-        self.remote_idx: List[int] = [-1] * size
-        self.cred_cap: List[Optional[int]] = [None] * size
-        for router_id in topo.all_routers():
-            num_host = topo.num_host_ports(router_id)
-            for port in range(k):
-                f = router_id * k + port
-                if port < num_host:
-                    latency = params.host_link_latency_ns
-                    self.node_at[f] = topo.node_at(router_id, port)
-                    self.cred_cap[f] = params.ejection_credits
-                else:
-                    neighbor = topo.neighbor_of(router_id, port)
-                    if neighbor is None:
-                        continue
-                    latency = params.link_latency_ns(topo.link_kind(router_id, port))
-                    self.remote_idx[f] = neighbor[0] * k + neighbor[1]
-                    self.cred_cap[f] = params.vc_buffer_packets
-                self.lat[f] = latency
-                self.hop_delay[f] = ser + latency
-        self.nic_fidx: List[int] = [
-            topo.router_of_node(n) * k + topo.host_port_of_node(n) for n in topo.all_nodes()
-        ]
-        self.nic_hop_delay = ser + params.host_link_latency_ns
-        self.nic_cred_cap = params.vc_buffer_packets
+        (self.hop_delay, self.lat, self.node_at, self.remote_idx, self.cred_cap,
+         self.nic_fidx, self.nic_hop_delay, self.nic_cred_cap) = port_table(topo, params)
 
         num_vcs = params.num_vcs
         routers = [Router(r, topo, params, sim, num_vcs) for r in topo.all_routers()]

@@ -20,15 +20,18 @@ The router delegates all path selection to the attached routing algorithm via
 ``routing.route(router, packet, in_port)`` and notifies it of forwards through
 ``routing.on_forward`` (used by the RL algorithms for reward feedback).
 
-Hot-path layout: per-port state is parallel plain lists indexed by port —
-receive / credit-return callbacks of the far end, its input port, the hop
-delay and link latency (the router's row of the network's port table, handed
-over by :meth:`wire`), and the credit counters ``_cred_counts[port][vc]``
-towards the far end's input buffer.  ``_cred_infinite[port]`` marks a port
-whose counters are not kept: an unlimited ejection port, or a port the fault
-controller took down.  The per-flit code in :meth:`_forward` /
-:meth:`_serve_waiting` runs on list indexing and direct ``Simulator.push``
-calls only.
+Hot-path layout: the input buffers ``input_bufs[port][vc]`` are plain lists,
+at most ``vc_buffer_packets`` deep, so popping the head with ``del buf[0]``
+costs about what a deque's ``popleft`` does, and an empty list is a small
+fraction of an empty deque.  Per-port state is parallel plain lists indexed
+by port — receive / credit-return callbacks of the far end, its input port,
+the hop delay and link latency (the router's row of the network's port
+table, handed over by :meth:`wire`), and the credit counters
+``_cred_counts[port][vc]`` towards the far end's input buffer.
+``_cred_infinite[port]`` marks a port whose counters are not kept: an
+unlimited ejection port, or a port the fault controller took down.  The
+per-flit code in :meth:`_forward` / :meth:`_serve_waiting` runs on list
+indexing and direct ``Simulator.push`` calls only.
 """
 
 from __future__ import annotations
@@ -98,8 +101,8 @@ class Router:
         self.serialization_ns = params.serialization_ns
 
         k = topo.k
-        self.input_bufs: List[List[Deque[Packet]]] = [
-            [deque() for _ in range(num_vcs)] for _ in range(k)
+        self.input_bufs: List[List[List[Packet]]] = [
+            [[] for _ in range(num_vcs)] for _ in range(k)
         ]
         self.out_busy_until: List[float] = [0.0] * k
         # per output port: waiters (in_port, vc, packet) blocked on that port
@@ -209,7 +212,7 @@ class Router:
         out_vc = packet.out_vc
         buf = self.input_bufs[in_port][vc]
         assert buf and buf[0] is packet, "forwarding a packet that is not at its buffer head"
-        buf.popleft()
+        del buf[0]
 
         ser = self.serialization_ns
         self.out_busy_until[out_port] = now + ser

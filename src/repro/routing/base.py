@@ -86,13 +86,7 @@ class RoutingAlgorithm(abc.ABC):
                 "create a fresh instance per network"
             )
         topo = network.topo
-        supported = self.supported_topologies
-        if supported is not None and topo.family not in supported:
-            raise ValueError(
-                f"routing algorithm {self.name!r} supports topology families "
-                f"{list(supported)}, not {topo.family!r}; pick a topology-generic "
-                "algorithm (MIN, VAL, Q-routing) for this network"
-            )
+        self.check_topology(topo)
         self.network = network
         self.topo = topo
         self.rng = network.rng.py(f"routing:{self.name}")
@@ -101,6 +95,16 @@ class RoutingAlgorithm(abc.ABC):
         self._host_ports = topo.hosts_per_router
         self._min_next = topo.minimal_next_port  # bound, memoized
         self._setup()
+
+    def check_topology(self, topo: Topology) -> None:
+        """Refuse a topology family outside :attr:`supported_topologies`."""
+        supported = self.supported_topologies
+        if supported is not None and topo.family not in supported:
+            raise ValueError(
+                f"routing algorithm {self.name!r} supports topology families "
+                f"{list(supported)}, not {topo.family!r}; pick a topology-generic "
+                "algorithm (MIN, VAL, Q-routing) for this network"
+            )
 
     def _setup(self) -> None:
         """Hook for subclasses needing per-network state (tables, caches)."""

@@ -17,6 +17,7 @@ graph), never from ``run_experiment`` / ``SweepRunner.run`` /
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 
@@ -29,19 +30,25 @@ from repro.engine import fanout
 from repro.engine.batch import (
     BatchSimulation,
     UnsupportedByBackend,
+    build_model,
     check_batchable,
     run_batch,
 )
+from repro.engine.batch.kernel import BatchKernel
 from repro.engine.rng import derive_replicate_seeds
 from repro.experiments import RunOptions, SweepRunner, run_experiment, run_replicates
 from repro.experiments.harness import ExperimentSpec, _execute
 from repro.experiments.parallel import ExperimentResultData
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.network import Network
+from repro.network.nic import Nic
 from repro.network.params import NetworkParams
+from repro.network.router import Router
 from repro.routing import ROUTING_REGISTRY, MinimalRouting, register_algorithm
 from repro.topology.config import DragonflyConfig
+from repro.topology.fattree import FatTreeConfig
 from repro.topology.mesh import MeshConfig
+from repro.topology.registry import topology_for
 from repro.traffic import LoadSchedule
 
 
@@ -278,6 +285,84 @@ def test_unsupported_specs_are_refused_up_front(overrides, match, plugged_in):
     spec = _spec(routing, **overrides)
     with pytest.raises(UnsupportedByBackend, match=match):
         run_batch(spec, [11])
+
+
+def test_onpolicy_feedback_outside_the_table_span_is_refused_up_front(
+        monkeypatch, object_graph_runs):
+    # No built-in family trips this (Dragonfly and mesh tables start at p,
+    # fat-tree's at 0): move the cached topology's table span past a network
+    # port, so Q-adp's on-policy feedback could read a column the kernel
+    # does not index.
+    spec = _spec("Q-adp", sim=2_000.0, warm=500.0)
+    topo = topology_for(spec.config)
+    first_port, num_ports = topo.table_port_span()
+    monkeypatch.setattr(topo, "table_port_span",
+                        lambda: (first_port + 1, num_ports - 1))
+    with pytest.raises(UnsupportedByBackend, match="on-policy feedback"):
+        check_batchable(spec)
+    greedy = spec.with_overrides(routing_kwargs={"feedback": "greedy"})
+    check_batchable(greedy)
+    reference = _execute(spec)[0]
+    del object_graph_runs[:]
+    result = run_experiment(spec)
+    assert len(object_graph_runs) == 1
+    np.testing.assert_equal(_payload(result), _payload(reference))
+
+
+_SMALL_72_KINDS = ("MIN", "Q-adp", "Q-routing", "VALg", "VALn", "VAL", "UGALg",
+                   "UGALn", "PAR")
+
+
+@pytest.mark.parametrize(
+    "routing,config",
+    [*[pytest.param(routing, DragonflyConfig.small_72(), id=f"{routing}-dragonfly")
+       for routing in _SMALL_72_KINDS],
+     *[pytest.param(routing, config, id=f"{routing}-{family}")
+       for routing in ("Q-routing", "MIN", "VAL")
+       for family, config in (("fattree", FatTreeConfig.tiny()),
+                              ("mesh", MeshConfig.small_72()),
+                              ("torus", MeshConfig.small_72_torus()))]],
+)
+def test_build_model_builds_no_object_graph(routing, config, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"build_model constructed a {type(self).__name__}")
+
+    for cls in (Network, Router, Nic):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    spec = _spec(routing, config=config, sim=1_000.0, warm=0.0)
+    gc.collect()
+    model = build_model(spec)
+    assert model.learned == (routing in ("Q-adp", "Q-routing"))
+    del model
+    assert gc.collect() == 0  # and it leaves no cyclic garbage behind
+
+
+@pytest.mark.parametrize("routing", ["Q-adp", "Q-routing"])
+def test_replicate_q_tables_never_alias(routing):
+    model = build_model(_spec(routing, sim=1_000.0, warm=0.0))
+    kernel = BatchKernel(model, [1, 2])
+    expected = model.init_values.tolist()
+    rows = []
+    for st in kernel.states:
+        assert st.qt == expected
+        rows.extend(row for table in st.qt for row in table)
+    assert len({id(row) for row in rows}) == len(rows)
+
+    first, second = kernel.states
+    first.qt[3][1][2] = -1.0
+    changed = [
+        (state, router, row)
+        for state, st in enumerate(kernel.states)
+        for router, table in enumerate(st.qt)
+        for row, values in enumerate(table)
+        if values != expected[router][row]
+    ]
+    assert changed == [(0, 3, 1)]
+    assert first.qt[3][1] == expected[3][1][:2] + [-1.0] + expected[3][1][3:]
+    assert second.qt == expected
+    assert model.init_values.tolist() == expected
+    with pytest.raises(ValueError, match="read-only"):
+        model.init_values[3, 1, 2] = -1.0
 
 
 def test_unsupported_is_a_value_error():

@@ -108,7 +108,8 @@ _PAIRS = [(s, d) for s in range(TINY_NODES) for d in range(TINY_NODES) if s != d
     stop=st.floats(min_value=0.0, max_value=3_000.0),
 )
 def test_credit_conservation_on_live_network(vc_buffer, ejection, sends, stop):
-    """Counters stay within ``[0, capacity]`` mid-run and are all home after a drain."""
+    """Counters stay within ``[0, capacity]`` mid-run and are all home after a
+    drain; buffers never outgrow the credits that guard them."""
     net = _network(vc_buffer_packets=vc_buffer, ejection_credits=ejection)
     for src, dst in sends:
         net.send(src, dst)
@@ -116,9 +117,22 @@ def test_credit_conservation_on_live_network(vc_buffer, ejection, sends, stop):
     counters = _finite_counters(net)
     for counts, cap in counters:
         assert all(0 <= count <= cap for count in counts)
+    k = net.topo.k
+    for router in net.routers:
+        assert all(len(buf) <= vc_buffer for bufs in router.input_bufs for buf in bufs)
+        for port, far in enumerate(net.remote_idx[router.id * k:(router.id + 1) * k]):
+            if far < 0:
+                continue
+            # Upstream credits plus downstream occupancy never exceed the
+            # capacity: in-flight packets and credit returns hold the rest.
+            downstream = net.routers[far // k].input_bufs[far % k]
+            cap = router._cred_cap[port]
+            for count, buf in zip(router._cred_counts[port], downstream, strict=True):
+                assert count + len(buf) <= cap
     net.run()
     assert net.finalize().delivered_packets == len(sends)
     for counts, cap in counters:
         assert counts == [cap] * len(counts)
     for router in net.routers:
         assert all(router.used_credits(port) == 0 for port in range(net.topo.k))
+        assert not any(buf for bufs in router.input_bufs for buf in bufs)
