@@ -111,22 +111,6 @@ def check_batchable(spec: "ExperimentSpec") -> None:
                     "on-policy feedback on a topology with host ports outside "
                     "the table span is only supported by the object-graph engine"
                 )
-    params = spec.network_params
-    if params is not None:
-        if params.record_paths:
-            raise UnsupportedByBackend(
-                "record_paths=True is only supported by the object-graph engine"
-            )
-        if params.injection_queue_packets is not None:
-            raise UnsupportedByBackend(
-                "finite injection queues drop packets based on backpressure "
-                "the traffic trace cannot know; the object-graph engine runs them"
-            )
-        if params.ejection_credits is not None:
-            raise UnsupportedByBackend(
-                "finite ejection credits are returned by the NIC on delivery, "
-                "which the flat kernel elides; the object-graph engine runs them"
-            )
 
 
 @dataclass

@@ -466,10 +466,10 @@ def run_experiment(
 
     The engine is chosen by capability, not by option: a spec the flat kernel
     (:mod:`repro.engine.batch`) reproduces bit-identically runs there as a
-    batch of one; anything it refuses — telemetry, faults, a warm start, path
-    recording, a finite injection queue, a plugged-in routing — and any run
-    that must hand its live network to ``save_state`` runs on the
-    object-graph engine.  Results are identical either way.
+    batch of one; anything it refuses — telemetry, faults, a warm start, a
+    plugged-in routing — and any run that must hand its live network to
+    ``save_state`` runs on the object-graph engine.  Results are identical
+    either way.
 
     ``options`` (a :class:`~repro.experiments.options.RunOptions`) carries
     the execution knobs: ``options.save_state`` persists the learned routing

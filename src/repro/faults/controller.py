@@ -22,11 +22,11 @@ packet routed *after* the failure sees the degraded routing state below.
 Both directions of a physical link die and recover together; a router outage
 takes down all its network links plus its ejection ports.
 
-Recovery restores the saved callback and flag and refills the router's
-credit counters ``_cred_counts[port]`` to ``capacity minus the downstream
-buffer occupancy`` (the downstream buffer is found through the network's port
-table), so credits returned later by packets that survived the outage inside
-the downstream buffer top the counter out at exactly its capacity.
+Recovery restores the saved callback and flag and refills the credit
+counters ``_cred_counts[port]`` of a counted (network) port to ``capacity
+minus the downstream router's buffer occupancy`` (found through the network's
+port table), so credits returned later by packets that survived the outage
+inside the downstream buffer top the counter out at exactly its capacity.
 
 Degraded routing
 ----------------
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 
 if TYPE_CHECKING:  # typing only: the harness hands us the built network
     from repro.network.network import Network
@@ -162,15 +162,15 @@ class FaultController:
         if not was_infinite:
             # Refill to capacity minus the packets that sat out the outage
             # downstream: each of them still returns its credit when it
-            # leaves the buffer.  A NIC downstream buffers nothing.
+            # leaves the buffer.  A counted port always feeds a router.
             network = self.network
             k = network.topo.k
             far = network.remote_idx[router.id * k + port]
-            bufs = network.routers[far // k].input_bufs[far % k] if far >= 0 else None
+            bufs = network.routers[far // k].input_bufs[far % k]
             counts = router._cred_counts[port]
             capacity = router._cred_cap[port]
             for vc in range(len(counts)):
-                counts[vc] = capacity - (len(bufs[vc]) if bufs is not None else 0)
+                counts[vc] = capacity - len(bufs[vc])
 
     def _link_down(self, router_id: int, port: int,
                    kicks: List[Tuple["Router", int]]) -> None:

@@ -60,7 +60,7 @@ class PortTable(NamedTuple):
     lat: List[float]  # [f] link latency only
     node_at: List[int]  # [f] node behind a host port, -1
     remote_idx: List[int]  # [f] far end ``router * k + port`` of a network port, -1
-    cred_cap: List[Optional[int]]  # [f] credits per VC, None = unlimited
+    cred_cap: List[Optional[int]]  # [f] credits per VC, None = unlimited (host, dark)
     nic_fidx: List[int]  # [node] ``router * k + host port`` the NIC feeds
     nic_hop_delay: float
     nic_cred_cap: int  # credits of a NIC towards its router's host input
@@ -74,8 +74,9 @@ def port_table(topo: Topology, params: NetworkParams) -> PortTable:
     as ``now + (ser + latency)``) and ``lat``; the far end, ``node_at``
     behind a host port or ``remote_idx`` behind a network port, ``-1``
     otherwise (a dark port has neither); ``cred_cap``, the credits per VC,
-    ``None`` for unlimited.  ``nic_fidx[node]``, ``nic_hop_delay`` and
-    ``nic_cred_cap`` wire the NICs.  A pure function of ``(topo, params)``:
+    ``None`` for unlimited (every host port: the NIC always drains the
+    network).  ``nic_fidx[node]``, ``nic_hop_delay`` and ``nic_cred_cap``
+    wire the NICs.  A pure function of ``(topo, params)``:
     :class:`Network` wires its routers and NICs from it, and the kernel's
     model (:func:`repro.engine.batch.build_model`) takes the lists whole
     without building a network.
@@ -95,7 +96,6 @@ def port_table(topo: Topology, params: NetworkParams) -> PortTable:
             if port < num_host:
                 latency = params.host_link_latency_ns
                 node_at[f] = topo.node_at(router_id, port)
-                cred_cap[f] = params.ejection_credits
             else:
                 neighbor = topo.neighbor_of(router_id, port)
                 if neighbor is None:
@@ -300,8 +300,6 @@ class Network:
             size_bytes=self.params.packet_bytes,
             create_time_ns=now,
         )
-        if self.params.record_paths:
-            packet.path = []
         self._packet_counter += 1
         ev = self._ev_generated
         if ev is not None:

@@ -2,11 +2,11 @@
 
 The NIC holds the source queue of generated packets and injects them into the
 host port of its router, subject to the host-link serialization rate and the
-credits of the router's host input buffer.  On the receive side it simply
-records the delivery (the ejection queue is modelled as always-consuming, so
-the network itself is the only bottleneck — the standard open-loop evaluation
-setup used by the paper).  Under finite ``ejection_credits`` it hands each
-slot back to the router at once, one host-link hop later.
+credits of the router's host input buffer.  The source queue is unbounded:
+a generated packet waits there and shows up as latency, never as a drop.  On
+the receive side it simply records the delivery (the ejection queue is
+modelled as always-consuming, so the network itself is the only bottleneck —
+the standard open-loop evaluation setup used by the paper).
 
 :meth:`Nic.wire` takes the host link from the network's port table; the
 credits ``_cred_counts[vc]`` towards the router's host input are always finite.
@@ -36,12 +36,10 @@ class Nic:
         "inject_queue",
         "injected_packets",
         "delivered_packets",
-        "dropped_packets",
         "_retry_pending",
         "serialization_ns",
         "_push",
         "_recv_cb",
-        "_ret_cb",
         "_hop_delay",
         "_remote",
         "_cred_counts",
@@ -58,7 +56,6 @@ class Nic:
         self.inject_queue: Deque[Packet] = deque()
         self.injected_packets = 0
         self.delivered_packets = 0
-        self.dropped_packets = 0
         self._retry_pending = False
         self.serialization_ns = params.serialization_ns
         self._push = sim.push  # the host-link state is filled by wire()
@@ -69,13 +66,8 @@ class Nic:
 
     # ----------------------------------------------------------------- wiring
     def wire(self, router: "Router", host_port: int, hop_delay: float, cred_cap: int) -> None:
-        """Attach the host link feeding ``host_port`` of ``router``.
-
-        ``router`` must be wired already: its ejection port decides whether
-        deliveries return credits.
-        """
+        """Attach the host link feeding ``host_port`` of ``router``."""
         self._recv_cb: Callable = router.receive_packet
-        self._ret_cb = None if router._cred_infinite[host_port] else router.credit_return
         self._remote = host_port
         self._hop_delay = hop_delay
         self._cred_cap = cred_cap
@@ -87,19 +79,10 @@ class Nic:
         """Packets waiting in the source queue (not yet on the wire)."""
         return len(self.inject_queue)
 
-    def can_accept(self) -> bool:
-        """Whether the source queue has room for another generated packet."""
-        limit = self.params.injection_queue_packets
-        return limit is None or len(self.inject_queue) < limit
-
-    def inject(self, packet: Packet) -> bool:
-        """Queue a freshly generated packet; returns False if the queue is full."""
-        if not self.can_accept():
-            self.dropped_packets += 1
-            return False
+    def inject(self, packet: Packet) -> None:
+        """Queue a freshly generated packet and send what the link allows."""
         self.inject_queue.append(packet)
         self._try_inject()
-        return True
 
     def _try_inject(self) -> None:
         now = self.sim._now
@@ -116,8 +99,6 @@ class Nic:
             self.busy_until = now + ser
             self._cred_counts[0] -= 1
             packet.inject_time_ns = now
-            if packet.path is not None:
-                packet.path.append(-1)  # sentinel marking the injection point
             self.injected_packets += 1
             self._push(now + self._hop_delay, self._recv_cb, (packet, self._remote, 0))
             if self._ev_injected is not None:
@@ -156,8 +137,6 @@ class Nic:
         ev = self._ev_delivery
         if ev is not None:
             ev(packet, now)
-        if self._ret_cb is not None:
-            self._push(now + self._hop_delay, self._ret_cb, (self._remote, vc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic node={self.node} queued={len(self.inject_queue)}>"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 
 class Packet:
@@ -48,8 +48,6 @@ class Packet:
     qfeedback:
         Pending Q-learning feedback record ``(router_id, row, column)`` left
         by the previous hop, consumed by the next router's decision.
-    path:
-        Visited router ids (only populated when ``record_paths`` is enabled).
     """
 
     __slots__ = (
@@ -71,7 +69,6 @@ class Packet:
         "nonminimal",
         "scratch",
         "qfeedback",
-        "path",
     )
 
     def __init__(
@@ -104,7 +101,6 @@ class Packet:
         self.nonminimal = False
         self.scratch = None
         self.qfeedback = None
-        self.path: Optional[List[int]] = None
 
     # ------------------------------------------------------------ convenience
     @property

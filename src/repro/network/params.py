@@ -2,7 +2,8 @@
 
 Defaults follow Section 5.1 of the paper: 128-byte single-flit packets,
 4 GB/s links, 30 ns local and 300 ns global link latency (1:10 ratio), and
-VC buffers of 20 packets.
+VC buffers of 20 packets.  The network models the paper's open-loop setup
+only: unbounded source queues and NICs that always drain the network.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from typing import Optional
 
 from repro.topology.base import PortType, Topology
 from repro.topology.paths import LinkTiming
+
+#: fields older files may still carry; the open-loop network has no such knob.
+_REMOVED_FIELDS = frozenset({"injection_queue_packets", "ejection_credits", "record_paths"})
 
 
 @dataclass
@@ -33,18 +37,6 @@ class NetworkParams:
     num_vcs:
         Number of virtual channels per port.  ``None`` lets the routing
         algorithm choose the count it needs for deadlock freedom.
-    injection_queue_packets:
-        Source-queue capacity of a NIC.  ``None`` means unbounded (the paper
-        measures an open-loop offered load, so generated packets are never
-        dropped; they wait at the source and show up as latency).
-    ejection_credits:
-        Credits of a router's host (ejection) port.  ``None`` means unlimited,
-        i.e. the NIC always drains the network — the standard assumption that
-        keeps the network the only bottleneck.  A finite count comes back one
-        host-link hop after each delivery.
-    record_paths:
-        When True every packet records the list of routers it visited
-        (useful in tests, costly in large runs).
     """
 
     packet_bytes: int = 128
@@ -54,9 +46,6 @@ class NetworkParams:
     host_link_latency_ns: float = 10.0
     vc_buffer_packets: int = 20
     num_vcs: Optional[int] = None
-    injection_queue_packets: Optional[int] = None
-    ejection_credits: Optional[int] = None
-    record_paths: bool = False
 
     def __post_init__(self) -> None:
         if self.packet_bytes <= 0:
@@ -67,10 +56,6 @@ class NetworkParams:
             raise ValueError("vc_buffer_packets must be at least 1")
         if self.num_vcs is not None and self.num_vcs < 1:
             raise ValueError("num_vcs must be at least 1 when specified")
-        for name in ("injection_queue_packets", "ejection_credits"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1 (or None for unlimited)")
 
     # --------------------------------------------------------------- derived
     @property
@@ -113,32 +98,19 @@ class NetworkParams:
     def from_dict(cls, data: dict) -> "NetworkParams":
         """Strict inverse of :meth:`to_dict`.
 
-        Unknown keys are an error; omitted keys keep their Section 5.1
-        defaults (so hand-written scenario files only state what they change).
+        Unknown keys are an error, and a removed one says so; omitted keys
+        keep their Section 5.1 defaults (so hand-written scenario files only
+        state what they change).
         """
         from repro.scenarios.serialize import check_keys
 
+        removed = sorted(_REMOVED_FIELDS.intersection(data)) if isinstance(data, dict) else []
+        if removed:
+            raise ValueError(f"NetworkParams: field(s) {removed} were removed "
+                             "(the network models the open-loop setup only)")
         names = tuple(f.name for f in fields(cls))
         check_keys(data, optional=names, context="NetworkParams")
         return cls(**dict(data))
-
-    # ---------------------------------------------------------------- presets
-    @classmethod
-    def paper(cls, **overrides) -> "NetworkParams":
-        """The exact Section 5.1 configuration (also the dataclass defaults)."""
-        return cls(**overrides)
-
-    @classmethod
-    def fast_test(cls, **overrides) -> "NetworkParams":
-        """Smaller buffers / shorter latencies for quick unit tests."""
-        defaults = dict(
-            vc_buffer_packets=4,
-            local_link_latency_ns=10.0,
-            global_link_latency_ns=50.0,
-            host_link_latency_ns=5.0,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
 
 
 def total_injection_bandwidth_bytes_per_ns(

@@ -29,9 +29,10 @@ the hop delay and link latency (the router's row of the network's port
 table, handed over by :meth:`wire`), and the credit counters
 ``_cred_counts[port][vc]`` towards the far end's input buffer.
 ``_cred_infinite[port]`` marks a port whose counters are not kept: an
-unlimited ejection port, or a port the fault controller took down.  The
-per-flit code in :meth:`_forward` / :meth:`_serve_waiting` runs on list
-indexing and direct ``Simulator.push`` calls only.
+ejection port (the NIC always drains the network), or a port the fault
+controller took down.  The per-flit code in :meth:`_forward` /
+:meth:`_serve_waiting` runs on list indexing and direct ``Simulator.push``
+calls only.
 """
 
 from __future__ import annotations
@@ -160,8 +161,6 @@ class Router:
                 f"router {self.id} input buffer overflow on port {in_port} vc {vc}"
             )
         packet.router_arrival_ns = self.sim._now
-        if packet.path is not None:
-            packet.path.append(self.id)
         buf.append(packet)
         if len(buf) == 1:
             self._route_head(in_port, vc)
@@ -295,8 +294,8 @@ class Router:
     def used_credits(self, out_port: int) -> int:
         """Downstream buffer occupancy estimate (credits in use) of ``out_port``.
 
-        A port without counters (unlimited, or taken down by a fault) has
-        none in use.
+        A port without counters (an ejection port, or one taken down by a
+        fault) has none in use.
         """
         if self._cred_infinite[out_port]:
             return 0

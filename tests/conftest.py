@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import defaultdict
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.engine.rng import RngFactory  # noqa: E402
 from repro.engine.simulator import Simulator  # noqa: E402
 from repro.network.network import Network  # noqa: E402
 from repro.network.params import NetworkParams  # noqa: E402
+from repro.network.router import Router  # noqa: E402
 from repro.topology.config import DragonflyConfig  # noqa: E402
 from repro.topology.dragonfly import DragonflyTopology  # noqa: E402
 
@@ -59,14 +62,31 @@ def tiny_topo(tiny_config) -> DragonflyTopology:
     return DragonflyTopology(tiny_config)
 
 
-def build_network(routing, config=None, seed: int = 7, record_paths: bool = False,
-                  **param_overrides) -> Network:
+def build_network(routing, config=None, seed: int = 7, **param_overrides) -> Network:
     """Helper used across tests to build a small network quickly."""
     config = config or DragonflyConfig.small_72()
-    params = NetworkParams(record_paths=record_paths, **param_overrides)
-    return Network(config, routing, params=params, seed=seed)
+    return Network(config, routing, params=NetworkParams(**param_overrides), seed=seed)
 
 
 @pytest.fixture
 def network_factory():
     return build_network
+
+
+@pytest.fixture
+def router_paths(monkeypatch) -> Dict[int, List[Tuple[int, int]]]:
+    """``paths[pid]``: the ``(router, input vc)`` arrivals of every packet.
+
+    Wraps ``Router.receive_packet`` for networks built after the fixture is
+    requested (``Router.wire`` binds it then), so routers are recorded in the
+    order a packet reached them, source router first.
+    """
+    paths: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    receive = Router.receive_packet
+
+    def recording(self, packet, in_port, vc):
+        paths[packet.pid].append((self.id, vc))
+        receive(self, packet, in_port, vc)
+
+    monkeypatch.setattr(Router, "receive_packet", recording)
+    return paths

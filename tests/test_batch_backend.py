@@ -42,7 +42,6 @@ from repro.experiments.parallel import ExperimentResultData
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.network import Network
 from repro.network.nic import Nic
-from repro.network.params import NetworkParams
 from repro.network.router import Router
 from repro.routing import ROUTING_REGISTRY, MinimalRouting, register_algorithm
 from repro.topology.config import DragonflyConfig
@@ -126,6 +125,15 @@ _STEP = LoadSchedule.step(0.2, 2_000.0, 0.6)
                      id="Q-routing-UR-deterministic"),
         pytest.param("PAR", "UR", {"schedule": _STEP, "arrival": "deterministic"},
                      id="PAR-UR-step-deterministic"),
+        # On-policy feedback off the Dragonfly: fat-tree's table span starts
+        # at port 0 (host ports included), the mesh's after its host ports.
+        *[pytest.param("Q-routing", "UR",
+                       {"config": config, "load": load,
+                        "routing_kwargs": {"feedback": "onpolicy"}},
+                       id=f"Q-routing-UR-onpolicy-{family}-{load}")
+          for family, config in (("fattree", FatTreeConfig.tiny()),
+                                 ("mesh", MeshConfig.small_72()))
+          for load in (0.4, 0.8)],
     ],
 )
 def test_batched_matches_scalar_bit_for_bit(routing, pattern, config):
@@ -274,10 +282,6 @@ def test_events_processed_counts_match_scalar():
          "fault schedules"),
         ({"warm_start": "some-checkpoint"}, "warm-started"),
         ({"routing": "PluggedIn"}, "no batched kernel"),
-        ({"network_params": NetworkParams(injection_queue_packets=4)},
-         "finite injection queues"),
-        ({"network_params": NetworkParams(record_paths=True)}, "record_paths"),
-        ({"network_params": NetworkParams(ejection_credits=2)}, "finite ejection credits"),
     ],
 )
 def test_unsupported_specs_are_refused_up_front(overrides, match, plugged_in):
@@ -521,11 +525,9 @@ def test_run_experiment_picks_the_kernel_for_a_batchable_spec(routing, monkeypat
     [
         {"telemetry": ("link-util",)},
         {"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
-        {"network_params": NetworkParams(record_paths=True)},
-        {"network_params": NetworkParams(injection_queue_packets=4)},
         {"routing": "PluggedIn"},
     ],
-    ids=["telemetry", "faults", "record_paths", "injection_queue", "plugin"],
+    ids=["telemetry", "faults", "plugin"],
 )
 def test_run_experiment_falls_back_to_the_object_graph(overrides, plugged_in,
                                                        object_graph_runs):

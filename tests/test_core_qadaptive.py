@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.hysteretic import hysteretic_update
 from repro.core.qadaptive import QAdaptiveParams, QAdaptiveRouting
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
 from repro.traffic import AdversarialTraffic, LoadSchedule, TrafficGenerator, UniformRandomTraffic
@@ -15,10 +14,8 @@ from repro.traffic import AdversarialTraffic, LoadSchedule, TrafficGenerator, Un
 CONFIG = DragonflyConfig.small_72()
 
 
-def _network(routing=None, **params_overrides):
-    routing = routing or QAdaptiveRouting()
-    params = NetworkParams(**params_overrides)
-    return Network(CONFIG, routing, params=params, seed=9)
+def _network(routing=None):
+    return Network(CONFIG, routing or QAdaptiveRouting(), seed=9)
 
 
 def test_default_params_match_section_5_1():
@@ -58,7 +55,7 @@ def test_tables_created_per_router_with_uncongested_init():
 
 def test_hop_bound_holds_in_simulation():
     routing = QAdaptiveRouting(QAdaptiveParams(epsilon=0.2))  # aggressive exploration
-    net = _network(routing, record_paths=True)
+    net = _network(routing)
     gen = TrafficGenerator(net, UniformRandomTraffic(), offered_load=0.3)
     gen.start()
     net.run(until=15_000.0)

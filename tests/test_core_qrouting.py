@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.qrouting import QRoutingAlgorithm, QRoutingParams
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.topology.config import DragonflyConfig
 from repro.topology.dragonfly import DragonflyTopology
 from repro.traffic import LoadSchedule, TrafficGenerator, UniformRandomTraffic
@@ -41,15 +40,15 @@ def test_tables_are_per_destination_router():
     assert routing.values.shape[1] == 2 * topo.g * topo.p
 
 
-def test_maxq_zero_behaves_like_minimal_routing():
+def test_maxq_zero_behaves_like_minimal_routing(router_paths):
     routing = QRoutingAlgorithm(max_q=0, epsilon=0.0)
-    net = Network(CONFIG, routing, params=NetworkParams(record_paths=True), seed=3)
+    net = Network(CONFIG, routing, seed=3)
     topo = net.topo
     dst = next(n for n in topo.all_nodes() if topo.minimal_hops(0, topo.router_of_node(n)) == 3)
     packet = net.send(0, dst)
     net.run()
     assert packet.hops == 3
-    routers = [r for r in packet.path if r >= 0]
+    routers = [r for r, _ in router_paths[packet.pid]]
     assert routers == topo.minimal_router_path(0, topo.router_of_node(dst))
     assert routing.forced_minimal > 0
 

@@ -9,9 +9,10 @@ wins under UR, non-minimal/adaptive wins under ADV+i, Q-adaptive learns).
 import pytest
 
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.routing import make_routing
 from repro.topology.config import DragonflyConfig
+from repro.topology.fattree import FatTreeConfig
+from repro.topology.mesh import MeshConfig
 from repro.traffic import LoadSchedule, TrafficGenerator, make_pattern
 
 
@@ -28,13 +29,8 @@ HOP_BOUNDS = {
 }
 
 
-def _run(algorithm, pattern, load=0.25, horizon=12_000.0, record_paths=False, seed=17):
-    net = Network(
-        CONFIG,
-        make_routing(algorithm),
-        params=NetworkParams(record_paths=record_paths),
-        seed=seed,
-    )
+def _run(algorithm, pattern, load=0.25, horizon=12_000.0, seed=17):
+    net = Network(CONFIG, make_routing(algorithm), seed=seed)
     # Generation stops at the horizon, so a drain afterwards empties the network.
     gen = TrafficGenerator(net, make_pattern(pattern),
                            schedule=LoadSchedule.step(load, horizon, 0.0))
@@ -55,30 +51,46 @@ def test_all_packets_delivered_within_hop_bound(algorithm, pattern):
     assert max(hops) <= HOP_BOUNDS[algorithm]
 
 
-@pytest.mark.parametrize("algorithm", ["MIN", "UGALn", "PAR", "Q-adp"])
-def test_paths_are_topologically_legal(algorithm):
-    checked = 0
-    probe_net = Network(
-        CONFIG, make_routing(algorithm), params=NetworkParams(record_paths=True), seed=3
-    )
+_OTHER_FAMILIES = {
+    "fattree": FatTreeConfig.tiny(),
+    "mesh": MeshConfig.small_72(),
+    "torus": MeshConfig.small_72_torus(),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm,config",
+    [pytest.param(algorithm, CONFIG, id=algorithm) for algorithm in [*HOP_BOUNDS, "VAL"]]
+    + [pytest.param(algorithm, config, id=f"{family}-{algorithm}")
+       for family, config in _OTHER_FAMILIES.items()
+       for algorithm in ("MIN", "VAL", "Q-routing")],
+)
+def test_paths_are_topologically_legal(algorithm, config, router_paths):
+    net = Network(config, make_routing(algorithm), seed=3)
+    topo = net.topo
     packets = []
-    for i in range(40):
-        src = (i * 5) % probe_net.num_nodes
-        dst = (i * 11 + 13) % probe_net.num_nodes
+    for i in range(60):
+        src = (i * 5) % net.num_nodes
+        dst = (i * 11 + 13) % net.num_nodes
         if src != dst:
-            packets.append(probe_net.send(src, dst))
-    probe_net.run()
+            packets.append(net.send(src, dst))
+    net.drain(extra_ns=100_000.0)  # bounded: a routing loop fails, not hangs
+    assert packets
     for packet in packets:
-        routers = [r for r in packet.path if r >= 0]
-        assert routers[0] == probe_net.topo.router_of_node(packet.src_node)
-        assert routers[-1] == probe_net.topo.router_of_node(packet.dst_node)
-        for current, nxt in zip(routers[:-1], routers[1:], strict=False):
+        path = router_paths[packet.pid]
+        for (current, vc), (nxt, next_vc) in zip(path[:-1], path[1:], strict=True):
             assert any(
-                probe_net.topo.neighbor_of(current, port)[0] == nxt
-                for port in probe_net.topo.non_host_ports
+                topo.neighbor_of(current, port)[0] == nxt
+                for port in topo.network_ports_of(current)
             ), f"illegal hop {current}->{nxt} under {algorithm}"
-        checked += 1
-    assert checked > 0
+            assert next_vc >= vc, f"VC order broken {vc}->{next_vc} under {algorithm}"
+        assert packet.delivered
+        src_router = topo.router_of_node(packet.src_node)
+        dst_router = topo.router_of_node(packet.dst_node)
+        assert path[0][0] == src_router
+        assert path[-1][0] == dst_router
+        assert len(path) == packet.hops + 1
+        assert packet.hops >= topo.minimal_hops(src_router, dst_router)
 
 
 def test_minimal_is_best_under_uniform_random():

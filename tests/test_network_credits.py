@@ -35,12 +35,14 @@ def _finite_counters(net):
 
 
 def test_initial_credits_equal_capacity():
-    net = _network(vc_buffer_packets=3, ejection_credits=2)
+    net = _network(vc_buffer_packets=3)
     topo, num_vcs = net.topo, net.params.num_vcs
     for router in net.routers:
         for port in range(topo.k):
-            expected = 2 if port < topo.num_host_ports(router.id) else 3
-            assert router._cred_counts[port] == [expected] * num_vcs
+            ejection = port < topo.num_host_ports(router.id)
+            assert router._cred_infinite[port] == ejection
+            if not ejection:
+                assert router._cred_counts[port] == [3] * num_vcs
             assert router.used_credits(port) == 0
     assert all(nic._cred_counts == [3] * num_vcs for nic in net.nics)
 
@@ -67,7 +69,7 @@ def test_overflow_raises():
 
 
 def test_infinite_credits_never_exhaust():
-    """Ejection ports default to unlimited credits: nothing is counted."""
+    """Ejection ports keep no credits (the NIC always drains): nothing is counted."""
     net = _network()
     router = net.routers[0]
     host_port = net.topo.host_ports[0]
@@ -83,18 +85,17 @@ def test_infinite_credits_never_exhaust():
 
 
 def test_invalid_construction():
-    """Credit and queue sizes below 1 fail where the parameters are built."""
+    """A buffer depth below 1 fails where the parameters are built."""
     spec = ExperimentSpec(
         config=DragonflyConfig.tiny(), routing="MIN", pattern="UR", offered_load=0.2,
         sim_time_ns=1_000.0, warmup_ns=0.0, network_params=NetworkParams(),
     ).to_dict()
-    for field in ("ejection_credits", "injection_queue_packets", "vc_buffer_packets"):
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=field):
-                NetworkParams(**{field: value})
-            spec["network_params"] = {field: value}
-            with pytest.raises(ValueError, match=field):
-                ExperimentSpec.from_dict(spec)
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="vc_buffer_packets"):
+            NetworkParams(vc_buffer_packets=value)
+        spec["network_params"] = {"vc_buffer_packets": value}
+        with pytest.raises(ValueError, match="vc_buffer_packets"):
+            ExperimentSpec.from_dict(spec)
 
 
 _PAIRS = [(s, d) for s in range(TINY_NODES) for d in range(TINY_NODES) if s != d]
@@ -103,14 +104,13 @@ _PAIRS = [(s, d) for s in range(TINY_NODES) for d in range(TINY_NODES) if s != d
 @settings(max_examples=40, deadline=None)
 @given(
     vc_buffer=st.integers(min_value=1, max_value=4),
-    ejection=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
     sends=st.lists(st.sampled_from(_PAIRS), max_size=60),
     stop=st.floats(min_value=0.0, max_value=3_000.0),
 )
-def test_credit_conservation_on_live_network(vc_buffer, ejection, sends, stop):
+def test_credit_conservation_on_live_network(vc_buffer, sends, stop):
     """Counters stay within ``[0, capacity]`` mid-run and are all home after a
     drain; buffers never outgrow the credits that guard them."""
-    net = _network(vc_buffer_packets=vc_buffer, ejection_credits=ejection)
+    net = _network(vc_buffer_packets=vc_buffer)
     for src, dst in sends:
         net.send(src, dst)
     net.run(until=stop)

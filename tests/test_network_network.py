@@ -48,7 +48,7 @@ def test_channels_wired_consistently_with_topology():
                     far, far_port = net.nics[node], 0
                     latency = params.host_link_latency_ns
                     assert (net.node_at[f], net.remote_idx[f]) == (node, -1)
-                    assert router._cred_cap[port] == params.ejection_credits
+                    assert router._cred_cap[port] is None
                 else:
                     neighbor = topo.neighbor_of(r, port)
                     if neighbor is None:
@@ -127,17 +127,15 @@ def test_send_rejects_self_traffic():
         net.send(3, 3)
 
 
-def test_record_paths_traces_visited_routers():
-    net = Network(
-        DragonflyConfig.small_72(), MinimalRouting(), params=NetworkParams(record_paths=True)
-    )
+def test_record_paths_traces_visited_routers(router_paths):
+    net = Network(DragonflyConfig.small_72(), MinimalRouting())
     topo = net.topo
     dst = next(
         n for n in topo.all_nodes() if topo.minimal_hops(0, topo.router_of_node(n)) == 3
     )
     packet = net.send(0, dst)
     net.run()
-    routers_visited = [r for r in packet.path if r >= 0]
+    routers_visited = [r for r, _ in router_paths[packet.pid]]
     assert routers_visited[0] == topo.router_of_node(0)
     assert routers_visited[-1] == topo.router_of_node(dst)
     assert routers_visited == topo.minimal_router_path(0, topo.router_of_node(dst))

@@ -1,7 +1,6 @@
 """Unit tests for NIC injection behaviour."""
 
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.routing.minimal import MinimalRouting
 from repro.topology.config import DragonflyConfig
 
@@ -25,21 +24,6 @@ def test_delivery_counted_at_destination_nic():
     assert net.nics[2].delivered_packets == 1
 
 
-def test_finite_injection_queue_drops_excess():
-    params = NetworkParams(injection_queue_packets=2)
-    net = Network(DragonflyConfig.tiny(), MinimalRouting(), params=params)
-    nic = net.nics[0]
-    accepted = 0
-    for _ in range(6):
-        packet = net.create_packet(0, 2)
-        if nic.inject(packet):
-            accepted += 1
-    # one packet can already be on the wire, so at least the queue limit is accepted
-    assert accepted >= 2
-    assert nic.dropped_packets == 6 - accepted
-    assert not nic.can_accept() or accepted == 6
-
-
 def test_queue_length_decreases_as_packets_leave():
     net = Network(DragonflyConfig.tiny(), MinimalRouting())
     nic = net.nics[0]
@@ -54,8 +38,8 @@ def test_unbounded_queue_accepts_everything():
     net = Network(DragonflyConfig.tiny(), MinimalRouting())
     nic = net.nics[0]
     for _ in range(100):
-        assert nic.can_accept()
-        assert nic.inject(net.create_packet(0, 2))
-    assert nic.dropped_packets == 0
+        nic.inject(net.create_packet(0, 2))
+    assert nic.queue_length >= 99  # the first may already have left the queue
     net.run()
     assert nic.injected_packets == 100
+    assert net.nics[2].delivered_packets == 100

@@ -27,7 +27,6 @@ def test_packet_initial_state():
     assert packet.scratch is None
     assert not packet.nonminimal
     assert packet.qfeedback is None
-    assert packet.path is None
 
 
 def test_latency_computed_from_delivery():

@@ -56,12 +56,6 @@ def test_invalid_parameters_rejected():
         NetworkParams(num_vcs=0)
 
 
-def test_fast_test_preset_overrides():
-    params = NetworkParams.fast_test(vc_buffer_packets=2)
-    assert params.vc_buffer_packets == 2
-    assert params.global_link_latency_ns == 50.0
-
-
 def test_total_injection_bandwidth(small_topo: DragonflyTopology):
     params = NetworkParams()
     assert total_injection_bandwidth_bytes_per_ns(params, small_topo) == pytest.approx(

@@ -1,7 +1,6 @@
 """Tests for the adaptive baselines: UGALg, UGALn and PAR."""
 
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.routing.par import ParRouting
 from repro.routing.ugal import UgalGRouting, UgalNRouting
 from repro.topology.config import DragonflyConfig
@@ -12,10 +11,8 @@ from repro.traffic import AdversarialTraffic, TrafficGenerator, UniformRandomTra
 CONFIG = DragonflyConfig.small_72()
 
 
-def _drive(routing, pattern, load=0.3, until=15_000.0, record_paths=True, seed=5):
-    net = Network(
-        CONFIG, routing, params=NetworkParams(record_paths=record_paths), seed=seed
-    )
+def _drive(routing, pattern, load=0.3, until=15_000.0, seed=5):
+    net = Network(CONFIG, routing, seed=seed)
     gen = TrafficGenerator(net, pattern, offered_load=load)
     gen.start()
     net.run(until=until)
@@ -72,10 +69,8 @@ def test_adaptive_beats_minimal_under_adversarial_traffic():
     """UGALn must deliver more than MIN when all traffic targets one group."""
     from repro.routing.minimal import MinimalRouting
 
-    ugal_net = _drive(UgalNRouting(), AdversarialTraffic(1), load=0.3, until=30_000.0,
-                      record_paths=False)
-    min_net = _drive(MinimalRouting(), AdversarialTraffic(1), load=0.3, until=30_000.0,
-                     record_paths=False)
+    ugal_net = _drive(UgalNRouting(), AdversarialTraffic(1), load=0.3, until=30_000.0)
+    min_net = _drive(MinimalRouting(), AdversarialTraffic(1), load=0.3, until=30_000.0)
     ugal_thr = ugal_net.finalize().throughput
     min_thr = min_net.finalize().throughput
     assert ugal_thr > min_thr
@@ -85,8 +80,6 @@ def test_minimal_beats_valiant_under_uniform_traffic():
     from repro.routing.minimal import MinimalRouting
     from repro.routing.valiant import ValiantNodeRouting
 
-    min_net = _drive(MinimalRouting(), UniformRandomTraffic(), load=0.4, until=20_000.0,
-                     record_paths=False)
-    val_net = _drive(ValiantNodeRouting(), UniformRandomTraffic(), load=0.4, until=20_000.0,
-                     record_paths=False)
+    min_net = _drive(MinimalRouting(), UniformRandomTraffic(), load=0.4, until=20_000.0)
+    val_net = _drive(ValiantNodeRouting(), UniformRandomTraffic(), load=0.4, until=20_000.0)
     assert min_net.finalize().mean_latency_ns < val_net.finalize().mean_latency_ns

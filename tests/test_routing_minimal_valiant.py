@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network.network import Network
-from repro.network.params import NetworkParams
 from repro.routing import make_routing
 from repro.routing.minimal import MinimalRouting
 from repro.routing.valiant import (
@@ -21,7 +20,7 @@ CONFIG = DragonflyConfig.small_72()
 
 def _run_pairs(routing, pairs, config=CONFIG):
     """Send one packet per (src, dst) pair and return the delivered packets."""
-    net = Network(config, routing, params=NetworkParams(record_paths=True), seed=11)
+    net = Network(config, routing, seed=11)
     packets = [net.send(src, dst) for src, dst in pairs]
     net.run()
     assert all(p.delivered for p in packets)
@@ -38,12 +37,12 @@ def _inter_group_pairs(topo: DragonflyTopology, count=30):
     return pairs
 
 
-def test_minimal_routing_follows_minimal_paths():
+def test_minimal_routing_follows_minimal_paths(router_paths):
     topo = DragonflyTopology(CONFIG)
     pairs = _inter_group_pairs(topo)
     net, packets = _run_pairs(MinimalRouting(), pairs)
     for packet in packets:
-        routers = [r for r in packet.path if r >= 0]
+        routers = [r for r, _ in router_paths[packet.pid]]
         expected = topo.minimal_router_path(
             topo.router_of_node(packet.src_node), topo.router_of_node(packet.dst_node)
         )
@@ -58,14 +57,14 @@ def test_minimal_required_vcs():
     assert ValiantNodeRouting().required_vcs(topo) == 6
 
 
-def test_valg_paths_within_five_hops_and_visit_intermediate_group():
+def test_valg_paths_within_five_hops_and_visit_intermediate_group(router_paths):
     topo = DragonflyTopology(CONFIG)
     pairs = _inter_group_pairs(topo)
     net, packets = _run_pairs(ValiantGlobalRouting(), pairs)
     nonminimal_seen = 0
     for packet in packets:
         assert packet.hops <= 5
-        routers = [r for r in packet.path if r >= 0]
+        routers = [r for r, _ in router_paths[packet.pid]]
         groups = {topo.group_of_router(r) for r in routers}
         src_group = topo.group_of_node(packet.src_node)
         dst_group = topo.group_of_node(packet.dst_node)
@@ -76,13 +75,13 @@ def test_valg_paths_within_five_hops_and_visit_intermediate_group():
     assert nonminimal_seen > 0
 
 
-def test_valn_paths_within_six_hops_and_visit_intermediate_router():
+def test_valn_paths_within_six_hops_and_visit_intermediate_router(router_paths):
     topo = DragonflyTopology(CONFIG)
     pairs = _inter_group_pairs(topo)
     net, packets = _run_pairs(ValiantNodeRouting(), pairs)
     for packet in packets:
         assert packet.hops <= 6
-        routers = [r for r in packet.path if r >= 0]
+        routers = [r for r, _ in router_paths[packet.pid]]
         imd_router = packet.scratch[0]  # VALn scratch: [imd_router, reached]
         if packet.nonminimal:
             assert imd_router in routers

@@ -10,6 +10,7 @@ from repro.experiments import ExperimentSpec, spec_fingerprint
 from repro.experiments.presets import scale_by_name
 from repro.network.params import NetworkParams
 from repro.scenarios.catalog import STUDIES, study_by_name
+from repro.scenarios.study import Study
 from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule
 
@@ -44,6 +45,31 @@ def test_network_params_round_trip_and_partial_dicts():
     assert NetworkParams.from_dict({"packet_bytes": 64}).packet_bytes == 64
     with pytest.raises(ValueError, match="unknown field"):
         NetworkParams.from_dict({"bandwidth": 4.0})
+
+
+def test_removed_network_params_fail_at_load_and_name_the_removal():
+    """A file that still sets a removed source-queue, ejection-credit or
+    path-recording field is refused with the key named, not as a generic
+    unknown field."""
+    study = study_by_name("fig5", scale_by_name("bench")).to_dict()
+    for key, value in (("injection_queue_packets", 4), ("ejection_credits", 2),
+                       ("record_paths", True)):
+        spec = _spec(network_params=NetworkParams()).to_dict()
+        spec["network_params"][key] = value
+        with pytest.raises(ValueError, match=f"{key}.*removed"):
+            ExperimentSpec.from_dict(spec)
+        study["network_params"] = {key: value}
+        with pytest.raises(ValueError, match=f"{key}.*removed"):
+            Study.from_dict(study)
+
+
+def test_default_spec_fingerprint_is_unchanged():
+    """A spec without ``network_params`` serializes as it always did, so its
+    cached results stay valid (pinned before the three knobs were removed)."""
+    spec = ExperimentSpec(config=DragonflyConfig.small_72())
+    assert spec_fingerprint(spec) == (
+        "7a35b4ffd2e213364f16d1f9b12d046e8fd42ae07a1b27a3914173c81760ff9a"
+    )
 
 
 def test_load_schedule_round_trip_and_equality():
