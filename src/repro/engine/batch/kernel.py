@@ -48,18 +48,29 @@ Kinds 3–8 are the rows of :data:`repro.engine.batch.decisions.DECISION_TABLE`:
 one plain function per kind, built once per ``_advance`` call and costing the
 kinds routed inline nothing but one local ``None`` test.
 
-**Q-tables.**  Each replicate's Q-tables are nested Python lists indexed
-``[router][row][column]``: the per-decision path is scalar float math on a
-5- to 11-column row, where plain lists avoid numpy-scalar boxing.  Every row
-is its own list, but the rows of a fresh replicate share one float object
-per distinct initial value (:func:`_table_lists`), so a paper-scale table
-costs list slots, not boxed floats, until learning rewrites an entry.
+**Q-tables.**  Each replicate's Q-tables are nested Python sequences
+indexed ``[router][row][column]``: the per-decision path is scalar float
+math on a 5- to 11-column row, where plain sequences avoid numpy-scalar
+boxing.  A fresh replicate's rows are shared tuples, one per distinct
+initial row (:func:`_table_lists`: 23 tuples for the 34 848 rows of the
+paper's 1 056-node Q-adp tables).  The two feedback folds (``_advance`` and
+:meth:`BatchKernel.finalize`) replace a tuple row with its own list on
+first write, so a table costs list slots only for the rows learning
+touched.
 
-**Payload pool.**  Packet records (plain 13-slot lists) are recycled
-through a per-replicate free list when they leave the network.  A packet
-that ever joined a ``waiting`` queue is marked (``P_WAITED``) and never
-recycled: the serve path's stale-waiter check compares by object identity,
-and a recycled list object could alias a stale entry.
+**Source queues.**  Traffic is open-loop, so a NIC's source queue is always
+the FIFO run of its own trace entries with a destination, between the
+oldest uninjected one (``nic_head[node]``) and the replay cursor
+(``ptr[node]``); ``nic_n[node]`` counts them.  A generation event only
+advances ``ptr`` and increments ``nic_n``.
+
+**Payload pool.**  A packet record (a plain 13-slot list) exists from
+injection on: it is built from the trace entry at ``nic_head``, skipping
+wake-ups that made no packet, and recycled through a per-replicate free
+list when it leaves the network.  A packet that ever joined a ``waiting``
+queue is marked (``P_WAITED``) and never recycled: the serve path's
+stale-waiter check compares by object identity, and a recycled list object
+could alias a stale entry.
 
 The kernel's other speed source is *event elision*: a scalar event whose
 execution provably cannot change any observable state is accounted for (it
@@ -98,13 +109,13 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from collections import deque
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.batch.decisions import decision_for
 from repro.engine.batch.model import BatchModel
-from repro.engine.batch.trace import TraceEntry, record_traffic_trace
+from repro.engine.batch.trace import record_traffic_trace
 from repro.engine.rng import RngFactory
 from repro.traffic import make_pattern
 
@@ -137,20 +148,27 @@ BUCKET_TARGET_NS = 16.0
 MAX_BUCKETS = 4096
 
 
-def _table_lists(values: np.ndarray) -> List[List[List[float]]]:
-    """``values.tolist()``, with one float object per distinct value.
+def _table_lists(values: np.ndarray) -> List[List[Sequence[float]]]:
+    """``values.tolist()``, with one shared tuple per distinct row.
 
-    The initial block holds a handful of distinct values (six on the paper's
-    1 056-node Q-adp tables), so the rows share their float objects instead
-    of boxing every entry; each row is still its own list, and a learning
-    write replaces one slot of one row.
+    The initial block holds a handful of distinct rows (23 for the 34 848
+    rows of the paper's 1 056-node Q-adp tables), so the tables share them
+    instead of boxing every entry.  A learning write first replaces its tuple
+    row with a private list (``list(row)``), then updates one slot of it.
     """
-    floats, index = np.unique(values, return_inverse=True)
-    value_of = floats.tolist().__getitem__
-    return [
-        [list(map(value_of, row)) for row in table.tolist()]
-        for table in index.reshape(values.shape)
-    ]
+    routers, rows, cols = values.shape
+    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    width = 8 * cols
+    shared: Dict[bytes, Tuple[float, ...]] = {}
+    flat: List[Sequence[float]] = []
+    append = flat.append
+    for start in range(0, len(raw), width):
+        key = raw[start:start + width]
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = tuple(np.frombuffer(key).tolist())
+        append(row)
+    return [flat[router * rows:(router + 1) * rows] for router in range(routers)]
 
 
 class ReplicateState:
@@ -160,9 +178,9 @@ class ReplicateState:
         "seed", "cal", "cal_b", "cal_i", "inv_w", "num_buckets", "seq",
         "bufs", "out_busy", "waiting", "cred",
         "pend_wakes", "pend_cred", "pend_qfb",
-        "nic_busy", "nic_q", "nic_retry", "nic_cred", "pend_nic",
-        "qt", "pool", "rng", "trace", "ptr", "executed", "elided",
-        "glog", "dlog",
+        "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred", "pend_nic",
+        "qt", "pool", "rng", "times", "dsts", "ptr", "executed", "elided",
+        "dlog",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
         "c_minimal", "c_nonminimal", "c_reevaluations", "c_diverted",
@@ -197,12 +215,14 @@ class ReplicateState:
         self.pend_qfb: List[List[Tuple]] = [[] for _ in range(model.num_routers)]
         num_nodes = model.num_nodes
         self.nic_busy = [0.0] * num_nodes
-        self.nic_q = [deque() for _ in range(num_nodes)]
+        # Source queue: the nic_n entries with dst >= 0 in dsts[node][nic_head:ptr].
+        self.nic_head = [0] * num_nodes
+        self.nic_n = [0] * num_nodes
         self.nic_retry = [False] * num_nodes
         self.nic_cred = [model.nic_cred_cap] * num_nodes
         self.pend_nic: List[List[Tuple[float, int]]] = [[] for _ in range(num_nodes)]
         # Q-tables [router][row][column]; empty under MIN, which reads none.
-        self.qt: List[List[List[float]]] = (
+        self.qt: List[List[Sequence[float]]] = (
             [] if model.init_values is None else _table_lists(model.init_values)
         )
         self.pool: List[List] = []  # recycled packet records (never-waited only)
@@ -210,14 +230,13 @@ class ReplicateState:
         self.rng = RngFactory(seed).py(f"routing:{model.spec.routing}")
         spec = model.spec
         pattern = make_pattern(spec.pattern, **spec.pattern_kwargs)
-        self.trace: List[List[TraceEntry]] = record_traffic_trace(
+        self.times, self.dsts = record_traffic_trace(
             model.topo, model.params, pattern, seed, spec.offered_load,
             spec.schedule, spec.arrival, spec.sim_time_ns,
         )
-        self.ptr = [0] * num_nodes
+        self.ptr = [0] * num_nodes  # next wake-up to replay, per node
         self.executed = 0
         self.elided = 0
-        self.glog: List[float] = []  # create times, generation order
         self.dlog: List[Tuple[float, float, int]] = []  # (create, deliver, hops)
         self.c_src_min = 0
         self.c_src_best = 0
@@ -237,11 +256,11 @@ class ReplicateState:
         cal = self.cal
         inv_w = self.inv_w
         last = num_buckets - 1
-        for node, entries in enumerate(self.trace):
-            if entries:
+        for node, times in enumerate(self.times):
+            if times:
                 seq = self.seq
                 self.seq = seq + 1
-                t = entries[0][0]
+                t = times[0]
                 idx = int(t * inv_w)
                 if idx > last:
                     idx = last
@@ -250,6 +269,29 @@ class ReplicateState:
     def events_processed(self) -> int:
         """Scalar-equivalent event count (executed plus elided no-op events)."""
         return self.executed + self.elided
+
+    def _created(self) -> np.ndarray:
+        """Create times of the packets generated so far, node by node: the
+        replayed wake-ups (below ``ptr``) that made a packet."""
+        ends = self.ptr
+        dsts = b"".join([memoryview(d)[:end] for d, end in zip(self.dsts, ends)])
+        times = b"".join([memoryview(t)[:end] for t, end in zip(self.times, ends)])
+        return np.frombuffer(times)[np.frombuffer(dsts, dtype=np.intc) >= 0]
+
+    def generated_counts(self, warmup_ns: float) -> Tuple[int, int]:
+        """Packets generated so far: all of them, and those at or after warm-up."""
+        created = self._created()
+        return len(created), int(np.count_nonzero(created >= warmup_ns))
+
+    @property
+    def glog(self) -> List[float]:
+        """Create times of every packet generated so far, ascending.
+
+        Derived from the trace for the ledger's replay probe; the package
+        itself reads :meth:`generated_counts`.
+        """
+        created: List[float] = np.sort(self._created()).tolist()
+        return created
 
 
 class BatchKernel:
@@ -322,6 +364,8 @@ class BatchKernel:
                     if entry[0] > until:
                         break
                     row = table[entry[2]]
+                    if row.__class__ is tuple:  # first write: unshare the row
+                        row = table[entry[2]] = list(row)
                     column = entry[3]
                     current = row[column]
                     delta = entry[4] - current
@@ -394,11 +438,13 @@ class BatchKernel:
         pend_cred = st.pend_cred
         pend_qfb = st.pend_qfb
         nic_busy = st.nic_busy
-        nic_q = st.nic_q
+        nic_head = st.nic_head
+        nic_n = st.nic_n
         nic_retry = st.nic_retry
         nic_cred = st.nic_cred
         pend_nic = st.pend_nic
-        trace = st.trace
+        trace_t = st.times
+        trace_d = st.dsts
         ptr = st.ptr
         pool = st.pool
         qt = st.qt
@@ -406,7 +452,7 @@ class BatchKernel:
         randrange = st.rng.randrange
         int_ = int
         len_ = len
-        glog_append = st.glog.append
+        tuple_ = tuple
         dlog_append = st.dlog.append
         # --- cached counters (written back on exit) ---
         nseq = st.seq
@@ -494,16 +540,18 @@ class BatchKernel:
                 node = a
                 if code == 3:
                     # Replay one wake-up of the traffic stream (traffic_wakeups).
-                    entries = trace[node]
+                    # A packet joins the source queue as its trace entry: the
+                    # record is built at injection.
+                    times = trace_t[node]
                     index = ptr[node]
-                    dst = entries[index][1]
+                    dst = trace_d[node][index]
                     index += 1
                     ptr[node] = index
                     if dst < 0:
-                        if index < len_(entries):
+                        if index < len_(times):
                             s2 = nseq
                             nseq = s2 + 1
-                            t2 = entries[index][0]
+                            t2 = times[index]
                             idx = int_(t2 * inv_w)
                             if idx > last_b:
                                 idx = last_b
@@ -536,35 +584,17 @@ class BatchKernel:
                                 else:
                                     cal[idx].append(e)
                         del pendn[:]
-                    src_router = nic_router[node]
-                    if pool:
-                        pkt = pool.pop()
-                        pkt[0] = now
-                        pkt[1] = dst
-                        pkt[2] = dst // hpr
-                        pkt[3] = src_router
-                        pkt[4] = group[src_router]
-                        pkt[5] = node % hpr
-                        pkt[6] = 0
-                        pkt[7] = -1
-                        pkt[8] = 0
-                        pkt[9] = now
-                        pkt[10] = None
-                        pkt[11] = None
-                    else:
-                        pkt = [now, dst, dst // hpr, src_router,
-                               group[src_router], node % hpr, 0, -1, 0, now,
-                               None, None, None]
-                    glog_append(now)
-                    nic_q[node].append(pkt)
+                    queued = nic_n[node] + 1
+                    nic_n[node] = queued
                 elif code == 4:  # EV_CREDIT_N
                     nic_cred[node] += 1
+                    queued = nic_n[node]
                 else:  # EV_NIC_RETRY
                     nic_retry[node] = False
+                    queued = nic_n[node]
                 # Mirror Nic._try_inject: drain the source queue onto the
                 # host link (shared by all three NIC-side events).
-                queue = nic_q[node]
-                while queue:
+                while queued:
                     busy_until = nic_busy[node]
                     if busy_until > now:
                         if not nic_retry[node]:
@@ -583,7 +613,35 @@ class BatchKernel:
                         break
                     if nic_cred[node] <= 0:
                         break  # the router's credit return retries
-                    pkt2 = queue.popleft()
+                    # Pop the oldest queued trace entry, skipping wake-ups
+                    # that made no packet, into a (recycled) packet record.
+                    h = nic_head[node]
+                    dst = trace_d[node][h]
+                    while dst < 0:
+                        h += 1
+                        dst = trace_d[node][h]
+                    nic_head[node] = h + 1
+                    queued -= 1
+                    nic_n[node] = queued
+                    create = trace_t[node][h]
+                    src_router = nic_router[node]
+                    if pool:
+                        pkt2 = pool.pop()
+                        pkt2[0] = create
+                        pkt2[1] = dst
+                        pkt2[2] = dst // hpr
+                        pkt2[3] = src_router
+                        pkt2[4] = group[src_router]
+                        pkt2[5] = node % hpr
+                        pkt2[6] = 0
+                        pkt2[7] = -1
+                        pkt2[8] = 0
+                        pkt2[10] = None  # (slot 9 is stamped on arrival)
+                        pkt2[11] = None
+                    else:
+                        pkt2 = [create, dst, dst // hpr, src_router,
+                                group[src_router], node % hpr, 0, -1, 0, create,
+                                None, None, None]
                     nic_busy[node] = now + ser
                     nic_cred[node] -= 1
                     s2 = nseq
@@ -599,10 +657,10 @@ class BatchKernel:
                     else:
                         cal[idx].append(e)
                     # clock unchanged: the loop exits through the busy check
-                if code == 3 and index < len_(entries):
+                if code == 3 and index < len_(times):
                     s2 = nseq
                     nseq = s2 + 1
-                    t2 = entries[index][0]
+                    t2 = times[index]
                     idx = int_(t2 * inv_w)
                     if idx > last_b:
                         idx = last_b
@@ -660,6 +718,9 @@ class BatchKernel:
                                     if t2 < now or (t2 == now
                                                     and entry[1] < cur_seq):
                                         row_l = table[entry[2]]
+                                        if row_l.__class__ is tuple_:
+                                            # first write: unshare the row
+                                            row_l = table[entry[2]] = list(row_l)
                                         column = entry[3]
                                         current = row_l[column]
                                         delta = entry[4] - current
@@ -871,7 +932,7 @@ class BatchKernel:
                 t2 = now + hop_delay[fidx]
                 if in_port < num_host_r:
                     node = node_at[fidx]
-                    if nic_q[node]:
+                    if nic_n[node]:
                         idx = int_(t2 * inv_w)
                         if idx > last_b:
                             idx = last_b

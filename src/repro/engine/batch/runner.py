@@ -130,10 +130,9 @@ def _assemble(model: BatchModel, st: ReplicateState) -> "ExperimentResult":
         node_bandwidth_bytes_per_ns=model.params.link_bandwidth_bytes_per_ns,
     )
     collector.offered_load = model.offered_load
-    # Replay the generation/delivery logs chronologically: each stream is
-    # recorded in event order, and the two streams touch disjoint
-    # collector state, so every float accumulates in scalar order.
-    collector.replay_generated(st.glog)
+    # Generation only counts (from the trace); the delivery log replays
+    # chronologically, so every float accumulates in scalar order.
+    collector.count_generated(*st.generated_counts(spec.warmup_ns))
     collector.replay_deliveries(st.dlog, model.params.packet_bytes)
     # The scalar simulator leaves now == until whether or not the heap
     # drained early, so the aggregation window is always the horizon.

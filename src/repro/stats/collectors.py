@@ -126,9 +126,15 @@ class StatsCollector:
         only count, and the log is sorted by creation time, so the in-window
         tally is the length of the suffix at or past the warm-up.
         """
-        self.generated += len(create_times_ns)
-        self.generated_in_window += (
+        self.count_generated(
+            len(create_times_ns),
             len(create_times_ns) - bisect_left(create_times_ns, self.warmup_ns))
+
+    def count_generated(self, total: int, in_window: int) -> None:
+        """Add ``total`` generated packets, ``in_window`` of them created at or
+        after the warm-up: all that :meth:`record_generated` keeps of them."""
+        self.generated += total
+        self.generated_in_window += in_window
 
     def replay_deliveries(
         self,

@@ -346,24 +346,37 @@ def test_replicate_q_tables_never_alias(routing):
     model = build_model(_spec(routing, sim=1_000.0, warm=0.0))
     kernel = BatchKernel(model, [1, 2])
     expected = model.init_values.tolist()
-    rows = []
+    cols = model.init_values.shape[2]
+    distinct = len(np.unique(model.init_values.reshape(-1, cols), axis=0))
     for st in kernel.states:
-        assert st.qt == expected
-        rows.extend(row for table in st.qt for row in table)
-    assert len({id(row) for row in rows}) == len(rows)
+        assert [[list(row) for row in table] for table in st.qt] == expected
+        # Rows are shared until first written: one tuple per distinct row.
+        shared = {id(row): row for table in st.qt for row in table}
+        assert len(shared) == distinct
+        assert all(type(row) is tuple for row in shared.values())
 
+    # One learning write, through the kernel's own fold: a feedback entry
+    # (time, seq, row, column, target) pended towards router 3.
     first, second = kernel.states
-    first.qt[3][1][2] = -1.0
+    first.pend_qfb[3].append((0.0, 0, 1, 2, -1.0))
+    kernel.finalize(0.0)
+    current = expected[3][1][2]
+    written = current + model.alpha * (-1.0 - current)
+    assert written != current
     changed = [
         (state, router, row)
         for state, st in enumerate(kernel.states)
         for router, table in enumerate(st.qt)
         for row, values in enumerate(table)
-        if values != expected[router][row]
+        if list(values) != expected[router][row]
     ]
     assert changed == [(0, 3, 1)]
-    assert first.qt[3][1] == expected[3][1][:2] + [-1.0] + expected[3][1][3:]
-    assert second.qt == expected
+    row = first.qt[3][1]
+    assert row == expected[3][1][:2] + [written] + expected[3][1][3:]
+    assert type(row) is list
+    owners = [r for st in kernel.states for table in st.qt for r in table if r is row]
+    assert len(owners) == 1
+    assert [[list(r) for r in table] for table in second.qt] == expected
     assert model.init_values.tolist() == expected
     with pytest.raises(ValueError, match="read-only"):
         model.init_values[3, 1, 2] = -1.0

@@ -124,7 +124,7 @@ def test_payload_pool_recycles_only_never_waited_records():
     kernel = _kernel(load=0.1)
     st = kernel.states[0]
     # A sentinel record pre-seeded into the pool proves the reuse path: the
-    # first generation must pop it and stamp it as a live packet.
+    # first injection must pop it and stamp it as a live packet.
     sentinel = [None] * 13
     st.pool.append(sentinel)
     kernel.run(kernel.horizon, slices=1)

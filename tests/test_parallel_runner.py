@@ -145,6 +145,26 @@ def test_corrupted_cache_entry_is_discarded_and_resimulated(tmp_path):
     assert ResultCache(tmp_path).get(spec_fingerprint(spec)) is not None
 
 
+def test_truncated_cache_entry_is_a_miss(tmp_path):
+    """Every proper prefix of a real entry (a torn write by something other
+    than ``put``) reads as a miss, and the bad file goes."""
+    runner = SweepRunner(workers=1, cache_dir=tmp_path)
+    spec = _spec(routing="Q-adp", sim_time_ns=2_000.0, warmup_ns=500.0)
+    baseline = runner.run_one(spec).summary_row()
+    key = spec_fingerprint(spec)
+    entry = tmp_path / f"{key}.pkl"
+    blob = entry.read_bytes()
+    assert len(blob) > 1_000
+    for size in range(len(blob)):
+        entry.write_bytes(blob[:size])
+        assert runner.cache.get(key) is None, f"a {size}-byte prefix was a hit"
+        assert not entry.exists()
+    entry.write_bytes(blob[:-1])
+    assert runner.run_one(spec).summary_row() == baseline
+    assert runner.simulated == 2, "the truncated entry must be re-simulated"
+    assert runner.cache.get(key) is not None  # replaced by a loadable entry
+
+
 def test_cache_entry_of_wrong_type_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     key = spec_fingerprint(_spec())

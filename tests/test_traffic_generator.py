@@ -34,11 +34,18 @@ def _network(seed=5):
     return Network(DragonflyConfig.tiny(), MinimalRouting(), seed=seed)
 
 
+def _entries(trace):
+    """A recorded trace's per-node ``(times, dsts)`` arrays as per-node
+    ``[(time, destination or -1), ...]`` lists."""
+    times, dsts = trace
+    return [list(zip(t, d)) for t, d in zip(times, dsts)]
+
+
 def _trace(schedule, seed=5, until=2_000.0):
     """Per-node wake-ups of UR traffic with deterministic arrivals on ``tiny``."""
-    return record_traffic_trace(DragonflyTopology(DragonflyConfig.tiny()), NetworkParams(),
-                                UniformRandomTraffic(), seed, None, schedule,
-                                "deterministic", until)
+    return _entries(record_traffic_trace(
+        DragonflyTopology(DragonflyConfig.tiny()), NetworkParams(), UniformRandomTraffic(),
+        seed, None, schedule, "deterministic", until))
 
 
 # --------------------------------------------------------------- LoadSchedule
@@ -366,8 +373,8 @@ def _assert_both_consumers_match_the_reference(topo, pattern_name, *args):
     kwargs = _trace_pattern_kwargs(topo, pattern_name)
     expected = _drive(_ReferenceGenerator, topo, params,
                       make_pattern(pattern_name, **kwargs), *args)
-    assert record_traffic_trace(topo, params, make_pattern(pattern_name, **kwargs),
-                                *args) == expected
+    assert _entries(record_traffic_trace(topo, params, make_pattern(pattern_name, **kwargs),
+                                         *args)) == expected
     assert _drive(TrafficGenerator, topo, params,
                   make_pattern(pattern_name, **kwargs), *args) == expected
     return expected
@@ -422,8 +429,8 @@ def test_a_boundary_exactly_at_a_wakeup_does_not_clamp_it(tie):
     topo, params, load, seed = _TRACE_TOPOLOGIES[0], NetworkParams(), 0.5, 3
     # Node 0's stagger is the stream's first draw, so a schedule starting at
     # the same load puts its first wake-up at the same time.
-    first = record_traffic_trace(topo, params, make_pattern("UR"), seed, load, None,
-                                 "deterministic", 0.0)[0][0][0]
+    first = _entries(record_traffic_trace(topo, params, make_pattern("UR"), seed, load, None,
+                                          "deterministic", 0.0))[0][0][0]
     boundary = first if tie == "first wake-up" else first + params.serialization_ns / load
     schedule = LoadSchedule([(0.0, load), (boundary, 0.25)])
     node0 = _assert_both_consumers_match_the_reference(
