@@ -98,7 +98,9 @@ number) without ever travelling through the calendar.  Five protocols run:
 * **delivery elision** — the final wire hop into a NIC only appends to the
   delivery log; its timestamp (forward time plus the constant host-link
   delay) is monotone over forwards, so the record is written at forward time
-  and the event never exists.
+  and the event never exists.  The log is three flat arrays, one value each
+  per delivered packet — ``dl_create`` and ``dl_deliver`` (float64) and
+  ``dl_hops`` (int16), the collector's typecodes — so it boxes no tuple.
 
 ``events_processed`` = executed + elided matches the scalar event count
 exactly; the equivalence suite pins that along with every statistic.
@@ -107,6 +109,7 @@ exactly; the equivalence suite pins that along with every statistic.
 from __future__ import annotations
 
 import gc
+from array import array
 from bisect import insort
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
@@ -117,6 +120,7 @@ from repro.engine.batch.decisions import decision_for
 from repro.engine.batch.model import BatchModel
 from repro.engine.batch.trace import record_traffic_trace
 from repro.engine.rng import RngFactory
+from repro.stats.collectors import HOPS_TYPECODE, TIME_TYPECODE
 from repro.traffic import make_pattern
 
 # Event codes (the drain dispatches by frequency: RECV first).
@@ -180,7 +184,7 @@ class ReplicateState:
         "pend_wakes", "pend_cred", "pend_qfb",
         "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred", "pend_nic",
         "qt", "pool", "rng", "times", "dsts", "ptr", "executed", "elided",
-        "dlog",
+        "dl_create", "dl_deliver", "dl_hops",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
         "c_minimal", "c_nonminimal", "c_reevaluations", "c_diverted",
@@ -237,7 +241,10 @@ class ReplicateState:
         self.ptr = [0] * num_nodes  # next wake-up to replay, per node
         self.executed = 0
         self.elided = 0
-        self.dlog: List[Tuple[float, float, int]] = []  # (create, deliver, hops)
+        # Delivery log, one entry per delivered packet in delivery order.
+        self.dl_create = array(TIME_TYPECODE)
+        self.dl_deliver = array(TIME_TYPECODE)
+        self.dl_hops = array(HOPS_TYPECODE)
         self.c_src_min = 0
         self.c_src_best = 0
         self.c_int_min = 0
@@ -292,6 +299,15 @@ class ReplicateState:
         """
         created: List[float] = np.sort(self._created()).tolist()
         return created
+
+    @property
+    def dlog(self) -> List[Tuple[float, float, int]]:
+        """The delivery log as chronological ``(create, deliver, hops)`` triples.
+
+        Derived from the three delivery arrays for the ledger's replay probe;
+        the package itself zips the arrays (see ``_assemble``).
+        """
+        return list(zip(self.dl_create, self.dl_deliver, self.dl_hops))
 
 
 class BatchKernel:
@@ -453,7 +469,9 @@ class BatchKernel:
         int_ = int
         len_ = len
         tuple_ = tuple
-        dlog_append = st.dlog.append
+        dl_create_append = st.dl_create.append
+        dl_deliver_append = st.dl_deliver.append
+        dl_hops_append = st.dl_hops.append
         # --- cached counters (written back on exit) ---
         nseq = st.seq
         executed = st.executed
@@ -965,7 +983,9 @@ class BatchKernel:
                     # it unless a stale waiting entry may still alias it.
                     deliver = now + hop_delay[fo]
                     if deliver <= horizon:
-                        dlog_append((pkt[0], deliver, pkt[6]))
+                        dl_create_append(pkt[0])
+                        dl_deliver_append(deliver)
+                        dl_hops_append(pkt[6])
                         elided += 1
                     if pkt[12] is None:
                         pool.append(pkt)

@@ -133,7 +133,8 @@ def _assemble(model: BatchModel, st: ReplicateState) -> "ExperimentResult":
     # Generation only counts (from the trace); the delivery log replays
     # chronologically, so every float accumulates in scalar order.
     collector.count_generated(*st.generated_counts(spec.warmup_ns))
-    collector.replay_deliveries(st.dlog, model.params.packet_bytes)
+    collector.replay_deliveries(zip(st.dl_create, st.dl_deliver, st.dl_hops),
+                                model.params.packet_bytes)
     # The scalar simulator leaves now == until whether or not the heap
     # drained early, so the aggregation window is always the horizon.
     stats = collector.finalize(spec.sim_time_ns)

@@ -274,7 +274,12 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Everything measured in one run."""
+    """Everything measured in one run.
+
+    ``latencies_ns`` (float64) and ``hops`` (int16) hold one entry per
+    packet delivered in the measurement window, in delivery order, on both
+    engines.
+    """
 
     spec: ExperimentSpec
     stats: RunStats

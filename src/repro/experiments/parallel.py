@@ -59,7 +59,9 @@ from repro.stats.collectors import RunStats
 #: 5: spec schema v4 — family-tagged ``topology`` blocks replace the
 #:    Dragonfly-only ``config`` key in the serialized form.
 #: 6: spec schema v5 — optional fault-schedule blocks in the serialized
-#:    form, fault diagnostics in the cached payload.)
+#:    form, fault diagnostics in the cached payload.)  Hop counts becoming
+#: int16 instead of float64 is no bump: the values are unchanged, so an
+#: older entry is still a correct hit.
 CACHE_VERSION = 6
 
 #: default location of the on-disk result cache, relative to the CWD.
@@ -111,7 +113,9 @@ class ExperimentResultData:
 
     This is what crosses the process boundary and what the cache stores; the
     parent reconstructs a full :class:`ExperimentResult` by re-attaching the
-    spec it submitted.
+    spec it submitted.  The per-packet arrays keep their result dtypes:
+    float64 ``latencies_ns`` and int16 ``hops`` (an older cache entry may
+    hold the same hop counts as float64; see :data:`CACHE_VERSION`).
     """
 
     stats: RunStats

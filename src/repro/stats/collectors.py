@@ -8,10 +8,16 @@ statistics (latency array, hop counts, throughput) only include packets
 *generated and delivered* after the warm-up time; the binned time series
 cover the whole run so that convergence (Figure 7) and dynamic-load
 (Figure 8) plots can include the transient.
+
+The per-packet record is typed: latencies are float64 (``'d'``) and hop
+counts int16 (``'h'``), both while collecting (flat ``array.array``s, no
+boxed object per packet) and in the arrays a result carries.  The batched
+kernel's delivery log uses the same two typecodes.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -21,6 +27,11 @@ import numpy as np
 from repro.network.packet import Packet
 from repro.stats.summary import LatencySummary, summarize_latencies
 from repro.stats.timeseries import TimeSeries
+
+#: ``array`` typecodes of the per-packet record: a time or latency in ns is a
+#: float64, a hop count an int16 (a path is a handful of router hops).
+TIME_TYPECODE = "d"
+HOPS_TYPECODE = "h"
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,8 @@ class StatsCollector:
         self.generated = 0
         self.generated_in_window = 0
         self.delivered = 0
-        self.latencies_ns: List[float] = []
-        self.hop_counts: List[int] = []
+        self.latencies_ns = array(TIME_TYPECODE)
+        self.hop_counts = array(HOPS_TYPECODE)
         self.delivered_bytes_in_window = 0.0
         self.first_measured_delivery_ns: Optional[float] = None
         self.last_measured_delivery_ns: Optional[float] = None
@@ -146,6 +157,9 @@ class StatsCollector:
         Performs exactly the per-packet work of :meth:`record_delivery`, in
         log order, with every float accumulated in the same sequence — one
         call instead of one per packet (the batched backend's assembly path).
+        Any iterable of triples works: the batched kernel passes
+        ``zip(dl_create, dl_deliver, dl_hops)`` over its three flat delivery
+        arrays, so no triple is ever stored.
         """
         bin_ns = self.latency_series.bin_ns
         lat_sums, lat_counts = self.latency_series.accumulators()
@@ -181,11 +195,16 @@ class StatsCollector:
         self.last_measured_delivery_ns = last
 
     # ------------------------------------------------------------------ output
+    # Copies, never views: an exported buffer would make the next append to
+    # the collecting array raise BufferError (a run may be finalized, then
+    # continued).
     def latency_array_ns(self) -> np.ndarray:
-        return np.asarray(self.latencies_ns, dtype=float)
+        """Measured latencies in delivery order, as a float64 copy."""
+        return np.array(self.latencies_ns, dtype=np.float64)
 
     def hops_array(self) -> np.ndarray:
-        return np.asarray(self.hop_counts, dtype=float)
+        """Measured hop counts in delivery order, as an int16 copy."""
+        return np.array(self.hop_counts, dtype=np.int16)
 
     def throughput(self, window_ns: float) -> float:
         """Delivered fraction of the system injection bandwidth over ``window_ns``."""

@@ -75,6 +75,8 @@ def _assert_identical(scalar_result, scalar_events, batched_result,
     assert scalar_events == batched_events
     assert np.array_equal(scalar_result.latencies_ns, batched_result.latencies_ns)
     assert np.array_equal(scalar_result.hops, batched_result.hops)
+    assert scalar_result.latencies_ns.dtype == batched_result.latencies_ns.dtype
+    assert scalar_result.hops.dtype == batched_result.hops.dtype
     assert scalar_result.routing_diagnostics == batched_result.routing_diagnostics
     for idx in (0, 1):
         assert np.array_equal(scalar_result.latency_timeline_us[idx],

@@ -71,7 +71,11 @@ def test_packets_are_conserved_at_every_stop(case):
         assert len(live_ids) == len(live)  # no record in two places
         assert not any(id(pkt) in live_ids for pkt in st.pool)
         generated = _generated(st)
-        assert generated == len(st.dlog) + len(live) + sum(st.nic_n)
+        delivered = len(st.dl_create)
+        assert len(st.dl_deliver) == len(st.dl_hops) == delivered
+        assert generated == delivered + len(live) + sum(st.nic_n)
+        # The derived delivery log is the three arrays, entry by entry.
+        assert st.dlog == list(zip(st.dl_create, st.dl_deliver, st.dl_hops))
         # The derived generation log agrees with the counts the result uses.
         glog = st.glog
         assert glog == sorted(glog)
@@ -82,6 +86,6 @@ def test_packets_are_conserved_at_every_stop(case):
             assert st.nic_n[node] == sum(1 for dst in queued if dst >= 0)
             mixed += bool(st.nic_n[node]) and -1 in queued
         backlog = max(backlog, sum(st.nic_n))
-        assert st.dlog  # traffic flows at every stop
+        assert delivered  # traffic flows at every stop
     assert backlog > 0  # the source-queue term is exercised
     assert bool(mixed) == ("schedule" in _CASES[case])
