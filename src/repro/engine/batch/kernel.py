@@ -277,36 +277,27 @@ class ReplicateState:
         """Scalar-equivalent event count (executed plus elided no-op events)."""
         return self.executed + self.elided
 
-    def _created(self) -> np.ndarray:
-        """Create times of the packets generated so far, node by node: the
-        replayed wake-ups (below ``ptr``) that made a packet."""
+    def generated(self) -> int:
+        """Packets generated so far: the replayed wake-ups (below ``ptr``)
+        that made a packet, i.e. the ``dst >= 0`` entries of each node's
+        trace prefix."""
+        dsts = b"".join([memoryview(d)[:end] for d, end in zip(self.dsts, self.ptr)])
+        return int(np.count_nonzero(np.frombuffer(dsts, dtype=np.intc) >= 0))
+
+    # ``glog`` and ``dlog`` stay only for the ledger's ``stats.replay_s``
+    # probe; they go with ROADMAP 1(g).
+    @property
+    def glog(self) -> List[float]:
+        """Create times of every packet generated so far, ascending."""
         ends = self.ptr
         dsts = b"".join([memoryview(d)[:end] for d, end in zip(self.dsts, ends)])
         times = b"".join([memoryview(t)[:end] for t, end in zip(self.times, ends)])
-        return np.frombuffer(times)[np.frombuffer(dsts, dtype=np.intc) >= 0]
-
-    def generated_counts(self, warmup_ns: float) -> Tuple[int, int]:
-        """Packets generated so far: all of them, and those at or after warm-up."""
-        created = self._created()
-        return len(created), int(np.count_nonzero(created >= warmup_ns))
-
-    @property
-    def glog(self) -> List[float]:
-        """Create times of every packet generated so far, ascending.
-
-        Derived from the trace for the ledger's replay probe; the package
-        itself reads :meth:`generated_counts`.
-        """
-        created: List[float] = np.sort(self._created()).tolist()
-        return created
+        created = np.frombuffer(times)[np.frombuffer(dsts, dtype=np.intc) >= 0]
+        return np.sort(created).tolist()
 
     @property
     def dlog(self) -> List[Tuple[float, float, int]]:
-        """The delivery log as chronological ``(create, deliver, hops)`` triples.
-
-        Derived from the three delivery arrays for the ledger's replay probe;
-        the package itself zips the arrays (see ``_assemble``).
-        """
+        """The delivery log as chronological ``(create, deliver, hops)`` triples."""
         return list(zip(self.dl_create, self.dl_deliver, self.dl_hops))
 
 

@@ -128,13 +128,10 @@ def _assemble(model: BatchModel, st: ReplicateState) -> "ExperimentResult":
         bin_ns=spec.stats_bin_ns,
         num_nodes=model.num_nodes,
         node_bandwidth_bytes_per_ns=model.params.link_bandwidth_bytes_per_ns,
+        packet_bytes=model.params.packet_bytes,
     )
     collector.offered_load = model.offered_load
-    # Generation only counts (from the trace); the delivery log replays
-    # chronologically, so every float accumulates in scalar order.
-    collector.count_generated(*st.generated_counts(spec.warmup_ns))
-    collector.replay_deliveries(zip(st.dl_create, st.dl_deliver, st.dl_hops),
-                                model.params.packet_bytes)
+    collector.adopt_log(st.generated(), st.dl_create, st.dl_deliver, st.dl_hops)
     # The scalar simulator leaves now == until whether or not the heap
     # drained early, so the aggregation window is always the horizon.
     stats = collector.finalize(spec.sim_time_ns)

@@ -49,7 +49,7 @@ from repro.scenarios.catalog import (
     fig9_study,
 )
 from repro.scenarios.study import StudyResult
-from repro.stats.summary import fraction_below, summarize_latencies
+from repro.stats.summary import fraction_below
 from repro.topology.config import DragonflyConfig
 
 
@@ -114,7 +114,7 @@ def figure5_sweep(
 
 # ------------------------------------------------------------------- figure 6
 def _distribution_row(result: ExperimentResult) -> Dict[str, float]:
-    summary = summarize_latencies(result.latencies_ns).as_microseconds()
+    summary = result.stats.latency.as_microseconds()
     summary["mean_hops"] = result.mean_hops
     summary["throughput"] = result.throughput
     summary["fraction_below_2us"] = fraction_below(result.latencies_ns, 2_000.0)

@@ -165,6 +165,7 @@ class Network:
             bin_ns=stats_bin_ns,
             num_nodes=self.topo.num_nodes,
             node_bandwidth_bytes_per_ns=self.params.link_bandwidth_bytes_per_ns,
+            packet_bytes=self.params.packet_bytes,
         )
         self._packet_counter = 0
         self._ev_generated = None

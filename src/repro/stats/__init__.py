@@ -1,13 +1,12 @@
 """Measurement: packet latency, throughput, hop counts, and time series."""
 
 from repro.stats.collectors import StatsCollector
-from repro.stats.summary import LatencySummary, boxplot_stats, summarize_latencies
+from repro.stats.summary import LatencySummary, summarize_latencies
 from repro.stats.timeseries import TimeSeries
 
 __all__ = [
     "LatencySummary",
     "StatsCollector",
     "TimeSeries",
-    "boxplot_stats",
     "summarize_latencies",
 ]

@@ -3,28 +3,41 @@
 One :class:`StatsCollector` is attached to a network as its default telemetry
 probe (see :mod:`repro.instrument`): it subscribes to the ``packet_generated``
 and ``packet_delivered`` hooks of the network's probe bus, so any number of
-additional listeners can observe the same events.  Measurement-window
-statistics (latency array, hop counts, throughput) only include packets
-*generated and delivered* after the warm-up time; the binned time series
-cover the whole run so that convergence (Figure 7) and dynamic-load
-(Figure 8) plots can include the transient.
+additional listeners can observe the same events.
 
-The per-packet record is typed: latencies are float64 (``'d'``) and hop
-counts int16 (``'h'``), both while collecting (flat ``array.array``s, no
-boxed object per packet) and in the arrays a result carries.  The batched
-kernel's delivery log uses the same two typecodes.
+The collector keeps the run's delivery log and nothing derived from it: a
+generated-packet count and three typed arrays, one entry per delivered
+packet in delivery order — create time and delivery time in ns (float64,
+``'d'``) and hop count (int16, ``'h'``).  These are exactly the batched
+kernel's ``dl_create`` / ``dl_deliver`` / ``dl_hops``, which its assembly
+hands over as they are.  Every statistic is a numpy reduction over the log
+at read time:
+
+* the measurement window is the mask ``deliver >= warmup_ns`` (the latency
+  and hop arrays, throughput and :class:`RunStats` only count those
+  packets);
+* the binned series (Figure 7's latency timeline, Figure 8's throughput
+  timeline) cover the whole run, transient included: the bin of a delivery
+  is ``deliver // bin_ns`` and :func:`np.bincount` gives the per-bin counts
+  and latency sums;
+* every packet of a run is ``packet_bytes`` long, so delivered bytes are a
+  packet count times that size.
+
+These are bit-identical to accumulating one packet at a time: numpy's float
+``//`` is Python's, and :func:`np.bincount` adds its weights in input order,
+so each bin's sum is the chronological sum a per-packet loop computes.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.network.packet import Packet
+from repro.network.params import NetworkParams
 from repro.stats.summary import LatencySummary, summarize_latencies
 from repro.stats.timeseries import TimeSeries
 
@@ -65,7 +78,7 @@ class RunStats:
 
 
 class StatsCollector:
-    """Collects per-packet statistics for one simulation run."""
+    """The delivery log of one simulation run, and the statistics over it."""
 
     def __init__(
         self,
@@ -73,23 +86,20 @@ class StatsCollector:
         bin_ns: float = 1_000.0,
         num_nodes: int = 1,
         node_bandwidth_bytes_per_ns: float = 4.0,
+        packet_bytes: int = NetworkParams.packet_bytes,
     ) -> None:
+        if bin_ns <= 0:
+            raise ValueError("bin width must be positive")
         self.warmup_ns = float(warmup_ns)
+        self.bin_ns = float(bin_ns)
         self.num_nodes = num_nodes
         self.node_bandwidth_bytes_per_ns = node_bandwidth_bytes_per_ns
+        self.packet_bytes = packet_bytes
 
         self.generated = 0
-        self.generated_in_window = 0
-        self.delivered = 0
-        self.latencies_ns = array(TIME_TYPECODE)
-        self.hop_counts = array(HOPS_TYPECODE)
-        self.delivered_bytes_in_window = 0.0
-        self.first_measured_delivery_ns: Optional[float] = None
-        self.last_measured_delivery_ns: Optional[float] = None
-
-        self.latency_series = TimeSeries(bin_ns)
-        self.delivery_series = TimeSeries(bin_ns)
-        self.hop_series = TimeSeries(bin_ns)
+        self.dl_create = array(TIME_TYPECODE)
+        self.dl_deliver = array(TIME_TYPECODE)
+        self.dl_hops = array(HOPS_TYPECODE)
 
         self.offered_load: Optional[float] = None
 
@@ -104,120 +114,101 @@ class StatsCollector:
     # --------------------------------------------------------------- recording
     def record_generated(self, packet: Packet) -> None:
         self.generated += 1
-        if packet.create_time_ns >= self.warmup_ns:
-            self.generated_in_window += 1
 
     def record_delivery(self, packet: Packet, now: float) -> None:
-        latency = now - packet.create_time_ns
-        self.delivered += 1
-        # All three series share one bin width: compute the bin index once
-        # and update the underlying accumulators directly (this runs once per
-        # delivered packet).
-        idx = int(now // self.latency_series.bin_ns)
-        self.latency_series.add_to_bin(idx, latency)
-        self.delivery_series.add_to_bin(idx, packet.size_bytes)
-        self.hop_series.add_to_bin(idx, packet.hops)
-        # The measurement window is defined by the *delivery* time: this keeps
-        # throughput an unbiased steady-state flux and lets saturated runs
-        # (source queues growing without bound) still report the latency of
-        # whatever the network managed to deliver, as the paper's plots do.
-        if now >= self.warmup_ns:
-            self.latencies_ns.append(latency)
-            self.hop_counts.append(packet.hops)
-            self.delivered_bytes_in_window += packet.size_bytes
-            if self.first_measured_delivery_ns is None:
-                self.first_measured_delivery_ns = now
-            self.last_measured_delivery_ns = now
+        self.dl_create.append(packet.create_time_ns)
+        self.dl_deliver.append(now)
+        self.dl_hops.append(packet.hops)
 
-    # ------------------------------------------------------------ bulk replay
-    def replay_generated(self, create_times_ns: List[float]) -> None:
-        """Replay a chronological generation log in one call.
+    def adopt_log(self, generated: int, dl_create: array, dl_deliver: array,
+                  dl_hops: array) -> None:
+        """Take over a finished run's generated count and delivery log.
 
-        Equivalent to :meth:`record_generated` once per packet: both paths
-        only count, and the log is sorted by creation time, so the in-window
-        tally is the length of the suffix at or past the warm-up.
+        The arrays are held, not copied (the batched kernel's assembly hands
+        over its own); every output below is a copy of what it reads.
         """
-        self.count_generated(
-            len(create_times_ns),
-            len(create_times_ns) - bisect_left(create_times_ns, self.warmup_ns))
+        self.generated = generated
+        self.dl_create, self.dl_deliver, self.dl_hops = dl_create, dl_deliver, dl_hops
 
-    def count_generated(self, total: int, in_window: int) -> None:
-        """Add ``total`` generated packets, ``in_window`` of them created at or
-        after the warm-up: all that :meth:`record_generated` keeps of them."""
-        self.generated += total
-        self.generated_in_window += in_window
+    # The two replays stay only for the ledger's ``stats.replay_s`` probe,
+    # which feeds a fresh collector the kernel's derived ``glog`` / ``dlog``;
+    # they go with ROADMAP 1(g).
+    def replay_generated(self, create_times_ns: List[float]) -> None:
+        """Count a generation log (one create time per packet)."""
+        self.generated += len(create_times_ns)
 
     def replay_deliveries(
         self,
         entries: Iterable[Tuple[float, float, int]],
-        size_bytes: float,
+        size_bytes: int,
     ) -> None:
-        """Replay a chronological ``(create_ns, deliver_ns, hops)`` log.
-
-        Performs exactly the per-packet work of :meth:`record_delivery`, in
-        log order, with every float accumulated in the same sequence — one
-        call instead of one per packet (the batched backend's assembly path).
-        Any iterable of triples works: the batched kernel passes
-        ``zip(dl_create, dl_deliver, dl_hops)`` over its three flat delivery
-        arrays, so no triple is ever stored.
-        """
-        bin_ns = self.latency_series.bin_ns
-        lat_sums, lat_counts = self.latency_series.accumulators()
-        del_sums, del_counts = self.delivery_series.accumulators()
-        hop_sums, hop_counts = self.hop_series.accumulators()
-        warmup = self.warmup_ns
-        lat_append = self.latencies_ns.append
-        hops_append = self.hop_counts.append
-        delivered = self.delivered
-        delivered_bytes = self.delivered_bytes_in_window
-        first = self.first_measured_delivery_ns
-        last = self.last_measured_delivery_ns
-        for create, now, hops in entries:
-            latency = now - create
-            delivered += 1
-            idx = int(now // bin_ns)
-            lat_sums[idx] = lat_sums.get(idx, 0.0) + latency
-            lat_counts[idx] = lat_counts.get(idx, 0) + 1
-            del_sums[idx] = del_sums.get(idx, 0.0) + size_bytes
-            del_counts[idx] = del_counts.get(idx, 0) + 1
-            hop_sums[idx] = hop_sums.get(idx, 0.0) + hops
-            hop_counts[idx] = hop_counts.get(idx, 0) + 1
-            if now >= warmup:
-                lat_append(latency)
-                hops_append(hops)
-                delivered_bytes += size_bytes
-                if first is None:
-                    first = now
-                last = now
-        self.delivered = delivered
-        self.delivered_bytes_in_window = delivered_bytes
-        self.first_measured_delivery_ns = first
-        self.last_measured_delivery_ns = last
+        """Append a chronological ``(create_ns, deliver_ns, hops)`` log of
+        ``size_bytes`` packets."""
+        self.packet_bytes = size_bytes
+        for log, column in zip((self.dl_create, self.dl_deliver, self.dl_hops),
+                               zip(*entries)):
+            log.extend(column)
 
     # ------------------------------------------------------------------ output
+    @property
+    def delivered(self) -> int:
+        return len(self.dl_deliver)
+
     # Copies, never views: an exported buffer would make the next append to
-    # the collecting array raise BufferError (a run may be finalized, then
-    # continued).
+    # the log raise BufferError (a run may be finalized, then continued).
+    # The ``np.frombuffer`` views below never outlive the call that makes them.
+    def _measured(self) -> np.ndarray:
+        """Mask of the log entries delivered in the measurement window."""
+        # The window is defined by the *delivery* time: this keeps throughput
+        # an unbiased steady-state flux and lets saturated runs (source queues
+        # growing without bound) still report the latency of whatever the
+        # network managed to deliver, as the paper's plots do.
+        return np.frombuffer(self.dl_deliver) >= self.warmup_ns
+
+    def _latencies(self) -> np.ndarray:
+        """Latency of every logged packet, in delivery order."""
+        return np.frombuffer(self.dl_deliver) - np.frombuffer(self.dl_create)
+
     def latency_array_ns(self) -> np.ndarray:
         """Measured latencies in delivery order, as a float64 copy."""
-        return np.array(self.latencies_ns, dtype=np.float64)
+        return self._latencies()[self._measured()]
 
     def hops_array(self) -> np.ndarray:
         """Measured hop counts in delivery order, as an int16 copy."""
-        return np.array(self.hop_counts, dtype=np.int16)
+        return np.frombuffer(self.dl_hops, dtype=np.int16)[self._measured()]
 
     def throughput(self, window_ns: float) -> float:
         """Delivered fraction of the system injection bandwidth over ``window_ns``."""
         if window_ns <= 0:
             return float("nan")
         capacity = self.num_nodes * self.node_bandwidth_bytes_per_ns * window_ns
-        return self.delivered_bytes_in_window / capacity
+        measured = int(np.count_nonzero(self._measured()))
+        return measured * self.packet_bytes / capacity
+
+    def _bins(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(index, latency sums, counts)`` of every non-empty bin, ascending."""
+        idx = (np.frombuffer(self.dl_deliver) // self.bin_ns).astype(np.intp)
+        counts = np.bincount(idx)
+        sums = np.bincount(idx, weights=self._latencies())
+        index = np.flatnonzero(counts)
+        return index, sums[index], counts[index]
+
+    @property
+    def latency_series(self) -> TimeSeries:
+        """Latency per time bin over the whole run (Figure 7's timeline)."""
+        return TimeSeries.from_bins(self.bin_ns, *self._bins())
+
+    @property
+    def delivery_series(self) -> TimeSeries:
+        """Delivered bytes per time bin over the whole run."""
+        index, _, counts = self._bins()
+        return TimeSeries.from_bins(self.bin_ns, index, counts * self.packet_bytes, counts)
 
     def throughput_series(self) -> np.ndarray:
         """Normalized throughput per time bin (whole run, including warm-up)."""
-        sums = self.delivery_series.sums()
-        capacity = self.num_nodes * self.node_bandwidth_bytes_per_ns * self.delivery_series.bin_ns
-        return sums / capacity
+        _, _, counts = self._bins()
+        capacity = self.num_nodes * self.node_bandwidth_bytes_per_ns * self.bin_ns
+        return counts * self.packet_bytes / capacity
 
     def finalize(self, sim_end_ns: float) -> RunStats:
         """Build the aggregated :class:`RunStats` for a run that ended at ``sim_end_ns``."""

@@ -2,8 +2,7 @@
 
 The paper's Figure 6 / Figure 9 report the latency distribution as a box plot
 (quartiles, 1.5×IQR whiskers) annotated with the mean, 95th and 99th
-percentile; :func:`boxplot_stats` and :func:`summarize_latencies` compute
-exactly those quantities.
+percentile; :func:`summarize_latencies` computes exactly those quantities.
 """
 
 from __future__ import annotations
@@ -58,34 +57,12 @@ EMPTY_SUMMARY = LatencySummary(
 )
 
 
-def boxplot_stats(values: Sequence[float]) -> Dict[str, float]:
-    """Quartiles and 1.5×IQR whiskers, clamped to observed data (as in the paper's plots)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {"q1": np.nan, "median": np.nan, "q3": np.nan,
-                "whisker_low": np.nan, "whisker_high": np.nan}
-    q1, median, q3 = np.percentile(arr, [25, 50, 75])
-    iqr = q3 - q1
-    low_fence = q1 - 1.5 * iqr
-    high_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= low_fence) & (arr <= high_fence)]
-    whisker_low = float(inside.min()) if inside.size else float(arr.min())
-    whisker_high = float(inside.max()) if inside.size else float(arr.max())
-    return {
-        "q1": float(q1),
-        "median": float(median),
-        "q3": float(q3),
-        "whisker_low": whisker_low,
-        "whisker_high": whisker_high,
-    }
-
-
 def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     """Full latency summary (mean, p95, p99, quartiles, whiskers, extremes).
 
-    One fused :func:`np.percentile` call covers all five quantiles (it used
-    to be two calls plus :func:`boxplot_stats`, each re-partitioning the
-    sample); the whisker clamping then reuses those quartiles directly.
+    One fused :func:`np.percentile` call covers all five quantiles (two
+    calls would each re-partition the sample); the whiskers are the data
+    extremes within 1.5×IQR of the quartiles, clamped to observed data.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,29 +27,23 @@ class TimeSeries:
 
     def add(self, time_ns: float, value: float) -> None:
         """Record ``value`` at ``time_ns``."""
-        self.add_to_bin(int(time_ns // self.bin_ns), value)
-
-    def add_to_bin(self, idx: int, value: float) -> None:
-        """Record ``value`` in bin ``idx`` (callers sharing one bin width can
-        compute the index once for several series)."""
+        idx = int(time_ns // self.bin_ns)
         self._sums[idx] = self._sums.get(idx, 0.0) + value
         self._counts[idx] = self._counts.get(idx, 0) + 1
 
-    def accumulators(self) -> Tuple[Dict[int, float], Dict[int, int]]:
-        """The live ``(sums, counts)`` bin dictionaries, for bulk recorders.
-
-        Mutating these is equivalent to a sequence of :meth:`add_to_bin`
-        calls; the batched backend's log replay uses them to accumulate three
-        series per packet without three method calls per packet.
-        """
-        return self._sums, self._counts
+    @classmethod
+    def from_bins(cls, bin_ns: float, index: np.ndarray, sums: np.ndarray,
+                  counts: np.ndarray) -> "TimeSeries":
+        """The series whose non-empty bins ``index`` hold ``sums`` / ``counts``
+        (the statistics collector's views of its delivery log)."""
+        series = cls(bin_ns)
+        bins = index.tolist()
+        series._sums = dict(zip(bins, sums.tolist()))
+        series._counts = dict(zip(bins, counts.tolist()))
+        return series
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._counts
 
     # ------------------------------------------------------------------ views
     def bins(self) -> List[int]:
@@ -71,13 +65,3 @@ class TimeSeries:
     def counts(self) -> np.ndarray:
         """Number of records per non-empty bin, ascending by time."""
         return np.array([self._counts[i] for i in self.bins()], dtype=float)
-
-    def dense(self, start_ns: float, end_ns: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (times, sums, counts) arrays covering [start_ns, end_ns)."""
-        first = int(start_ns // self.bin_ns)
-        last = int(np.ceil(end_ns / self.bin_ns))
-        idx = np.arange(first, last)
-        times = (idx + 0.5) * self.bin_ns
-        sums = np.array([self._sums.get(int(i), 0.0) for i in idx], dtype=float)
-        counts = np.array([self._counts.get(int(i), 0) for i in idx], dtype=float)
-        return times, sums, counts

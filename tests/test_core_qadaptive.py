@@ -59,9 +59,9 @@ def test_hop_bound_holds_in_simulation():
     gen = TrafficGenerator(net, UniformRandomTraffic(), offered_load=0.3)
     gen.start()
     net.run(until=15_000.0)
-    hops = net.collector.hop_counts
-    assert hops, "expected deliveries"
-    assert max(hops) <= 5
+    hops = net.collector.hops_array()
+    assert hops.size, "expected deliveries"
+    assert hops.max() <= 5
 
 
 def test_learning_updates_tables_and_feedback_flows():

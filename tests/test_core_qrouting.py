@@ -60,9 +60,9 @@ def test_hop_bound_maxq_plus_three():
     gen = TrafficGenerator(net, UniformRandomTraffic(), offered_load=0.25)
     gen.start()
     net.run(until=15_000.0)
-    hops = net.collector.hop_counts
-    assert hops
-    assert max(hops) <= maxq + 3
+    hops = net.collector.hops_array()
+    assert hops.size
+    assert hops.max() <= maxq + 3
 
 
 def test_learning_happens_and_packets_delivered():

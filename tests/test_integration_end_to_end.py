@@ -46,9 +46,9 @@ def test_all_packets_delivered_within_hop_bound(algorithm, pattern):
     net.drain(extra_ns=400_000.0)
     assert net.packets_in_flight() == 0, f"{algorithm}/{pattern} lost packets"
     assert net.buffered_packets() == 0
-    hops = net.collector.hop_counts
-    assert hops
-    assert max(hops) <= HOP_BOUNDS[algorithm]
+    hops = net.collector.hops_array()
+    assert hops.size
+    assert hops.max() <= HOP_BOUNDS[algorithm]
 
 
 _OTHER_FAMILIES = {

@@ -50,17 +50,17 @@ def test_ugaln_diverts_under_adversarial_traffic():
 def test_ugal_hop_limit_respected():
     for routing, limit in ((UgalGRouting(), 5), (UgalNRouting(), 6)):
         net = _drive(routing, AdversarialTraffic(1), load=0.25, until=10_000.0)
-        collected = net.collector
-        assert collected.hop_counts, "expected delivered packets"
-        assert max(collected.hop_counts) <= limit
+        hops = net.collector.hops_array()
+        assert hops.size, "expected delivered packets"
+        assert hops.max() <= limit
 
 
 def test_par_reevaluates_and_respects_hop_limit():
     routing = ParRouting()
     net = _drive(routing, AdversarialTraffic(1), load=0.3, until=20_000.0)
     assert routing.reevaluations > 0
-    hops = net.collector.hop_counts
-    assert hops and max(hops) <= 7
+    hops = net.collector.hops_array()
+    assert hops.size and hops.max() <= 7
     # PAR should divert a measurable share of minimally-routed packets under ADV
     assert routing.diverted_packets > 0
 
