@@ -26,7 +26,7 @@ which is how the paper argues the scheme needs no extra bandwidth.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,43 +204,49 @@ class TabularMarlRouting(RoutingAlgorithm):
             )
 
     def export_state(self) -> Dict[str, Any]:
-        """Snapshot of all learned state (the :class:`CheckpointableRouting`
-        contract of :mod:`repro.routing.base`).
-
-        The payload bundles a copy of the ``(num_routers, rows, cols)`` value
-        block, the per-router update counters, the feedback counters, and the
-        learning hyper-parameters — enough to resume, inspect, or transfer a
-        trained policy.  Only valid after
-        :meth:`~repro.routing.base.RoutingAlgorithm.attach`.
-        """
+        """:meth:`state_payload` of the live block and counters (the
+        :class:`CheckpointableRouting` contract of :mod:`repro.routing.base`)."""
         self._require_attached("export")
+        return self.state_payload(self.topo, self.values, self.updates,
+                                  self.feedback_sent, self.feedback_applied)
+
+    def state_payload(self, topo: Topology, values: Any, updates: Sequence[int],
+                      feedback_sent: int, feedback_applied: int) -> Dict[str, Any]:
+        """The learned-state payload of either engine, attached or not: a
+        float64 copy of the ``[routers, rows, cols]`` block (any nested
+        sequence), per-router update and feedback counters and
+        hyper-parameters — enough to resume, inspect, or transfer a policy."""
         params = getattr(self, "params", None)
         return {
             "version": ROUTING_STATE_VERSION,
             "routing": self.name,
-            "topology": config_to_dict(self.topo.config),
+            "topology": config_to_dict(topo.config),
             "table_version": TABLE_STATE_VERSION,
             "table_kind": self.table_kind,
-            "first_port": self.first_port,
+            "first_port": topo.table_port_span()[0],
             "hyperparams": params.to_dict() if params is not None else {},
-            "values": self.values.copy(),
-            "updates": np.array(self.updates, dtype=np.int64),
-            "feedback_sent": int(self.feedback_sent),
-            "feedback_applied": int(self.feedback_applied),
+            "values": np.array(values, dtype=np.float64),
+            "updates": np.array(updates, dtype=np.int64),
+            "feedback_sent": int(feedback_sent),
+            "feedback_applied": int(feedback_applied),
         }
 
     def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore an :meth:`export_state` payload into this attached algorithm.
-
-        Every check runs before anything is written, each error naming what
-        was trained vs. what is being loaded: payload and table-layout
-        versions, routing name, topology, router count, update counters,
-        table design, block shape and column offset.  Hyper-parameters are
-        *not* overwritten — the live algorithm keeps its own (so a policy
-        trained with exploration can be evaluated greedily) — but a mismatch
-        is visible in the payload.
-        """
+        """Restore a payload :meth:`checked_state` accepts.  Hyper-parameters
+        are *not* overwritten: a policy trained with exploration can be
+        evaluated greedily."""
         self._require_attached("import")
+        values, (self.updates, self.feedback_sent, self.feedback_applied) = \
+            self.checked_state(state, self.topo, self.values.shape)
+        self.values[...] = values
+
+    def checked_state(self, state: Mapping[str, Any], topo: Topology, shape: Tuple[int, ...]
+                      ) -> Tuple[np.ndarray, Tuple[List[int], int, int]]:
+        """``(values, (updates, feedback_sent, feedback_applied))`` of a payload
+        this algorithm may load on ``topo`` into a ``shape`` block, or a
+        :class:`ValueError` naming what was trained vs. what is loading:
+        versions, routing, topology, update counters, table design, block
+        shape (router count included) or column offset."""
         version = state.get("version")
         if version != ROUTING_STATE_VERSION:
             raise ValueError(
@@ -254,20 +260,15 @@ class TabularMarlRouting(RoutingAlgorithm):
                 f"be loaded into {self.name!r}"
             )
         topology = dict(state.get("topology", {}))
-        own_topology = config_to_dict(self.topo.config)
+        own_topology = config_to_dict(topo.config)
         if topology != own_topology:
             raise ValueError(
                 f"checkpoint was trained on topology {topology}; this network "
                 f"is {own_topology} — learned tables do not transfer across "
                 "topologies"
             )
-        num_routers = len(self.values)
+        num_routers = shape[0]
         values = np.asarray(state["values"], dtype=np.float64)
-        if values.ndim != 3 or values.shape[0] != num_routers:
-            raise ValueError(
-                f"checkpoint holds tables for {values.shape[0] if values.ndim == 3 else '?'} "
-                f"routers; this network has {num_routers}"
-            )
         updates = np.asarray(state.get("updates", np.zeros(num_routers)), dtype=np.int64)
         if updates.shape != (num_routers,):
             raise ValueError(
@@ -287,19 +288,18 @@ class TabularMarlRouting(RoutingAlgorithm):
                 f"cannot load {kind!r} state into a {self.table_kind} "
                 "(different table design)"
             )
-        if values.shape != self.values.shape:
+        if values.shape != tuple(shape):
             raise ValueError(
                 f"Q-table shape mismatch: state has {values.shape}, this network "
-                f"expects {self.values.shape} — the checkpoint was trained on a "
+                f"expects {tuple(shape)} — the checkpoint was trained on a "
                 "different topology or table configuration"
             )
-        first_port = int(state.get("first_port", self.first_port))
-        if first_port != self.first_port:
+        own_first_port = topo.table_port_span()[0]
+        first_port = int(state.get("first_port", own_first_port))
+        if first_port != own_first_port:
             raise ValueError(
                 f"Q-table port-offset mismatch: state maps columns from port "
-                f"{first_port}, this network from port {self.first_port}"
+                f"{first_port}, this network from port {own_first_port}"
             )
-        self.values[...] = values
-        self.updates = updates.tolist()
-        self.feedback_sent = int(state.get("feedback_sent", 0))
-        self.feedback_applied = int(state.get("feedback_applied", 0))
+        return values, (updates.tolist(), int(state.get("feedback_sent", 0)),
+                        int(state.get("feedback_applied", 0)))

@@ -13,9 +13,9 @@ Per-replicate results are **bit-identical** to the object-graph engine — same
 event ordering, same float accumulation order, same RNG draws — or the spec
 is refused up front with :class:`UnsupportedByBackend` (never a silent
 approximation).  ``run_experiment`` runs every spec the kernel accepts here as
-a batch of one, on its own; a batch of many seeds is :func:`run_batch` /
-:class:`BatchSimulation`.  :func:`check_batchable` answers which engine a
-spec gets.
+a batch of one — warm starts and learned-state exports included — and a
+batch of many seeds is :func:`run_batch` / :class:`BatchSimulation`.
+:func:`check_batchable` answers which engine a spec gets.
 """
 
 from repro.engine.batch.errors import UnsupportedByBackend

@@ -183,7 +183,7 @@ class ReplicateState:
         "bufs", "out_busy", "waiting", "cred",
         "pend_wakes", "pend_cred", "pend_qfb",
         "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred", "pend_nic",
-        "qt", "pool", "rng", "times", "dsts", "ptr", "executed", "elided",
+        "qt", "updates", "pool", "rng", "times", "dsts", "ptr", "executed", "elided",
         "dl_create", "dl_deliver", "dl_hops",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
@@ -229,6 +229,8 @@ class ReplicateState:
         self.qt: List[List[Sequence[float]]] = (
             [] if model.init_values is None else _table_lists(model.init_values)
         )
+        updates, self.c_fb_sent, self.c_fb_app = model.init_counters
+        self.updates = list(updates)  # applied folds per router
         self.pool: List[List] = []  # recycled packet records (never-waited only)
         # The same named stream the scalar routing draws from on attach.
         self.rng = RngFactory(seed).py(f"routing:{model.spec.routing}")
@@ -249,8 +251,6 @@ class ReplicateState:
         self.c_src_best = 0
         self.c_int_min = 0
         self.c_int_rr = 0
-        self.c_fb_sent = 0
-        self.c_fb_app = 0
         self.c_forced = 0
         # UGALg / UGALn / PAR tallies, kept by their decision functions.
         self.c_minimal = 0
@@ -380,6 +380,7 @@ class BatchKernel:
                     row[column] = current + rate * delta
                     applied += 1
                 st.c_fb_app += applied
+                st.updates[router] += applied
                 elided += applied
                 del pend[:]
             st.elided += elided
@@ -455,6 +456,7 @@ class BatchKernel:
         ptr = st.ptr
         pool = st.pool
         qt = st.qt
+        updates = st.updates
         rand = st.rng.random
         randrange = st.rng.randrange
         int_ = int
@@ -740,6 +742,7 @@ class BatchKernel:
                                         break
                                 del pend[:matured]
                                 c_fb_app += matured
+                                updates[router] += matured
                                 elided += matured
                         if kind == 1:  # KIND_QADP
                             # Mirror QAdaptiveRouting.decide, draw for draw.

@@ -18,7 +18,7 @@ diverges between seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def check_batchable(spec: "ExperimentSpec") -> None:
     The checks run before any simulation work: a spec either raises
     :class:`UnsupportedByBackend` here (``run_experiment`` then runs it on the
     object-graph engine) or produces exactly that engine's per-replicate
-    results.  Calling it is also how to ask which engine a spec gets.
+    results, a warm start's too.  Calling it asks which engine a spec gets.
     """
     if spec.telemetry:
         raise UnsupportedByBackend(
@@ -85,10 +85,6 @@ def check_batchable(spec: "ExperimentSpec") -> None:
         raise UnsupportedByBackend(
             "fault schedules (degraded-mode routing) are only simulated by "
             "the object-graph engine"
-        )
-    if spec.warm_start is not None:
-        raise UnsupportedByBackend(
-            "warm-started Q-tables are only loaded by the object-graph engine"
         )
     from repro.routing import canonical_routing_name, make_routing
     from repro.topology.registry import topology_for
@@ -146,6 +142,7 @@ class BatchModel:
     # --- learned routing (Q-adp, Q-routing) ---
     learned: bool = False
     init_values: Optional[np.ndarray] = None  # [routers, rows, cols] float64
+    init_counters: Tuple[List[int], int, int] = ([], 0, 0)  # updates/router, fb sent, applied
     first_port: int = 0
     explore: List[List[int]] = field(default_factory=list)  # [router] candidates
     onpolicy: bool = False
@@ -178,12 +175,18 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     # and no routing is attached.
     from repro.network.network import port_table, resolve_params
     from repro.routing import canonical_routing_name, make_routing
-    from repro.topology.registry import topology_for
+    from repro.topology.registry import config_to_dict, topology_for
 
     routing = make_routing(spec.routing, **spec.routing_kwargs)
     topo = topology_for(spec.config)
     routing.check_topology(topo)
     params = resolve_params(spec.network_params, routing, topo)
+    checkpoint = None
+    if spec.warm_start is not None:  # loaded and checked as build_network does
+        from repro.store import Checkpoint
+
+        checkpoint = Checkpoint.load(spec.warm_start)
+        checkpoint.check_compatible(spec.routing, config_to_dict(spec.config))
     kind = _KIND_OF_ROUTING[canonical_routing_name(spec.routing)]
     schedule = spec.schedule
     offered = schedule.phases[0].load if schedule is not None else spec.offered_load
@@ -207,8 +210,12 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
 
     if kind in _LEARNED_KINDS:
         model.learned = True
-        # Read-only here: every replicate copies it before learning.
         init_values = routing.initial_values(topo, params)
+        model.init_counters = ([0] * num_routers, 0, 0)
+        if checkpoint is not None:  # the tables and counters it carries over
+            init_values, model.init_counters = routing.checked_state(
+                checkpoint.state(), topo, init_values.shape)
+        # Read-only here: every replicate copies it before learning.
         init_values.flags.writeable = False
         model.init_values = init_values
         model.first_port = topo.table_port_span()[0]
@@ -218,6 +225,8 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
         model.beta = routing.hysteretic.beta
         model.epsilon = routing.params.epsilon
         model.table_memory_bytes = init_values.nbytes
+    elif checkpoint is not None:
+        checkpoint.apply(routing)  # raises: nothing to restore into
     if kind == KIND_QADP:
         model.p = topo.p
         model.q_thld1 = routing.params.q_thld1

@@ -18,7 +18,7 @@ import gc
 import os
 import pickle
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import fanout
 from repro.engine.batch.kernel import BatchKernel, ReplicateState
@@ -31,6 +31,7 @@ from repro.engine.batch.model import (
     BatchModel,
     build_model,
 )
+from repro.routing import make_routing
 
 if TYPE_CHECKING:  # typing only
     from repro.experiments.harness import ExperimentResult, ExperimentSpec
@@ -108,6 +109,15 @@ class BatchSimulation:
             return [events for _, events, _ in self._pooled]
         return [state.events_processed() for state in self.kernel.states]
 
+    def export_states(self) -> List[Dict[str, Any]]:
+        """Each replicate's ``export_state`` payload at the horizon (runs if needed)."""
+        self.run()
+        if self.kernel is None or not self.model.learned:
+            raise ValueError("this batch keeps no learned state to export")
+        routing = make_routing(self.spec.routing, **self.spec.routing_kwargs)
+        return [routing.state_payload(self.model.topo, st.qt, st.updates, st.c_fb_sent,
+                                      st.c_fb_app) for st in self.kernel.states]
+
     def results(self) -> List["ExperimentResult"]:
         """Fresh per-replicate results, ordered like ``seeds`` (runs if needed)."""
         self.run()
@@ -173,8 +183,8 @@ def run_batch(
 
     Raises :class:`~repro.engine.batch.errors.UnsupportedByBackend` before any
     simulation work when the spec uses a feature the flat kernel does not
-    reproduce bit-identically: telemetry, faults, warm starts, or a routing
-    plugged in from outside the package (every built-in routing has a
+    reproduce bit-identically: telemetry, faults, or a routing plugged in
+    from outside the package (every built-in routing has a
     decision kind).  This entry point never falls back; ``run_experiment``
     is the one that picks an engine per spec.
     """

@@ -7,16 +7,17 @@ otherwise on a network + traffic generator built from it — and returns an
 sample, and the binned time series needed by the convergence / dynamic-load
 figures.
 
-Learned-state lifecycle: a spec with ``warm_start`` restores a checkpoint
-(see :mod:`repro.store`) into the routing algorithm before any packet is
-injected; :func:`train_experiment` runs a spec and persists the learned
-state afterwards (memoized by spec fingerprint); a staged
+Learned-state lifecycle, on either engine: a spec with ``warm_start``
+starts from a checkpoint's tables (see :mod:`repro.store`);
+:func:`train_experiment` runs a spec and persists the learned state at the
+horizon (memoized by spec fingerprint); a staged
 :class:`~repro.scenarios.study.Study` feeds one such training run per
 algorithm to every evaluation point instead of re-learning at each.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,7 @@ from repro.scenarios.serialize import (
     check_schema,
     decode_kwargs,
     encode_kwargs,
+    run_numbers,
 )
 from repro.stats.collectors import RunStats, StatsCollector
 from repro.topology.registry import config_from_dict, config_to_dict
@@ -46,7 +48,7 @@ from repro.traffic import (
 )
 
 if TYPE_CHECKING:  # runtime imports stay local: the store imports spec types
-    from repro.store import ArtifactStore
+    from repro.store import ArtifactStore, Checkpoint
 
 #: anything :func:`repro.store.resolve_store` accepts.
 StoreLike = Union[None, str, "os.PathLike[str]", "ArtifactStore"]
@@ -113,21 +115,21 @@ class ExperimentSpec:
                 f"bandwidth — got {self.offered_load}; use schedule=LoadSchedule(...) "
                 "for time-varying load"
             )
-        if self.sim_time_ns <= 0.0:
+        if not 0.0 < self.sim_time_ns < math.inf:
             raise ValueError(
-                f"sim_time_ns must be positive, got {self.sim_time_ns}; "
-                "nothing can be simulated in zero time"
+                f"sim_time_ns must be positive and finite, got {self.sim_time_ns}; "
+                "nothing can be simulated in zero or endless time"
             )
-        if self.warmup_ns < 0.0:
-            raise ValueError(f"warmup_ns cannot be negative, got {self.warmup_ns}")
+        if not self.warmup_ns >= 0.0:
+            raise ValueError(f"warmup_ns cannot be negative or NaN, got {self.warmup_ns}")
         if self.warmup_ns > self.sim_time_ns:
             raise ValueError(
                 f"warmup_ns ({self.warmup_ns}) cannot exceed sim_time_ns "
                 f"({self.sim_time_ns}); no measurement window would remain"
             )
-        if self.stats_bin_ns <= 0.0:
+        if not 0.0 < self.stats_bin_ns < math.inf:
             raise ValueError(
-                f"stats_bin_ns must be positive, got {self.stats_bin_ns}; "
+                f"stats_bin_ns must be positive and finite, got {self.stats_bin_ns}; "
                 "the time series needs a non-empty bin width"
             )
         if self.warm_start is not None:
@@ -235,12 +237,10 @@ class ExperimentSpec:
         }
         if "schedule" in data:
             kwargs["schedule"] = LoadSchedule.from_dict(data["schedule"])
-        for name, convert in (("sim_time_ns", float), ("warmup_ns", float),
-                              ("seed", int), ("stats_bin_ns", float)):
+        kwargs.update(run_numbers(data, "ExperimentSpec"))
+        for name in ("arrival", "label", "warm_start"):
             if name in data:
-                kwargs[name] = convert(data[name])
-        if "arrival" in data:
-            kwargs["arrival"] = data["arrival"]
+                kwargs[name] = data[name]
         if "routing_kwargs" in data:
             kwargs["routing_kwargs"] = decode_kwargs(data["routing_kwargs"],
                                                      "ExperimentSpec.routing_kwargs")
@@ -249,10 +249,6 @@ class ExperimentSpec:
                                                      "ExperimentSpec.pattern_kwargs")
         if "network_params" in data:
             kwargs["network_params"] = NetworkParams.from_dict(data["network_params"])
-        if "label" in data:
-            kwargs["label"] = data["label"]
-        if "warm_start" in data:
-            kwargs["warm_start"] = data["warm_start"]
         if "telemetry" in data:
             telemetry = data["telemetry"]
             if not isinstance(telemetry, (list, tuple)) or not all(
@@ -306,6 +302,8 @@ class ExperimentResult:
     ) -> "ExperimentResult":
         """The result of a finished run, read off its finalized collector
         (the one assembly both engines share)."""
+        if spec.warm_start is not None:
+            diagnostics["warm_start"] = spec.warm_start
         return cls(
             spec=spec,
             stats=stats,
@@ -405,8 +403,8 @@ def build_network(spec: ExperimentSpec) -> Tuple[Network, TrafficGenerator]:
 
 
 def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
-    """Run one spec to completion; returns the result and the live network
-    (so callers can export learned state before it is garbage-collected)."""
+    """Run one spec to completion on the object graph, the reference engine;
+    returns the result and the finished network."""
     network, generator = build_network(spec)
     probes = []
     if spec.telemetry:
@@ -431,8 +429,6 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
                  "diverted_packets", "forced_minimal"):
         if hasattr(routing, attr):
             diagnostics[attr] = getattr(routing, attr)
-    if spec.warm_start is not None:
-        diagnostics["warm_start"] = spec.warm_start
     controller = getattr(network, "fault_controller", None)
     if controller is not None:
         diagnostics.update(controller.diagnostics())
@@ -444,23 +440,47 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     return result, network
 
 
-def _execute_flat(spec: ExperimentSpec) -> Optional[ExperimentResult]:
-    """Run one spec as a batch of one on the flat kernel, or return ``None``
-    when the kernel refuses it (:func:`repro.engine.batch.check_batchable`
-    lists why).  The result equals :func:`_execute`'s field for field;
-    ``wall_time_s`` is the drain alone, as there."""
+def _run(spec: ExperimentSpec, store: Optional["ArtifactStore"] = None,
+         name: Optional[str] = None) -> Tuple[ExperimentResult, Optional["Checkpoint"]]:
+    """Run one spec on the flat kernel as a batch of one when it accepts the
+    spec, else on the object graph; ``wall_time_s`` is the drain alone.  With
+    a ``store``, save the learned state at the horizon there (checkpoint
+    ``name``; its path lands in ``routing_diagnostics["checkpoint"]``)."""
     from repro.engine.batch import BatchSimulation, UnsupportedByBackend
 
+    batch = None
     try:
         batch = BatchSimulation(spec, [spec.seed])
     except UnsupportedByBackend:
-        return None
-    started = time.perf_counter()
-    batch.run()
-    wall = time.perf_counter() - started
-    result = batch.results()[0]
-    result.wall_time_s = wall
-    return result
+        result, network = _execute(spec)
+    else:
+        started = time.perf_counter()
+        batch.run()
+        wall = time.perf_counter() - started
+        result = batch.results()[0]
+        result.wall_time_s = wall
+    if store is None:
+        return result, None
+    state = network.routing.export_state() if batch is None else batch.export_states()[0]
+    checkpoint = store.save(state, trained_sim_ns=spec.sim_time_ns, spec=spec, name=name)
+    result.routing_diagnostics["checkpoint"] = str(checkpoint.path)
+    return result, checkpoint
+
+
+def _check_save_request(spec: ExperimentSpec, name: Optional[str], action: str,
+                        caller: str) -> None:
+    # Fail before simulating, not after paying for the whole run.
+    from repro.routing.base import is_checkpointable
+    from repro.store import ArtifactStore
+
+    if not is_checkpointable(make_routing(spec.routing, **spec.routing_kwargs)):
+        raise ValueError(
+            f"routing {spec.routing!r} has no learned state to {action}; "
+            f"{caller} only makes sense for Q-adp / Q-routing "
+            "(or other checkpointable algorithms)"
+        )
+    if name is not None:
+        ArtifactStore.validate_id(name)
 
 
 def run_experiment(
@@ -470,11 +490,10 @@ def run_experiment(
     """Run one experiment to completion and collect its results.
 
     The engine is chosen by capability, not by option: a spec the flat kernel
-    (:mod:`repro.engine.batch`) reproduces bit-identically runs there as a
-    batch of one; anything it refuses — telemetry, faults, a warm start, a
-    plugged-in routing — and any run that must hand its live network to
-    ``save_state`` runs on the object-graph engine.  Results are identical
-    either way.
+    (:mod:`repro.engine.batch`) reproduces bit-identically — training, warm
+    starts and ``save_state`` included — runs there as a batch of one;
+    anything it refuses (telemetry, faults, a plugged-in routing) runs on the
+    object-graph engine.  Results are identical either way.
 
     ``options`` (a :class:`~repro.experiments.options.RunOptions`) carries
     the execution knobs: ``options.save_state`` persists the learned routing
@@ -487,36 +506,12 @@ def run_experiment(
     """
     options = options or RunOptions()
     spec = options.apply_to_spec(spec)
-    save_state = options.save_state
-    if save_state is not None:
-        # Fail before simulating: a save request on a learned-state-free
-        # algorithm must not cost the whole run first.
-        from repro.routing.base import is_checkpointable
-        from repro.store import ArtifactStore
+    if options.save_state is None:
+        return _run(spec)[0]
+    from repro.store import resolve_store
 
-        if not is_checkpointable(make_routing(spec.routing, **spec.routing_kwargs)):
-            raise ValueError(
-                f"routing {spec.routing!r} has no learned state to checkpoint; "
-                "save_state only makes sense for Q-adp / Q-routing "
-                "(or other checkpointable algorithms)"
-            )
-        ArtifactStore.validate_id(save_state)
-    else:
-        flat = _execute_flat(spec)
-        if flat is not None:
-            return flat
-    result, network = _execute(spec)
-    if save_state is not None:
-        from repro.store import resolve_store
-
-        checkpoint = resolve_store(options.store).save_from(
-            network.routing,
-            trained_sim_ns=network.sim.now,
-            spec=spec,
-            name=save_state,
-        )
-        result.routing_diagnostics["checkpoint"] = str(checkpoint.path)
-    return result
+    _check_save_request(spec, options.save_state, "checkpoint", "save_state")
+    return _run(spec, resolve_store(options.store), options.save_state)[0]
 
 
 def run_replicates(
@@ -609,22 +604,12 @@ def train_experiment(
     ``options.store`` the artifact store it is saved in.
     """
     from repro.experiments.parallel import spec_fingerprint
-    from repro.routing.base import is_checkpointable
     from repro.store import resolve_store
 
     options = options or RunOptions()
     spec = options.apply_to_spec(spec)
     name = options.name
-    if not is_checkpointable(make_routing(spec.routing, **spec.routing_kwargs)):
-        raise ValueError(
-            f"routing {spec.routing!r} has no learned state to train; "
-            "train_experiment only makes sense for Q-adp / Q-routing "
-            "(or other checkpointable algorithms)"
-        )
-    if name is not None:
-        from repro.store import ArtifactStore
-
-        ArtifactStore.validate_id(name)
+    _check_save_request(spec, name, "train", "train_experiment")
     store = resolve_store(options.store)
     fingerprint = spec_fingerprint(spec)
     if options.reuse:
@@ -642,12 +627,5 @@ def train_experiment(
                 name=name,
             )
             return TrainResult(checkpoint=checkpoint, result=None, reused=True)
-    result, network = _execute(spec)
-    checkpoint = store.save_from(
-        network.routing,
-        trained_sim_ns=network.sim.now,
-        spec=spec,
-        name=name,
-    )
-    result.routing_diagnostics["checkpoint"] = str(checkpoint.path)
+    result, checkpoint = _run(spec, store, name)
     return TrainResult(checkpoint=checkpoint, result=result, reused=False)

@@ -32,8 +32,8 @@ class RunOptions:
     Parameters
     ----------
     save_state:
-        Checkpoint id to persist the learned routing state under after a
-        single run (:func:`~repro.experiments.harness.run_experiment`).
+        Checkpoint id to persist the learned state of a single run under
+        (:func:`~repro.experiments.harness.run_experiment`, either engine).
     store:
         Artifact store for checkpoints: an
         :class:`~repro.store.ArtifactStore`, a directory path, or ``None``

@@ -21,6 +21,7 @@ object instead of a bare dict.
 
 from __future__ import annotations
 
+import math
 from importlib import import_module
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
@@ -73,6 +74,28 @@ def check_schema(data: Mapping[str, Any], expected: int, context: str) -> None:
             f"{context}: unsupported schema version {version!r} "
             f"(this build reads version {expected})"
         )
+
+
+def run_numbers(data: Mapping[str, Any], context: str) -> Dict[str, Any]:
+    """``sim_time_ns``, ``warmup_ns``, ``stats_bin_ns`` (finite floats) and
+    ``seed`` (an integral int), as far as ``data`` holds them, else a
+    :class:`ValueError` naming the field.  Numeric strings such as YAML 1.1's
+    ``"5e4"`` pass; booleans, NaN, infinities and ``1.5`` seeds raise."""
+    numbers: Dict[str, Any] = {}
+    for name, kind in (("sim_time_ns", float), ("warmup_ns", float),
+                       ("stats_bin_ns", float), ("seed", int)):
+        if name not in data:
+            continue
+        value = data[name]
+        try:
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not (math.isfinite(number) and (kind is float or number.is_integer())):
+            what = "a finite number" if kind is float else "an integer"
+            raise ValueError(f"{context}: {name} must be {what}, got {value!r}")
+        numbers[name] = value if kind is int and isinstance(value, int) else kind(number)
+    return numbers
 
 
 def encode_kwargs(kwargs: Mapping[str, Any], context: str) -> Dict[str, Any]:

@@ -50,6 +50,7 @@ from repro.scenarios.serialize import (
     check_schema,
     decode_kwargs,
     encode_kwargs,
+    run_numbers,
 )
 from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import LoadSchedule, canonical_pattern_name
@@ -213,10 +214,10 @@ class Scenario:
             context=context,
         )
         kwargs: Dict = {"name": data["name"]}
-        for name in ("routing", "pattern", "loads", "replicates", "sim_time_ns",
-                     "warmup_ns", "stats_bin_ns", "seed", "arrival", "telemetry"):
+        for name in ("routing", "pattern", "loads", "replicates", "arrival", "telemetry"):
             if name in data:
                 kwargs[name] = data[name]
+        kwargs.update(run_numbers(data, context))
         if "loads_by_pattern" in data:
             kwargs["loads_by_pattern"] = dict(data["loads_by_pattern"])
         if "schedule" in data:
@@ -306,9 +307,10 @@ class TrainStage:
             context="TrainStage",
         )
         kwargs: Dict = {}
-        for name in ("pattern", "load", "train_ns", "routing", "seed"):
+        for name in ("pattern", "load", "train_ns", "routing"):
             if name in data:
                 kwargs[name] = data[name]
+        kwargs.update(run_numbers(data, "TrainStage"))
         if "routing_kwargs" in data:
             kwargs["routing_kwargs"] = {
                 routing: decode_kwargs(kw, "TrainStage.routing_kwargs")
@@ -611,10 +613,7 @@ class Study:
             "config": config_from_dict(data["config"]),
             "scenarios": [Scenario.from_dict(item) for item in data["scenarios"]],
         }
-        for name, convert in (("sim_time_ns", float), ("warmup_ns", float),
-                              ("stats_bin_ns", float), ("seed", int)):
-            if name in data:
-                kwargs[name] = convert(data[name])
+        kwargs.update(run_numbers(data, "Study"))
         for name in ("arrival", "description", "telemetry"):
             if name in data:
                 kwargs[name] = data[name]

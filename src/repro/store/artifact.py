@@ -343,11 +343,6 @@ class ArtifactStore:
         hasher.update(json.dumps(core, sort_keys=True).encode("utf-8"))
         return hasher.hexdigest()
 
-    @classmethod
-    def derive_id(cls, state: Mapping[str, Any]) -> str:
-        """Short content-derived checkpoint id suffix."""
-        return cls.state_digest(state)[:12]
-
     def path_of(self, checkpoint_id: str) -> Path:
         return self.root / checkpoint_id
 
@@ -358,25 +353,23 @@ class ArtifactStore:
         *,
         trained_sim_ns: float = 0.0,
         spec: Optional["ExperimentSpec"] = None,
-        spec_fingerprint: Optional[str] = None,
         name: Optional[str] = None,
     ) -> Checkpoint:
-        """Persist an ``export_state`` payload as a checkpoint.
+        """Persist an ``export_state`` payload (from either engine) as a checkpoint.
 
         ``spec`` (an :class:`~repro.experiments.harness.ExperimentSpec`, when
-        available) records the producing run in the manifest and — unless
-        ``spec_fingerprint`` is given explicitly — its cache fingerprint, so
-        later training requests for the same spec can reuse the checkpoint.
+        available) records the producing run in the manifest with its cache
+        fingerprint, so later training requests for the same spec can reuse it.
         ``name`` overrides the content-derived id (an existing checkpoint
         under that name is replaced).
         """
         spec_dict = None
+        spec_fingerprint = None
         if spec is not None:
-            spec_dict = spec.to_dict()
-            if spec_fingerprint is None:
-                from repro.experiments.parallel import spec_fingerprint as fingerprint_of
+            from repro.experiments.parallel import spec_fingerprint as fingerprint_of
 
-                spec_fingerprint = fingerprint_of(spec)
+            spec_dict = spec.to_dict()
+            spec_fingerprint = fingerprint_of(spec)
         routing = state.get("routing")
         digest = self.state_digest(state)
         if name is not None:
@@ -401,21 +394,6 @@ class ArtifactStore:
             state_digest=digest,
         )
         return Checkpoint.write(self.path_of(checkpoint_id), state, manifest)
-
-    def save_from(self, routing_algorithm: "RoutingAlgorithm", *,
-                  trained_sim_ns: float = 0.0,
-                  spec: Optional["ExperimentSpec"] = None,
-                  name: Optional[str] = None) -> Checkpoint:
-        """Convenience: export an attached algorithm's state and save it."""
-        from repro.routing.base import is_checkpointable
-
-        if not is_checkpointable(routing_algorithm):
-            raise ValueError(
-                f"routing algorithm {getattr(routing_algorithm, 'name', routing_algorithm)!r} "
-                "has no learned state to checkpoint"
-            )
-        return self.save(routing_algorithm.export_state(),
-                         trained_sim_ns=trained_sim_ns, spec=spec, name=name)
 
     # ------------------------------------------------------------------- load
     def load(self, ref: Union[str, os.PathLike]) -> Checkpoint:

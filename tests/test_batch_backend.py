@@ -282,7 +282,6 @@ def test_events_processed_counts_match_scalar():
         ({"telemetry": ("link-util",)}, "probes-off"),
         ({"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
          "fault schedules"),
-        ({"warm_start": "some-checkpoint"}, "warm-started"),
         ({"routing": "PluggedIn"}, "no batched kernel"),
     ],
 )
@@ -576,24 +575,52 @@ def test_a_replaced_builtin_routing_is_a_plugin(object_graph_runs):
     check_batchable(spec)
 
 
-def test_warm_start_and_save_state_run_the_object_graph(tmp_path, object_graph_runs):
+def test_warm_start_and_save_state_run_on_the_kernel(tmp_path, object_graph_runs):
+    from repro.experiments import train_experiment
     from repro.store import ArtifactStore
+
+    def digest_of(network):
+        return ArtifactStore.state_digest(network.routing.export_state())
 
     store = ArtifactStore(tmp_path / "store")
     spec = _spec("Q-adp", sim=3_000.0, warm=1_000.0)
-    # save_state needs the live network, so even a batchable spec stays put.
-    check_batchable(spec)
+    train_spec = spec.with_overrides(seed=12)
+    references = {s.seed: _execute(s) for s in (spec, train_spec)}
+    del object_graph_runs[:]
     saved = run_experiment(spec, RunOptions(save_state="tag", store=store))
-    assert len(object_graph_runs) == 1
+    trained = train_experiment(train_spec, RunOptions(store=store, name="trained"))
+    assert object_graph_runs == []
     checkpoint = saved.routing_diagnostics.pop("checkpoint")
-    np.testing.assert_equal(_payload(saved), _payload(_execute(spec)[0]))
+    trained.result.routing_diagnostics.pop("checkpoint")
+    for result, ckpt, s in ((saved, store.load("tag"), spec),
+                            (trained.result, trained.checkpoint, train_spec)):
+        reference, network = references[s.seed]
+        np.testing.assert_equal(_payload(result), _payload(reference))
+        assert ckpt.manifest.state_digest == digest_of(network)
 
     warm = spec.with_overrides(warm_start=checkpoint)
+    check_batchable(warm)
+    reference = _execute(warm)[0]
+    del object_graph_runs[:]
+    result = run_experiment(warm)
+    assert object_graph_runs == []
+    assert result.routing_diagnostics["warm_start"] == checkpoint
+    np.testing.assert_equal(_payload(result), _payload(reference))
+
+
+def test_warm_start_with_telemetry_runs_the_object_graph(tmp_path, object_graph_runs):
+    spec = _spec("Q-adp", sim=3_000.0, warm=1_000.0)
+    saved = run_experiment(spec, RunOptions(save_state="tag", store=tmp_path))
+    warm = spec.with_overrides(warm_start=saved.routing_diagnostics["checkpoint"],
+                               telemetry=("link-util",))
+    with pytest.raises(UnsupportedByBackend, match="probes-off"):
+        check_batchable(warm)
     reference = _execute(warm)[0]
     del object_graph_runs[:]
     result = run_experiment(warm)
     assert len(object_graph_runs) == 1
-    assert result.routing_diagnostics["warm_start"] == checkpoint
+    assert result.routing_diagnostics["warm_start"] == warm.warm_start
+    assert result.telemetry["link-util"]
     np.testing.assert_equal(_payload(result), _payload(reference))
 
 

@@ -92,13 +92,16 @@ def test_golden_fingerprint_is_reproduced_by_the_flat_kernel(key):
     assert _stats_fingerprint(stats, batch.events_processed()[0]) == GOLDEN[key]
 
 
-def _warmstart_fingerprint(store_dir) -> dict:
+def _warmstart_fingerprint(store_dir, kernel: bool = False) -> dict:
     """Train Q-adp briefly, then fingerprint a warm-started measurement run.
 
     The whole chain — training run, checkpoint bytes, warm-started run — is
     seeded, so the fingerprint is machine independent like the cold ones.
+    It runs on one engine: the object graph (``_execute``, then
+    ``build_network``) or the flat kernel (``train_experiment`` picks it for
+    this spec, then ``BatchSimulation``).
     """
-    from repro.experiments.harness import train_experiment
+    from repro.experiments.harness import _execute, train_experiment
     from repro.experiments.options import RunOptions
     from repro.store import ArtifactStore
 
@@ -111,12 +114,21 @@ def _warmstart_fingerprint(store_dir) -> dict:
         warmup_ns=0.0,
         seed=11,
     )
-    trained = train_experiment(train_spec, options=RunOptions(store=ArtifactStore(store_dir)))
+    store = ArtifactStore(store_dir)
+    if kernel:
+        checkpoint = train_experiment(train_spec, options=RunOptions(store=store)).checkpoint
+    else:
+        state = _execute(train_spec)[1].routing.export_state()
+        checkpoint = store.save(state, trained_sim_ns=train_spec.sim_time_ns,
+                                spec=train_spec)
     spec = train_spec.with_overrides(
         sim_time_ns=6_000.0,
         warmup_ns=2_000.0,
-        warm_start=str(trained.checkpoint.path),
+        warm_start=str(checkpoint.path),
     )
+    if kernel:
+        batch = BatchSimulation(spec, [spec.seed]).run()
+        return _stats_fingerprint(batch.results()[0].stats, batch.events_processed()[0])
     network, generator = build_network(spec)
     generator.start()
     network.run(until=spec.sim_time_ns)
@@ -132,6 +144,11 @@ def test_warmstart_golden_fingerprint_is_reproduced(tmp_path):
     assert first == GOLDEN_WARMSTART["Q-adp/ADV+1"]
     second = _warmstart_fingerprint(tmp_path / "store-b")
     assert second == first
+
+
+def test_warmstart_golden_fingerprint_is_reproduced_by_the_flat_kernel(tmp_path):
+    """The same chain with training and the warm-started run on the kernel."""
+    assert _warmstart_fingerprint(tmp_path, kernel=True) == GOLDEN_WARMSTART["Q-adp/ADV+1"]
 
 
 def test_same_seed_same_summary_row_across_runs():

@@ -205,6 +205,63 @@ def test_spec_validation_rejects_nonsense(overrides, message):
         ExperimentSpec(**base)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(sim_time_ns=float("nan")), "sim_time_ns must be positive and finite"),
+    (dict(sim_time_ns=float("inf")), "sim_time_ns must be positive and finite"),
+    (dict(warmup_ns=float("nan")), "warmup_ns cannot be negative or NaN"),
+    (dict(stats_bin_ns=float("nan")), "stats_bin_ns must be positive and finite"),
+    (dict(stats_bin_ns=float("inf")), "stats_bin_ns must be positive and finite"),
+])
+def test_spec_validation_rejects_non_finite_times(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _spec(**overrides)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", "x", "seed must be an integer"),
+    ("sim_time_ns", "nan", "sim_time_ns must be a finite number, got 'nan'"),
+    ("sim_time_ns", float("inf"), "sim_time_ns must be a finite number"),
+    ("warmup_ns", None, "warmup_ns must be a finite number, got None"),
+    ("stats_bin_ns", False, "stats_bin_ns must be a finite number"),
+])
+def test_spec_from_dict_refuses_numbers_it_would_coerce(field, value, message):
+    data = _spec().to_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match=f"ExperimentSpec: {message}"):
+        ExperimentSpec.from_dict(data)
+
+
+def test_spec_from_dict_accepts_numeric_strings_and_integral_floats():
+    data = dict(_spec().to_dict(), sim_time_ns="5e3", warmup_ns=" 1000 ", seed=7.0)
+    spec = ExperimentSpec.from_dict(data)
+    assert (spec.sim_time_ns, spec.warmup_ns, spec.seed) == (5_000.0, 1_000.0, 7)
+    assert type(spec.seed) is int
+    assert ExperimentSpec.from_dict(dict(data, seed="12")).seed == 12
+    big = 2**63 + 1  # a JSON integer keeps every bit
+    assert ExperimentSpec.from_dict(dict(data, seed=big)).seed == big
+
+
+def test_study_from_dict_refuses_numbers_it_would_coerce():
+    from repro.scenarios.study import Scenario, TrainStage
+
+    study = Study(name="s", config=TINY, sim_time_ns=4_000.0, warmup_ns=1_000.0,
+                  scenarios=[Scenario(name="a", routing="Q-adp", loads=(0.2,))],
+                  train=TrainStage(load=0.3))
+    data = study.to_dict()
+    with pytest.raises(ValueError, match="TrainStage: seed must be an integer, got 1.5"):
+        Study.from_dict(dict(data, train=dict(data["train"], seed=1.5)))
+    for field, value in (("seed", 1.5), ("seed", True), ("sim_time_ns", "nan"),
+                         ("stats_bin_ns", float("inf"))):
+        with pytest.raises(ValueError, match=f"Study: {field} must be"):
+            Study.from_dict(dict(data, **{field: value}))
+        scenario = dict(data["scenarios"][0], **{field: value})
+        with pytest.raises(ValueError, match=f"Scenario\\['a'\\]: {field} must be"):
+            Study.from_dict(dict(data, scenarios=[scenario]))
+    assert Study.from_dict(dict(data, sim_time_ns="5e4")).sim_time_ns == 50_000.0
+
+
 def test_spec_validation_still_accepts_boundary_values():
     assert ExperimentSpec(config=TINY, offered_load=1.0).offered_load == 1.0
     assert ExperimentSpec(config=TINY, offered_load=0.2, warmup_ns=0.0).warmup_ns == 0.0

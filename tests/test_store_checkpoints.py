@@ -1,25 +1,29 @@
 """Tests for the learned-state lifecycle: export/import, the artifact store,
 warm-started experiments, and staged (train-once/eval-many) studies."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from repro.engine.batch import BatchSimulation
 from repro.experiments.harness import (
     ExperimentSpec,
+    _execute,
     build_network,
     run_experiment,
     train_experiment,
 )
 from repro.experiments.options import RunOptions
-from repro.experiments.parallel import SweepRunner, spec_fingerprint
+from repro.experiments.parallel import ExperimentResultData, SweepRunner, spec_fingerprint
 from repro.routing import make_routing
 from repro.routing.base import is_checkpointable
 from repro.scenarios.study import Scenario, Study, TrainStage
 from repro.store import ArtifactStore, Checkpoint, CheckpointManifest
 from repro.topology.config import DragonflyConfig
+from repro.topology.fattree import FatTreeConfig
 
 TINY = DragonflyConfig.tiny()
 SMALL = DragonflyConfig.small_72()
@@ -87,6 +91,59 @@ def test_export_payload_is_pinned(routing):
                            "first_port", "hyperparams", "values", "updates",
                            "feedback_sent", "feedback_applied"]
     assert state["values"].dtype == np.float64 and state["updates"].dtype == np.int64
+
+
+def _payload(result) -> dict:
+    """Every :class:`ExperimentResultData` field of ``result`` but the wall time."""
+    payload = dataclasses.asdict(ExperimentResultData.from_result(result))
+    del payload["wall_time_s"]
+    return payload
+
+
+def _kernel_state(spec):
+    return BatchSimulation(spec, [spec.seed]).export_states()[0]
+
+
+def _assert_same_state(got, expected):
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype, key
+            assert np.array_equal(got[key], value), key
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("routing", sorted(PAYLOAD_PINS))
+def test_kernel_export_reproduces_the_payload_pins(routing):
+    state = _kernel_state(_spec(routing=routing))
+    digest, updates, _ = PAYLOAD_PINS[routing]
+    assert ArtifactStore.state_digest(state) == digest
+    assert int(state["updates"].sum()) == updates
+
+
+@pytest.mark.parametrize("routing,config", [
+    pytest.param("Q-adp", SMALL, id="Q-adp-small72"),
+    pytest.param("Q-routing", SMALL, id="Q-routing-small72"),
+    pytest.param("Q-routing", FatTreeConfig.tiny(), id="Q-routing-fattree"),
+])
+@pytest.mark.parametrize("feedback", ["greedy", "onpolicy"])
+def test_learned_state_is_equal_on_both_engines(routing, config, feedback, tmp_path):
+    """Training exports, warm-started results and the state a warm-started
+    run carries forward are the same on the flat kernel and the object graph."""
+    spec = _spec(config=config, routing=routing, offered_load=0.4,
+                 sim_time_ns=3_000.0, routing_kwargs={"feedback": feedback})
+    state = _execute(spec)[1].routing.export_state()
+    _assert_same_state(_kernel_state(spec), state)
+
+    checkpoint = ArtifactStore(tmp_path).save(state, trained_sim_ns=3_000.0, spec=spec)
+    warm = spec.with_overrides(warm_start=str(checkpoint.path), warmup_ns=1_000.0,
+                               seed=10)
+    reference, network = _execute(warm)
+    batch = BatchSimulation(warm, [warm.seed]).run()
+    assert batch.events_processed() == [network.sim.events_processed]
+    np.testing.assert_equal(_payload(batch.results()[0]), _payload(reference))
+    _assert_same_state(batch.export_states()[0], network.routing.export_state())
 
 
 def test_export_before_attach_is_an_error():
