@@ -33,9 +33,9 @@ Public surface
 --------------
 ``__all__`` below is the supported API.  The harness-level names
 (:func:`run_experiment`, :class:`ExperimentSpec`, :class:`RunOptions`,
-:class:`Study`, :class:`FaultSchedule`, :class:`ArtifactStore`,
-:class:`ProbeBus`, the registries) are re-exported lazily (PEP 562), so
-``import repro`` stays as cheap as the simulator core.
+:class:`Study`, :class:`FaultSchedule`, :class:`ArtifactStore` and the
+registries) are re-exported lazily (PEP 562), so ``import repro`` stays as
+cheap as the simulator core.
 """
 
 from typing import TYPE_CHECKING
@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only re-exports
         train_experiment,
     )
     from repro.faults import FaultSchedule
-    from repro.instrument import PROBE_REGISTRY, ProbeBus
+    from repro.instrument import PROBE_REGISTRY
     from repro.routing import ROUTING_REGISTRY
     from repro.scenarios import STUDIES, Scenario, Study
     from repro.store import ArtifactStore
@@ -79,7 +79,6 @@ __all__ = [
     "NetworkParams",
     "PATTERN_REGISTRY",
     "PROBE_REGISTRY",
-    "ProbeBus",
     "ROUTING_REGISTRY",
     "RunOptions",
     "RunStats",
@@ -100,7 +99,6 @@ _LAZY_EXPORTS = {
     "FaultSchedule": "repro.faults",
     "PATTERN_REGISTRY": "repro.traffic",
     "PROBE_REGISTRY": "repro.instrument",
-    "ProbeBus": "repro.instrument",
     "ROUTING_REGISTRY": "repro.routing",
     "RunOptions": "repro.experiments",
     "STUDIES": "repro.scenarios",

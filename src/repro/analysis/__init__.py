@@ -9,9 +9,8 @@ rests on — and the ones a stray line of code silently breaks:
   bit-for-bit reproducible from a single seed (the golden-fingerprint suite
   depends on it).
 * **Hot path** (``H`` rules) — the per-event/per-flit functions rewritten in
-  PR 3 and kept monomorphic through PR 5's probe bus must not regrow
-  try/except, closures, ``**``-unpacking, logging, or unguarded probe
-  publishes.
+  PR 3 must not regrow try/except, closures, ``**``-unpacking, logging, or
+  run-log appends without their ``is not None`` guard.
 * **Serialization** (``S`` rules) — every spec/config field round-trips
   through ``to_dict``/``from_dict`` (and therefore folds into the cache
   fingerprint) and loaders stay strict.

@@ -2,8 +2,8 @@
 
 PR 3 rewrote the simulator core around a small set of per-event/per-flit
 functions (one C-level heap compare per event, flattened per-port arrays,
-no Python frames beyond the callback itself), and PR 5's probe bus was
-engineered so that telemetry costs one ``None`` check when nobody listens.
+no Python frames beyond the callback itself), and telemetry is engineered to
+cost one ``None`` check per event when no probe reads its run log.
 These wins disappear one innocent-looking edit at a time; the rules below
 mechanically reject the edits that have historically cost the most:
 
@@ -14,8 +14,9 @@ H202   no closures or lambdas defined inside a hot function (per-call
        allocation + cell-variable indirection)
 H203   no ``**kwargs`` parameters or ``**`` call-unpacking in a hot function
 H204   no ``print``/``logging`` calls in a hot function
-H205   every probe-bus publish (``self._ev_*(...)``) anywhere in simulation
-       code must be guarded by an ``is not None`` check on the same emitter
+H205   every run-log append (a call on a ``self._*_log`` slot, see
+       :mod:`repro.instrument.logs`) anywhere in simulation code must be
+       guarded by an ``is not None`` check on the same slot
 ====== ====================================================================
 
 The hot list (:data:`HOT_FUNCTIONS`) is the PR-3/PR-5 inventory: the
@@ -74,7 +75,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     }),
 }
 
-#: packages where every ``self._ev_*`` publish must be None-guarded.
+#: packages where every run-log append must be None-guarded.
 PUBLISH_SCOPE = ("repro.engine", "repro.network", "repro.core", "repro.traffic")
 
 
@@ -178,12 +179,12 @@ def check_logging(project: Project) -> Iterator[Finding]:
                         rule_obj, node,
                         f"{name}() inside hot function {qualname}: formatting "
                         "and I/O per event; record counters and report after "
-                        "the run (or publish through a probe)",
+                        "the run (or append to a run log)",
                     )
 
 
 def _is_not_none_guard_for(test: ast.expr, target_dump: str) -> bool:
-    """Whether ``test`` contains ``<target> is not None`` for this emitter."""
+    """Whether ``test`` contains ``<target> is not None`` for this log slot."""
     for node in ast.walk(test):
         if not isinstance(node, ast.Compare):
             continue
@@ -195,9 +196,15 @@ def _is_not_none_guard_for(test: ast.expr, target_dump: str) -> bool:
     return False
 
 
-@rule("H205", "unguarded-probe-publish", "error",
-      "probe-bus publishes must be guarded: `if <emitter> is not None:`")
-def check_probe_publish(project: Project) -> Iterator[Finding]:
+def _is_log_slot(node: ast.expr) -> bool:
+    """``<owner>._*_log``: a run-log slot, ``None`` unless a probe reads it."""
+    return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and node.attr.endswith("_log"))
+
+
+@rule("H205", "unguarded-log-append", "error",
+      "run-log appends must be guarded: `if <log slot> is not None:`")
+def check_log_append(project: Project) -> Iterator[Finding]:
     rule_obj = RULE_REGISTRY["H205"]
     for module in project.modules:
         if not module.module.startswith(PUBLISH_SCOPE):
@@ -206,35 +213,30 @@ def check_probe_publish(project: Project) -> Iterator[Finding]:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             parents = parent_map(func)
-            # Local aliases of emitter slots: ``ev = self._ev_delivery``.
+            # Local aliases of log slots: ``log = self._join_log``.
             aliases = set()
             for node in ast.walk(func):
                 if (isinstance(node, ast.Assign) and len(node.targets) == 1
                         and isinstance(node.targets[0], ast.Name)
-                        and isinstance(node.value, ast.Attribute)
-                        and node.value.attr.startswith("_ev_")):
+                        and _is_log_slot(node.value)):
                     aliases.add(node.targets[0].id)
             for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                callee = node.func
-                is_emitter = (
-                    isinstance(callee, ast.Attribute) and callee.attr.startswith("_ev_")
-                ) or (isinstance(callee, ast.Name) and callee.id in aliases)
-                if not is_emitter:
+                log = node.func.value
+                if not (_is_log_slot(log) or (isinstance(log, ast.Name) and log.id in aliases)):
                     continue
-                target_dump = ast.dump(callee)
+                target_dump = ast.dump(log)
                 guarded = any(
                     isinstance(ancestor, ast.If)
                     and _is_not_none_guard_for(ancestor.test, target_dump)
                     for ancestor in parents.ancestors(node)
                 )
                 if not guarded:
-                    name = dotted_name(callee) or "<emitter>"
+                    name = dotted_name(log) or "<log>"
                     yield module.finding(
                         rule_obj, node,
-                        f"unguarded probe publish {name}(...): emitter slots are "
-                        "None on the probes-off fast path — wrap in "
-                        f"`if {name} is not None:` (one attribute check, "
-                        "monomorphic when a single probe listens)",
+                        f"unguarded run-log append {name}.{node.func.attr}(...): "
+                        "log slots are None on the probes-off fast path — wrap "
+                        f"in `if {name} is not None:` (one attribute check)",
                     )

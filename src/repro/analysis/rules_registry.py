@@ -19,9 +19,9 @@ R402   ``export_state``/``import_state`` come in pairs: a class defining one
 R403   every registered class declares its canonical ``name`` (the abstract
        bases' placeholder defaults do not count)
 R404   every registered class implements its registry's protocol: routing →
-       ``decide``; traffic patterns → ``destination``; probes →
-       ``subscriptions`` + ``summary`` (the abstract root's
-       ``NotImplementedError`` stubs do not count)
+       ``decide``; traffic patterns → ``destination``; probes → ``summary``
+       and an explicit ``logs`` declaration (the abstract root's
+       ``NotImplementedError`` stub and empty default do not count)
 ====== ====================================================================
 
 Registrations are collected from the call sites themselves —
@@ -47,11 +47,13 @@ from repro.analysis.core import (
     rule,
 )
 
-#: registry kind -> (abstract root whose defaults don't count, required methods)
-_KIND_PROTOCOLS: Dict[str, Tuple[str, FrozenSet[str]]] = {
-    "routing": ("RoutingAlgorithm", frozenset({"decide"})),
-    "pattern": ("TrafficPattern", frozenset({"destination"})),
-    "probe": ("InstrumentProbe", frozenset({"subscriptions", "summary"})),
+#: registry kind -> (abstract root whose defaults don't count, required
+#: methods, required class attributes)
+_KIND_PROTOCOLS: Dict[str, Tuple[str, FrozenSet[str], FrozenSet[str]]] = {
+    "routing": ("RoutingAlgorithm", frozenset({"decide"}), frozenset()),
+    "pattern": ("TrafficPattern", frozenset({"destination"}), frozenset()),
+    # A probe reduces run logs, so it must say which ones the run keeps.
+    "probe": ("InstrumentProbe", frozenset({"summary"}), frozenset({"logs"})),
 }
 
 
@@ -239,7 +241,7 @@ def check_registered_name(project: Project) -> Iterator[Finding]:
     for reg in collect_registrations(project):
         if reg.target is None:
             continue
-        root, _ = _KIND_PROTOCOLS[reg.kind]
+        root = _KIND_PROTOCOLS[reg.kind][0]
         declared = _mro_attrs_below(project, reg.target, root)
         if "name" not in declared:
             yield reg.module.finding(
@@ -258,13 +260,21 @@ def check_protocol_complete(project: Project) -> Iterator[Finding]:
     for reg in collect_registrations(project):
         if reg.target is None:
             continue
-        root, required = _KIND_PROTOCOLS[reg.kind]
+        root, methods, attrs = _KIND_PROTOCOLS[reg.kind]
         implemented = _mro_methods_below(project, reg.target, root)
-        for method in sorted(required - implemented):
+        for method in sorted(methods - implemented):
             yield reg.module.finding(
                 rule_obj, reg.node,
                 f"registered {reg.kind} {reg.display!r} ({reg.target.name}) "
                 f"does not implement {method}(): the abstract base's stub "
                 "raises NotImplementedError at simulation time — implement "
                 "the full protocol before registering",
+            )
+        declared = _mro_attrs_below(project, reg.target, root)
+        for attr in sorted(attrs - declared):
+            yield reg.module.finding(
+                rule_obj, reg.node,
+                f"registered {reg.kind} {reg.display!r} ({reg.target.name}) "
+                f"never declares `{attr}`: inheriting the abstract default "
+                "hides what the run must record — declare it, even when empty",
             )

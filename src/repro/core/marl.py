@@ -51,10 +51,10 @@ class TabularMarlRouting(RoutingAlgorithm):
     #: ``state_digest``.
     table_kind = ""
 
-    #: ``q_update`` telemetry emitter (see :mod:`repro.instrument.bus`),
-    #: resolved by the network after every probe attach/detach; the class
-    #: default keeps the probes-off fast path at one None check per update.
-    _ev_q_update = None
+    #: Q-update log (see :mod:`repro.instrument.logs`), set by the network
+    #: when a probe reads it; the class default keeps the probes-off fast
+    #: path at one None check per update.
+    _q_log = None
 
     #: live network ports per router while faults are active (see
     #: :mod:`repro.faults`); the class default keeps faults-off decisions on
@@ -180,8 +180,8 @@ class TabularMarlRouting(RoutingAlgorithm):
         values[router_id, row, column] = new
         self.updates[router_id] += 1
         self.feedback_applied += 1
-        if self._ev_q_update is not None:
-            self._ev_q_update(router_id, row, column, current, new, self._sim._now)
+        if self._q_log is not None:
+            self._q_log.add(router_id, abs(new - current), self._sim._now)
 
     def on_forward(self, router: Router, packet: Packet, in_port: int, out_port: int,
                    now: float) -> None:

@@ -34,6 +34,7 @@ from repro.scenarios.serialize import (
     SPEC_SCHEMA_VERSION,
     check_keys,
     check_schema,
+    checked_number,
     decode_kwargs,
     encode_kwargs,
     run_numbers,
@@ -109,6 +110,13 @@ class ExperimentSpec:
             self.offered_load = None
         if self.offered_load is None and self.schedule is None:
             raise ValueError("an experiment needs an offered_load or a load schedule")
+        # The rule files are read with (serialize.run_numbers): a bool or 1.5
+        # seed would otherwise draw and serialize as another seed, and a
+        # bool load would run at 1.0.
+        self.seed = checked_number(self.seed, "seed", "ExperimentSpec", int)
+        if self.offered_load is not None:
+            self.offered_load = checked_number(self.offered_load, "offered_load",
+                                               "ExperimentSpec")
         if self.offered_load is not None and not 0.0 < self.offered_load <= 1.0:
             raise ValueError(
                 f"offered_load must be in (0, 1] — a fraction of the injection "
@@ -233,8 +241,10 @@ class ExperimentSpec:
             "config": config_from_dict(data["topology"]),
             "routing": data["routing"],
             "pattern": data["pattern"],
-            "offered_load": data.get("offered_load"),
         }
+        if data.get("offered_load") is not None:
+            kwargs["offered_load"] = checked_number(data["offered_load"], "offered_load",
+                                                    "ExperimentSpec")
         if "schedule" in data:
             kwargs["schedule"] = LoadSchedule.from_dict(data["schedule"])
         kwargs.update(run_numbers(data, "ExperimentSpec"))
@@ -261,7 +271,7 @@ class ExperimentSpec:
             kwargs["telemetry"] = tuple(telemetry)
         if "faults" in data:
             kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-        if kwargs["offered_load"] is None and "schedule" not in data:
+        if "offered_load" not in kwargs and "schedule" not in data:
             raise ValueError(
                 "ExperimentSpec: a serialized spec needs offered_load or schedule"
             )
@@ -406,13 +416,12 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     """Run one spec to completion on the object graph, the reference engine;
     returns the result and the finished network."""
     network, generator = build_network(spec)
-    probes = []
+    probes = {}
     if spec.telemetry:
-        from repro.instrument import make_probe
+        from repro.instrument import make_probe, probe_context
 
-        for name in spec.telemetry:
-            probes.append((name, network.attach_probe(make_probe(
-                name, bin_ns=spec.stats_bin_ns, warmup_ns=spec.warmup_ns))))
+        probes = {name: make_probe(name) for name in spec.telemetry}
+        logs = network.record_logs(log for probe in probes.values() for log in probe.logs)
     generator.start()
     started = time.perf_counter()
     network.run(until=spec.sim_time_ns)
@@ -433,10 +442,12 @@ def _execute(spec: ExperimentSpec) -> Tuple[ExperimentResult, Network]:
     if controller is not None:
         diagnostics.update(controller.diagnostics())
 
+    telemetry = {}
+    if probes:
+        context = probe_context(network)
+        telemetry = {name: probe.summary(logs, context) for name, probe in probes.items()}
     result = ExperimentResult.from_collector(
-        spec, network.collector, stats, diagnostics, wall_time_s=wall,
-        telemetry={name: probe.summary(network.sim.now) for name, probe in probes},
-    )
+        spec, network.collector, stats, diagnostics, wall_time_s=wall, telemetry=telemetry)
     return result, network
 
 

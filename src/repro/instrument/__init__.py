@@ -1,40 +1,43 @@
-"""Pluggable instrumentation: probe bus, telemetry probes, report analysis.
+"""Telemetry: typed run logs, the probes that reduce them, report analysis.
 
 The measurement layer is split in three:
 
-* :mod:`repro.instrument.bus` — the :class:`ProbeBus` and the typed hooks the
-  simulation layer publishes to (with a probes-off ``None`` fast path that
-  keeps the hot loop monomorphic).
+* :mod:`repro.instrument.logs` — the typed run logs (array columns) a run
+  appends to, each kept only when a requested probe reads it; otherwise its
+  slot is ``None`` and the hot path pays one ``is not None`` check.
 * :mod:`repro.instrument.probes` — the built-in probes (link utilization,
-  queue occupancy, per-source-group latency/fairness, Q-convergence) and the
-  :data:`PROBE_REGISTRY` behind ``ExperimentSpec.telemetry``.
+  queue occupancy, per-source-group latency/fairness, Q-convergence, fault
+  delivery, re-convergence), each a pure reduction over the logs at the end
+  of the run, and the :data:`PROBE_REGISTRY` behind
+  ``ExperimentSpec.telemetry``.
 * :mod:`repro.instrument.report` — the analysis layer turning telemetry
   payloads into the tables behind ``repro-sim report``.
 
-Attach probes directly::
-
-    from repro.instrument import LinkUtilizationProbe
-
-    net = Network(config, routing, seed=1)
-    probe = LinkUtilizationProbe(bin_ns=1_000.0)
-    net.attach_probe(probe)
-    net.run(until=50_000.0)
-    print(probe.summary(net.sim.now)["links"][:5])
-
-or declaratively through the harness::
+Declare probes on a spec::
 
     spec = ExperimentSpec(config, routing="Q-adp", pattern="ADV+1",
                           telemetry=("link-util", "source-latency"))
     result = run_experiment(spec)
     print(result.telemetry["source-latency"]["jain_fairness_mean"])
+
+or keep their logs on a hand-built network and reduce them yourself::
+
+    from repro.instrument import make_probe, probe_context
+
+    net = Network(config, routing, seed=1)
+    probe = make_probe("link-util")
+    logs = net.record_logs(probe.logs)
+    net.run(until=50_000.0)
+    print(probe.summary(logs, probe_context(net))["links"][:5])
 """
 
-from repro.instrument.bus import HOOKS, Probe, ProbeBus
+from repro.instrument.logs import LOG_NAMES, RunLogs
 from repro.instrument.probes import (
     PROBE_REGISTRY,
     FaultDeliveryProbe,
     InstrumentProbe,
     LinkUtilizationProbe,
+    ProbeContext,
     QConvergenceProbe,
     QueueOccupancyProbe,
     ReconvergenceProbe,
@@ -43,22 +46,24 @@ from repro.instrument.probes import (
     canonical_probe_name,
     jain_fairness_index,
     make_probe,
+    probe_context,
 )
 
 __all__ = [
-    "HOOKS",
     "FaultDeliveryProbe",
     "InstrumentProbe",
+    "LOG_NAMES",
     "LinkUtilizationProbe",
     "PROBE_REGISTRY",
-    "Probe",
-    "ProbeBus",
+    "ProbeContext",
     "QConvergenceProbe",
     "QueueOccupancyProbe",
     "ReconvergenceProbe",
+    "RunLogs",
     "SourceLatencyProbe",
     "available_probes",
     "canonical_probe_name",
     "jain_fairness_index",
     "make_probe",
+    "probe_context",
 ]

@@ -17,34 +17,50 @@ Each probe measures one per-entity view the aggregate
   within a band of the pre-failure steady state (how fast an algorithm
   *routes around* a failure — the paper-relevant resilience measurement).
 
-Probes are attached with
-:meth:`~repro.network.network.Network.attach_probe` (or declared on
-an :class:`~repro.experiments.harness.ExperimentSpec` via ``telemetry=...``)
-and produce JSON-ready payloads from :meth:`summary` — plain dicts of
-numbers/strings/lists only, safe to pickle across worker processes, cache on
-disk and export with ``repro-sim report``.
+A probe is a pure reduction: it declares the run logs it reads
+(:attr:`InstrumentProbe.logs`, names from :mod:`repro.instrument.logs`), the
+run keeps them, and :meth:`InstrumentProbe.summary` reduces them once at the
+end of the run, given a :class:`ProbeContext` (bin width, warm-up, link kinds,
+fault times, ...).  The harness does this for every probe named by
+``ExperimentSpec.telemetry``; on a hand-built network::
+
+    probe = make_probe("link-util")
+    logs = net.record_logs(probe.logs)
+    net.run(until=50_000.0)
+    summary = probe.summary(logs, probe_context(net))
+
+The reductions are :func:`np.bincount` (per-key and per-bin counts and
+sums), masks and :func:`np.searchsorted` with ``side="right"`` (the
+``bisect_right`` of an epoch) over the logs.  They are bit-identical to
+accumulating one event at a time, the argument of
+:mod:`repro.stats.collectors`: the logs hold the events in execution order,
+numpy's float ``//`` is Python's, and :func:`np.bincount` adds its weights in
+input order, so every per-key and per-bin float sum is the chronological
+``+=`` a per-event listener computes.  Summaries are JSON-ready plain dicts
+of numbers, strings and lists, safe to pickle across worker processes, cache
+on disk and export with ``repro-sim report``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.instrument.logs import RunLogs
 from repro.scenarios.registry import Registry
 from repro.stats.summary import summarize_latencies
 from repro.stats.timeseries import TimeSeries
 
-if TYPE_CHECKING:  # typing only: probes bind late, after the network exists
+if TYPE_CHECKING:  # typing only: the network layer imports the logs module
     from repro.network.network import Network
-    from repro.network.packet import Packet
 
 __all__ = [
     "PROBE_REGISTRY",
     "FaultDeliveryProbe",
     "InstrumentProbe",
     "LinkUtilizationProbe",
+    "ProbeContext",
     "QConvergenceProbe",
     "QueueOccupancyProbe",
     "ReconvergenceProbe",
@@ -53,6 +69,7 @@ __all__ = [
     "canonical_probe_name",
     "jain_fairness_index",
     "make_probe",
+    "probe_context",
 ]
 
 
@@ -82,32 +99,62 @@ def _series_payload(series: TimeSeries) -> Dict:
     }
 
 
-class InstrumentProbe:
-    """Shared base of the built-in probes.
+class ProbeContext(NamedTuple):
+    """What a reduction needs besides the logs (see :func:`probe_context`)."""
 
-    ``bin_ns`` is the width of every time-binned series a probe records;
-    ``warmup_ns`` excludes the transient from *measurement-window* statistics
-    (time series always cover the whole run, like the collector's).  The
-    harness passes the owning spec's ``stats_bin_ns`` / ``warmup_ns``, so a
-    probe's bins line up with the collector's.
+    end_ns: float  # the time the run ended
+    bin_ns: float  # width of every time-binned series
+    warmup_ns: float  # deliveries before it are outside the measurement window
+    k: int  # ports per router: a port index is ``router * k + port``
+    serialization_ns: float  # how long a forward keeps its output link busy
+    link_kinds: Dict[int, str]  # port index -> link kind, for every link that exists
+    node_group: np.ndarray  # node -> its routing group (Dragonfly group, pod, row)
+    fault_times: List[float]  # ascending failure times of the fault schedule
+    packets_dropped: int  # packets the fault layer dropped
+
+
+def probe_context(network: "Network") -> ProbeContext:
+    """The :class:`ProbeContext` of a network's run so far.
+
+    Bins and warm-up are the collector's (the spec's ``stats_bin_ns`` and
+    ``warmup_ns``), so a probe's bins line up with the statistics'.  Link
+    kinds cover every host port and every connected network port: on
+    irregular families (fat-tree, mesh) the same port index drives different
+    link classes on different routers, and some ports are unconnected.
     """
+    topo = network.topo
+    k = topo.k
+    link_kinds: Dict[int, str] = {}
+    for router in topo.all_routers():
+        for port in (*range(topo.num_host_ports(router)), *topo.network_ports_of(router)):
+            link_kinds[router * k + port] = topo.link_kind(router, port).value
+    node_routers = np.arange(topo.num_nodes) // topo.hosts_per_router
+    controller = getattr(network, "fault_controller", None)
+    return ProbeContext(
+        end_ns=network.sim.now,
+        bin_ns=network.collector.bin_ns,
+        warmup_ns=network.collector.warmup_ns,
+        k=k,
+        serialization_ns=network.params.serialization_ns,
+        link_kinds=link_kinds,
+        node_group=np.asarray(topo.router_groups(), dtype=np.intp)[node_routers],
+        fault_times=[] if controller is None else list(controller.schedule.failure_times()),
+        packets_dropped=0 if controller is None else controller.packets_dropped,
+    )
+
+
+class InstrumentProbe:
+    """Shared base of the built-in probes: a name, the logs it reads, and
+    the reduction."""
 
     #: canonical registry name, set by each subclass.
     name = "probe"
+    #: the run logs it reduces besides the delivery log every run keeps
+    #: (names from :data:`repro.instrument.logs.LOG_NAMES`).
+    logs: Tuple[str, ...] = ()
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        if bin_ns <= 0:
-            raise ValueError("bin width must be positive")
-        if warmup_ns < 0:
-            raise ValueError("warmup_ns cannot be negative")
-        self.bin_ns = float(bin_ns)
-        self.warmup_ns = float(warmup_ns)
-
-    # Subclasses override; declared here so the Probe protocol always holds.
-    def subscriptions(self) -> Dict[str, Callable]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def summary(self, end_ns: float) -> Dict:  # pragma: no cover - abstract
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:  # pragma: no cover
+        """JSON-ready summary of a finished run's ``logs``."""
         raise NotImplementedError
 
 
@@ -116,67 +163,40 @@ class LinkUtilizationProbe(InstrumentProbe):
     serializing packets, plus a time-binned aggregate utilization."""
 
     name = "link-util"
+    logs = ("forward",)
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        super().__init__(bin_ns, warmup_ns)
-        self._busy_ns: Dict[Tuple[int, int], float] = {}
-        self._packets: Dict[Tuple[int, int], int] = {}
-        self._series = TimeSeries(self.bin_ns)
-        self._link_kind: Optional[Dict[Tuple[int, int], str]] = None
-        self._total_links: Optional[int] = None
-
-    def bind(self, network: "Network") -> None:
-        """Capture topology context for labels and normalization.
-
-        Link kinds are keyed per ``(router, port)`` — on irregular families
-        (fat-tree, mesh) the same port index drives different link classes on
-        different routers, and some ports are unconnected.  ``links_total``
-        counts only the links that exist.
-        """
-        topo = network.topo
-        kinds: Dict[Tuple[int, int], str] = {}
-        for router in topo.all_routers():
-            for port in range(topo.num_host_ports(router)):
-                kinds[(router, port)] = topo.link_kind(router, port).value
-            for port in topo.network_ports_of(router):
-                kinds[(router, port)] = topo.link_kind(router, port).value
-        self._link_kind = kinds
-        self._total_links = len(kinds)
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {"link_busy": self.on_link_busy}
-
-    def on_link_busy(self, router_id: int, out_port: int, now: float, busy_ns: float) -> None:
-        key = (router_id, out_port)
-        self._busy_ns[key] = self._busy_ns.get(key, 0.0) + busy_ns
-        self._packets[key] = self._packets.get(key, 0) + 1
-        self._series.add(now, busy_ns)
-
-    def summary(self, end_ns: float) -> Dict:
-        window = float(end_ns) if end_ns > 0 else float("nan")
-        links: List[Dict] = []
-        for (router_id, port), busy in sorted(
-            self._busy_ns.items(), key=lambda item: (-item[1], item[0])
-        ):
-            links.append({
-                "router": router_id,
-                "port": port,
-                "kind": (self._link_kind.get((router_id, port))
-                         if self._link_kind is not None else None),
-                "packets": self._packets[(router_id, port)],
-                "busy_ns": busy,
-                "busy_fraction": busy / window,
-            })
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        ports = np.array(logs.forward.port, dtype=np.intp)
+        times = np.array(logs.forward.time, dtype=float)
+        busy_each = np.full(ports.size, ctx.serialization_ns)
+        packets = np.bincount(ports).tolist()
+        busy_ns = np.bincount(ports, weights=busy_each).tolist()
+        window = float(ctx.end_ns) if ctx.end_ns > 0 else float("nan")
+        k = ctx.k
+        # A port index orders like its (router, port) pair.
+        ranked = sorted((f for f, count in enumerate(packets) if count),
+                        key=lambda f: (-busy_ns[f], f))
+        links = [
+            {
+                "router": f // k,
+                "port": f % k,
+                "kind": ctx.link_kinds.get(f),
+                "packets": packets[f],
+                "busy_ns": busy_ns[f],
+                "busy_fraction": busy_ns[f] / window,
+            }
+            for f in ranked
+        ]
         fractions = [link["busy_fraction"] for link in links]
         return {
             "probe": self.name,
             "window_ns": window,
             "links_observed": len(links),
-            "links_total": self._total_links,
+            "links_total": len(ctx.link_kinds),
             "max_busy_fraction": max(fractions) if fractions else 0.0,
             "mean_busy_fraction": (sum(fractions) / len(fractions)) if fractions else 0.0,
             "links": links,
-            "series": _series_payload(self._series),
+            "series": _series_payload(TimeSeries.binned(times, busy_each, ctx.bin_ns)),
         }
 
 
@@ -184,101 +204,70 @@ class QueueOccupancyProbe(InstrumentProbe):
     """Router output-queue depth and credit stalls: where backpressure builds."""
 
     name = "queue-occupancy"
+    logs = ("join",)
 
     #: routers listed individually in the summary (deepest queues first).
     MAX_ROUTERS = 16
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        super().__init__(bin_ns, warmup_ns)
-        # per router: [samples, depth sum, max depth, credit stalls]
-        self._routers: Dict[int, List[float]] = {}
-        self._series = TimeSeries(self.bin_ns)
-        self._samples = 0
-        self._stalls = 0
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {
-            "queue_depth": self.on_queue_depth,
-            "credit_stall": self.on_credit_stall,
-        }
-
-    def on_queue_depth(self, router_id: int, out_port: int, depth: int, now: float) -> None:
-        stats = self._routers.get(router_id)
-        if stats is None:
-            stats = self._routers[router_id] = [0, 0.0, 0, 0]
-        stats[0] += 1
-        stats[1] += depth
-        if depth > stats[2]:
-            stats[2] = depth
-        self._samples += 1
-        self._series.add(now, depth)
-
-    def on_credit_stall(self, router_id: int, out_port: int, vc: int, now: float) -> None:
-        stats = self._routers.get(router_id)
-        if stats is None:
-            stats = self._routers[router_id] = [0, 0.0, 0, 0]
-        stats[3] += 1
-        self._stalls += 1
-
-    def summary(self, end_ns: float) -> Dict:
-        ranked = sorted(
-            self._routers.items(), key=lambda item: (-item[1][2], -item[1][1], item[0])
-        )
-        routers = [
-            {
-                "router": router_id,
-                "samples": int(samples),
-                "mean_depth": (depth_sum / samples) if samples else 0.0,
-                "max_depth": int(max_depth),
-                "credit_stalls": int(stalls),
-            }
-            for router_id, (samples, depth_sum, max_depth, stalls) in ranked[: self.MAX_ROUTERS]
-        ]
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        join = logs.join
+        routers = np.array(join.port, dtype=np.intp) // ctx.k
+        depth = np.array(join.depth, dtype=np.intp)
+        stalled = np.array(join.stalled, dtype=bool)
+        size = int(routers.max()) + 1 if routers.size else 0
+        samples = np.bincount(routers, minlength=size).tolist()
+        depth_sum = np.bincount(routers, weights=depth.astype(float), minlength=size).tolist()
+        max_depth = np.zeros(size, dtype=np.intp)
+        np.maximum.at(max_depth, routers, depth)
+        max_depth = max_depth.tolist()
+        stalls = np.bincount(routers[stalled], minlength=size).tolist()
+        observed = [r for r in range(size) if samples[r]]
+        ranked = sorted(observed, key=lambda r: (-max_depth[r], -depth_sum[r], r))
         return {
             "probe": self.name,
-            "samples": self._samples,
-            "credit_stalls": self._stalls,
-            "routers_observed": len(self._routers),
-            "max_depth": max((s[2] for s in self._routers.values()), default=0),
-            "routers": routers,
-            "series": _series_payload(self._series),
+            "samples": int(routers.size),
+            "credit_stalls": int(stalled.sum()),
+            "routers_observed": len(observed),
+            "max_depth": max((max_depth[r] for r in observed), default=0),
+            "routers": [
+                {
+                    "router": r,
+                    "samples": samples[r],
+                    "mean_depth": depth_sum[r] / samples[r],
+                    "max_depth": max_depth[r],
+                    "credit_stalls": stalls[r],
+                }
+                for r in ranked[: self.MAX_ROUTERS]
+            ],
+            "series": _series_payload(TimeSeries.binned(
+                np.array(join.time, dtype=float), depth.astype(float), ctx.bin_ns)),
         }
 
 
 class SourceLatencyProbe(InstrumentProbe):
     """Per-source-group latency summaries and the Jain fairness index.
 
-    Groups packets by their source routing group (``packet.src_group``:
-    Dragonfly groups, fat-tree pods, mesh rows): under adversarial patterns
-    some groups' traffic crosses the hotspot link while others' does not, so
+    Groups packets by the routing group of their source node (Dragonfly
+    groups, fat-tree pods, mesh rows): under adversarial patterns some
+    groups' traffic crosses the hotspot link while others' does not, so
     per-group tails expose the fairness behaviour behind the paper's Figure 6
-    box plots.  Only packets delivered after ``warmup_ns`` count (the
+    box plots.  Only packets delivered at or after ``warmup_ns`` count (the
     collector's measurement-window convention).
     """
 
     name = "source-latency"
+    logs = ("source",)
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        super().__init__(bin_ns, warmup_ns)
-        self._latencies: Dict[int, List[float]] = {}
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {"packet_delivered": self.on_packet_delivered}
-
-    def on_packet_delivered(self, packet: "Packet", now: float) -> None:
-        if now < self.warmup_ns:
-            return
-        self._latencies.setdefault(packet.src_group, []).append(
-            now - packet.create_time_ns
-        )
-
-    def summary(self, end_ns: float) -> Dict:
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        deliver = np.array(logs.dl_deliver, dtype=float)
+        measured = deliver >= ctx.warmup_ns
+        latency = (deliver - np.array(logs.dl_create, dtype=float))[measured]
+        group_of = ctx.node_group[np.array(logs.source, dtype=np.intp)[measured]]
         groups: List[Dict] = []
         means: List[float] = []
         p99s: List[float] = []
-        for group in sorted(self._latencies):
-            latencies = self._latencies[group]
-            stats = summarize_latencies(latencies)
+        for group in np.unique(group_of).tolist():
+            stats = summarize_latencies(latency[group_of == group])
             groups.append({"group": group, **stats.to_dict()})
             means.append(stats.mean)
             p99s.append(stats.p99)
@@ -298,56 +287,36 @@ class QConvergenceProbe(InstrumentProbe):
     """Per-router |ΔQ| time series: how fast each agent's table settles."""
 
     name = "q-convergence"
+    logs = ("q_update",)
 
     #: routers whose full time series lands in the summary (busiest first);
     #: aggregate counters still cover every router.
     MAX_SERIES = 16
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        super().__init__(bin_ns, warmup_ns)
-        self._series: Dict[int, TimeSeries] = {}
-        self._updates: Dict[int, int] = {}
-        self._abs_delta: Dict[int, float] = {}
-        self._global = TimeSeries(self.bin_ns)
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {"q_update": self.on_q_update}
-
-    def on_q_update(self, router_id: int, row: int, column: int,
-                    old: float, new: float, now: float) -> None:
-        delta = new - old
-        if delta < 0.0:
-            delta = -delta
-        series = self._series.get(router_id)
-        if series is None:
-            series = self._series[router_id] = TimeSeries(self.bin_ns)
-            self._updates[router_id] = 0
-            self._abs_delta[router_id] = 0.0
-        series.add(now, delta)
-        self._updates[router_id] += 1
-        self._abs_delta[router_id] += delta
-        self._global.add(now, delta)
-
-    def summary(self, end_ns: float) -> Dict:
-        routers = [
-            {
-                "router": router_id,
-                "updates": self._updates[router_id],
-                "mean_abs_delta": self._abs_delta[router_id] / self._updates[router_id],
-            }
-            for router_id in sorted(self._updates)
-        ]
-        busiest = sorted(self._updates, key=lambda r: (-self._updates[r], r))
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        routers = np.array(logs.q_update.router, dtype=np.intp)
+        delta = np.array(logs.q_update.delta, dtype=float)
+        times = np.array(logs.q_update.time, dtype=float)
+        updates = np.bincount(routers).tolist()
+        delta_sum = np.bincount(routers, weights=delta).tolist()
+        learning = [r for r, count in enumerate(updates) if count]
+        busiest = sorted(learning, key=lambda r: (-updates[r], r))
+        router_series = {}
+        for r in busiest[: self.MAX_SERIES]:
+            own = routers == r
+            series = TimeSeries.binned(times[own], delta[own], ctx.bin_ns)
+            router_series[str(r)] = _series_payload(series)
         return {
             "probe": self.name,
-            "updates": sum(self._updates.values()),
-            "routers_learning": len(self._updates),
-            "routers": routers,
-            "series": _series_payload(self._global),
-            "router_series": {
-                str(router_id): _series_payload(self._series[router_id])
-                for router_id in busiest[: self.MAX_SERIES]
-            },
+            "updates": int(routers.size),
+            "routers_learning": len(learning),
+            "routers": [
+                {"router": r, "updates": updates[r],
+                 "mean_abs_delta": delta_sum[r] / updates[r]}
+                for r in learning
+            ],
+            "series": _series_payload(TimeSeries.binned(times, delta, ctx.bin_ns)),
+            "router_series": router_series,
         }
 
 
@@ -355,73 +324,50 @@ class FaultDeliveryProbe(InstrumentProbe):
     """Per-failure-epoch delivery rate of a fault-bearing run.
 
     The run is split into epochs at every scheduled failure time (the
-    baseline epoch covers everything before the first failure); packets are
-    binned by *generation* time and by *delivery* time, so each epoch's
-    delivery rate measures how much of the traffic offered during that outage
-    window actually arrived.  On a faults-off run the probe degrades to one
+    baseline epoch covers everything before the first failure; an event
+    exactly at a failure time falls in the later epoch); packets are binned
+    by *generation* time and by *delivery* time, so each epoch's delivery
+    rate measures how much of the traffic offered during that outage window
+    actually arrived.  On a faults-off run the probe degrades to one
     whole-run epoch.
     """
 
     name = "fault-delivery"
+    logs = ("generation",)
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0) -> None:
-        super().__init__(bin_ns, warmup_ns)
-        self._boundaries: List[float] = []
-        self._generated: List[int] = [0]
-        self._delivered: List[int] = [0]
-        self._latency_sum: List[float] = [0.0]
-        self._controller: Optional[object] = None
-
-    def bind(self, network: "Network") -> None:
-        """Read the epoch boundaries off the run's fault controller (if any)."""
-        controller = getattr(network, "fault_controller", None)
-        self._controller = controller
-        if controller is None:
-            return
-        self._boundaries = list(controller.schedule.failure_times())
-        bins = len(self._boundaries) + 1
-        self._generated = [0] * bins
-        self._delivered = [0] * bins
-        self._latency_sum = [0.0] * bins
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {
-            "packet_generated": self.on_packet_generated,
-            "packet_delivered": self.on_packet_delivered,
-        }
-
-    def on_packet_generated(self, packet: "Packet") -> None:
-        self._generated[bisect_right(self._boundaries, packet.create_time_ns)] += 1
-
-    def on_packet_delivered(self, packet: "Packet", now: float) -> None:
-        epoch = bisect_right(self._boundaries, now)
-        self._delivered[epoch] += 1
-        self._latency_sum[epoch] += now - packet.create_time_ns
-
-    def summary(self, end_ns: float) -> Dict:
-        starts = [0.0, *self._boundaries]
-        ends = [*self._boundaries, float(end_ns)]
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        bounds = ctx.fault_times
+        size = len(bounds) + 1
+        deliver = np.array(logs.dl_deliver, dtype=float)
+        epoch_of = np.searchsorted(np.array(bounds, dtype=float), deliver, side="right")
+        generated = np.bincount(
+            np.searchsorted(np.array(bounds, dtype=float),
+                            np.array(logs.generation, dtype=float), side="right"),
+            minlength=size).tolist()
+        delivered = np.bincount(epoch_of, minlength=size).tolist()
+        latency_sum = np.bincount(epoch_of, weights=deliver - np.array(logs.dl_create),
+                                  minlength=size).tolist()
+        starts = [0.0, *bounds]
+        ends = [*bounds, float(ctx.end_ns)]
         epochs: List[Dict] = []
         for index, (start, end) in enumerate(zip(starts, ends, strict=True)):
-            generated = self._generated[index]
-            delivered = self._delivered[index]
             epochs.append({
                 "epoch": index,
                 "start_ns": start,
                 "end_ns": end,
-                "generated": generated,
-                "delivered": delivered,
-                "delivery_rate": (delivered / generated) if generated else float("nan"),
-                "mean_latency_ns": (self._latency_sum[index] / delivered)
-                if delivered else float("nan"),
+                "generated": generated[index],
+                "delivered": delivered[index],
+                "delivery_rate": (delivered[index] / generated[index])
+                if generated[index] else float("nan"),
+                "mean_latency_ns": (latency_sum[index] / delivered[index])
+                if delivered[index] else float("nan"),
             })
-        generated_total = sum(self._generated)
-        delivered_total = sum(self._delivered)
-        dropped = getattr(self._controller, "packets_dropped", 0)
+        generated_total = sum(generated)
+        delivered_total = sum(delivered)
         return {
             "probe": self.name,
-            "fault_times_ns": list(self._boundaries),
-            "packets_dropped": int(dropped),
+            "fault_times_ns": list(bounds),
+            "packets_dropped": int(ctx.packets_dropped),
             "generated": generated_total,
             "delivered": delivered_total,
             "overall_delivery_rate": (delivered_total / generated_total)
@@ -444,41 +390,29 @@ class ReconvergenceProbe(InstrumentProbe):
     """
 
     name = "reconvergence"
+    logs = ()
 
-    def __init__(self, bin_ns: float = 1_000.0, warmup_ns: float = 0.0,
-                 band: float = 0.25) -> None:
-        super().__init__(bin_ns, warmup_ns)
+    def __init__(self, band: float = 0.25) -> None:
         if band <= 0.0:
             raise ValueError(f"the latency band must be positive, got {band}")
         self.band = float(band)
-        self._series = TimeSeries(self.bin_ns)
-        self._fault_times: List[float] = []
 
-    def bind(self, network: "Network") -> None:
-        controller = getattr(network, "fault_controller", None)
-        if controller is not None:
-            self._fault_times = list(controller.schedule.failure_times())
-
-    def subscriptions(self) -> Dict[str, Callable]:
-        return {"packet_delivered": self.on_packet_delivered}
-
-    def on_packet_delivered(self, packet: "Packet", now: float) -> None:
-        self._series.add(now, now - packet.create_time_ns)
-
-    def summary(self, end_ns: float) -> Dict:
-        times = self._series.bin_times()
-        means = self._series.means()
-        counts = self._series.counts()
-        first_failure = self._fault_times[0] if self._fault_times else float(end_ns)
+    def summary(self, logs: RunLogs, ctx: ProbeContext) -> Dict:
+        deliver = np.array(logs.dl_deliver, dtype=float)
+        series = TimeSeries.binned(deliver, deliver - np.array(logs.dl_create), ctx.bin_ns)
+        times = series.bin_times()
+        means = series.means()
+        counts = series.counts()
+        first_failure = ctx.fault_times[0] if ctx.fault_times else float(ctx.end_ns)
         steady_bins = [
             float(mean)
             for time, mean, count in zip(times, means, counts, strict=True)
-            if count > 0 and self.warmup_ns <= time < first_failure
+            if count > 0 and ctx.warmup_ns <= time < first_failure
         ]
         steady = (sum(steady_bins) / len(steady_bins)) if steady_bins else float("nan")
         threshold = steady * (1.0 + self.band)
         failures: List[Dict] = []
-        for fault_ns in self._fault_times:
+        for fault_ns in ctx.fault_times:
             entry: Dict = {"fault_ns": fault_ns, "reconverged": False,
                            "reconvergence_ns": None, "peak_latency_ns": 0.0}
             for time, mean, count in zip(times, means, counts, strict=True):
@@ -496,10 +430,10 @@ class ReconvergenceProbe(InstrumentProbe):
             "band": self.band,
             "steady_state_latency_ns": steady,
             "threshold_latency_ns": threshold,
-            "fault_times_ns": list(self._fault_times),
+            "fault_times_ns": list(ctx.fault_times),
             "failures": failures,
             "reconverged_all": all(f["reconverged"] for f in failures),
-            "series": _series_payload(self._series),
+            "series": _series_payload(series),
         }
 
 
@@ -549,7 +483,6 @@ def available_probes() -> Dict[str, str]:
     return {row["name"]: row.get("summary", "") for row in PROBE_REGISTRY.describe()}
 
 
-def make_probe(name: str, *, bin_ns: float = 1_000.0, warmup_ns: float = 0.0,
-               **kwargs) -> InstrumentProbe:
-    """Instantiate a registered probe with the run's binning/warm-up context."""
-    return PROBE_REGISTRY.build(name, bin_ns=bin_ns, warmup_ns=warmup_ns, **kwargs)
+def make_probe(name: str, **kwargs) -> InstrumentProbe:
+    """Instantiate a registered probe (``kwargs``: its own options, e.g. ``band``)."""
+    return PROBE_REGISTRY.build(name, **kwargs)

@@ -6,7 +6,8 @@ any family registered in :data:`repro.topology.registry.TOPOLOGIES`), wires
 them from one flat per-port table (link delays, far ends, credit capacities;
 see :func:`port_table`) that the batched kernel's model reads too,
 attaches a routing algorithm and a statistics collector, and exposes packet
-creation/injection plus ``run``.
+creation/injection plus ``run``.  :meth:`Network.record_logs` turns on the
+run logs a telemetry probe reduces (see :mod:`repro.instrument`).
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -23,14 +24,15 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Optional
+from array import array
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional
 
 if TYPE_CHECKING:  # typing only: repro.routing imports the network layer
     from repro.routing.base import RoutingAlgorithm
 
 from repro.engine.rng import RngFactory
 from repro.engine.simulator import Simulator
-from repro.instrument.bus import Probe, ProbeBus
+from repro.instrument.logs import LOG_NAMES, ForwardLog, JoinLog, QUpdateLog, RunLogs
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
@@ -158,8 +160,6 @@ class Network:
         self.sim = Simulator()
         self.rng = RngFactory(seed)
         self.seed = seed
-        #: telemetry bus every probe attaches to (see :mod:`repro.instrument`).
-        self.bus = ProbeBus()
         self.collector = StatsCollector(
             warmup_ns=warmup_ns,
             bin_ns=stats_bin_ns,
@@ -168,7 +168,7 @@ class Network:
             packet_bytes=self.params.packet_bytes,
         )
         self._packet_counter = 0
-        self._ev_generated = None
+        self._record_generated = self.collector.record_generated
         # Per-packet hot-path caches: plain int / list lookups in create_packet.
         self._hosts_per_router = self.topo.hosts_per_router
         self._router_group = self.topo.router_groups()
@@ -176,9 +176,6 @@ class Network:
         self.nics: List[Nic] = []
         self._build()
         routing.attach(self)
-        # The collector is the default probe: generation/delivery flow over
-        # the bus, so user probes and the collector observe the same events.
-        self.attach_probe(self.collector)
 
     # ------------------------------------------------------------------ build
     def _build(self) -> None:
@@ -195,7 +192,7 @@ class Network:
 
         num_vcs = params.num_vcs
         routers = [Router(r, topo, params, sim, num_vcs) for r in topo.all_routers()]
-        nics = [Nic(n, params, sim) for n in topo.all_nodes()]
+        nics = [Nic(n, params, sim, self.collector.record_delivery) for n in topo.all_nodes()]
         for router in routers:
             row = slice(router.id * k, router.id * k + k)
             remote_idx = self.remote_idx[row]
@@ -213,49 +210,39 @@ class Network:
         self.nics = nics
 
     # ------------------------------------------------------------- telemetry
-    def attach_probe(self, probe: Probe) -> Probe:
-        """Attach a telemetry probe (see :mod:`repro.instrument.probes`).
-
-        Subscribes every hook of ``probe.subscriptions()`` on the bus and
-        re-resolves the flat emitter slots of every publishing component, so
-        the hot path stays monomorphic: with no listener a hook costs one
-        ``None`` check, with one listener the slot *is* the listener's bound
-        method.  Returns the probe for chaining.
-        """
-        if hasattr(probe, "bind"):
-            probe.bind(self)
-        self.bus.attach(probe)
-        self._sync_probe_slots()
-        return probe
-
-    def detach_probe(self, probe: Probe) -> None:
-        """Detach a previously attached probe (its hooks stop firing)."""
-        self.bus.detach(probe)
-        self._sync_probe_slots()
-
-    def _sync_probe_slots(self) -> None:
-        """Re-resolve every publisher's emitter slot from the bus.
-
-        Called after each attach/detach; never on the per-event path.
-        """
-        bus = self.bus
-        self._ev_generated = bus.emitter("packet_generated")
-        ev_injected = bus.emitter("packet_injected")
-        ev_delivery = bus.emitter("packet_delivered")
-        for nic in self.nics:
-            nic._ev_injected = ev_injected
-            nic._ev_delivery = ev_delivery
-        ev_link_busy = bus.emitter("link_busy")
-        ev_credit_stall = bus.emitter("credit_stall")
-        ev_queue_depth = bus.emitter("queue_depth")
-        for router in self.routers:
-            router._ev_link_busy = ev_link_busy
-            router._ev_credit_stall = ev_credit_stall
-            router._ev_queue_depth = ev_queue_depth
-        # Only the tabular MARL algorithms publish q_update; the slot is a
-        # class attribute defaulting to None on those classes.
-        if hasattr(self.routing, "_ev_q_update"):
-            self.routing._ev_q_update = bus.emitter("q_update")
+    def record_logs(self, names: Iterable[str]) -> RunLogs:
+        """Keep the named telemetry logs (:data:`~repro.instrument.logs.LOG_NAMES`)
+        from now on, on top of any kept already, and return every log of the
+        run.  The logs are live: the run appends to them in place, so the
+        returned :class:`~repro.instrument.logs.RunLogs` holds the whole run
+        once it ends.  Call it before the run starts."""
+        names = set(names)
+        unknown = sorted(names.difference(LOG_NAMES))
+        if unknown:
+            raise ValueError(f"unknown run log(s) {unknown}; known: {list(LOG_NAMES)}")
+        collector, routing = self.collector, self.routing
+        if "source" in names and collector.dl_src is None:
+            collector.dl_src = array("i")
+        if "generation" in names and collector.gen_create is None:
+            collector.gen_create = array("d")
+        if "forward" in names and self.routers[0]._forward_log is None:
+            forward = ForwardLog.new()
+            for router in self.routers:
+                router._forward_log = forward
+        if "join" in names and self.routers[0]._join_log is None:
+            join = JoinLog.new()
+            for router in self.routers:
+                router._join_log = join
+        # Only the tabular MARL algorithms fold Q-updates (they declare the
+        # ``_q_log`` slot); any other routing's Q-update log stays empty.
+        q_log = getattr(routing, "_q_log", None)
+        if "q_update" in names and q_log is None:
+            q_log = QUpdateLog.new()
+            if hasattr(routing, "_q_log"):
+                routing._q_log = q_log
+        return RunLogs(collector.dl_create, collector.dl_deliver, collector.dl_src,
+                       collector.gen_create, self.routers[0]._forward_log,
+                       self.routers[0]._join_log, q_log)
 
     # --------------------------------------------------------------- accessors
     @property
@@ -302,9 +289,7 @@ class Network:
             create_time_ns=now,
         )
         self._packet_counter += 1
-        ev = self._ev_generated
-        if ev is not None:
-            ev(packet)
+        self._record_generated(packet)
         return packet
 
     def send(self, src_node: int, dst_node: int) -> Packet:

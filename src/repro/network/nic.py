@@ -15,7 +15,7 @@ credits ``_cred_counts[vc]`` towards the router's host input are always finite.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List
 
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
@@ -44,11 +44,11 @@ class Nic:
         "_remote",
         "_cred_counts",
         "_cred_cap",
-        "_ev_injected",
-        "_ev_delivery",
+        "_record_delivery",
     )
 
-    def __init__(self, node: int, params: NetworkParams, sim: Simulator) -> None:
+    def __init__(self, node: int, params: NetworkParams, sim: Simulator,
+                 record_delivery: Callable[[Packet, float], None]) -> None:
         self.node = node
         self.params = params
         self.sim = sim
@@ -59,10 +59,8 @@ class Nic:
         self._retry_pending = False
         self.serialization_ns = params.serialization_ns
         self._push = sim.push  # the host-link state is filled by wire()
-        # Telemetry emitters (see repro.instrument.bus): resolved by the
-        # network after every probe attach/detach; None = nobody listens.
-        self._ev_injected: Optional[Callable] = None
-        self._ev_delivery: Optional[Callable] = None
+        # The network's statistics collector (its delivery log).
+        self._record_delivery = record_delivery
 
     # ----------------------------------------------------------------- wiring
     def wire(self, router: "Router", host_port: int, hop_delay: float, cred_cap: int) -> None:
@@ -101,8 +99,6 @@ class Nic:
             packet.inject_time_ns = now
             self.injected_packets += 1
             self._push(now + self._hop_delay, self._recv_cb, (packet, self._remote, 0))
-            if self._ev_injected is not None:
-                self._ev_injected(packet, now)
             # the clock is unchanged, so the loop exits through the busy check
 
     def _schedule_retry(self, at_time: float) -> None:
@@ -125,18 +121,11 @@ class Nic:
 
     # --------------------------------------------------------------- ejection
     def receive_packet(self, packet: Packet, port: int, vc: int) -> None:
-        """Final delivery of a packet to this node.
-
-        Delivery listeners go through the network's probe bus
-        (``_ev_delivery``, the ``packet_delivered`` hook), so any number of
-        listeners can observe deliveries.
-        """
+        """Final delivery of a packet to this node, logged by the collector."""
         now = self.sim.now
         packet.deliver_time_ns = now
         self.delivered_packets += 1
-        ev = self._ev_delivery
-        if ev is not None:
-            ev(packet, now)
+        self._record_delivery(packet, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic node={self.node} queued={len(self.inject_queue)}>"

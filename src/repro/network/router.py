@@ -46,6 +46,7 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # typing only: routing attaches after construction
     from repro.engine.simulator import Simulator
+    from repro.instrument.logs import ForwardLog, JoinLog
     from repro.network.nic import Nic
     from repro.routing.base import RoutingAlgorithm
 
@@ -79,9 +80,8 @@ class Router:
         "_cred_infinite",
         "_cred_cap",
         "_hop_delay",
-        "_ev_link_busy",
-        "_ev_credit_stall",
-        "_ev_queue_depth",
+        "_forward_log",
+        "_join_log",
     )
 
     def __init__(
@@ -117,12 +117,10 @@ class Router:
         self._max_vc = num_vcs - 1
         self._buf_cap = params.vc_buffer_packets
         self._push = sim.push
-        # Telemetry emitters (see repro.instrument.bus): resolved by the
-        # network after every probe attach/detach; None means nobody listens
-        # and the per-event cost is one attribute load + None check.
-        self._ev_link_busy = None
-        self._ev_credit_stall = None
-        self._ev_queue_depth = None
+        # Telemetry logs (see repro.instrument.logs), set by the network when
+        # a probe reads them; None costs one attribute load + None check.
+        self._forward_log: Optional[ForwardLog] = None
+        self._join_log: Optional[JoinLog] = None
 
     # ----------------------------------------------------------------- wiring
     def wire(
@@ -194,13 +192,12 @@ class Router:
         ):
             waiters = self.waiting[out_port]
             waiters.append((in_port, vc, packet))
-            if self._ev_queue_depth is not None:
-                self._ev_queue_depth(self.id, out_port, len(waiters), self.sim._now)
-            if self._ev_credit_stall is not None and not (
-                self._cred_infinite[out_port]
-                or self._cred_counts[out_port][out_vc] > 0
-            ):
-                self._ev_credit_stall(self.id, out_port, out_vc, self.sim._now)
+            if self._join_log is not None:
+                self._join_log.add(
+                    self.id * self.topo.k + out_port, len(waiters),
+                    not (self._cred_infinite[out_port]
+                         or self._cred_counts[out_port][out_vc] > 0),
+                    self.sim._now)
             return
         self._forward(in_port, vc, packet)
 
@@ -215,8 +212,8 @@ class Router:
 
         ser = self.serialization_ns
         self.out_busy_until[out_port] = now + ser
-        if self._ev_link_busy is not None:
-            self._ev_link_busy(self.id, out_port, now, ser)
+        if self._forward_log is not None:
+            self._forward_log.add(self.id * self.topo.k + out_port, now)
         if not self._cred_infinite[out_port]:
             self._cred_counts[out_port][out_vc] -= 1
 

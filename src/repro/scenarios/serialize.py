@@ -22,6 +22,7 @@ object instead of a bare dict.
 from __future__ import annotations
 
 import math
+import operator
 from importlib import import_module
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
@@ -76,26 +77,35 @@ def check_schema(data: Mapping[str, Any], expected: int, context: str) -> None:
         )
 
 
+def checked_number(value: Any, name: str, context: str, kind: type = float) -> Any:
+    """``value`` as a finite float (``kind=float``) or an integral int
+    (``kind=int``), else a :class:`ValueError` naming ``name``.  Numeric
+    strings such as YAML 1.1's ``"5e4"`` pass; booleans, NaN, infinities and
+    non-integral ints (``1.5``) raise.  The one rule for every number of a
+    run, whether it comes from a file or a constructor."""
+    if kind is int and not isinstance(value, bool):
+        try:
+            return operator.index(value)  # exact, numpy integers included
+        except TypeError:
+            pass
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and (kind is float or number.is_integer())):
+        what = "a finite number" if kind is float else "an integer"
+        raise ValueError(f"{context}: {name} must be {what}, got {value!r}")
+    return kind(number)
+
+
 def run_numbers(data: Mapping[str, Any], context: str) -> Dict[str, Any]:
     """``sim_time_ns``, ``warmup_ns``, ``stats_bin_ns`` (finite floats) and
-    ``seed`` (an integral int), as far as ``data`` holds them, else a
-    :class:`ValueError` naming the field.  Numeric strings such as YAML 1.1's
-    ``"5e4"`` pass; booleans, NaN, infinities and ``1.5`` seeds raise."""
-    numbers: Dict[str, Any] = {}
-    for name, kind in (("sim_time_ns", float), ("warmup_ns", float),
-                       ("stats_bin_ns", float), ("seed", int)):
-        if name not in data:
-            continue
-        value = data[name]
-        try:
-            number = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = math.nan
-        if not (math.isfinite(number) and (kind is float or number.is_integer())):
-            what = "a finite number" if kind is float else "an integer"
-            raise ValueError(f"{context}: {name} must be {what}, got {value!r}")
-        numbers[name] = value if kind is int and isinstance(value, int) else kind(number)
-    return numbers
+    ``seed`` (an integral int), as far as ``data`` holds them, each read by
+    :func:`checked_number`."""
+    return {name: checked_number(data[name], name, context, kind)
+            for name, kind in (("sim_time_ns", float), ("warmup_ns", float),
+                               ("stats_bin_ns", float), ("seed", int))
+            if name in data}
 
 
 def encode_kwargs(kwargs: Mapping[str, Any], context: str) -> Dict[str, Any]:

@@ -1,17 +1,20 @@
 """Run-time measurement of packet delivery statistics.
 
-One :class:`StatsCollector` is attached to a network as its default telemetry
-probe (see :mod:`repro.instrument`): it subscribes to the ``packet_generated``
-and ``packet_delivered`` hooks of the network's probe bus, so any number of
-additional listeners can observe the same events.
+Every network owns one :class:`StatsCollector`; its packet creation calls
+:meth:`StatsCollector.record_generated` and every NIC calls
+:meth:`StatsCollector.record_delivery`, through plain slots set when the
+network is built.
 
 The collector keeps the run's delivery log and nothing derived from it: a
 generated-packet count and three typed arrays, one entry per delivered
 packet in delivery order — create time and delivery time in ns (float64,
 ``'d'``) and hop count (int16, ``'h'``).  These are exactly the batched
 kernel's ``dl_create`` / ``dl_deliver`` / ``dl_hops``, which its assembly
-hands over as they are.  Every statistic is a numpy reduction over the log
-at read time:
+hands over as they are.  Two more columns are kept only when a telemetry
+probe reads them (see :mod:`repro.instrument.logs`), and are ``None``
+otherwise: ``dl_src``, the source node of each delivered packet, and
+``gen_create``, the create time of each generated packet.  Every statistic
+is a numpy reduction over the log at read time:
 
 * the measurement window is the mask ``deliver >= warmup_ns`` (the latency
   and hop arrays, throughput and :class:`RunStats` only count those
@@ -32,14 +35,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.stats.summary import LatencySummary, summarize_latencies
-from repro.stats.timeseries import TimeSeries
+from repro.stats.timeseries import TimeSeries, bin_sums
 
 #: ``array`` typecodes of the per-packet record: a time or latency in ns is a
 #: float64, a hop count an int16 (a path is a handful of router hops).
@@ -100,25 +103,23 @@ class StatsCollector:
         self.dl_create = array(TIME_TYPECODE)
         self.dl_deliver = array(TIME_TYPECODE)
         self.dl_hops = array(HOPS_TYPECODE)
+        self.dl_src: Optional[array] = None
+        self.gen_create: Optional[array] = None
 
         self.offered_load: Optional[float] = None
-
-    # ----------------------------------------------------------- probe wiring
-    def subscriptions(self) -> Dict[str, Callable]:
-        """Probe-bus hooks of the default collector (the ``Probe`` protocol)."""
-        return {
-            "packet_generated": self.record_generated,
-            "packet_delivered": self.record_delivery,
-        }
 
     # --------------------------------------------------------------- recording
     def record_generated(self, packet: Packet) -> None:
         self.generated += 1
+        if self.gen_create is not None:
+            self.gen_create.append(packet.create_time_ns)
 
     def record_delivery(self, packet: Packet, now: float) -> None:
         self.dl_create.append(packet.create_time_ns)
         self.dl_deliver.append(now)
         self.dl_hops.append(packet.hops)
+        if self.dl_src is not None:
+            self.dl_src.append(packet.src_node)
 
     def adopt_log(self, generated: int, dl_create: array, dl_deliver: array,
                   dl_hops: array) -> None:
@@ -187,11 +188,7 @@ class StatsCollector:
 
     def _bins(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(index, latency sums, counts)`` of every non-empty bin, ascending."""
-        idx = (np.frombuffer(self.dl_deliver) // self.bin_ns).astype(np.intp)
-        counts = np.bincount(idx)
-        sums = np.bincount(idx, weights=self._latencies())
-        index = np.flatnonzero(counts)
-        return index, sums[index], counts[index]
+        return bin_sums(np.frombuffer(self.dl_deliver), self._latencies(), self.bin_ns)
 
     @property
     def latency_series(self) -> TimeSeries:

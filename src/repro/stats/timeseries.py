@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 
+def bin_sums(times: np.ndarray, values: np.ndarray,
+             bin_ns: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(index, value sums, sample counts)`` of every non-empty bin, ascending.
+
+    The bin of a sample at ``t`` is ``t // bin_ns``.  The sums equal adding
+    the samples one at a time in input order: numpy's float ``//`` is
+    Python's, and :func:`np.bincount` adds its weights in input order.
+    """
+    # Cast while dividing: no float temporary beside ``times`` and
+    # ``values``, so a run's peak memory does not grow by a log-sized array.
+    idx = np.empty(len(times), dtype=np.intp)
+    np.floor_divide(times, bin_ns, out=idx, casting="unsafe")
+    counts = np.bincount(idx)
+    sums = np.bincount(idx, weights=values)
+    index = np.flatnonzero(counts)
+    return index, sums[index], counts[index]
+
+
 class TimeSeries:
-    """Accumulates (value, count) pairs into fixed-width time bins.
+    """Sums and sample counts in fixed-width time bins.
 
     Used for two of the paper's plots:
 
@@ -25,22 +43,21 @@ class TimeSeries:
         self._sums: Dict[int, float] = {}
         self._counts: Dict[int, int] = {}
 
-    def add(self, time_ns: float, value: float) -> None:
-        """Record ``value`` at ``time_ns``."""
-        idx = int(time_ns // self.bin_ns)
-        self._sums[idx] = self._sums.get(idx, 0.0) + value
-        self._counts[idx] = self._counts.get(idx, 0) + 1
-
     @classmethod
     def from_bins(cls, bin_ns: float, index: np.ndarray, sums: np.ndarray,
                   counts: np.ndarray) -> "TimeSeries":
         """The series whose non-empty bins ``index`` hold ``sums`` / ``counts``
-        (the statistics collector's views of its delivery log)."""
+        (see :func:`bin_sums`)."""
         series = cls(bin_ns)
         bins = index.tolist()
         series._sums = dict(zip(bins, sums.tolist()))
         series._counts = dict(zip(bins, counts.tolist()))
         return series
+
+    @classmethod
+    def binned(cls, times: np.ndarray, values: np.ndarray, bin_ns: float) -> "TimeSeries":
+        """The series of ``values`` recorded at ``times``, one sample each."""
+        return cls.from_bins(bin_ns, *bin_sums(times, values, bin_ns))
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -76,19 +76,20 @@ class LoadSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "LoadSchedule":
         """Strict inverse of :meth:`to_dict`."""
-        from repro.scenarios.serialize import check_keys
+        from repro.scenarios.serialize import check_keys, checked_number
 
         check_keys(data, required=("phases",), context="LoadSchedule")
         phases = data["phases"]
         if not isinstance(phases, (list, tuple)):
             raise ValueError(f"LoadSchedule phases must be a list, got {phases!r}")
         pairs = []
-        for item in phases:
+        for index, item in enumerate(phases):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(
                     f"LoadSchedule phase must be a [start_ns, load] pair, got {item!r}"
                 )
-            pairs.append((float(item[0]), float(item[1])))
+            pairs.append((checked_number(item[0], f"phase {index} start_ns", "LoadSchedule"),
+                          checked_number(item[1], f"phase {index} load", "LoadSchedule")))
         return cls(pairs)
 
     def __eq__(self, other: object) -> bool:

@@ -224,7 +224,14 @@ def test_h205_flags_unguarded_probe_publish(tmp_path):
     findings = check_snippet(tmp_path, "repro.network.probes_bad", """
         class Router:
             def tick(self, now):
-                self._ev_queue_depth(self, now)
+                self._join_log.add(0, 1, False, now)
+    """)
+    assert "H205" in rules_hit(findings)
+    findings = check_snippet(tmp_path, "repro.network.probes_alias_bad", """
+        class Router:
+            def tick(self, now):
+                joins = self._join_log
+                joins.add(0, 1, False, now)
     """)
     assert "H205" in rules_hit(findings)
 
@@ -233,11 +240,11 @@ def test_h205_accepts_attribute_and_alias_guards(tmp_path):
     findings = check_snippet(tmp_path, "repro.network.probes_ok", """
         class Router:
             def tick(self, now):
-                if self._ev_queue_depth is not None:
-                    self._ev_queue_depth(self, now)
-                ev = self._ev_delivery
-                if ev is not None:
-                    ev(self, now)
+                if self._join_log is not None:
+                    self._join_log.add(0, 1, False, now)
+                forwards = self._forward_log
+                if forwards is not None:
+                    forwards.add(0, now)
     """)
     assert "H205" not in rules_hit(findings)
 
@@ -334,6 +341,32 @@ def test_r401_accepts_explicit_none_declaration(tmp_path):
         register_algorithm("fine", FineRouting)
     """)
     assert not rules_hit(findings) & {"R401", "R403", "R404"}
+
+
+def test_r404_requires_a_probe_to_declare_its_logs(tmp_path):
+    def probe_module(logs_line: str) -> str:
+        return f"""
+        class InstrumentProbe:
+            logs = ()
+
+            def summary(self, logs, ctx):
+                raise NotImplementedError
+
+        class CountProbe(InstrumentProbe):
+            name = "count"
+            {logs_line}
+
+            def summary(self, logs, ctx):
+                return {{"delivered": len(logs.dl_deliver)}}
+
+        PROBE_REGISTRY.register("count", CountProbe)
+    """
+
+    findings = check_snippet(tmp_path, "repro.instrument.plugin_bad", probe_module(""))
+    assert any(f.rule == "R404" and "logs" in f.message for f in findings)
+    findings = check_snippet(tmp_path, "repro.instrument.plugin_ok",
+                             probe_module("logs = ()"))
+    assert "R404" not in rules_hit(findings)
 
 
 def test_r402_flags_export_without_import(tmp_path):

@@ -1,9 +1,11 @@
-"""Tests for the instrumentation pipeline: probe bus, probes, telemetry flow.
+"""Tests for the instrumentation pipeline: run logs, probes, telemetry flow.
 
-Covers the probe-bus contract (ordering, attach/detach, emitter resolution),
-the probes-off fast path (slots stay ``None``, results bit-identical with
-probes on or off), the built-in probes' payloads, and telemetry threading
-through specs, the sweep-runner cache, and the report analysis layer.
+Covers keeping run logs on a network (validation, accumulation, live
+arrays), the probes-off fast path (log slots stay ``None``, results
+bit-identical with probes on or off), the built-in probes' payloads, and
+telemetry threading through specs, the sweep-runner cache, and the report
+analysis layer.  ``tests/test_probe_reducers.py`` checks every reduction
+against a per-event reference.
 """
 
 from __future__ import annotations
@@ -15,16 +17,11 @@ import pytest
 from repro.experiments.harness import ExperimentSpec, run_experiment
 from repro.experiments.parallel import SweepRunner, spec_fingerprint
 from repro.instrument import (
-    HOOKS,
-    LinkUtilizationProbe,
-    ProbeBus,
-    QConvergenceProbe,
-    QueueOccupancyProbe,
-    SourceLatencyProbe,
     available_probes,
     canonical_probe_name,
     jain_fairness_index,
     make_probe,
+    probe_context,
 )
 from repro.instrument.report import analyze_document, export_payload, render_report
 from repro.network.network import Network
@@ -51,141 +48,68 @@ def _drive(net: Network, until: float = 12_000.0, load: float = 0.6) -> None:
     net.run(until=until)
 
 
-class _RecordingProbe:
-    """Minimal probe capturing one hook's events."""
-
-    def __init__(self, hook: str, log: list, tag: str) -> None:
-        self.hook = hook
-        self.log = log
-        self.tag = tag
-
-    def subscriptions(self):
-        return {self.hook: self._on_event}
-
-    def _on_event(self, *args) -> None:
-        self.log.append((self.tag, args))
-
-    def summary(self, end_ns: float):
-        return {"events": len(self.log)}
+def _record(net: Network, *names: str):
+    """Keep the logs of the named probes; returns the end-of-run reduction."""
+    probes = {name: make_probe(name) for name in names}
+    logs = net.record_logs(log for probe in probes.values() for log in probe.logs)
+    return lambda: {name: probe.summary(logs, probe_context(net))
+                    for name, probe in probes.items()}
 
 
-# ------------------------------------------------------------------ probe bus
-def test_bus_rejects_unknown_hook_and_non_callable():
-    bus = ProbeBus()
-    with pytest.raises(ValueError, match="unknown probe hook"):
-        bus.subscribe("no-such-hook", lambda: None)
-    with pytest.raises(TypeError, match="must be callable"):
-        bus.subscribe("link_busy", 42)
-    with pytest.raises(ValueError, match="not subscribed"):
-        bus.unsubscribe("link_busy", lambda: None)
+# ------------------------------------------------------------------ run logs
+def test_record_logs_rejects_unknown_names():
+    net = _tiny_network("MIN")
+    with pytest.raises(ValueError, match="unknown run log"):
+        net.record_logs(["forward", "no-such-log"])
+    # Validated before anything is allocated.
+    assert net.routers[0]._forward_log is None
 
 
-def test_bus_emitter_resolution_none_single_multi():
-    bus = ProbeBus()
-    assert bus.emitter("link_busy") is None
-    assert bus.is_idle
-
-    def listener(*args):
-        pass
-
-    bus.subscribe("link_busy", listener)
-    # Exactly one listener: the emitter IS the listener (no wrapper frame).
-    assert bus.emitter("link_busy") is listener
-    bus.subscribe("link_busy", lambda *a: None)
-    fan_out = bus.emitter("link_busy")
-    assert fan_out is not listener and callable(fan_out)
-    assert bus.listener_count("link_busy") == 2
+def test_record_logs_is_cumulative_and_live():
+    net = _tiny_network("Q-adp")
+    first = net.record_logs(["forward"])
+    second = net.record_logs(["source", "q_update"])
+    assert second.forward is first.forward
+    assert all(router._forward_log is first.forward for router in net.routers)
+    assert second.source is net.collector.dl_src and second.join is None
+    _drive(net, until=6_000.0)
+    assert len(first.forward.port) == sum(
+        r.forwarded_packets + r.ejected_packets for r in net.routers)
+    assert len(second.source) == net.collector.delivered > 0
+    assert len(second.q_update.router) == net.routing.feedback_applied
 
 
-def test_bus_attach_detach_ordering():
-    """Listeners fire in attach order; detaching one keeps the others' order."""
-    bus = ProbeBus()
-    log: list = []
-    first = _RecordingProbe("packet_delivered", log, "first")
-    second = _RecordingProbe("packet_delivered", log, "second")
-    third = _RecordingProbe("packet_delivered", log, "third")
-    for probe in (first, second, third):
-        bus.attach(probe)
-    bus.emitter("packet_delivered")("pkt", 1.0)
-    assert [tag for tag, _ in log] == ["first", "second", "third"]
-
-    log.clear()
-    bus.detach(second)
-    bus.emitter("packet_delivered")("pkt", 2.0)
-    assert [tag for tag, _ in log] == ["first", "third"]
-
-    log.clear()
-    bus.attach(second)  # re-attach lands at the back, not its old slot
-    bus.emitter("packet_delivered")("pkt", 3.0)
-    assert [tag for tag, _ in log] == ["first", "third", "second"]
-
-
-def test_bus_emitter_is_snapshot():
-    """A resolved emitter must not see later subscriptions (slots re-sync)."""
-    bus = ProbeBus()
-    log: list = []
-    bus.attach(_RecordingProbe("q_update", log, "a"))
-    bus.attach(_RecordingProbe("q_update", log, "b"))
-    stale = bus.emitter("q_update")
-    bus.attach(_RecordingProbe("q_update", log, "c"))
-    stale(1, 2, 3, 0.0, 1.0, 5.0)
-    assert [tag for tag, _ in log] == ["a", "b"]
-
-
-def test_all_hooks_documented():
-    assert set(HOOKS) == {
-        "packet_generated", "packet_injected", "packet_delivered",
-        "link_busy", "credit_stall", "queue_depth", "q_update",
-    }
-
-
-# ----------------------------------------------------- delivery listener fix
 def test_two_delivery_listeners_both_fire():
-    """Bus listeners stack: none replaces another or the stats collector."""
+    """Two probes over the delivery log both see every delivery, and the
+    collector still counts them."""
     net = _tiny_network("MIN")
-    first_log: list = []
-    second_log: list = []
-    net.attach_probe(_RecordingProbe("packet_delivered", first_log, "one"))
-    net.attach_probe(_RecordingProbe("packet_delivered", second_log, "two"))
+    reduce = _record(net, "fault-delivery", "reconvergence")
     _drive(net, until=6_000.0)
-    assert net.collector.delivered > 0  # the default collector still counts
-    assert len(first_log) == net.collector.delivered
-    assert len(second_log) == net.collector.delivered
-
-
-def test_detach_probe_stops_events():
-    net = _tiny_network("MIN")
-    log: list = []
-    probe = net.attach_probe(_RecordingProbe("packet_delivered", log, "p"))
-    net.detach_probe(probe)
-    _drive(net, until=6_000.0)
-    assert log == []
+    telemetry = reduce()
     assert net.collector.delivered > 0
+    assert telemetry["fault-delivery"]["delivered"] == net.collector.delivered
+    assert sum(telemetry["reconvergence"]["series"]["count"]) == net.collector.delivered
 
 
 # ------------------------------------------------------- probes-off fast path
 def test_probes_off_slots_are_none():
     net = _tiny_network("Q-adp")
     for router in net.routers:
-        assert router._ev_link_busy is None
-        assert router._ev_credit_stall is None
-        assert router._ev_queue_depth is None
-    for nic in net.nics:
-        assert nic._ev_injected is None
-    assert net.routing._ev_q_update is None
-    # The collector keeps generation/delivery monomorphic: the slots are its
-    # bound methods, not fan-out wrappers.
-    assert net._ev_generated == net.collector.record_generated
-    assert net.nics[0]._ev_delivery == net.collector.record_delivery
+        assert router._forward_log is None
+        assert router._join_log is None
+    assert net.routing._q_log is None
+    assert net.collector.dl_src is None and net.collector.gen_create is None
+    # The collector records through plain slots set at build time.
+    assert net._record_generated == net.collector.record_generated
+    assert all(nic._record_delivery == net.collector.record_delivery for nic in net.nics)
 
 
 def test_probes_do_not_change_results():
-    """Attaching every probe must not move a single event or statistic."""
+    """Keeping every probe's logs must not move a single event or statistic."""
     def run(with_probes: bool):
         net = _tiny_network("Q-adp", seed=11)
         if with_probes:
-            for name in available_probes():
-                net.attach_probe(make_probe(name, bin_ns=500.0, warmup_ns=2_000.0))
+            _record(net, *available_probes())
         _drive(net, until=10_000.0)
         return net.sim.events_processed, net.finalize()
 
@@ -198,9 +122,9 @@ def test_probes_do_not_change_results():
 # ------------------------------------------------------------- built-in probes
 def test_link_utilization_probe_payload():
     net = _tiny_network("MIN")
-    probe = net.attach_probe(LinkUtilizationProbe(bin_ns=1_000.0))
+    reduce = _record(net, "link-util")
     _drive(net)
-    payload = probe.summary(net.sim.now)
+    payload = reduce()["link-util"]
     assert payload["links_total"] == net.topo.num_routers * net.topo.k
     assert 0 < payload["links_observed"] <= payload["links_total"]
     top = payload["links"][0]
@@ -213,10 +137,10 @@ def test_link_utilization_probe_payload():
 
 
 def test_source_latency_probe_fairness():
-    net = _tiny_network("MIN")
-    probe = net.attach_probe(SourceLatencyProbe(warmup_ns=3_000.0))
+    net = Network(DragonflyConfig.tiny(), make_routing("MIN"), seed=3, warmup_ns=3_000.0)
+    reduce = _record(net, "source-latency")
     _drive(net)
-    payload = probe.summary(net.sim.now)
+    payload = reduce()["source-latency"]
     assert payload["groups_observed"] == net.topo.g
     assert 0.0 < payload["jain_fairness_mean"] <= 1.0
     group = payload["groups"][0]
@@ -226,9 +150,9 @@ def test_source_latency_probe_fairness():
 
 def test_q_convergence_probe_counts_updates():
     net = _tiny_network("Q-adp")
-    probe = net.attach_probe(QConvergenceProbe(bin_ns=1_000.0))
+    reduce = _record(net, "q-convergence")
     _drive(net)
-    payload = probe.summary(net.sim.now)
+    payload = reduce()["q-convergence"]
     assert payload["updates"] == net.routing.feedback_applied
     assert payload["routers_learning"] <= net.topo.num_routers
     assert sum(r["updates"] for r in payload["routers"]) == payload["updates"]
@@ -237,9 +161,9 @@ def test_q_convergence_probe_counts_updates():
 
 def test_queue_occupancy_probe_records_contention():
     net = _tiny_network("MIN", seed=5)
-    probe = net.attach_probe(QueueOccupancyProbe(bin_ns=1_000.0))
+    reduce = _record(net, "queue-occupancy")
     _drive(net, until=15_000.0, load=0.9)
-    payload = probe.summary(net.sim.now)
+    payload = reduce()["queue-occupancy"]
     assert payload["samples"] > 0
     assert payload["max_depth"] >= 1
     assert payload["routers"][0]["max_depth"] == payload["max_depth"]
@@ -363,20 +287,6 @@ def test_report_rejects_documents_without_telemetry(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         load_result_document(bad)
-
-
-def test_bus_attach_is_all_or_nothing():
-    """A probe with one bad subscription must not end up half-attached."""
-    bus = ProbeBus()
-
-    class _Broken:
-        def subscriptions(self):
-            return {"packet_delivered": lambda p, t: None, "link_busy": 42}
-
-    with pytest.raises(TypeError, match="must be callable"):
-        bus.attach(_Broken())
-    assert bus.listener_count("packet_delivered") == 0
-    assert bus.is_idle
 
 
 def test_report_max_rows_one_does_not_crash():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hysteretic import HystereticParams, hysteretic_update
@@ -90,9 +91,8 @@ def test_latency_summary_orderings(values):
     ),
 )
 def test_timeseries_total_mass_preserved(bin_ns, samples):
-    series = TimeSeries(bin_ns=bin_ns)
-    for t, v in samples:
-        series.add(t, v)
+    times = np.array([t for t, _ in samples], dtype=float)
+    series = TimeSeries.binned(times, np.array([v for _, v in samples], dtype=float), bin_ns)
     assert len(series.counts()) == len(series)
     assert float(series.counts().sum()) == len(samples)
     assert abs(float(series.sums().sum()) - sum(v for _, v in samples)) < 1e-6 * max(

@@ -243,6 +243,59 @@ def test_spec_from_dict_accepts_numeric_strings_and_integral_floats():
     assert ExperimentSpec.from_dict(dict(data, seed=big)).seed == big
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(offered_load=True), "offered_load must be a finite number, got True"),
+    (dict(offered_load=float("nan")), "offered_load must be a finite number, got nan"),
+])
+def test_spec_refuses_seeds_and_loads_that_would_run_as_others(overrides, message):
+    """A 1.5 or True seed would draw (and serialize) as seed 1, a True load
+    would run at 1.0: the constructor applies the rule files are read with."""
+    with pytest.raises(ValueError, match=f"ExperimentSpec: {message}"):
+        _spec(**overrides)
+
+
+def test_spec_normalizes_integral_seeds():
+    import numpy as np
+
+    assert _spec(seed=7.0).seed == 7 and type(_spec(seed=7.0).seed) is int
+    assert _spec(seed=np.uint64(2**63 + 1)).seed == 2**63 + 1
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "offered_load must be a finite number, got True"),
+    (float("inf"), "offered_load must be a finite number, got inf"),
+    ("high", "offered_load must be a finite number, got 'high'"),
+])
+def test_spec_from_dict_refuses_loads_it_would_coerce(value, message):
+    data = _spec().to_dict()
+    data["offered_load"] = value
+    with pytest.raises(ValueError, match=f"ExperimentSpec: {message}"):
+        ExperimentSpec.from_dict(data)
+
+
+def test_spec_from_dict_reads_a_numeric_string_load():
+    data = dict(_spec().to_dict(), offered_load="0.5")
+    assert ExperimentSpec.from_dict(data).offered_load == 0.5
+
+
+@pytest.mark.parametrize("phases,message", [
+    ([[0, True], [1_000.0, 0.5]], "phase 0 load must be a finite number, got True"),
+    ([[0, 0.2], [False, 0.5]], "phase 1 start_ns must be a finite number, got False"),
+    ([[0, 0.2], [float("nan"), 0.5]], "phase 1 start_ns must be a finite number, got nan"),
+    ([[0, "x"]], "phase 0 load must be a finite number, got 'x'"),
+])
+def test_load_schedule_from_dict_refuses_phases_it_would_coerce(phases, message):
+    with pytest.raises(ValueError, match=f"LoadSchedule: {message}"):
+        LoadSchedule.from_dict({"phases": phases})
+
+
+def test_load_schedule_from_dict_reads_numeric_strings():
+    schedule = LoadSchedule.from_dict({"phases": [["0", "0.3"], ["5e3", 0.6]]})
+    assert schedule == LoadSchedule.step(0.3, 5_000.0, 0.6)
+
+
 def test_study_from_dict_refuses_numbers_it_would_coerce():
     from repro.scenarios.study import Scenario, TrainStage
 

@@ -64,10 +64,8 @@ def test_fraction_below():
 
 # ----------------------------------------------------------------- timeseries
 def test_timeseries_binning_and_means():
-    series = TimeSeries(bin_ns=100.0)
-    series.add(10.0, 2.0)
-    series.add(20.0, 4.0)
-    series.add(150.0, 10.0)
+    series = TimeSeries.binned(np.array([10.0, 20.0, 150.0]), np.array([2.0, 4.0, 10.0]),
+                               bin_ns=100.0)
     assert len(series) == 2
     assert series.bins() == [0, 1]
     assert series.means() == pytest.approx([3.0, 10.0])
