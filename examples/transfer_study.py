@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.options import RunOptions
 from repro.experiments.presets import BENCH_SCALE
 from repro.scenarios.catalog import transfer_study
 from repro.stats.report import format_table
@@ -35,7 +34,7 @@ def main() -> None:
     print(f"train stage: {stage.routing} on {stage.pattern} @ {stage.load} "
           f"for {stage.train_ns / 1_000.0:g} us\n")
 
-    result = study.run(options=RunOptions(store=store_dir))
+    result = study.run(store=store_dir)
 
     for routing, path in result.checkpoints.items():
         print(f"checkpoint for {routing}: {path}")

@@ -36,6 +36,12 @@ Public surface
 :class:`Study`, :class:`FaultSchedule`, :class:`ArtifactStore` and the
 registries) are re-exported lazily (PEP 562), so ``import repro`` stays as
 cheap as the simulator core.
+
+What is simulated is the spec, scenario or study (probes and faults
+included); where it runs is a :class:`~repro.experiments.SweepRunner`; what
+to save is a keyword of the entry point that saves it
+(``run_experiment(spec, save_state=..., store=...)``).  ``RunOptions`` holds
+only ``backend``, the replicate grouping of ``run_replicates``.
 """
 
 from typing import TYPE_CHECKING

@@ -19,11 +19,9 @@ rests on — and the ones a stray line of code silently breaks:
   explicit ``supported_topologies``, a ``name``, the protocol methods, and a
   matched ``export_state``/``import_state`` pair for checkpointable state.
 
-Run it as ``repro-sim check [--strict] [--baseline FILE]`` or
-``python -m repro.analysis``.  Findings can be suppressed inline with
-``# repro: ignore[RULE]`` (or ``# repro: ignore`` for every rule on that
-line) and legacy findings can be parked in a committed JSON baseline — see
-:mod:`repro.analysis.baseline`.
+Run it as ``repro-sim check [--strict]`` or ``python -m repro.analysis``.
+Findings can be suppressed inline with ``# repro: ignore[RULE]`` (or
+``# repro: ignore`` for every rule on that line).
 """
 
 from __future__ import annotations

@@ -51,15 +51,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def key(self) -> str:
-        """Line-number-insensitive identity used by the baseline.
-
-        Keyed on ``rule :: path :: message`` so a finding keeps matching its
-        baseline entry when unrelated edits shift it to a different line.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 

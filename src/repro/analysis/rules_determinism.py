@@ -129,7 +129,7 @@ def check_entropy(project: Project) -> Iterator[Finding]:
     rule_obj = RULE_REGISTRY["D103"]
     env_message = (
         "environment read in simulation logic: a run must be a pure function "
-        "of its spec — take the value as a spec field or a RunOptions entry"
+        "of its spec — take the value as a spec field or an entry-point keyword"
     )
     for module in project.modules:
         sim_scope = in_sim_scope(module)

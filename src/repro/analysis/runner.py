@@ -1,13 +1,12 @@
 """File discovery, the check pipeline, and the ``repro-sim check`` CLI.
 
 The pipeline: discover ``*.py`` files → parse into a :class:`Project` → run
-every registered rule → drop suppressed findings → subtract the baseline →
-report.  Exit status is the contract CI gates on:
+every registered rule → drop suppressed findings → report.  Exit status is
+the contract CI gates on:
 
-* ``0`` — no new errors (warnings reported but tolerated unless ``--strict``)
-* ``1`` — new findings (or, under ``--strict``, warnings / stale or
-  unjustified baseline entries)
-* ``2`` — usage or I/O error (unreadable baseline, no files matched)
+* ``0`` — no errors (warnings reported but tolerated unless ``--strict``)
+* ``1`` — errors (or, under ``--strict``, warnings)
+* ``2`` — usage error (no files matched)
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.analysis import rules_determinism  # noqa: F401  (register D rules)
 from repro.analysis import rules_hotpath  # noqa: F401
 from repro.analysis import rules_registry  # noqa: F401
 from repro.analysis import rules_serialization  # noqa: F401
-from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.core import Finding, Project, all_rules, load_module
 
 #: directories never descended into during discovery.
@@ -105,15 +103,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=None, metavar="PATH",
                         help="files/directories to check (default: src)")
     parser.add_argument("--strict", action="store_true",
-                        help="fail on warnings, stale baseline entries, and "
-                             "baseline entries without a justification")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON baseline of parked findings "
-                             "(see repro.analysis.baseline)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record current findings into --baseline FILE "
-                             "and exit 0 (justifications must be filled in "
-                             "by hand afterwards)")
+                        help="fail on warnings too")
     parser.add_argument("--changed", action="store_true",
                         help="check only files modified/untracked per git "
                              "(for pre-commit); exits 0 when none")
@@ -152,62 +142,22 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
     findings = run_check(files, root)
 
-    baseline = Baseline()
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print("--write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        Baseline.from_findings(findings).save(baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}; "
-              "fill in each justification before committing")
-        return 0
-
-    if baseline_path is not None:
-        if not baseline_path.exists():
-            print(f"baseline not found: {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"unreadable baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-
-    new, baselined, stale = apply_baseline(findings, baseline)
-    unjustified = baseline.unjustified()
-
     if args.format == "json":
         print(json.dumps({
-            "findings": [f.to_dict() for f in new],
-            "baselined": [f.to_dict() for f in baselined],
-            "stale_baseline": [e.to_dict() for e in stale],
+            "findings": [f.to_dict() for f in findings],
             "files": len(files),
         }, indent=2, sort_keys=True))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        for entry in stale:
-            print(f"{entry.path}: stale baseline entry for {entry.rule} "
-                  f"(finding no longer occurs) — remove it: {entry.message}")
-        for entry in unjustified:
-            print(f"{entry.path}: baseline entry for {entry.rule} has no "
-                  f"justification: {entry.message}")
 
-    errors = [f for f in new if f.severity == "error"]
-    warnings = [f for f in new if f.severity == "warning"]
-    failed = bool(errors) or (args.strict and (warnings or stale or unjustified))
+    errors = [f for f in findings if f.severity == "error"]
+    warnings = [f for f in findings if f.severity == "warning"]
+    failed = bool(errors) or (args.strict and bool(warnings))
     if args.format == "text":
-        bits = [f"{len(files)} file(s)", f"{len(errors)} error(s)",
-                f"{len(warnings)} warning(s)"]
-        if baselined:
-            bits.append(f"{len(baselined)} baselined")
-        if stale:
-            bits.append(f"{len(stale)} stale baseline entr(y/ies)")
         status = "FAILED" if failed else "ok"
-        print(f"repro-sim check: {', '.join(bits)} — {status}")
+        print(f"repro-sim check: {len(files)} file(s), {len(errors)} error(s), "
+              f"{len(warnings)} warning(s) — {status}")
     return 1 if failed else 0
 
 

@@ -84,7 +84,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 from repro.analysis import runner as analysis_runner
 from repro.experiments import (
     ExperimentSpec,
-    RunOptions,
     SweepRunner,
     ablation_hyperparams,
     ablation_maxq,
@@ -101,7 +100,12 @@ from repro.experiments import (
     train_experiment,
 )
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ResultCache, default_runner
-from repro.experiments.presets import default_scale, describe_scales, scale_by_name
+from repro.experiments.presets import (
+    ExperimentScale,
+    default_scale,
+    describe_scales,
+    scale_by_name,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.instrument import PROBE_REGISTRY, available_probes
 from repro.instrument.report import export_payload, load_result_document, render_report
@@ -136,11 +140,14 @@ def _runner_from_args(args: argparse.Namespace) -> SweepRunner:
     (serial and uncached by default), so e.g. ``REPRO_CACHE=1`` stays in
     effect when only ``--workers`` is passed.
     """
-    runner = default_runner()
-    if args.workers is not None:
-        env_cache = runner.cache
-        runner = SweepRunner(workers=args.workers, cache_dir=None)
-        runner.cache = env_cache
+    try:
+        runner = default_runner()
+        if args.workers is not None:
+            env_cache = runner.cache
+            runner = SweepRunner(workers=args.workers, cache_dir=None)
+            runner.cache = env_cache
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if args.cache_dir is not None:
         runner.cache = ResultCache(args.cache_dir)
     elif args.cache:
@@ -167,15 +174,26 @@ def _config_from_args(args: argparse.Namespace) -> Any:
 def _build_spec(args: argparse.Namespace, routing: str) -> ExperimentSpec:
     sim_time_ns = args.time_us * 1_000.0
     warmup_ns = args.warmup_us * 1_000.0 if args.warmup_us is not None else sim_time_ns / 2
-    return ExperimentSpec(
-        config=_config_from_args(args),
-        routing=routing,
-        pattern=args.pattern,
-        offered_load=args.load,
-        sim_time_ns=sim_time_ns,
-        warmup_ns=warmup_ns,
-        seed=args.seed,
-    )
+    try:
+        return ExperimentSpec(
+            config=_config_from_args(args),
+            routing=routing,
+            pattern=args.pattern,
+            offered_load=args.load,
+            sim_time_ns=sim_time_ns,
+            warmup_ns=warmup_ns,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _scale_from_args(args: argparse.Namespace) -> Optional[ExperimentScale]:
+    """Resolve ``--scale`` to a preset, or ``None`` when not given."""
+    try:
+        return scale_by_name(args.scale) if args.scale else None
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _faults_from_args(args: argparse.Namespace) -> Optional[FaultSchedule]:
@@ -207,9 +225,14 @@ def _run_replicate_batch(args: argparse.Namespace, spec: "ExperimentSpec") -> in
     """``run --replicates N``: one summary row per seed."""
     if args.replicates < 1:
         raise SystemExit("--replicates must be at least 1")
-    options = RunOptions(save_state=args.save_state, store=args.store)
+    if args.save_state is not None:
+        raise SystemExit(
+            "save_state is not supported for replicate batches: every "
+            "replicate would overwrite the same checkpoint; checkpoint a "
+            "dedicated train_experiment run instead"
+        )
     try:
-        results = run_replicates(spec, args.replicates, options=options)
+        results = run_replicates(spec, args.replicates)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     rows = [dict(seed=result.spec.seed, **result.summary_row())
@@ -236,8 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.replicates is not None:
         return _run_replicate_batch(args, spec)
     try:
-        result = run_experiment(
-            spec, options=RunOptions(save_state=args.save_state, store=args.store))
+        result = run_experiment(spec, save_state=args.save_state, store=args.store)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     row = result.summary_row()
@@ -270,8 +292,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         # than _build_spec's half-time split.  An explicit --warmup-us wins.
         spec = spec.with_overrides(warmup_ns=0.0)
     try:
-        trained = train_experiment(spec, options=RunOptions(
-            store=args.store, name=args.tag, reuse=not args.retrain))
+        trained = train_experiment(spec, save_state=args.tag, store=args.store,
+                                   reuse=not args.retrain)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     payload = {
@@ -338,7 +360,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = scale_by_name(args.scale) if args.scale else default_scale()
+    scale = _scale_from_args(args) or default_scale()
     runner = _runner_from_args(args)
     fn = FIGURES[args.name]
     data = fn(scale, runner)
@@ -347,7 +369,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _study_from_args(args: argparse.Namespace) -> Any:
-    scale = scale_by_name(args.scale) if args.scale else None
+    scale = _scale_from_args(args)
     try:
         return load_study(args.target, scale)
     except (ValueError, RuntimeError, OSError) as exc:
@@ -358,7 +380,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     study = _study_from_args(args)
     runner = _runner_from_args(args)
     try:
-        result = study.run(runner, options=RunOptions(store=args.store))
+        result = study.run(runner, store=args.store)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     rows = result.rows()

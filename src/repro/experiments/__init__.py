@@ -5,6 +5,13 @@ The figure drivers (:mod:`repro.experiments.figures`) are re-exported
 :mod:`repro.scenarios.catalog`, which in turn builds on the presets and the
 harness of this package — an eager import here would close that loop.
 ``from repro.experiments import figure5_sweep`` works exactly as before.
+
+Each entry point takes only the keywords it reads:
+``run_experiment(spec, *, save_state, store)``,
+``train_experiment(spec, *, save_state, store, reuse)`` and
+``run_replicates(spec, n, options=RunOptions(backend=...))``.  Probes and
+faults belong to the spec; pool size, cache and progress to the
+:class:`SweepRunner`.
 """
 
 from repro.experiments.harness import (

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.qtable import qtable_memory_comparison
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.parallel import SweepRunner, resolve_runner as _resolve_runner
+from repro.experiments.parallel import SweepRunner
 from repro.experiments.presets import ExperimentScale
 from repro.scenarios.catalog import (
     ablation_hyperparams_study,
@@ -92,7 +92,7 @@ def figure5_sweep(
     three patterns.
     """
     study = fig5_study(scale, algorithms, patterns, loads_by_pattern)
-    run = study.run(_resolve_runner(runner))
+    run = study.run(runner)
     sweep = study.scenarios[0]
 
     flat = iter(run.results)
@@ -151,7 +151,7 @@ def figure6_tail_latency(
     whiskers (µs) plus the fraction of packets below 2 µs.
     """
     study = fig6_study(scale, algorithms, patterns, loads)
-    return _reduce_distribution(study.run(_resolve_runner(runner)))
+    return _reduce_distribution(study.run(runner))
 
 
 # ------------------------------------------------------------------- figure 7
@@ -166,7 +166,7 @@ def figure7_convergence(
     Returns ``{"<pattern> load <L>": {"time_us": [...], "latency_us": [...]}}``.
     """
     study = fig7_study(scale, cases, bin_ns)
-    run = study.run(_resolve_runner(runner))
+    run = study.run(runner)
     curves: Dict[str, Dict[str, List[float]]] = {}
     for point, result in run:
         times, values = result.latency_timeline_us
@@ -192,7 +192,7 @@ def figure8_dynamic_load(
     binned throughput time series per case.
     """
     study = fig8_study(scale, cases, bin_ns)
-    run = study.run(_resolve_runner(runner))
+    run = study.run(runner)
     curves: Dict[str, Dict[str, List[float]]] = {}
     for point, result in run:
         times, values = result.throughput_timeline
@@ -221,7 +221,7 @@ def figure9_scaleup(
     hyper-parameters.
     """
     study = fig9_study(scale, algorithms, patterns, load)
-    return _reduce_distribution(study.run(_resolve_runner(runner)))
+    return _reduce_distribution(study.run(runner))
 
 
 # ------------------------------------------------------------------ ablations
@@ -239,7 +239,7 @@ def ablation_maxq(
     ``{pattern: {maxQ: {"latency_us", "throughput", "hops"}}}``.
     """
     study = ablation_maxq_study(scale, maxq_values, patterns, load)
-    run = study.run(_resolve_runner(runner))
+    run = study.run(runner)
     scenario_patterns = study.scenarios[0].pattern
     scenarios = {scenario.name: scenario for scenario in study.scenarios}
 
@@ -270,7 +270,7 @@ def ablation_hyperparams(
     """Section 4 design knobs: minimal-path bias threshold and feedback rule."""
     study = ablation_hyperparams_study(scale, pattern, load, q_thld1_values,
                                        feedback_modes)
-    run = study.run(_resolve_runner(runner))
+    run = study.run(runner)
     scenarios = {scenario.name: scenario for scenario in study.scenarios}
 
     rows: List[Dict[str, float]] = []

@@ -496,7 +496,9 @@ def _check_save_request(spec: ExperimentSpec, name: Optional[str], action: str,
 
 def run_experiment(
     spec: ExperimentSpec,
-    options: Optional[RunOptions] = None,
+    *,
+    save_state: Optional[str] = None,
+    store: StoreLike = None,
 ) -> ExperimentResult:
     """Run one experiment to completion and collect its results.
 
@@ -506,23 +508,19 @@ def run_experiment(
     anything it refuses (telemetry, faults, a plugged-in routing) runs on the
     object-graph engine.  Results are identical either way.
 
-    ``options`` (a :class:`~repro.experiments.options.RunOptions`) carries
-    the execution knobs: ``options.save_state`` persists the learned routing
-    state after the run as a checkpoint of that name in ``options.store`` (an
+    ``save_state`` persists the learned routing state after the run as a
+    checkpoint of that name in ``store`` (an
     :class:`~repro.store.ArtifactStore`, a directory path, or ``None`` for
     the default store); the checkpoint path lands in
     ``result.routing_diagnostics["checkpoint"]``.  Requesting it for an
-    algorithm without learned state is an error.  ``options.telemetry`` and
-    ``options.faults`` fold into the spec (the spec's own fields win).
+    algorithm without learned state is an error.
     """
-    options = options or RunOptions()
-    spec = options.apply_to_spec(spec)
-    if options.save_state is None:
+    if save_state is None:
         return _run(spec)[0]
     from repro.store import resolve_store
 
-    _check_save_request(spec, options.save_state, "checkpoint", "save_state")
-    return _run(spec, resolve_store(options.store), options.save_state)[0]
+    _check_save_request(spec, save_state, "checkpoint", "save_state")
+    return _run(spec, resolve_store(store), save_state)[0]
 
 
 def run_replicates(
@@ -552,17 +550,9 @@ def run_replicates(
       time split evenly over the replicates (the seeds run concurrently;
       per-replicate wall time has no scalar-equivalent meaning).
 
-    ``options.save_state`` is rejected here: replicates would race for one
-    checkpoint name.  Checkpoint a dedicated :func:`train_experiment` run
-    instead.
+    Nothing is checkpointed: replicates would race for one checkpoint name.
+    Checkpoint a dedicated :func:`train_experiment` run instead.
     """
-    options = options or RunOptions()
-    if options.save_state is not None:
-        raise ValueError(
-            "save_state is not supported for replicate batches: every "
-            "replicate would overwrite the same checkpoint; checkpoint a "
-            "dedicated train_experiment run instead"
-        )
     if seeds is None:
         if replicates is None:
             raise ValueError("pass a replicate count or an explicit seed list")
@@ -574,8 +564,7 @@ def run_replicates(
             f"replicates={replicates} contradicts len(seeds)={len(seeds)}"
         )
     seeds = list(seeds)
-    spec = options.apply_to_spec(spec)
-    if options.backend == "batched":
+    if options is not None and options.backend == "batched":
         from repro.engine.batch import run_batch
 
         started = time.perf_counter()
@@ -603,40 +592,40 @@ class TrainResult:
 
 def train_experiment(
     spec: ExperimentSpec,
-    options: Optional[RunOptions] = None,
+    *,
+    save_state: Optional[str] = None,
+    store: StoreLike = None,
+    reuse: bool = True,
 ) -> TrainResult:
     """Run a training spec and persist its learned state as a checkpoint.
 
-    Training is memoized through the store: when ``options.reuse`` is true
-    (the default) and a checkpoint whose manifest records this spec's
-    fingerprint already exists, it is returned without simulating — the
-    checkpoint store plays the same role for learned state that the result
-    cache plays for measurements.  ``options.name`` is the checkpoint id and
-    ``options.store`` the artifact store it is saved in.
+    Training is memoized through the store: when ``reuse`` is true (the
+    default) and a checkpoint whose manifest records this spec's fingerprint
+    already exists, it is returned without simulating — the checkpoint store
+    plays the same role for learned state that the result cache plays for
+    measurements.  ``save_state`` is the checkpoint id (``None``: derived
+    from the spec) and ``store`` the artifact store it is saved in.
     """
     from repro.experiments.parallel import spec_fingerprint
     from repro.store import resolve_store
 
-    options = options or RunOptions()
-    spec = options.apply_to_spec(spec)
-    name = options.name
-    _check_save_request(spec, name, "train", "train_experiment")
-    store = resolve_store(options.store)
+    _check_save_request(spec, save_state, "train", "train_experiment")
+    artifacts = resolve_store(store)
     fingerprint = spec_fingerprint(spec)
-    if options.reuse:
-        existing = store.find_by_fingerprint(fingerprint)
+    if reuse:
+        existing = artifacts.find_by_fingerprint(fingerprint)
         if existing is not None:
-            if name is None or existing.checkpoint_id == name:
+            if save_state is None or existing.checkpoint_id == save_state:
                 return TrainResult(checkpoint=existing, result=None, reused=True)
             # Same training spec requested under a new id: re-save the stored
             # state under that name instead of re-simulating (the copies are
             # byte-identical, so sharing a fingerprint is harmless).
-            checkpoint = store.save(
+            checkpoint = artifacts.save(
                 existing.state(),
                 trained_sim_ns=existing.manifest.trained_sim_ns,
                 spec=spec,
-                name=name,
+                name=save_state,
             )
             return TrainResult(checkpoint=checkpoint, result=None, reused=True)
-    result, checkpoint = _run(spec, store, name)
+    result, checkpoint = _run(spec, artifacts, save_state)
     return TrainResult(checkpoint=checkpoint, result=result, reused=False)

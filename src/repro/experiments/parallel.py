@@ -259,7 +259,7 @@ class SweepRunner:
         Number of worker processes.  ``1`` (the default) runs everything
         in-process, preserving the exact semantics — and RNG streams — of a
         serial :func:`run_experiment` loop.  ``0`` or ``None`` means "one per
-        CPU".
+        CPU"; a negative count is refused.
     cache_dir:
         Directory for the on-disk result cache.  ``None`` disables caching.
     progress:
@@ -277,7 +277,10 @@ class SweepRunner:
         cache_dir: Optional[os.PathLike] = None,
         progress: Optional[Callable[[RunProgress], None]] = None,
     ) -> None:
-        if workers is None or workers <= 0:
+        if workers is not None and workers < 0:
+            raise ValueError(
+                f"workers must be 0 (one per CPU) or positive, got {workers}")
+        if not workers:
             workers = os.cpu_count() or 1
         self.workers = int(workers)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -361,11 +364,6 @@ class SweepRunner:
 
 
 # ----------------------------------------------------------- env-driven setup
-def resolve_runner(runner: Optional[SweepRunner]) -> SweepRunner:
-    """Use the caller's runner, else one configured from the environment."""
-    return runner if runner is not None else default_runner()
-
-
 def default_runner(env: Optional[Dict[str, str]] = None) -> SweepRunner:
     """Build a runner from the environment.
 
@@ -377,9 +375,12 @@ def default_runner(env: Optional[Dict[str, str]] = None) -> SweepRunner:
     workers_raw = environment.get("REPRO_WORKERS", "1")
     try:
         workers = int(workers_raw)
+        if workers < 0:
+            raise ValueError(workers_raw)
     except ValueError:
         raise ValueError(
-            f"REPRO_WORKERS must be an integer, got {workers_raw!r}") from None
+            f"REPRO_WORKERS must be 0 (one per CPU) or a positive integer, "
+            f"got {workers_raw!r}") from None
     cache_raw = environment.get("REPRO_CACHE", "")
     cache_dir: Optional[Path]
     if not cache_raw or cache_raw == "0":

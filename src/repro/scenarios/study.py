@@ -40,7 +40,6 @@ from typing import (
     Union,
 )
 
-from repro.experiments.options import RunOptions
 from repro.faults.schedule import FaultSchedule
 from repro.network.params import NetworkParams
 from repro.routing import canonical_routing_name
@@ -442,34 +441,26 @@ class Study:
 
     # -------------------------------------------------------------- execution
     def run(self, runner: Optional["SweepRunner"] = None, *,
-            options: Optional[RunOptions] = None) -> "StudyResult":
+            store: "StoreLike" = None) -> "StudyResult":
         """Execute every expanded spec through a sweep runner.
 
-        ``runner=None`` builds one from ``options``
-        (``workers``/``cache``/``progress``), falling back to the
-        ``REPRO_WORKERS`` / ``REPRO_CACHE`` environment variables (serial,
-        uncached when unset), exactly like the figure drivers.
-        ``options.telemetry``/``options.faults`` fold into every eval spec.
+        ``runner=None`` builds one from the ``REPRO_WORKERS`` /
+        ``REPRO_CACHE`` environment variables (serial, uncached when unset),
+        exactly like the figure drivers.
 
         Staged studies (``train`` set) run their training stage first —
-        through the artifact store ``options.store`` (default: the standard
+        through the artifact store ``store`` (default: the standard
         ``.cache/checkpoints`` store) — and warm-start the matching eval
         specs from the resulting checkpoints.
         """
-        from repro.experiments.parallel import resolve_runner
+        from repro.experiments.parallel import default_runner
 
-        options = options or RunOptions()
-        runner = resolve_runner(runner if runner is not None else options.make_runner())
+        if runner is None:
+            runner = default_runner()
         points = self.expand()
-        if options.telemetry or options.faults is not None:
-            points = [
-                StudyPoint(point.scenario, point.replicate,
-                           options.apply_to_spec(point.spec))
-                for point in points
-            ]
         checkpoints: Dict[str, str] = {}
         if self.train is not None:
-            checkpoints = self.run_train_stage(options.store)
+            checkpoints = self.run_train_stage(store)
             # Warm-start only the points that can actually load the
             # checkpoint: training runs on the study-level config, so
             # scenarios overriding it to a different topology run cold
@@ -535,7 +526,7 @@ class Study:
                 stats_bin_ns=self.stats_bin_ns,
                 label=f"train:{routing}",
             )
-            trained = train_experiment(spec, options=RunOptions(store=store))
+            trained = train_experiment(spec, store=store)
             checkpoints[spec.routing] = str(trained.checkpoint.path)
         return checkpoints
 

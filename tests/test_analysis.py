@@ -1,4 +1,4 @@
-"""The static-analysis suite: rules, suppressions, baseline, self-check."""
+"""The static-analysis suite: rules, suppressions, self-check."""
 
 from __future__ import annotations
 
@@ -9,12 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import all_rules, run_check
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    PLACEHOLDER_JUSTIFICATION,
-    apply_baseline,
-)
 from repro.analysis.runner import discover_files, main, repo_root
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -441,74 +435,6 @@ def test_file_scoped_suppression(tmp_path):
             return list({x for x in xs})
     """)
     assert "D104" not in rules_hit(findings)
-
-
-# --------------------------------------------------------------------- baseline
-def _finding_fixture(tmp_path):
-    return check_snippet(tmp_path, "repro.stats.legacy", """
-        def bad(xs):
-            return [x for x in set(xs)]
-    """)
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = _finding_fixture(tmp_path)
-    assert findings
-    baseline = Baseline.from_findings(findings, justification="legacy, tracked")
-    path = tmp_path / "analysis-baseline.json"
-    baseline.save(path)
-
-    loaded = Baseline.load(path)
-    assert len(loaded) == len(findings)
-    new, matched, stale = apply_baseline(findings, loaded)
-    assert not new and not stale
-    assert len(matched) == len(findings)
-    assert not loaded.unjustified()
-
-
-def test_baseline_matching_is_line_insensitive(tmp_path):
-    findings = _finding_fixture(tmp_path)
-    entry = BaselineEntry(
-        rule=findings[0].rule, path=findings[0].path,
-        message=findings[0].message, justification="tracked",
-    )
-    shifted = Baseline([entry])
-    new, matched, stale = apply_baseline(findings, shifted)
-    assert not new and matched
-
-
-def test_baseline_reports_stale_and_unjustified_entries(tmp_path):
-    ghost = BaselineEntry(rule="D104", path="src/repro/gone.py",
-                          message="iteration over a set", justification="")
-    baseline = Baseline([ghost])
-    new, matched, stale = apply_baseline([], baseline)
-    assert stale == [ghost]
-    assert baseline.unjustified() == [ghost]
-    assert Baseline.from_findings(
-        _finding_fixture(tmp_path)).unjustified()  # placeholder text
-
-
-def test_write_baseline_then_strict_check_flags_placeholder(tmp_path, monkeypatch, capsys):
-    rel = Path("src", "repro", "stats", "legacy.py")
-    target = tmp_path / rel
-    target.parent.mkdir(parents=True)
-    target.write_text("def bad(xs):\n    return [x for x in set(xs)]\n",
-                      encoding="utf-8")
-    (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-
-    assert main(["--baseline", "bl.json", "--write-baseline", "src"]) == 0
-    # Non-strict: baselined finding passes even with the placeholder text.
-    assert main(["--baseline", "bl.json", "src"]) == 0
-    # Strict: the placeholder justification fails the gate.
-    assert main(["--strict", "--baseline", "bl.json", "src"]) == 1
-
-    data = json.loads((tmp_path / "bl.json").read_text(encoding="utf-8"))
-    for entry in data["entries"]:
-        entry["justification"] = "legacy ordering quirk, tracked in #42"
-    (tmp_path / "bl.json").write_text(json.dumps(data), encoding="utf-8")
-    assert main(["--strict", "--baseline", "bl.json", "src"]) == 0
-    capsys.readouterr()
 
 
 # ------------------------------------------------------------------ runner / CLI

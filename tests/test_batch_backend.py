@@ -405,12 +405,6 @@ def test_run_replicates_backends_agree():
     assert all(b.wall_time_s > 0.0 for b in batched)
 
 
-def test_run_replicates_rejects_save_state():
-    spec = _spec("Q-adp")
-    with pytest.raises(ValueError, match="save_state"):
-        run_replicates(spec, 2, options=RunOptions(save_state="tag"))
-
-
 def test_run_replicates_explicit_seeds():
     spec = _spec("Q-routing", load=0.3, sim=3_000.0, warm=1_000.0)
     results = run_replicates(
@@ -587,8 +581,8 @@ def test_warm_start_and_save_state_run_on_the_kernel(tmp_path, object_graph_runs
     train_spec = spec.with_overrides(seed=12)
     references = {s.seed: _execute(s) for s in (spec, train_spec)}
     del object_graph_runs[:]
-    saved = run_experiment(spec, RunOptions(save_state="tag", store=store))
-    trained = train_experiment(train_spec, RunOptions(store=store, name="trained"))
+    saved = run_experiment(spec, save_state="tag", store=store)
+    trained = train_experiment(train_spec, save_state="trained", store=store)
     assert object_graph_runs == []
     checkpoint = saved.routing_diagnostics.pop("checkpoint")
     trained.result.routing_diagnostics.pop("checkpoint")
@@ -610,7 +604,7 @@ def test_warm_start_and_save_state_run_on_the_kernel(tmp_path, object_graph_runs
 
 def test_warm_start_with_telemetry_runs_the_object_graph(tmp_path, object_graph_runs):
     spec = _spec("Q-adp", sim=3_000.0, warm=1_000.0)
-    saved = run_experiment(spec, RunOptions(save_state="tag", store=tmp_path))
+    saved = run_experiment(spec, save_state="tag", store=tmp_path)
     warm = spec.with_overrides(warm_start=saved.routing_diagnostics["checkpoint"],
                                telemetry=("link-util",))
     with pytest.raises(UnsupportedByBackend, match="probes-off"):

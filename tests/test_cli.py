@@ -110,6 +110,39 @@ def test_unknown_topology_errors():
         main(["run", "--topology", "hypercube", "--time-us", "5"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "tiny", "--load", "0"], "offered_load must be in"),
+    (["compare", "--config", "tiny", "--load", "1.5"], "offered_load must be in"),
+    (["train", "--config", "tiny", "--time-us", "0"], "sim_time_ns must be positive"),
+    (["run", "--config", "tiny", "--warmup-us", "5", "--time-us", "2"],
+     "cannot exceed sim_time_ns"),
+    (["run", "--config", "tiny", "--routing", "NOPE"], "unknown routing algorithm"),
+    (["run", "--config", "tiny", "--pattern", "NOPE"], "unknown traffic pattern"),
+    (["figure", "fig5", "--scale", "nope"], "unknown experiment scale"),
+    (["study", "run", "fig5", "--scale", "nope"], "unknown experiment scale"),
+    (["compare", "--config", "tiny", "--time-us", "2", "--workers", "-3"],
+     "workers must be 0 .* got -3"),
+], ids=["load-0", "load-1.5", "time-0", "warmup-past-end", "routing", "pattern",
+        "figure-scale", "study-scale", "negative-workers"])
+def test_bad_input_exits_with_one_line(argv, message):
+    with pytest.raises(SystemExit, match=message) as exited:
+        main(argv)
+    assert isinstance(exited.value.code, str) and "\n" not in exited.value.code
+
+
+def test_negative_repro_workers_exits_with_one_line(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "-1")
+    with pytest.raises(SystemExit, match="REPRO_WORKERS must be 0"):
+        main(["compare", "--config", "tiny", "--time-us", "2"])
+
+
+def test_run_replicates_refuses_save_state():
+    with pytest.raises(SystemExit, match="save_state is not supported for "
+                                         "replicate batches"):
+        main(["run", "--config", "tiny", "--time-us", "2",
+              "--replicates", "2", "--save-state", "x"])
+
+
 def test_list_topologies(capsys):
     assert main(["list", "topologies"]) == 0
     out = capsys.readouterr().out

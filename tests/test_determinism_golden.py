@@ -102,7 +102,6 @@ def _warmstart_fingerprint(store_dir, kernel: bool = False) -> dict:
     this spec, then ``BatchSimulation``).
     """
     from repro.experiments.harness import _execute, train_experiment
-    from repro.experiments.options import RunOptions
     from repro.store import ArtifactStore
 
     train_spec = ExperimentSpec(
@@ -116,7 +115,7 @@ def _warmstart_fingerprint(store_dir, kernel: bool = False) -> dict:
     )
     store = ArtifactStore(store_dir)
     if kernel:
-        checkpoint = train_experiment(train_spec, options=RunOptions(store=store)).checkpoint
+        checkpoint = train_experiment(train_spec, store=store).checkpoint
     else:
         state = _execute(train_spec)[1].routing.export_state()
         checkpoint = store.save(state, trained_sim_ns=train_spec.sim_time_ns,

@@ -63,11 +63,31 @@ def test_default_scale_env_selection():
 
 
 # ------------------------------------------------- one spelling per run option
-def test_entry_points_take_run_options_only():
+def test_entry_points_take_only_the_keywords_they_read():
+    import dataclasses
+
+    import repro.experiments.parallel
+    from repro.experiments import RunOptions
+
+    def keywords(entry_point):
+        return {name for name, p in inspect.signature(entry_point).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+
+    assert keywords(run_experiment) == {"save_state", "store"}
+    assert keywords(train_experiment) == {"save_state", "store", "reuse"}
+    assert keywords(Study.run) == {"store"}
     for entry_point in (run_experiment, train_experiment, Study.run):
-        parameters = inspect.signature(entry_point).parameters
-        assert "options" in parameters
-        assert not {"save_state", "store", "name", "reuse"} & set(parameters)
+        assert "options" not in inspect.signature(entry_point).parameters
+    assert [f.name for f in dataclasses.fields(RunOptions)] == ["backend"]
+    assert not hasattr(RunOptions, "apply_to_spec")
+    assert not hasattr(RunOptions, "make_runner")
+    assert not hasattr(repro.experiments.parallel, "resolve_runner")
+    spec = ExperimentSpec(config=TINY, routing="MIN", pattern="UR",
+                          offered_load=0.2, sim_time_ns=2_000.0, warmup_ns=0.0)
+    with pytest.raises(TypeError):
+        run_experiment(spec, workers=2)
+    with pytest.raises(TypeError):
+        train_experiment(spec, name="tag")
 
 
 def test_removed_aliases_stay_removed():

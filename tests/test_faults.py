@@ -1,11 +1,10 @@
-"""Tests for the fault-injection subsystem and the RunOptions facade.
+"""Tests for the fault-injection subsystem.
 
 Covers the :class:`FaultSchedule` contract (validation, sorted timelines,
 serialization, seeded expansion), the :class:`FaultController` guarantees
 (credit-safe teardown, packet conservation, degraded-mode routing per
 algorithm, bit-identical replay), the golden fault fingerprints
-(``tests/data/golden_faults.json``), the spec schema-5 migration, and the
-:class:`RunOptions` legacy-keyword deprecation path.
+(``tests/data/golden_faults.json``) and the spec schema-5 migration.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import os
 import pytest
 
 from repro.experiments.harness import ExperimentSpec, build_network, run_experiment
-from repro.experiments.options import RunOptions
 from repro.experiments.parallel import spec_fingerprint
 from repro.faults import FaultEvent, FaultSchedule
 from repro.topology.config import DragonflyConfig
@@ -312,31 +310,6 @@ def test_spec_rejects_non_schedule_faults():
             config=DragonflyConfig.tiny(), routing="MIN", pattern="UR",
             offered_load=0.2, sim_time_ns=1_000.0, warmup_ns=0.0,
             faults={"schema": 1})
-
-
-# ------------------------------------------------------- RunOptions facade
-def test_options_fold_faults_and_telemetry_into_spec():
-    spec = _fault_spec("dragonfly", "MIN").with_overrides(
-        faults=None, telemetry=("link-util",))
-    sched = FaultSchedule.single_link_failure(1e9, 0, 4)
-    merged = RunOptions(faults=sched,
-                        telemetry=("link-util", "fault-delivery")).apply_to_spec(spec)
-    assert merged.faults == sched
-    assert merged.telemetry == ("link-util", "fault-delivery")
-    # a spec's own schedule wins over the options default
-    armed = _fault_spec("dragonfly", "MIN")
-    assert RunOptions(faults=sched).apply_to_spec(armed).faults == armed.faults
-
-
-def test_options_make_runner_only_when_asked():
-    assert RunOptions().make_runner() is None
-    runner = RunOptions(workers=2).make_runner()
-    assert runner is not None and runner.workers == 2
-
-
-def test_options_reject_bad_faults():
-    with pytest.raises(ValueError, match="faults must be a FaultSchedule"):
-        RunOptions(faults={"schema": 1})
 
 
 # --------------------------------------------------------------- fault probes

@@ -204,6 +204,13 @@ def test_default_runner_env_parsing(tmp_path):
     assert runner.cache is not None
     with pytest.raises(ValueError):
         default_runner(env={"REPRO_WORKERS": "lots"})
+    with pytest.raises(ValueError, match="REPRO_WORKERS .* got '-1'"):
+        default_runner(env={"REPRO_WORKERS": "-1"})
+
+
+def test_negative_workers_are_refused():
+    with pytest.raises(ValueError, match="got -2"):
+        SweepRunner(workers=-2)
 
 
 def test_workers_zero_means_one_per_cpu():

@@ -16,7 +16,6 @@ from repro.experiments.harness import (
     run_experiment,
     train_experiment,
 )
-from repro.experiments.options import RunOptions
 from repro.experiments.parallel import ExperimentResultData, SweepRunner, spec_fingerprint
 from repro.routing import make_routing
 from repro.routing.base import is_checkpointable
@@ -235,9 +234,9 @@ def test_store_rejects_unsafe_checkpoint_ids(tmp_path):
     # the pre-existing checkpoint survived every rejected save
     assert [m.checkpoint_id for m in store.list()] == ["innocent"]
     with pytest.raises(ValueError, match="invalid checkpoint id"):
-        train_experiment(_spec(), options=RunOptions(store=store, name=""))
+        train_experiment(_spec(), store=store, save_state="")
     with pytest.raises(ValueError, match="invalid checkpoint id"):
-        run_experiment(_spec(), options=RunOptions(save_state="", store=store))
+        run_experiment(_spec(), save_state="", store=store)
 
 
 def test_import_state_rejects_truncated_updates():
@@ -255,7 +254,7 @@ def test_save_state_precheck_fails_before_simulating(tmp_path):
     spec = _spec(routing="MIN", sim_time_ns=50_000_000.0)  # 50 ms of sim time
     started = time.perf_counter()
     with pytest.raises(ValueError, match="no learned state"):
-        run_experiment(spec, options=RunOptions(save_state="x", store=tmp_path))
+        run_experiment(spec, save_state="x", store=tmp_path)
     assert time.perf_counter() - started < 5.0
 
 
@@ -284,7 +283,7 @@ def test_store_ignores_and_prunes_crash_leftover_staging_dirs(tmp_path):
 
     store = ArtifactStore(tmp_path)
     spec = _spec()
-    trained = train_experiment(spec, options=RunOptions(store=store, name="real"))
+    trained = train_experiment(spec, store=store, save_state="real")
     staging = tmp_path / ".ckpt-leftover"
     shutil.copytree(trained.checkpoint.path, staging)
     assert [m.checkpoint_id for m in store.list()] == ["real"]
@@ -310,7 +309,7 @@ def test_prune_reclaims_corrupted_entries(tmp_path):
 def test_manifest_round_trip_and_schema_strictness(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = _spec()
-    trained = train_experiment(spec, options=RunOptions(store=store, name="m"))
+    trained = train_experiment(spec, store=store, save_state="m")
     manifest = trained.checkpoint.manifest
     clone = CheckpointManifest.from_dict(manifest.to_dict())
     assert clone == manifest
@@ -325,7 +324,7 @@ def test_manifest_round_trip_and_schema_strictness(tmp_path):
 # ----------------------------------------------------------- warm-start runs
 def test_warm_start_restores_state_before_injection(tmp_path):
     store = ArtifactStore(tmp_path)
-    trained = train_experiment(_spec(config=SMALL), options=RunOptions(store=store))
+    trained = train_experiment(_spec(config=SMALL), store=store)
     warm_net, _ = build_network(
         _spec(config=SMALL, warm_start=str(trained.checkpoint.path)))
     assert np.array_equal(warm_net.routing.export_state()["values"],
@@ -336,7 +335,7 @@ def test_warm_started_run_is_deterministic_across_reloads(tmp_path):
     """Acceptance: re-loading the same checkpoint twice yields identical runs."""
     store = ArtifactStore(tmp_path)
     trained = train_experiment(
-        _spec(config=SMALL, pattern="ADV+1"), options=RunOptions(store=store)
+        _spec(config=SMALL, pattern="ADV+1"), store=store
     )
     spec = _spec(config=SMALL, pattern="ADV+1", sim_time_ns=5_000.0,
                  warmup_ns=1_000.0, warm_start=str(trained.checkpoint.path))
@@ -349,7 +348,7 @@ def test_warm_started_run_is_deterministic_across_reloads(tmp_path):
 
 def test_warm_start_with_mismatched_spec_fails_descriptively(tmp_path):
     store = ArtifactStore(tmp_path)
-    trained = train_experiment(_spec(), options=RunOptions(store=store))
+    trained = train_experiment(_spec(), store=store)
     path = str(trained.checkpoint.path)
     with pytest.raises(ValueError, match="do not transfer across topologies"):
         run_experiment(_spec(config=SMALL, warm_start=path))
@@ -360,7 +359,7 @@ def test_warm_start_with_mismatched_spec_fails_descriptively(tmp_path):
 
 
 def test_warm_start_rejects_a_family_less_manifest(tmp_path):
-    trained = train_experiment(_spec(), options=RunOptions(store=tmp_path))
+    trained = train_experiment(_spec(), store=tmp_path)
     manifest_path = trained.checkpoint.path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["topology"]["family"]
@@ -370,7 +369,7 @@ def test_warm_start_rejects_a_family_less_manifest(tmp_path):
 
 
 def test_run_experiment_save_state_round_trips(tmp_path):
-    result = run_experiment(_spec(), options=RunOptions(save_state="saved", store=tmp_path))
+    result = run_experiment(_spec(), save_state="saved", store=tmp_path)
     path = result.routing_diagnostics["checkpoint"]
     reloaded = Checkpoint.load(path)
     assert reloaded.checkpoint_id == "saved"
@@ -384,7 +383,7 @@ def test_run_experiment_save_state_round_trips(tmp_path):
 def test_save_state_for_stateless_routing_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="no learned state"):
         run_experiment(
-            _spec(routing="MIN"), options=RunOptions(save_state="x", store=tmp_path)
+            _spec(routing="MIN"), save_state="x", store=tmp_path
         )
 
 
@@ -392,21 +391,29 @@ def test_save_state_for_stateless_routing_is_an_error(tmp_path):
 def test_train_experiment_memoizes_through_the_store(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = _spec()
-    first = train_experiment(spec, options=RunOptions(store=store))
+    first = train_experiment(spec, store=store)
     assert not first.reused and first.result is not None
-    second = train_experiment(spec, options=RunOptions(store=store))
+    second = train_experiment(spec, store=store)
     assert second.reused and second.result is None
     assert second.checkpoint.checkpoint_id == first.checkpoint.checkpoint_id
     # a different training spec does not hit the memo
-    third = train_experiment(_spec(seed=10), options=RunOptions(store=store))
+    third = train_experiment(_spec(seed=10), store=store)
     assert not third.reused
+
+
+def test_train_save_state_is_the_checkpoint_id(tmp_path):
+    trained = train_experiment(_spec(), save_state="tag", store=tmp_path)
+    assert not trained.reused
+    assert trained.checkpoint.checkpoint_id == "tag"
+    assert ArtifactStore(tmp_path).load("tag").manifest.state_digest == \
+        trained.checkpoint.manifest.state_digest
 
 
 def test_train_reuse_copies_under_new_name_without_simulating(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = _spec()
-    first = train_experiment(spec, options=RunOptions(store=store))
-    renamed = train_experiment(spec, options=RunOptions(store=store, name="tagged"))
+    first = train_experiment(spec, store=store)
+    renamed = train_experiment(spec, store=store, save_state="tagged")
     assert renamed.reused and renamed.result is None
     assert renamed.checkpoint.checkpoint_id == "tagged"
     assert np.array_equal(renamed.checkpoint.state()["values"],
@@ -419,14 +426,14 @@ def test_overwriting_a_checkpoint_changes_warm_fingerprints(tmp_path):
     """Regression: the cache key must bind to checkpoint *content*, so a
     re-trained tag cannot be served stale cached eval results."""
     store = ArtifactStore(tmp_path)
-    trained = train_experiment(_spec(), options=RunOptions(store=store, name="tag"))
+    trained = train_experiment(_spec(), store=store, save_state="tag")
     warm = _spec(sim_time_ns=3_000.0, warm_start=str(trained.checkpoint.path))
     before = spec_fingerprint(warm)
     assert before != spec_fingerprint(warm.with_overrides(warm_start=None,
                                                           sim_time_ns=3_000.0))
     # overwrite the same path with a differently-trained policy
     retrained = train_experiment(
-        _spec(seed=77), options=RunOptions(store=store, name="tag", reuse=False)
+        _spec(seed=77), store=store, save_state="tag", reuse=False
     )
     assert str(retrained.checkpoint.path) == str(trained.checkpoint.path)
     assert spec_fingerprint(warm) != before
@@ -437,7 +444,7 @@ def test_overwriting_a_checkpoint_changes_warm_fingerprints(tmp_path):
 
 def test_train_experiment_rejects_stateless_routing(tmp_path):
     with pytest.raises(ValueError, match="no learned state to train"):
-        train_experiment(_spec(routing="MIN"), options=RunOptions(store=tmp_path))
+        train_experiment(_spec(routing="MIN"), store=tmp_path)
 
 
 # ------------------------------------------------------------ staged studies
@@ -458,7 +465,7 @@ def _staged_study():
 
 def test_staged_study_trains_then_warm_starts_eval(tmp_path):
     study = _staged_study()
-    result = study.run(options=RunOptions(store=tmp_path))
+    result = study.run(store=tmp_path)
     assert set(result.checkpoints) == {"Q-adp"}
     for point, _ in result:
         if point.spec.routing == "Q-adp":
@@ -466,7 +473,7 @@ def test_staged_study_trains_then_warm_starts_eval(tmp_path):
         else:
             assert point.spec.warm_start is None
     # re-running reuses the training checkpoint (store holds a single entry)
-    again = study.run(options=RunOptions(store=tmp_path))
+    again = study.run(store=tmp_path)
     assert again.checkpoints == result.checkpoints
     assert len(ArtifactStore(tmp_path)) == 1
 
@@ -487,7 +494,7 @@ def test_staged_study_runs_overridden_topology_scenarios_cold(tmp_path):
                      loads=(0.2,), config=SMALL),
         ],
     )
-    result = study.run(options=RunOptions(store=tmp_path))
+    result = study.run(store=tmp_path)
     for point, _ in result:
         if point.scenario == "same":
             assert point.spec.warm_start == result.checkpoints["Q-adp"]
@@ -564,7 +571,7 @@ def test_warm_fig5_keeps_full_warmup_for_cold_algorithms():
 def test_warm_started_specs_run_on_worker_pools(tmp_path):
     """Workers restore checkpoints from disk — no pickled arrays required."""
     store = ArtifactStore(tmp_path)
-    trained = train_experiment(_spec(), options=RunOptions(store=store))
+    trained = train_experiment(_spec(), store=store)
     specs = [
         _spec(offered_load=load, sim_time_ns=3_000.0, warmup_ns=500.0,
               warm_start=str(trained.checkpoint.path))
