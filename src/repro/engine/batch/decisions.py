@@ -4,11 +4,9 @@
 other decision kind is one row of :data:`DECISION_TABLE` — a factory that binds
 the batch model and one replicate's state and returns a plain function
 
-    ``decide(router, pkt, now, cur_seq) -> out_port``
+    ``decide(router, pkt) -> out_port``
 
 called for each head packet that has not reached its destination router.
-``(now, cur_seq)`` is the executing event: the adaptive kinds need it to tell
-which pended credit returns the scalar run has already executed.
 
 Each function mirrors its scalar class in :mod:`repro.routing` draw for draw:
 the same ``routing:<name>`` stream (``st.rng``) read through the scalar
@@ -48,8 +46,8 @@ if TYPE_CHECKING:  # typing only: the kernel imports this module
     from repro.engine.batch.kernel import ReplicateState
     from repro.topology.dragonfly import DragonflyTopology
 
-#: ``decide(router, pkt, now, cur_seq) -> out_port`` (``pkt``: a packet record).
-Decide = Callable[[int, List[Any], float, int], int]
+#: ``decide(router, pkt) -> out_port`` (``pkt``: a packet record).
+Decide = Callable[[int, List[Any]], int]
 
 
 def valg(m: BatchModel, st: "ReplicateState") -> Decide:
@@ -63,7 +61,7 @@ def valg(m: BatchModel, st: "ReplicateState") -> Decide:
     num_groups = m.topo.g
     rng = st.rng
 
-    def decide(router: int, pkt: List[Any], now: float, cur_seq: int) -> int:
+    def decide(router: int, pkt: List[Any]) -> int:
         imd_group = pkt[10]
         dst_router = pkt[2]
         dst_group = group[dst_router]
@@ -93,7 +91,7 @@ def valn(m: BatchModel, st: "ReplicateState") -> Decide:
     topo = cast("DragonflyTopology", m.topo)  # VALn attaches to no other family
     rng = st.rng
 
-    def decide(router: int, pkt: List[Any], now: float, cur_seq: int) -> int:
+    def decide(router: int, pkt: List[Any]) -> int:
         state = pkt[10]
         dst_router = pkt[2]
         if state is None and router == pkt[3]:
@@ -119,7 +117,7 @@ def val(m: BatchModel, st: "ReplicateState") -> Decide:
     count = len(hosts)
     randrange = st.rng.randrange
 
-    def decide(router: int, pkt: List[Any], now: float, cur_seq: int) -> int:
+    def decide(router: int, pkt: List[Any]) -> int:
         state = pkt[10]
         dst_router = pkt[2]
         if state is None and router == pkt[3]:
@@ -165,37 +163,18 @@ def _ugal(m: BatchModel, st: "ReplicateState", node_valiant: bool,
     bias = m.bias
     waiting = st.waiting
     cred = st.cred
-    pend_cred = st.pend_cred
     rng = st.rng
 
-    def congestion(fo: int, now: float, cur_seq: int) -> int:
+    def congestion(fo: int) -> int:
         """``Router.port_congestion``: queued waiters (stale entries included,
-        as ``len(router.waiting[port])`` counts them) plus credits in use.
-
-        Credit returns the kernel pended for this port (credit elision) that
-        the scalar run executed before the current event are folded in first,
-        exactly as ``_advance`` does before its own credit read.
-        """
+        as ``len(router.waiting[port])`` counts them) plus credits in use."""
         cc = cred[fo]
         cap = cred_cap[fo]
         if cc is None or cap is None:
             return len(waiting[fo])
-        pend = pend_cred[fo]
-        if pend:
-            drop = 0
-            for entry in pend:
-                t = entry[0]
-                if t < now or (t == now and entry[1] < cur_seq):
-                    cc[entry[2]] += 1
-                    drop += 1
-                else:
-                    break
-            if drop:
-                del pend[:drop]
-                st.elided += drop
         return len(waiting[fo]) + cap * num_vcs - sum(cc)
 
-    def diverts(router: int, pkt: List[Any], now: float, cur_seq: int) -> bool:
+    def diverts(router: int, pkt: List[Any]) -> bool:
         """``_adaptive_choice``: sample one Valiant candidate, compare the two
         first-hop ports, and commit ``pkt`` to the detour when it wins.
 
@@ -228,8 +207,8 @@ def _ugal(m: BatchModel, st: "ReplicateState", node_valiant: bool,
             if nm_port < 0:
                 nm_port = min_next[router][entry_router]
         base = router * k
-        q_min = congestion(base + min_next[router][dst_router], now, cur_seq)
-        q_nonmin = congestion(base + nm_port, now, cur_seq)
+        q_min = congestion(base + min_next[router][dst_router])
+        q_nonmin = congestion(base + nm_port)
         if q_min * min_hops <= q_nonmin * nm_hops + bias:
             st.c_minimal += 1
             return False
@@ -237,20 +216,20 @@ def _ugal(m: BatchModel, st: "ReplicateState", node_valiant: bool,
         pkt[10] = [imd_router, imd_group, False]
         return True
 
-    def decide(router: int, pkt: List[Any], now: float, cur_seq: int) -> int:
+    def decide(router: int, pkt: List[Any]) -> int:
         state = pkt[10]
         dst_router = pkt[2]
         if not state:  # still minimal: None, or PAR's False
             if router == pkt[3] and pkt[6] == 0:
                 if (pkt[4] == group[dst_router]
-                        or not diverts(router, pkt, now, cur_seq)):
+                        or not diverts(router, pkt)):
                     return min_next[router][dst_router]
             elif (progressive and state is None and group[router] == pkt[4]
                   and pkt[4] != group[dst_router]):
                 # PAR: one chance to divert while still in the source group.
                 pkt[10] = False
                 st.c_reevaluations += 1
-                if not diverts(router, pkt, now, cur_seq):
+                if not diverts(router, pkt):
                     return min_next[router][dst_router]
                 st.c_diverted += 1
             else:

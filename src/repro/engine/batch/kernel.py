@@ -62,35 +62,21 @@ touched.
 the FIFO run of its own trace entries with a destination, between the
 oldest uninjected one (``nic_head[node]``) and the replay cursor
 (``ptr[node]``); ``nic_n[node]`` counts them.  A generation event only
-advances ``ptr`` and increments ``nic_n``.
-
-**Payload pool.**  A packet record (a plain 13-slot list) exists from
-injection on: it is built from the trace entry at ``nic_head``, skipping
-wake-ups that made no packet, and recycled through a per-replicate free
-list when it leaves the network.  A packet that ever joined a ``waiting``
-queue is marked (``P_WAITED``) and never recycled: the serve path's
-stale-waiter check compares by object identity, and a recycled list object
-could alias a stale entry.
+advances ``ptr`` and increments ``nic_n``.  A packet record (a plain
+12-slot list) exists from injection on: a fresh list built from the trace
+entry at ``nic_head``, skipping wake-ups that made no packet.
 
 The kernel's other speed source is *event elision*: a scalar event whose
 execution provably cannot change any observable state is accounted for (it
 still counts towards ``events_processed`` and keeps its reserved sequence
-number) without ever travelling through the calendar.  Five protocols run:
+number) without ever travelling through the calendar.  Three protocols run;
+every other event, credit returns included, is an ordinary calendar event:
 
 * **wake elision** — the post-forward serve-waiting wake is pended while its
   output port has no waiters; a waiter joining the port materializes the
   still-relevant wakes with their reserved sequence numbers (a wake that
   scalar already executed before the current event necessarily fired on an
   empty waiter queue, a pure no-op, and is counted instead);
-* **credit elision** — a credit return towards a waiterless output port only
-  increments a counter and wakes nobody, so it is pended per port (per-port
-  return times are monotone: each output port is refilled by exactly one
-  downstream input port over one constant-latency link) and applied lazily
-  before the next credit read of that port; a waiter joining materializes the
-  unmatured returns;
-* **NIC-credit elision** — symmetric, for host-link credit returns towards a
-  NIC whose source queue is empty (the scalar handler is then an increment
-  plus an immediately-returning injection attempt);
 * **feedback elision** — a Q-feedback event only writes one table entry of
   one router, so it is pended per target router (kept sorted by ``(time,
   seq)``, making maturity a prefix test) and folded in, in scalar event
@@ -144,7 +130,6 @@ P_OVC = 8  # routed out_vc
 P_ARR = 9  # router_arrival_ns
 P_SCRATCH = 10  # routing-private: Q-adp one-shot flag, Valiant/UGAL/PAR path state
 P_QFB = 11  # pending feedback (prev_router, row, column, prev_arrival)
-P_WAITED = 12  # joined a waiting queue at least once => never pool-recycled
 
 #: calendar-queue sizing: aim for buckets a couple of link delays wide, but
 #: never preallocate more than MAX_BUCKETS lists per replicate.
@@ -181,9 +166,9 @@ class ReplicateState:
     __slots__ = (
         "seed", "cal", "cal_b", "cal_i", "inv_w", "num_buckets", "seq",
         "bufs", "out_busy", "waiting", "cred",
-        "pend_wakes", "pend_cred", "pend_qfb",
-        "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred", "pend_nic",
-        "qt", "updates", "pool", "rng", "times", "dsts", "ptr", "executed", "elided",
+        "pend_wakes", "pend_qfb",
+        "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred",
+        "qt", "updates", "rng", "times", "dsts", "ptr", "executed", "elided",
         "dl_create", "dl_deliver", "dl_hops",
         "c_src_min", "c_src_best", "c_int_min", "c_int_rr",
         "c_fb_sent", "c_fb_app", "c_forced",
@@ -215,7 +200,6 @@ class ReplicateState:
         ]
         # Elision pends (see the module docstring for the protocols):
         self.pend_wakes: List[List[Tuple[float, int]]] = [[] for _ in range(size)]
-        self.pend_cred: List[List[Tuple[float, int, int]]] = [[] for _ in range(size)]
         self.pend_qfb: List[List[Tuple]] = [[] for _ in range(model.num_routers)]
         num_nodes = model.num_nodes
         self.nic_busy = [0.0] * num_nodes
@@ -224,14 +208,12 @@ class ReplicateState:
         self.nic_n = [0] * num_nodes
         self.nic_retry = [False] * num_nodes
         self.nic_cred = [model.nic_cred_cap] * num_nodes
-        self.pend_nic: List[List[Tuple[float, int]]] = [[] for _ in range(num_nodes)]
         # Q-tables [router][row][column]; empty under MIN, which reads none.
         self.qt: List[List[Sequence[float]]] = (
             [] if model.init_values is None else _table_lists(model.init_values)
         )
         updates, self.c_fb_sent, self.c_fb_app = model.init_counters
         self.updates = list(updates)  # applied folds per router
-        self.pool: List[List] = []  # recycled packet records (never-waited only)
         # The same named stream the scalar routing draws from on attach.
         self.rng = RngFactory(seed).py(f"routing:{model.spec.routing}")
         spec = model.spec
@@ -350,16 +332,6 @@ class BatchKernel:
                     if entry[0] <= until:
                         elided += 1
                 del pend[:]
-            for pend in st.pend_cred:
-                for entry in pend:
-                    if entry[0] <= until:
-                        elided += 1
-                del pend[:]
-            for pend in st.pend_nic:
-                for entry in pend:
-                    if entry[0] <= until:
-                        elided += 1
-                del pend[:]
             qt = st.qt
             for router, pend in enumerate(st.pend_qfb):
                 if not pend:
@@ -443,18 +415,15 @@ class BatchKernel:
         waiting = st.waiting
         out_busy = st.out_busy
         pend_wakes = st.pend_wakes
-        pend_cred = st.pend_cred
         pend_qfb = st.pend_qfb
         nic_busy = st.nic_busy
         nic_head = st.nic_head
         nic_n = st.nic_n
         nic_retry = st.nic_retry
         nic_cred = st.nic_cred
-        pend_nic = st.pend_nic
         trace_t = st.times
         trace_d = st.dsts
         ptr = st.ptr
-        pool = st.pool
         qt = st.qt
         updates = st.updates
         rand = st.rng.random
@@ -468,7 +437,7 @@ class BatchKernel:
         # --- cached counters (written back on exit) ---
         nseq = st.seq
         executed = st.executed
-        elided = 0  # added to st.elided on exit: decision functions add theirs directly
+        elided = 0  # added to st.elided on exit
         c_src_min = st.c_src_min
         c_src_best = st.c_src_best
         c_int_min = st.c_int_min
@@ -573,28 +542,6 @@ class BatchKernel:
                             else:
                                 cal[idx].append(e)
                         continue
-                    # The source queue turns non-empty: pended NIC credits
-                    # that scalar executed before this event were
-                    # increment-only no-ops (queue empty throughout their
-                    # window); the rest could now trigger an injection, so
-                    # they must become real events again.
-                    pendn = pend_nic[node]
-                    if pendn:
-                        for t2, s2 in pendn:
-                            if t2 < now or (t2 == now and s2 < cur_seq):
-                                nic_cred[node] += 1
-                                elided += 1
-                            else:
-                                idx = int_(t2 * inv_w)
-                                if idx > last_b:
-                                    idx = last_b
-                                e = (t2, s2, 4, node, 0, None)  # EV_CREDIT_N
-                                if idx == b:
-                                    insort(lst, e, i)
-                                    n_lst += 1
-                                else:
-                                    cal[idx].append(e)
-                        del pendn[:]
                     queued = nic_n[node] + 1
                     nic_n[node] = queued
                 elif code == 4:  # EV_CREDIT_N
@@ -625,7 +572,7 @@ class BatchKernel:
                     if nic_cred[node] <= 0:
                         break  # the router's credit return retries
                     # Pop the oldest queued trace entry, skipping wake-ups
-                    # that made no packet, into a (recycled) packet record.
+                    # that made no packet, into a fresh packet record.
                     h = nic_head[node]
                     dst = trace_d[node][h]
                     while dst < 0:
@@ -636,23 +583,9 @@ class BatchKernel:
                     nic_n[node] = queued
                     create = trace_t[node][h]
                     src_router = nic_router[node]
-                    if pool:
-                        pkt2 = pool.pop()
-                        pkt2[0] = create
-                        pkt2[1] = dst
-                        pkt2[2] = dst // hpr
-                        pkt2[3] = src_router
-                        pkt2[4] = group[src_router]
-                        pkt2[5] = node % hpr
-                        pkt2[6] = 0
-                        pkt2[7] = -1
-                        pkt2[8] = 0
-                        pkt2[10] = None  # (slot 9 is stamped on arrival)
-                        pkt2[11] = None
-                    else:
-                        pkt2 = [create, dst, dst // hpr, src_router,
-                                group[src_router], node % hpr, 0, -1, 0, create,
-                                None, None, None]
+                    pkt2 = [create, dst, dst // hpr, src_router,
+                            group[src_router], node % hpr, 0, -1, 0, create,
+                            None, None]
                     nic_busy[node] = now + ser
                     nic_cred[node] -= 1
                     s2 = nseq
@@ -711,7 +644,7 @@ class BatchKernel:
                     elif kind == 0:  # KIND_MIN
                         out = min_next_r[dst_router]
                     elif decide is not None:  # a row of the decision table
-                        out = decide(router, pkt, now, cur_seq)
+                        out = decide(router, pkt)
                     else:
                         # Fold in pended Q-feedback that scalar executed
                         # before this event.  Pends are sorted by (time,
@@ -872,38 +805,14 @@ class BatchKernel:
                             out_vc = max_vc
                     pkt[8] = out_vc
                     fo = base + out
-                    # Fold in pended credit returns that scalar already
-                    # executed (increment plus no-op serve: no waiter joined
-                    # fo since they were pended).  Entries are monotone in
-                    # (time, seq) — one refilling link — so maturity is a
-                    # prefix.
-                    pendc = pend_cred[fo]
-                    if pendc:
-                        e0 = pendc[0]
-                        t2 = e0[0]
-                        if t2 < now or (t2 == now and e0[1] < cur_seq):
-                            cc = cred_l[fo]
-                            drop = 0
-                            for entry in pendc:
-                                t2 = entry[0]
-                                if t2 < now or (t2 == now
-                                                and entry[1] < cur_seq):
-                                    if cc is not None:
-                                        cc[entry[2]] += 1
-                                    drop += 1
-                                else:
-                                    break
-                            del pendc[:drop]
-                            elided += drop
                     cc = cred_l[fo]
                     if out_busy[fo] > now or not (cc is None or cc[out_vc] > 0):
                         waiting[fo].append((in_port, vc, pkt))
-                        pkt[12] = True  # never pool-recycle a waited packet
-                        # A waiter joined: pended wakes/credits of this port
-                        # can now serve somebody — restore the unmatured ones
-                        # with their reserved sequence numbers (a wake that
-                        # scalar already executed fired on an empty waiter
-                        # queue: count it instead).
+                        # A waiter joined: pended wakes of this port can now
+                        # serve somebody — restore the unmatured ones with
+                        # their reserved sequence numbers (a wake that scalar
+                        # already executed fired on an empty waiter queue:
+                        # count it instead).
                         pendw = pend_wakes[fo]
                         if pendw:
                             for t2, s2 in pendw:
@@ -920,69 +829,38 @@ class BatchKernel:
                                 else:
                                     elided += 1
                             del pendw[:]
-                        pendc = pend_cred[fo]
-                        if pendc:
-                            for entry in pendc:
-                                t2 = entry[0]
-                                idx = int_(t2 * inv_w)
-                                if idx > last_b:
-                                    idx = last_b
-                                e = (t2, entry[1], 1, fo, entry[2], None)  # EV_CREDIT_R
-                                if idx == b:
-                                    insort(lst, e, i)
-                                    n_lst += 1
-                                else:
-                                    cal[idx].append(e)
-                            del pendc[:]
                         break  # chain blocked
                 # ---- forward (Router._forward) ----
                 del buf[0]
                 out_busy[fo] = now + ser
                 if cc is not None:
                     cc[out_vc] -= 1
+                # The credit return upstream: to the NIC behind a host
+                # port, to the upstream router's output port otherwise.
                 seq0 = nseq
                 t2 = now + hop_delay[fidx]
                 if in_port < num_host_r:
-                    node = node_at[fidx]
-                    if nic_n[node]:
-                        idx = int_(t2 * inv_w)
-                        if idx > last_b:
-                            idx = last_b
-                        e = (t2, seq0, 4, node, 0, None)  # EV_CREDIT_N
-                        if idx == b:
-                            insort(lst, e, i)
-                            n_lst += 1
-                        else:
-                            cal[idx].append(e)
-                    else:
-                        pend_nic[node].append((t2, seq0))
+                    e = (t2, seq0, 4, node_at[fidx], 0, None)  # EV_CREDIT_N
                 else:
-                    target = remote_idx[fidx]
-                    if waiting[target]:
-                        idx = int_(t2 * inv_w)
-                        if idx > last_b:
-                            idx = last_b
-                        e = (t2, seq0, 1, target, vc, None)  # EV_CREDIT_R
-                        if idx == b:
-                            insort(lst, e, i)
-                            n_lst += 1
-                        else:
-                            cal[idx].append(e)
-                    else:
-                        pend_cred[target].append((t2, seq0, vc))
+                    e = (t2, seq0, 1, remote_idx[fidx], vc, None)  # EV_CREDIT_R
+                idx = int_(t2 * inv_w)
+                if idx > last_b:
+                    idx = last_b
+                if idx == b:
+                    insort(lst, e, i)
+                    n_lst += 1
+                else:
+                    cal[idx].append(e)
                 if out < num_host_r:
                     # Delivery elision: the final wire hop only appends to
                     # the delivery log, and its timestamp is monotone over
-                    # forwards.  The record leaves the network here: recycle
-                    # it unless a stale waiting entry may still alias it.
+                    # forwards.
                     deliver = now + hop_delay[fo]
                     if deliver <= horizon:
                         dl_create_append(pkt[0])
                         dl_deliver_append(deliver)
                         dl_hops_append(pkt[6])
                         elided += 1
-                    if pkt[12] is None:
-                        pool.append(pkt)
                 else:
                     pkt[6] += 1
                     t2 = now + hop_delay[fo]

@@ -110,13 +110,24 @@ class BatchSimulation:
         return [state.events_processed() for state in self.kernel.states]
 
     def export_states(self) -> List[Dict[str, Any]]:
-        """Each replicate's ``export_state`` payload at the horizon (runs if needed)."""
-        self.run()
-        if self.kernel is None or not self.model.learned:
+        """The one replicate's ``export_state`` payload at the horizon, as a
+        one-element list (runs if needed).
+
+        Only a batch of one seed exports: a many-seed batch may run its seeds
+        in pool workers, which keep their state, so it is refused on every
+        host rather than only where a pool is used.
+        """
+        if len(self.seeds) != 1:
+            raise ValueError(f"export_states needs a batch of one seed, this batch "
+                             f"has {len(self.seeds)}")
+        if not self.model.learned:
             raise ValueError("this batch keeps no learned state to export")
+        self.run()
+        assert self.kernel is not None  # a batch of one always runs in-process
+        (st,) = self.kernel.states
         routing = make_routing(self.spec.routing, **self.spec.routing_kwargs)
         return [routing.state_payload(self.model.topo, st.qt, st.updates, st.c_fb_sent,
-                                      st.c_fb_app) for st in self.kernel.states]
+                                      st.c_fb_app)]
 
     def results(self) -> List["ExperimentResult"]:
         """Fresh per-replicate results, ordered like ``seeds`` (runs if needed)."""

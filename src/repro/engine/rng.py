@@ -14,6 +14,7 @@ stable across Python processes and versions (unlike ``hash()``).
 from __future__ import annotations
 
 import hashlib
+import numbers
 import random
 from typing import Dict, List
 
@@ -43,9 +44,13 @@ def derive_replicate_seed(base_seed: int, run_index: int) -> int:
 
 
 def derive_replicate_seeds(base_seed: int, n: int) -> List[int]:
-    """The first ``n`` replicate seeds of ``base_seed`` (index 0 = the base)."""
-    if n < 0:
-        raise ValueError("replicate count must be non-negative")
+    """The first ``n`` replicate seeds of ``base_seed`` (index 0 = the base).
+
+    ``n`` must be a non-negative integer.  A ``bool`` is refused as well, so a
+    flag passed where a count belongs fails instead of meaning 0 or 1.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"replicate count must be a non-negative integer, got {n!r}")
     return [derive_replicate_seed(base_seed, index) for index in range(n)]
 
 

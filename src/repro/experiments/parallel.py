@@ -26,8 +26,8 @@ module provides the machinery:
 Determinism: a run is fully determined by its spec (the simulator draws every
 random number from streams seeded by ``spec.seed``), so parallel execution
 cannot change any result — only the wall-clock time.  For *replicated* runs
-of one spec, :func:`repro.engine.rng.derive_replicate_seed` derives the
-per-run seed from ``(spec.seed, run_index)``; run index 0 keeps the base seed
+of one spec, :func:`repro.engine.rng.derive_replicate_seeds` derives the
+per-run seeds from ``(spec.seed, run_index)``; run index 0 keeps the base seed
 so a single run is unchanged.
 """
 
@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, T
 import numpy as np
 
 from repro.engine import fanout
-from repro.engine.rng import derive_replicate_seed
+from repro.engine.rng import derive_replicate_seeds
 from repro.experiments.harness import ExperimentResult, ExperimentSpec, run_experiment
 from repro.stats.collectors import RunStats
 
@@ -333,11 +333,13 @@ class SweepRunner:
     def expand_replicates(
         self, spec: ExperimentSpec, replicates: int
     ) -> List[ExperimentSpec]:
-        """Copies of ``spec`` with per-run seeds derived from (seed, index)."""
-        return [
-            spec.with_overrides(seed=derive_replicate_seed(spec.seed, index))
-            for index in range(replicates)
-        ]
+        """Copies of ``spec`` with per-run seeds derived from (seed, index).
+
+        ``replicates`` must be a non-negative integer (``ValueError``
+        otherwise, from :func:`repro.engine.rng.derive_replicate_seeds`).
+        """
+        return [spec.with_overrides(seed=seed)
+                for seed in derive_replicate_seeds(spec.seed, replicates)]
 
     def run_replicates(
         self, spec: ExperimentSpec, replicates: int

@@ -192,7 +192,7 @@ def test_hot_rules_reach_decision_functions_but_not_their_factory(tmp_path):
     # that builds it (a closure definition, once per drain) is not.
     findings = check_snippet(tmp_path, "repro.engine.batch.decisions", """
         def valn(m, st):
-            def decide(router, pkt, now, cur_seq):
+            def decide(router, pkt):
                 try:
                     return m.min_next[router][pkt[2]]
                 except IndexError:

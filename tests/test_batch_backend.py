@@ -153,7 +153,7 @@ def test_ugal_bias_reaches_the_kernel():
 
 def test_ugal_congested_read_path_at_paper_scale():
     # 1 056 nodes under ADV+1: ports are contended, so UGAL's congestion read
-    # meets waiters, consumed credits and pended credit returns all at once.
+    # meets waiters, consumed credits and in-flight credit returns all at once.
     spec = _spec("UGALn", "ADV+1", load=0.4, config=DragonflyConfig.paper_1056(),
                  sim=1_500.0, warm=500.0)
     _assert_flat_equals_object_graph(spec)

@@ -1,4 +1,4 @@
-"""Packet conservation on the flat kernel, checked at mid-run stops.
+"""Packet and credit conservation on the flat kernel, checked at mid-run stops.
 
 Generation is open-loop and the kernel keeps no packet record for a packet
 still waiting at its source: a NIC's source queue is a cursor into the
@@ -6,13 +6,26 @@ replicate's traffic trace (``nic_head`` / ``nic_n``), and a record exists
 from injection on.  At any stop T, every packet generated by T is in exactly
 one place: the delivery log, an input buffer, the calendar (an ``EV_RECV``
 on a link), or a source queue.
+
+Every credit of a finite-credit port is likewise in exactly one place: the
+sender's counter, a packet in the downstream input buffer, a packet on the
+link (``EV_RECV``), or a credit return on the reverse link (``EV_CREDIT_R``
+towards a router port, ``EV_CREDIT_N`` towards a NIC).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.engine.batch.kernel import EV_RECV, BatchKernel, ReplicateState
+from repro.engine.batch.kernel import (
+    EV_CREDIT_N,
+    EV_CREDIT_R,
+    EV_RECV,
+    BatchKernel,
+    ReplicateState,
+)
 from repro.engine.batch.model import build_model
 from repro.experiments.harness import ExperimentSpec
 from repro.topology.config import DragonflyConfig
@@ -40,11 +53,15 @@ def _generated(st: ReplicateState) -> int:
     )
 
 
+def _pending(st: ReplicateState) -> list:
+    """The calendar events the drain has not reached yet."""
+    return st.cal[st.cal_b][st.cal_i:] + [
+        event for bucket in st.cal[st.cal_b + 1:] for event in bucket]
+
+
 def _on_links(st: ReplicateState) -> list:
     """Packet records of the EV_RECV events the drain has not reached yet."""
-    pending = st.cal[st.cal_b][st.cal_i:] + [
-        event for bucket in st.cal[st.cal_b + 1:] for event in bucket]
-    return [event[5] for event in pending if event[2] == EV_RECV]
+    return [event[5] for event in _pending(st) if event[2] == EV_RECV]
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
@@ -67,7 +84,6 @@ def test_packets_are_conserved_at_every_stop(case):
         live = buffered + on_links
         live_ids = {id(pkt) for pkt in live}
         assert len(live_ids) == len(live)  # no record in two places
-        assert not any(id(pkt) in live_ids for pkt in st.pool)
         generated = _generated(st)
         delivered = len(st.dl_create)
         assert len(st.dl_deliver) == len(st.dl_hops) == delivered
@@ -86,3 +102,52 @@ def test_packets_are_conserved_at_every_stop(case):
         assert delivered  # traffic flows at every stop
     assert backlog > 0  # the source-queue term is exercised
     assert bool(mixed) == ("schedule" in _CASES[case])
+
+
+_CREDIT_CASES = {
+    # Credit-saturated: long runs of zero-credit ports and waiters.
+    "MIN ADV+1 0.9": dict(routing="MIN", pattern="ADV+1", offered_load=0.9),
+    # UGALn reads the credits of two ports per source decision.
+    "UGALn ADV+1 0.6": dict(routing="UGALn", pattern="ADV+1", offered_load=0.6),
+    "Q-adp UR 0.7": dict(routing="Q-adp", pattern="UR", offered_load=0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CREDIT_CASES))
+def test_credits_are_conserved_at_every_stop(case):
+    spec = ExperimentSpec(config=DragonflyConfig.small_72(), sim_time_ns=HORIZON_NS,
+                          warmup_ns=0.0, seed=7, **_CREDIT_CASES[case])
+    model = build_model(spec)
+    kernel = BatchKernel(model, [spec.seed])
+    (st,) = kernel.states
+    exhausted = 0  # (port, vc) counters found at zero credits, over all stops
+    for stop in STOPS_NS:
+        kernel.run(stop, slices=1)
+        # In flight: packets on a link into (input port, vc), credit returns
+        # on the reverse link towards (output port, vc) or a NIC.
+        recv = Counter()
+        cred_r = Counter()
+        cred_n = Counter()
+        for event in _pending(st):
+            if event[2] == EV_RECV:
+                recv[event[3], event[4]] += 1
+            elif event[2] == EV_CREDIT_R:
+                cred_r[event[3], event[4]] += 1
+            elif event[2] == EV_CREDIT_N:
+                cred_n[event[3]] += 1
+        checked = 0
+        for fo, cap in enumerate(model.cred_cap):
+            if cap is None:
+                continue
+            downstream = model.remote_idx[fo]
+            for vc, credits in enumerate(st.cred[fo]):
+                assert (credits + len(st.bufs[downstream][vc])
+                        + recv[downstream, vc] + cred_r[fo, vc]) == cap, (stop, fo, vc)
+                exhausted += credits == 0
+                checked += 1
+        assert checked
+        for node, credits in enumerate(st.nic_cred):
+            fidx = model.nic_fidx[node]
+            assert (credits + len(st.bufs[fidx][0]) + recv[fidx, 0]
+                    + cred_n[node]) == model.nic_cred_cap, (stop, node)
+    assert exhausted  # the credit read actually blocks somewhere

@@ -4,8 +4,8 @@ The batched kernel's calendar queue must preserve the scalar heap's exact
 ``(time, seq)`` total order while draining bucket by bucket.  The
 equivalence suite proves end-to-end bit-identity; these tests pin the
 scheduler mechanisms in isolation — boundary-time bucket assignment,
-same-time ordering across slice re-entries, empty-bucket skipping, bucket
-freeing, and payload-pool recycling.
+same-time ordering across slice re-entries, empty-bucket skipping and bucket
+freeing.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from repro.experiments.harness import ExperimentSpec
 from repro.topology.config import DragonflyConfig
 
 
-def _kernel(sim: float = 4_000.0, load: float = 0.3) -> BatchKernel:
+def _kernel(sim: float = 4_000.0) -> BatchKernel:
     spec = ExperimentSpec(
         config=DragonflyConfig.tiny(),
         routing="MIN",
         pattern="UR",
-        offered_load=load,
+        offered_load=0.3,
         sim_time_ns=sim,
         warmup_ns=0.0,
         seed=3,
@@ -55,7 +55,7 @@ def test_boundary_ties_drain_in_time_seq_order_across_slices():
     a, vc = 0, 0
     # Pre-seeded head: every synthetic RECV below is a pure buffer append,
     # so the final buffer order *is* the drain order.
-    st.bufs[a][vc].append([None] * 13)
+    st.bufs[a][vc].append([None] * 12)
     width = 1.0 / st.inv_w
     horizon = kernel.horizon
     # (time, seq) pairs: exact bucket-edge times (multiples of the bucket
@@ -77,7 +77,7 @@ def test_boundary_ties_drain_in_time_seq_order_across_slices():
     ]
     payloads = {}
     for t, seq in entries:
-        pkt = [None] * 13
+        pkt = [None] * 12
         pkt[0] = (t, seq)
         payloads[seq] = pkt
         _schedule(kernel, (t, seq, EV_RECV, a, vc, pkt))
@@ -115,26 +115,4 @@ def test_full_run_frees_every_drained_bucket():
     kernel.finalize(kernel.horizon)
     assert st.cal_b == st.num_buckets - 1
     assert all(not lst for lst in st.cal[: st.cal_b])
-
-
-def test_payload_pool_recycles_only_never_waited_records():
-    # Low load: generation never outpaces recycling, so some recycled
-    # records are still pooled at the horizon (at steady load the next
-    # generations immediately reuse them and the pool ends empty).
-    kernel = _kernel(load=0.1)
-    st = kernel.states[0]
-    # A sentinel record pre-seeded into the pool proves the reuse path: the
-    # first injection must pop it and stamp it as a live packet.
-    sentinel = [None] * 13
-    st.pool.append(sentinel)
-    kernel.run(kernel.horizon, slices=1)
-    assert sentinel[0] is not None  # recycled record became a live packet
-    # Delivery elision returned records to the pool, each exactly once.
-    assert st.pool
-    assert len({id(p) for p in st.pool}) == len(st.pool)
-    for pkt in st.pool:
-        assert len(pkt) == 13
-        # Records that ever joined a waiting queue are flagged and must
-        # never be recycled (a stale waiting entry may still alias them).
-        assert pkt[12] is None
 

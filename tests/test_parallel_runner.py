@@ -110,6 +110,17 @@ def test_expand_replicates_derives_per_run_seeds():
     assert all(r.routing == "MIN" for r in replicates)
 
 
+@pytest.mark.parametrize("count", [-2, True, 1.5])
+def test_replicate_counts_must_be_non_negative_integers(count):
+    # One seed derivation for both entry points: a bad count is refused, not
+    # read as an empty (or a one-seed) run.
+    runner = SweepRunner(workers=1)
+    with pytest.raises(ValueError, match="replicate count"):
+        runner.expand_replicates(_spec(seed=9), count)
+    with pytest.raises(ValueError, match="replicate count"):
+        runner.run_replicates(_spec(seed=9), count)
+
+
 # ---------------------------------------------------------------------- cache
 def test_cache_miss_then_hit(tmp_path):
     runner = SweepRunner(workers=1, cache_dir=tmp_path)

@@ -45,5 +45,11 @@ def test_negative_count_is_rejected():
         derive_replicate_seeds(7, -1)
 
 
+@pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
+def test_a_non_integer_count_is_rejected_by_name(count):
+    with pytest.raises(ValueError, match=repr(count).replace(".", r"\.")):
+        derive_replicate_seeds(7, count)
+
+
 def test_zero_count_is_empty():
     assert derive_replicate_seeds(7, 0) == []

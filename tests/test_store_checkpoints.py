@@ -121,6 +121,15 @@ def test_kernel_export_reproduces_the_payload_pins(routing):
     assert int(state["updates"].sum()) == updates
 
 
+def test_kernel_export_takes_a_batch_of_one_seed():
+    # The refusal must not depend on the host's CPU count (a pooled batch
+    # keeps no replicate state here), nor be reported as "no learned state".
+    with pytest.raises(ValueError, match="one seed, this batch has 2"):
+        BatchSimulation(_spec(routing="Q-adp"), [3, 4]).export_states()
+    with pytest.raises(ValueError, match="no learned state to export"):
+        BatchSimulation(_spec(routing="MIN"), [3]).export_states()
+
+
 @pytest.mark.parametrize("routing,config", [
     pytest.param("Q-adp", SMALL, id="Q-adp-small72"),
     pytest.param("Q-routing", SMALL, id="Q-routing-small72"),
