@@ -10,6 +10,10 @@ reaches the payload.  Same times, same tie-breaks, same float arithmetic:
 every replicate's event ordering and statistics are bit-identical to the
 scalar backend's run of the same ``(spec, seed)``.
 
+Event codes: ``EV_RECV``, ``EV_CREDIT_R``, ``EV_SERVE``, ``EV_GEN``,
+``EV_CREDIT_N``, ``EV_NIC_RETRY`` and ``EV_QFB`` (a Q-feedback landing at
+the tagged hop's router, where it updates one table entry).
+
 **Calendar dispatch.**  The simulated horizon is split into
 ``min(horizon / BUCKET_TARGET_NS, MAX_BUCKETS)`` equal-width buckets; an
 event at time ``t`` lives in bucket ``int(t * inv_width)`` (clamped to the
@@ -25,7 +29,7 @@ of the scalar heap, which the equivalence suite pins.
 
 **Monolithic drain.**  ``_advance`` inlines the entire per-event path —
 route/forward chain, waiter serve, traffic replay, NIC injection, Q-table
-folds — into one loop with every constant bound as a local, so an event
+updates — into one loop with every constant bound as a local, so an event
 costs no Python frame of its own.
 
 **Decision kinds.**  The routing step dispatches on ``model.kind``:
@@ -34,8 +38,8 @@ costs no Python frame of its own.
 kind routing    decided by
 ==== ========== ==========================================================
 0    MIN        inline: one ``min_next`` lookup
-1    Q-adp      inline: two-level table read, feedback pended per router
-2    Q-routing  inline: flat table read, feedback pended per router
+1    Q-adp      inline: two-level table read, feedback an ``EV_QFB`` event
+2    Q-routing  inline: flat table read, feedback an ``EV_QFB`` event
 3    VALg       ``decisions.valg``
 4    VALn       ``decisions.valn``
 5    VAL        ``decisions.val``
@@ -53,10 +57,11 @@ indexed ``[router][row][column]``: the per-decision path is scalar float
 math on a 5- to 11-column row, where plain sequences avoid numpy-scalar
 boxing.  A fresh replicate's rows are shared tuples, one per distinct
 initial row (:func:`_table_lists`: 23 tuples for the 34 848 rows of the
-paper's 1 056-node Q-adp tables).  The two feedback folds (``_advance`` and
-:meth:`BatchKernel.finalize`) replace a tuple row with its own list on
-first write, so a table costs list slots only for the rows learning
-touched.
+paper's 1 056-node Q-adp tables).  The one write site, the ``EV_QFB``
+branch of ``_advance``, replaces a tuple row with its own list on first
+write, so a table costs list slots only for the rows learning touched.
+Feedback lands when the object graph's does, so the tables and update
+counters equal the object graph's at every ``run(until)`` stop.
 
 **Source queues.**  Traffic is open-loop, so a NIC's source queue is always
 the FIFO run of its own trace entries with a destination, between the
@@ -69,18 +74,15 @@ entry at ``nic_head``, skipping wake-ups that made no packet.
 The kernel's other speed source is *event elision*: a scalar event whose
 execution provably cannot change any observable state is accounted for (it
 still counts towards ``events_processed`` and keeps its reserved sequence
-number) without ever travelling through the calendar.  Three protocols run;
-every other event, credit returns included, is an ordinary calendar event:
+number) without ever travelling through the calendar.  Two protocols run;
+every other event, credit returns and Q-feedback included, is an ordinary
+calendar event:
 
 * **wake elision** — the post-forward serve-waiting wake is pended while its
   output port has no waiters; a waiter joining the port materializes the
   still-relevant wakes with their reserved sequence numbers (a wake that
   scalar already executed before the current event necessarily fired on an
   empty waiter queue, a pure no-op, and is counted instead);
-* **feedback elision** — a Q-feedback event only writes one table entry of
-  one router, so it is pended per target router (kept sorted by ``(time,
-  seq)``, making maturity a prefix test) and folded in, in scalar event
-  order, before the next read of that router's table;
 * **delivery elision** — the final wire hop into a NIC only appends to the
   delivery log; its timestamp (forward time plus the constant host-link
   delay) is monotone over forwards, so the record is written at forward time
@@ -116,6 +118,7 @@ EV_SERVE = 2  # a=router*k+out_port
 EV_GEN = 3  # a=node
 EV_CREDIT_N = 4  # a=node
 EV_NIC_RETRY = 5  # a=node
+EV_QFB = 6  # a=(router, row, column, arrival) tag, b=target
 
 # Packet slots (plain lists: fastest mutable record in CPython).
 P_CREATE = 0  # create_time_ns
@@ -166,7 +169,7 @@ class ReplicateState:
     __slots__ = (
         "seed", "cal", "cal_b", "cal_i", "inv_w", "num_buckets", "seq",
         "bufs", "out_busy", "waiting", "cred",
-        "pend_wakes", "pend_qfb",
+        "pend_wakes",
         "nic_busy", "nic_head", "nic_n", "nic_retry", "nic_cred",
         "qt", "updates", "rng", "times", "dsts", "ptr", "executed", "elided",
         "dl_create", "dl_deliver", "dl_hops",
@@ -198,9 +201,8 @@ class ReplicateState:
         self.cred = [
             None if cap is None else [cap] * num_vcs for cap in model.cred_cap
         ]
-        # Elision pends (see the module docstring for the protocols):
+        # Wake-elision pends (see the module docstring):
         self.pend_wakes: List[List[Tuple[float, int]]] = [[] for _ in range(size)]
-        self.pend_qfb: List[List[Tuple]] = [[] for _ in range(model.num_routers)]
         num_nodes = model.num_nodes
         self.nic_busy = [0.0] * num_nodes
         # Source queue: the nic_n entries with dst >= 0 in dsts[node][nic_head:ptr].
@@ -213,7 +215,7 @@ class ReplicateState:
             [] if model.init_values is None else _table_lists(model.init_values)
         )
         updates, self.c_fb_sent, self.c_fb_app = model.init_counters
-        self.updates = list(updates)  # applied folds per router
+        self.updates = list(updates)  # applied Q-feedback events per router
         # The same named stream the scalar routing draws from on attach.
         self.rng = RngFactory(seed).py(f"routing:{model.spec.routing}")
         spec = model.spec
@@ -322,38 +324,13 @@ class BatchKernel:
                 gc.enable()
 
     def finalize(self, until: float) -> None:
-        """Account every pended event the scalar run would have executed."""
-        alpha = self.model.alpha
-        beta = self.model.beta
+        """Count every pended wake the scalar run would have executed."""
         for st in self.states:
             elided = 0
             for pend in st.pend_wakes:
                 for entry in pend:
                     if entry[0] <= until:
                         elided += 1
-                del pend[:]
-            qt = st.qt
-            for router, pend in enumerate(st.pend_qfb):
-                if not pend:
-                    continue
-                # Pends are kept sorted by (time, seq): maturity is a prefix.
-                applied = 0
-                table = qt[router]
-                for entry in pend:
-                    if entry[0] > until:
-                        break
-                    row = table[entry[2]]
-                    if row.__class__ is tuple:  # first write: unshare the row
-                        row = table[entry[2]] = list(row)
-                    column = entry[3]
-                    current = row[column]
-                    delta = entry[4] - current
-                    rate = alpha if delta < 0.0 else beta
-                    row[column] = current + rate * delta
-                    applied += 1
-                st.c_fb_app += applied
-                st.updates[router] += applied
-                elided += applied
                 del pend[:]
             st.elided += elided
 
@@ -415,7 +392,6 @@ class BatchKernel:
         waiting = st.waiting
         out_busy = st.out_busy
         pend_wakes = st.pend_wakes
-        pend_qfb = st.pend_qfb
         nic_busy = st.nic_busy
         nic_head = st.nic_head
         nic_n = st.nic_n
@@ -516,7 +492,7 @@ class BatchKernel:
                     continue
                 buf = wbuf
                 forward_first = True  # enter the chain at the forward step
-            else:  # NIC-side events: EV_GEN (3) / EV_CREDIT_N (4) / EV_NIC_RETRY (5)
+            else:  # NIC-side events (3-5), then EV_QFB (6)
                 node = a
                 if code == 3:
                     # Replay one wake-up of the traffic stream (traffic_wakeups).
@@ -547,9 +523,24 @@ class BatchKernel:
                 elif code == 4:  # EV_CREDIT_N
                     nic_cred[node] += 1
                     queued = nic_n[node]
-                else:  # EV_NIC_RETRY
+                elif code == 5:  # EV_NIC_RETRY
                     nic_retry[node] = False
                     queued = nic_n[node]
+                else:
+                    # EV_QFB: TabularMarlRouting._apply_feedback, the
+                    # hysteretic update of one entry of the tagged hop's
+                    # router.  a is the hop's tag, bb the target.
+                    table = qt[a[0]]
+                    row_l = table[a[1]]
+                    if row_l.__class__ is tuple_:  # first write: unshare the row
+                        row_l = table[a[1]] = list(row_l)
+                    column = a[2]
+                    current = row_l[column]
+                    delta = bb - current
+                    row_l[column] = current + (alpha if delta < 0.0 else beta) * delta
+                    c_fb_app += 1
+                    updates[a[0]] += 1
+                    continue
                 # Mirror Nic._try_inject: drain the source queue onto the
                 # host link (shared by all three NIC-side events).
                 while queued:
@@ -637,131 +628,95 @@ class BatchKernel:
                     # ---- route the head (Router._route_head + routing.route)
                     dst_router = pkt[2]
                     if dst_router == router:
-                        # Ejection never reads the Q-table (the feedback
-                        # target of a delivered packet is zero), so no
-                        # feedback flush here.
-                        out = pkt[1] % hpr
+                        out = pkt[1] % hpr  # the ejection host port
                     elif kind == 0:  # KIND_MIN
                         out = min_next_r[dst_router]
                     elif decide is not None:  # a row of the decision table
                         out = decide(router, pkt)
-                    else:
-                        # Fold in pended Q-feedback that scalar executed
-                        # before this event.  Pends are sorted by (time,
-                        # seq), so maturity is a prefix and folds apply in
-                        # scalar event order.
-                        pend = pend_qfb[router]
-                        if pend:
-                            e0 = pend[0]
-                            t2 = e0[0]
-                            if t2 < now or (t2 == now and e0[1] < cur_seq):
-                                matured = 0
-                                table = qt[router]
-                                for entry in pend:
-                                    t2 = entry[0]
-                                    if t2 < now or (t2 == now
-                                                    and entry[1] < cur_seq):
-                                        row_l = table[entry[2]]
-                                        if row_l.__class__ is tuple_:
-                                            # first write: unshare the row
-                                            row_l = table[entry[2]] = list(row_l)
-                                        column = entry[3]
-                                        current = row_l[column]
-                                        delta = entry[4] - current
-                                        rate = alpha if delta < 0.0 else beta
-                                        row_l[column] = current + rate * delta
-                                        matured += 1
-                                    else:
-                                        break
-                                del pend[:matured]
-                                c_fb_app += matured
-                                updates[router] += matured
-                                elided += matured
-                        if kind == 1:  # KIND_QADP
-                            # Mirror QAdaptiveRouting.decide, draw for draw.
-                            dst_group = group[dst_router]
-                            if group[router] == dst_group:
-                                out = min_next_r[dst_router]
-                            elif router == pkt[3] and pkt[6] == 0:
-                                # Source router: minimal vs. global best.
+                    elif kind == 1:  # KIND_QADP
+                        # Mirror QAdaptiveRouting.decide, draw for draw.
+                        dst_group = group[dst_router]
+                        if group[router] == dst_group:
+                            out = min_next_r[dst_router]
+                        elif router == pkt[3] and pkt[6] == 0:
+                            # Source router: minimal vs. global best.
+                            row = dst_group * p_ + pkt[5]
+                            min_port = min_next_r[dst_router]
+                            row_l = qt[router][row]
+                            q_min = row_l[min_port - first_port]
+                            q_best = min(row_l)
+                            best_port = row_l.index(q_best) + first_port
+                            if q_min <= 0.0:
+                                advantage = 0.0
+                            else:
+                                advantage = (q_min - q_best) / q_min
+                            temp_port = (min_port
+                                         if advantage < q_thld1
+                                         else best_port)
+                            if temp_port == min_port:
+                                c_src_min += 1
+                            else:
+                                c_src_best += 1
+                            candidates = explore[router]
+                            if (epsilon > 0.0 and candidates
+                                    and rand() < epsilon):
+                                out = candidates[randrange(len_(candidates))]
+                            else:
+                                out = temp_port
+                        elif pkt[10] is None and group[router] != pkt[4]:
+                            # Intermediate group: one-shot reroute chance.
+                            pkt[10] = True
+                            direct_port = direct[router][dst_group]
+                            if direct_port >= 0:
+                                c_int_min += 1
+                                out = direct_port
+                            else:
                                 row = dst_group * p_ + pkt[5]
                                 min_port = min_next_r[dst_router]
+                                rand_port = local_ports[
+                                    randrange(len_(local_ports))
+                                ]
                                 row_l = qt[router][row]
                                 q_min = row_l[min_port - first_port]
-                                q_best = min(row_l)
-                                best_port = row_l.index(q_best) + first_port
+                                q_best = row_l[rand_port - first_port]
                                 if q_min <= 0.0:
                                     advantage = 0.0
                                 else:
                                     advantage = (q_min - q_best) / q_min
                                 temp_port = (min_port
-                                             if advantage < q_thld1
-                                             else best_port)
+                                             if advantage < q_thld2
+                                             else rand_port)
                                 if temp_port == min_port:
-                                    c_src_min += 1
-                                else:
-                                    c_src_best += 1
-                                candidates = explore[router]
-                                if (epsilon > 0.0 and candidates
-                                        and rand() < epsilon):
-                                    out = candidates[randrange(len_(candidates))]
-                                else:
-                                    out = temp_port
-                            elif pkt[10] is None and group[router] != pkt[4]:
-                                # Intermediate group: one-shot reroute chance.
-                                pkt[10] = True
-                                direct_port = direct[router][dst_group]
-                                if direct_port >= 0:
                                     c_int_min += 1
-                                    out = direct_port
                                 else:
-                                    row = dst_group * p_ + pkt[5]
-                                    min_port = min_next_r[dst_router]
-                                    rand_port = local_ports[
+                                    c_int_rr += 1
+                                if (epsilon > 0.0 and local_ports
+                                        and rand() < epsilon):
+                                    out = local_ports[
                                         randrange(len_(local_ports))
                                     ]
-                                    row_l = qt[router][row]
-                                    q_min = row_l[min_port - first_port]
-                                    q_best = row_l[rand_port - first_port]
-                                    if q_min <= 0.0:
-                                        advantage = 0.0
-                                    else:
-                                        advantage = (q_min - q_best) / q_min
-                                    temp_port = (min_port
-                                                 if advantage < q_thld2
-                                                 else rand_port)
-                                    if temp_port == min_port:
-                                        c_int_min += 1
-                                    else:
-                                        c_int_rr += 1
-                                    if (epsilon > 0.0 and local_ports
-                                            and rand() < epsilon):
-                                        out = local_ports[
-                                            randrange(len_(local_ports))
-                                        ]
-                                    else:
-                                        out = temp_port
-                            else:
-                                out = min_next_r[dst_router]
-                        else:  # KIND_QROUTING
-                            # Mirror QRoutingAlgorithm.decide.
-                            if pkt[6] >= max_q:
-                                c_forced += 1
-                                out = min_next_r[dst_router]
-                            else:
-                                row_l = qt[router][dst_router]
-                                best_port = (row_l.index(min(row_l))
-                                             + first_port)
-                                candidates = explore[router]
-                                if (epsilon > 0.0 and candidates
-                                        and rand() < epsilon):
-                                    out = candidates[randrange(len_(candidates))]
                                 else:
-                                    out = best_port
-                    # ---- feedback (TabularMarlRouting._send_feedback):
-                    # pended towards its target router instead of scheduled
-                    # (feedback elision); this router's table was brought up
-                    # to date at the top of the routing step.
+                                    out = temp_port
+                        else:
+                            out = min_next_r[dst_router]
+                    else:  # KIND_QROUTING
+                        # Mirror QRoutingAlgorithm.decide.
+                        if pkt[6] >= max_q:
+                            c_forced += 1
+                            out = min_next_r[dst_router]
+                        else:
+                            row_l = qt[router][dst_router]
+                            best_port = (row_l.index(min(row_l))
+                                         + first_port)
+                            candidates = explore[router]
+                            if (epsilon > 0.0 and candidates
+                                    and rand() < epsilon):
+                                out = candidates[randrange(len_(candidates))]
+                            else:
+                                out = best_port
+                    # ---- feedback (TabularMarlRouting._send_feedback): an
+                    # EV_QFB event back to the tagged hop's router, one
+                    # reverse-link latency away.
                     if learned:
                         qfb = pkt[11]
                         if qfb is not None:
@@ -777,13 +732,16 @@ class BatchKernel:
                             c_fb_sent += 1
                             s2 = nseq
                             nseq = s2 + 1
-                            entry = (now + lat[fidx], s2, frow, qfb[2],
-                                     reward + q_next)
-                            pq = pend_qfb[qfb[0]]
-                            if pq and entry < pq[-1]:
-                                insort(pq, entry)
+                            t2 = now + lat[fidx]
+                            idx = int_(t2 * inv_w)
+                            if idx > last_b:
+                                idx = last_b
+                            e = (t2, s2, 6, qfb, reward + q_next, None)  # EV_QFB
+                            if idx == b:
+                                insort(lst, e, i)
+                                n_lst += 1
                             else:
-                                pq.append(entry)
+                                cal[idx].append(e)
                     if learned and out >= num_host_r:
                         # routing.on_forward: tag the hop for the next
                         # router's feedback.  Every field is fixed by decide

@@ -32,6 +32,7 @@ from repro.engine.batch.model import (
     build_model,
 )
 from repro.routing import make_routing
+from repro.scenarios.serialize import checked_number
 
 if TYPE_CHECKING:  # typing only
     from repro.experiments.harness import ExperimentResult, ExperimentSpec
@@ -78,7 +79,8 @@ class BatchSimulation:
 
     def __init__(self, spec: "ExperimentSpec", seeds: Sequence[int]) -> None:
         self.spec = spec
-        self.seeds = list(seeds)
+        # The spec's seed rule, checked before anything is built or simulated.
+        self.seeds = [checked_number(s, "seed", "BatchSimulation", int) for s in seeds]
         self.model = build_model(spec)  # raises UnsupportedByBackend early
         self._workers = min(len(self.seeds), os.cpu_count() or 1)
         # A pooled batch has no replicate state here: its workers build it.

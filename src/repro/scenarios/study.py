@@ -47,6 +47,7 @@ from repro.scenarios.serialize import (
     STUDY_SCHEMA_VERSION,
     check_keys,
     check_schema,
+    checked_number,
     decode_kwargs,
     encode_kwargs,
     run_numbers,
@@ -119,12 +120,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"a scenario needs a non-empty string name, got {self.name!r}")
+        context = f"scenario {self.name!r}"
         if self.telemetry is not None:
             self.telemetry = _canonical_telemetry(self.telemetry)
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
-                f"scenario {self.name!r}: faults must be a FaultSchedule, "
-                f"got {type(self.faults).__name__}"
+                f"{context}: faults must be a FaultSchedule, got {type(self.faults).__name__}"
             )
         self.routing = _names_tuple(self.routing, canonical_routing_name)
         self.pattern = _names_tuple(self.pattern, canonical_pattern_name)
@@ -141,16 +142,13 @@ class Scenario:
             canonical_pattern_name(pattern): dict(kwargs)
             for pattern, kwargs in self.pattern_kwargs.items()
         }
+        self.replicates = checked_number(self.replicates, "replicates", context, int)
         if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+            raise ValueError(f"{context}: replicates must be >= 1, got {self.replicates}")
         if self.schedule is not None and (self.loads or self.loads_by_pattern):
-            raise ValueError(
-                f"scenario {self.name!r}: specify loads or a schedule, not both"
-            )
+            raise ValueError(f"{context}: specify loads or a schedule, not both")
         if self.schedule is None and not self.loads and not self.loads_by_pattern:
-            raise ValueError(
-                f"scenario {self.name!r} needs a loads axis or a schedule"
-            )
+            raise ValueError(f"{context} needs a loads axis or a schedule")
 
     def loads_for(self, pattern: str) -> Tuple[float, ...]:
         """The load axis effective for one (canonical) pattern name."""
@@ -269,13 +267,13 @@ class TrainStage:
         self.pattern = canonical_pattern_name(self.pattern)
         self.routing = _names_tuple(self.routing, canonical_routing_name) \
             if self.routing else ()
-        self.load = float(self.load)
+        self.load = checked_number(self.load, "load", "TrainStage")
         if not 0.0 < self.load <= 1.0:
-            raise ValueError(
-                f"a train stage's load must be in (0, 1], got {self.load}"
-            )
-        if self.train_ns is not None and self.train_ns <= 0.0:
-            raise ValueError(f"train_ns must be positive, got {self.train_ns}")
+            raise ValueError(f"TrainStage: load must be in (0, 1], got {self.load}")
+        if self.train_ns is not None:
+            self.train_ns = checked_number(self.train_ns, "train_ns", "TrainStage")
+            if self.train_ns <= 0.0:
+                raise ValueError(f"TrainStage: train_ns must be positive, got {self.train_ns}")
         self.routing_kwargs = {
             canonical_routing_name(routing): dict(kwargs)
             for routing, kwargs in self.routing_kwargs.items()

@@ -34,7 +34,7 @@ from repro.engine.batch import (
     check_batchable,
     run_batch,
 )
-from repro.engine.batch.kernel import BatchKernel
+from repro.engine.batch.kernel import EV_QFB, BatchKernel
 from repro.engine.rng import derive_replicate_seeds
 from repro.experiments import RunOptions, SweepRunner, run_experiment, run_replicates
 from repro.experiments.harness import ExperimentSpec, _execute
@@ -356,11 +356,15 @@ def test_replicate_q_tables_never_alias(routing):
         assert len(shared) == distinct
         assert all(type(row) is tuple for row in shared.values())
 
-    # One learning write, through the kernel's own fold: a feedback entry
-    # (time, seq, row, column, target) pended towards router 3.
+    # One learning write, through the kernel's own path: an EV_QFB event
+    # (time, seq, code, (router, row, column, arrival), target, None) for
+    # router 3 in replicate 0's calendar, drained by run.
     first, second = kernel.states
-    first.pend_qfb[3].append((0.0, 0, 1, 2, -1.0))
-    kernel.finalize(0.0)
+    seq = first.seq
+    first.seq = seq + 1
+    first.cal[0].append((0.0, seq, EV_QFB, (3, 1, 2, 0.0), -1.0, None))
+    kernel.run(0.0, slices=1)
+    assert (first.c_fb_app, first.updates[3]) == (1, 1)
     current = expected[3][1][2]
     written = current + model.alpha * (-1.0 - current)
     assert written != current
@@ -381,6 +385,25 @@ def test_replicate_q_tables_never_alias(routing):
     assert model.init_values.tolist() == expected
     with pytest.raises(ValueError, match="read-only"):
         model.init_values[3, 1, 2] = -1.0
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "x"])
+def test_batch_simulation_checks_seeds_before_simulating(bad, monkeypatch):
+    import repro.engine.batch.kernel as kernel_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a traffic trace was recorded for a bad seed")
+
+    monkeypatch.setattr(kernel_module, "record_traffic_trace", refuse)
+    spec = _spec("MIN", sim=1_000.0, warm=0.0)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {bad!r}"):
+        BatchSimulation(spec, [7, bad])
+
+
+def test_batch_simulation_normalizes_integral_seeds():
+    spec = _spec("MIN", sim=1_000.0, warm=0.0)
+    batch = BatchSimulation(spec, [np.int64(7), 8.0])
+    assert batch.seeds == [7, 8] and all(type(seed) is int for seed in batch.seeds)
 
 
 def test_unsupported_is_a_value_error():

@@ -11,6 +11,11 @@ Every credit of a finite-credit port is likewise in exactly one place: the
 sender's counter, a packet in the downstream input buffer, a packet on the
 link (``EV_RECV``), or a credit return on the reverse link (``EV_CREDIT_R``
 towards a router port, ``EV_CREDIT_N`` towards a NIC).
+
+Learned state is exact at every stop too: a Q-feedback is an ``EV_QFB``
+calendar event, as on the object graph, so the kernel's Q-tables and update
+counters equal the object graph's at any ``run(until)``, with no
+``finalize``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.engine.batch.kernel import (
     ReplicateState,
 )
 from repro.engine.batch.model import build_model
-from repro.experiments.harness import ExperimentSpec
+from repro.experiments.harness import ExperimentSpec, build_network
 from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule
 
@@ -151,3 +156,30 @@ def test_credits_are_conserved_at_every_stop(case):
             assert (credits + len(st.bufs[fidx][0]) + recv[fidx, 0]
                     + cred_n[node]) == model.nic_cred_cap, (stop, node)
     assert exhausted  # the credit read actually blocks somewhere
+
+
+_LEARNED_CASES = {
+    "Q-adp ADV+1 0.3": dict(routing="Q-adp", pattern="ADV+1", offered_load=0.3),
+    "Q-routing UR 0.5": dict(routing="Q-routing", pattern="UR", offered_load=0.5),
+    "Q-adp UR 0.7": dict(routing="Q-adp", pattern="UR", offered_load=0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEARNED_CASES))
+def test_learned_state_equals_the_object_graphs_at_every_stop(case):
+    spec = ExperimentSpec(config=DragonflyConfig.small_72(), sim_time_ns=HORIZON_NS,
+                          warmup_ns=0.0, seed=7, **_LEARNED_CASES[case])
+    kernel = BatchKernel(build_model(spec), [spec.seed])
+    (st,) = kernel.states
+    network, generator = build_network(spec)
+    generator.start()
+    routing = network.routing
+    for stop in STOPS_NS:
+        kernel.run(stop, slices=1)
+        network.run(until=stop)
+        assert [[list(row) for row in table] for table in st.qt] == \
+            routing.values.tolist(), stop
+        assert st.updates == routing.updates, stop
+        assert st.c_fb_app == routing.feedback_applied, stop
+        assert st.c_fb_sent == routing.feedback_sent, stop
+    assert st.c_fb_app  # learning happened by the stops

@@ -315,6 +315,84 @@ def test_study_from_dict_refuses_numbers_it_would_coerce():
     assert Study.from_dict(dict(data, sim_time_ns="5e4")).sim_time_ns == 50_000.0
 
 
+def _staged_study_dict() -> dict:
+    from repro.scenarios.study import Scenario, TrainStage
+
+    return Study(name="s", config=TINY, sim_time_ns=4_000.0, warmup_ns=1_000.0,
+                 scenarios=[Scenario(name="a", routing="Q-adp", loads=(0.2,))],
+                 train=TrainStage(load=0.3)).to_dict()
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "scenario 'a': replicates must be an integer, got True"),
+    (1.5, "scenario 'a': replicates must be an integer, got 1.5"),
+    ("two", "scenario 'a': replicates must be an integer, got 'two'"),
+    (None, "scenario 'a': replicates must be an integer, got None"),
+])
+def test_scenario_replicates_follow_the_number_rule(value, message):
+    """A True count would run one replicate and 1.5 raised a bare TypeError:
+    files and constructors now share the one number rule."""
+    from repro.scenarios.study import Scenario
+
+    data = _staged_study_dict()
+    scenario = dict(data["scenarios"][0], replicates=value)
+    with pytest.raises(ValueError, match=message):
+        Study.from_dict(dict(data, scenarios=[scenario]))
+    with pytest.raises(ValueError, match=message):
+        Scenario(name="a", loads=(0.2,), replicates=value)
+
+
+def test_scenario_replicates_read_numeric_strings_and_integral_floats():
+    data = _staged_study_dict()
+    for value in ("2", 2.0):
+        scenario = dict(data["scenarios"][0], replicates=value)
+        (read,) = Study.from_dict(dict(data, scenarios=[scenario])).scenarios
+        assert read.replicates == 2 and type(read.replicates) is int
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("load", True, "TrainStage: load must be a finite number, got True"),
+    ("load", "high", "TrainStage: load must be a finite number, got 'high'"),
+    ("load", float("nan"), "TrainStage: load must be a finite number, got nan"),
+    ("train_ns", True, "TrainStage: train_ns must be a finite number, got True"),
+    ("train_ns", "inf", "TrainStage: train_ns must be a finite number, got 'inf'"),
+])
+def test_train_stage_numbers_follow_the_number_rule(field, value, message):
+    """A True load would train at 1.0 and a True train_ns for 1 ns."""
+    from repro.scenarios.study import TrainStage
+
+    data = _staged_study_dict()
+    with pytest.raises(ValueError, match=message):
+        Study.from_dict(dict(data, train=dict(data["train"], **{field: value})))
+    with pytest.raises(ValueError, match=message):
+        TrainStage(**{field: value})
+
+
+def test_train_stage_reads_numeric_strings():
+    data = _staged_study_dict()
+    train = dict(data["train"], load="0.4", train_ns="5e3")
+    stage = Study.from_dict(dict(data, train=train)).train
+    assert (stage.load, stage.train_ns) == (0.4, 5_000.0)
+
+
+@pytest.mark.parametrize("scenario,train", [
+    (dict(replicates=1.5), {}),
+    (dict(replicates=True), {}),
+    ({}, dict(load=True)),
+], ids=["replicates-1.5", "replicates-true", "train-load-true"])
+def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train):
+    from repro.cli import main
+
+    data = _staged_study_dict()
+    data["scenarios"] = [dict(data["scenarios"][0], **scenario)]
+    data["train"] = dict(data["train"], **train)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match="must be") as exited:
+        main(["study", "run", str(path)])
+    assert isinstance(exited.value.code, str) and "\n" not in exited.value.code
+
+
 def test_spec_validation_still_accepts_boundary_values():
     assert ExperimentSpec(config=TINY, offered_load=1.0).offered_load == 1.0
     assert ExperimentSpec(config=TINY, offered_load=0.2, warmup_ns=0.0).warmup_ns == 0.0
