@@ -64,14 +64,17 @@ def _adopt_model(model: BatchModel) -> None:
 
 
 def _run_seed(job: Tuple[int, int]) -> Tuple[int, int, bytes]:
-    """Pool job: one seed's event count and pickled result."""
+    """Pool job: one seed's event count and pickled result data (the wire
+    format without the spec, which the parent re-attaches)."""
+    from repro.experiments.parallel import ExperimentResultData
+
     index, seed = job
     kernel = BatchKernel(_worker_model, [seed])
     kernel.run(kernel.horizon, slices=1)
     kernel.finalize(kernel.horizon)
     (state,) = kernel.states
-    result = _assemble(_worker_model, state)
-    return index, state.events_processed(), pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    data = ExperimentResultData.from_result(_assemble(_worker_model, state))
+    return index, state.events_processed(), pickle.dumps(data, pickle.HIGHEST_PROTOCOL)
 
 
 class BatchSimulation:
@@ -89,7 +92,7 @@ class BatchSimulation:
             with _gc_suspended():
                 self.kernel = BatchKernel(self.model, self.seeds)
         self._ran = False
-        self._pooled: List[Tuple[int, int, bytes]] = []  # (index, events, result)
+        self._pooled: List[Tuple[int, int, bytes]] = []  # (index, events, result data)
 
     def run(self) -> "BatchSimulation":
         """Advance every replicate to the spec's horizon (idempotent)."""
@@ -136,7 +139,8 @@ class BatchSimulation:
         self.run()
         with _gc_suspended():
             if self.kernel is None:
-                return [pickle.loads(blob) for _, _, blob in self._pooled]
+                return [pickle.loads(blob).to_result(self.spec.with_overrides(seed=self.seeds[i]))
+                        for i, _, blob in self._pooled]
             return [_assemble(self.model, st) for st in self.kernel.states]
 
 

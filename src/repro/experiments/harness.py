@@ -111,9 +111,14 @@ class ExperimentSpec:
         if self.offered_load is None and self.schedule is None:
             raise ValueError("an experiment needs an offered_load or a load schedule")
         # The rule files are read with (serialize.run_numbers): a bool or 1.5
-        # seed would otherwise draw and serialize as another seed, and a
-        # bool load would run at 1.0.
+        # seed would otherwise draw and serialize as another seed, a bool
+        # load would run at 1.0, and a bool time would simulate 1 ns.  A
+        # float time (NaN and inf included) goes to the range checks below.
         self.seed = checked_number(self.seed, "seed", "ExperimentSpec", int)
+        for name in ("sim_time_ns", "warmup_ns", "stats_bin_ns"):
+            value = getattr(self, name)
+            if not isinstance(value, float):
+                setattr(self, name, checked_number(value, name, "ExperimentSpec"))
         if self.offered_load is not None:
             self.offered_load = checked_number(self.offered_load, "offered_load",
                                                "ExperimentSpec")

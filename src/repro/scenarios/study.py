@@ -129,9 +129,11 @@ class Scenario:
             )
         self.routing = _names_tuple(self.routing, canonical_routing_name)
         self.pattern = _names_tuple(self.pattern, canonical_pattern_name)
-        self.loads = tuple(float(load) for load in self.loads)
+        self.loads = tuple(checked_number(load, "loads", context) for load in self.loads)
         self.loads_by_pattern = {
-            canonical_pattern_name(pattern): tuple(float(l) for l in loads)
+            canonical_pattern_name(pattern): tuple(
+                checked_number(load, f"loads_by_pattern[{pattern!r}]", context)
+                for load in loads)
             for pattern, loads in self.loads_by_pattern.items()
         }
         self.routing_kwargs = {

@@ -256,6 +256,37 @@ def test_spec_refuses_seeds_and_loads_that_would_run_as_others(overrides, messag
         _spec(**overrides)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(sim_time_ns=True, warmup_ns=False), "sim_time_ns must be a finite number, got True"),
+    (dict(warmup_ns=False), "warmup_ns must be a finite number, got False"),
+    (dict(stats_bin_ns=True), "stats_bin_ns must be a finite number, got True"),
+    (dict(sim_time_ns="long"), "sim_time_ns must be a finite number, got 'long'"),
+])
+def test_spec_refuses_times_that_would_run_as_others(overrides, message):
+    """True / False times would simulate 1 ns with no warm-up (or bin the
+    series by 1 ns): the constructor applies the rule ``from_dict`` does."""
+    with pytest.raises(ValueError, match=f"ExperimentSpec: {message}"):
+        _spec(**overrides)
+
+
+def test_spec_reads_times_as_floats():
+    spec = _spec(sim_time_ns=4_000, warmup_ns="1e3", stats_bin_ns=500)
+    assert (spec.sim_time_ns, spec.warmup_ns, spec.stats_bin_ns) == (4_000.0, 1_000.0, 500.0)
+    assert {type(spec.sim_time_ns), type(spec.warmup_ns), type(spec.stats_bin_ns)} == {float}
+    assert spec_fingerprint(spec) == spec_fingerprint(
+        _spec(sim_time_ns=4_000.0, warmup_ns=1_000.0, stats_bin_ns=500.0))
+
+
+def test_a_study_time_default_is_refused_when_expanded():
+    from repro.scenarios.study import Scenario
+
+    study = Study(name="s", config=TINY, sim_time_ns=True, warmup_ns=False,
+                  scenarios=[Scenario(name="a", loads=(0.2,))])
+    with pytest.raises(ValueError, match="ExperimentSpec: sim_time_ns must be a finite "
+                                         "number, got True"):
+        study.expand()
+
+
 def test_spec_normalizes_integral_seeds():
     import numpy as np
 
@@ -313,6 +344,37 @@ def test_study_from_dict_refuses_numbers_it_would_coerce():
         with pytest.raises(ValueError, match=f"Scenario\\['a'\\]: {field} must be"):
             Study.from_dict(dict(data, scenarios=[scenario]))
     assert Study.from_dict(dict(data, sim_time_ns="5e4")).sim_time_ns == 50_000.0
+
+
+@pytest.mark.parametrize("loads,by_pattern,message", [
+    ((True,), {}, "scenario 'a': loads must be a finite number, got True"),
+    ((0.2, "high"), {}, "scenario 'a': loads must be a finite number, got 'high'"),
+    ((0.2,), {"UR": (0.3, True)},
+     r"scenario 'a': loads_by_pattern\['UR'\] must be a finite number, got True"),
+    ((), {"ADV+1": (float("nan"),)},
+     r"scenario 'a': loads_by_pattern\['ADV\+1'\] must be a finite number, got nan"),
+])
+def test_scenario_loads_follow_the_number_rule(loads, by_pattern, message):
+    """A True load would run at offered load 1.0: constructors and files
+    share the one number rule."""
+    from repro.scenarios.study import Scenario
+
+    with pytest.raises(ValueError, match=message):
+        Scenario(name="a", loads=loads, loads_by_pattern=by_pattern)
+    data = _staged_study_dict()
+    scenario = dict(data["scenarios"][0], loads=list(loads))
+    if by_pattern:
+        scenario["loads_by_pattern"] = {k: list(v) for k, v in by_pattern.items()}
+    with pytest.raises(ValueError, match=message):
+        Study.from_dict(dict(data, scenarios=[scenario]))
+
+
+def test_scenario_loads_read_numeric_strings():
+    from repro.scenarios.study import Scenario
+
+    scenario = Scenario(name="a", loads=("0.2", 1), loads_by_pattern={"ur": ["5e-1"]})
+    assert scenario.loads == (0.2, 1.0)
+    assert scenario.loads_by_pattern == {"UR": (0.5,)}
 
 
 def _staged_study_dict() -> dict:
@@ -379,7 +441,8 @@ def test_train_stage_reads_numeric_strings():
     (dict(replicates=1.5), {}),
     (dict(replicates=True), {}),
     ({}, dict(load=True)),
-], ids=["replicates-1.5", "replicates-true", "train-load-true"])
+    (dict(loads=[True]), {}),
+], ids=["replicates-1.5", "replicates-true", "train-load-true", "loads-true"])
 def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train):
     from repro.cli import main
 
