@@ -1,9 +1,9 @@
 """Shared configuration of the benchmark harness.
 
 Every benchmark regenerates the data behind one of the paper's tables or
-figures.  The default scale is deliberately small (a 72-node Dragonfly, a few
-tens of simulated microseconds) so that the complete harness finishes in
-minutes on a laptop; the *shape* of the results — which algorithm wins under
+figures (``bench_figures.py``, one test per figure name).  The default scale
+is deliberately small (a 72-node Dragonfly, a few tens of simulated
+microseconds) so that the complete harness finishes in minutes on a laptop; the *shape* of the results — which algorithm wins under
 which traffic pattern — is already visible at that scale.
 
 Environment variables:
@@ -17,6 +17,7 @@ The reduced-scale comparison against the paper is the ``headline`` study
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 
@@ -44,53 +45,20 @@ _FAST_BENCH_SCALE = BENCH_SCALE.with_overrides(
 )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "parallel: benchmark fans its runs out through SweepRunner "
-        "(tiny worker pool under pytest; REPRO_BENCH_WORKERS overrides)",
-    )
-
-
-def bench_scale() -> ExperimentScale:
+@pytest.fixture(scope="session")
+def scale() -> ExperimentScale:
     """Scale used by the benchmarks (env-overridable, fast by default)."""
     if os.environ.get("REPRO_SCALE"):
         return default_scale()
     return _FAST_BENCH_SCALE
 
 
-def bench_workers() -> int:
-    """Worker-pool size for the ``parallel``-marked benchmarks.
-
-    Deliberately tiny under pytest so tier-1 runtime stays put: two workers
-    when the machine has at least two CPUs, otherwise serial.  Set
-    ``REPRO_BENCH_WORKERS`` to exercise a bigger pool.
-    """
-    raw = os.environ.get("REPRO_BENCH_WORKERS")
-    if raw:
-        return int(raw)
-    import multiprocessing
-
-    return 2 if multiprocessing.cpu_count() >= 2 else 1
-
-
-@pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    return bench_scale()
-
-
 @pytest.fixture
 def runner() -> SweepRunner:
-    """Fresh sweep runner per benchmark (uncached: benchmarks must simulate)."""
-    return SweepRunner(workers=bench_workers())
+    """Fresh sweep runner per benchmark (uncached: benchmarks must simulate).
 
-
-def _run_once(benchmark, fn, *args, **kwargs):
-    """Run a figure-regeneration function exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def run_once():
-    """Fixture wrapper so benchmark modules need no cross-module imports."""
-    return _run_once
+    Two workers when the machine has at least two CPUs, otherwise serial:
+    a small pool keeps the benchmarks' run time down without loading the
+    machine.
+    """
+    return SweepRunner(workers=2 if multiprocessing.cpu_count() >= 2 else 1)

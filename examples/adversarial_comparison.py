@@ -16,28 +16,27 @@ from __future__ import annotations
 
 import sys
 
-from repro import DragonflyConfig, Network
-from repro.routing import make_routing
+from repro import DragonflyConfig
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.stats.report import comparison_table
-from repro.traffic import TrafficGenerator, make_pattern
 
 ALGORITHMS = ("MIN", "VALn", "UGALg", "UGALn", "PAR", "Q-adp")
 
 
 def simulate(algorithm: str, pattern_name: str, offered_load: float, sim_time_us: float,
              seed: int = 2) -> dict:
-    config = DragonflyConfig.small_72()
     sim_time_ns = sim_time_us * 1_000.0
-    # Q-adaptive needs time to learn; measure the final third of the run.
-    network = Network(
-        config, make_routing(algorithm), seed=seed, warmup_ns=sim_time_ns * 2 / 3
+    spec = ExperimentSpec(
+        config=DragonflyConfig.small_72(),
+        routing=algorithm,
+        pattern=pattern_name,
+        offered_load=offered_load,
+        sim_time_ns=sim_time_ns,
+        # Q-adaptive needs time to learn; measure the final third of the run.
+        warmup_ns=sim_time_ns * 2 / 3,
+        seed=seed,
     )
-    generator = TrafficGenerator(
-        network, make_pattern(pattern_name), offered_load=offered_load
-    )
-    generator.start()
-    network.run(until=sim_time_ns)
-    stats = network.finalize()
+    stats = run_experiment(spec).stats
     return {
         "mean_latency_us": stats.mean_latency_ns / 1_000.0,
         "p99_latency_us": stats.latency.p99 / 1_000.0,

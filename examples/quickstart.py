@@ -13,26 +13,24 @@ from __future__ import annotations
 
 import sys
 
-from repro import DragonflyConfig, Network
-from repro.routing import make_routing
+from repro import DragonflyConfig
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.stats.report import comparison_table
-from repro.traffic import TrafficGenerator, UniformRandomTraffic
 
 
 def simulate(algorithm: str, offered_load: float, sim_time_us: float, seed: int = 1) -> dict:
     """Run one algorithm under uniform random traffic and return its metrics."""
-    config = DragonflyConfig.small_72()
     sim_time_ns = sim_time_us * 1_000.0
-    network = Network(
-        config,
-        make_routing(algorithm),
-        seed=seed,
+    spec = ExperimentSpec(
+        config=DragonflyConfig.small_72(),
+        routing=algorithm,
+        pattern="UR",
+        offered_load=offered_load,
+        sim_time_ns=sim_time_ns,
         warmup_ns=sim_time_ns / 2,  # measure the second half of the run
+        seed=seed,
     )
-    generator = TrafficGenerator(network, UniformRandomTraffic(), offered_load=offered_load)
-    generator.start()
-    network.run(until=sim_time_ns)
-    stats = network.finalize()
+    stats = run_experiment(spec).stats
     return {
         "mean_latency_us": stats.mean_latency_ns / 1_000.0,
         "p99_latency_us": stats.latency.p99 / 1_000.0,

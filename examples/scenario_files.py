@@ -8,8 +8,9 @@ Shows the scenario API end to end on a deliberately tiny system:
 2. save it as a JSON scenario file and reload it (round-trip guaranteed),
 3. run it through a cached :class:`~repro.experiments.SweepRunner` twice —
    the second run is served entirely from the on-disk cache,
-4. export a paper figure's study (``fig5``) to show that the hard-coded
-   figure drivers and scenario files are two views of the same grids.
+4. export a paper figure's study (``fig5``): every figure is a catalog
+   study, so ``repro-sim figure fig5`` and the exported scenario file run
+   the same grid and share the cache.
 
 Run:
     python examples/scenario_files.py
@@ -76,7 +77,7 @@ def main() -> None:
     reloaded.run(rerun)
     print(f"re-run:    simulated={rerun.simulated} cache_hits={rerun.cache_hits}")
 
-    # --- every paper figure is also a study --------------------------------
+    # --- every paper figure is a study --------------------------------------
     fig5 = study_by_name("fig5")
     fig5_path = fig5.save(workdir / "fig5.json")
     print(f"\nexported {fig5.name!r} ({len(fig5.expand())} runs) to {fig5_path}")

@@ -85,32 +85,18 @@ from repro.analysis import runner as analysis_runner
 from repro.experiments import (
     ExperimentSpec,
     SweepRunner,
-    ablation_hyperparams,
-    ablation_maxq,
-    figure5_sweep,
-    figure6_tail_latency,
-    figure7_convergence,
-    figure8_dynamic_load,
-    figure9_scaleup,
     print_progress,
     run_experiment,
     run_replicates,
-    table1_configurations,
-    table_qtable_memory,
     train_experiment,
 )
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ResultCache, default_runner
-from repro.experiments.presets import (
-    ExperimentScale,
-    default_scale,
-    describe_scales,
-    scale_by_name,
-)
+from repro.experiments.presets import ExperimentScale, describe_scales, scale_by_name
 from repro.faults.schedule import FaultSchedule
 from repro.instrument import PROBE_REGISTRY, available_probes
 from repro.instrument.report import export_payload, load_result_document, render_report
 from repro.routing import ROUTING_REGISTRY, available_algorithms
-from repro.scenarios import available_studies, load_study
+from repro.scenarios import available_studies, figure, figure_names, load_study
 from repro.stats.report import comparison_table, format_table, json_safe
 from repro.store import DEFAULT_STORE_DIR, resolve_store
 from repro.topology.registry import TOPOLOGIES, family_by_name
@@ -118,19 +104,6 @@ from repro.traffic import PATTERN_REGISTRY
 
 if TYPE_CHECKING:
     from repro.scenarios.registry import Registry
-
-FIGURES = {
-    "table1": lambda scale, runner: table1_configurations(),
-    "qtable-memory": lambda scale, runner: table_qtable_memory(),
-    "fig5": lambda scale, runner: figure5_sweep(scale, runner=runner),
-    "fig6": lambda scale, runner: figure6_tail_latency(scale, runner=runner),
-    "fig7": lambda scale, runner: figure7_convergence(scale, runner=runner),
-    "fig8": lambda scale, runner: figure8_dynamic_load(scale, runner=runner),
-    "fig9": lambda scale, runner: figure9_scaleup(scale, runner=runner),
-    "ablation-maxq": lambda scale, runner: ablation_maxq(scale, runner=runner),
-    "ablation-hyperparams": lambda scale, runner: ablation_hyperparams(scale, runner=runner),
-}
-
 
 def _runner_from_args(args: argparse.Namespace) -> SweepRunner:
     """Build the sweep runner selected by --workers/--cache/--cache-dir.
@@ -360,10 +333,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args) or default_scale()
-    runner = _runner_from_args(args)
-    fn = FIGURES[args.name]
-    data = fn(scale, runner)
+    data = figure(args.name, _scale_from_args(args), runner=_runner_from_args(args))
     print(json.dumps(json_safe(data), indent=2, default=str))
     return 0
 
@@ -600,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper table/figure as JSON")
-    fig_p.add_argument("name", choices=sorted(FIGURES))
+    fig_p.add_argument("name", choices=sorted(figure_names()))
     fig_p.add_argument("--scale", default=None,
                        help="scale preset (see 'list scales'): bench | reduced | "
                             "paper-1056 | paper-2550 | ... (default: env-selected)")

@@ -63,8 +63,8 @@ class QAdaptiveParams:
     #: path the downstream router will not actually take, and in our simulator
     #: the on-policy value reproduces the paper's qualitative results (fast
     #: convergence under ADV+i, near-optimal UR behaviour) much more closely.
-    #: Use "greedy" to recover the literal Q-routing rule (see the ablation
-    #: benchmark ``bench_ablation_hyperparams.py``).
+    #: Use "greedy" to recover the literal Q-routing rule (see the
+    #: ``ablation-hyperparams`` figure: ``repro-sim figure ablation-hyperparams``).
     feedback: str = "onpolicy"
 
     def __post_init__(self) -> None:

@@ -20,6 +20,8 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.scenarios.serialize import checked_number
+
 
 def _derive_seed(root_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
@@ -36,9 +38,14 @@ def derive_replicate_seed(base_seed: int, run_index: int) -> int:
     sweep path (:mod:`repro.experiments.parallel`) and the batched backend
     (:mod:`repro.engine.batch`) derive replicate seeds from here, so a
     replicate's result is independent of which backend produced it.
+
+    ``base_seed`` is read like every seed of a run
+    (:func:`~repro.scenarios.serialize.checked_number`): ``1.0`` derives as
+    ``1``, while ``1.5`` or ``True`` raise a :class:`ValueError`.
     """
+    base_seed = checked_number(base_seed, "seed", "derive_replicate_seed", int)
     if run_index == 0:
-        return int(base_seed)
+        return base_seed
     digest = hashlib.sha256(f"replicate:{base_seed}:{run_index}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 

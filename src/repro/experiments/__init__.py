@@ -1,10 +1,8 @@
-"""Experiment harness: presets, single-run driver, and per-figure reproduction.
+"""Experiment harness: presets, the single-run driver and the sweep runner.
 
-The figure drivers (:mod:`repro.experiments.figures`) are re-exported
-*lazily* (PEP 562): they reduce over the declarative studies in
-:mod:`repro.scenarios.catalog`, which in turn builds on the presets and the
-harness of this package — an eager import here would close that loop.
-``from repro.experiments import figure5_sweep`` works exactly as before.
+The paper's tables and figures are catalog studies: ``figure(name, scale,
+runner=...)`` in :mod:`repro.scenarios.catalog` builds one, runs it here and
+lays out its data.
 
 Each entry point takes only the keywords it reads:
 ``run_experiment(spec, *, save_state, store)``,
@@ -57,42 +55,21 @@ __all__ = [
     "PAPER_SCALE_1056",
     "PAPER_SCALE_2550",
     "REDUCED_SCALE",
-    "ablation_hyperparams",
-    "ablation_maxq",
     "default_scale",
     "figure5_sweep",
-    "figure6_tail_latency",
-    "figure7_convergence",
-    "figure8_dynamic_load",
-    "figure9_scaleup",
     "TrainResult",
     "run_experiment",
     "run_replicates",
-    "table1_configurations",
-    "table_qtable_memory",
     "train_experiment",
 ]
 
-_FIGURE_EXPORTS = frozenset((
-    "ablation_hyperparams",
-    "ablation_maxq",
-    "figure5_sweep",
-    "figure6_tail_latency",
-    "figure7_convergence",
-    "figure8_dynamic_load",
-    "figure9_scaleup",
-    "table1_configurations",
-    "table_qtable_memory",
-))
-
 
 def __getattr__(name: str) -> object:
-    if name in _FIGURE_EXPORTS:
-        from repro.experiments import figures
+    """``figure5_sweep``, kept only because ``ledger/adapters.py`` imports it
+    from here; it lives in the catalog, which sits above this package.
+    Delete both when the ledger calls ``figure("fig5", ...)``."""
+    if name == "figure5_sweep":
+        from repro.scenarios.catalog import figure5_sweep
 
-        return getattr(figures, name)
+        return figure5_sweep
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | _FIGURE_EXPORTS)

@@ -87,7 +87,7 @@ def spec_fingerprint(spec: ExperimentSpec) -> str:
     sorts keys here), not the Python dataclass layout — so cache keys are
     insensitive to field reordering, name-spelling variants and future
     dataclass refactors, and any two specs with equal serialized forms share
-    one cache entry regardless of how they were built (figure driver, study
+    one cache entry regardless of how they were built (catalog study, study
     file, or hand-written code).
 
     Warm-started specs additionally fold in the referenced checkpoint's

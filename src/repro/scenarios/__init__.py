@@ -10,7 +10,8 @@ Layers (lowest first):
   :class:`Study`, expanded into :class:`~repro.experiments.harness.ExperimentSpec`
   lists and executed through :class:`~repro.experiments.parallel.SweepRunner`.
 * :mod:`repro.scenarios.catalog` — every paper figure/ablation as a named,
-  exportable study (``repro-sim study list``).
+  exportable study (``repro-sim study list``), and :func:`figure`, which
+  runs one and lays out its data (``repro-sim figure``).
 
 Only the dependency-free modules are imported eagerly; :mod:`.study` and
 :mod:`.catalog` sit *above* the experiment harness in the import graph, so
@@ -35,6 +36,8 @@ __all__ = [
     "StudyResult",
     "TrainStage",
     "available_studies",
+    "figure",
+    "figure_names",
     "load_study",
     "normalize_key",
     "register_study",
@@ -49,6 +52,8 @@ _LAZY = {
     "StudyResult": "repro.scenarios.study",
     "TrainStage": "repro.scenarios.study",
     "available_studies": "repro.scenarios.catalog",
+    "figure": "repro.scenarios.catalog",
+    "figure_names": "repro.scenarios.catalog",
     "load_study": "repro.scenarios.catalog",
     "register_study": "repro.scenarios.catalog",
     "study_by_name": "repro.scenarios.catalog",

@@ -1,31 +1,44 @@
 """Named studies: every paper figure and ablation as a declarative scenario.
 
-Each builder maps an :class:`~repro.experiments.presets.ExperimentScale` to a
-:class:`~repro.scenarios.study.Study` whose expansion produces *exactly* the
-specs the corresponding ``repro.experiments.figures`` driver runs — the
-figure drivers are thin reducers over these studies, so ``repro-sim figure
-fig5`` and ``repro-sim study run fig5`` (or a serialized ``fig5.json``)
-share cache fingerprints and results bit-for-bit.
+Each builder maps an :class:`~repro.experiments.presets.ExperimentScale` (and
+its own options) to a :class:`~repro.scenarios.study.Study`.  Builders are
+registered in :data:`STUDIES` (a :class:`~repro.scenarios.registry.Registry`),
+so ``repro-sim study list`` and :func:`study_by_name` see user-registered
+studies too.
 
-Builders are registered in :data:`STUDIES` (a
-:class:`~repro.scenarios.registry.Registry`), so ``repro-sim study list``
-and :func:`study_by_name` see user-registered studies too.
+A study registered with a ``layout`` is a paper figure: :func:`figure` builds
+it, runs it and returns ``layout(run)``, the figure's data as plain
+JSON-friendly dictionaries.  The layout reads everything it needs from the
+run (scenario names, each spec's pattern, routing, load, ``routing_kwargs``
+and schedule), so the study is the figure's only definition, and
+``repro-sim figure fig5`` and ``repro-sim study run fig5`` (or a serialized
+``fig5.json``) share cache fingerprints and results bit-for-bit.  The two
+tables of the paper (Table 1, Tables 2–3) simulate nothing and are the only
+figures that are not studies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.qtable import qtable_memory_comparison
+from repro.experiments.harness import ExperimentResult
+from repro.experiments.parallel import SweepRunner
 from repro.experiments.presets import (
     PAPER_ALGORITHMS,
     ExperimentScale,
     REDUCED_SCALE,
     default_scale,
+    scale_by_name,
 )
 from repro.faults.schedule import FaultSchedule
 from repro.scenarios.registry import Registry
-from repro.scenarios.study import Scenario, Study, TrainStage
+from repro.scenarios.serialize import checked_number
+from repro.scenarios.study import Scenario, Study, StudyResult, TrainStage
+from repro.stats.summary import fraction_below
+from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule, canonical_pattern_name
 
 __all__ = [
@@ -40,6 +53,8 @@ __all__ = [
     "fig7_study",
     "fig8_study",
     "fig9_study",
+    "figure",
+    "figure_names",
     "headline_study",
     "link_heatmap_study",
     "load_study",
@@ -57,8 +72,16 @@ STUDIES = Registry("study")
 def register_study(name: str, builder: Optional[Callable[..., Study]] = None, *,
                    aliases: Sequence[str] = (),
                    metadata: Optional[dict] = None,
+                   layout: Optional[Callable[[StudyResult], Any]] = None,
                    replace: bool = False) -> None:
-    """Register a study builder (``builder(scale: ExperimentScale) -> Study``)."""
+    """Register a study builder (``builder(scale: ExperimentScale) -> Study``).
+
+    With a ``layout`` the study is also a figure: :func:`figure` returns
+    ``layout(study.run(runner))``.
+    """
+    metadata = dict(metadata or {})
+    if layout is not None:
+        metadata["layout"] = layout
     STUDIES.register(name, builder, aliases=aliases, metadata=metadata,
                      replace=replace)
 
@@ -87,6 +110,144 @@ def load_study(target: str, scale: Optional[ExperimentScale] = None) -> Study:
     return study_by_name(target, scale)
 
 
+# ------------------------------------------------------------ figure layouts
+def _table1(configs: Sequence[DragonflyConfig] = ()) -> List[Dict[str, object]]:
+    """Table 1: derived sizes of the evaluated Dragonfly systems (default:
+    the paper's two)."""
+    configs = configs or (DragonflyConfig.paper_1056(), DragonflyConfig.paper_2550())
+    return [config.describe() for config in configs]
+
+
+def _qtable_memory(configs: Sequence[DragonflyConfig] = ()) -> List[Dict[str, object]]:
+    """Tables 2–3: per-router memory of the original vs two-level Q-table."""
+    configs = configs or (DragonflyConfig.paper_1056(), DragonflyConfig.paper_2550())
+    return [{"N": config.num_nodes, **qtable_memory_comparison(config)}
+            for config in configs]
+
+
+#: the figures that simulate nothing: ``name -> table(**options)``.
+_TABLES: Dict[str, Callable[..., List[Dict[str, object]]]] = {
+    "table1": _table1,
+    "qtable-memory": _qtable_memory,
+}
+
+
+def figure_names() -> List[str]:
+    """Every figure :func:`figure` knows: the tables, then each registered
+    study with a layout, in registration order."""
+    return [*_TABLES, *(row["name"] for row in STUDIES.describe() if "layout" in row)]
+
+
+def figure(name: str, scale: Optional[ExperimentScale] = None, *,
+           runner: Optional[SweepRunner] = None, **options) -> Any:
+    """The data behind one paper table or figure, as plain dictionaries.
+
+    A table takes only its own ``options`` (``configs``).  A figure builds
+    its registered study with ``scale`` and ``options``, runs it through
+    ``runner`` (see :meth:`Study.run`) and returns the study's layout of the
+    run.
+    """
+    if name in _TABLES:
+        return _TABLES[name](**options)
+    layout = STUDIES.get(name).metadata.get("layout")
+    if layout is None:
+        raise ValueError(f"study {name!r} is not a figure; figures: {figure_names()}")
+    return layout(study_by_name(name, scale, **options).run(runner))
+
+
+def figure5_sweep(scale: ExperimentScale, algorithms: Sequence[str],
+                  patterns: Sequence[str], *, runner: SweepRunner) -> Dict:
+    """``figure("fig5", ...)`` under its old name, for ``ledger/adapters.py``
+    only (see ``repro.experiments.__getattr__``)."""
+    return figure("fig5", scale, runner=runner, algorithms=algorithms, patterns=patterns)
+
+
+def _means(result: ExperimentResult) -> Dict[str, float]:
+    return {"latency_us": result.mean_latency_us, "throughput": result.throughput,
+            "hops": result.mean_hops}
+
+
+def _load_sweep(run: StudyResult) -> Dict[str, Dict[str, Dict[str, List[float]]]]:
+    """Figure 5: ``{pattern: {routing: {"loads", "latency_us", "throughput",
+    "hops"}}}``, the three metrics of each pattern's panel per load."""
+    data: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
+    for point, result in run:
+        spec = point.spec
+        series = data.setdefault(spec.pattern, {}).setdefault(
+            spec.routing, {"loads": [], "latency_us": [], "throughput": [], "hops": []})
+        series["loads"].append(spec.offered_load)
+        for key, value in _means(result).items():
+            series[key].append(value)
+    return data
+
+
+def _distributions(run: StudyResult) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Figures 6 and 9: ``{pattern: {routing: summary}}``, each summary the
+    latency distribution in µs (mean / median / p95 / p99 / quartiles /
+    whiskers) plus hops, throughput, the fraction of packets below 2 µs and
+    the offered load."""
+    data: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for point, result in run:
+        row = result.stats.latency.as_microseconds()
+        row["mean_hops"] = result.mean_hops
+        row["throughput"] = result.throughput
+        row["fraction_below_2us"] = fraction_below(result.latencies_ns, 2_000.0)
+        row["offered_load"] = point.spec.offered_load
+        data.setdefault(point.spec.pattern, {})[point.spec.routing] = row
+    return data
+
+
+def _convergence(run: StudyResult) -> Dict[str, Dict[str, Any]]:
+    """Figure 7: ``{scenario: {"time_us", "latency_us", "final_latency_us"}}``."""
+    curves: Dict[str, Dict[str, Any]] = {}
+    for point, result in run:
+        times, values = result.latency_timeline_us
+        curves[point.scenario] = {
+            "time_us": [float(t) for t in times],
+            "latency_us": [float(v) for v in values],
+            "final_latency_us": float(values[-1]) if len(values) else float("nan"),
+        }
+    return curves
+
+
+def _dynamic_load(run: StudyResult) -> Dict[str, Dict[str, Any]]:
+    """Figure 8: ``{scenario: {"time_us", "throughput", "step_time_us",
+    "final_throughput"}}``, the binned throughput around the load step."""
+    curves: Dict[str, Dict[str, Any]] = {}
+    for point, result in run:
+        times, values = result.throughput_timeline
+        curves[point.scenario] = {
+            "time_us": [float(t) for t in times],
+            "throughput": [float(v) for v in values],
+            "step_time_us": point.spec.schedule.phases[1].start_ns / 1_000.0,
+            "final_throughput": float(values[-1]) if len(values) else float("nan"),
+        }
+    return curves
+
+
+def _maxq(run: StudyResult) -> Dict[str, Dict[int, Dict[str, float]]]:
+    """Section 2.3.2: ``{pattern: {maxQ: {"latency_us", "throughput", "hops",
+    "offered_load"}}}``."""
+    data: Dict[str, Dict[int, Dict[str, float]]] = {}
+    for point, result in run:
+        spec = point.spec
+        data.setdefault(spec.pattern, {})[spec.routing_kwargs["max_q"]] = {
+            **_means(result), "offered_load": spec.offered_load}
+    return data
+
+
+def _hyperparams(run: StudyResult) -> List[Dict[str, Any]]:
+    """Section 4: one row per (feedback rule, ``q_thld1``) run."""
+    rows = []
+    for point, result in run:
+        spec = point.spec
+        params = spec.routing_kwargs["params"]
+        rows.append({"feedback": params.feedback, "q_thld1": params.q_thld1,
+                     "pattern": spec.pattern, "offered_load": spec.offered_load,
+                     **_means(result)})
+    return rows
+
+
 # ------------------------------------------------------------------ helpers
 def _reference_load(scale: ExperimentScale, pattern: str) -> float:
     """Reference load with UR's only for UR itself (figures 6 and the maxQ
@@ -109,6 +270,21 @@ def _qadp_kwargs(scale: ExperimentScale, scaleup: bool = False) -> Dict[str, Dic
     return {"Q-adp": {"params": params}}
 
 
+def _one_load(scale: ExperimentScale, patterns: Sequence[str], load: Optional[float] = None,
+              reference: Callable[[ExperimentScale, str], float] = _reference_load,
+              ) -> Dict[str, Tuple[float]]:
+    """``{pattern: (load,)}``: every pattern at ``load``, or at
+    ``reference(scale, pattern)`` when ``load`` is None."""
+    return {p: (reference(scale, p) if load is None else load,) for p in patterns}
+
+
+def _scaled(scale: ExperimentScale, **fields: Any) -> Study:
+    """A study on ``scale``'s topology, windows and seed; ``fields`` set the
+    rest and may override those."""
+    return Study(**{"config": scale.config, "sim_time_ns": scale.sim_time_ns,
+                    "warmup_ns": scale.warmup_ns, "seed": scale.seed, **fields})
+
+
 # ------------------------------------------------------------------- figures
 def fig5_study(
     scale: Optional[ExperimentScale] = None,
@@ -118,7 +294,6 @@ def fig5_study(
 ) -> Study:
     """Figure 5: offered-load sweep of every algorithm under UR / ADV+i."""
     scale = scale or default_scale()
-    algorithms = tuple(algorithms or PAPER_ALGORITHMS)
     patterns = tuple(patterns or ("UR", "ADV+1", "ADV+4"))
     loads_of = {
         pattern: tuple(
@@ -128,22 +303,13 @@ def fig5_study(
         )
         for pattern in patterns
     }
-    return Study(
+    return _scaled(
+        scale,
         name="fig5",
         description="Figure 5: latency / throughput / hops vs offered load",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
-        scenarios=[
-            Scenario(
-                name="sweep",
-                routing=algorithms,
-                pattern=patterns,
-                loads_by_pattern=loads_of,
-                routing_kwargs=_qadp_kwargs(scale),
-            )
-        ],
+        scenarios=[Scenario(name="sweep", routing=tuple(algorithms or PAPER_ALGORITHMS),
+                            pattern=patterns, loads_by_pattern=loads_of,
+                            routing_kwargs=_qadp_kwargs(scale))],
     )
 
 
@@ -153,31 +319,25 @@ def fig6_study(
     patterns: Optional[Sequence[str]] = None,
     loads: Optional[Dict[str, float]] = None,
 ) -> Study:
-    """Figure 6: latency distribution at one fixed load per pattern."""
+    """Figure 6: latency distribution at one fixed load per pattern.
+
+    The paper fixes UR at load 0.8 and ADV+i at 0.45; the scales use their
+    own reference loads unless ``loads`` names a pattern's.
+    """
     scale = scale or default_scale()
-    algorithms = tuple(algorithms or PAPER_ALGORITHMS)
     patterns = tuple(patterns or ("UR", "ADV+1", "ADV+4"))
-    load_of = {
-        pattern: (loads[pattern] if loads and pattern in loads
-                  else _reference_load(scale, pattern))
-        for pattern in patterns
-    }
-    return Study(
+    return _scaled(
+        scale,
         name="fig6",
         description="Figure 6: packet latency distribution (mean/p95/p99)",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
-        scenarios=[
-            Scenario(
-                name="tail",
-                routing=algorithms,
-                pattern=patterns,
-                loads_by_pattern={p: (load_of[p],) for p in patterns},
-                routing_kwargs=_qadp_kwargs(scale),
-            )
-        ],
+        scenarios=[Scenario(
+            name="tail",
+            routing=tuple(algorithms or PAPER_ALGORITHMS),
+            pattern=patterns,
+            loads_by_pattern={p: ((loads or {}).get(p, _reference_load(scale, p)),)
+                              for p in patterns},
+            routing_kwargs=_qadp_kwargs(scale),
+        )],
     )
 
 
@@ -186,7 +346,8 @@ def fig7_study(
     cases: Optional[Sequence[Tuple[str, float]]] = None,
     bin_ns: float = 5_000.0,
 ) -> Study:
-    """Figure 7: Q-adaptive convergence from an empty network."""
+    """Figure 7: Q-adaptive convergence from an empty network, one scenario
+    per ``(pattern, load)`` case."""
     scale = scale or default_scale()
     if cases is None:
         cases = (
@@ -197,22 +358,16 @@ def fig7_study(
             ("ADV+1", scale.adv_reference_load),
             ("ADV+4", scale.adv_reference_load),
         )
-    return Study(
+    return _scaled(
+        scale,
         name="fig7",
         description="Figure 7: Q-adaptive latency over time from an empty network",
-        config=scale.config,
         sim_time_ns=scale.convergence_ns,
         warmup_ns=0.0,
         stats_bin_ns=bin_ns,
-        seed=scale.seed,
         scenarios=[
-            Scenario(
-                name=f"{pattern} load {load}",
-                routing=("Q-adp",),
-                pattern=(pattern,),
-                loads=(load,),
-                routing_kwargs=_qadp_kwargs(scale),
-            )
+            Scenario(name=f"{pattern} load {load}", routing=("Q-adp",), pattern=(pattern,),
+                     loads=(load,), routing_kwargs=_qadp_kwargs(scale))
             for pattern, load in cases
         ],
     )
@@ -223,7 +378,11 @@ def fig8_study(
     cases: Optional[Sequence[Tuple[str, float, float]]] = None,
     bin_ns: float = 5_000.0,
 ) -> Study:
-    """Figure 8: throughput while the offered load steps up or down."""
+    """Figure 8: throughput while the offered load steps up or down.
+
+    Each case is ``(pattern, initial_load, new_load)``; the load changes at
+    ``scale.convergence_ns`` and the run lasts twice that long.
+    """
     scale = scale or default_scale()
     if cases is None:
         ur_hi, ur_lo = scale.ur_reference_load, round(scale.ur_reference_load / 2, 3)
@@ -235,22 +394,17 @@ def fig8_study(
             ("ADV+4", adv_hi, adv_lo),
         )
     step_time = scale.convergence_ns
-    return Study(
+    return _scaled(
+        scale,
         name="fig8",
         description="Figure 8: system throughput under a stepped offered load",
-        config=scale.config,
         sim_time_ns=2 * scale.convergence_ns,
         warmup_ns=0.0,
         stats_bin_ns=bin_ns,
-        seed=scale.seed,
         scenarios=[
-            Scenario(
-                name=f"{pattern} {initial}->{new}",
-                routing=("Q-adp",),
-                pattern=(pattern,),
-                schedule=LoadSchedule.step(initial, step_time, new),
-                routing_kwargs=_qadp_kwargs(scale),
-            )
+            Scenario(name=f"{pattern} {initial}->{new}", routing=("Q-adp",),
+                     pattern=(pattern,), schedule=LoadSchedule.step(initial, step_time, new),
+                     routing_kwargs=_qadp_kwargs(scale))
             for pattern, initial, new in cases
         ],
     )
@@ -262,32 +416,28 @@ def fig9_study(
     patterns: Optional[Sequence[str]] = None,
     load: Optional[float] = None,
 ) -> Study:
-    """Figure 9: latency distributions on the scale-up system, five patterns."""
+    """Figure 9: latency distributions on the scale-up system, five patterns.
+
+    Patterns default to the paper's set (UR, ADV+1, 3D Stencil, Many to
+    Many, Random Neighbors), run on ``scale.scaleup_config`` with the
+    Section 6 hyper-parameters.
+    """
     scale = scale or default_scale()
-    algorithms = tuple(algorithms or PAPER_ALGORITHMS)
     patterns = tuple(
         patterns or ("UR", "ADV+1", "3D Stencil", "Many to Many", "Random Neighbors")
     )
-    load_of = {
-        pattern: (load if load is not None else _scaleup_reference_load(scale, pattern))
-        for pattern in patterns
-    }
-    return Study(
+    return _scaled(
+        scale,
         name="fig9",
         description="Figure 9: scale-up case study, five traffic patterns",
         config=scale.scaleup_config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
-        scenarios=[
-            Scenario(
-                name="scaleup",
-                routing=algorithms,
-                pattern=patterns,
-                loads_by_pattern={p: (load_of[p],) for p in patterns},
-                routing_kwargs=_qadp_kwargs(scale, scaleup=True),
-            )
-        ],
+        scenarios=[Scenario(
+            name="scaleup",
+            routing=tuple(algorithms or PAPER_ALGORITHMS),
+            pattern=patterns,
+            loads_by_pattern=_one_load(scale, patterns, load, _scaleup_reference_load),
+            routing_kwargs=_qadp_kwargs(scale, scaleup=True),
+        )],
     )
 
 
@@ -298,28 +448,23 @@ def ablation_maxq_study(
     patterns: Optional[Sequence[str]] = None,
     load: Optional[float] = None,
 ) -> Study:
-    """Section 2.3.2: naive Q-routing with a maxQ hop threshold."""
+    """Section 2.3.2: naive Q-routing with a maxQ hop threshold.
+
+    No single maxQ suits both UR and ADV+i, which motivates the Q-adaptive
+    design.  Each maxQ value must be an integer (``2.0`` reads as 2).
+    """
     scale = scale or default_scale()
+    maxq_values = tuple(checked_number(maxq, "maxq_values", "ablation_maxq_study", int)
+                        for maxq in maxq_values)
     patterns = tuple(patterns or ("UR", "ADV+1", "ADV+4"))
-    load_of = {
-        pattern: (load if load is not None else _reference_load(scale, pattern))
-        for pattern in patterns
-    }
-    return Study(
+    return _scaled(
+        scale,
         name="ablation-maxq",
         description="Section 2.3.2: no single maxQ suits both UR and ADV+i",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         scenarios=[
-            Scenario(
-                name=f"maxQ={maxq}",
-                routing=("Q-routing",),
-                pattern=patterns,
-                loads_by_pattern={p: (load_of[p],) for p in patterns},
-                routing_kwargs={"Q-routing": {"max_q": int(maxq)}},
-            )
+            Scenario(name=f"maxQ={maxq}", routing=("Q-routing",), pattern=patterns,
+                     loads_by_pattern=_one_load(scale, patterns, load),
+                     routing_kwargs={"Q-routing": {"max_q": maxq}})
             for maxq in maxq_values
         ],
     )
@@ -337,31 +482,18 @@ def ablation_hyperparams_study(
     if load is None:
         load = _scaleup_reference_load(scale, pattern)
     base = scale.qadaptive_params
-    return Study(
+    return _scaled(
+        scale,
         name="ablation-hyperparams",
         description="Section 4: q_thld1 threshold x feedback rule ablation",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         scenarios=[
             Scenario(
                 name=f"{feedback} q_thld1={thld1}",
                 routing=("Q-adp",),
                 pattern=(pattern,),
                 loads=(load,),
-                routing_kwargs={
-                    "Q-adp": {
-                        "params": type(base)(
-                            alpha=base.alpha,
-                            beta=base.beta,
-                            epsilon=base.epsilon,
-                            q_thld1=thld1,
-                            q_thld2=base.q_thld2,
-                            feedback=feedback,
-                        )
-                    }
-                },
+                routing_kwargs={"Q-adp": {"params": dataclasses.replace(
+                    base, q_thld1=thld1, feedback=feedback)}},
             )
             for feedback in feedback_modes
             for thld1 in q_thld1_values
@@ -389,14 +521,13 @@ def transfer_study(
     scale = scale or default_scale()
     eval_patterns = tuple(eval_patterns or ("ADV+1", "ADV+4"))
     eval_warmup = round(scale.warmup_ns / 5.0, 3)
-    return Study(
+    return _scaled(
+        scale,
         name="transfer",
         description="Transfer: train Q-adp on UR, evaluate on adversarial + "
                     "shifted-load traffic",
-        config=scale.config,
         sim_time_ns=eval_warmup + scale.measure_ns,
         warmup_ns=eval_warmup,
-        seed=scale.seed,
         train=TrainStage(
             pattern=train_pattern,
             load=_reference_load(scale, train_pattern),
@@ -468,14 +599,13 @@ def warm_fig5_study(
             sim_time_ns=scale.sim_time_ns,
             warmup_ns=scale.warmup_ns,
         ))
-    return Study(
+    return _scaled(
+        scale,
         name="warm-fig5",
         description="Figure 5 sweep, train-once/eval-many: one checkpoint "
                     "feeds every load point of the learned algorithms",
-        config=scale.config,
         sim_time_ns=eval_warmup + scale.measure_ns,
         warmup_ns=eval_warmup,
-        seed=scale.seed,
         train=TrainStage(
             pattern="UR",
             load=scale.ur_reference_load,
@@ -505,25 +635,18 @@ def fairness_study(
     scale = scale or default_scale()
     algorithms = tuple(algorithms or ("MIN", "UGALn", "Q-adp"))
     patterns = tuple(patterns or ("ADV+1", "UR"))
-    load_of = {
-        pattern: (load if load is not None else _reference_load(scale, pattern))
-        for pattern in patterns
-    }
-    return Study(
+    return _scaled(
+        scale,
         name="fairness",
         description="Per-source-group latency fairness (Jain index) and "
                     "hotspot link utilization under adversarial traffic",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         telemetry=("source-latency", "link-util"),
         scenarios=[
             Scenario(
                 name="fairness",
                 routing=algorithms,
                 pattern=patterns,
-                loads_by_pattern={p: (load_of[p],) for p in patterns},
+                loads_by_pattern=_one_load(scale, patterns, load),
                 routing_kwargs=_qadp_kwargs(scale),
             )
         ],
@@ -546,14 +669,11 @@ def link_heatmap_study(
     scale = scale or default_scale()
     algorithms = tuple(algorithms or ("MIN", "UGALn", "Q-adp"))
     reference = load if load is not None else _reference_load(scale, pattern)
-    return Study(
+    return _scaled(
+        scale,
         name="link-heatmap",
         description="Per-link busy fractions and queue hotspots: minimal vs "
                     "adaptive routing under one adversarial pattern",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         telemetry=("link-util", "queue-occupancy"),
         scenarios=[
             Scenario(
@@ -586,55 +706,47 @@ def cross_topology_study(
     comparing *absolute* loads across families is not meaningful, but who
     wins *within* a topology is).
     """
-    from repro.experiments.presets import scale_by_name
-
     scale = scale or default_scale()
     algorithms = tuple(algorithms or ("Q-routing", "MIN", "VAL"))
     patterns = tuple(patterns or ("UR", "Hotspot"))
 
-    def loads_of(sc: ExperimentScale) -> Dict[str, Tuple[float, ...]]:
-        return {p: (_reference_load(sc, p),) for p in patterns}
-
     fattree = scale_by_name("fattree-bench")
     mesh = scale_by_name("mesh-bench")
     torus = scale_by_name("torus-bench")
-    return Study(
+    return _scaled(
+        scale,
         name="cross-topology",
         description="Q-routing vs MIN vs VAL under UR/hotspot traffic on "
                     "Dragonfly, fat-tree, mesh and torus, with per-link "
                     "utilization heatmaps",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         telemetry=("link-util", "queue-occupancy"),
         scenarios=[
             Scenario(
                 name="dragonfly",
                 routing=algorithms,
                 pattern=patterns,
-                loads_by_pattern=loads_of(scale),
+                loads_by_pattern=_one_load(scale, patterns),
             ),
             Scenario(
                 name="fattree",
                 config=fattree.config,
                 routing=algorithms,
                 pattern=patterns,
-                loads_by_pattern=loads_of(fattree),
+                loads_by_pattern=_one_load(fattree, patterns),
             ),
             Scenario(
                 name="mesh",
                 config=mesh.config,
                 routing=algorithms,
                 pattern=patterns,
-                loads_by_pattern=loads_of(mesh),
+                loads_by_pattern=_one_load(mesh, patterns),
             ),
             Scenario(
                 name="torus",
                 config=torus.config,
                 routing=algorithms,
                 pattern=patterns,
-                loads_by_pattern=loads_of(torus),
+                loads_by_pattern=_one_load(torus, patterns),
             ),
         ],
     )
@@ -684,8 +796,6 @@ def resilience_study(
     torus configs and loads come from the ``*-bench`` scale presets while the
     passed ``scale`` sets the windows, the seed and the Dragonfly config.
     """
-    from repro.experiments.presets import scale_by_name
-
     scale = scale or default_scale()
     algorithms = tuple(algorithms or ("Q-routing", "MIN", "VAL"))
     df_patterns = tuple(patterns or ("UR", "ADV+1", "Hotspot"))
@@ -695,10 +805,6 @@ def resilience_study(
         if not canonical_pattern_name(p).upper().startswith("ADV")
     ) or ("UR",)
 
-    def loads_of(sc: ExperimentScale,
-                 pats: Sequence[str]) -> Dict[str, Tuple[float, ...]]:
-        return {p: (_reference_load(sc, p),) for p in pats}
-
     def fault_for(config: object) -> FaultSchedule:
         # Scenarios inherit the *study* windows, so every family's failure
         # lands at the same simulated time.
@@ -706,22 +812,19 @@ def resilience_study(
 
     mesh = scale_by_name("mesh-bench")
     torus = scale_by_name("torus-bench")
-    return Study(
+    return _scaled(
+        scale,
         name="resilience",
         description="Degraded-mode routing: delivery rate per failure epoch "
                     "and latency re-convergence time after a mid-run link "
                     "failure, per algorithm and topology family",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         telemetry=("fault-delivery", "reconvergence"),
         scenarios=[
             Scenario(
                 name="dragonfly",
                 routing=algorithms,
                 pattern=df_patterns,
-                loads_by_pattern=loads_of(scale, df_patterns),
+                loads_by_pattern=_one_load(scale, df_patterns),
                 faults=fault_for(scale.config),
             ),
             Scenario(
@@ -729,7 +832,7 @@ def resilience_study(
                 config=mesh.config,
                 routing=algorithms,
                 pattern=generic,
-                loads_by_pattern=loads_of(mesh, generic),
+                loads_by_pattern=_one_load(mesh, generic),
                 faults=fault_for(mesh.config),
             ),
             Scenario(
@@ -737,7 +840,7 @@ def resilience_study(
                 config=torus.config,
                 routing=algorithms,
                 pattern=generic,
-                loads_by_pattern=loads_of(torus, generic),
+                loads_by_pattern=_one_load(torus, generic),
                 faults=fault_for(torus.config),
             ),
         ],
@@ -753,13 +856,10 @@ def headline_study(
     """The reduced-scale headline comparison (``repro-sim study run headline``)."""
     scale = scale or REDUCED_SCALE
     algorithms = tuple(algorithms or PAPER_ALGORITHMS)
-    return Study(
+    return _scaled(
+        scale,
         name="headline",
         description="headline comparison (reduced scale)",
-        config=scale.config,
-        sim_time_ns=scale.sim_time_ns,
-        warmup_ns=scale.warmup_ns,
-        seed=scale.seed,
         scenarios=[
             Scenario(
                 name=f"{pattern}@{load}",
@@ -773,19 +873,19 @@ def headline_study(
     )
 
 
-register_study("fig5", fig5_study, aliases=("figure5",),
+register_study("fig5", fig5_study, aliases=("figure5",), layout=_load_sweep,
                metadata={"summary": "Figure 5: latency/throughput/hops vs load"})
-register_study("fig6", fig6_study, aliases=("figure6",),
+register_study("fig6", fig6_study, aliases=("figure6",), layout=_distributions,
                metadata={"summary": "Figure 6: latency distribution per pattern"})
-register_study("fig7", fig7_study, aliases=("figure7",),
+register_study("fig7", fig7_study, aliases=("figure7",), layout=_convergence,
                metadata={"summary": "Figure 7: Q-adaptive convergence curves"})
-register_study("fig8", fig8_study, aliases=("figure8",),
+register_study("fig8", fig8_study, aliases=("figure8",), layout=_dynamic_load,
                metadata={"summary": "Figure 8: throughput under dynamic load"})
-register_study("fig9", fig9_study, aliases=("figure9",),
+register_study("fig9", fig9_study, aliases=("figure9",), layout=_distributions,
                metadata={"summary": "Figure 9: scale-up case study"})
-register_study("ablation-maxq", ablation_maxq_study,
+register_study("ablation-maxq", ablation_maxq_study, layout=_maxq,
                metadata={"summary": "Section 2.3.2: Q-routing maxQ ablation"})
-register_study("ablation-hyperparams", ablation_hyperparams_study,
+register_study("ablation-hyperparams", ablation_hyperparams_study, layout=_hyperparams,
                metadata={"summary": "Section 4: q_thld1/feedback ablation"})
 register_study("headline", headline_study,
                metadata={"summary": "headline comparison table (reduced scale)"})

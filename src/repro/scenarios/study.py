@@ -7,8 +7,8 @@ composes scenarios with shared defaults, expands them deterministically into
 :class:`~repro.experiments.harness.ExperimentSpec` instances, and runs them
 through a :class:`~repro.experiments.parallel.SweepRunner` — so a study gets
 worker-pool fan-out and on-disk memoization for free, and its cache entries
-are shared with every other path that builds the same specs (the figure
-drivers, the CLI, hand-written code).
+are shared with every other path that builds the same specs (the CLI,
+hand-written code).
 
 Studies serialize to JSON/YAML documents (``to_dict``/``from_dict``,
 ``save``/``load``): the whole paper evaluation can be expressed, versioned
@@ -56,8 +56,7 @@ from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import LoadSchedule, canonical_pattern_name
 
 if TYPE_CHECKING:  # imported lazily at runtime: the harness sits above this
-    # module in the import graph (it pulls in repro.experiments.figures,
-    # which reduces over the catalog, which is built from these classes).
+    # module in the import graph.
     from repro.experiments.harness import ExperimentResult, ExperimentSpec, StoreLike
     from repro.experiments.parallel import SweepRunner
 
@@ -145,6 +144,8 @@ class Scenario:
             for pattern, kwargs in self.pattern_kwargs.items()
         }
         self.replicates = checked_number(self.replicates, "replicates", context, int)
+        if self.seed is not None:
+            self.seed = checked_number(self.seed, "seed", context, int)
         if self.replicates < 1:
             raise ValueError(f"{context}: replicates must be >= 1, got {self.replicates}")
         if self.schedule is not None and (self.loads or self.loads_by_pattern):
@@ -270,6 +271,8 @@ class TrainStage:
         self.routing = _names_tuple(self.routing, canonical_routing_name) \
             if self.routing else ()
         self.load = checked_number(self.load, "load", "TrainStage")
+        if self.seed is not None:
+            self.seed = checked_number(self.seed, "seed", "TrainStage", int)
         if not 0.0 < self.load <= 1.0:
             raise ValueError(f"TrainStage: load must be in (0, 1], got {self.load}")
         if self.train_ns is not None:
@@ -356,6 +359,7 @@ class Study:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"a study needs a non-empty string name, got {self.name!r}")
+        self.seed = checked_number(self.seed, "seed", f"study {self.name!r}", int)
         self.telemetry = _canonical_telemetry(self.telemetry) if self.telemetry else ()
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
@@ -445,8 +449,7 @@ class Study:
         """Execute every expanded spec through a sweep runner.
 
         ``runner=None`` builds one from the ``REPRO_WORKERS`` /
-        ``REPRO_CACHE`` environment variables (serial, uncached when unset),
-        exactly like the figure drivers.
+        ``REPRO_CACHE`` environment variables (serial, uncached when unset).
 
         Staged studies (``train`` set) run their training stage first —
         through the artifact store ``store`` (default: the standard

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,16 +32,20 @@ class TimeSeries:
 
     * Figure 7 (convergence): mean packet latency per time bin;
     * Figure 8 (dynamic load): delivered bytes per time bin → throughput.
+
+    Only the non-empty bins are kept, as three aligned arrays: their indices
+    (ascending), value sums and sample counts (see :func:`bin_sums`).
     """
 
-    __slots__ = ("bin_ns", "_sums", "_counts")
+    __slots__ = ("bin_ns", "_index", "_sums", "_counts")
 
     def __init__(self, bin_ns: float = 1_000.0) -> None:
         if bin_ns <= 0:
             raise ValueError("bin width must be positive")
         self.bin_ns = float(bin_ns)
-        self._sums: Dict[int, float] = {}
-        self._counts: Dict[int, int] = {}
+        self._index = np.zeros(0, dtype=np.intp)
+        self._sums = np.zeros(0)
+        self._counts = np.zeros(0, dtype=np.intp)
 
     @classmethod
     def from_bins(cls, bin_ns: float, index: np.ndarray, sums: np.ndarray,
@@ -49,9 +53,7 @@ class TimeSeries:
         """The series whose non-empty bins ``index`` hold ``sums`` / ``counts``
         (see :func:`bin_sums`)."""
         series = cls(bin_ns)
-        bins = index.tolist()
-        series._sums = dict(zip(bins, sums.tolist()))
-        series._counts = dict(zip(bins, counts.tolist()))
+        series._index, series._sums, series._counts = index, sums, counts
         return series
 
     @classmethod
@@ -60,25 +62,24 @@ class TimeSeries:
         return cls.from_bins(bin_ns, *bin_sums(times, values, bin_ns))
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._index)
 
     # ------------------------------------------------------------------ views
     def bins(self) -> List[int]:
-        return sorted(self._counts)
+        return self._index.tolist()
 
     def bin_times(self) -> np.ndarray:
         """Centre time (ns) of every non-empty bin, ascending."""
-        return (np.array(self.bins(), dtype=float) + 0.5) * self.bin_ns
+        return (self._index + 0.5) * self.bin_ns
 
     def means(self) -> np.ndarray:
         """Mean of recorded values per non-empty bin, ascending by time."""
-        idx = self.bins()
-        return np.array([self._sums[i] / self._counts[i] for i in idx], dtype=float)
+        return self._sums / self._counts
 
     def sums(self) -> np.ndarray:
         """Sum of recorded values per non-empty bin, ascending by time."""
-        return np.array([self._sums[i] for i in self.bins()], dtype=float)
+        return self._sums.astype(float)
 
     def counts(self) -> np.ndarray:
         """Number of records per non-empty bin, ascending by time."""
-        return np.array([self._counts[i] for i in self.bins()], dtype=float)
+        return self._counts.astype(float)

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness, presets and figure drivers."""
+"""Tests for the experiment harness, presets and the paper's figures."""
 
 import inspect
 import tomllib
@@ -11,25 +11,16 @@ from repro.experiments import (
     PAPER_SCALE_1056,
     REDUCED_SCALE,
     ExperimentSpec,
-    ablation_hyperparams,
-    ablation_maxq,
     default_scale,
-    figure5_sweep,
-    figure6_tail_latency,
-    figure7_convergence,
-    figure8_dynamic_load,
-    figure9_scaleup,
     run_experiment,
-    table1_configurations,
-    table_qtable_memory,
     train_experiment,
 )
 from repro.experiments.presets import PAPER_ALGORITHMS, scale_by_name
-from repro.scenarios import Study
+from repro.scenarios import Study, figure
 from repro.topology.config import DragonflyConfig
 
 TINY = DragonflyConfig.tiny()
-#: a very small scale so the figure drivers finish in seconds inside the test suite
+#: a very small scale so the figures finish in seconds inside the test suite
 TEST_SCALE = BENCH_SCALE.with_overrides(
     config=TINY,
     scaleup_config=DragonflyConfig.small_72(),
@@ -135,13 +126,13 @@ def test_version_is_single_sourced():
 
 # --------------------------------------------------------------------- tables
 def test_table1_reproduces_paper_values():
-    rows = table1_configurations()
+    rows = figure("table1")
     assert rows[0]["N"] == 1056 and rows[0]["m"] == 264 and rows[0]["k"] == 15
     assert rows[1]["N"] == 2550 and rows[1]["m"] == 510 and rows[1]["g"] == 51
 
 
 def test_qtable_memory_reports_fifty_percent_saving():
-    rows = table_qtable_memory()
+    rows = figure("qtable-memory")
     for row in rows:
         assert row["saving_fraction"] == pytest.approx(0.5)
 
@@ -197,7 +188,7 @@ def test_summary_row_reports_dyn_for_schedule_runs():
 
 # -------------------------------------------------------------------- figures
 def test_figure5_structure():
-    data = figure5_sweep(TEST_SCALE, algorithms=("MIN", "Q-adp"), patterns=("UR",))
+    data = figure("fig5", TEST_SCALE, algorithms=("MIN", "Q-adp"), patterns=("UR",))
     assert set(data) == {"UR"}
     assert set(data["UR"]) == {"MIN", "Q-adp"}
     series = data["UR"]["MIN"]
@@ -206,21 +197,21 @@ def test_figure5_structure():
 
 
 def test_figure6_structure():
-    data = figure6_tail_latency(TEST_SCALE, algorithms=("MIN", "UGALn"), patterns=("ADV+1",))
+    data = figure("fig6", TEST_SCALE, algorithms=("MIN", "UGALn"), patterns=("ADV+1",))
     row = data["ADV+1"]["MIN"]
     for key in ("mean", "p95", "p99", "q1", "q3", "fraction_below_2us", "offered_load"):
         assert key in row
 
 
 def test_figure7_convergence_series():
-    curves = figure7_convergence(TEST_SCALE, cases=(("UR", 0.3),), bin_ns=2_000.0)
+    curves = figure("fig7", TEST_SCALE, cases=(("UR", 0.3),), bin_ns=2_000.0)
     key = "UR load 0.3"
     assert key in curves
     assert len(curves[key]["time_us"]) == len(curves[key]["latency_us"]) > 0
 
 
 def test_figure8_dynamic_load_series():
-    curves = figure8_dynamic_load(TEST_SCALE, cases=(("UR", 0.2, 0.4),), bin_ns=2_000.0)
+    curves = figure("fig8", TEST_SCALE, cases=(("UR", 0.2, 0.4),), bin_ns=2_000.0)
     key = "UR 0.2->0.4"
     assert key in curves
     assert curves[key]["step_time_us"] == TEST_SCALE.convergence_ns / 1_000.0
@@ -228,26 +219,68 @@ def test_figure8_dynamic_load_series():
 
 
 def test_figure9_structure():
-    data = figure9_scaleup(
-        TEST_SCALE, algorithms=("MIN",), patterns=("UR",), load=0.2
-    )
+    data = figure("fig9", TEST_SCALE, algorithms=("MIN",), patterns=("UR",), load=0.2)
     assert set(data) == {"UR"}
     assert data["UR"]["MIN"]["offered_load"] == 0.2
 
 
 def test_ablation_maxq_structure():
-    data = ablation_maxq(TEST_SCALE, maxq_values=(0, 2), patterns=("UR",))
+    data = figure("ablation-maxq", TEST_SCALE, maxq_values=(0, 2), patterns=("UR",))
     assert set(data["UR"]) == {0, 2}
     assert "throughput" in data["UR"][0]
 
 
+def test_ablation_maxq_reads_integer_values():
+    from repro.scenarios.catalog import ablation_maxq_study
+
+    with pytest.raises(ValueError, match="maxq_values must be an integer, got 1.5"):
+        ablation_maxq_study(TEST_SCALE, maxq_values=(1.5,))
+    (scenario,) = ablation_maxq_study(TEST_SCALE, maxq_values=(2.0,)).scenarios
+    assert scenario.name == "maxQ=2"
+    max_q = scenario.routing_kwargs["Q-routing"]["max_q"]
+    assert max_q == 2 and type(max_q) is int
+    data = figure("ablation-maxq", TEST_SCALE, maxq_values=(2.0,), patterns=("UR",))
+    assert list(data["UR"]) == [2]
+
+
 def test_ablation_hyperparams_structure():
-    rows = ablation_hyperparams(
-        TEST_SCALE, pattern="UR", q_thld1_values=(0.2,), feedback_modes=("onpolicy",)
-    )
+    rows = figure("ablation-hyperparams", TEST_SCALE, pattern="UR",
+                  q_thld1_values=(0.2,), feedback_modes=("onpolicy",))
     assert len(rows) == 1
     assert rows[0]["feedback"] == "onpolicy"
     assert rows[0]["q_thld1"] == 0.2
+
+
+def test_figures_come_from_the_study_registry():
+    from repro.cli import build_parser
+    from repro.scenarios import STUDIES, figure_names, study_by_name
+
+    names = figure_names()
+    assert names[:2] == ["table1", "qtable-memory"]
+    studies = names[2:]
+    assert studies == [row["name"] for row in STUDIES.describe() if "layout" in row]
+    # each figure is a study of its own name, and the CLI offers exactly these
+    parser = build_parser()
+    for name in studies:
+        assert study_by_name(name, TEST_SCALE).name == name
+    for name in names:
+        assert parser.parse_args(["figure", name]).name == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["figure", "headline"])
+    # a study without a layout is not a figure; an unknown name is refused
+    with pytest.raises(ValueError, match="not a figure"):
+        figure("headline", TEST_SCALE)
+    with pytest.raises(ValueError, match="unknown study"):
+        figure("fig10", TEST_SCALE)
+    # the drivers the registry replaced are gone
+    import repro.experiments
+
+    with pytest.raises(ImportError):
+        import repro.experiments.figures  # noqa: F401
+    for old in ("figure6_tail_latency", "figure7_convergence", "figure8_dynamic_load",
+                "figure9_scaleup", "ablation_maxq", "ablation_hyperparams",
+                "table1_configurations", "table_qtable_memory"):
+        assert not hasattr(repro.experiments, old)
 
 
 def test_paper_algorithm_list_matches_figure_legend():

@@ -27,7 +27,6 @@ from repro.instrument import ProbeContext, RunLogs, make_probe
 from repro.instrument.logs import ForwardLog, JoinLog, QUpdateLog
 from repro.instrument.probes import _series_payload, jain_fairness_index
 from repro.stats.summary import summarize_latencies
-from repro.stats.timeseries import TimeSeries
 
 K = 4  # ports per router
 ROUTERS = 3
@@ -37,13 +36,28 @@ END_NS = 10_000.0
 
 
 # ------------------------------------------------------- per-event references
-class _RefSeries(TimeSeries):
-    """A ``TimeSeries`` filled one sample at a time, as the listeners did."""
+class _RefSeries:
+    """The bins of a ``TimeSeries``, filled one sample at a time as the
+    listeners did: dicts of sums and counts, read in bin order."""
+
+    def __init__(self, bin_ns):
+        self.bin_ns = float(bin_ns)
+        self._sums: Dict[int, float] = {}
+        self._counts: Dict[int, int] = {}
 
     def add(self, time_ns, value):
         idx = int(time_ns // self.bin_ns)
         self._sums[idx] = self._sums.get(idx, 0.0) + value
         self._counts[idx] = self._counts.get(idx, 0) + 1
+
+    def bin_times(self):
+        return [(idx + 0.5) * self.bin_ns for idx in sorted(self._counts)]
+
+    def means(self):
+        return [self._sums[idx] / self._counts[idx] for idx in sorted(self._counts)]
+
+    def counts(self):
+        return [self._counts[idx] for idx in sorted(self._counts)]
 
 
 class _RefLinkUtilization:

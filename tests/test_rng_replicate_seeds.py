@@ -34,6 +34,15 @@ def test_index_zero_is_the_base_seed():
         assert derive_replicate_seeds(base, 1) == [base]
 
 
+def test_base_seed_is_read_as_an_integer():
+    assert derive_replicate_seed(1.0, 1) == derive_replicate_seed(1, 1)
+    assert derive_replicate_seed(7.0, 0) == 7
+    assert type(derive_replicate_seed(7.0, 0)) is int
+    for bad in (1.5, True, float("nan")):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_replicate_seed(bad, 1)
+
+
 def test_seeds_are_distinct_and_base_dependent():
     seeds = derive_replicate_seeds(7, 32)
     assert len(set(seeds)) == 32

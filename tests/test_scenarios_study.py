@@ -8,9 +8,9 @@ import pytest
 
 from repro.core.qadaptive import QAdaptiveParams
 from repro.engine.rng import derive_replicate_seed
-from repro.experiments import SweepRunner, figure5_sweep, spec_fingerprint
+from repro.experiments import SweepRunner, spec_fingerprint
 from repro.experiments.presets import BENCH_SCALE
-from repro.scenarios import Scenario, Study, load_study, study_by_name
+from repro.scenarios import Scenario, Study, figure, load_study, study_by_name
 from repro.scenarios.catalog import (
     STUDIES,
     fig5_study,
@@ -102,6 +102,30 @@ def test_replicates_derive_seeds_and_keep_replicate_zero():
     seeds = [p.spec.seed for p in study.expand()]
     assert seeds == [9, derive_replicate_seed(9, 1), derive_replicate_seed(9, 2)]
     assert [p.replicate for p in study.expand()] == [0, 1, 2]
+
+
+def test_seeds_are_checked_integers(tmp_path):
+    from repro.scenarios.study import TrainStage
+
+    grid = [Scenario(name="a", loads=(0.1,), replicates=2)]
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=r"study 's': seed must be an integer"):
+            _study(name="s", seed=bad, scenarios=grid)
+    with pytest.raises(ValueError, match=r"scenario 'a': seed must be an integer"):
+        Scenario(name="a", loads=(0.1,), seed=True)
+    with pytest.raises(ValueError, match=r"TrainStage: seed must be an integer"):
+        TrainStage(seed=2.5)
+    assert Scenario(name="a", loads=(0.1,), seed=3.0).seed == 3
+    assert TrainStage(seed=2.0).seed == 2
+    # an integral float seed derives the same replicates as the int, and as
+    # the study's own reloaded file
+    as_float = _study(seed=1.0, scenarios=grid)
+    as_int = _study(seed=1, scenarios=grid)
+    reloaded = load_study(str(as_float.save(tmp_path / "s.json")))
+    seeds = [p.spec.seed for p in as_int.expand()]
+    assert seeds == [1, derive_replicate_seed(1, 1)]
+    assert [p.spec.seed for p in as_float.expand()] == seeds
+    assert [p.spec.seed for p in reloaded.expand()] == seeds
 
 
 def test_scenario_overrides_beat_study_defaults():
@@ -220,14 +244,14 @@ def test_fig8_study_runs_schedules():
 
 # ----------------------------------------------- figure <-> study file parity
 def test_fig5_scenario_file_and_figure_driver_share_cache(tmp_path):
-    """The acceptance criterion: a serialized fig5 study reproduces
-    the figure driver bit-for-bit and shares its cache fingerprints."""
+    """A serialized fig5 study reproduces the figure bit-for-bit and shares
+    its cache fingerprints."""
     kwargs = dict(algorithms=("MIN", "Q-adp"), patterns=("UR", "ADV+1"))
     study = fig5_study(TINY_SCALE, **kwargs)
     path = study.save(tmp_path / "fig5.json")
     reloaded = load_study(str(path))
 
-    # serialized file expands to the exact specs the figure driver runs
+    # serialized file expands to the exact specs the figure runs
     assert [spec_fingerprint(s) for s in reloaded.specs()] == \
         [spec_fingerprint(s) for s in study.specs()]
 
@@ -237,11 +261,11 @@ def test_fig5_scenario_file_and_figure_driver_share_cache(tmp_path):
     assert study_runner.simulated == 4 and study_runner.cache_hits == 0
 
     figure_runner = SweepRunner(workers=1, cache_dir=cache)
-    from_cache = figure5_sweep(TINY_SCALE, runner=figure_runner, **kwargs)
-    assert figure_runner.simulated == 0, "figure driver must hit the study's cache"
+    from_cache = figure("fig5", TINY_SCALE, runner=figure_runner, **kwargs)
+    assert figure_runner.simulated == 0, "the figure must hit the study's cache"
     assert figure_runner.cache_hits == 4
 
-    direct = figure5_sweep(TINY_SCALE, runner=SweepRunner(workers=1), **kwargs)
+    direct = figure("fig5", TINY_SCALE, runner=SweepRunner(workers=1), **kwargs)
     assert json.dumps(from_cache, sort_keys=True) == json.dumps(direct, sort_keys=True)
 
 
