@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.scenarios.serialize import FRACTION, POSITIVE_FRACTION, _check_fields
+
 
 @dataclass(frozen=True)
 class HystereticParams:
@@ -30,11 +32,10 @@ class HystereticParams:
     alpha: float = 0.2
     beta: float = 0.04
 
+    _NUMBERS = {"alpha": POSITIVE_FRACTION, "beta": FRACTION}
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        _check_fields(self)
 
 
 def td_error(reward: float, q_next: float, q_current: float) -> float:

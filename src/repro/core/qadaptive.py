@@ -39,6 +39,7 @@ from repro.core.qtable import two_level_initial_values
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.network.router import Router
+from repro.scenarios.serialize import FRACTION, _check_fields, check_keys
 from repro.topology.dragonfly import DragonflyTopology
 
 
@@ -67,12 +68,13 @@ class QAdaptiveParams:
     #: ``ablation-hyperparams`` figure: ``repro-sim figure ablation-hyperparams``).
     feedback: str = "onpolicy"
 
+    _NUMBERS = {**HystereticParams._NUMBERS,
+                "epsilon": FRACTION, "q_thld1": FRACTION, "q_thld2": FRACTION}
+
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        _check_fields(self)
         if self.feedback not in ("greedy", "onpolicy"):
             raise ValueError("feedback must be 'greedy' or 'onpolicy'")
-        HystereticParams(self.alpha, self.beta)  # validates the learning rates
 
     def hysteretic(self) -> HystereticParams:
         return HystereticParams(self.alpha, self.beta)
@@ -85,8 +87,6 @@ class QAdaptiveParams:
     @classmethod
     def from_dict(cls, data: dict) -> "QAdaptiveParams":
         """Strict inverse of :meth:`to_dict` (omitted fields keep defaults)."""
-        from repro.scenarios.serialize import check_keys
-
         names = tuple(f.name for f in fields(cls))
         check_keys(data, optional=names, context="QAdaptiveParams")
         return cls(**dict(data))

@@ -33,6 +33,7 @@ from repro.core.qtable import qrouting_initial_values
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.network.router import Router
+from repro.scenarios.serialize import FRACTION, POSITIVE_FRACTION, Number, _check_fields, check_keys
 from repro.topology.base import Topology
 
 
@@ -51,11 +52,11 @@ class QRoutingParams:
     #: see :class:`repro.core.qadaptive.QAdaptiveParams.feedback`
     feedback: str = "greedy"
 
+    _NUMBERS = {"alpha": POSITIVE_FRACTION, "beta": FRACTION.or_none(), "epsilon": FRACTION,
+                "max_q": Number(int, 0)}
+
     def __post_init__(self) -> None:
-        if self.max_q < 0:
-            raise ValueError("max_q must be non-negative")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        _check_fields(self)
         if self.feedback not in ("greedy", "onpolicy"):
             raise ValueError("feedback must be 'greedy' or 'onpolicy'")
 
@@ -71,8 +72,6 @@ class QRoutingParams:
     @classmethod
     def from_dict(cls, data: dict) -> "QRoutingParams":
         """Strict inverse of :meth:`to_dict` (omitted fields keep defaults)."""
-        from repro.scenarios.serialize import check_keys
-
         names = tuple(f.name for f in fields(cls))
         check_keys(data, optional=names, context="QRoutingParams")
         return cls(**dict(data))

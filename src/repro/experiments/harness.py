@@ -17,7 +17,6 @@ algorithm to every evaluation point instead of re-learning at each.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -31,13 +30,16 @@ from repro.network.network import Network
 from repro.network.params import NetworkParams
 from repro.routing import canonical_routing_name, make_routing
 from repro.scenarios.serialize import (
+    INTEGER,
+    NON_NEGATIVE,
+    POSITIVE,
+    POSITIVE_FRACTION,
     SPEC_SCHEMA_VERSION,
+    _check_fields,
     check_keys,
     check_schema,
-    checked_number,
     decode_kwargs,
     encode_kwargs,
-    run_numbers,
 )
 from repro.stats.collectors import RunStats, StatsCollector
 from repro.topology.registry import config_from_dict, config_to_dict
@@ -105,45 +107,19 @@ class ExperimentSpec:
     #: the fault layer completely out of the simulation.
     faults: Optional[FaultSchedule] = None
 
+    _NUMBERS = {"offered_load": POSITIVE_FRACTION.or_none(), "sim_time_ns": POSITIVE,
+                "warmup_ns": NON_NEGATIVE, "seed": INTEGER, "stats_bin_ns": POSITIVE}
+
     def __post_init__(self) -> None:
         if self.schedule is not None:
             self.offered_load = None
         if self.offered_load is None and self.schedule is None:
             raise ValueError("an experiment needs an offered_load or a load schedule")
-        # The rule files are read with (serialize.run_numbers): a bool or 1.5
-        # seed would otherwise draw and serialize as another seed, a bool
-        # load would run at 1.0, and a bool time would simulate 1 ns.  A
-        # float time (NaN and inf included) goes to the range checks below.
-        self.seed = checked_number(self.seed, "seed", "ExperimentSpec", int)
-        for name in ("sim_time_ns", "warmup_ns", "stats_bin_ns"):
-            value = getattr(self, name)
-            if not isinstance(value, float):
-                setattr(self, name, checked_number(value, name, "ExperimentSpec"))
-        if self.offered_load is not None:
-            self.offered_load = checked_number(self.offered_load, "offered_load",
-                                               "ExperimentSpec")
-        if self.offered_load is not None and not 0.0 < self.offered_load <= 1.0:
-            raise ValueError(
-                f"offered_load must be in (0, 1] — a fraction of the injection "
-                f"bandwidth — got {self.offered_load}; use schedule=LoadSchedule(...) "
-                "for time-varying load"
-            )
-        if not 0.0 < self.sim_time_ns < math.inf:
-            raise ValueError(
-                f"sim_time_ns must be positive and finite, got {self.sim_time_ns}; "
-                "nothing can be simulated in zero or endless time"
-            )
-        if not self.warmup_ns >= 0.0:
-            raise ValueError(f"warmup_ns cannot be negative or NaN, got {self.warmup_ns}")
+        _check_fields(self)
         if self.warmup_ns > self.sim_time_ns:
             raise ValueError(
                 f"warmup_ns ({self.warmup_ns}) cannot exceed sim_time_ns "
                 f"({self.sim_time_ns}); no measurement window would remain"
-            )
-        if not 0.0 < self.stats_bin_ns < math.inf:
-            raise ValueError(
-                f"stats_bin_ns must be positive and finite, got {self.stats_bin_ns}; "
-                "the time series needs a non-empty bin width"
             )
         if self.warm_start is not None:
             try:
@@ -247,15 +223,11 @@ class ExperimentSpec:
             "routing": data["routing"],
             "pattern": data["pattern"],
         }
-        if data.get("offered_load") is not None:
-            kwargs["offered_load"] = checked_number(data["offered_load"], "offered_load",
-                                                    "ExperimentSpec")
         if "schedule" in data:
             kwargs["schedule"] = LoadSchedule.from_dict(data["schedule"])
-        kwargs.update(run_numbers(data, "ExperimentSpec"))
-        for name in ("arrival", "label", "warm_start"):
-            if name in data:
-                kwargs[name] = data[name]
+        kwargs.update((name, data[name]) for name in (
+            "offered_load", "sim_time_ns", "warmup_ns", "seed", "arrival", "stats_bin_ns",
+            "label", "warm_start") if name in data)
         if "routing_kwargs" in data:
             kwargs["routing_kwargs"] = decode_kwargs(data["routing_kwargs"],
                                                      "ExperimentSpec.routing_kwargs")
@@ -276,7 +248,7 @@ class ExperimentSpec:
             kwargs["telemetry"] = tuple(telemetry)
         if "faults" in data:
             kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-        if "offered_load" not in kwargs and "schedule" not in data:
+        if "offered_load" not in data and "schedule" not in data:
             raise ValueError(
                 "ExperimentSpec: a serialized spec needs offered_load or schedule"
             )

@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.qadaptive import QAdaptiveParams
 from repro.scenarios.registry import Registry
+from repro.scenarios.serialize import (INTEGER, LOADS, NON_NEGATIVE, POSITIVE,
+                                       POSITIVE_FRACTION, _check_fields)
 from repro.topology.config import DragonflyConfig
 
 
@@ -52,6 +54,13 @@ class ExperimentScale:
         default_factory=QAdaptiveParams.paper_2550
     )
     seed: int = 1
+
+    _NUMBERS = {"warmup_ns": NON_NEGATIVE, "measure_ns": POSITIVE, "convergence_ns": POSITIVE,
+                "ur_loads": LOADS, "adv_loads": LOADS, "ur_reference_load": POSITIVE_FRACTION,
+                "adv_reference_load": POSITIVE_FRACTION, "seed": INTEGER}
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
     @property
     def sim_time_ns(self) -> float:

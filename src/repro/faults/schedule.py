@@ -19,6 +19,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.scenarios.serialize import NON_NEGATIVE, Number, _check_fields, check_keys, check_schema
+
 if TYPE_CHECKING:  # typing only: schedules are built against a topology
     from repro.topology.base import Topology
 
@@ -52,15 +54,14 @@ class FaultEvent:
     router: int
     port: int = -1
 
+    _NUMBERS = {"time_ns": NON_NEGATIVE, "router": Number(int, 0), "port": Number(int, -1)}
+
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
-        if self.time_ns < 0.0:
-            raise ValueError(f"fault time cannot be negative, got {self.time_ns}")
-        if self.router < 0:
-            raise ValueError(f"fault router must be >= 0, got {self.router}")
+        _check_fields(self)
         if self.is_link_event:
             if self.port < 0:
                 raise ValueError(f"link fault needs a port >= 0, got {self.port}")
@@ -99,42 +100,26 @@ class FaultSchedule:
 
     # ----------------------------------------------------------- constructors
     @classmethod
-    def single_link_failure(
-        cls,
-        time_ns: float,
-        router: int,
-        port: int,
-        *,
-        recover_ns: Optional[float] = None,
-    ) -> "FaultSchedule":
+    def single_link_failure(cls, time_ns: float, router: int, port: int, *,
+                            recover_ns: Optional[float] = None) -> "FaultSchedule":
         """One link dies at ``time_ns`` and (optionally) recovers later."""
-        events = [FaultEvent(float(time_ns), "link_down", router, port)]
-        if recover_ns is not None:
-            if recover_ns <= time_ns:
-                raise ValueError(
-                    f"recovery at {recover_ns} ns must follow the failure at "
-                    f"{time_ns} ns"
-                )
-            events.append(FaultEvent(float(recover_ns), "link_up", router, port))
-        return cls(events)
+        return cls._outage("link", time_ns, recover_ns, router, port)
 
     @classmethod
-    def router_outage(
-        cls,
-        time_ns: float,
-        router: int,
-        *,
-        recover_ns: Optional[float] = None,
-    ) -> "FaultSchedule":
+    def router_outage(cls, time_ns: float, router: int, *,
+                      recover_ns: Optional[float] = None) -> "FaultSchedule":
         """A whole router (all its links) dies and optionally recovers."""
-        events = [FaultEvent(float(time_ns), "router_down", router)]
+        return cls._outage("router", time_ns, recover_ns, router, -1)
+
+    @classmethod
+    def _outage(cls, what: str, time_ns: float, recover_ns: Optional[float], router: int,
+                port: int) -> "FaultSchedule":
+        events = [FaultEvent(time_ns, f"{what}_down", router, port)]
         if recover_ns is not None:
-            if recover_ns <= time_ns:
-                raise ValueError(
-                    f"recovery at {recover_ns} ns must follow the failure at "
-                    f"{time_ns} ns"
-                )
-            events.append(FaultEvent(float(recover_ns), "router_up", router))
+            events.append(FaultEvent(recover_ns, f"{what}_up", router, port))
+            if events[1].time_ns <= events[0].time_ns:
+                raise ValueError(f"recovery at {recover_ns} ns must follow the failure at "
+                                 f"{time_ns} ns")
         return cls(events)
 
     @classmethod
@@ -225,8 +210,6 @@ class FaultSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSchedule":
         """Strict inverse of :meth:`to_dict`."""
-        from repro.scenarios.serialize import check_keys, check_schema
-
         check_keys(data, required=("schema", "events"), context="FaultSchedule")
         check_schema(data, FAULTS_SCHEMA_VERSION, context="FaultSchedule")
         rows = data["events"]
@@ -239,8 +222,7 @@ class FaultSchedule:
                     "FaultSchedule event must be a [time_ns, kind, router, "
                     f"port] row, got {row!r}"
                 )
-            time_ns, kind, router, port = row
-            events.append(FaultEvent(float(time_ns), str(kind), int(router), int(port)))
+            events.append(FaultEvent(*row))
         return cls(events)
 
     def __eq__(self, other: object) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from repro.scenarios.serialize import NON_NEGATIVE, POSITIVE, Number, _check_fields, check_keys
 from repro.topology.base import PortType, Topology
 from repro.topology.paths import LinkTiming
 
@@ -47,15 +48,13 @@ class NetworkParams:
     vc_buffer_packets: int = 20
     num_vcs: Optional[int] = None
 
+    _NUMBERS = {"packet_bytes": Number(int, 1), "link_bandwidth_bytes_per_ns": POSITIVE,
+                "local_link_latency_ns": NON_NEGATIVE, "global_link_latency_ns": NON_NEGATIVE,
+                "host_link_latency_ns": NON_NEGATIVE, "vc_buffer_packets": Number(int, 1),
+                "num_vcs": Number(int, 1).or_none()}
+
     def __post_init__(self) -> None:
-        if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be positive")
-        if self.link_bandwidth_bytes_per_ns <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.vc_buffer_packets < 1:
-            raise ValueError("vc_buffer_packets must be at least 1")
-        if self.num_vcs is not None and self.num_vcs < 1:
-            raise ValueError("num_vcs must be at least 1 when specified")
+        _check_fields(self)
 
     # --------------------------------------------------------------- derived
     @property
@@ -102,8 +101,6 @@ class NetworkParams:
         keep their Section 5.1 defaults (so hand-written scenario files only
         state what they change).
         """
-        from repro.scenarios.serialize import check_keys
-
         removed = sorted(_REMOVED_FIELDS.intersection(data)) if isinstance(data, dict) else []
         if removed:
             raise ValueError(f"NetworkParams: field(s) {removed} were removed "

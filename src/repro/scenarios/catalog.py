@@ -257,6 +257,17 @@ def _reference_load(scale: ExperimentScale, pattern: str) -> float:
     return scale.adv_reference_load
 
 
+def _sweep_loads(scale: ExperimentScale, patterns: Sequence[str],
+                 overrides: Optional[Dict[str, Sequence[float]]] = None,
+                 ) -> Dict[str, Tuple[float, ...]]:
+    """``{pattern: loads}`` of a load sweep: a pattern's ``overrides`` entry,
+    else the scale's UR axis for UR and its ADV axis for every other
+    pattern.  Names match in any spelling (``"uniform"`` is UR)."""
+    given = {canonical_pattern_name(p): loads for p, loads in (overrides or {}).items()}
+    return {p: tuple(given.get(p, scale.ur_loads if p == "UR" else scale.adv_loads))
+            for p in map(canonical_pattern_name, patterns)}
+
+
 def _scaleup_reference_load(scale: ExperimentScale, pattern: str) -> float:
     """Reference load with ADV's only for the ADV+i family (figure 9 runs the
     HPC workloads — stencil, many-to-many, neighbours — at UR's load)."""
@@ -295,20 +306,13 @@ def fig5_study(
     """Figure 5: offered-load sweep of every algorithm under UR / ADV+i."""
     scale = scale or default_scale()
     patterns = tuple(patterns or ("UR", "ADV+1", "ADV+4"))
-    loads_of = {
-        pattern: tuple(
-            (loads_by_pattern or {}).get(
-                pattern, scale.ur_loads if pattern.upper() == "UR" else scale.adv_loads
-            )
-        )
-        for pattern in patterns
-    }
     return _scaled(
         scale,
         name="fig5",
         description="Figure 5: latency / throughput / hops vs offered load",
         scenarios=[Scenario(name="sweep", routing=tuple(algorithms or PAPER_ALGORITHMS),
-                            pattern=patterns, loads_by_pattern=loads_of,
+                            pattern=patterns,
+                            loads_by_pattern=_sweep_loads(scale, patterns, loads_by_pattern),
                             routing_kwargs=_qadp_kwargs(scale))],
     )
 
@@ -575,10 +579,7 @@ def warm_fig5_study(
                        for a in (algorithms or PAPER_ALGORITHMS))
     patterns = tuple(patterns or ("UR", "ADV+1"))
     eval_warmup = round(scale.warmup_ns / 5.0, 3)
-    loads_of = {
-        pattern: tuple(scale.ur_loads if pattern.upper() == "UR" else scale.adv_loads)
-        for pattern in patterns
-    }
+    loads_of = _sweep_loads(scale, patterns)
     learned = tuple(a for a in algorithms if is_checkpointable(make_routing(a)))
     cold = tuple(a for a in algorithms if a not in learned)
     scenarios = []

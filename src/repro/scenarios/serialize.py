@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass, replace
 from importlib import import_module
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 #: schema version of a serialized ExperimentSpec document: the one version
 #: this build writes and reads.
@@ -77,12 +78,30 @@ def check_schema(data: Mapping[str, Any], expected: int, context: str) -> None:
         )
 
 
+class FieldError(ValueError):
+    """A refused number, named by class (``context``) and field; a container
+    re-raises it under its own name from ``name``, ``what`` and ``value``.
+    It pickles as those four parts, so a pool worker's refusal reaches the
+    parent."""
+
+    def __init__(self, context: str, name: str, what: str, value: Any) -> None:
+        super().__init__(f"{context}: {name} {what}, got {value!r}")
+        self.context, self.name, self.what, self.value = context, name, what, value
+
+    def __reduce__(self):
+        return type(self), (self.context, self.name, self.what, self.value)
+
+
 def checked_number(value: Any, name: str, context: str, kind: type = float) -> Any:
     """``value`` as a finite float (``kind=float``) or an integral int
-    (``kind=int``), else a :class:`ValueError` naming ``name``.  Numeric
-    strings such as YAML 1.1's ``"5e4"`` pass; booleans, NaN, infinities and
-    non-integral ints (``1.5``) raise.  The one rule for every number of a
-    run, whether it comes from a file or a constructor."""
+    (``kind=int``), else a :class:`FieldError` naming ``name``.
+
+    The one rule for every number of a run, from a file or a constructor: an
+    int field stores an integral float as an ``int`` (``20.0`` → ``20``, so
+    one experiment has one fingerprint), a float field stores a ``float``,
+    numeric strings such as YAML 1.1's ``"5e4"`` pass, and a bool, a fraction
+    in an int field (``1.5``), NaN or ±inf is refused.  Dataclass fields get
+    it through :func:`_check_fields`; only other arguments call this."""
     if kind is int and not isinstance(value, bool):
         try:
             return operator.index(value)  # exact, numpy integers included
@@ -94,18 +113,75 @@ def checked_number(value: Any, name: str, context: str, kind: type = float) -> A
         number = math.nan
     if not (math.isfinite(number) and (kind is float or number.is_integer())):
         what = "a finite number" if kind is float else "an integer"
-        raise ValueError(f"{context}: {name} must be {what}, got {value!r}")
+        raise FieldError(context, name, f"must be {what}", value)
     return kind(number)
 
 
-def run_numbers(data: Mapping[str, Any], context: str) -> Dict[str, Any]:
-    """``sim_time_ns``, ``warmup_ns``, ``stats_bin_ns`` (finite floats) and
-    ``seed`` (an integral int), as far as ``data`` holds them, each read by
-    :func:`checked_number`."""
-    return {name: checked_number(data[name], name, context, kind)
-            for name, kind in (("sim_time_ns", float), ("warmup_ns", float),
-                               ("stats_bin_ns", float), ("seed", int))
-            if name in data}
+@dataclass(frozen=True)
+class Number:
+    """The declared rule of one numeric field: its ``kind`` (``int`` or
+    ``float``), its range ``[low, high]`` (``(low, high]`` with ``open_low``),
+    whether ``None`` passes, and whether it holds one number or, with
+    ``each``, a sequence of them (stored as a tuple)."""
+
+    kind: type = float
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False
+    optional: bool = False
+    each: bool = False
+
+    def or_none(self) -> "Number":
+        return replace(self, optional=True)
+
+    def check(self, value: Any, name: str, context: str) -> Any:
+        """``value`` normalised by this rule, else a :class:`FieldError`."""
+        if value is None and self.optional:
+            return None
+        if not self.each:
+            return self._one(value, name, context)
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+            raise FieldError(context, name, "must be a list of numbers", value)
+        return tuple(self._one(item, name, context) for item in value)
+
+    def _one(self, value: Any, name: str, context: str) -> Any:
+        if type(value) is not self.kind or (self.kind is float and not math.isfinite(value)):
+            value = checked_number(value, name, context, self.kind)
+        if value < self.low or value > self.high or (self.open_low and value == self.low):
+            raise FieldError(context, name, self._bounds(), value)
+        return value
+
+    def _bounds(self) -> str:
+        if self.high < math.inf:
+            return f"must be in {'(' if self.open_low else '['}{self.low:g}, {self.high:g}]"
+        if self.low == 0.0:
+            return "must be positive" if self.open_low else "cannot be negative"
+        return f"must be {'>' if self.open_low else '>='} {self.low:g}"
+
+
+#: the rules most fields share (a load or a learning rate is a POSITIVE_FRACTION).
+INTEGER = Number(int)
+POSITIVE = Number(float, 0.0, open_low=True)
+NON_NEGATIVE = Number(float, 0.0)
+FRACTION = Number(float, 0.0, 1.0)
+POSITIVE_FRACTION = Number(float, 0.0, 1.0, open_low=True)
+LOADS = replace(POSITIVE_FRACTION, each=True)
+
+
+def _check_fields(obj: Any, context: Optional[str] = None) -> None:
+    """Check and normalise, in declaration order, each numeric field that
+    ``type(obj)._NUMBERS`` declares: :func:`checked_number`'s rule (an int
+    field stores ``20.0`` as ``20``, a float field a ``float``; a bool, a
+    fraction in an int field, NaN or ±inf is refused), then its range.  The
+    error names ``context`` (by default the class) and the field.  Every
+    spec-like ``__post_init__``, frozen or not, calls this, so ``from_dict``
+    gets the same check and message just by constructing."""
+    where = context or type(obj).__name__
+    for name, rule in type(obj)._NUMBERS.items():
+        value = getattr(obj, name)
+        # Fast path: one value of the declared kind strictly inside its range.
+        if rule.each or type(value) is not rule.kind or not rule.low < value < rule.high:
+            object.__setattr__(obj, name, rule.check(value, name, where))
 
 
 def encode_kwargs(kwargs: Mapping[str, Any], context: str) -> Dict[str, Any]:

@@ -44,13 +44,18 @@ from repro.faults.schedule import FaultSchedule
 from repro.network.params import NetworkParams
 from repro.routing import canonical_routing_name
 from repro.scenarios.serialize import (
+    INTEGER,
+    LOADS,
+    NON_NEGATIVE,
+    POSITIVE,
+    POSITIVE_FRACTION,
     STUDY_SCHEMA_VERSION,
+    Number,
+    _check_fields,
     check_keys,
     check_schema,
-    checked_number,
     decode_kwargs,
     encode_kwargs,
-    run_numbers,
 )
 from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import LoadSchedule, canonical_pattern_name
@@ -116,10 +121,15 @@ class Scenario:
     #: default.
     faults: Optional[FaultSchedule] = None
 
+    _NUMBERS = {"loads": LOADS, "replicates": Number(int, 1), "sim_time_ns": POSITIVE.or_none(),
+                "warmup_ns": NON_NEGATIVE.or_none(), "stats_bin_ns": POSITIVE.or_none(),
+                "seed": INTEGER.or_none()}
+
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"a scenario needs a non-empty string name, got {self.name!r}")
         context = f"scenario {self.name!r}"
+        _check_fields(self, context)
         if self.telemetry is not None:
             self.telemetry = _canonical_telemetry(self.telemetry)
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
@@ -128,11 +138,9 @@ class Scenario:
             )
         self.routing = _names_tuple(self.routing, canonical_routing_name)
         self.pattern = _names_tuple(self.pattern, canonical_pattern_name)
-        self.loads = tuple(checked_number(load, "loads", context) for load in self.loads)
         self.loads_by_pattern = {
-            canonical_pattern_name(pattern): tuple(
-                checked_number(load, f"loads_by_pattern[{pattern!r}]", context)
-                for load in loads)
+            canonical_pattern_name(pattern): LOADS.check(
+                loads, f"loads_by_pattern[{pattern!r}]", context)
             for pattern, loads in self.loads_by_pattern.items()
         }
         self.routing_kwargs = {
@@ -143,11 +151,6 @@ class Scenario:
             canonical_pattern_name(pattern): dict(kwargs)
             for pattern, kwargs in self.pattern_kwargs.items()
         }
-        self.replicates = checked_number(self.replicates, "replicates", context, int)
-        if self.seed is not None:
-            self.seed = checked_number(self.seed, "seed", context, int)
-        if self.replicates < 1:
-            raise ValueError(f"{context}: replicates must be >= 1, got {self.replicates}")
         if self.schedule is not None and (self.loads or self.loads_by_pattern):
             raise ValueError(f"{context}: specify loads or a schedule, not both")
         if self.schedule is None and not self.loads and not self.loads_by_pattern:
@@ -213,11 +216,9 @@ class Scenario:
                       "routing_kwargs", "pattern_kwargs", "telemetry", "faults"),
             context=context,
         )
-        kwargs: Dict = {"name": data["name"]}
-        for name in ("routing", "pattern", "loads", "replicates", "arrival", "telemetry"):
-            if name in data:
-                kwargs[name] = data[name]
-        kwargs.update(run_numbers(data, context))
+        kwargs: Dict = {name: data[name] for name in (
+            "name", "routing", "pattern", "loads", "replicates", "sim_time_ns", "warmup_ns",
+            "stats_bin_ns", "seed", "arrival", "telemetry") if name in data}
         if "loads_by_pattern" in data:
             kwargs["loads_by_pattern"] = dict(data["loads_by_pattern"])
         if "schedule" in data:
@@ -266,19 +267,14 @@ class TrainStage:
     seed: Optional[int] = None
     routing_kwargs: Dict[str, Dict] = field(default_factory=dict)
 
+    _NUMBERS = {"load": POSITIVE_FRACTION, "train_ns": POSITIVE.or_none(),
+                "seed": INTEGER.or_none()}
+
     def __post_init__(self) -> None:
         self.pattern = canonical_pattern_name(self.pattern)
         self.routing = _names_tuple(self.routing, canonical_routing_name) \
             if self.routing else ()
-        self.load = checked_number(self.load, "load", "TrainStage")
-        if self.seed is not None:
-            self.seed = checked_number(self.seed, "seed", "TrainStage", int)
-        if not 0.0 < self.load <= 1.0:
-            raise ValueError(f"TrainStage: load must be in (0, 1], got {self.load}")
-        if self.train_ns is not None:
-            self.train_ns = checked_number(self.train_ns, "train_ns", "TrainStage")
-            if self.train_ns <= 0.0:
-                raise ValueError(f"TrainStage: train_ns must be positive, got {self.train_ns}")
+        _check_fields(self)
         self.routing_kwargs = {
             canonical_routing_name(routing): dict(kwargs)
             for routing, kwargs in self.routing_kwargs.items()
@@ -308,11 +304,8 @@ class TrainStage:
                       "routing_kwargs"),
             context="TrainStage",
         )
-        kwargs: Dict = {}
-        for name in ("pattern", "load", "train_ns", "routing"):
-            if name in data:
-                kwargs[name] = data[name]
-        kwargs.update(run_numbers(data, "TrainStage"))
+        kwargs: Dict = {name: data[name] for name in ("pattern", "load", "train_ns", "routing",
+                                                      "seed") if name in data}
         if "routing_kwargs" in data:
             kwargs["routing_kwargs"] = {
                 routing: decode_kwargs(kw, "TrainStage.routing_kwargs")
@@ -356,10 +349,13 @@ class Study:
     #: (see :mod:`repro.faults`); ``None`` keeps the fault layer out.
     faults: Optional[FaultSchedule] = None
 
+    _NUMBERS = {"sim_time_ns": POSITIVE, "warmup_ns": NON_NEGATIVE,
+                "stats_bin_ns": POSITIVE, "seed": INTEGER}
+
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"a study needs a non-empty string name, got {self.name!r}")
-        self.seed = checked_number(self.seed, "seed", f"study {self.name!r}", int)
+        _check_fields(self, f"study {self.name!r}")
         self.telemetry = _canonical_telemetry(self.telemetry) if self.telemetry else ()
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
@@ -607,10 +603,9 @@ class Study:
             "config": config_from_dict(data["config"]),
             "scenarios": [Scenario.from_dict(item) for item in data["scenarios"]],
         }
-        kwargs.update(run_numbers(data, "Study"))
-        for name in ("arrival", "description", "telemetry"):
-            if name in data:
-                kwargs[name] = data[name]
+        kwargs.update((name, data[name]) for name in (
+            "sim_time_ns", "warmup_ns", "stats_bin_ns", "seed", "arrival", "description",
+            "telemetry") if name in data)
         if "network_params" in data:
             kwargs["network_params"] = NetworkParams.from_dict(data["network_params"])
         if "train" in data:

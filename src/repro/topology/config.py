@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.scenarios.serialize import Number, _check_fields, check_keys
+
 
 @dataclass(frozen=True)
 class DragonflyConfig:
@@ -39,14 +41,10 @@ class DragonflyConfig:
     a: int
     h: int
 
+    _NUMBERS = {"p": Number(int, 1), "a": Number(int, 2), "h": Number(int, 1)}  # a >= 2 routers
+
     def __post_init__(self) -> None:
-        for name in ("p", "a", "h"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"Dragonfly parameter {name!r} must be a positive integer, "
-                                 f"got {value!r}")
-        if self.a < 2:
-            raise ValueError("a Dragonfly group needs at least two routers (a >= 2)")
+        _check_fields(self)
 
     # ------------------------------------------------------------ derived sizes
     @property
@@ -108,17 +106,8 @@ class DragonflyConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "DragonflyConfig":
         """Strict inverse of :meth:`to_dict` (unknown/missing keys are errors)."""
-        from repro.scenarios.serialize import check_keys
-
         check_keys(data, required=("p", "a", "h"), context="DragonflyConfig")
-        values = {}
-        for name in ("p", "a", "h"):
-            raw = data[name]
-            if isinstance(raw, bool) or int(raw) != raw:
-                raise ValueError(f"DragonflyConfig field {name!r} must be an integer, "
-                                 f"got {raw!r}")
-            values[name] = int(raw)
-        return cls(**values)
+        return cls(**data)
 
     def describe(self) -> dict:
         """Return the Table 1 row for this configuration as a dictionary."""

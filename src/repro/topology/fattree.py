@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.scenarios.serialize import Number, _check_fields, check_keys
 from repro.topology.base import PortType, Topology
 
 __all__ = ["FatTreeConfig", "FatTreeTopology"]
@@ -42,13 +43,12 @@ class FatTreeConfig:
 
     k: int
 
+    _NUMBERS = {"k": Number(int, 2)}
+
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise ValueError(
-                f"fat-tree parameter 'k' must be an integer >= 2, got {self.k!r}"
-            )
+        _check_fields(self)
         if self.k % 2:
-            raise ValueError(f"fat-tree parameter 'k' must be even, got {self.k}")
+            raise ValueError(f"FatTreeConfig: k must be even, got {self.k}")
 
     # ------------------------------------------------------------ derived sizes
     @property
@@ -90,13 +90,8 @@ class FatTreeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FatTreeConfig":
-        from repro.scenarios.serialize import check_keys
-
         check_keys(data, required=("k",), context="FatTreeConfig")
-        raw = data["k"]
-        if isinstance(raw, bool) or int(raw) != raw:
-            raise ValueError(f"FatTreeConfig field 'k' must be an integer, got {raw!r}")
-        return cls(k=int(raw))
+        return cls(**data)
 
     def describe(self) -> dict:
         return {

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.scenarios.serialize import Number, _check_fields, check_keys
 from repro.topology.base import PortType, Topology
 
 __all__ = ["MeshConfig", "MeshTopology"]
@@ -44,13 +45,10 @@ class MeshConfig:
     p: int
     wrap: bool = False
 
+    _NUMBERS = {"rows": Number(int, 1), "cols": Number(int, 1), "p": Number(int, 1)}
+
     def __post_init__(self) -> None:
-        for name in ("rows", "cols", "p"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"mesh parameter {name!r} must be a positive integer, got {value!r}"
-                )
+        _check_fields(self)
         if not isinstance(self.wrap, bool):
             raise ValueError(f"mesh parameter 'wrap' must be a bool, got {self.wrap!r}")
         if self.rows * self.cols < 2:
@@ -81,21 +79,8 @@ class MeshConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeshConfig":
-        from repro.scenarios.serialize import check_keys
-
-        check_keys(
-            data, required=("rows", "cols", "p"), optional=("wrap",),
-            context="MeshConfig",
-        )
-        values = {}
-        for name in ("rows", "cols", "p"):
-            raw = data[name]
-            if isinstance(raw, bool) or int(raw) != raw:
-                raise ValueError(
-                    f"MeshConfig field {name!r} must be an integer, got {raw!r}"
-                )
-            values[name] = int(raw)
-        return cls(wrap=bool(data.get("wrap", False)), **values)
+        check_keys(data, required=("rows", "cols", "p"), optional=("wrap",), context="MeshConfig")
+        return cls(**data)
 
     def describe(self) -> dict:
         return {

@@ -17,7 +17,6 @@ graph replays it lazily on its event queue (:class:`TrafficGenerator`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -28,6 +27,7 @@ if TYPE_CHECKING:  # typing only: the harness hands us the built network
     from repro.network.params import NetworkParams
     from repro.topology.base import Topology
 
+from repro.scenarios.serialize import FRACTION, FieldError, Number, _check_fields, check_keys
 from repro.traffic.base import TrafficPattern
 
 _INF = float("inf")
@@ -40,14 +40,21 @@ class LoadPhase:
     start_ns: float
     load: float
 
+    _NUMBERS = {"start_ns": Number(float), "load": FRACTION}  # a load of 0 idles the phase
+
     def __post_init__(self) -> None:
-        if not 0.0 <= self.load <= 1.0:
-            raise ValueError(
-                f"phase load must be a number in [0, 1]: it cannot be negative "
-                f"or exceed 1.0 (the injection bandwidth), got {self.load}"
-            )
-        if not math.isfinite(self.start_ns):
-            raise ValueError(f"phase start_ns must be finite, got {self.start_ns}")
+        _check_fields(self)
+
+
+def _phase(index: int, pair: Any) -> LoadPhase:
+    """The caller's ``index``-th ``(start_ns, load)`` phase, named if refused."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"LoadSchedule phase must be a [start_ns, load] pair, got {pair!r}")
+    try:
+        return LoadPhase(*pair)
+    except FieldError as exc:
+        raise FieldError("LoadSchedule", f"phase {index} {exc.name}", exc.what,
+                         exc.value) from None
 
 
 class LoadSchedule:
@@ -56,8 +63,9 @@ class LoadSchedule:
     def __init__(self, phases: Sequence[Tuple[float, float]]) -> None:
         if not phases:
             raise ValueError("a load schedule needs at least one phase")
-        ordered = sorted(phases, key=lambda item: item[0])
-        self.phases: List[LoadPhase] = [LoadPhase(float(t), float(l)) for t, l in ordered]
+        self.phases: List[LoadPhase] = sorted(
+            (_phase(index, pair) for index, pair in enumerate(phases)),
+            key=lambda phase: phase.start_ns)
 
     @classmethod
     def constant(cls, load: float) -> "LoadSchedule":
@@ -76,21 +84,11 @@ class LoadSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "LoadSchedule":
         """Strict inverse of :meth:`to_dict`."""
-        from repro.scenarios.serialize import check_keys, checked_number
-
         check_keys(data, required=("phases",), context="LoadSchedule")
         phases = data["phases"]
         if not isinstance(phases, (list, tuple)):
             raise ValueError(f"LoadSchedule phases must be a list, got {phases!r}")
-        pairs = []
-        for index, item in enumerate(phases):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ValueError(
-                    f"LoadSchedule phase must be a [start_ns, load] pair, got {item!r}"
-                )
-            pairs.append((checked_number(item[0], f"phase {index} start_ns", "LoadSchedule"),
-                          checked_number(item[1], f"phase {index} load", "LoadSchedule")))
-        return cls(pairs)
+        return cls(phases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoadSchedule):

@@ -146,7 +146,7 @@ def test_fault_event_validation():
         FaultEvent(0.0, "meltdown", 0, 0)
     with pytest.raises(ValueError, match="cannot be negative"):
         FaultEvent(-1.0, "link_down", 0, 0)
-    with pytest.raises(ValueError, match="router must be >= 0"):
+    with pytest.raises(ValueError, match="router cannot be negative"):
         FaultEvent(0.0, "link_down", -2, 0)
     with pytest.raises(ValueError, match="needs a port"):
         FaultEvent(0.0, "link_down", 0, -1)

@@ -16,6 +16,7 @@ from repro.scenarios.catalog import (
     fig5_study,
     fig8_study,
     register_study,
+    warm_fig5_study,
 )
 from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule
@@ -267,6 +268,21 @@ def test_fig5_scenario_file_and_figure_driver_share_cache(tmp_path):
 
     direct = figure("fig5", TINY_SCALE, runner=SweepRunner(workers=1), **kwargs)
     assert json.dumps(from_cache, sort_keys=True) == json.dumps(direct, sort_keys=True)
+
+
+@pytest.mark.parametrize("build", [fig5_study, warm_fig5_study])
+def test_load_sweeps_pick_the_ur_axis_for_any_spelling_of_ur(build):
+    loads = {(p.spec.pattern, p.spec.offered_load)
+             for p in build(BENCH_SCALE, algorithms=("MIN",), patterns=("uniform",)).expand()}
+    assert loads == {("UR", load) for load in BENCH_SCALE.ur_loads} == \
+        {("UR", 0.2), ("UR", 0.5), ("UR", 0.7)}
+
+
+def test_fig5_load_overrides_match_any_spelling():
+    for patterns, given in ((("uniform",), "UR"), (("UR",), "uniform")):
+        study = fig5_study(BENCH_SCALE, algorithms=("MIN",), patterns=patterns,
+                           loads_by_pattern={given: (0.3,)})
+        assert [(p.spec.pattern, p.spec.offered_load) for p in study.expand()] == [("UR", 0.3)]
 
 
 # -------------------------------------------------------------- study registry

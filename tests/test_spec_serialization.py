@@ -84,7 +84,7 @@ def test_load_schedule_round_trip_and_equality():
 
 
 def test_load_schedule_rejects_loads_above_one():
-    with pytest.raises(ValueError, match="exceed 1.0"):
+    with pytest.raises(ValueError, match=r"LoadSchedule: phase 0 load must be in \[0, 1\]"):
         LoadSchedule.constant(1.5)
 
 
@@ -206,11 +206,11 @@ def test_spec_validation_rejects_nonsense(overrides, message):
 
 
 @pytest.mark.parametrize("overrides,message", [
-    (dict(sim_time_ns=float("nan")), "sim_time_ns must be positive and finite"),
-    (dict(sim_time_ns=float("inf")), "sim_time_ns must be positive and finite"),
-    (dict(warmup_ns=float("nan")), "warmup_ns cannot be negative or NaN"),
-    (dict(stats_bin_ns=float("nan")), "stats_bin_ns must be positive and finite"),
-    (dict(stats_bin_ns=float("inf")), "stats_bin_ns must be positive and finite"),
+    (dict(sim_time_ns=float("nan")), "sim_time_ns must be a finite number, got nan"),
+    (dict(sim_time_ns=float("inf")), "sim_time_ns must be a finite number, got inf"),
+    (dict(warmup_ns=float("nan")), "warmup_ns must be a finite number, got nan"),
+    (dict(stats_bin_ns=float("nan")), "stats_bin_ns must be a finite number, got nan"),
+    (dict(stats_bin_ns=float("inf")), "stats_bin_ns must be a finite number, got inf"),
 ])
 def test_spec_validation_rejects_non_finite_times(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -280,11 +280,10 @@ def test_spec_reads_times_as_floats():
 def test_a_study_time_default_is_refused_when_expanded():
     from repro.scenarios.study import Scenario
 
-    study = Study(name="s", config=TINY, sim_time_ns=True, warmup_ns=False,
-                  scenarios=[Scenario(name="a", loads=(0.2,))])
-    with pytest.raises(ValueError, match="ExperimentSpec: sim_time_ns must be a finite "
+    with pytest.raises(ValueError, match="study 's': sim_time_ns must be a finite "
                                          "number, got True"):
-        study.expand()
+        Study(name="s", config=TINY, sim_time_ns=True, warmup_ns=False,
+              scenarios=[Scenario(name="a", loads=(0.2,))])
 
 
 def test_spec_normalizes_integral_seeds():
@@ -338,10 +337,10 @@ def test_study_from_dict_refuses_numbers_it_would_coerce():
         Study.from_dict(dict(data, train=dict(data["train"], seed=1.5)))
     for field, value in (("seed", 1.5), ("seed", True), ("sim_time_ns", "nan"),
                          ("stats_bin_ns", float("inf"))):
-        with pytest.raises(ValueError, match=f"Study: {field} must be"):
+        with pytest.raises(ValueError, match=f"study 's': {field} must be"):
             Study.from_dict(dict(data, **{field: value}))
         scenario = dict(data["scenarios"][0], **{field: value})
-        with pytest.raises(ValueError, match=f"Scenario\\['a'\\]: {field} must be"):
+        with pytest.raises(ValueError, match=f"scenario 'a': {field} must be"):
             Study.from_dict(dict(data, scenarios=[scenario]))
     assert Study.from_dict(dict(data, sim_time_ns="5e4")).sim_time_ns == 50_000.0
 
@@ -437,13 +436,16 @@ def test_train_stage_reads_numeric_strings():
     assert (stage.load, stage.train_ns) == (0.4, 5_000.0)
 
 
-@pytest.mark.parametrize("scenario,train", [
-    (dict(replicates=1.5), {}),
-    (dict(replicates=True), {}),
-    ({}, dict(load=True)),
-    (dict(loads=[True]), {}),
-], ids=["replicates-1.5", "replicates-true", "train-load-true", "loads-true"])
-def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train):
+@pytest.mark.parametrize("scenario,train,field", [
+    (dict(replicates=1.5), {}, "replicates"),
+    (dict(replicates=True), {}, "replicates"),
+    ({}, dict(load=True), "load"),
+    (dict(loads=[True]), {}, "loads"),
+    (dict(network_params={"vc_buffer_packets": 2.5}), {}, "vc_buffer_packets"),
+    (dict(loads=[], schedule={"phases": [[0.0, True]]}), {}, "phase 0 load"),
+], ids=["replicates-1.5", "replicates-true", "train-load-true", "loads-true",
+        "network-params-vc-2.5", "schedule-load-true"])
+def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train, field):
     from repro.cli import main
 
     data = _staged_study_dict()
@@ -451,7 +453,7 @@ def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train):
     data["train"] = dict(data["train"], **train)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(SystemExit, match="must be") as exited:
+    with pytest.raises(SystemExit, match=f"{field} must be") as exited:
         main(["study", "run", str(path)])
     assert isinstance(exited.value.code, str) and "\n" not in exited.value.code
 
