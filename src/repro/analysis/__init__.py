@@ -17,7 +17,7 @@ rests on — and the ones a stray line of code silently breaks:
 * **Registry** (``R`` rules) — everything registered (routing algorithms,
   traffic patterns, telemetry probes) declares its contract completely:
   explicit ``supported_topologies``, a ``name``, the protocol methods, and a
-  matched ``export_state``/``import_state`` pair for checkpointable state.
+  matched ``export_state``/``import_state`` pair for learned state.
 
 Run it as ``repro-sim check [--strict]`` or ``python -m repro.analysis``.
 Findings can be suppressed inline with ``# repro: ignore[RULE]`` (or

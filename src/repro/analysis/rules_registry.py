@@ -25,7 +25,7 @@ R404   every registered class implements its registry's protocol: routing →
 ====== ====================================================================
 
 Registrations are collected from the call sites themselves —
-``register_algorithm(...)``, ``register_pattern(...)``,
+``ROUTING_REGISTRY.register(...)``, ``register_pattern(...)``,
 ``PROBE_REGISTRY.register(...)`` — and lazily-registered entries
 (``loader=_load_qadaptive``) are resolved by following the loader function to
 its ``ImportFrom`` + ``return``.
@@ -72,10 +72,9 @@ def _registration_kind(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func)
     if name is None:
         return None
-    tail = name.split(".")[-1]
-    if tail == "register_algorithm":
+    if name.endswith("ROUTING_REGISTRY.register"):
         return "routing"
-    if tail == "register_pattern":
+    if name.split(".")[-1] == "register_pattern":
         return "pattern"
     if name.endswith("PROBE_REGISTRY.register"):
         return "probe"
@@ -230,7 +229,7 @@ def check_state_pairs(project: Project) -> Iterator[Finding]:
             rule_obj, info.node,
             f"{info.name} defines {present} but not {missing}: checkpoints it "
             "writes cannot restore (or restores cannot round-trip back to "
-            "disk) — implement both halves of CheckpointableRouting",
+            "disk) — implement both halves of the learned-state round trip",
         )
 
 

@@ -95,6 +95,22 @@ class TabularMarlRouting(RoutingAlgorithm):
         raise NotImplementedError
 
     # ----------------------------------------------------------------- wiring
+    def check_topology(self, topo: Topology) -> None:
+        """Also refuse a topology whose network ports do not all fall inside
+        ``table_port_span()``: such a port's column ``port - first_port``
+        would index another port's entry (or none)."""
+        super().check_topology(topo)
+        first_port, num_ports = topo.table_port_span()
+        end = first_port + num_ports
+        for router in topo.all_routers():
+            ports = topo.network_ports_of(router)  # ascending
+            if ports and (ports[0] < first_port or ports[-1] >= end):
+                raise ValueError(
+                    f"routing algorithm {self.name!r} learns one table column per "
+                    f"port in [{first_port}, {end}), but router {router} of this "
+                    f"{topo.family} topology has network ports {list(ports)}"
+                )
+
     def _setup(self) -> None:
         topo = self.topo
         self.values = self.initial_values(topo, self.network.params)
@@ -204,8 +220,8 @@ class TabularMarlRouting(RoutingAlgorithm):
             )
 
     def export_state(self) -> Dict[str, Any]:
-        """:meth:`state_payload` of the live block and counters (the
-        :class:`CheckpointableRouting` contract of :mod:`repro.routing.base`)."""
+        """:meth:`state_payload` of the live block and counters, the
+        learned-state half :class:`repro.store.Checkpoint` persists."""
         self._require_attached("export")
         return self.state_payload(self.topo, self.values, self.updates,
                                   self.feedback_sent, self.feedback_applied)

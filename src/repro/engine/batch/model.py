@@ -42,6 +42,8 @@ KIND_UGALG = 6
 KIND_UGALN = 7
 KIND_PAR = 8
 
+#: the closed routing set: every name of ``repro.routing.ROUTING_REGISTRY``
+#: and the decision kind that runs it.
 _KIND_OF_ROUTING = {
     "MIN": KIND_MIN, "Q-adp": KIND_QADP, "Q-routing": KIND_QROUTING,
     "VALg": KIND_VALG, "VALn": KIND_VALN, "VAL": KIND_VAL,
@@ -53,25 +55,21 @@ _LEARNED_KINDS = (KIND_QADP, KIND_QROUTING)
 _GROUP_TABLE_KINDS = (KIND_QADP, KIND_VALG, KIND_UGALG, KIND_UGALN, KIND_PAR)
 
 
-def _kind_of(routing_name: str) -> Optional[int]:
-    """Decision kind of a built-in routing, ``None`` for anything plugged in.
+def is_learned(routing: str) -> bool:
+    """Whether ``routing`` (any accepted spelling) keeps learned state, a
+    Q-table to train, save and warm-start from: Q-adp and Q-routing.  A fact
+    of the name in the closed routing set; nothing is built."""
+    from repro.routing import canonical_routing_name
 
-    The kernel mirrors the package's own routing classes, so a name a plugin
-    registered — or took over with ``replace=True`` — has no kind.
-    """
-    from repro.routing import ROUTING_REGISTRY
-
-    kind = _KIND_OF_ROUTING.get(routing_name)
-    if kind is None:
-        return None
-    factory = ROUTING_REGISTRY.factory(routing_name)
-    return kind if factory.__module__.startswith("repro.") else None
+    return _KIND_OF_ROUTING[canonical_routing_name(routing)] in _LEARNED_KINDS
 
 
 def check_batchable(spec: "ExperimentSpec") -> None:
     """Refuse every spec feature the kernel does not reproduce bit-identically.
 
-    The checks run before any simulation work: a spec either raises
+    Every routing is a decision kind, so only two spec fields send a spec to
+    the object-graph engine: ``telemetry`` and ``faults``.  The check runs
+    before any simulation work: a spec either raises
     :class:`UnsupportedByBackend` here (``run_experiment`` then runs it on the
     object-graph engine) or produces exactly that engine's per-replicate
     results, a warm start's too.  Calling it asks which engine a spec gets.
@@ -86,27 +84,6 @@ def check_batchable(spec: "ExperimentSpec") -> None:
             "fault schedules (degraded-mode routing) are only simulated by "
             "the object-graph engine"
         )
-    from repro.routing import canonical_routing_name, make_routing
-    from repro.topology.registry import topology_for
-
-    routing_name = canonical_routing_name(spec.routing)
-    kind = _kind_of(routing_name)
-    if kind is None:
-        raise UnsupportedByBackend(
-            f"routing {routing_name!r} has no batched kernel: the flat kernel "
-            f"mirrors the built-in algorithms {sorted(_KIND_OF_ROUTING)} only, "
-            "and this one was registered from outside the package"
-        )
-    if kind in _LEARNED_KINDS:
-        routing = make_routing(spec.routing, **spec.routing_kwargs)
-        if routing.feedback_mode == "onpolicy":
-            topo = topology_for(spec.config)
-            first_port = topo.table_port_span()[0]
-            if any(topo.num_host_ports(r) < first_port for r in topo.all_routers()):
-                raise UnsupportedByBackend(
-                    "on-policy feedback on a topology with host ports outside "
-                    "the table span is only supported by the object-graph engine"
-                )
 
 
 @dataclass

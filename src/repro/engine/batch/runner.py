@@ -200,8 +200,7 @@ def run_batch(
 
     Raises :class:`~repro.engine.batch.errors.UnsupportedByBackend` before any
     simulation work when the spec uses a feature the flat kernel does not
-    reproduce bit-identically: telemetry, faults, or a routing plugged in
-    from outside the package (every built-in routing has a
+    reproduce bit-identically: telemetry or faults (every routing has a
     decision kind).  This entry point never falls back; ``run_experiment``
     is the one that picks an engine per spec.
     """

@@ -44,11 +44,13 @@ from repro.scenarios.serialize import (
 from repro.stats.collectors import RunStats, StatsCollector
 from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import (
+    PATTERN_REGISTRY,
     LoadSchedule,
     TrafficGenerator,
     canonical_pattern_name,
     make_pattern,
 )
+from repro.traffic.generator import check_arrival
 
 if TYPE_CHECKING:  # runtime imports stay local: the store imports spec types
     from repro.store import ArtifactStore, Checkpoint
@@ -116,6 +118,7 @@ class ExperimentSpec:
         if self.offered_load is None and self.schedule is None:
             raise ValueError("an experiment needs an offered_load or a load schedule")
         _check_fields(self)
+        check_arrival(self.arrival)
         if self.warmup_ns > self.sim_time_ns:
             raise ValueError(
                 f"warmup_ns ({self.warmup_ns}) cannot exceed sim_time_ns "
@@ -135,6 +138,15 @@ class ExperimentSpec:
                 )
         self.routing = canonical_routing_name(self.routing)
         self.pattern = canonical_pattern_name(self.pattern)
+        if self.pattern_kwargs:
+            # The pattern class's own number rules, read without building it.
+            pattern_cls = PATTERN_REGISTRY.factory(self.pattern)
+            numbers = getattr(pattern_cls, "_NUMBERS", {})
+            self.pattern_kwargs = {
+                key: numbers[key].check(value, key, pattern_cls.__name__)
+                if key in numbers else value
+                for key, value in self.pattern_kwargs.items()
+            }
         if isinstance(self.telemetry, str):
             self.telemetry = (self.telemetry,)
         if self.telemetry:
@@ -458,14 +470,13 @@ def _run(spec: ExperimentSpec, store: Optional["ArtifactStore"] = None,
 def _check_save_request(spec: ExperimentSpec, name: Optional[str], action: str,
                         caller: str) -> None:
     # Fail before simulating, not after paying for the whole run.
-    from repro.routing.base import is_checkpointable
+    from repro.engine.batch.model import is_learned
     from repro.store import ArtifactStore
 
-    if not is_checkpointable(make_routing(spec.routing, **spec.routing_kwargs)):
+    if not is_learned(spec.routing):
         raise ValueError(
             f"routing {spec.routing!r} has no learned state to {action}; "
-            f"{caller} only makes sense for Q-adp / Q-routing "
-            "(or other checkpointable algorithms)"
+            f"{caller} only makes sense for Q-adp / Q-routing"
         )
     if name is not None:
         ArtifactStore.validate_id(name)
@@ -482,8 +493,9 @@ def run_experiment(
     The engine is chosen by capability, not by option: a spec the flat kernel
     (:mod:`repro.engine.batch`) reproduces bit-identically — training, warm
     starts and ``save_state`` included — runs there as a batch of one;
-    anything it refuses (telemetry, faults, a plugged-in routing) runs on the
-    object-graph engine.  Results are identical either way.
+    anything it refuses (telemetry, faults) runs on the object-graph engine.
+    Results are identical either way.  A learned routing refuses, on either
+    engine, a topology with a network port outside its ``table_port_span()``.
 
     ``save_state`` persists the learned routing state after the run as a
     checkpoint of that name in ``store`` (an

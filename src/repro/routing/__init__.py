@@ -26,14 +26,15 @@ of the class, so listing algorithms never triggers the
 :func:`make_routing` can still build them by paper name.
 
 The registry itself (:data:`ROUTING_REGISTRY`) is a
-:class:`repro.scenarios.registry.Registry`; user code can plug in additional
-algorithms with :func:`register_algorithm` and they become visible to
-``available_algorithms()``, the CLI listings and scenario files.
+:class:`repro.scenarios.registry.Registry` holding exactly these nine
+algorithms, the seven baselines and the two learned ones: the set is closed.
+Each is a decision kind of the flat kernel (:mod:`repro.engine.batch.model`),
+so a routing's name says which kernel code runs it and whether it learns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.minimal import MinimalRouting
@@ -59,32 +60,10 @@ __all__ = [
     "available_algorithms",
     "canonical_routing_name",
     "make_routing",
-    "register_algorithm",
 ]
 
 #: the single source of truth for routing algorithm names.
 ROUTING_REGISTRY = Registry("routing algorithm")
-
-
-def register_algorithm(
-    name: str,
-    factory: Optional[Callable[..., RoutingAlgorithm]] = None,
-    *,
-    loader: Optional[Callable[[], Callable[..., RoutingAlgorithm]]] = None,
-    aliases: Sequence[str] = (),
-    metadata: Optional[dict] = None,
-    replace: bool = False,
-) -> None:
-    """Register a routing algorithm factory under its paper name.
-
-    Either ``factory`` (the class / callable itself) or ``loader`` (a zero-arg
-    callable returning it, resolved on first build) must be given.  Aliases
-    are matched insensitively to case, spaces, underscores and hyphens.
-    """
-    ROUTING_REGISTRY.register(
-        name, factory, loader=loader, aliases=aliases, metadata=metadata,
-        replace=replace,
-    )
 
 
 def available_algorithms() -> List[str]:
@@ -124,22 +103,22 @@ def _load_qrouting() -> Callable[..., RoutingAlgorithm]:
     return QRoutingAlgorithm
 
 
-register_algorithm("MIN", MinimalRouting, aliases=("minimal",),
-                   metadata={"summary": "minimal (shortest-path) routing"})
-register_algorithm("VAL", ValiantRouterRouting, aliases=("valiant",),
-                   metadata={"summary": "Valiant via a random host router (any topology)"})
-register_algorithm("VALg", ValiantGlobalRouting,
-                   metadata={"summary": "Valiant via a random intermediate group"})
-register_algorithm("VALn", ValiantNodeRouting,
-                   metadata={"summary": "Valiant via a random intermediate router"})
-register_algorithm("UGALg", UgalGRouting,
-                   metadata={"summary": "adaptive MIN vs VALg at the source router"})
-register_algorithm("UGALn", UgalNRouting,
-                   metadata={"summary": "adaptive MIN vs VALn at the source router"})
-register_algorithm("PAR", ParRouting,
-                   metadata={"summary": "UGALn plus one in-source-group re-evaluation"})
-register_algorithm("Q-adp", loader=_load_qadaptive,
-                   aliases=("Q-adaptive", "qadaptive"),
-                   metadata={"summary": "Q-adaptive multi-agent RL routing (the paper)"})
-register_algorithm("Q-routing", loader=_load_qrouting, aliases=("qrouting",),
-                   metadata={"summary": "naive Q-routing with a maxQ hop threshold"})
+ROUTING_REGISTRY.register("MIN", MinimalRouting, aliases=("minimal",),
+                          metadata={"summary": "minimal (shortest-path) routing"})
+ROUTING_REGISTRY.register("VAL", ValiantRouterRouting, aliases=("valiant",),
+                          metadata={"summary": "Valiant via a random host router (any topology)"})
+ROUTING_REGISTRY.register("VALg", ValiantGlobalRouting,
+                          metadata={"summary": "Valiant via a random intermediate group"})
+ROUTING_REGISTRY.register("VALn", ValiantNodeRouting,
+                          metadata={"summary": "Valiant via a random intermediate router"})
+ROUTING_REGISTRY.register("UGALg", UgalGRouting,
+                          metadata={"summary": "adaptive MIN vs VALg at the source router"})
+ROUTING_REGISTRY.register("UGALn", UgalNRouting,
+                          metadata={"summary": "adaptive MIN vs VALn at the source router"})
+ROUTING_REGISTRY.register("PAR", ParRouting,
+                          metadata={"summary": "UGALn plus one in-source-group re-evaluation"})
+ROUTING_REGISTRY.register("Q-adp", loader=_load_qadaptive,
+                          aliases=("Q-adaptive", "qadaptive"),
+                          metadata={"summary": "Q-adaptive multi-agent RL routing (the paper)"})
+ROUTING_REGISTRY.register("Q-routing", loader=_load_qrouting, aliases=("qrouting",),
+                          metadata={"summary": "naive Q-routing with a maxQ hop threshold"})

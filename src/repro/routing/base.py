@@ -22,7 +22,7 @@ nonsense routes.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.network.packet import Packet
 from repro.network.router import Router
@@ -32,34 +32,6 @@ if TYPE_CHECKING:  # typing only: the network constructs and attaches us
     import random
 
     from repro.network.network import Network
-
-
-@runtime_checkable
-class CheckpointableRouting(Protocol):
-    """Structural protocol of routing algorithms with persistable learned state.
-
-    The learned algorithms (:class:`~repro.core.marl.TabularMarlRouting` and
-    its subclasses Q-adaptive and Q-routing) implement it; oblivious and
-    UGAL-style algorithms have no learned state and do not.  Use
-    :func:`is_checkpointable` to branch, and the :mod:`repro.store` subsystem
-    to persist exported state on disk.
-    """
-
-    def export_state(self) -> Dict[str, Any]:
-        """Serializable snapshot of all learned state (tables, counters,
-        hyper-parameters).  Only valid after the algorithm is attached to a
-        network."""
-        ...
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore an :meth:`export_state` payload, validating compatibility
-        (routing name, topology, table design) with descriptive errors."""
-        ...
-
-
-def is_checkpointable(routing: object) -> bool:
-    """True when ``routing`` carries persistable learned state."""
-    return isinstance(routing, CheckpointableRouting)
 
 
 class RoutingAlgorithm(abc.ABC):

@@ -571,8 +571,8 @@ def warm_fig5_study(
     settling window.  Non-learned algorithms keep the cold study's full
     warm-up (a separate scenario), so their rows stay comparable to ``fig5``.
     """
-    from repro.routing import canonical_routing_name, make_routing
-    from repro.routing.base import is_checkpointable
+    from repro.engine.batch.model import is_learned
+    from repro.routing import canonical_routing_name
 
     scale = scale or default_scale()
     algorithms = tuple(canonical_routing_name(a)
@@ -580,7 +580,7 @@ def warm_fig5_study(
     patterns = tuple(patterns or ("UR", "ADV+1"))
     eval_warmup = round(scale.warmup_ns / 5.0, 3)
     loads_of = _sweep_loads(scale, patterns)
-    learned = tuple(a for a in algorithms if is_checkpointable(make_routing(a)))
+    learned = tuple(a for a in algorithms if is_learned(a))
     cold = tuple(a for a in algorithms if a not in learned)
     scenarios = []
     if learned:

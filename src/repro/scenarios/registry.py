@@ -1,4 +1,4 @@
-"""Unified plugin registry used by the routing and traffic factories.
+"""One name registry for routings, patterns, topologies, studies, probes and scales.
 
 Both ``repro.routing`` and ``repro.traffic`` historically grew their own
 string-to-factory mapping (a lowercase dict and a regex/if-chain); this module
@@ -16,8 +16,11 @@ replaces them with one :class:`Registry` that supports:
   implied constructor kwargs (``{"shift": 4}``).
 * **kwarg introspection** — :meth:`Registry.signature` reports the keyword
   arguments a factory accepts (loading it on demand, never instantiating).
-* **user plugins** — :meth:`Registry.register` is public; downstream code can
-  add algorithms/patterns and they show up in every listing, the CLI included.
+* **user plugins** — patterns (``repro.traffic.register_pattern``),
+  topologies and studies accept entries from downstream code, and those
+  show up in every listing, the CLI included.  The routing registry
+  does not: its nine entries are the flat kernel's decision kinds
+  (:mod:`repro.engine.batch.model`), a closed set.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from repro.scenarios.serialize import (
 )
 from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import LoadSchedule, canonical_pattern_name
+from repro.traffic.generator import check_arrival
 
 if TYPE_CHECKING:  # imported lazily at runtime: the harness sits above this
     # module in the import graph.
@@ -130,6 +131,8 @@ class Scenario:
             raise ValueError(f"a scenario needs a non-empty string name, got {self.name!r}")
         context = f"scenario {self.name!r}"
         _check_fields(self, context)
+        if self.arrival is not None:
+            check_arrival(self.arrival)
         if self.telemetry is not None:
             self.telemetry = _canonical_telemetry(self.telemetry)
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
@@ -253,9 +256,9 @@ class TrainStage:
     memoized through the artifact store (:mod:`repro.store`) by spec
     fingerprint, so re-running the study re-trains nothing.
 
-    ``routing`` empty (the default) means "every checkpointable routing the
-    eval scenarios use"; naming a non-checkpointable routing explicitly is an
-    error.  ``routing_kwargs`` defaults to the first eval scenario that
+    ``routing`` empty (the default) means "every learned routing the eval
+    scenarios use" (Q-adp, Q-routing); naming another routing explicitly is
+    an error.  ``routing_kwargs`` defaults to the first eval scenario that
     configures the routing, so the trained policy uses the same
     hyper-parameters it is evaluated with.
     """
@@ -356,6 +359,7 @@ class Study:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"a study needs a non-empty string name, got {self.name!r}")
         _check_fields(self, f"study {self.name!r}")
+        check_arrival(self.arrival)
         self.telemetry = _canonical_telemetry(self.telemetry) if self.telemetry else ()
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
@@ -486,9 +490,8 @@ class Study:
         through the store: a study re-run only re-trains when the training
         spec changed.
         """
+        from repro.engine.batch.model import is_learned
         from repro.experiments.harness import ExperimentSpec, train_experiment
-        from repro.routing import make_routing
-        from repro.routing.base import is_checkpointable
         from repro.store import resolve_store
 
         stage = self.train
@@ -504,12 +507,12 @@ class Study:
             )
         checkpoints: Dict[str, str] = {}
         for routing in routings:
-            kwargs = self._train_kwargs_for(routing)
-            if not is_checkpointable(make_routing(routing, **kwargs)):
+            if not is_learned(routing):
                 raise ValueError(
                     f"study {self.name!r}: train stage names routing "
                     f"{routing!r}, which has no learned state to train"
                 )
+            kwargs = self._train_kwargs_for(routing)
             spec = ExperimentSpec(
                 config=self.config,
                 routing=routing,
@@ -530,19 +533,13 @@ class Study:
         return checkpoints
 
     def _checkpointable_routings(self) -> Tuple[str, ...]:
-        """Distinct checkpointable routings of the eval scenarios, in order."""
-        from repro.routing import make_routing
-        from repro.routing.base import is_checkpointable
+        """Distinct learned routings of the eval scenarios, in order."""
+        from repro.engine.batch.model import is_learned
 
-        seen: List[str] = []
-        for scenario in self.scenarios:
-            for routing in scenario.routing:
-                if routing in seen:
-                    continue
-                kwargs = self._train_kwargs_for(routing)
-                if is_checkpointable(make_routing(routing, **kwargs)):
-                    seen.append(routing)
-        return tuple(seen)
+        return tuple(dict.fromkeys(
+            routing for scenario in self.scenarios for routing in scenario.routing
+            if is_learned(routing)
+        ))
 
     def _train_kwargs_for(self, routing: str) -> Dict:
         """Routing kwargs of the training run: the stage's own, else those of

@@ -273,12 +273,12 @@ class Checkpoint:
 
     def apply(self, routing_algorithm: "RoutingAlgorithm") -> None:
         """Load this checkpoint into an attached routing algorithm."""
-        from repro.routing.base import is_checkpointable
+        from repro.engine.batch.model import is_learned
 
-        if not is_checkpointable(routing_algorithm):
+        if not is_learned(routing_algorithm.name):
             raise ValueError(
-                f"routing algorithm {getattr(routing_algorithm, 'name', routing_algorithm)!r} "
-                "has no learned state to restore (not checkpointable)"
+                f"routing algorithm {routing_algorithm.name!r} has no learned "
+                "state to restore"
             )
         routing_algorithm.import_state(self.state())
 

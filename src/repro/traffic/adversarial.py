@@ -13,6 +13,7 @@ and ADV+1 the least.
 
 from __future__ import annotations
 
+from repro.scenarios.serialize import Number, _check_fields
 from repro.traffic.base import TrafficPattern
 
 
@@ -21,13 +22,13 @@ class AdversarialTraffic(TrafficPattern):
 
     #: family default; instances carry their concrete shift (``ADV+<i>``).
     name = "ADV+1"
+    _NUMBERS = {"shift": Number(int, 1)}
 
     def __init__(self, shift: int = 1) -> None:
         super().__init__()
-        if shift < 1:
-            raise ValueError("adversarial shift must be at least 1")
         self.shift = shift
-        self.name = f"ADV+{shift}"
+        _check_fields(self)
+        self.name = f"ADV+{self.shift}"
 
     def _setup(self) -> None:
         topo = self.topo

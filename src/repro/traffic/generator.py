@@ -100,6 +100,14 @@ class LoadSchedule:
         return f"<LoadSchedule {steps}>"
 
 
+def check_arrival(arrival: str) -> None:
+    """Refuse an inter-arrival law other than ``exponential`` (Poisson
+    arrivals) or ``deterministic`` (fixed gaps)."""
+    if arrival not in ("exponential", "deterministic"):
+        raise ValueError(
+            f"arrival must be 'exponential' or 'deterministic', got {arrival!r}")
+
+
 def traffic_wakeups(topo: "Topology", params: "NetworkParams", pattern: TrafficPattern,
                     rng: "RngFactory", offered_load: Optional[float],
                     schedule: Optional[LoadSchedule], arrival: str) -> Iterator[Any]:
@@ -115,8 +123,7 @@ def traffic_wakeups(topo: "Topology", params: "NetworkParams", pattern: TrafficP
     """
     if (offered_load is None) == (schedule is None):
         raise ValueError("specify exactly one of offered_load or schedule")
-    if arrival not in ("exponential", "deterministic"):
-        raise ValueError("arrival must be 'exponential' or 'deterministic'")
+    check_arrival(arrival)  # TrafficGenerator is public: not every caller has a spec
     if schedule is None:
         schedule = LoadSchedule.constant(offered_load)
     pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.scenarios.serialize import POSITIVE_FRACTION, Number, _check_fields
 from repro.traffic.base import TrafficPattern
 
 
@@ -17,6 +18,7 @@ class HotspotTraffic(TrafficPattern):
     """A fraction of traffic converges on a few hot nodes, the rest is uniform."""
 
     name = "Hotspot"
+    _NUMBERS = {"hotspot_fraction": POSITIVE_FRACTION, "num_hotspots": Number(int, 1)}
 
     def __init__(
         self,
@@ -25,12 +27,9 @@ class HotspotTraffic(TrafficPattern):
         hotspot_nodes: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__()
-        if not 0.0 < hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in (0, 1]")
-        if num_hotspots < 1 and hotspot_nodes is None:
-            raise ValueError("need at least one hotspot")
         self.hotspot_fraction = hotspot_fraction
         self.num_hotspots = num_hotspots
+        _check_fields(self)
         self._requested_hotspots = list(hotspot_nodes) if hotspot_nodes is not None else None
         self.hotspots: List[int] = []
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.scenarios.serialize import Number, _check_fields
 from repro.traffic.base import TrafficPattern
 
 
@@ -18,13 +19,15 @@ class RandomNeighborsTraffic(TrafficPattern):
     """Each node communicates with a fixed random set of 6–20 targets."""
 
     name = "Random Neighbors"
+    _NUMBERS = {"min_targets": Number(int, 1), "max_targets": Number(int, 1)}
 
     def __init__(self, min_targets: int = 6, max_targets: int = 20) -> None:
         super().__init__()
-        if min_targets < 1 or max_targets < min_targets:
-            raise ValueError("need 1 <= min_targets <= max_targets")
         self.min_targets = min_targets
         self.max_targets = max_targets
+        _check_fields(self)
+        if self.max_targets < self.min_targets:
+            raise ValueError("need min_targets <= max_targets")
         self._targets: List[List[int]] = []
 
     def _setup(self) -> None:

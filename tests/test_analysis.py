@@ -311,10 +311,7 @@ def test_r401_r403_r404_flag_an_incomplete_registration(tmp_path):
         class BrokenRouting:
             pass
 
-        def register_algorithm(name, factory=None, **kw):
-            pass
-
-        register_algorithm("broken", BrokenRouting)
+        ROUTING_REGISTRY.register("broken", BrokenRouting)
     """)
     codes = rules_hit(findings)
     assert {"R401", "R403", "R404"} <= codes
@@ -329,10 +326,7 @@ def test_r401_accepts_explicit_none_declaration(tmp_path):
             def decide(self, router, packet, in_port):
                 return 0
 
-        def register_algorithm(name, factory=None, **kw):
-            pass
-
-        register_algorithm("fine", FineRouting)
+        ROUTING_REGISTRY.register("fine", FineRouting)
     """)
     assert not rules_hit(findings) & {"R401", "R403", "R404"}
 
@@ -372,6 +366,26 @@ def test_r402_flags_export_without_import(tmp_path):
     assert "R402" in rules_hit(findings)
 
 
+def test_r_rules_resolve_every_routing_of_the_package():
+    # The routing set is closed: the analyzer must resolve each of the nine
+    # built-in registrations (the two learned ones through their lazy
+    # loaders), or R401-R404 silently stop checking them.
+    from repro.analysis import Project
+    from repro.analysis.core import load_module
+    from repro.analysis.rules_registry import collect_registrations
+
+    files = discover_files(REPO_ROOT, ["src/repro"])
+    project = Project([load_module(path, REPO_ROOT) for path in files])
+    resolved = {reg.display: reg.target and reg.target.name
+                for reg in collect_registrations(project) if reg.kind == "routing"}
+    assert resolved == {
+        "MIN": "MinimalRouting", "VAL": "ValiantRouterRouting",
+        "VALg": "ValiantGlobalRouting", "VALn": "ValiantNodeRouting",
+        "UGALg": "UgalGRouting", "UGALn": "UgalNRouting", "PAR": "ParRouting",
+        "Q-adp": "QAdaptiveRouting", "Q-routing": "QRoutingAlgorithm",
+    }
+
+
 def test_r_rules_resolve_lazy_loaders(tmp_path):
     src = tmp_path / "src" / "repro" / "routing"
     src.mkdir(parents=True)
@@ -382,10 +396,7 @@ def test_r_rules_resolve_lazy_loaders(tmp_path):
 
             return LazyRouting
 
-        def register_algorithm(name, factory=None, loader=None, **kw):
-            pass
-
-        register_algorithm("lazy", loader=_load_lazy)
+        ROUTING_REGISTRY.register("lazy", loader=_load_lazy)
     """), encoding="utf-8")
     (tmp_path / "src" / "repro" / "core" / "lazyimpl.py").write_text(textwrap.dedent("""
         class LazyRouting:

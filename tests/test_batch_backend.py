@@ -35,15 +35,16 @@ from repro.engine.batch import (
     run_batch,
 )
 from repro.engine.batch.kernel import EV_QFB, BatchKernel
+from repro.engine.batch.model import _KIND_OF_ROUTING
 from repro.engine.rng import derive_replicate_seeds
 from repro.experiments import RunOptions, SweepRunner, run_experiment, run_replicates
-from repro.experiments.harness import ExperimentSpec, _execute
+from repro.experiments.harness import ExperimentSpec, _execute, build_network
 from repro.experiments.parallel import ExperimentResultData
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.network import Network
 from repro.network.nic import Nic
 from repro.network.router import Router
-from repro.routing import ROUTING_REGISTRY, MinimalRouting, register_algorithm
+from repro.routing import available_algorithms
 from repro.topology.config import DragonflyConfig
 from repro.topology.fattree import FatTreeConfig
 from repro.topology.mesh import MeshConfig
@@ -253,21 +254,6 @@ def test_batch_composition_independence():
     assert np.array_equal(forward[0].latencies_ns, backward[1].latencies_ns)
 
 
-class _PluggedInRouting(MinimalRouting):
-    """A routing registered from outside the package (behaves like MIN)."""
-
-    name = "PluggedIn"
-
-
-@pytest.fixture
-def plugged_in():
-    register_algorithm("PluggedIn", _PluggedInRouting)
-    try:
-        yield "PluggedIn"
-    finally:
-        ROUTING_REGISTRY.unregister("PluggedIn")
-
-
 def test_events_processed_counts_match_scalar():
     for routing in ("MIN", "Q-adp", "Q-routing", "UGALn"):
         spec = _spec(routing)
@@ -282,36 +268,37 @@ def test_events_processed_counts_match_scalar():
         ({"telemetry": ("link-util",)}, "probes-off"),
         ({"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
          "fault schedules"),
-        ({"routing": "PluggedIn"}, "no batched kernel"),
     ],
 )
-def test_unsupported_specs_are_refused_up_front(overrides, match, plugged_in):
-    routing = overrides.pop("routing", "Q-adp")
-    spec = _spec(routing, **overrides)
+def test_unsupported_specs_are_refused_up_front(overrides, match):
+    spec = _spec("Q-adp", **overrides)
     with pytest.raises(UnsupportedByBackend, match=match):
         run_batch(spec, [11])
 
 
-def test_onpolicy_feedback_outside_the_table_span_is_refused_up_front(
-        monkeypatch, object_graph_runs):
+def test_every_routing_is_a_decision_kind():
+    # The routing set is closed: a registered name without a kind could not
+    # run on the kernel, and a kind without a name could not be asked for.
+    assert set(available_algorithms()) == set(_KIND_OF_ROUTING)
+
+
+@pytest.mark.parametrize("feedback", ["onpolicy", "greedy"])
+def test_a_network_port_outside_the_table_span_is_refused_by_both_engines(
+        monkeypatch, feedback):
     # No built-in family trips this (Dragonfly and mesh tables start at p,
     # fat-tree's at 0): move the cached topology's table span past a network
-    # port, so Q-adp's on-policy feedback could read a column the kernel
-    # does not index.
-    spec = _spec("Q-adp", sim=2_000.0, warm=500.0)
+    # port.  Its column, port - first_port, would be -1, so in either
+    # feedback mode the port would learn into the last port's entry.
+    spec = _spec("Q-adp", sim=2_000.0, warm=500.0, routing_kwargs={"feedback": feedback})
     topo = topology_for(spec.config)
     first_port, num_ports = topo.table_port_span()
     monkeypatch.setattr(topo, "table_port_span",
                         lambda: (first_port + 1, num_ports - 1))
-    with pytest.raises(UnsupportedByBackend, match="on-policy feedback"):
-        check_batchable(spec)
-    greedy = spec.with_overrides(routing_kwargs={"feedback": "greedy"})
-    check_batchable(greedy)
-    reference = _execute(spec)[0]
-    del object_graph_runs[:]
-    result = run_experiment(spec)
-    assert len(object_graph_runs) == 1
-    np.testing.assert_equal(_payload(result), _payload(reference))
+    check_batchable(spec)  # a property of the topology, not of an engine
+    for build in (build_network, lambda s: BatchSimulation(s, [s.seed]), run_experiment):
+        with pytest.raises(ValueError, match="learns one table column per port") as caught:
+            build(spec)
+        assert not isinstance(caught.value, UnsupportedByBackend)
 
 
 _SMALL_72_KINDS = ("MIN", "Q-adp", "Q-routing", "VALg", "VALn", "VAL", "UGALg",
@@ -556,15 +543,11 @@ def test_run_experiment_picks_the_kernel_for_a_batchable_spec(routing, monkeypat
     [
         {"telemetry": ("link-util",)},
         {"faults": FaultSchedule([FaultEvent(1_000.0, "link_down", 0, 4)])},
-        {"routing": "PluggedIn"},
     ],
-    ids=["telemetry", "faults", "plugin"],
+    ids=["telemetry", "faults"],
 )
-def test_run_experiment_falls_back_to_the_object_graph(overrides, plugged_in,
-                                                       object_graph_runs):
-    overrides = dict(overrides)
-    spec = _spec(overrides.pop("routing", "Q-adp"), sim=3_000.0, warm=1_000.0,
-                 **overrides)
+def test_run_experiment_falls_back_to_the_object_graph(overrides, object_graph_runs):
+    spec = _spec("Q-adp", sim=3_000.0, warm=1_000.0, **overrides)
     with pytest.raises(UnsupportedByBackend):
         check_batchable(spec)
     reference = _execute(spec)[0]
@@ -574,22 +557,6 @@ def test_run_experiment_falls_back_to_the_object_graph(overrides, plugged_in,
     np.testing.assert_equal(_payload(result), _payload(reference))
     if spec.telemetry:
         assert result.telemetry["link-util"]
-
-
-def test_a_replaced_builtin_routing_is_a_plugin(object_graph_runs):
-    spec = _spec("MIN", sim=3_000.0, warm=1_000.0)
-    check_batchable(spec)
-    original = ROUTING_REGISTRY.get("MIN")
-    register_algorithm("MIN", _PluggedInRouting, replace=True)
-    try:
-        with pytest.raises(UnsupportedByBackend, match="no batched kernel"):
-            check_batchable(spec)
-        run_experiment(spec)
-        assert len(object_graph_runs) == 1
-    finally:
-        register_algorithm("MIN", MinimalRouting, aliases=original.aliases,
-                           metadata=original.metadata, replace=True)
-    check_batchable(spec)
 
 
 def test_warm_start_and_save_state_run_on_the_kernel(tmp_path, object_graph_runs):

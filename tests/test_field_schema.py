@@ -32,7 +32,14 @@ from repro.scenarios.study import Scenario, Study, TrainStage
 from repro.topology.config import DragonflyConfig
 from repro.topology.fattree import FatTreeConfig
 from repro.topology.mesh import MeshConfig
-from repro.traffic import LoadPhase, LoadSchedule
+from repro.traffic import (
+    AdversarialTraffic,
+    HotspotTraffic,
+    LoadPhase,
+    LoadSchedule,
+    RandomNeighborsTraffic,
+    TrafficPattern,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 TINY = DragonflyConfig.tiny()
@@ -44,9 +51,28 @@ def _study(**fields) -> Study:
     return Study(name="s", config=TINY, scenarios=[Scenario(name="a", loads=(0.2,))], **fields)
 
 
+def _pattern_paths(pattern):
+    """A spec's constructor and from_dict paths for one kwarg of ``pattern``."""
+    data = ExperimentSpec(**_SPEC, pattern=pattern).to_dict()
+    return (lambda f, v: ExperimentSpec(**_SPEC, pattern=pattern, pattern_kwargs={f: v}),
+            lambda f, v: ExperimentSpec.from_dict(dict(data, pattern_kwargs={f: v})))
+
+
+def _held(built, field):
+    """The stored value of ``field`` on whatever a path built."""
+    if isinstance(built, FaultSchedule):
+        return getattr(built.events[0], field)
+    if isinstance(built, LoadSchedule):
+        return getattr(built.phases[1], field)
+    if isinstance(built, ExperimentSpec) and built.pattern_kwargs:
+        return built.pattern_kwargs[field]
+    return getattr(built, field)
+
+
 #: owner -> (class declaring the fields, constructor path, from_dict path or
 #: None); each path takes one field's name and value on an otherwise valid
-#: object.  A LoadSchedule's numbers are its phases'.
+#: object.  A LoadSchedule's numbers are its phases'; a traffic pattern's
+#: are a spec's ``pattern_kwargs``.
 PATHS = {
     "ExperimentSpec": (
         ExperimentSpec,
@@ -94,6 +120,9 @@ PATHS = {
     "TrainStage": (TrainStage, lambda f, v: TrainStage(**{f: v}),
                    lambda f, v: TrainStage.from_dict({f: v})),
     "ExperimentScale": (ExperimentScale, lambda f, v: replace(BENCH_SCALE, **{f: v}), None),
+    "HotspotTraffic": (HotspotTraffic, *_pattern_paths("Hotspot")),
+    "AdversarialTraffic": (AdversarialTraffic, *_pattern_paths("ADV+1")),
+    "RandomNeighborsTraffic": (RandomNeighborsTraffic, *_pattern_paths("Random Neighbors")),
 }
 
 
@@ -130,15 +159,37 @@ def _outcome(path, field, value):
     ("ExperimentScale", "seed", 1.5, "seed must be an integer, got 1.5"),
     ("ExperimentScale", "ur_loads", (True,), "ur_loads must be a finite number, got True"),
     ("ExperimentScale", "ur_loads", 0.5, "ur_loads must be a list of numbers, got 0.5"),
+    ("HotspotTraffic", "hotspot_fraction", True,
+     "hotspot_fraction must be a finite number, got True"),
+    ("HotspotTraffic", "hotspot_fraction", 1.5, "hotspot_fraction must be in (0, 1], got 1.5"),
+    ("HotspotTraffic", "num_hotspots", 1.5, "num_hotspots must be an integer, got 1.5"),
+    ("AdversarialTraffic", "shift", True, "shift must be an integer, got True"),
+    ("AdversarialTraffic", "shift", 0, "shift must be >= 1, got 0"),
+    ("RandomNeighborsTraffic", "min_targets", 2.5, "min_targets must be an integer, got 2.5"),
+    ("RandomNeighborsTraffic", "max_targets", False, "max_targets must be an integer, got False"),
 ])
 def test_a_number_that_would_run_as_another_is_refused_by_both_paths(owner, field, value,
                                                                     message):
     expected = f"{owner}: {message}"
-    for path in PATHS[owner][1:]:
+    declaring, *paths = PATHS[owner]
+    if issubclass(declaring, TrafficPattern):  # the pattern refuses it on its own too
+        paths.append(lambda f, v: declaring(**{f: v}))
+    for path in paths:
         if path is None:
             continue
         with pytest.raises(ValueError, match=re.escape(expected)):
             path(field, value)
+
+
+def test_an_unknown_arrival_is_refused_when_the_spec_is_built():
+    expected = re.escape("arrival must be 'exponential' or 'deterministic', got 'poisson'")
+    for path in PATHS["ExperimentSpec"][1:]:
+        with pytest.raises(ValueError, match=expected):
+            path("arrival", "poisson")
+    with pytest.raises(ValueError, match=expected):
+        _study(arrival="poisson")
+    with pytest.raises(ValueError, match=expected):
+        Scenario(name="a", loads=(0.2,), arrival="poisson")
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -192,13 +243,16 @@ def test_a_pool_worker_refusing_a_routing_kwarg_raises_in_the_parent():
     ("QRoutingParams", "max_q", 5.0, 5),
     ("FaultEvent", "router", 1.0, 1),
     ("ExperimentScale", "seed", 7.0, 7),
+    ("HotspotTraffic", "num_hotspots", 2.0, 2),
+    ("HotspotTraffic", "hotspot_fraction", 1, 1.0),
+    ("AdversarialTraffic", "shift", 2.0, 2),
+    ("RandomNeighborsTraffic", "min_targets", 6.0, 6),
 ])
 def test_an_integral_float_normalises_to_the_declared_kind(owner, field, value, normal):
     for path in PATHS[owner][1:]:
         if path is None:
             continue
-        built = path(field, value)
-        held = getattr(built.events[0] if owner == "FaultEvent" else built, field)
+        held = _held(path(field, value), field)
         assert held == normal and type(held) is type(normal)
 
 
@@ -209,6 +263,9 @@ def test_an_integral_float_in_an_int_field_fingerprints_as_the_int():
     data = as_int.to_dict()
     data["network_params"]["vc_buffer_packets"] = 20.0
     assert spec_fingerprint(ExperimentSpec.from_dict(data)) == spec_fingerprint(as_int)
+    hot_int = ExperimentSpec(**_SPEC, pattern="Hotspot", pattern_kwargs={"num_hotspots": 2})
+    hot_float = ExperimentSpec(**_SPEC, pattern="Hotspot", pattern_kwargs={"num_hotspots": 2.0})
+    assert spec_fingerprint(hot_float) == spec_fingerprint(hot_int)
 
 
 # ------------------------------------------------------- one rule, two paths
@@ -243,12 +300,7 @@ def test_a_generated_field_value_constructs_and_round_trips_or_both_paths_refuse
     if refused is not None:
         assert re.search(rf"\b{re.escape(field)}\b", refused), refused
         return
-    if isinstance(built, FaultSchedule):
-        held = getattr(built.events[0], field)
-    elif isinstance(built, LoadSchedule):
-        held = getattr(built.phases[1], field)
-    else:
-        held = getattr(built, field)
+    held = _held(built, field)
     kind = numbers[field].kind
     for number in held if isinstance(held, (tuple, list)) else [held]:
         assert number is None or type(number) is kind

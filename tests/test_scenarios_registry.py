@@ -5,13 +5,7 @@ import sys
 
 import pytest
 
-from repro.routing import (
-    ROUTING_REGISTRY,
-    available_algorithms,
-    canonical_routing_name,
-    make_routing,
-    register_algorithm,
-)
+from repro.routing import available_algorithms, canonical_routing_name, make_routing
 from repro.scenarios.registry import Registry, normalize_key
 from repro.traffic import (
     PATTERN_REGISTRY,
@@ -140,20 +134,6 @@ def test_available_algorithms_includes_learned_without_prior_build():
     assert proc.stdout.strip() == (
         "MIN,PAR,Q-adp,Q-routing,UGALg,UGALn,VAL,VALg,VALn"
     )
-
-
-def test_available_algorithms_does_not_instantiate_factories():
-    class ExplodingRouting:
-        name = "Exploding"
-
-        def __init__(self):
-            raise AssertionError("available_algorithms() must not instantiate")
-
-    register_algorithm("Exploding", ExplodingRouting)
-    try:
-        assert "Exploding" in available_algorithms()
-    finally:
-        ROUTING_REGISTRY.unregister("Exploding")
 
 
 def test_routing_alias_resolution():

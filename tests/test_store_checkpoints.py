@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.engine.batch import BatchSimulation
+from repro.engine.batch.model import is_learned
 from repro.experiments.harness import (
     ExperimentSpec,
     _execute,
@@ -18,7 +19,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.parallel import ExperimentResultData, SweepRunner, spec_fingerprint
 from repro.routing import make_routing
-from repro.routing.base import is_checkpointable
 from repro.scenarios.study import Scenario, Study, TrainStage
 from repro.store import ArtifactStore, Checkpoint, CheckpointManifest
 from repro.topology.config import DragonflyConfig
@@ -42,12 +42,12 @@ def _trained_network(spec):
     return network
 
 
-# ------------------------------------------------------- protocol + round trip
-def test_checkpointable_protocol_membership():
-    assert is_checkpointable(make_routing("Q-adp"))
-    assert is_checkpointable(make_routing("Q-routing"))
-    assert not is_checkpointable(make_routing("MIN"))
-    assert not is_checkpointable(make_routing("UGALn"))
+# ------------------------------------------------------- learned + round trip
+def test_only_the_learned_routings_are_learned():
+    assert is_learned("Q-adp")
+    assert is_learned("qrouting")
+    assert not is_learned("MIN")
+    assert not is_learned("UGALn")
 
 
 @pytest.mark.parametrize("routing", ["Q-adp", "Q-routing"])
