@@ -24,8 +24,9 @@ simulator run loop and its scheduling calls (``Simulator.push``), the router
 route/forward/serve path, the NIC inject/receive path, packet creation, the
 learned per-hop path (the shared route / feedback send / hysteretic fold /
 forward tag of ``TabularMarlRouting`` and the Q-adp and Q-routing decisions
-that read the value block), the traffic wake-up stream with its two consumers
-(the object graph's per-wake-up event and the flat kernel's trace recorder),
+that read the value block), the chunked traffic wake-up recorder's merge
+with its two consumers (the object graph's per-wake-up event and the flat
+kernel's trace recorder),
 and the flat kernel's drain with the per-decision functions of its decision
 table (``factory.function``: the functions are built once per drain by
 factories that are not hot themselves).  Extend it when new code joins the
@@ -66,7 +67,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     }),
     "repro.core.qadaptive": frozenset({"QAdaptiveRouting.decide"}),
     "repro.core.qrouting": frozenset({"QRoutingAlgorithm.decide"}),
-    "repro.traffic.generator": frozenset({"TrafficGenerator._wake", "_wakeups"}),
+    "repro.traffic.generator": frozenset({"TrafficGenerator._wake", "WakeupRecorder.record"}),
     "repro.engine.batch.kernel": frozenset({"BatchKernel._advance"}),
     "repro.engine.batch.trace": frozenset({"record_traffic_trace"}),
     "repro.engine.batch.decisions": frozenset({

@@ -495,7 +495,7 @@ class BatchKernel:
             else:  # NIC-side events (3-5), then EV_QFB (6)
                 node = a
                 if code == 3:
-                    # Replay one wake-up of the traffic stream (traffic_wakeups).
+                    # Replay one wake-up of the traffic stream (WakeupRecorder).
                     # A packet joins the source queue as its trace entry: the
                     # record is built at injection.
                     times = trace_t[node]

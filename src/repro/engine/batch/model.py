@@ -55,13 +55,29 @@ _LEARNED_KINDS = (KIND_QADP, KIND_QROUTING)
 _GROUP_TABLE_KINDS = (KIND_QADP, KIND_VALG, KIND_UGALG, KIND_UGALN, KIND_PAR)
 
 
+def _kind_of(routing: str) -> int:
+    """The decision kind that runs ``routing`` (any accepted spelling).
+
+    A name registered from outside the nine built-ins has none: the routing
+    set is closed, and such a name is refused with a ``ValueError``.
+    """
+    from repro.routing import canonical_routing_name
+
+    name = canonical_routing_name(routing)
+    kind = _KIND_OF_ROUTING.get(name)
+    if kind is None:
+        raise ValueError(
+            f"routing {name!r} is not one of the nine built-in routings "
+            f"({', '.join(_KIND_OF_ROUTING)}): the routing set is closed, each "
+            "built-in runs as a decision kind of the kernel")
+    return kind
+
+
 def is_learned(routing: str) -> bool:
     """Whether ``routing`` (any accepted spelling) keeps learned state, a
     Q-table to train, save and warm-start from: Q-adp and Q-routing.  A fact
     of the name in the closed routing set; nothing is built."""
-    from repro.routing import canonical_routing_name
-
-    return _KIND_OF_ROUTING[canonical_routing_name(routing)] in _LEARNED_KINDS
+    return _kind_of(routing) in _LEARNED_KINDS
 
 
 def check_batchable(spec: "ExperimentSpec") -> None:
@@ -151,7 +167,7 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
     # applied to the cached topology; no Network, router or NIC is built
     # and no routing is attached.
     from repro.network.network import port_table, resolve_params
-    from repro.routing import canonical_routing_name, make_routing
+    from repro.routing import make_routing
     from repro.topology.registry import config_to_dict, topology_for
 
     routing = make_routing(spec.routing, **spec.routing_kwargs)
@@ -164,7 +180,7 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
 
         checkpoint = Checkpoint.load(spec.warm_start)
         checkpoint.check_compatible(spec.routing, config_to_dict(spec.config))
-    kind = _KIND_OF_ROUTING[canonical_routing_name(spec.routing)]
+    kind = _kind_of(spec.routing)
     schedule = spec.schedule
     offered = schedule.phases[0].load if schedule is not None else spec.offered_load
 

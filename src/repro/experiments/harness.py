@@ -17,6 +17,7 @@ algorithm to every evaluation point instead of re-learning at each.
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -139,8 +140,18 @@ class ExperimentSpec:
         self.routing = canonical_routing_name(self.routing)
         self.pattern = canonical_pattern_name(self.pattern)
         if self.pattern_kwargs:
-            # The pattern class's own number rules, read without building it.
+            # The pattern class's own keywords and number rules, read without
+            # building it.
             pattern_cls = PATTERN_REGISTRY.factory(self.pattern)
+            try:
+                inspect.signature(pattern_cls).bind_partial(**self.pattern_kwargs)
+            except TypeError:
+                accepted = sorted(PATTERN_REGISTRY.signature(self.pattern))
+                unknown = sorted(set(self.pattern_kwargs) - set(accepted))
+                raise ValueError(
+                    f"ExperimentSpec: pattern {self.pattern!r} takes no keyword "
+                    f"{', '.join(map(repr, unknown))}; it accepts "
+                    f"{', '.join(map(repr, accepted)) or 'none'}") from None
             numbers = getattr(pattern_cls, "_NUMBERS", {})
             self.pattern_kwargs = {
                 key: numbers[key].check(value, key, pattern_cls.__name__)

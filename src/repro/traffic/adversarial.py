@@ -13,6 +13,9 @@ and ADV+1 the least.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.engine.rng import bulk_randrange
 from repro.scenarios.serialize import Number, _check_fields
 from repro.traffic.base import TrafficPattern
 
@@ -38,8 +41,22 @@ class AdversarialTraffic(TrafficPattern):
             )
         # Per-source target range, so a draw costs no topology calls.
         targets = [topo.nodes_in_group((g + self.shift) % topo.g) for g in topo.all_groups()]
-        self._targets = [targets[topo.group_of_node(n)] for n in topo.all_nodes()]
+        groups = [topo.group_of_node(n) for n in topo.all_nodes()]
+        self._targets = [targets[g] for g in groups]
+        # The same ranges as a table for bulk draws (row = the source's
+        # group, column = the draw), when every group targets as many nodes.
+        self._table = self._row = None
+        if all(targets) and len({len(nodes) for nodes in targets}) == 1:
+            self._table = np.array([list(nodes) for nodes in targets], dtype=np.intc)
+            self._row = np.array(groups, dtype=np.intp)
 
     def destination(self, src_node: int) -> int:
         nodes = self._targets[src_node]
         return nodes[self.rng.randrange(len(nodes))]
+
+    def destinations(self, src_nodes: np.ndarray) -> np.ndarray:
+        table = self._table
+        if table is None:
+            return super().destinations(src_nodes)
+        draws = bulk_randrange(self.rng, table.shape[1], len(src_nodes))
+        return table[self._row[src_nodes], draws]

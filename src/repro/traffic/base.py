@@ -3,13 +3,15 @@
 A traffic pattern answers one question: *given a source node, which node does
 the next message go to?*  Patterns are pure destination selectors — message
 timing (offered load) is the job of
-:func:`~repro.traffic.generator.traffic_wakeups`.
+:class:`~repro.traffic.generator.WakeupRecorder`.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import TYPE_CHECKING, Optional, Tuple
+
+import numpy as np
 
 from repro.topology.base import Topology
 from repro.topology.dragonfly import DragonflyTopology
@@ -43,6 +45,16 @@ class TrafficPattern(abc.ABC):
 
         Must return a node different from ``src_node``.
         """
+
+    def destinations(self, src_nodes: np.ndarray) -> np.ndarray:
+        """``[destination(node) for node in src_nodes]`` as an int array,
+        drawing exactly as those calls would, in order.
+
+        Patterns whose draw is one ``randrange`` override it with
+        :func:`~repro.engine.rng.bulk_randrange`.
+        """
+        destination = self.destination
+        return np.array([destination(node) for node in src_nodes.tolist()], dtype=np.intc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} name={self.name!r}>"

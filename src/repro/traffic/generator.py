@@ -10,16 +10,22 @@ methodology the paper uses.  A piecewise-constant :class:`LoadSchedule`
 reproduces the dynamic-load experiment of Figure 8.
 
 Being open-loop, the traffic of a run is a pure function of ``(spec, seed)``,
-defined once by :func:`traffic_wakeups`.  The flat kernel records that
-stream (:func:`repro.engine.batch.trace.record_traffic_trace`); the object
-graph replays it lazily on its event queue (:class:`TrafficGenerator`).
+and its draw order is spelled once, in the chunked :class:`WakeupRecorder`.
+The flat kernel runs it to the horizon
+(:func:`repro.engine.batch.trace.record_traffic_trace`); the object graph
+replays it on its event queue (:class:`TrafficGenerator`), recording each
+chunk only when the run reaches it.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # typing only: the harness hands us the built network
     from repro.engine.rng import RngFactory
@@ -27,6 +33,7 @@ if TYPE_CHECKING:  # typing only: the harness hands us the built network
     from repro.network.params import NetworkParams
     from repro.topology.base import Topology
 
+from repro.engine.rng import bulk_random, complement_logs
 from repro.scenarios.serialize import FRACTION, FieldError, Number, _check_fields, check_keys
 from repro.traffic.base import TrafficPattern
 
@@ -108,116 +115,239 @@ def check_arrival(arrival: str) -> None:
             f"arrival must be 'exponential' or 'deterministic', got {arrival!r}")
 
 
-def traffic_wakeups(topo: "Topology", params: "NetworkParams", pattern: TrafficPattern,
-                    rng: "RngFactory", offered_load: Optional[float],
-                    schedule: Optional[LoadSchedule], arrival: str) -> Iterator[Any]:
-    """Every generator wake-up of one run, in event-queue order.
+#: wake-ups per chunk once a run is under way; the first chunk holds
+#: _FIRST_CHUNK and each later one twice the last, so a short run draws few
+#: values past its end and about one chunk of them is ever boxed at a time
+_CHUNK = 4096
+_FIRST_CHUNK = 256
+_NO_NODES = np.empty(0, dtype=np.intc)
+_MAX_FLOAT = sys.float_info.max
 
-    The first item is the list of initial ``(time_ns, node)`` pushes in node
-    order; each later item is one executed wake-up ``(time_ns, node,
-    destination or -1, next wake-up time or None)``.  A ``-1`` wake-up makes
-    no packet (a phase-boundary resample, an idle phase) but is still an
-    event.  Pushing each wake-up's successor as it executes reproduces the
-    stream's ``(time, push order)`` sequence.  Arguments are checked and the
-    pattern set up on the call; draws happen as the stream is consumed.
+
+class WakeupRecorder:
+    """Every generator wake-up of one run, in event-queue order, one chunk at
+    a time: the one definition of a run's traffic.
+
+    :meth:`start` draws each node's first wake-up (two uniforms per node when
+    arrivals are exponential, one when deterministic, none in an idle phase)
+    and returns the initial ``(time_ns, node)`` pushes in node order; each
+    :meth:`record` call then merges the next chunk of executed wake-ups.  The
+    merge keeps one heap entry ``(time, push order, code)`` per live node,
+    ``code`` being the node for a packet wake-up and ``~node`` for a resample,
+    and pushes each wake-up's successor as it executes, which reproduces the
+    event queue's ``(time, push order)`` sequence.  Arguments are checked and
+    the pattern set up on construction.
+
+    After the start-up draws, draws are taken in bulk
+    (:mod:`repro.engine.rng`): the interval draws of ``traffic:arrivals`` up
+    to one chunk ahead, one per wake-up that is not idle (exponential) or one
+    per resample (deterministic), and the destinations after each chunk's
+    merge, through :meth:`TrafficPattern.destinations` on the pattern's own
+    stream, in wake-up order.  Both are exactly the draws of one scalar call
+    per event.
     """
-    if (offered_load is None) == (schedule is None):
-        raise ValueError("specify exactly one of offered_load or schedule")
-    check_arrival(arrival)  # TrafficGenerator is public: not every caller has a spec
-    if schedule is None:
-        schedule = LoadSchedule.constant(offered_load)
-    pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))
-    return _wakeups(topo.num_nodes, params.serialization_ns, pattern.destination, rng,
-                    schedule.phases, arrival == "deterministic")
 
+    def __init__(self, topo: "Topology", params: "NetworkParams", pattern: TrafficPattern,
+                 rng: "RngFactory", offered_load: Optional[float],
+                 schedule: Optional[LoadSchedule], arrival: str) -> None:
+        if (offered_load is None) == (schedule is None):
+            raise ValueError("specify exactly one of offered_load or schedule")
+        check_arrival(arrival)  # TrafficGenerator is public: not every caller has a spec
+        if schedule is None:
+            schedule = LoadSchedule.constant(offered_load)
+        pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))
+        self._pattern = pattern
+        self._arrivals = rng.py("traffic:arrivals")
+        self._num_nodes = topo.num_nodes
+        self._deterministic = arrival == "deterministic"
+        # Phase cursor k = number of phases started by now: the mean interval
+        # is means[k] (the first phase's before it starts) and the next
+        # boundary starts[k] (inf: none).  A mean of inf — a zero load, or one
+        # so small that the division overflows — is an idle phase.
+        phases = schedule.phases
+        self._starts = [phase.start_ns for phase in phases] + [_INF]
+        loads = [phases[0].load] + [phase.load for phase in phases]
+        self._means = [params.serialization_ns / load if load > 0.0 else _INF
+                       for load in loads]
+        self._rates = [1.0 / mean for mean in self._means]
+        self._k = 0
+        self._heap: List[Tuple[float, int, int]] = []
+        self._seq = 0
+        #: interval draws not consumed yet: log(1 - u) (exponential) or u
+        self._draws: List[float] = []
+        self._size = _FIRST_CHUNK
 
-def _wakeups(num_nodes: int, packet_ns: float, destination: Callable[[int], int],
-             rng: "RngFactory", phases: List[LoadPhase], deterministic: bool) -> Iterator[Any]:
-    arrivals = rng.py("traffic:arrivals")
-    random = arrivals.random
-    expovariate = arrivals.expovariate
-    # Phase cursor k = number of phases started by now: the mean interval is
-    # means[k] (the first phase's before it starts) and the next boundary
-    # starts[k] (inf: none).  A mean of inf — a zero load, or one so small
-    # that the division overflows — is an idle phase.
-    starts = [phase.start_ns for phase in phases] + [_INF]
-    loads = [phases[0].load] + [phase.load for phase in phases]
-    means = [packet_ns / load if load > 0.0 else _INF for load in loads]
-    rates = [1.0 / mean for mean in means]
-    k = 0
-    while starts[k] <= 0.0:
-        k += 1
-    change, mean, rate = starts[k], means[k], rates[k]
+    def start(self) -> List[Tuple[float, int]]:
+        """Draw every node's first wake-up; the ``(time_ns, node)`` pushes in
+        node order.
 
-    # One first wake-up per node, staggered by a fraction of one interval so
-    # sources start de-synchronised; an idle node first wakes at the next
-    # boundary.  Heap entries are (time, push order, node, is_resample).
-    heap = []
-    seq = 0
-    for node in range(num_nodes):
-        delay = mean if mean == _INF or deterministic else expovariate(rate)
-        first = _INF if delay == _INF else delay * random()
-        if first > change:
-            heap.append((change, seq, node, True))
-        elif first != _INF:
-            heap.append((first, seq, node, False))
-        else:
-            continue  # idle for good
-        seq += 1
-    yield [(time_ns, node) for time_ns, _, node, _ in heap]
-    heapify(heap)
+        One first wake-up per node, staggered by a fraction of one interval
+        so sources start de-synchronised; an idle node first wakes at the next
+        boundary.
+        """
+        starts, arrivals = self._starts, self._arrivals
+        k = 0
+        while starts[k] <= 0.0:
+            k += 1
+        self._k = k
+        change, mean, rate = starts[k], self._means[k], self._rates[k]
+        # Scalar draws: for a few per node they cost less than the first use
+        # of numpy's ufuncs in a fresh process.
+        deterministic = self._deterministic
+        heap = self._heap
+        seq = 0
+        for node in range(self._num_nodes):
+            delay = mean if mean == _INF or deterministic else arrivals.expovariate(rate)
+            first = _INF if delay == _INF else delay * arrivals.random()
+            if first > change:
+                heap.append((change, seq, ~node))
+            elif first != _INF:
+                heap.append((first, seq, node))
+            else:
+                continue  # idle for good
+            seq += 1
+        self._seq = seq
+        pushes = self.pending()
+        heapify(heap)
+        return pushes
 
-    while heap:
-        time_ns, _, node, resample = heap[0]
-        if time_ns >= change:
+    def pending(self) -> List[Tuple[float, int]]:
+        """Each live node's next wake-up, ``(time_ns, node)``."""
+        return [(time_ns, code if code >= 0 else ~code) for time_ns, _, code in self._heap]
+
+    def record(self, until: float = _INF) -> Tuple[List[float], np.ndarray, np.ndarray,
+                                                   List[Optional[float]]]:
+        """Merge the next chunk of wake-ups, those at or before ``until``.
+
+        Returns ``(times, nodes, dsts, nexts)``: per wake-up its time, node,
+        destination (-1: no packet — a phase-boundary resample or an idle
+        phase) and the node's next wake-up time (None: idle for good).  An
+        empty chunk means no wake-up is left up to ``until``.
+        """
+        heap = self._heap
+        times: List[float] = []
+        codes: List[int] = []
+        nexts: List[Optional[float]] = []
+        stop_after = math.nextafter(until, _INF)
+        if not heap or heap[0][0] >= stop_after:
+            return times, _NO_NODES, _NO_NODES, nexts
+        size = self._size
+        self._size = min(2 * size, _CHUNK)
+        # At most one draw per wake-up: draw enough for the whole chunk.
+        draws = self._draws
+        if len(draws) < size:
+            fresh = bulk_random(self._arrivals, size - len(draws))
+            draws += fresh.tolist() if self._deterministic else complement_logs(fresh)
+        t_append, c_append, n_append = times.append, codes.append, nexts.append
+        starts, means, rates = self._starts, self._means, self._rates
+        k, seq, used = self._k, self._seq, 0
+        count = 0
+        while count < size and heap:
+            time_ns = heap[0][0]
+            if time_ns >= stop_after:
+                break
             while starts[k] <= time_ns:
                 k += 1
             change, mean, rate = starts[k], means[k], rates[k]
-        dst = -1
-        if mean == _INF:
-            delay = _INF
-        elif resample:
-            # At a boundary the stale interval is discarded and redrawn.
-            # Deterministic sources re-stagger, or every node clamped at the
-            # boundary would inject in lockstep; exponential redraws are
-            # memoryless and need none.
-            delay = mean * random() if deterministic else expovariate(rate)
-        else:
-            dst = destination(node)
-            delay = mean if deterministic else expovariate(rate)
-        # An interval is only valid while its load lasts: one reaching past
-        # the next boundary wakes the node at the boundary instead, so a load
-        # step takes effect at once (Figure 8 depends on it).
-        if delay == _INF and change == _INF:
-            heappop(heap)
-            yield time_ns, node, dst, None
-            continue
-        if time_ns + delay > change:
-            next_ns, resample = change, True
-        else:
-            next_ns, resample = time_ns + delay, False
-        heapreplace(heap, (next_ns, seq, node, resample))
-        seq += 1
-        yield time_ns, node, dst, next_ns
+            stop = min(change, stop_after)
+            # An interval is only valid while its load lasts: one reaching
+            # past the next boundary wakes the node at the boundary instead
+            # (a resample), so a load step takes effect at once (Figure 8
+            # depends on it).  At a resample the stale interval is discarded
+            # and redrawn; deterministic sources re-stagger there, or every
+            # node clamped at the boundary would inject in lockstep.
+            if mean == _INF:
+                for _ in range(size - count):
+                    if not heap:
+                        break
+                    time_ns, _, code = heap[0]
+                    if time_ns >= stop:
+                        break
+                    node = code if code >= 0 else ~code
+                    t_append(time_ns)
+                    c_append(~node)
+                    if change == _INF:
+                        heappop(heap)
+                        n_append(None)
+                    else:
+                        heapreplace(heap, (change, seq, ~node))
+                        seq += 1
+                        n_append(change)
+            elif self._deterministic:
+                for _ in range(size - count):
+                    time_ns, _, code = heap[0]
+                    if time_ns >= stop:
+                        break
+                    t_append(time_ns)
+                    c_append(code)
+                    if code >= 0:
+                        next_ns = time_ns + mean
+                    else:
+                        code = ~code
+                        next_ns = time_ns + mean * draws[used]
+                        used += 1
+                    if next_ns > change:
+                        next_ns, code = change, ~code
+                    heapreplace(heap, (next_ns, seq, code))
+                    seq += 1
+                    n_append(next_ns)
+            else:
+                # Only an overflowing interval (a sub-normal rate) passes
+                # `clamp` when no boundary is left: the node is idle for good.
+                ends = change == _INF
+                clamp = _MAX_FLOAT if ends else change
+                for _ in range(size - count):
+                    time_ns, _, code = heap[0]
+                    if time_ns >= stop:
+                        break
+                    t_append(time_ns)
+                    c_append(code)
+                    if code < 0:
+                        code = ~code
+                    next_ns = time_ns - draws[used] / rate
+                    used += 1
+                    if next_ns > clamp:
+                        if ends:
+                            heappop(heap)
+                            n_append(None)
+                            continue
+                        next_ns, code = change, ~code
+                    heapreplace(heap, (next_ns, seq, code))
+                    seq += 1
+                    n_append(next_ns)
+            count = len(times)
+        self._k, self._seq = k, seq
+        del draws[:used]
+        wake = np.array(codes, dtype=np.intc)
+        packet = wake >= 0
+        dsts = np.full(count, -1, dtype=np.intc)
+        if packet.any():
+            dsts[packet] = self._pattern.destinations(wake[packet])
+        return times, np.where(packet, wake, ~wake), dsts, nexts
 
 
 class TrafficGenerator:
-    """Replays :func:`traffic_wakeups` on a network's event queue.
+    """Replays a :class:`WakeupRecorder` on a network's event queue.
 
-    Each wake-up is one event: it takes the next item of the stream, injects
-    a packet when the item has a destination and schedules the node's next
-    wake-up.  Draws happen only as the simulation reaches them.
+    Each wake-up is one event: it takes the next wake-up of the recorded
+    chunk, injects a packet when it has a destination and schedules the
+    node's next wake-up.  A chunk is recorded only when the run reaches it.
     """
 
     def __init__(self, network: "Network", pattern: TrafficPattern,
                  offered_load: Optional[float] = None,
                  schedule: Optional[LoadSchedule] = None,
                  arrival: str = "exponential") -> None:
-        self._next = traffic_wakeups(network.topo, network.params, pattern, network.rng,
-                                     offered_load, schedule, arrival).__next__
+        self._recorder = WakeupRecorder(network.topo, network.params, pattern, network.rng,
+                                        offered_load, schedule, arrival)
         self._push = network.sim.push
         self.network = network
         self.generated = 0
+        # The recorded chunk being replayed, and the cursor into it.
+        self._times: List[float] = []
+        self._dsts: List[int] = []
+        self._nexts: List[Optional[float]] = []
+        self._i = 0
         network.collector.offered_load = (
             float(offered_load) if schedule is None else schedule.phases[0].load
         )
@@ -225,14 +355,24 @@ class TrafficGenerator:
     def start(self) -> None:
         """Schedule the first wake-up of every node."""
         at = self.network.sim.at
-        for time_ns, node in self._next():
+        for time_ns, node in self._recorder.start():
             at(time_ns, self._wake, node)
 
+    def _record(self) -> None:
+        times, _, dsts, self._nexts = self._recorder.record()
+        self._times, self._dsts = times, dsts.tolist()
+
     def _wake(self, node: int) -> None:
-        time_ns, _, dst, next_ns = self._next()
+        i = self._i
+        if i == len(self._dsts):
+            self._record()
+            i = 0
+        self._i = i + 1
+        dst = self._dsts[i]
         if dst >= 0:
             network = self.network
-            network.nics[node].inject(network.create_packet(node, dst, time_ns))
+            network.nics[node].inject(network.create_packet(node, dst, self._times[i]))
             self.generated += 1
+        next_ns = self._nexts[i]
         if next_ns is not None:
             self._push(next_ns, self._wake, (node,))

@@ -7,7 +7,14 @@ system should approach 100% throughput.
 
 from __future__ import annotations
 
+from typing import Union
+
+import numpy as np
+
+from repro.engine.rng import bulk_randrange
 from repro.traffic.base import TrafficPattern
+
+_Nodes = Union[int, np.ndarray]
 
 
 class UniformRandomTraffic(TrafficPattern):
@@ -16,8 +23,13 @@ class UniformRandomTraffic(TrafficPattern):
     name = "UR"
 
     def destination(self, src_node: int) -> int:
-        num_nodes = self.topo.num_nodes
-        dest = self.rng.randrange(num_nodes - 1)
-        if dest >= src_node:
-            dest += 1
-        return dest
+        return _skip_source(src_node, self.rng.randrange(self.topo.num_nodes - 1))
+
+    def destinations(self, src_nodes: np.ndarray) -> np.ndarray:
+        draws = bulk_randrange(self.rng, self.topo.num_nodes - 1, len(src_nodes))
+        return _skip_source(src_nodes, draws)
+
+
+def _skip_source(src: _Nodes, draw: _Nodes) -> _Nodes:
+    """Node ``draw`` of all nodes but ``src`` (scalars or arrays alike)."""
+    return draw + (draw >= src)

@@ -35,7 +35,7 @@ from repro.engine.batch import (
     run_batch,
 )
 from repro.engine.batch.kernel import EV_QFB, BatchKernel
-from repro.engine.batch.model import _KIND_OF_ROUTING
+from repro.engine.batch.model import _KIND_OF_ROUTING, is_learned
 from repro.engine.rng import derive_replicate_seeds
 from repro.experiments import RunOptions, SweepRunner, run_experiment, run_replicates
 from repro.experiments.harness import ExperimentSpec, _execute, build_network
@@ -44,7 +44,8 @@ from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.network import Network
 from repro.network.nic import Nic
 from repro.network.router import Router
-from repro.routing import available_algorithms
+from repro.routing import ROUTING_REGISTRY, available_algorithms
+from repro.routing.minimal import MinimalRouting
 from repro.topology.config import DragonflyConfig
 from repro.topology.fattree import FatTreeConfig
 from repro.topology.mesh import MeshConfig
@@ -280,6 +281,19 @@ def test_every_routing_is_a_decision_kind():
     # The routing set is closed: a registered name without a kind could not
     # run on the kernel, and a kind without a name could not be asked for.
     assert set(available_algorithms()) == set(_KIND_OF_ROUTING)
+
+
+def test_a_routing_registered_from_outside_is_refused_by_name(monkeypatch):
+    # Registered on copies of the registry's tables, which monkeypatch puts
+    # back afterwards.
+    monkeypatch.setattr(ROUTING_REGISTRY, "_entries", dict(ROUTING_REGISTRY._entries))
+    monkeypatch.setattr(ROUTING_REGISTRY, "_alias_of", dict(ROUTING_REGISTRY._alias_of))
+    ROUTING_REGISTRY.register("Mine", MinimalRouting)
+    closed = r"'Mine' is not one of the nine built-in routings \(MIN, Q-adp, .*PAR\)"
+    with pytest.raises(ValueError, match=closed):
+        is_learned("Mine")
+    with pytest.raises(ValueError, match=closed):
+        run_experiment(_spec("Mine", sim=1_000.0, warm=0.0))
 
 
 @pytest.mark.parametrize("feedback", ["onpolicy", "greedy"])

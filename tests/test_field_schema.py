@@ -192,6 +192,18 @@ def test_an_unknown_arrival_is_refused_when_the_spec_is_built():
         Scenario(name="a", loads=(0.2,), arrival="poisson")
 
 
+@pytest.mark.parametrize("pattern,key,accepted", [
+    ("Hotspot", "hotspot_frac", "'hotspot_fraction', 'hotspot_nodes', 'num_hotspots'"),
+    ("ADV+1", "shfit", "'shift'"),
+    ("UR", "shift", "none"),
+])
+def test_an_unknown_pattern_kwarg_is_refused_when_the_spec_is_built(pattern, key, accepted):
+    expected = f"pattern {pattern!r} takes no keyword {key!r}; it accepts {accepted}"
+    for path in _pattern_paths(pattern):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            path(key, 0.5)
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("loads", 0.5, "loads must be a list of numbers, got 0.5"),
     ("loads", "0.5", "loads must be a list of numbers, got '0.5'"),

@@ -26,6 +26,7 @@ from repro.traffic import (
     available_patterns,
     make_pattern,
 )
+from repro.traffic.generator import _FIRST_CHUNK
 
 _INF = float("inf")
 
@@ -206,6 +207,56 @@ def test_the_generator_draws_only_as_the_run_reaches_each_wakeup():
         reference.expovariate(1.0)
         reference.random()
     assert network.rng.py("traffic:arrivals").getstate() == reference.getstate()
+
+
+def test_start_draws_one_stagger_per_deterministic_node_and_no_destination():
+    spec = ExperimentSpec(config=DragonflyConfig.tiny(), offered_load=0.3,
+                          arrival="deterministic", sim_time_ns=50_000.0, warmup_ns=0.0,
+                          seed=3)
+    network, generator = build_network(spec)
+    generator.start()
+    reference = RngFactory(3)
+    for _ in range(network.num_nodes):
+        reference.py("traffic:arrivals").random()
+    for name in ("traffic:arrivals", "traffic:UR"):
+        assert network.rng.py(name).getstate() == reference.py(name).getstate()
+
+
+def _stopped_run(arrival: str, stops: Tuple[float, ...]):
+    """Per-node ``(time, destination or -1)`` wake-ups of a step-load run on
+    a real network run up to each of ``stops`` in turn, and the arrival
+    stream's state at the end."""
+    network = _network(seed=9)
+    generator = TrafficGenerator(network, UniformRandomTraffic(),
+                                 schedule=LoadSchedule.step(0.2, 6_000.0, 0.7),
+                                 arrival=arrival)
+    wakeups = [[] for _ in range(network.num_nodes)]
+    create_packet, wake = network.create_packet, generator._wake
+
+    def logged_create(src, dst, now):
+        wakeups[src][-1] = (now, dst)
+        return create_packet(src, dst, now)
+
+    def logged_wake(node):
+        wakeups[node].append((network.sim.now, -1))
+        wake(node)
+
+    network.create_packet, generator._wake = logged_create, logged_wake
+    generator.start()
+    for until in stops:
+        network.run(until=until)
+    return wakeups, network.rng.py("traffic:arrivals").getstate()
+
+
+@pytest.mark.parametrize("arrival", ["exponential", "deterministic"])
+def test_a_run_stopped_anywhere_replays_the_same_wakeups(arrival):
+    """Chunks are recorded as the run reaches them, whatever its stops."""
+    whole = _stopped_run(arrival, (20_000.0,))
+    # Four chunks at least: the first three hold 1 + 2 + 4 first-chunk sizes.
+    assert sum(map(len, whole[0])) > 7 * _FIRST_CHUNK
+    for stops in ((0.0, 1_234.5, 6_000.0, 20_000.0),
+                  tuple(float(until) for until in range(250, 20_001, 250))):
+        assert _stopped_run(arrival, stops) == whole
 
 
 def _phase_step_spec(load: float) -> ExperimentSpec:
@@ -437,3 +488,15 @@ def test_a_boundary_exactly_at_a_wakeup_does_not_clamp_it(tie):
         topo, "UR", seed, None, schedule, "deterministic", 500.0)[0]
     at_boundary = [dst for t, dst in node0 if t == boundary]
     assert len(at_boundary) == 1 and at_boundary[0] >= 0
+
+
+@pytest.mark.parametrize("load", [2e-307, 1e-306])
+@pytest.mark.parametrize("step", [False, True])
+def test_an_overflowing_first_interval_skips_its_stagger_draw(load, step):
+    """At a sub-normal rate most exponential intervals overflow to inf, and a
+    node whose first interval does draws no stagger: the start-up draws are
+    data-dependent there, and both consumers must still match the reference."""
+    schedule = LoadSchedule([(0.0, load), (1_500.0, 0.4)]) if step else None
+    _assert_both_consumers_match_the_reference(
+        MeshTopology(MeshConfig(rows=4, cols=4, p=1, wrap=True)), "UR", 5,
+        None if step else load, schedule, "exponential", 3_000.0)

@@ -1,5 +1,6 @@
 """Tests for the synthetic traffic patterns."""
 
+import numpy as np
 import pytest
 
 from repro.engine.rng import RngFactory
@@ -161,3 +162,16 @@ def test_pattern_determinism_under_same_seed():
     a = _setup(UniformRandomTraffic(), seed=11)
     b = _setup(UniformRandomTraffic(), seed=11)
     assert [a.destination(3) for _ in range(20)] == [b.destination(3) for _ in range(20)]
+
+
+@pytest.mark.parametrize("name", ["UR", "ADV+1", "ADV+4", "3D Stencil", "Many to Many",
+                                  "Random Neighbors", "Permutation", "Hotspot"])
+def test_bulk_destinations_equal_one_destination_call_per_source(name):
+    """``destinations(nodes)`` draws exactly what one ``destination`` call
+    per source would, in order, and leaves the stream where they would."""
+    sources = np.array([0, 71, 5, 5, 40, 0, 13] * 30, dtype=np.intc)
+    bulk, scalar = _setup(make_pattern(name)), _setup(make_pattern(name))
+    expected = [scalar.destination(node) for node in sources.tolist()]
+    assert bulk.destinations(sources).tolist() == expected
+    assert bulk.rng.getstate() == scalar.rng.getstate()
+    assert bulk.destinations(sources[:0]).tolist() == []
