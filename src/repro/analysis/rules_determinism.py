@@ -217,7 +217,8 @@ _NP_GLOBAL_RNG = {
 
 
 @rule("D105", "numpy-global-rng", "error",
-      "numpy global RNG state is process-wide; use RngFactory.np(...) generators")
+      "numpy global RNG state is process-wide; draw from RngFactory.py(...) streams "
+      "(the bulk helpers of repro.engine.rng take many draws at once)")
 def check_numpy_global_rng(project: Project) -> Iterator[Finding]:
     rule_obj = RULE_REGISTRY["D105"]
     for module in project.modules:
@@ -229,8 +230,8 @@ def check_numpy_global_rng(project: Project) -> Iterator[Finding]:
                 yield module.finding(
                     rule_obj, node,
                     f"{name}() mutates/reads numpy's process-global RNG; draw "
-                    "from a named generator (RngFactory.np) so streams stay "
-                    "isolated and replayable",
+                    "from a named stream (RngFactory.py, or the bulk helpers of "
+                    "repro.engine.rng) so streams stay isolated and replayable",
                 )
 
 

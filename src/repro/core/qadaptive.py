@@ -27,7 +27,7 @@ configuration deadlock free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -39,12 +39,12 @@ from repro.core.qtable import two_level_initial_values
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.network.router import Router
-from repro.scenarios.serialize import FRACTION, _check_fields, check_keys
+from repro.scenarios.serialize import FRACTION, Codec, _check_fields
 from repro.topology.dragonfly import DragonflyTopology
 
 
 @dataclass(frozen=True)
-class QAdaptiveParams:
+class QAdaptiveParams(Codec):
     """Hyper-parameters of Q-adaptive routing.
 
     Defaults are the 1,056-node values of Section 5.1 (α=0.2, β=0.04,
@@ -78,18 +78,6 @@ class QAdaptiveParams:
 
     def hysteretic(self) -> HystereticParams:
         return HystereticParams(self.alpha, self.beta)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: every hyper-parameter field."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QAdaptiveParams":
-        """Strict inverse of :meth:`to_dict` (omitted fields keep defaults)."""
-        names = tuple(f.name for f in fields(cls))
-        check_keys(data, optional=names, context="QAdaptiveParams")
-        return cls(**dict(data))
 
     @classmethod
     def paper_1056(cls) -> "QAdaptiveParams":

@@ -21,7 +21,7 @@ because rarely used destinations hold stale values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,12 +33,12 @@ from repro.core.qtable import qrouting_initial_values
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
 from repro.network.router import Router
-from repro.scenarios.serialize import FRACTION, POSITIVE_FRACTION, Number, _check_fields, check_keys
+from repro.scenarios.serialize import FRACTION, POSITIVE_FRACTION, Codec, Number, _check_fields
 from repro.topology.base import Topology
 
 
 @dataclass(frozen=True)
-class QRoutingParams:
+class QRoutingParams(Codec):
     """Hyper-parameters of the Q-routing baseline.
 
     ``beta=None`` uses a single learning rate (the original algorithm);
@@ -63,18 +63,6 @@ class QRoutingParams:
     def hysteretic(self) -> HystereticParams:
         beta = self.alpha if self.beta is None else self.beta
         return HystereticParams(self.alpha, beta)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: every hyper-parameter field."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QRoutingParams":
-        """Strict inverse of :meth:`to_dict` (omitted fields keep defaults)."""
-        names = tuple(f.name for f in fields(cls))
-        check_keys(data, optional=names, context="QRoutingParams")
-        return cls(**dict(data))
 
 
 class QRoutingAlgorithm(TabularMarlRouting):

@@ -130,31 +130,18 @@ class RngFactory:
     def __init__(self, root_seed: int = 0) -> None:
         self.root_seed = int(root_seed)
         self._py_streams: Dict[str, random.Random] = {}
-        self._np_streams: Dict[str, np.random.Generator] = {}
 
     def py(self, name: str) -> random.Random:
         """Return (creating on first use) the ``random.Random`` stream ``name``.
 
-        ``random.Random`` is preferred on per-event hot paths: a single scalar
-        draw is several times cheaper than from a NumPy generator.
+        Many draws at once go through the bulk helpers below, which leave the
+        stream exactly where the scalar calls would.
         """
         stream = self._py_streams.get(name)
         if stream is None:
             stream = random.Random(_derive_seed(self.root_seed, name))
             self._py_streams[name] = stream
         return stream
-
-    def np(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the NumPy generator stream ``name``."""
-        stream = self._np_streams.get(name)
-        if stream is None:
-            stream = np.random.default_rng(_derive_seed(self.root_seed, name))
-            self._np_streams[name] = stream
-        return stream
-
-    def spawn(self, name: str) -> "RngFactory":
-        """Return a child factory whose streams are independent of the parent's."""
-        return RngFactory(_derive_seed(self.root_seed, f"spawn:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(root_seed={self.root_seed})"

@@ -17,7 +17,6 @@ algorithm to every evaluation point instead of re-learning at each.
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -29,21 +28,20 @@ from repro.experiments.options import RunOptions
 from repro.faults.schedule import FaultSchedule
 from repro.network.network import Network
 from repro.network.params import NetworkParams
-from repro.routing import canonical_routing_name, make_routing
+from repro.routing import ROUTING_REGISTRY, canonical_routing_name, make_routing
 from repro.scenarios.serialize import (
     INTEGER,
     NON_NEGATIVE,
     POSITIVE,
     POSITIVE_FRACTION,
     SPEC_SCHEMA_VERSION,
+    Codec,
+    Form,
+    Kwargs,
     _check_fields,
-    check_keys,
-    check_schema,
-    decode_kwargs,
-    encode_kwargs,
 )
 from repro.stats.collectors import RunStats, StatsCollector
-from repro.topology.registry import config_from_dict, config_to_dict
+from repro.topology.registry import config_to_dict
 from repro.traffic import (
     PATTERN_REGISTRY,
     LoadSchedule,
@@ -61,7 +59,7 @@ StoreLike = Union[None, str, "os.PathLike[str]", "ArtifactStore"]
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(Codec):
     """Complete description of one simulation run.
 
     Routing and pattern names are canonicalised against the registries on
@@ -84,8 +82,8 @@ class ExperimentSpec:
     sim_time_ns: float = 50_000.0
     warmup_ns: float = 25_000.0
     seed: int = 1
-    routing_kwargs: Dict = field(default_factory=dict)
-    pattern_kwargs: Dict = field(default_factory=dict)
+    routing_kwargs: Kwargs = field(default_factory=dict)
+    pattern_kwargs: Kwargs = field(default_factory=dict)
     network_params: Optional[NetworkParams] = None
     arrival: str = "exponential"
     stats_bin_ns: float = 2_000.0
@@ -112,6 +110,10 @@ class ExperimentSpec:
 
     _NUMBERS = {"offered_load": POSITIVE_FRACTION.or_none(), "sim_time_ns": POSITIVE,
                 "warmup_ns": NON_NEGATIVE, "seed": INTEGER, "stats_bin_ns": POSITIVE}
+    #: a versioned document; the config is written under ``topology``, and a
+    #: file states its routing, its pattern and a load or a schedule.
+    _FORM = Form(schema=SPEC_SCHEMA_VERSION, keys={"config": "topology"},
+                 required=("routing", "pattern", ("offered_load", "schedule")))
 
     def __post_init__(self) -> None:
         if self.schedule is not None:
@@ -139,25 +141,13 @@ class ExperimentSpec:
                 )
         self.routing = canonical_routing_name(self.routing)
         self.pattern = canonical_pattern_name(self.pattern)
+        # Each factory's own keywords and number rules, read without building it.
+        if self.routing_kwargs:
+            self.routing_kwargs = ROUTING_REGISTRY.check_kwargs(
+                self.routing, self.routing_kwargs, "ExperimentSpec")
         if self.pattern_kwargs:
-            # The pattern class's own keywords and number rules, read without
-            # building it.
-            pattern_cls = PATTERN_REGISTRY.factory(self.pattern)
-            try:
-                inspect.signature(pattern_cls).bind_partial(**self.pattern_kwargs)
-            except TypeError:
-                accepted = sorted(PATTERN_REGISTRY.signature(self.pattern))
-                unknown = sorted(set(self.pattern_kwargs) - set(accepted))
-                raise ValueError(
-                    f"ExperimentSpec: pattern {self.pattern!r} takes no keyword "
-                    f"{', '.join(map(repr, unknown))}; it accepts "
-                    f"{', '.join(map(repr, accepted)) or 'none'}") from None
-            numbers = getattr(pattern_cls, "_NUMBERS", {})
-            self.pattern_kwargs = {
-                key: numbers[key].check(value, key, pattern_cls.__name__)
-                if key in numbers else value
-                for key, value in self.pattern_kwargs.items()
-            }
+            self.pattern_kwargs = PATTERN_REGISTRY.check_kwargs(
+                self.pattern, self.pattern_kwargs, "ExperimentSpec")
         if isinstance(self.telemetry, str):
             self.telemetry = (self.telemetry,)
         if self.telemetry:
@@ -182,100 +172,6 @@ class ExperimentSpec:
 
     def with_overrides(self, **kwargs) -> "ExperimentSpec":
         return replace(self, **kwargs)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict:
-        """Versioned, JSON-ready form of the spec.
-
-        Optional fields that are unset/empty are omitted, so fingerprints
-        built from this form survive the addition of future optional fields.
-        """
-        data: Dict = {
-            "schema": SPEC_SCHEMA_VERSION,
-            "topology": config_to_dict(self.config),
-            "routing": self.routing,
-            "pattern": self.pattern,
-            "sim_time_ns": float(self.sim_time_ns),
-            "warmup_ns": float(self.warmup_ns),
-            "seed": int(self.seed),
-            "arrival": self.arrival,
-            "stats_bin_ns": float(self.stats_bin_ns),
-        }
-        if self.offered_load is not None:
-            data["offered_load"] = float(self.offered_load)
-        if self.schedule is not None:
-            data["schedule"] = self.schedule.to_dict()
-        if self.routing_kwargs:
-            data["routing_kwargs"] = encode_kwargs(self.routing_kwargs,
-                                                   "ExperimentSpec.routing_kwargs")
-        if self.pattern_kwargs:
-            data["pattern_kwargs"] = encode_kwargs(self.pattern_kwargs,
-                                                   "ExperimentSpec.pattern_kwargs")
-        if self.network_params is not None:
-            data["network_params"] = self.network_params.to_dict()
-        if self.label is not None:
-            data["label"] = self.label
-        if self.warm_start is not None:
-            data["warm_start"] = self.warm_start
-        if self.telemetry:
-            data["telemetry"] = list(self.telemetry)
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentSpec":
-        """Strict inverse of :meth:`to_dict`.
-
-        Unknown keys, a missing/unsupported ``schema`` version, or invalid
-        field values all raise :class:`ValueError` with the offending field
-        named — a typo in a scenario file must never silently change the run.
-        """
-        check_keys(
-            data,
-            required=("schema", "topology", "routing", "pattern"),
-            optional=("offered_load", "schedule", "sim_time_ns", "warmup_ns",
-                      "seed", "arrival", "stats_bin_ns", "routing_kwargs",
-                      "pattern_kwargs", "network_params", "label",
-                      "warm_start", "telemetry", "faults"),
-            context="ExperimentSpec",
-        )
-        check_schema(data, SPEC_SCHEMA_VERSION, "ExperimentSpec")
-        kwargs: Dict = {
-            "config": config_from_dict(data["topology"]),
-            "routing": data["routing"],
-            "pattern": data["pattern"],
-        }
-        if "schedule" in data:
-            kwargs["schedule"] = LoadSchedule.from_dict(data["schedule"])
-        kwargs.update((name, data[name]) for name in (
-            "offered_load", "sim_time_ns", "warmup_ns", "seed", "arrival", "stats_bin_ns",
-            "label", "warm_start") if name in data)
-        if "routing_kwargs" in data:
-            kwargs["routing_kwargs"] = decode_kwargs(data["routing_kwargs"],
-                                                     "ExperimentSpec.routing_kwargs")
-        if "pattern_kwargs" in data:
-            kwargs["pattern_kwargs"] = decode_kwargs(data["pattern_kwargs"],
-                                                     "ExperimentSpec.pattern_kwargs")
-        if "network_params" in data:
-            kwargs["network_params"] = NetworkParams.from_dict(data["network_params"])
-        if "telemetry" in data:
-            telemetry = data["telemetry"]
-            if not isinstance(telemetry, (list, tuple)) or not all(
-                isinstance(name, str) for name in telemetry
-            ):
-                raise ValueError(
-                    f"ExperimentSpec: telemetry must be a list of probe "
-                    f"names, got {telemetry!r}"
-                )
-            kwargs["telemetry"] = tuple(telemetry)
-        if "faults" in data:
-            kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-        if "offered_load" not in data and "schedule" not in data:
-            raise ValueError(
-                "ExperimentSpec: a serialized spec needs offered_load or schedule"
-            )
-        return cls(**kwargs)
 
 
 @dataclass

@@ -8,19 +8,15 @@ only: unbounded source queues and NICs that always drain the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.scenarios.serialize import NON_NEGATIVE, POSITIVE, Number, _check_fields, check_keys
+from repro.scenarios.serialize import NON_NEGATIVE, POSITIVE, Codec, Form, Number
 from repro.topology.base import PortType, Topology
 from repro.topology.paths import LinkTiming
 
-#: fields older files may still carry; the open-loop network has no such knob.
-_REMOVED_FIELDS = frozenset({"injection_queue_packets", "ejection_credits", "record_paths"})
-
-
 @dataclass
-class NetworkParams:
+class NetworkParams(Codec):
     """Tunable hardware parameters (all times in nanoseconds).
 
     Attributes
@@ -52,9 +48,12 @@ class NetworkParams:
                 "local_link_latency_ns": NON_NEGATIVE, "global_link_latency_ns": NON_NEGATIVE,
                 "host_link_latency_ns": NON_NEGATIVE, "vc_buffer_packets": Number(int, 1),
                 "num_vcs": Number(int, 1).or_none()}
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
+    #: a flat block; omitted keys keep their Section 5.1 defaults, so a
+    #: hand-written scenario file only states what it changes.  Older files
+    #: may still carry the removed knobs: the open-loop network has none.
+    _FORM = Form(flat=True, removed=dict.fromkeys(
+        ("injection_queue_packets", "ejection_credits", "record_paths"),
+        "the network models the open-loop setup only"))
 
     # --------------------------------------------------------------- derived
     @property
@@ -87,27 +86,6 @@ class NetworkParams:
     def with_num_vcs(self, num_vcs: int) -> "NetworkParams":
         """Copy of these parameters with ``num_vcs`` resolved."""
         return replace(self, num_vcs=num_vcs)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: every field, including those at their defaults."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkParams":
-        """Strict inverse of :meth:`to_dict`.
-
-        Unknown keys are an error, and a removed one says so; omitted keys
-        keep their Section 5.1 defaults (so hand-written scenario files only
-        state what they change).
-        """
-        removed = sorted(_REMOVED_FIELDS.intersection(data)) if isinstance(data, dict) else []
-        if removed:
-            raise ValueError(f"NetworkParams: field(s) {removed} were removed "
-                             "(the network models the open-loop setup only)")
-        names = tuple(f.name for f in fields(cls))
-        check_keys(data, optional=names, context="NetworkParams")
-        return cls(**dict(data))
 
 
 def total_injection_bandwidth_bytes_per_ns(

@@ -15,7 +15,8 @@ replaces them with one :class:`Registry` that supports:
   dynamic names such as ``"ADV+4"`` into the canonical display form plus the
   implied constructor kwargs (``{"shift": 4}``).
 * **kwarg introspection** — :meth:`Registry.signature` reports the keyword
-  arguments a factory accepts (loading it on demand, never instantiating).
+  arguments a factory accepts, and :meth:`Registry.check_kwargs` refuses
+  the ones it does not (loading it on demand, never instantiating).
 * **user plugins** — patterns (``repro.traffic.register_pattern``),
   topologies and studies accept entries from downstream code, and those
   show up in every listing, the CLI included.  The routing registry
@@ -27,8 +28,12 @@ from __future__ import annotations
 
 import inspect
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
+
+from repro.scenarios.serialize import PARAM_CODECS
 
 __all__ = ["MatchResult", "Registry", "RegistryEntry", "normalize_key"]
 
@@ -89,6 +94,7 @@ class Registry:
         self.kind = kind
         self._entries: Dict[str, RegistryEntry] = {}  # canonical key → entry
         self._alias_of: Dict[str, str] = {}  # normalised alias → canonical key
+        self._kwarg_rules: Dict[str, _KwargRules] = {}  # name → check_kwargs's rules
 
     # -------------------------------------------------------------- mutation
     def register(
@@ -107,6 +113,7 @@ class Registry:
         Raises :class:`ValueError` when any of the names is already taken,
         unless ``replace=True`` (which first unregisters the clashing entry).
         """
+        self._kwarg_rules.clear()
         entry = RegistryEntry(
             canonical=canonical,
             factory=factory,
@@ -137,6 +144,7 @@ class Registry:
         key = self._alias_of.get(normalize_key(name))
         if key is None:
             raise ValueError(self._unknown_message(name))
+        self._kwarg_rules.clear()
         entry = self._entries.pop(key)
         for alias_key in entry.lookup_keys():
             if self._alias_of.get(alias_key) == key:
@@ -239,6 +247,64 @@ class Registry:
             params[parameter.name] = parameter.default
         return params
 
+    def check_kwargs(self, name: str, kwargs: Mapping[str, Any], context: str) -> Dict[str, Any]:
+        """``kwargs`` for the factory behind ``name``, checked without building
+        it.  An unknown keyword is refused, naming the accepted ones, and so
+        is a plain mapping given as ``params`` (the factory takes a
+        hyper-parameter object: in a file, a mapping tagged ``__param__``).
+        A number the factory declares in its ``_NUMBERS`` is normalised by
+        that rule.  The rules are read once per name."""
+        rules = self._kwarg_rules.get(name)
+        if rules is None:
+            rules = self._kwarg_rules[name] = _kwarg_rules(self.factory(name))
+        accepted, tag, numbers, owner = rules
+        if accepted is not None and not accepted.issuperset(kwargs):
+            raise ValueError(
+                f"{context}: {self.kind} {name!r} takes no keyword "
+                f"{', '.join(map(repr, sorted(kwargs.keys() - accepted)))}; it accepts "
+                f"{', '.join(map(repr, sorted(accepted))) or 'none'}")
+        if tag is not None and isinstance(kwargs.get("params"), dict):
+            raise ValueError(
+                f"{context}: {self.kind} {name!r} takes params as a {PARAM_CODECS[tag][1]}, "
+                f"not a plain mapping; in a file, tag the mapping with \"__param__\": {tag!r}")
+        return {key: numbers[key].check(value, key, owner) if key in numbers else value
+                for key, value in kwargs.items()}
+
     # ------------------------------------------------------------- internals
     def _unknown_message(self, name: str) -> str:
         return f"unknown {self.kind} {name!r}; known: {self.names()}"
+
+
+#: what :meth:`Registry.check_kwargs` reads of a factory: the keywords it
+#: takes (``None``: any), the ``__param__`` tag of its ``params`` type, its
+#: ``_NUMBERS`` and its name.
+_KwargRules = Tuple[Optional[FrozenSet[str]], Optional[str], Dict[str, Any], str]
+
+
+def _kwarg_rules(factory: Callable[..., Any]) -> _KwargRules:
+    """Read from the factory's code, without building it (and without
+    ``inspect.signature``, whose first call costs more than a sweep's whole
+    set-up of specs).  A ``params`` keyword takes the hyper-parameter class
+    its annotation names; keywords caught by a ``**`` parameter are that
+    class's, which they build."""
+    accepted, any_more, annotations = _keywords(factory)
+    annotation = str(annotations.get("params", ""))
+    tag = next((tag for tag, (_, cls_name) in PARAM_CODECS.items()
+                if "params" in accepted and cls_name in annotation), None)
+    if any_more:
+        if tag is None:
+            return None, None, {}, factory.__name__
+        accepted |= _keywords(vars(sys.modules[factory.__module__])[PARAM_CODECS[tag][1]])[0]
+    return frozenset(accepted), tag, getattr(factory, "_NUMBERS", {}), factory.__name__
+
+
+def _keywords(factory: Callable[..., Any]) -> Tuple[set, bool, Dict[str, Any]]:
+    """The keywords ``factory`` names, whether a ``**`` parameter takes any
+    other, and its annotations, read from its code (a factory without Python
+    code takes any keyword)."""
+    function = factory.__init__ if isinstance(factory, type) else factory
+    code = getattr(function, "__code__", None)
+    if code is None:
+        return set(), True, {}
+    names = code.co_varnames[isinstance(factory, type):code.co_argcount + code.co_kwonlyargcount]
+    return set(names), bool(code.co_flags & inspect.CO_VARKEYWORDS), function.__annotations__

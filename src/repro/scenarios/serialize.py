@@ -1,31 +1,39 @@
-"""Shared helpers for the versioned ``to_dict``/``from_dict`` protocol.
+"""The one ``to_dict``/``from_dict`` codec of every spec-like type.
 
-Every serializable object in the scenario API follows the same rules:
+A spec-like dataclass inherits :class:`Codec`; its serialized form is derived
+from its fields, each value encoded by its field's type: a topology config
+(typed ``object``) family-tagged by ``config_to_dict``, a nested
+:class:`Codec` (or a sequence of them) recursively, ``LoadSchedule`` and
+``FaultSchedule`` by their own row codecs, a :data:`Kwargs` field by
+:func:`encode_kwargs` (which tags hyper-parameter objects with ``__param__``
+so :func:`decode_kwargs` rebuilds them), anything else as plain JSON.
 
-* ``to_dict`` emits only JSON-ready primitives (numbers, strings, booleans,
-  lists, dicts) and omits optional fields that are unset/empty, so the
-  serialized form — and therefore the cache fingerprint built from it — is
-  stable when new optional fields are added later.
-* ``from_dict`` is strict: unknown keys are an error (a typo in a scenario
-  file must not silently change the experiment), and the top-level documents
-  (:class:`~repro.experiments.harness.ExperimentSpec`,
-  :class:`~repro.scenarios.study.Study`) carry an explicit ``schema`` version
-  that is validated on load.
+What the fields cannot say, a class declares in its ``_FORM`` (a
+:class:`Form`, next to its ``_NUMBERS``): a document's ``schema`` version, a
+key that differs from its field name, keys required although their field
+has a default, and whether it is a *flat block*, which writes every field,
+``None`` included, or a *document*, which omits an unset field: ``None`` in
+an ``Optional`` field, empty in a field whose default is empty.  So the
+serialized form, and the cache fingerprint built from it, stays stable when
+an optional field is added.
 
-``routing_kwargs`` / ``pattern_kwargs`` may hold hyper-parameter objects
-(:class:`~repro.core.qadaptive.QAdaptiveParams`,
-:class:`~repro.core.qrouting.QRoutingParams`); :func:`encode_kwargs` tags them
-with a ``__param__`` marker so :func:`decode_kwargs` can rebuild the typed
-object instead of a bare dict.
+``from_dict`` is strict: the allowed keys come from the fields (a typo in a
+scenario file must not silently change the experiment), a document's
+``schema`` version is checked, numbers go through ``_NUMBERS`` in the
+constructor, and an error in a nested block names its path
+(``Study.scenarios[0].network_params: ...``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from importlib import import_module
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Type, Union
 
 #: schema version of a serialized ExperimentSpec document: the one version
 #: this build writes and reads.
@@ -226,7 +234,7 @@ def _decode_value(value: Any, context: str) -> Any:
             module_name, class_name = PARAM_CODECS[tag]
             cls = getattr(import_module(module_name), class_name)
             payload = {k: v for k, v in value.items() if k != "__param__"}
-            return cls.from_dict(payload)
+            return _from_dict(cls, payload, context)
         return {k: _decode_value(v, f"{context}[{k!r}]") for k, v in value.items()}
     if isinstance(value, list):
         # Sequences inside kwargs round-trip as tuples (JSON has no tuple
@@ -234,3 +242,218 @@ def _decode_value(value: Any, context: str) -> Any:
         # hashable, immutable sequences).
         return tuple(_decode_value(v, context) for v in value)
     return value
+
+
+# ------------------------------------------------------------------ the codec
+#: the type of a field of keyword arguments for a registered factory
+#: (``routing_kwargs``, ``pattern_kwargs``): written by :func:`encode_kwargs`.
+Kwargs = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Form:
+    """What a :class:`Codec` class declares about its serialized form beyond
+    its fields (its ``_FORM``).
+
+    ``schema``: a document's version, written first and checked on load.
+    ``keys``: field → key, where the key differs from the field name.
+    ``required``: keys required although their field has a default; a tuple
+    entry requires one key of the group.
+    ``flat``: write every field, ``None`` included (else omit an unset one).
+    ``always``: fields a document writes even when unset.
+    ``omit_default``: fields a document omits at their default.
+    ``removed``: keys older files may still carry → why they were removed.
+    """
+
+    schema: Optional[int] = None
+    keys: Mapping[str, str] = field(default_factory=dict)
+    required: Tuple[Union[str, Tuple[str, ...]], ...] = ()
+    flat: bool = False
+    always: Tuple[str, ...] = ()
+    omit_default: Tuple[str, ...] = ()
+    removed: Mapping[str, str] = field(default_factory=dict)
+
+
+class Codec:
+    """``to_dict``/``from_dict`` derived from the dataclass fields and the
+    class's ``_FORM`` (a flat block unless it declares otherwise).  Its
+    numbers are checked on construction: a class whose ``__post_init__``
+    does more calls :func:`_check_fields` itself."""
+
+    _FORM = Form(flat=True)
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form (see the module docstring for what is written)."""
+        plan = _PLANS.get(type(self)) or _plan(type(self))
+        data = {} if plan.form.schema is None else {"schema": plan.form.schema}
+        for name, key, encode, unless, default in plan.encoders:
+            value = getattr(self, name)
+            if unless and (value is None or unless is _EMPTY and not value
+                           or unless is _DEFAULT and value == default):
+                continue
+            data[key] = value if encode is None or value is None else encode(value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Strict inverse of :meth:`to_dict`: unknown keys, a missing
+        required key or a wrong ``schema`` version raise :class:`ValueError`;
+        omitted optional keys keep their field defaults."""
+        return _from_dict(cls, data, cls.__name__)
+
+
+Encoder = Callable[[Any], Any]
+
+#: when a document omits a field: when None, when None or empty (a field
+#: whose default is empty), when None or at its default.
+_NONE, _EMPTY, _DEFAULT = "none", "empty", "default"
+
+
+class _Plan(typing.NamedTuple):
+    """A class's codec, derived once, on first use, from its fields and
+    ``_FORM``.  The annotations are read as written (the codec modules
+    postpone theirs), and a class they name is looked up in the module only
+    when a file is read: evaluating every annotation of a class would cost
+    about a millisecond, paid by a process's first fingerprint."""
+
+    #: (field name, key, encoder or None, when omitted or None, default)
+    encoders: Tuple[Tuple[str, str, Optional[Encoder], Optional[str], Any], ...]
+    by_key: Dict[str, Tuple[str, str]]  # key → (field name, annotation)
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+    form: Form
+    namespace: Mapping[str, Any]  # the names of the class's module
+
+
+_PLANS: Dict[Type[Codec], _Plan] = {}
+
+
+def _plan(cls: Type[Codec]) -> _Plan:
+    form: Form = cls._FORM
+    encoders, by_key = [], {}
+    required = [] if form.schema is None else ["schema"]
+    for spec in fields(cls):
+        name, annotation = spec.name, spec.type
+        key = form.keys.get(name, name)
+        by_key[key] = (name, annotation)
+        core = _core(annotation)
+        if core in ("int", "float", "str", "bool"):
+            encode: Optional[Encoder] = None
+        elif core == "object":  # any registered topology config
+            from repro.topology.registry import config_to_dict
+
+            encode = config_to_dict
+        elif core in ("Kwargs", "Dict[str, Kwargs]"):  # the latter by factory name
+            encode = partial(encode_kwargs, context=f"{cls.__name__}.{key}")
+        else:
+            encode = list if core == "Tuple[str, ...]" else _plain
+        if spec.default is not MISSING:
+            default = spec.default
+        elif spec.default_factory is not MISSING:
+            default = spec.default_factory()
+        else:
+            default = None
+            required.append(key)
+        unless = (None if form.flat or name in form.always else
+                  _DEFAULT if name in form.omit_default else
+                  _EMPTY if isinstance(default, (str, tuple, dict)) and not default else _NONE)
+        encoders.append((name, key, encode, unless, default))
+    required += [key for key in form.required if isinstance(key, str)]
+    plan = _PLANS[cls] = _Plan(tuple(encoders), by_key, tuple(required),
+                               tuple(key for key in by_key if key not in required), form,
+                               vars(sys.modules[cls.__module__]))
+    return plan
+
+
+def _core(annotation: str) -> str:
+    """``Optional[X]`` is ``X``."""
+    return annotation[9:-1] if annotation.startswith("Optional[") else annotation
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-ready primitives: an object by its ``to_dict``,
+    sequences as lists, mappings as fresh dicts."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _from_dict(cls: Type[Codec], data: Any, path: str) -> Any:
+    """Build ``cls`` from its serialized form; ``path`` names the block in
+    error messages (``Study.scenarios[0].network_params`` when nested)."""
+    plan = _PLANS.get(cls) or _plan(cls)
+    form = plan.form
+    removed = sorted(form.removed.keys() & data.keys()) if isinstance(data, Mapping) else []
+    if removed:
+        raise ValueError(f"{path}: field(s) {removed} were removed "
+                         f"({'; '.join(sorted({form.removed[key] for key in removed}))})")
+    check_keys(data, required=plan.required, optional=plan.optional, context=path)
+    if form.schema is not None:
+        check_schema(data, form.schema, path)
+    for group in form.required:
+        if not isinstance(group, str) and not any(key in data for key in group):
+            raise ValueError(f"{path}: missing required field: {' or '.join(map(repr, group))}")
+    kwargs = {}
+    for key, value in data.items():
+        if key != "schema":
+            name, annotation = plan.by_key[key]
+            kwargs[name] = _decode(annotation, plan.namespace, value, f"{path}.{key}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if path == cls.__name__:  # not nested: the class names itself
+            raise
+        raise _located(exc, path) from None
+
+
+def _located(exc: ValueError, path: str) -> ValueError:
+    """``exc`` prefixed with the path of the block it was raised for."""
+    if isinstance(exc, FieldError):
+        return FieldError(f"{path}: {exc.context}", exc.name, exc.what, exc.value)
+    return ValueError(f"{path}: {exc}")
+
+
+def _decode(annotation: str, namespace: Mapping[str, Any], value: Any, path: str) -> Any:
+    """The value of a field annotated ``annotation`` (in a module whose names
+    are ``namespace``) read from its serialized ``value`` at ``path``."""
+    core = _core(annotation)
+    if core == "object":  # any registered topology config
+        from repro.topology.registry import config_from_dict
+
+        return _foreign(config_from_dict, value, path)
+    if core == "Kwargs":
+        return decode_kwargs(value, path)
+    if core == "Dict[str, Kwargs]":  # keyword arguments by factory name
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{path}: expected a mapping, got {type(value).__name__}")
+        return {name: decode_kwargs(kwargs, f"{path}[{name!r}]") for name, kwargs in value.items()}
+    if core == "Tuple[str, ...]":
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{path}: expected a list of strings, got {value!r}")
+        return tuple(value)
+    outer, _, inner = core.partition("[")  # Sequence[Scenario] → Sequence, Scenario]
+    codec = namespace.get(inner[:-1] or outer)
+    if isinstance(codec, type) and issubclass(codec, Codec):
+        if not inner:
+            return _from_dict(codec, value, path)
+        if not isinstance(value, (list, tuple)):  # a sequence of them
+            raise ValueError(f"{path}: expected a list, got {type(value).__name__}")
+        return [_from_dict(codec, item, f"{path}[{index}]") for index, item in enumerate(value)]
+    if isinstance(codec, type) and hasattr(codec, "from_dict") and not inner:
+        return _foreign(codec.from_dict, value, path)  # a row codec of its own
+    return dict(value) if outer == "Dict" and value is not None else value
+
+
+def _foreign(from_dict: Callable[[Any], Any], value: Any, path: str) -> Any:
+    """``from_dict(value)`` of a loader outside the codec, its errors located."""
+    try:
+        return from_dict(value)
+    except ValueError as exc:
+        raise _located(exc, path) from None

@@ -50,14 +50,12 @@ from repro.scenarios.serialize import (
     POSITIVE,
     POSITIVE_FRACTION,
     STUDY_SCHEMA_VERSION,
+    Codec,
+    Form,
+    Kwargs,
     Number,
     _check_fields,
-    check_keys,
-    check_schema,
-    decode_kwargs,
-    encode_kwargs,
 )
-from repro.topology.registry import config_from_dict, config_to_dict
 from repro.traffic import LoadSchedule, canonical_pattern_name
 from repro.traffic.generator import check_arrival
 
@@ -86,7 +84,7 @@ def _canonical_telemetry(value: Union[str, Sequence[str]]) -> Tuple[str, ...]:
 
 
 @dataclass
-class Scenario:
+class Scenario(Codec):
     """One named grid of experiments inside a :class:`Study`.
 
     ``None`` fields fall back to the owning study's defaults at expansion
@@ -111,8 +109,8 @@ class Scenario:
     seed: Optional[int] = None
     arrival: Optional[str] = None
     network_params: Optional[NetworkParams] = None
-    routing_kwargs: Dict[str, Dict] = field(default_factory=dict)
-    pattern_kwargs: Dict[str, Dict] = field(default_factory=dict)
+    routing_kwargs: Dict[str, Kwargs] = field(default_factory=dict)
+    pattern_kwargs: Dict[str, Kwargs] = field(default_factory=dict)
     #: telemetry probes attached to every run of this scenario (canonical
     #: names from :data:`repro.instrument.PROBE_REGISTRY`); ``None`` falls
     #: back to the owning study's default.
@@ -125,6 +123,9 @@ class Scenario:
     _NUMBERS = {"loads": LOADS, "replicates": Number(int, 1), "sim_time_ns": POSITIVE.or_none(),
                 "warmup_ns": NON_NEGATIVE.or_none(), "stats_bin_ns": POSITIVE.or_none(),
                 "seed": INTEGER.or_none()}
+    #: a document (so ``telemetry=()`` is written as ``[]``: ``None``
+    #: inherits the study's), which omits ``replicates`` at 1.
+    _FORM = Form(omit_default=("replicates",))
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -166,87 +167,9 @@ class Scenario:
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)
 
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict:
-        data: Dict = {
-            "name": self.name,
-            "routing": list(self.routing),
-            "pattern": list(self.pattern),
-        }
-        if self.loads:
-            data["loads"] = list(self.loads)
-        if self.loads_by_pattern:
-            data["loads_by_pattern"] = {
-                pattern: list(loads) for pattern, loads in self.loads_by_pattern.items()
-            }
-        if self.schedule is not None:
-            data["schedule"] = self.schedule.to_dict()
-        if self.replicates != 1:
-            data["replicates"] = self.replicates
-        if self.config is not None:
-            data["config"] = config_to_dict(self.config)
-        for name in ("sim_time_ns", "warmup_ns", "stats_bin_ns", "seed", "arrival"):
-            value = getattr(self, name)
-            if value is not None:
-                data[name] = value
-        if self.network_params is not None:
-            data["network_params"] = self.network_params.to_dict()
-        if self.routing_kwargs:
-            data["routing_kwargs"] = {
-                routing: encode_kwargs(kwargs, f"Scenario[{self.name!r}].routing_kwargs")
-                for routing, kwargs in self.routing_kwargs.items()
-            }
-        if self.pattern_kwargs:
-            data["pattern_kwargs"] = {
-                pattern: encode_kwargs(kwargs, f"Scenario[{self.name!r}].pattern_kwargs")
-                for pattern, kwargs in self.pattern_kwargs.items()
-            }
-        if self.telemetry is not None:
-            data["telemetry"] = list(self.telemetry)
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Scenario":
-        context = f"Scenario[{data.get('name', '?')!r}]"
-        check_keys(
-            data,
-            required=("name",),
-            optional=("routing", "pattern", "loads", "loads_by_pattern", "schedule",
-                      "replicates", "config", "sim_time_ns", "warmup_ns",
-                      "stats_bin_ns", "seed", "arrival", "network_params",
-                      "routing_kwargs", "pattern_kwargs", "telemetry", "faults"),
-            context=context,
-        )
-        kwargs: Dict = {name: data[name] for name in (
-            "name", "routing", "pattern", "loads", "replicates", "sim_time_ns", "warmup_ns",
-            "stats_bin_ns", "seed", "arrival", "telemetry") if name in data}
-        if "loads_by_pattern" in data:
-            kwargs["loads_by_pattern"] = dict(data["loads_by_pattern"])
-        if "schedule" in data:
-            kwargs["schedule"] = LoadSchedule.from_dict(data["schedule"])
-        if "config" in data:
-            kwargs["config"] = config_from_dict(data["config"])
-        if "network_params" in data:
-            kwargs["network_params"] = NetworkParams.from_dict(data["network_params"])
-        if "routing_kwargs" in data:
-            kwargs["routing_kwargs"] = {
-                routing: decode_kwargs(kw, f"{context}.routing_kwargs")
-                for routing, kw in data["routing_kwargs"].items()
-            }
-        if "pattern_kwargs" in data:
-            kwargs["pattern_kwargs"] = {
-                pattern: decode_kwargs(kw, f"{context}.pattern_kwargs")
-                for pattern, kw in data["pattern_kwargs"].items()
-            }
-        if "faults" in data:
-            kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-        return cls(**kwargs)
-
 
 @dataclass
-class TrainStage:
+class TrainStage(Codec):
     """Training stage of a staged study (schema v2).
 
     When a study carries a train stage, :meth:`Study.run` first produces one
@@ -268,10 +191,11 @@ class TrainStage:
     train_ns: Optional[float] = None
     routing: Union[str, Sequence[str]] = ()
     seed: Optional[int] = None
-    routing_kwargs: Dict[str, Dict] = field(default_factory=dict)
+    routing_kwargs: Dict[str, Kwargs] = field(default_factory=dict)
 
     _NUMBERS = {"load": POSITIVE_FRACTION, "train_ns": POSITIVE.or_none(),
                 "seed": INTEGER.or_none()}
+    _FORM = Form()  # a document
 
     def __post_init__(self) -> None:
         self.pattern = canonical_pattern_name(self.pattern)
@@ -282,39 +206,6 @@ class TrainStage:
             canonical_routing_name(routing): dict(kwargs)
             for routing, kwargs in self.routing_kwargs.items()
         }
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict:
-        data: Dict = {"pattern": self.pattern, "load": self.load}
-        if self.train_ns is not None:
-            data["train_ns"] = float(self.train_ns)
-        if self.routing:
-            data["routing"] = list(self.routing)
-        if self.seed is not None:
-            data["seed"] = int(self.seed)
-        if self.routing_kwargs:
-            data["routing_kwargs"] = {
-                routing: encode_kwargs(kwargs, "TrainStage.routing_kwargs")
-                for routing, kwargs in self.routing_kwargs.items()
-            }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TrainStage":
-        check_keys(
-            data,
-            optional=("pattern", "load", "train_ns", "routing", "seed",
-                      "routing_kwargs"),
-            context="TrainStage",
-        )
-        kwargs: Dict = {name: data[name] for name in ("pattern", "load", "train_ns", "routing",
-                                                      "seed") if name in data}
-        if "routing_kwargs" in data:
-            kwargs["routing_kwargs"] = {
-                routing: decode_kwargs(kw, "TrainStage.routing_kwargs")
-                for routing, kw in data["routing_kwargs"].items()
-            }
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -327,7 +218,7 @@ class StudyPoint:
 
 
 @dataclass
-class Study:
+class Study(Codec):
     """A named composition of scenarios with shared defaults."""
 
     name: str
@@ -354,6 +245,8 @@ class Study:
 
     _NUMBERS = {"sim_time_ns": POSITIVE, "warmup_ns": NON_NEGATIVE,
                 "stats_bin_ns": POSITIVE, "seed": INTEGER}
+    #: a versioned document, which a file states with its scenarios.
+    _FORM = Form(schema=STUDY_SCHEMA_VERSION, required=("scenarios",))
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -555,61 +448,6 @@ class Study:
 
     def with_overrides(self, **kwargs) -> "Study":
         return replace(self, **kwargs)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict:
-        """Versioned, JSON-ready document describing the whole study."""
-        data: Dict = {
-            "schema": STUDY_SCHEMA_VERSION,
-            "name": self.name,
-            "config": config_to_dict(self.config),
-            "sim_time_ns": float(self.sim_time_ns),
-            "warmup_ns": float(self.warmup_ns),
-            "stats_bin_ns": float(self.stats_bin_ns),
-            "seed": int(self.seed),
-            "arrival": self.arrival,
-            "scenarios": [scenario.to_dict() for scenario in self.scenarios],
-        }
-        if self.network_params is not None:
-            data["network_params"] = self.network_params.to_dict()
-        if self.description:
-            data["description"] = self.description
-        if self.train is not None:
-            data["train"] = self.train.to_dict()
-        if self.telemetry:
-            data["telemetry"] = list(self.telemetry)
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Study":
-        check_keys(
-            data,
-            required=("schema", "name", "config", "scenarios"),
-            optional=("sim_time_ns", "warmup_ns", "stats_bin_ns", "seed",
-                      "arrival", "network_params", "description", "train",
-                      "telemetry", "faults"),
-            context="Study",
-        )
-        check_schema(data, STUDY_SCHEMA_VERSION, "Study")
-        if not isinstance(data["scenarios"], (list, tuple)):
-            raise ValueError("Study: 'scenarios' must be a list")
-        kwargs: Dict = {
-            "name": data["name"],
-            "config": config_from_dict(data["config"]),
-            "scenarios": [Scenario.from_dict(item) for item in data["scenarios"]],
-        }
-        kwargs.update((name, data[name]) for name in (
-            "sim_time_ns", "warmup_ns", "stats_bin_ns", "seed", "arrival", "description",
-            "telemetry") if name in data)
-        if "network_params" in data:
-            kwargs["network_params"] = NetworkParams.from_dict(data["network_params"])
-        if "train" in data:
-            kwargs["train"] = TrainStage.from_dict(data["train"])
-        if "faults" in data:
-            kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------ files
     def save(self, path: Union[str, Path]) -> Path:

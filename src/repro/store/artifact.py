@@ -45,7 +45,7 @@ from typing import (
 
 import numpy as np
 
-from repro.scenarios.serialize import check_keys, check_schema
+from repro.scenarios.serialize import INTEGER, Codec, Form, Number
 
 if TYPE_CHECKING:  # circular at runtime: routing/harness import the store
     from repro.experiments.harness import ExperimentSpec
@@ -63,7 +63,7 @@ _STATE_NAME = "state.npz"
 
 
 @dataclass(frozen=True)
-class CheckpointManifest:
+class CheckpointManifest(Codec):
     """Sidecar metadata of one checkpoint (everything except the arrays)."""
 
     checkpoint_id: str
@@ -86,62 +86,11 @@ class CheckpointManifest:
     #: (same path, new state) invalidates their cached results.
     state_digest: Optional[str] = None
 
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "schema": MANIFEST_SCHEMA_VERSION,
-            "checkpoint_id": self.checkpoint_id,
-            "routing": self.routing,
-            "topology": dict(self.topology),
-            "table_kind": self.table_kind,
-            "state_version": int(self.state_version),
-            "table_version": int(self.table_version),
-            "first_port": int(self.first_port),
-            "hyperparams": dict(self.hyperparams),
-            "trained_sim_ns": float(self.trained_sim_ns),
-            "feedback_sent": int(self.feedback_sent),
-            "feedback_applied": int(self.feedback_applied),
-        }
-        if self.spec_fingerprint is not None:
-            data["spec_fingerprint"] = self.spec_fingerprint
-        if self.spec is not None:
-            data["spec"] = self.spec
-        if self.created_at is not None:
-            data["created_at"] = self.created_at
-        if self.state_digest is not None:
-            data["state_digest"] = self.state_digest
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CheckpointManifest":
-        check_keys(
-            data,
-            required=("schema", "checkpoint_id", "routing", "topology",
-                      "table_kind", "state_version", "table_version",
-                      "first_port"),
-            optional=("hyperparams", "trained_sim_ns", "feedback_sent",
-                      "feedback_applied", "spec_fingerprint", "spec",
-                      "created_at", "state_digest"),
-            context="CheckpointManifest",
-        )
-        check_schema(data, MANIFEST_SCHEMA_VERSION, "CheckpointManifest")
-        return cls(
-            checkpoint_id=data["checkpoint_id"],
-            routing=data["routing"],
-            topology=dict(data["topology"]),
-            table_kind=data["table_kind"],
-            state_version=int(data["state_version"]),
-            table_version=int(data["table_version"]),
-            first_port=int(data["first_port"]),
-            hyperparams=dict(data.get("hyperparams", {})),
-            trained_sim_ns=float(data.get("trained_sim_ns", 0.0)),
-            feedback_sent=int(data.get("feedback_sent", 0)),
-            feedback_applied=int(data.get("feedback_applied", 0)),
-            spec_fingerprint=data.get("spec_fingerprint"),
-            spec=data.get("spec"),
-            created_at=data.get("created_at"),
-            state_digest=data.get("state_digest"),
-        )
+    _NUMBERS = {"state_version": INTEGER, "table_version": INTEGER, "first_port": INTEGER,
+                "trained_sim_ns": Number(float), "feedback_sent": INTEGER,
+                "feedback_applied": INTEGER}
+    #: a versioned document that always states its hyper-parameters.
+    _FORM = Form(schema=MANIFEST_SCHEMA_VERSION, always=("hyperparams",))
 
 
 class Checkpoint:
@@ -381,13 +330,13 @@ class ArtifactStore:
             routing=str(routing),
             topology=dict(state["topology"]),
             table_kind=str(state["table_kind"]),
-            state_version=int(state["version"]),
-            table_version=int(state.get("table_version", 1)),
-            first_port=int(state["first_port"]),
+            state_version=state["version"],
+            table_version=state.get("table_version", 1),
+            first_port=state["first_port"],
             hyperparams=dict(state.get("hyperparams", {})),
-            trained_sim_ns=float(trained_sim_ns),
-            feedback_sent=int(state.get("feedback_sent", 0)),
-            feedback_applied=int(state.get("feedback_applied", 0)),
+            trained_sim_ns=trained_sim_ns,
+            feedback_sent=state.get("feedback_sent", 0),
+            feedback_applied=state.get("feedback_applied", 0),
             spec_fingerprint=spec_fingerprint,
             spec=spec_dict,
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),

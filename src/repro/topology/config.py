@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.scenarios.serialize import Number, _check_fields, check_keys
+from repro.scenarios.serialize import Codec, Number
 
 
 @dataclass(frozen=True)
-class DragonflyConfig:
+class DragonflyConfig(Codec):
     """Immutable Dragonfly size description.
 
     Attributes
@@ -42,9 +42,6 @@ class DragonflyConfig:
     h: int
 
     _NUMBERS = {"p": Number(int, 1), "a": Number(int, 2), "h": Number(int, 1)}  # a >= 2 routers
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     # ------------------------------------------------------------ derived sizes
     @property
@@ -97,17 +94,6 @@ class DragonflyConfig:
     def global_links_per_group(self) -> int:
         """Each group terminates ``a * h`` global link endpoints."""
         return self.a * self.h
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: just the three defining integers."""
-        return {"p": self.p, "a": self.a, "h": self.h}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DragonflyConfig":
-        """Strict inverse of :meth:`to_dict` (unknown/missing keys are errors)."""
-        check_keys(data, required=("p", "a", "h"), context="DragonflyConfig")
-        return cls(**data)
 
     def describe(self) -> dict:
         """Return the Table 1 row for this configuration as a dictionary."""

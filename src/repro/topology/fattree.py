@@ -31,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.scenarios.serialize import Number, _check_fields, check_keys
+from repro.scenarios.serialize import Codec, Number, _check_fields
 from repro.topology.base import PortType, Topology
 
 __all__ = ["FatTreeConfig", "FatTreeTopology"]
 
 
 @dataclass(frozen=True)
-class FatTreeConfig:
+class FatTreeConfig(Codec):
     """Immutable k-ary fat-tree size description (``k`` even, >= 2)."""
 
     k: int
@@ -83,15 +83,6 @@ class FatTreeConfig:
     @property
     def num_nodes(self) -> int:
         return self.num_edge * self.half
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        return {"k": self.k}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FatTreeConfig":
-        check_keys(data, required=("k",), context="FatTreeConfig")
-        return cls(**data)
 
     def describe(self) -> dict:
         return {

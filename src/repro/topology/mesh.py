@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.scenarios.serialize import Number, _check_fields, check_keys
+from repro.scenarios.serialize import Codec, Number, _check_fields
 from repro.topology.base import PortType, Topology
 
 __all__ = ["MeshConfig", "MeshTopology"]
 
 
 @dataclass(frozen=True)
-class MeshConfig:
+class MeshConfig(Codec):
     """Immutable 2D mesh/torus size description.
 
     ``rows`` x ``cols`` routers with ``p`` hosts each; ``wrap=True`` turns
@@ -72,15 +72,6 @@ class MeshConfig:
         if self.wrap:
             return max(1, self.rows // 2 + self.cols // 2)
         return (self.rows - 1) + (self.cols - 1)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "p": self.p, "wrap": self.wrap}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MeshConfig":
-        check_keys(data, required=("rows", "cols", "p"), optional=("wrap",), context="MeshConfig")
-        return cls(**data)
 
     def describe(self) -> dict:
         return {

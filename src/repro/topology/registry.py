@@ -77,6 +77,9 @@ class TopologyFamily:
 #: the process-wide topology family registry.
 TOPOLOGIES = Registry("topology")
 
+#: config type → its family, as :func:`family_of_config` found it.
+_FAMILY_OF_TYPE: Dict[type, "TopologyFamily"] = {}
+
 
 def register_topology(
     descriptor: TopologyFamily,
@@ -86,6 +89,7 @@ def register_topology(
     replace: bool = False,
 ) -> None:
     """Register a topology descriptor under its ``name``."""
+    _FAMILY_OF_TYPE.clear()
     TOPOLOGIES.register(
         descriptor.name,
         lambda: descriptor,
@@ -111,10 +115,15 @@ def available_topologies() -> List[str]:
 
 
 def family_of_config(config: Any) -> TopologyFamily:
-    """The descriptor whose ``config_cls`` matches ``config``'s exact type."""
+    """The descriptor whose ``config_cls`` matches ``config``'s exact type
+    (the first registered, remembered per type until the next registration)."""
+    descriptor = _FAMILY_OF_TYPE.get(type(config))
+    if descriptor is not None:
+        return descriptor
     for name in TOPOLOGIES.names():
         descriptor = family_by_name(name)
         if type(config) is descriptor.config_cls:
+            _FAMILY_OF_TYPE[type(config)] = descriptor
             return descriptor
     raise ValueError(
         f"no registered topology family accepts a {type(config).__name__}; "

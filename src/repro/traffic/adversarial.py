@@ -41,6 +41,12 @@ class AdversarialTraffic(TrafficPattern):
             )
         # Per-source target range, so a draw costs no topology calls.
         targets = [topo.nodes_in_group((g + self.shift) % topo.g) for g in topo.all_groups()]
+        for group, target_nodes in zip(topo.all_groups(), targets):
+            if not target_nodes and topo.nodes_in_group(group):
+                raise ValueError(
+                    f"{self.name} sends group {group} to group {(group + self.shift) % topo.g}, "
+                    f"which has no nodes on this {topo.family} topology"
+                )
         groups = [topo.group_of_node(n) for n in topo.all_nodes()]
         self._targets = [targets[g] for g in groups]
         # The same ranges as a table for bulk draws (row = the source's

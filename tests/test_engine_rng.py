@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.engine.rng import (
@@ -35,27 +34,6 @@ def test_different_seeds_give_different_streams():
 def test_stream_is_cached_per_name():
     factory = RngFactory(0)
     assert factory.py("x") is factory.py("x")
-    assert factory.np("x") is factory.np("x")
-
-
-def test_numpy_streams_reproducible():
-    a = RngFactory(7).np("weights").random(4)
-    b = RngFactory(7).np("weights").random(4)
-    assert np.allclose(a, b)
-
-
-def test_numpy_and_python_streams_are_distinct_objects():
-    factory = RngFactory(3)
-    assert factory.py("s") is not factory.np("s")
-
-
-def test_spawn_produces_independent_child():
-    parent = RngFactory(5)
-    child = parent.spawn("worker")
-    assert child.root_seed != parent.root_seed
-    assert parent.py("x").random() != child.py("x").random()
-    # Spawning is itself deterministic.
-    assert RngFactory(5).spawn("worker").root_seed == child.root_seed
 
 
 # ------------------------------------------------- bulk draws = scalar draws

@@ -204,6 +204,81 @@ def test_an_unknown_pattern_kwarg_is_refused_when_the_spec_is_built(pattern, key
             path(key, 0.5)
 
 
+@pytest.mark.parametrize("routing,kwargs,expected", [
+    ("UGALn", {"biass": 1.0}, "routing algorithm 'UGALn' takes no keyword 'biass'; "
+                              "it accepts 'bias'"),
+    ("MIN", {"bias": 1.0}, "routing algorithm 'MIN' takes no keyword 'bias'; it accepts none"),
+    # keywords caught by ``**overrides`` build the routing's params
+    ("Q-adp", {"q_thld": 0.1}, "routing algorithm 'Q-adp' takes no keyword 'q_thld'; it "
+                               "accepts 'alpha', 'beta', 'epsilon', 'feedback', 'params', "
+                               "'q_thld1', 'q_thld2'"),
+    ("Q-adp", {"params": {"q_thld1": 0.1}},
+     "routing algorithm 'Q-adp' takes params as a QAdaptiveParams, not a plain mapping; "
+     "in a file, tag the mapping with \"__param__\": 'qadaptive'"),
+    ("Q-routing", {"params": {"max_q": 2}},
+     "routing algorithm 'Q-routing' takes params as a QRoutingParams, not a plain mapping; "
+     "in a file, tag the mapping with \"__param__\": 'qrouting'"),
+])
+def test_an_unknown_routing_kwarg_is_refused_when_the_spec_is_built(routing, kwargs, expected):
+    data = ExperimentSpec(**_SPEC, routing=routing).to_dict()
+    with pytest.raises(ValueError, match=re.escape(f"ExperimentSpec: {expected}")):
+        ExperimentSpec(**_SPEC, routing=routing, routing_kwargs=kwargs)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        ExperimentSpec.from_dict(dict(data, routing_kwargs=kwargs))
+
+
+@pytest.mark.parametrize("routing,kwargs", [
+    ("UGALn", {"bias": 1.0}),
+    ("Q-adp", {"q_thld1": 0.1}),
+    ("Q-adp", {"params": QAdaptiveParams(q_thld1=0.1)}),
+    ("Q-routing", {"max_q": 3}),
+])
+def test_a_known_routing_kwarg_builds_and_round_trips(routing, kwargs):
+    spec = ExperimentSpec(**_SPEC, routing=routing, routing_kwargs=kwargs)
+    assert spec.routing_kwargs == kwargs
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_a_bad_nested_field_is_named_by_its_path():
+    data = _study(network_params=NetworkParams()).to_dict()
+    scenario = dict(data["scenarios"][0], network_params={"vc_buffer_packets": 0})
+    with pytest.raises(FieldError, match=re.escape(
+            "Study.scenarios[0].network_params: NetworkParams: vc_buffer_packets "
+            "must be >= 1, got 0")):
+        Study.from_dict(dict(data, scenarios=[scenario]))
+    with pytest.raises(ValueError, match=re.escape(
+            "Study.network_params: unknown field(s) ['vc_buffer']")):
+        Study.from_dict(dict(data, network_params={"vc_buffer": 4}))
+    with pytest.raises(ValueError, match=re.escape(
+            "Study.config: DragonflyConfig: p must be >= 1, got 0")):
+        Study.from_dict(dict(data, config=dict(data["config"], p=0)))
+    with pytest.raises(ValueError, match=re.escape(
+            "Study.train.routing_kwargs['Q-adp']['params']: QAdaptiveParams: alpha must be "
+            "in (0, 1], got 2.0")):
+        Study.from_dict(dict(data, train={"routing_kwargs": {
+            "Q-adp": {"params": {"__param__": "qadaptive", "alpha": 2.0}}}}))
+    with pytest.raises(ValueError, match=re.escape(
+            "ExperimentSpec.schedule: LoadSchedule: phase 0 load must be in [0, 1], got 2")):
+        ExperimentSpec.from_dict(dict(ExperimentSpec(**_SPEC).to_dict(),
+                                      schedule={"phases": [[0.0, 2]]}))
+
+
+def test_a_manifest_reads_its_numbers_by_the_declared_rule():
+    from repro.store.artifact import CheckpointManifest
+
+    data = CheckpointManifest(
+        checkpoint_id="c", routing="Q-adp", topology=TINY.to_dict(), table_kind="TwoLevelQTable",
+        state_version=1, table_version=1, first_port=1).to_dict()
+    loaded = CheckpointManifest.from_dict(dict(data, first_port="2", trained_sim_ns=5))
+    assert (loaded.first_port, loaded.trained_sim_ns) == (2, 5.0)
+    assert type(loaded.trained_sim_ns) is float
+    for field, value, message in (("state_version", 1.5, "must be an integer, got 1.5"),
+                                  ("feedback_sent", True, "must be an integer, got True"),
+                                  ("trained_sim_ns", "nan", "must be a finite number")):
+        with pytest.raises(FieldError, match=f"CheckpointManifest: {field} {message}"):
+            CheckpointManifest.from_dict(dict(data, **{field: value}))
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("loads", 0.5, "loads must be a list of numbers, got 0.5"),
     ("loads", "0.5", "loads must be a list of numbers, got '0.5'"),

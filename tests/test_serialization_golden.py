@@ -54,7 +54,7 @@ def _study(**fields) -> Study:
     return Study(**dict(dict(name="s", config=TINY, scenarios=[_scenario()]), **fields))
 
 
-#: (row name, builder) of one object per serialization rule; each row's
+#: (row name, factory) of one object per serialization rule; each row's
 #: ``to_dict()`` is pinned and must load back to the same form.
 HAND_ROWS: List[Tuple[str, Callable[[], Any]]] = [
     # flat blocks write every field, None included

@@ -1,5 +1,7 @@
 """Tests for the synthetic traffic patterns."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,22 @@ def test_adversarial_rejects_bad_shift():
     pattern = AdversarialTraffic(TOPO.g)
     with pytest.raises(ValueError):
         _setup(pattern)
+
+
+def test_adversarial_refuses_a_target_group_without_nodes_on_both_engines():
+    """A fat-tree's core switches form a group with no hosts: the run refuses
+    it up front, naming the group, instead of failing at the first packet."""
+    from repro.experiments import ExperimentSpec, run_experiment
+    from repro.experiments.harness import _execute
+    from repro.topology.fattree import FatTreeConfig
+
+    spec = ExperimentSpec(config=FatTreeConfig(k=4), pattern="ADV+1", offered_load=0.2,
+                          sim_time_ns=2_000.0, warmup_ns=500.0)
+    expected = re.escape("ADV+1 sends group 3 to group 4, which has no nodes on this fattree "
+                         "topology")
+    for run in (run_experiment, _execute):  # the kernel, then the object graph
+        with pytest.raises(ValueError, match=expected):
+            run(spec)
 
 
 def test_stencil_grid_mapping_roundtrip():
