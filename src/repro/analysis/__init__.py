@@ -11,13 +11,11 @@ rests on — and the ones a stray line of code silently breaks:
 * **Hot path** (``H`` rules) — the per-event/per-flit functions rewritten in
   PR 3 must not regrow try/except, closures, ``**``-unpacking, logging, or
   run-log appends without their ``is not None`` guard.
-* **Serialization** (``S`` rules) — every spec/config field round-trips
-  through ``to_dict``/``from_dict`` (and therefore folds into the cache
-  fingerprint) and loaders stay strict.
-* **Registry** (``R`` rules) — everything registered (routing algorithms,
-  traffic patterns, telemetry probes) declares its contract completely:
-  explicit ``supported_topologies``, a ``name``, the protocol methods, and a
-  matched ``export_state``/``import_state`` pair for learned state.
+
+Serialized forms and registrations are guarded by tests instead: every
+spec-like class is a :class:`repro.scenarios.serialize.Codec`, checked field
+by field by ``tests/test_serialization_golden.py``, and each registered
+routing, pattern and probe runs under the suite.
 
 Run it as ``repro-sim check [--strict]`` or ``python -m repro.analysis``.
 Findings can be suppressed inline with ``# repro: ignore[RULE]`` (or
@@ -37,11 +35,9 @@ from repro.analysis.core import (
 )
 from repro.analysis.runner import main, run_check
 
-# Importing the rule modules registers every rule family.
+# Importing the rule modules registers both rule families.
 from repro.analysis import rules_determinism  # noqa: F401  (registration side effect)
 from repro.analysis import rules_hotpath  # noqa: F401
-from repro.analysis import rules_serialization  # noqa: F401
-from repro.analysis import rules_registry  # noqa: F401
 
 __all__ = [
     "Finding",

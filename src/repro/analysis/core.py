@@ -5,10 +5,8 @@ regex): the analyzer must run in every environment the simulator runs in,
 including CI images that install nothing beyond numpy.
 
 A rule is a function ``check(project) -> Iterable[Finding]`` registered with
-the :func:`rule` decorator.  Rules receive the whole :class:`Project` — a
-parsed view of every checked file plus a cross-module class index — so
-single-file rules and whole-program rules (registry completeness, class
-hierarchies) share one interface.
+the :func:`rule` decorator; it receives the whole :class:`Project`, the
+parsed view of every checked file.
 
 Suppressions are line-scoped comments::
 
@@ -91,8 +89,8 @@ def rule(code: str, name: str, severity: str,
     """Register a check function under ``code`` (e.g. ``D101``)."""
     if severity not in SEVERITIES:
         raise ValueError(f"rule {code}: severity must be one of {SEVERITIES}")
-    if not re.fullmatch(r"[DHSR]\d{3}", code):
-        raise ValueError(f"rule code {code!r} must look like D101/H201/S301/R401")
+    if not re.fullmatch(r"[DH]\d{3}", code):
+        raise ValueError(f"rule code {code!r} must look like D101/H201")
 
     def decorate(check: _CheckFn) -> _CheckFn:
         if code in RULE_REGISTRY:
@@ -109,27 +107,6 @@ def all_rules() -> List[Rule]:
 
 
 # ------------------------------------------------------------- source model
-@dataclass
-class ClassInfo:
-    """Cross-module view of one class definition (for registry/serialization rules)."""
-
-    module: str  # dotted module name, e.g. "repro.routing.minimal"
-    name: str
-    node: ast.ClassDef
-    path: str
-    #: base-class names as written (``RoutingAlgorithm``, ``abc.ABC``, ...)
-    bases: Tuple[str, ...]
-    #: methods defined in this class body
-    methods: FrozenSet[str]
-    #: names assigned at class level (plain and annotated assignments)
-    class_attrs: FrozenSet[str]
-    #: dataclass-style annotated field names in declaration order
-    #: (AnnAssign targets that are not ClassVar), with their line numbers
-    fields: Tuple[Tuple[str, int], ...]
-    #: whether any decorator looks like ``@dataclass`` / ``@dataclass(...)``
-    is_dataclass: bool
-
-
 class SourceModule:
     """One parsed source file plus its comment-level suppressions."""
 
@@ -212,132 +189,13 @@ def _type_checking_line_ranges(tree: ast.Module) -> List[Tuple[int, int]]:
 
 
 class Project:
-    """Every checked module plus a cross-module class index."""
+    """Every checked module."""
 
     def __init__(self, modules: List[SourceModule]) -> None:
         self.modules = modules
-        self.by_module: Dict[str, SourceModule] = {m.module: m for m in modules}
-        #: "module.Class" -> ClassInfo for every class in the project
-        self.classes: Dict[str, ClassInfo] = {}
-        for module in modules:
-            for info in _index_classes(module):
-                self.classes[f"{info.module}.{info.name}"] = info
-
-    # ----------------------------------------------------------- class lookup
-    def resolve_class(self, module: str, name: str) -> Optional[ClassInfo]:
-        """Find ``name`` as seen from ``module`` (local class or imported one)."""
-        info = self.classes.get(f"{module}.{name}")
-        if info is not None:
-            return info
-        source = self.by_module.get(module)
-        if source is None:
-            return None
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    if (alias.asname or alias.name) == name:
-                        return self.classes.get(f"{node.module}.{alias.name}")
-        return None
-
-    def mro_methods(self, info: ClassInfo, seen: Optional[set] = None) -> FrozenSet[str]:
-        """Methods available on ``info`` through its project-local base chain."""
-        if seen is None:
-            seen = set()
-        key = f"{info.module}.{info.name}"
-        if key in seen:
-            return info.methods
-        seen.add(key)
-        methods = set(info.methods)
-        for base in info.bases:
-            base_info = self.resolve_class(info.module, base.split(".")[-1])
-            if base_info is not None:
-                methods |= self.mro_methods(base_info, seen)
-        return frozenset(methods)
-
-    def mro_class_attrs(self, info: ClassInfo, seen: Optional[set] = None) -> FrozenSet[str]:
-        """Class attributes available through the project-local base chain."""
-        if seen is None:
-            seen = set()
-        key = f"{info.module}.{info.name}"
-        if key in seen:
-            return info.class_attrs
-        seen.add(key)
-        attrs = set(info.class_attrs)
-        for base in info.bases:
-            base_info = self.resolve_class(info.module, base.split(".")[-1])
-            if base_info is not None:
-                attrs |= self.mro_class_attrs(base_info, seen)
-        return frozenset(attrs)
-
-    def is_subclass_of(self, info: ClassInfo, root_name: str,
-                       seen: Optional[set] = None) -> bool:
-        """Whether ``info`` descends from a project class named ``root_name``."""
-        if seen is None:
-            seen = set()
-        key = f"{info.module}.{info.name}"
-        if key in seen:
-            return False
-        seen.add(key)
-        for base in info.bases:
-            simple = base.split(".")[-1]
-            if simple == root_name:
-                return True
-            base_info = self.resolve_class(info.module, simple)
-            if base_info is not None and self.is_subclass_of(base_info, root_name, seen):
-                return True
-        return False
 
 
-def _index_classes(module: SourceModule) -> Iterator[ClassInfo]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = tuple(_expr_name(base) for base in node.bases if _expr_name(base))
-        methods = set()
-        class_attrs = set()
-        fields: List[Tuple[str, int]] = []
-        for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.add(child.name)
-            elif isinstance(child, ast.Assign):
-                for target in child.targets:
-                    if isinstance(target, ast.Name):
-                        class_attrs.add(target.id)
-            elif isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
-                class_attrs.add(child.target.id)
-                if not _is_classvar(child.annotation):
-                    fields.append((child.target.id, child.lineno))
-        is_dc = any(
-            (isinstance(dec, ast.Name) and dec.id == "dataclass")
-            or (isinstance(dec, ast.Attribute) and dec.attr == "dataclass")
-            or (
-                isinstance(dec, ast.Call)
-                and _expr_name(dec.func) is not None
-                and _expr_name(dec.func).endswith("dataclass")
-            )
-            for dec in node.decorator_list
-        )
-        yield ClassInfo(
-            module=module.module,
-            name=node.name,
-            node=node,
-            path=module.rel_path,
-            bases=bases,
-            methods=frozenset(methods),
-            class_attrs=frozenset(class_attrs),
-            fields=tuple(fields),
-            is_dataclass=is_dc,
-        )
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    if isinstance(annotation, ast.Subscript):
-        annotation = annotation.value
-    name = _expr_name(annotation)
-    return name is not None and name.split(".")[-1] == "ClassVar"
-
-
-def _expr_name(node: ast.expr) -> Optional[str]:
+def dotted_name(node: ast.expr) -> Optional[str]:
     """Dotted name of an expression (``np.random.seed``), or None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -347,11 +205,6 @@ def _expr_name(node: ast.expr) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def dotted_name(node: ast.expr) -> Optional[str]:
-    """Public alias of :func:`_expr_name` for the rule modules."""
-    return _expr_name(node)
 
 
 @dataclass

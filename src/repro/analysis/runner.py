@@ -20,8 +20,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis import rules_determinism  # noqa: F401  (register D rules)
 from repro.analysis import rules_hotpath  # noqa: F401
-from repro.analysis import rules_registry  # noqa: F401
-from repro.analysis import rules_serialization  # noqa: F401
 from repro.analysis.core import Finding, Project, all_rules, load_module
 
 #: directories never descended into during discovery.
@@ -165,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Domain-specific static analysis for the repro codebase "
-                    "(determinism, hot-path, serialization, registry rules).",
+                    "(determinism and hot-path rules).",
     )
     add_arguments(parser)
     args = parser.parse_args(list(argv) if argv is not None else None)

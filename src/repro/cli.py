@@ -635,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser(
         "check", help="run the repo's domain-specific static analysis "
-                      "(determinism, hot-path, serialization, registry rules)")
+                      "(determinism and hot-path rules)")
     analysis_runner.add_arguments(check_p)
     return parser
 

@@ -148,16 +148,12 @@ class ExperimentSpec(Codec):
         if self.pattern_kwargs:
             self.pattern_kwargs = PATTERN_REGISTRY.check_kwargs(
                 self.pattern, self.pattern_kwargs, "ExperimentSpec")
-        if isinstance(self.telemetry, str):
-            self.telemetry = (self.telemetry,)
-        if self.telemetry:
-            from repro.instrument import canonical_probe_name
+        if self.telemetry or isinstance(self.telemetry, str):
+            from repro.instrument.probes import canonical_telemetry
 
-            # Canonical + deduplicated, order preserving: two specs naming
-            # the same probes spell — and fingerprint — identically.
-            self.telemetry = tuple(dict.fromkeys(
-                canonical_probe_name(name) for name in self.telemetry
-            ))
+            self.telemetry = canonical_telemetry(self.telemetry)
+        else:  # [] or None: the spec equals one without probes
+            self.telemetry = ()
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
                 f"faults must be a FaultSchedule, got {type(self.faults).__name__}"

@@ -31,12 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.qadaptive import QAdaptiveParams
 from repro.scenarios.registry import Registry
 from repro.scenarios.serialize import (INTEGER, LOADS, NON_NEGATIVE, POSITIVE,
-                                       POSITIVE_FRACTION, _check_fields)
+                                       POSITIVE_FRACTION, Codec)
 from repro.topology.config import DragonflyConfig
 
 
 @dataclass(frozen=True)
-class ExperimentScale:
+class ExperimentScale(Codec):
     """Everything that depends on how big an experiment should be."""
 
     name: str
@@ -59,9 +59,6 @@ class ExperimentScale:
                 "ur_loads": LOADS, "adv_loads": LOADS, "ur_reference_load": POSITIVE_FRACTION,
                 "adv_reference_load": POSITIVE_FRACTION, "seed": INTEGER}
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
     @property
     def sim_time_ns(self) -> float:
         return self.warmup_ns + self.measure_ns
@@ -75,20 +72,6 @@ class ExperimentScale:
         from repro.topology.registry import family_of_config
 
         return family_of_config(self.config).family
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "config": self.config.describe(),
-            "scaleup_config": self.scaleup_config.describe(),
-            "warmup_us": self.warmup_ns / 1_000.0,
-            "measure_us": self.measure_ns / 1_000.0,
-            "convergence_us": self.convergence_ns / 1_000.0,
-            "ur_loads": list(self.ur_loads),
-            "adv_loads": list(self.adv_loads),
-            "seed": self.seed,
-        }
 
 
 #: Smallest scale: used by the pytest benchmarks so the whole harness runs quickly.

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.scenarios.serialize import NON_NEGATIVE, Number, _check_fields, check_keys, check_schema
+from repro.scenarios.serialize import NON_NEGATIVE, Codec, Form, Number, _check_fields, tuple_of
 
 if TYPE_CHECKING:  # typing only: schedules are built against a topology
     from repro.topology.base import Topology
@@ -40,8 +40,9 @@ FAULT_KINDS = ("link_up", "router_up", "link_down", "router_down")
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One structural change: a link or router going down or coming back.
+class FaultEvent(Codec):
+    """One structural change: a link or router going down or coming back,
+    written as the row ``[time_ns, kind, router, port]``.
 
     Link events name the failing link by its *canonical* endpoint
     ``(router, port)``; the controller tears down (and restores) both
@@ -55,6 +56,7 @@ class FaultEvent:
     port: int = -1
 
     _NUMBERS = {"time_ns": NON_NEGATIVE, "router": Number(int, 0), "port": Number(int, -1)}
+    _FORM = Form(row=True)
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -88,15 +90,21 @@ def _derive_draw(seed: int, tag: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class FaultSchedule:
-    """A sorted timeline of link/router failures and recoveries."""
+@dataclass(frozen=True)
+class FaultSchedule(Codec):
+    """A sorted timeline of link/router failures and recoveries, each given
+    as a :class:`FaultEvent` or its row."""
 
-    def __init__(self, events: Sequence[FaultEvent]) -> None:
+    events: Tuple[FaultEvent, ...]
+
+    #: a versioned block.
+    _FORM = Form(schema=FAULTS_SCHEMA_VERSION)
+
+    def __post_init__(self) -> None:
+        events = tuple_of(FaultEvent, self.events, "FaultSchedule.events")
         if not events:
             raise ValueError("a fault schedule needs at least one event")
-        self.events: Tuple[FaultEvent, ...] = tuple(
-            sorted(events, key=FaultEvent._sort_key)
-        )
+        object.__setattr__(self, "events", tuple(sorted(events, key=FaultEvent._sort_key)))
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -198,37 +206,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: a schema tag plus ``[time, kind, router, port]`` rows."""
-        return {
-            "schema": FAULTS_SCHEMA_VERSION,
-            "events": [[e.time_ns, e.kind, e.router, e.port] for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSchedule":
-        """Strict inverse of :meth:`to_dict`."""
-        check_keys(data, required=("schema", "events"), context="FaultSchedule")
-        check_schema(data, FAULTS_SCHEMA_VERSION, context="FaultSchedule")
-        rows = data["events"]
-        if not isinstance(rows, (list, tuple)):
-            raise ValueError(f"FaultSchedule events must be a list, got {rows!r}")
-        events = []
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != 4:
-                raise ValueError(
-                    "FaultSchedule event must be a [time_ns, kind, router, "
-                    f"port] row, got {row!r}"
-                )
-            events.append(FaultEvent(*row))
-        return cls(events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultSchedule):
-            return NotImplemented
-        return self.events == other.events
 
     def __repr__(self) -> str:
         steps = ", ".join(

@@ -43,7 +43,7 @@ on disk and export with ``repro-sim report``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +67,7 @@ __all__ = [
     "SourceLatencyProbe",
     "available_probes",
     "canonical_probe_name",
+    "canonical_telemetry",
     "jain_fairness_index",
     "make_probe",
     "probe_context",
@@ -476,6 +477,15 @@ PROBE_REGISTRY.register(
 def canonical_probe_name(name: str) -> str:
     """Canonical display form of a probe name (``"Fairness"`` → ``"source-latency"``)."""
     return PROBE_REGISTRY.canonical_name(name)
+
+
+def canonical_telemetry(names: Union[str, Sequence[str]]) -> Tuple[str, ...]:
+    """One probe name or a sequence of them as canonical names, deduplicated
+    in order: two specs naming the same probes spell, and fingerprint,
+    identically."""
+    if isinstance(names, str):
+        names = (names,)
+    return tuple(dict.fromkeys(canonical_probe_name(name) for name in names))
 
 
 def available_probes() -> Dict[str, str]:

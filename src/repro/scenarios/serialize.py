@@ -3,19 +3,21 @@
 A spec-like dataclass inherits :class:`Codec`; its serialized form is derived
 from its fields, each value encoded by its field's type: a topology config
 (typed ``object``) family-tagged by ``config_to_dict``, a nested
-:class:`Codec` (or a sequence of them) recursively, ``LoadSchedule`` and
-``FaultSchedule`` by their own row codecs, a :data:`Kwargs` field by
+:class:`Codec` (or a sequence of them) recursively, a :data:`Kwargs` field by
 :func:`encode_kwargs` (which tags hyper-parameter objects with ``__param__``
 so :func:`decode_kwargs` rebuilds them), anything else as plain JSON.
 
 What the fields cannot say, a class declares in its ``_FORM`` (a
 :class:`Form`, next to its ``_NUMBERS``): a document's ``schema`` version, a
 key that differs from its field name, keys required although their field
-has a default, and whether it is a *flat block*, which writes every field,
-``None`` included, or a *document*, which omits an unset field: ``None`` in
-an ``Optional`` field, empty in a field whose default is empty.  So the
-serialized form, and the cache fingerprint built from it, stays stable when
-an optional field is added.
+has a default, and its shape.  A *flat block* writes every field, ``None``
+included; a *document* omits an unset field: ``None`` in an ``Optional``
+field, empty in a field whose default is empty.  So the serialized form, and
+the cache fingerprint built from it, stays stable when an optional field is
+added.  A *row* writes its fields' plain values as one list, in declaration
+order, and reads back only a list of that length: a load schedule's phases
+are ``[start_ns, load]`` rows, a fault schedule's events ``[time_ns, kind,
+router, port]`` rows.
 
 ``from_dict`` is strict: the allowed keys come from the fields (a typo in a
 scenario file must not silently change the experiment), a document's
@@ -33,7 +35,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from importlib import import_module
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, Union
 
 #: schema version of a serialized ExperimentSpec document: the one version
 #: this build writes and reads.
@@ -50,40 +52,6 @@ PARAM_CODECS: Dict[str, Tuple[str, str]] = {
 }
 
 _CLASS_TO_TAG = {cls_name: tag for tag, (_, cls_name) in PARAM_CODECS.items()}
-
-
-def check_keys(
-    data: Mapping[str, Any],
-    *,
-    required: Sequence[str] = (),
-    optional: Sequence[str] = (),
-    context: str,
-) -> None:
-    """Strict key validation shared by every ``from_dict``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{context}: expected a mapping, got {type(data).__name__}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ValueError(f"{context}: missing required field(s) {missing}")
-    allowed = set(required) | set(optional)
-    unknown = sorted(key for key in data if key not in allowed)
-    if unknown:
-        raise ValueError(
-            f"{context}: unknown field(s) {unknown}; allowed: {sorted(allowed)}"
-        )
-
-
-def check_schema(data: Mapping[str, Any], expected: int, context: str) -> None:
-    """Validate the ``schema`` field of a top-level document.
-
-    A build reads exactly the version it writes.
-    """
-    version = data.get("schema")
-    if version != expected:
-        raise ValueError(
-            f"{context}: unsupported schema version {version!r} "
-            f"(this build reads version {expected})"
-        )
 
 
 class FieldError(ValueError):
@@ -263,6 +231,7 @@ class Form:
     ``always``: fields a document writes even when unset.
     ``omit_default``: fields a document omits at their default.
     ``removed``: keys older files may still carry → why they were removed.
+    ``row``: written as the list of its fields' values, in declaration order.
     """
 
     schema: Optional[int] = None
@@ -272,6 +241,7 @@ class Form:
     always: Tuple[str, ...] = ()
     omit_default: Tuple[str, ...] = ()
     removed: Mapping[str, str] = field(default_factory=dict)
+    row: bool = False
 
 
 class Codec:
@@ -285,9 +255,12 @@ class Codec:
     def __post_init__(self) -> None:
         _check_fields(self)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (see the module docstring for what is written)."""
+    def to_dict(self) -> Any:
+        """JSON-ready form (see the module docstring for what is written): a
+        mapping, or a list for a row."""
         plan = _PLANS.get(type(self)) or _plan(type(self))
+        if plan.form.row:
+            return [getattr(self, name) for name, *_ in plan.encoders]
         data = {} if plan.form.schema is None else {"schema": plan.form.schema}
         for name, key, encode, unless, default in plan.encoders:
             value = getattr(self, name)
@@ -390,13 +363,26 @@ def _from_dict(cls: Type[Codec], data: Any, path: str) -> Any:
     error messages (``Study.scenarios[0].network_params`` when nested)."""
     plan = _PLANS.get(cls) or _plan(cls)
     form = plan.form
-    removed = sorted(form.removed.keys() & data.keys()) if isinstance(data, Mapping) else []
+    if form.row:
+        if not isinstance(data, (list, tuple)) or len(data) != len(plan.by_key):
+            raise ValueError(f"{path}: expected a [{', '.join(plan.by_key)}] row, got {data!r}")
+        data = dict(zip(plan.by_key, data))
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{path}: expected a mapping, got {type(data).__name__}")
+    removed = sorted(form.removed.keys() & data.keys())
     if removed:
         raise ValueError(f"{path}: field(s) {removed} were removed "
                          f"({'; '.join(sorted({form.removed[key] for key in removed}))})")
-    check_keys(data, required=plan.required, optional=plan.optional, context=path)
-    if form.schema is not None:
-        check_schema(data, form.schema, path)
+    missing = [key for key in plan.required if key not in data]
+    if missing:
+        raise ValueError(f"{path}: missing required field(s) {missing}")
+    allowed = {*plan.required, *plan.optional}
+    unknown = sorted(key for key in data if key not in allowed)
+    if unknown:
+        raise ValueError(f"{path}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
+    if form.schema is not None and data["schema"] != form.schema:  # one version read
+        raise ValueError(f"{path}: unsupported schema version {data['schema']!r} "
+                         f"(this build reads version {form.schema})")
     for group in form.required:
         if not isinstance(group, str) and not any(key in data for key in group):
             raise ValueError(f"{path}: missing required field: {' or '.join(map(repr, group))}")
@@ -427,7 +413,10 @@ def _decode(annotation: str, namespace: Mapping[str, Any], value: Any, path: str
     if core == "object":  # any registered topology config
         from repro.topology.registry import config_from_dict
 
-        return _foreign(config_from_dict, value, path)
+        try:
+            return config_from_dict(value)
+        except ValueError as exc:
+            raise _located(exc, path) from None
     if core == "Kwargs":
         return decode_kwargs(value, path)
     if core == "Dict[str, Kwargs]":  # keyword arguments by factory name
@@ -438,22 +427,19 @@ def _decode(annotation: str, namespace: Mapping[str, Any], value: Any, path: str
         if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"{path}: expected a list of strings, got {value!r}")
         return tuple(value)
-    outer, _, inner = core.partition("[")  # Sequence[Scenario] → Sequence, Scenario]
-    codec = namespace.get(inner[:-1] or outer)
+    # Sequence[Scenario] / Tuple[LoadPhase, ...] → the element class's name
+    outer, _, inner = core.partition("[")
+    codec = namespace.get(inner[:-1].removesuffix(", ...") or outer)
     if isinstance(codec, type) and issubclass(codec, Codec):
-        if not inner:
-            return _from_dict(codec, value, path)
-        if not isinstance(value, (list, tuple)):  # a sequence of them
-            raise ValueError(f"{path}: expected a list, got {type(value).__name__}")
-        return [_from_dict(codec, item, f"{path}[{index}]") for index, item in enumerate(value)]
-    if isinstance(codec, type) and hasattr(codec, "from_dict") and not inner:
-        return _foreign(codec.from_dict, value, path)  # a row codec of its own
+        return tuple_of(codec, value, path) if inner else _from_dict(codec, value, path)
     return dict(value) if outer == "Dict" and value is not None else value
 
 
-def _foreign(from_dict: Callable[[Any], Any], value: Any, path: str) -> Any:
-    """``from_dict(value)`` of a loader outside the codec, its errors located."""
-    try:
-        return from_dict(value)
-    except ValueError as exc:
-        raise _located(exc, path) from None
+def tuple_of(cls: Type[Codec], items: Any, path: str) -> Tuple[Any, ...]:
+    """``items`` as a tuple of ``cls`` objects, each item an object of ``cls``
+    or its serialized form (a row, for a row form), read as ``from_dict``
+    reads it at ``path[index]``: a constructor and a file refuse alike."""
+    if isinstance(items, (str, bytes, dict)) or not hasattr(items, "__iter__"):
+        raise ValueError(f"{path}: expected a list, got {type(items).__name__}")
+    return tuple(item if isinstance(item, cls) else _from_dict(cls, item, f"{path}[{index}]")
+                 for index, item in enumerate(items))

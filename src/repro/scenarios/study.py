@@ -55,6 +55,7 @@ from repro.scenarios.serialize import (
     Kwargs,
     Number,
     _check_fields,
+    _located,
 )
 from repro.traffic import LoadSchedule, canonical_pattern_name
 from repro.traffic.generator import check_arrival
@@ -73,14 +74,6 @@ def _names_tuple(value: Union[str, Sequence[str]],
     if isinstance(value, str):
         value = (value,)
     return tuple(canonical(name) for name in value)
-
-
-def _canonical_telemetry(value: Union[str, Sequence[str]]) -> Tuple[str, ...]:
-    """Canonical, deduplicated probe-name tuple (lazy import: the probe
-    registry lives above this module's eager dependencies)."""
-    from repro.instrument import canonical_probe_name
-
-    return tuple(dict.fromkeys(_names_tuple(value, canonical_probe_name)))
 
 
 @dataclass
@@ -135,7 +128,9 @@ class Scenario(Codec):
         if self.arrival is not None:
             check_arrival(self.arrival)
         if self.telemetry is not None:
-            self.telemetry = _canonical_telemetry(self.telemetry)
+            from repro.instrument.probes import canonical_telemetry
+
+            self.telemetry = canonical_telemetry(self.telemetry)
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
                 f"{context}: faults must be a FaultSchedule, got {type(self.faults).__name__}"
@@ -253,7 +248,12 @@ class Study(Codec):
             raise ValueError(f"a study needs a non-empty string name, got {self.name!r}")
         _check_fields(self, f"study {self.name!r}")
         check_arrival(self.arrival)
-        self.telemetry = _canonical_telemetry(self.telemetry) if self.telemetry else ()
+        if self.telemetry:
+            from repro.instrument.probes import canonical_telemetry
+
+            self.telemetry = canonical_telemetry(self.telemetry)
+        else:
+            self.telemetry = ()
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ValueError(
                 f"study {self.name!r}: faults must be a FaultSchedule, "
@@ -463,18 +463,29 @@ class Study(Codec):
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Study":
-        """Read a scenario file written by :meth:`save` (or by hand)."""
+        """Read a scenario file written by :meth:`save` (or by hand).  A file
+        that does not parse, or a study it does not describe, is a
+        one-line :class:`ValueError` that names the file."""
         path = Path(path)
         text = path.read_text(encoding="utf-8")
         if path.suffix.lower() in (".yaml", ".yml"):
             yaml = _yaml_module()
-            data = yaml.safe_load(text)
+            try:
+                data = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                mark = getattr(exc, "problem_mark", None)
+                where = f": line {mark.line + 1} column {mark.column + 1}" if mark else ""
+                problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+                raise ValueError(f"{path} is not valid YAML: {problem}{where}") from None
         else:
             try:
                 data = json.loads(text)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+                raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            raise _located(exc, str(path)) from None
 
 
 def _yaml_module() -> Any:

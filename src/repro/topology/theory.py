@@ -44,8 +44,9 @@ def _require_dragonfly(config: object, context: str) -> DragonflyConfig:
 
 
 @dataclass(frozen=True)
-class ThroughputBounds:  # repro: ignore[S304] -- export-only report row, never reloaded
-    """Upper bounds on sustainable offered load for one (pattern, routing) pair."""
+class ThroughputBounds:
+    """Upper bounds on sustainable offered load for one (pattern, routing) pair:
+    a report row, exported by ``to_dict`` and never read back."""
 
     pattern: str
     routing: str

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,45 +34,45 @@ if TYPE_CHECKING:  # typing only: the harness hands us the built network
     from repro.topology.base import Topology
 
 from repro.engine.rng import bulk_random, complement_logs
-from repro.scenarios.serialize import FRACTION, FieldError, Number, _check_fields, check_keys
+from repro.scenarios.serialize import FRACTION, NON_NEGATIVE, Codec, Form, tuple_of
 from repro.traffic.base import TrafficPattern
 
 _INF = float("inf")
 
 
 @dataclass(frozen=True)
-class LoadPhase:
-    """One piece of a piecewise-constant load schedule."""
+class LoadPhase(Codec):
+    """One piece of a piecewise-constant load schedule, written as the row
+    ``[start_ns, load]``."""
 
     start_ns: float
     load: float
 
-    _NUMBERS = {"start_ns": Number(float), "load": FRACTION}  # a load of 0 idles the phase
+    _NUMBERS = {"start_ns": NON_NEGATIVE, "load": FRACTION}  # a load of 0 idles the phase
+    _FORM = Form(row=True)
+
+
+@dataclass(frozen=True)
+class LoadSchedule(Codec):
+    """Piecewise-constant offered load over time: phases sorted by start,
+    each given as a :class:`LoadPhase` or a ``(start_ns, load)`` pair.  No
+    phase starts before 0 and no two at the same time, so every start time
+    has one load."""
+
+    phases: Tuple[LoadPhase, ...]
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-def _phase(index: int, pair: Any) -> LoadPhase:
-    """The caller's ``index``-th ``(start_ns, load)`` phase, named if refused."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"LoadSchedule phase must be a [start_ns, load] pair, got {pair!r}")
-    try:
-        return LoadPhase(*pair)
-    except FieldError as exc:
-        raise FieldError("LoadSchedule", f"phase {index} {exc.name}", exc.what,
-                         exc.value) from None
-
-
-class LoadSchedule:
-    """Piecewise-constant offered load over time."""
-
-    def __init__(self, phases: Sequence[Tuple[float, float]]) -> None:
+        phases = tuple_of(LoadPhase, self.phases, "LoadSchedule.phases")
         if not phases:
             raise ValueError("a load schedule needs at least one phase")
-        self.phases: List[LoadPhase] = sorted(
-            (_phase(index, pair) for index, pair in enumerate(phases)),
-            key=lambda phase: phase.start_ns)
+        order = sorted(range(len(phases)), key=lambda index: phases[index].start_ns)
+        for first, second in zip(order, order[1:]):  # a stable sort: first < second
+            if phases[first].start_ns == phases[second].start_ns:
+                raise ValueError(
+                    f"LoadSchedule.phases[{second}]: start_ns must differ from "
+                    f"phases[{first}]'s (one load per start time), "
+                    f"got {phases[second].start_ns!r}")
+        object.__setattr__(self, "phases", tuple(phases[index] for index in order))
 
     @classmethod
     def constant(cls, load: float) -> "LoadSchedule":
@@ -82,25 +82,6 @@ class LoadSchedule:
     def step(cls, initial_load: float, step_time_ns: float, new_load: float) -> "LoadSchedule":
         """Figure 8 style schedule: one load change at ``step_time_ns``."""
         return cls([(0.0, initial_load), (step_time_ns, new_load)])
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-ready form: ``{"phases": [[start_ns, load], ...]}``."""
-        return {"phases": [[phase.start_ns, phase.load] for phase in self.phases]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadSchedule":
-        """Strict inverse of :meth:`to_dict`."""
-        check_keys(data, required=("phases",), context="LoadSchedule")
-        phases = data["phases"]
-        if not isinstance(phases, (list, tuple)):
-            raise ValueError(f"LoadSchedule phases must be a list, got {phases!r}")
-        return cls(phases)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LoadSchedule):
-            return NotImplemented
-        return self.phases == other.phases
 
     def __repr__(self) -> str:
         steps = ", ".join(f"{p.load}@{p.start_ns}ns" for p in self.phases)
@@ -153,8 +134,7 @@ class WakeupRecorder:
         if (offered_load is None) == (schedule is None):
             raise ValueError("specify exactly one of offered_load or schedule")
         check_arrival(arrival)  # TrafficGenerator is public: not every caller has a spec
-        if schedule is None:
-            schedule = LoadSchedule.constant(offered_load)
+        phases = (LoadPhase(0.0, offered_load),) if schedule is None else schedule.phases
         pattern.setup(topo, rng.py(f"traffic:{pattern.name}"))
         self._pattern = pattern
         self._arrivals = rng.py("traffic:arrivals")
@@ -164,7 +144,6 @@ class WakeupRecorder:
         # is means[k] (the first phase's before it starts) and the next
         # boundary starts[k] (inf: none).  A mean of inf — a zero load, or one
         # so small that the division overflows — is an idle phase.
-        phases = schedule.phases
         self._starts = [phase.start_ns for phase in phases] + [_INF]
         loads = [phases[0].load] + [phase.load for phase in phases]
         self._means = [params.serialization_ns / load if load > 0.0 else _INF

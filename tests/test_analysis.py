@@ -33,8 +33,6 @@ def test_every_rule_family_registered():
     codes = {r.code for r in all_rules()}
     assert {"D101", "D102", "D103", "D104", "D105", "D106"} <= codes
     assert {"H201", "H202", "H203", "H204", "H205"} <= codes
-    assert {"S301", "S302", "S304"} <= codes
-    assert {"R401", "R402", "R403", "R404"} <= codes
 
 
 def test_rule_metadata_sane():
@@ -241,173 +239,6 @@ def test_h205_accepts_attribute_and_alias_guards(tmp_path):
                     forwards.add(0, now)
     """)
     assert "H205" not in rules_hit(findings)
-
-
-# ----------------------------------------------------------------- S: serialization
-def test_s301_flags_field_missing_from_to_dict(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.specs", """
-        from dataclasses import dataclass
-
-        @dataclass
-        class Spec:
-            alpha: float
-            beta: float
-
-            def to_dict(self):
-                return {"alpha": self.alpha}
-
-            @classmethod
-            def from_dict(cls, data):
-                check_keys(data, required=("alpha",), context="Spec")
-                return cls(**data)
-    """)
-    s301 = [f for f in findings if f.rule == "S301"]
-    assert len(s301) == 1
-    assert "beta" in s301[0].message
-
-
-def test_s301_accepts_whole_object_serialization(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.whole", """
-        from dataclasses import dataclass, fields
-
-        @dataclass
-        class Spec:
-            alpha: float
-            beta: float
-
-            def to_dict(self):
-                return {f.name: getattr(self, f.name) for f in fields(self)}
-
-            @classmethod
-            def from_dict(cls, data):
-                check_keys(data, required=("alpha", "beta"), context="Spec")
-                return cls(**data)
-    """)
-    assert "S301" not in rules_hit(findings)
-
-
-def test_s302_flags_lax_loader(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.lax", """
-        class Doc:
-            @classmethod
-            def from_dict(cls, data):
-                return cls(data["x"])
-    """)
-    assert "S302" in rules_hit(findings)
-
-
-def test_s304_flags_one_way_serializer(tmp_path):
-    findings = check_snippet(tmp_path, "repro.scenarios.oneway", """
-        class Exporter:
-            def to_dict(self):
-                return {}
-    """)
-    assert "S304" in rules_hit(findings)
-
-
-# --------------------------------------------------------------------- R: registry
-def test_r401_r403_r404_flag_an_incomplete_registration(tmp_path):
-    findings = check_snippet(tmp_path, "repro.routing.plugins", """
-        class BrokenRouting:
-            pass
-
-        ROUTING_REGISTRY.register("broken", BrokenRouting)
-    """)
-    codes = rules_hit(findings)
-    assert {"R401", "R403", "R404"} <= codes
-
-
-def test_r401_accepts_explicit_none_declaration(tmp_path):
-    findings = check_snippet(tmp_path, "repro.routing.plugins_ok", """
-        class FineRouting:
-            name = "fine"
-            supported_topologies = None
-
-            def decide(self, router, packet, in_port):
-                return 0
-
-        ROUTING_REGISTRY.register("fine", FineRouting)
-    """)
-    assert not rules_hit(findings) & {"R401", "R403", "R404"}
-
-
-def test_r404_requires_a_probe_to_declare_its_logs(tmp_path):
-    def probe_module(logs_line: str) -> str:
-        return f"""
-        class InstrumentProbe:
-            logs = ()
-
-            def summary(self, logs, ctx):
-                raise NotImplementedError
-
-        class CountProbe(InstrumentProbe):
-            name = "count"
-            {logs_line}
-
-            def summary(self, logs, ctx):
-                return {{"delivered": len(logs.dl_deliver)}}
-
-        PROBE_REGISTRY.register("count", CountProbe)
-    """
-
-    findings = check_snippet(tmp_path, "repro.instrument.plugin_bad", probe_module(""))
-    assert any(f.rule == "R404" and "logs" in f.message for f in findings)
-    findings = check_snippet(tmp_path, "repro.instrument.plugin_ok",
-                             probe_module("logs = ()"))
-    assert "R404" not in rules_hit(findings)
-
-
-def test_r402_flags_export_without_import(tmp_path):
-    findings = check_snippet(tmp_path, "repro.routing.halfstate", """
-        class HalfCheckpointable:
-            def export_state(self):
-                return {}
-    """)
-    assert "R402" in rules_hit(findings)
-
-
-def test_r_rules_resolve_every_routing_of_the_package():
-    # The routing set is closed: the analyzer must resolve each of the nine
-    # built-in registrations (the two learned ones through their lazy
-    # loaders), or R401-R404 silently stop checking them.
-    from repro.analysis import Project
-    from repro.analysis.core import load_module
-    from repro.analysis.rules_registry import collect_registrations
-
-    files = discover_files(REPO_ROOT, ["src/repro"])
-    project = Project([load_module(path, REPO_ROOT) for path in files])
-    resolved = {reg.display: reg.target and reg.target.name
-                for reg in collect_registrations(project) if reg.kind == "routing"}
-    assert resolved == {
-        "MIN": "MinimalRouting", "VAL": "ValiantRouterRouting",
-        "VALg": "ValiantGlobalRouting", "VALn": "ValiantNodeRouting",
-        "UGALg": "UgalGRouting", "UGALn": "UgalNRouting", "PAR": "ParRouting",
-        "Q-adp": "QAdaptiveRouting", "Q-routing": "QRoutingAlgorithm",
-    }
-
-
-def test_r_rules_resolve_lazy_loaders(tmp_path):
-    src = tmp_path / "src" / "repro" / "routing"
-    src.mkdir(parents=True)
-    (tmp_path / "src" / "repro" / "core").mkdir(parents=True)
-    (src / "lazy.py").write_text(textwrap.dedent("""
-        def _load_lazy():
-            from repro.core.lazyimpl import LazyRouting
-
-            return LazyRouting
-
-        ROUTING_REGISTRY.register("lazy", loader=_load_lazy)
-    """), encoding="utf-8")
-    (tmp_path / "src" / "repro" / "core" / "lazyimpl.py").write_text(textwrap.dedent("""
-        class LazyRouting:
-            pass
-    """), encoding="utf-8")
-    findings = run_check(
-        [src / "lazy.py", tmp_path / "src" / "repro" / "core" / "lazyimpl.py"],
-        tmp_path,
-    )
-    r401 = [f for f in findings if f.rule == "R401"]
-    assert r401 and "LazyRouting" in r401[0].message
 
 
 # ----------------------------------------------------------------- suppressions

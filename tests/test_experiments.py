@@ -15,7 +15,7 @@ from repro.experiments import (
     run_experiment,
     train_experiment,
 )
-from repro.experiments.presets import PAPER_ALGORITHMS, scale_by_name
+from repro.experiments.presets import PAPER_ALGORITHMS, ExperimentScale, scale_by_name
 from repro.scenarios import Study, figure
 from repro.topology.config import DragonflyConfig
 
@@ -38,7 +38,7 @@ TEST_SCALE = BENCH_SCALE.with_overrides(
 def test_scale_presets_are_consistent():
     for scale in (BENCH_SCALE, REDUCED_SCALE, PAPER_SCALE_1056):
         assert scale.sim_time_ns == scale.warmup_ns + scale.measure_ns
-        assert scale.describe()["name"] == scale.name
+        assert ExperimentScale.from_dict(scale.to_dict()) == scale
     assert PAPER_SCALE_1056.config.num_nodes == 1056
     assert scale_by_name("reduced") is REDUCED_SCALE
     with pytest.raises(ValueError):

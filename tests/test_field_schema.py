@@ -106,7 +106,7 @@ PATHS = {
     "HystereticParams": (HystereticParams, lambda f, v: HystereticParams(**{f: v}), None),
     "FaultEvent": (
         FaultEvent,
-        lambda f, v: FaultSchedule([FaultEvent(**dict(_EVENT, **{f: v}))]),
+        lambda f, v: FaultSchedule([list(dict(_EVENT, **{f: v}).values())]),
         lambda f, v: FaultSchedule.from_dict(
             {"schema": 1, "events": [list(dict(_EVENT, **{f: v}).values())]}),
     ),
@@ -155,7 +155,7 @@ def _outcome(path, field, value):
     ("FaultEvent", "router", True, "router must be an integer, got True"),
     ("FaultEvent", "time_ns", math.nan, "time_ns must be a finite number, got nan"),
     ("FaultEvent", "port", 1.5, "port must be an integer, got 1.5"),
-    ("LoadSchedule", "load", True, "phase 1 load must be a finite number, got True"),
+    ("LoadSchedule", "load", True, "load must be a finite number, got True"),
     ("ExperimentScale", "seed", 1.5, "seed must be an integer, got 1.5"),
     ("ExperimentScale", "ur_loads", (True,), "ur_loads must be a finite number, got True"),
     ("ExperimentScale", "ur_loads", 0.5, "ur_loads must be a list of numbers, got 0.5"),
@@ -170,8 +170,8 @@ def _outcome(path, field, value):
 ])
 def test_a_number_that_would_run_as_another_is_refused_by_both_paths(owner, field, value,
                                                                     message):
-    expected = f"{owner}: {message}"
     declaring, *paths = PATHS[owner]
+    expected = f"{declaring.__name__}: {message}"
     if issubclass(declaring, TrafficPattern):  # the pattern refuses it on its own too
         paths.append(lambda f, v: declaring(**{f: v}))
     for path in paths:
@@ -258,7 +258,7 @@ def test_a_bad_nested_field_is_named_by_its_path():
         Study.from_dict(dict(data, train={"routing_kwargs": {
             "Q-adp": {"params": {"__param__": "qadaptive", "alpha": 2.0}}}}))
     with pytest.raises(ValueError, match=re.escape(
-            "ExperimentSpec.schedule: LoadSchedule: phase 0 load must be in [0, 1], got 2")):
+            "ExperimentSpec.schedule.phases[0]: LoadPhase: load must be in [0, 1], got 2")):
         ExperimentSpec.from_dict(dict(ExperimentSpec(**_SPEC).to_dict(),
                                       schedule={"phases": [[0.0, 2]]}))
 

@@ -212,6 +212,10 @@ def test_spec_telemetry_canonicalised_and_serialized():
     assert ExperimentSpec.from_dict(data) == spec
     with pytest.raises(ValueError, match="unknown telemetry probe"):
         _telemetry_spec(telemetry=("bogus",))
+    # one spelling per run: no probes is () however it was given
+    assert _telemetry_spec(telemetry=[]) == _telemetry_spec(telemetry=None) \
+        == _telemetry_spec(telemetry=())
+    assert _telemetry_spec(telemetry="links").telemetry == ("link-util",)
 
 
 def test_spec_v2_documents_are_rejected():

@@ -192,6 +192,31 @@ def test_study_json_and_yaml_files_round_trip(tmp_path):
         Study.load(bad)
 
 
+def test_a_malformed_yaml_study_file_is_one_line_naming_the_file(tmp_path, capsys):
+    pytest.importorskip("yaml")
+    from repro.cli import main
+
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: [x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not valid YAML: ")):
+        Study.load(bad)
+    with pytest.raises(SystemExit) as exited:
+        main(["study", "show", str(bad)])
+    message = exited.value.code
+    assert isinstance(message, str) and "\n" not in message and str(bad) in message
+
+
+def test_a_bad_field_in_a_study_file_names_the_file_and_the_path(tmp_path):
+    data = _study().to_dict()
+    data["scenarios"][0]["network_params"] = {"vc_buffer_packets": 0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{bad}: Study.scenarios[0].network_params: NetworkParams: vc_buffer_packets "
+            "must be >= 1, got 0")):
+        Study.load(bad)
+
+
 def test_readme_scenario_examples_load_with_this_build():
     """Every copy-paste scenario file in README.md is readable as written."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

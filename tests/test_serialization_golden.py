@@ -15,25 +15,30 @@ Regenerate (only when a format change is intended) with
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
-from typing import Any, Callable, Dict, List, Tuple
+import pkgutil
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
+import repro
 from repro.core.qadaptive import QAdaptiveParams
 from repro.core.qrouting import QRoutingParams
 from repro.experiments import ExperimentSpec, spec_fingerprint
-from repro.experiments.presets import available_scales, scale_by_name
-from repro.faults import FaultSchedule
+from repro.experiments.presets import BENCH_SCALE, ExperimentScale, available_scales, scale_by_name
+from repro.faults import FaultEvent, FaultSchedule
 from repro.network.params import NetworkParams
 from repro.scenarios.catalog import available_studies, study_by_name
+from repro.scenarios.serialize import Codec
 from repro.scenarios.study import Scenario, Study, TrainStage
 from repro.store.artifact import CheckpointManifest
 from repro.topology.config import DragonflyConfig
 from repro.topology.fattree import FatTreeConfig
 from repro.topology.mesh import MeshConfig
-from repro.traffic import LoadSchedule
+from repro.topology.theory import ThroughputBounds
+from repro.traffic import LoadPhase, LoadSchedule
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_serialization.json")
 
@@ -221,6 +226,16 @@ CHANGED: Dict[type, Tuple[Callable[[], Any], Dict[str, Any]]] = {
         hyperparams={"alpha": 0.1}, trained_sim_ns=1.0, feedback_sent=1,
         feedback_applied=1, spec_fingerprint="f", spec={"schema": 5},
         created_at="now", state_digest="d")),
+    LoadPhase: (lambda: LoadPhase(0.0, 0.2), dict(start_ns=100.0, load=0.3)),
+    LoadSchedule: (lambda: _STEP, dict(phases=((0.0, 0.3),))),
+    FaultEvent: (lambda: FaultEvent(1_000.0, "link_down", 0, 4), dict(
+        time_ns=2_000.0, kind="link_up", router=1, port=2)),
+    FaultSchedule: (lambda: _FAULTS, dict(events=(FaultEvent(5.0, "router_down", 1),))),
+    ExperimentScale: (lambda: BENCH_SCALE, dict(
+        name="b", config=TINY, scaleup_config=TINY, warmup_ns=1_000.0, measure_ns=2_000.0,
+        convergence_ns=3_000.0, ur_loads=(0.3,), adv_loads=(0.2,), ur_reference_load=0.5,
+        adv_reference_load=0.2, qadaptive_params=QAdaptiveParams(alpha=0.3),
+        qadaptive_scaleup_params=QAdaptiveParams(), seed=2)),
 }
 
 
@@ -234,6 +249,39 @@ def test_changing_any_field_changes_the_serialized_form(cls):
         changed = dataclasses.replace(
             base, **(value if isinstance(value, _With) else {name: value}))
         assert changed.to_dict() != base.to_dict(), f"{cls.__name__}.{name}"
+
+
+def _package_classes() -> Iterator[type]:
+    """Every class defined in a module of the package, each module imported."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        yield from (obj for obj in vars(module).values()
+                    if isinstance(obj, type) and obj.__module__ == info.name)
+
+
+def test_every_codec_class_is_checked_field_by_field():
+    codecs = {cls for cls in _package_classes() if issubclass(cls, Codec) and cls is not Codec}
+    assert codecs == set(CHANGED), "give each Codec class a CHANGED row"
+
+
+#: modules whose classes' serialized forms key caches, checkpoints and study
+#: files, and the classes there that write a form nothing reads back.
+SERIALIZATION_SCOPE = ("repro.scenarios", "repro.topology", "repro.experiments.harness",
+                       "repro.experiments.presets", "repro.traffic.generator",
+                       "repro.network.params", "repro.core.qadaptive", "repro.core.qrouting",
+                       "repro.store", "repro.faults")
+EXPORT_ONLY = {ThroughputBounds}
+
+
+def test_every_serialized_form_in_the_spec_modules_is_a_codec():
+    # A hand to_dict can skip a field, and a hand from_dict can accept an
+    # unknown key; the codec does neither, and CHANGED checks each field.
+    hand = {cls for cls in _package_classes() if cls.__module__.startswith(SERIALIZATION_SCOPE)
+            and cls is not Codec and {"to_dict", "from_dict"} & vars(cls).keys()}
+    assert hand == EXPORT_ONLY
+    assert not hasattr(ThroughputBounds, "from_dict")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Tests for the versioned spec serialization and the re-based fingerprints."""
 
 import json
+import re
 
 import pytest
 
@@ -77,14 +78,16 @@ def test_load_schedule_round_trip_and_equality():
     clone = LoadSchedule.from_dict(schedule.to_dict())
     assert clone == schedule
     assert clone != LoadSchedule.step(0.1, 1_000.0, 0.5)
-    with pytest.raises(ValueError, match="pair"):
+    with pytest.raises(ValueError, match=re.escape(
+            "LoadSchedule.phases[0]: expected a [start_ns, load] row, got [0.0, 0.1, 7.0]")):
         LoadSchedule.from_dict({"phases": [[0.0, 0.1, 7.0]]})
     with pytest.raises(ValueError, match="unknown field"):
         LoadSchedule.from_dict({"phases": [[0.0, 0.1]], "loop": True})
 
 
 def test_load_schedule_rejects_loads_above_one():
-    with pytest.raises(ValueError, match=r"LoadSchedule: phase 0 load must be in \[0, 1\]"):
+    with pytest.raises(ValueError, match=re.escape(
+            "LoadSchedule.phases[0]: LoadPhase: load must be in [0, 1], got 1.5")):
         LoadSchedule.constant(1.5)
 
 
@@ -311,13 +314,14 @@ def test_spec_from_dict_reads_a_numeric_string_load():
 
 
 @pytest.mark.parametrize("phases,message", [
-    ([[0, True], [1_000.0, 0.5]], "phase 0 load must be a finite number, got True"),
-    ([[0, 0.2], [False, 0.5]], "phase 1 start_ns must be a finite number, got False"),
-    ([[0, 0.2], [float("nan"), 0.5]], "phase 1 start_ns must be a finite number, got nan"),
-    ([[0, "x"]], "phase 0 load must be a finite number, got 'x'"),
+    ([[0, True], [1_000.0, 0.5]], "[0]: LoadPhase: load must be a finite number, got True"),
+    ([[0, 0.2], [False, 0.5]], "[1]: LoadPhase: start_ns must be a finite number, got False"),
+    ([[0, 0.2], [float("nan"), 0.5]],
+     "[1]: LoadPhase: start_ns must be a finite number, got nan"),
+    ([[0, "x"]], "[0]: LoadPhase: load must be a finite number, got 'x'"),
 ])
 def test_load_schedule_from_dict_refuses_phases_it_would_coerce(phases, message):
-    with pytest.raises(ValueError, match=f"LoadSchedule: {message}"):
+    with pytest.raises(ValueError, match=re.escape(f"LoadSchedule.phases{message}")):
         LoadSchedule.from_dict({"phases": phases})
 
 
@@ -442,7 +446,7 @@ def test_train_stage_reads_numeric_strings():
     ({}, dict(load=True), "load"),
     (dict(loads=[True]), {}, "loads"),
     (dict(network_params={"vc_buffer_packets": 2.5}), {}, "vc_buffer_packets"),
-    (dict(loads=[], schedule={"phases": [[0.0, True]]}), {}, "phase 0 load"),
+    (dict(loads=[], schedule={"phases": [[0.0, True]]}), {}, "LoadPhase: load"),
 ], ids=["replicates-1.5", "replicates-true", "train-load-true", "loads-true",
         "network-params-vc-2.5", "schedule-load-true"])
 def test_study_run_refuses_a_bad_count_with_one_line(tmp_path, scenario, train, field):

@@ -18,7 +18,7 @@ import pytest
 from repro.experiments.harness import ExperimentSpec, build_network
 from repro.instrument import available_probes, make_probe
 from repro.network.network import Network
-from repro.routing import make_routing
+from repro.routing import available_algorithms, make_routing
 from repro.topology.config import DragonflyConfig
 from repro.topology.fattree import FatTreeConfig, FatTreeTopology
 from repro.topology.mesh import MeshConfig, MeshTopology
@@ -57,6 +57,33 @@ def test_aliases_and_canonical_families():
     assert canonical_family("fat-tree") == "fattree"
     assert canonical_family("clos") == "fattree"
     assert canonical_family("torus") == "mesh"  # torus is a mesh-family entry
+
+
+#: the families each routing attaches to: the Dragonfly-specific routings
+#: name it, the topology-generic ones take any family (``None``).
+ROUTING_FAMILIES = {
+    "MIN": None, "VAL": None, "Q-routing": None,
+    "VALg": ("dragonfly",), "VALn": ("dragonfly",), "UGALg": ("dragonfly",),
+    "UGALn": ("dragonfly",), "PAR": ("dragonfly",), "Q-adp": ("dragonfly",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING_FAMILIES))
+def test_each_routing_attaches_to_exactly_its_families(name):
+    # A routing that loses its declaration inherits "any family" and then
+    # runs Dragonfly-only logic on a mesh or a fat-tree.
+    assert set(ROUTING_FAMILIES) == set(available_algorithms())
+    routing = make_routing(name)
+    families = ROUTING_FAMILIES[name]
+    assert routing.supported_topologies == families
+    routing.check_topology(topology_for(DragonflyConfig.tiny()))
+    for config in CONFIGS.values():
+        topo = topology_for(config)
+        if families is None:
+            routing.check_topology(topo)
+        else:
+            with pytest.raises(ValueError, match=f"not {topo.family!r}"):
+                routing.check_topology(topo)
 
 
 def test_default_configs_match_families():

@@ -1,6 +1,7 @@
 """Tests for the offered-load workload driver and load schedules."""
 
 import json
+import re
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
@@ -51,21 +52,41 @@ def _trace(schedule, seed=5, until=2_000.0):
 
 # --------------------------------------------------------------- LoadSchedule
 def test_constant_schedule():
-    assert LoadSchedule.constant(0.4).phases == [LoadPhase(0.0, 0.4)]
+    assert LoadSchedule.constant(0.4).phases == (LoadPhase(0.0, 0.4),)
 
 
 def test_step_schedule():
     schedule = LoadSchedule.step(0.2, 1_000.0, 0.6)
-    assert schedule.phases == [LoadPhase(0.0, 0.2), LoadPhase(1_000.0, 0.6)]
+    assert schedule.phases == (LoadPhase(0.0, 0.2), LoadPhase(1_000.0, 0.6))
 
 
 def test_schedule_orders_phases_and_validates():
     schedule = LoadSchedule([(500.0, 0.3), (0.0, 0.1)])
-    assert schedule.phases == [LoadPhase(0.0, 0.1), LoadPhase(500.0, 0.3)]
+    assert schedule.phases == (LoadPhase(0.0, 0.1), LoadPhase(500.0, 0.3))
     with pytest.raises(ValueError):
         LoadSchedule([])
     with pytest.raises(ValueError):
         LoadSchedule([(0.0, -0.1)])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LoadSchedule([(0.0, 0.2), (0.0, 0.5)]),
+     "LoadSchedule.phases[1]: start_ns must differ from phases[0]'s"),
+    (lambda: LoadSchedule([(100.0, 0.5), (0.0, 0.2), (100.0, 0.3)]),
+     "LoadSchedule.phases[2]: start_ns must differ from phases[0]'s"),
+    (lambda: LoadSchedule.step(0.2, 0.0, 0.6),
+     "LoadSchedule.phases[1]: start_ns must differ from phases[0]'s"),
+    (lambda: LoadSchedule([(-5.0, 0.5)]),
+     "LoadSchedule.phases[0]: LoadPhase: start_ns cannot be negative, got -5.0"),
+    (lambda: LoadSchedule.from_dict({"phases": [[0.0, 0.2], [-1.0, 0.5]]}),
+     "LoadSchedule.phases[1]: LoadPhase: start_ns cannot be negative, got -1.0"),
+])
+def test_schedule_refuses_a_start_time_with_two_loads_or_before_zero(build, message):
+    # Both engines start every source in the last phase starting at or
+    # before 0 while the stats report the first phase's load, so a repeated
+    # or negative start ran one load and reported another.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("phases,field", [
@@ -453,8 +474,8 @@ def _trace_cases(draw):
     if draw(st.booleans()):
         load, schedule = draw(st.floats(0.0, 1.0)), None
     else:
-        starts = draw(st.lists(st.floats(0.0, 3_500.0), min_size=1, max_size=3))
-        if draw(st.booleans()):
+        starts = draw(st.lists(st.floats(0.0, 3_500.0), min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()) and 0.0 not in starts:
             starts[0] = 0.0
         load, schedule = None, LoadSchedule([(start, draw(st.floats(0.0, 1.0)))
                                              for start in starts])
