@@ -167,12 +167,15 @@ def _ugal(m: BatchModel, st: "ReplicateState", node_valiant: bool,
 
     def congestion(fo: int) -> int:
         """``Router.port_congestion``: queued waiters (stale entries included,
-        as ``len(router.waiting[port])`` counts them) plus credits in use."""
+        as ``len(router.waiting[port])`` counts them; ``None`` before the
+        port's first waiter) plus credits in use."""
+        waiters = waiting[fo]
+        queued = len(waiters) if waiters else 0
         cc = cred[fo]
         cap = cred_cap[fo]
         if cc is None or cap is None:
-            return len(waiting[fo])
-        return len(waiting[fo]) + cap * num_vcs - sum(cc)
+            return queued
+        return queued + cap * num_vcs - sum(cc)
 
     def diverts(router: int, pkt: List[Any]) -> bool:
         """``_adaptive_choice``: sample one Valiant candidate, compare the two

@@ -12,7 +12,8 @@ scalar backend's run of the same ``(spec, seed)``.
 
 Event codes: ``EV_RECV``, ``EV_CREDIT_R``, ``EV_SERVE``, ``EV_GEN``,
 ``EV_CREDIT_N``, ``EV_NIC_RETRY`` and ``EV_QFB`` (a Q-feedback landing at
-the tagged hop's router, where it updates one table entry).
+the tagged hop's router, where it updates one table entry: ``a`` is that
+router, ``b`` the target and the payload the ``(row, column)`` pair).
 
 **Calendar dispatch.**  The simulated horizon is split into
 ``min(horizon / BUCKET_TARGET_NS, MAX_BUCKETS)`` equal-width buckets; an
@@ -56,19 +57,28 @@ kinds routed inline nothing but one local ``None`` test.
 indexed ``[router][row][column]``: the per-decision path is scalar float
 math on a 5- to 11-column row, where plain sequences avoid numpy-scalar
 boxing.  A fresh replicate's rows are shared tuples, one per distinct
-initial row (:func:`_table_lists`: 23 tuples for the 34 848 rows of the
-paper's 1 056-node Q-adp tables).  The one write site, the ``EV_QFB``
-branch of ``_advance``, replaces a tuple row with its own list on first
-write, so a table costs list slots only for the rows learning touched.
-Feedback lands when the object graph's does, so the tables and update
-counters equal the object graph's at every ``run(until)`` stop.
+initial row (:meth:`BatchModel.initial_tables
+<repro.engine.batch.model.BatchModel.initial_tables>`: 23 tuples for the
+34 848 rows of the paper's 1 056-node Q-adp tables).  The one write site,
+the ``EV_QFB`` branch of ``_advance``, replaces a tuple row with its own
+list on first write, so a table costs list slots only for the rows learning
+touched.  Feedback lands when the object graph's does, so the tables and
+update counters equal the object graph's at every ``run(until)`` stop.
+
+**Per-port state on first use.**  A replicate allocates only what the drain
+reads.  An input buffer ``bufs[f][vc]`` (a plain list, at most
+``vc_buffer_packets`` deep, popped with ``del buf[0]``) is ``None`` until
+its first packet arrives, and a waiter queue ``waiting[f]`` (a plain list of
+``(in_port, vc, packet)``) is ``None`` until its port's first waiter; once
+made, both stay, empty or not.  At 1 056 nodes only a few thousand of the
+19 800 buffers ever hold a packet.
 
 **Source queues.**  Traffic is open-loop, so a NIC's source queue is always
 the FIFO run of its own trace entries with a destination, between the
 oldest uninjected one (``nic_head[node]``) and the replay cursor
 (``ptr[node]``); ``nic_n[node]`` counts them.  A generation event only
 advances ``ptr`` and increments ``nic_n``.  A packet record (a plain
-12-slot list) exists from injection on: a fresh list built from the trace
+15-slot list) exists from injection on: a fresh list built from the trace
 entry at ``nic_head``, skipping wake-ups that made no packet.
 
 The kernel's other speed source is *event elision*: a scalar event whose
@@ -82,7 +92,10 @@ calendar event:
   output port has no waiters; a waiter joining the port materializes the
   still-relevant wakes with their reserved sequence numbers (a wake that
   scalar already executed before the current event necessarily fired on an
-  empty waiter queue, a pure no-op, and is counted instead);
+  empty waiter queue, a pure no-op, and is counted instead).  The next
+  forward of the port counts its matured pends the same way, so a port
+  holds at most two: the one a forward at ``now`` may still precede, and
+  its own;
 * **delivery elision** — the final wire hop into a NIC only appends to the
   delivery log; its timestamp (forward time plus the constant host-link
   delay) is monotone over forwards, so the record is written at forward time
@@ -99,8 +112,7 @@ from __future__ import annotations
 import gc
 from array import array
 from bisect import insort
-from collections import deque
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,11 +130,11 @@ EV_SERVE = 2  # a=router*k+out_port
 EV_GEN = 3  # a=node
 EV_CREDIT_N = 4  # a=node
 EV_NIC_RETRY = 5  # a=node
-EV_QFB = 6  # a=(router, row, column, arrival) tag, b=target
+EV_QFB = 6  # a=router, b=target, payload=(row, column)
 
 # Packet slots (plain lists: fastest mutable record in CPython).
 P_CREATE = 0  # create_time_ns
-P_DST = 1  # dst_node
+P_EJECT = 1  # ejection host port at the destination router (dst_node % hpr)
 P_DSTR = 2  # dst_router
 P_SRCR = 3  # src_router
 P_SRCG = 4  # src_group
@@ -132,35 +144,16 @@ P_OUT = 7  # routed out_port (decision of the current router)
 P_OVC = 8  # routed out_vc
 P_ARR = 9  # router_arrival_ns
 P_SCRATCH = 10  # routing-private: Q-adp one-shot flag, Valiant/UGAL/PAR path state
-P_QFB = 11  # pending feedback (prev_router, row, column, prev_arrival)
+# The pending Q-feedback tag of the previous hop (learned kinds only):
+P_QFB = 11  # the tagging router, or None when no feedback is due
+P_QFB_ROW = 12  # its table row
+P_QFB_COL = 13  # its table column (out_port - first_port)
+P_QFB_ARR = 14  # its router_arrival_ns
 
 #: calendar-queue sizing: aim for buckets a couple of link delays wide, but
 #: never preallocate more than MAX_BUCKETS lists per replicate.
 BUCKET_TARGET_NS = 16.0
 MAX_BUCKETS = 4096
-
-
-def _table_lists(values: np.ndarray) -> List[List[Sequence[float]]]:
-    """``values.tolist()``, with one shared tuple per distinct row.
-
-    The initial block holds a handful of distinct rows (23 for the 34 848
-    rows of the paper's 1 056-node Q-adp tables), so the tables share them
-    instead of boxing every entry.  A learning write first replaces its tuple
-    row with a private list (``list(row)``), then updates one slot of it.
-    """
-    routers, rows, cols = values.shape
-    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
-    width = 8 * cols
-    shared: Dict[bytes, Tuple[float, ...]] = {}
-    flat: List[Sequence[float]] = []
-    append = flat.append
-    for start in range(0, len(raw), width):
-        key = raw[start:start + width]
-        row = shared.get(key)
-        if row is None:
-            row = shared[key] = tuple(np.frombuffer(key).tolist())
-        append(row)
-    return [flat[router * rows:(router + 1) * rows] for router in range(routers)]
 
 
 class ReplicateState:
@@ -192,16 +185,15 @@ class ReplicateState:
         self.cal_b = 0  # drain cursor: current bucket ...
         self.cal_i = 0  # ... and offset of the next event within it
         self.seq = 0
-        # Input buffers: plain lists, never deeper than vc_buffer_packets (an
-        # empty deque costs over ten times an empty list, and there is one
-        # per port and VC); the forward pops the head with ``del buf[0]``.
-        self.bufs = [[[] for _ in range(num_vcs)] for _ in range(size)]
+        # Input buffers and waiter queues: None until first used (see the
+        # module docstring).
+        self.bufs: List[List[Optional[list]]] = [[None] * num_vcs for _ in range(size)]
         self.out_busy = [0.0] * size
-        self.waiting = [deque() for _ in range(size)]
+        self.waiting: List[Optional[list]] = [None] * size
         self.cred = [
             None if cap is None else [cap] * num_vcs for cap in model.cred_cap
         ]
-        # Wake-elision pends (see the module docstring):
+        # Wake-elision pends, at most two per port (see the module docstring):
         self.pend_wakes: List[List[Tuple[float, int]]] = [[] for _ in range(size)]
         num_nodes = model.num_nodes
         self.nic_busy = [0.0] * num_nodes
@@ -211,9 +203,7 @@ class ReplicateState:
         self.nic_retry = [False] * num_nodes
         self.nic_cred = [model.nic_cred_cap] * num_nodes
         # Q-tables [router][row][column]; empty under MIN, which reads none.
-        self.qt: List[List[Sequence[float]]] = (
-            [] if model.init_values is None else _table_lists(model.init_values)
-        )
+        self.qt: List[List[Sequence[float]]] = model.initial_tables()
         updates, self.c_fb_sent, self.c_fb_app = model.init_counters
         self.updates = list(updates)  # applied Q-feedback events per router
         # The same named stream the scalar routing draws from on attach.
@@ -449,7 +439,10 @@ class BatchKernel:
                 if buf:
                     buf.append(pkt)
                     continue  # head already routed or waiting
-                buf.append(pkt)
+                if buf is None:  # the first packet of this (port, vc)
+                    buf = bufs[a][vc] = [pkt]
+                else:
+                    buf.append(pkt)
                 router = a // k
                 base = router * k
                 in_port = a - base
@@ -462,33 +455,27 @@ class BatchKernel:
                 waiters = waiting[a]
                 if not waiters or out_busy[a] > now:
                     continue
-                # Mirror Router._serve_waiting: forward one eligible waiter,
-                # FIFO, rotating credit-starved waiters to the back.
+                # Mirror Router._serve_waiting: forward the first eligible
+                # waiter, dropping stale ones before it and leaving
+                # credit-starved ones in place.
                 router = a // k
                 base = router * k
                 cc = cred_l[a]
-                scanned = 0
-                skipped = 0
+                j = 0
                 total = len_(waiters)
-                while scanned < total and waiters:
-                    in_port, vc, wpkt = waiters[0]
+                while j < total:
+                    in_port, vc, wpkt = waiters[j]
                     wbuf = bufs[base + in_port][vc]
                     if not wbuf or wbuf[0] is not wpkt:
                         # Stale: the packet left through another port already.
-                        waiters.popleft()
-                        scanned += 1
-                        continue
-                    if cc is None or cc[wpkt[8]] > 0:
-                        waiters.popleft()
-                        if skipped:
-                            waiters.rotate(skipped)
+                        del waiters[j]
+                        total -= 1
+                    elif cc is None or cc[wpkt[8]] > 0:
+                        del waiters[j]
                         break
-                    waiters.rotate(-1)
-                    skipped += 1
-                    scanned += 1
+                    else:
+                        j += 1
                 else:
-                    if skipped:
-                        waiters.rotate(skipped)
                     continue
                 buf = wbuf
                 forward_first = True  # enter the chain at the forward step
@@ -529,17 +516,17 @@ class BatchKernel:
                 else:
                     # EV_QFB: TabularMarlRouting._apply_feedback, the
                     # hysteretic update of one entry of the tagged hop's
-                    # router.  a is the hop's tag, bb the target.
-                    table = qt[a[0]]
-                    row_l = table[a[1]]
+                    # router a; bb is the target, pl the (row, column).
+                    table = qt[a]
+                    row, column = pl
+                    row_l = table[row]
                     if row_l.__class__ is tuple_:  # first write: unshare the row
-                        row_l = table[a[1]] = list(row_l)
-                    column = a[2]
+                        row_l = table[row] = list(row_l)
                     current = row_l[column]
                     delta = bb - current
                     row_l[column] = current + (alpha if delta < 0.0 else beta) * delta
                     c_fb_app += 1
-                    updates[a[0]] += 1
+                    updates[a] += 1
                     continue
                 # Mirror Nic._try_inject: drain the source queue onto the
                 # host link (shared by all three NIC-side events).
@@ -574,9 +561,9 @@ class BatchKernel:
                     nic_n[node] = queued
                     create = trace_t[node][h]
                     src_router = nic_router[node]
-                    pkt2 = [create, dst, dst // hpr, src_router,
+                    pkt2 = [create, dst % hpr, dst // hpr, src_router,
                             group[src_router], node % hpr, 0, -1, 0, create,
-                            None, None]
+                            None, None, None, None, None]
                     nic_busy[node] = now + ser
                     nic_cred[node] -= 1
                     s2 = nseq
@@ -628,7 +615,7 @@ class BatchKernel:
                     # ---- route the head (Router._route_head + routing.route)
                     dst_router = pkt[2]
                     if dst_router == router:
-                        out = pkt[1] % hpr  # the ejection host port
+                        out = pkt[1]  # the ejection host port
                     elif kind == 0:  # KIND_MIN
                         out = min_next_r[dst_router]
                     elif decide is not None:  # a row of the decision table
@@ -718,11 +705,11 @@ class BatchKernel:
                     # EV_QFB event back to the tagged hop's router, one
                     # reverse-link latency away.
                     if learned:
-                        qfb = pkt[11]
-                        if qfb is not None:
+                        frouter = pkt[11]
+                        if frouter is not None:
                             pkt[11] = None
-                            frow = qfb[1]
-                            reward = pkt[9] - qfb[3]
+                            frow = pkt[12]
+                            reward = pkt[9] - pkt[14]
                             if router == pkt[2]:
                                 q_next = 0.0
                             elif onpolicy and out >= num_host_r:
@@ -736,7 +723,8 @@ class BatchKernel:
                             idx = int_(t2 * inv_w)
                             if idx > last_b:
                                 idx = last_b
-                            e = (t2, s2, 6, qfb, reward + q_next, None)  # EV_QFB
+                            e = (t2, s2, 6, frouter, reward + q_next,
+                                 (frow, pkt[13]))  # EV_QFB
                             if idx == b:
                                 insort(lst, e, i)
                                 n_lst += 1
@@ -748,12 +736,11 @@ class BatchKernel:
                         # time and each routed head forwards exactly once, so
                         # tagging here (instead of at the forward step) is
                         # the same tag — and dst_group is already in hand.
-                        if kind == 1:
-                            pkt[11] = (router, dst_group * p_ + pkt[5],
-                                       out - first_port, pkt[9])
-                        else:
-                            pkt[11] = (router, dst_router,
-                                       out - first_port, pkt[9])
+                        pkt[11] = router
+                        pkt[12] = (dst_group * p_ + pkt[5] if kind == 1
+                                   else dst_router)
+                        pkt[13] = out - first_port
+                        pkt[14] = pkt[9]
                     pkt[7] = out
                     if out < num_host_r:
                         out_vc = 0
@@ -765,7 +752,11 @@ class BatchKernel:
                     fo = base + out
                     cc = cred_l[fo]
                     if out_busy[fo] > now or not (cc is None or cc[out_vc] > 0):
-                        waiting[fo].append((in_port, vc, pkt))
+                        waiters = waiting[fo]
+                        if waiters is None:  # the first waiter of this port
+                            waiting[fo] = [(in_port, vc, pkt)]
+                        else:
+                            waiters.append((in_port, vc, pkt))
                         # A waiter joined: pended wakes of this port can now
                         # serve somebody — restore the unmatured ones with
                         # their reserved sequence numbers (a wake that scalar
@@ -845,7 +836,13 @@ class BatchKernel:
                     else:
                         cal[idx].append(e)
                 else:
-                    pend_wakes[fo].append((t2, seq0 + 2))
+                    # The port serves no waiter until one joins.  Its older
+                    # pends fired on an empty queue by now: count them.
+                    pendw = pend_wakes[fo]
+                    while pendw and pendw[0] < (now, cur_seq):
+                        del pendw[0]
+                        elided += 1
+                    pendw.append((t2, seq0 + 2))
                 nseq = seq0 + 3
                 if not buf:
                     break  # chain done: buffer drained

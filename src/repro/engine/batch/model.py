@@ -13,12 +13,17 @@ block from the learned routing's ``initial_values(topo, params)`` — the
 same ``[routers, rows, cols]`` Q-value block the object graph learns in.
 The kernel then only pays per-replicate cost for state that actually
 diverges between seeds.
+
+The block lives only until the first replicate: :meth:`BatchModel.initial_tables`
+turns it into shared rows (one tuple per distinct row) and drops it, so a
+run holds no 3 MB array that nothing reads.  ``build_model`` does not do this
+itself, so a pooled batch's parent never pays for rows only its workers read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,7 +139,9 @@ class BatchModel:
     nic_cred_cap: int = 0  # credits towards the router host input (vc 0)
     # --- learned routing (Q-adp, Q-routing) ---
     learned: bool = False
-    init_values: Optional[np.ndarray] = None  # [routers, rows, cols] float64
+    # [routers, rows, cols] float64 until the first replicate, then None
+    init_values: Optional[np.ndarray] = None
+    init_tables: List[List[Tuple[float, ...]]] = field(default_factory=list)  # shared rows
     init_counters: Tuple[List[int], int, int] = ([], 0, 0)  # updates/router, fb sent, applied
     first_port: int = 0
     explore: List[List[int]] = field(default_factory=list)  # [router] candidates
@@ -157,6 +164,40 @@ class BatchModel:
     bias: float = 0.0  # UGALg / UGALn / PAR: added to the non-minimal side
     # --- VAL only ---
     host_routers: List[int] = field(default_factory=list)  # intermediate candidates
+
+    def initial_tables(self) -> List[List[Sequence[float]]]:
+        """A fresh replicate's Q-tables ``[router][row]``: its own per-router
+        lists of the shared initial rows (``[]`` for a routing that learns
+        nothing).  The first call builds the rows from ``init_values`` and
+        drops the block; every later replicate reuses them."""
+        values = self.init_values
+        if values is not None:
+            self.init_tables = _table_lists(values)
+            self.init_values = None
+        return [table[:] for table in self.init_tables]
+
+
+def _table_lists(values: np.ndarray) -> List[List[Tuple[float, ...]]]:
+    """``values.tolist()``, with one shared tuple per distinct row.
+
+    The initial block holds a handful of distinct rows (23 for the 34 848
+    rows of the paper's 1 056-node Q-adp tables), so the tables share them
+    instead of boxing every entry.  A learning write first replaces its tuple
+    row with a private list (``list(row)``), then updates one slot of it.
+    """
+    routers, rows, cols = values.shape
+    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    width = 8 * cols
+    shared: Dict[bytes, Tuple[float, ...]] = {}
+    flat: List[Tuple[float, ...]] = []
+    append = flat.append
+    for start in range(0, len(raw), width):
+        key = raw[start:start + width]
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = tuple(np.frombuffer(key).tolist())
+        append(row)
+    return [flat[router * rows:(router + 1) * rows] for router in range(routers)]
 
 
 def build_model(spec: "ExperimentSpec") -> BatchModel:
@@ -208,8 +249,8 @@ def build_model(spec: "ExperimentSpec") -> BatchModel:
         if checkpoint is not None:  # the tables and counters it carries over
             init_values, model.init_counters = routing.checked_state(
                 checkpoint.state(), topo, init_values.shape)
-        # Read-only here: every replicate copies it before learning.
-        init_values.flags.writeable = False
+        # Read-only: the first replicate reads its rows (initial_tables).
+        init_values.setflags(write=False)
         model.init_values = init_values
         model.first_port = topo.table_port_span()[0]
         model.explore = [list(topo.network_ports_of(r)) for r in range(num_routers)]

@@ -346,10 +346,14 @@ def test_build_model_builds_no_object_graph(routing, config, monkeypatch):
 @pytest.mark.parametrize("routing", ["Q-adp", "Q-routing"])
 def test_replicate_q_tables_never_alias(routing):
     model = build_model(_spec(routing, sim=1_000.0, warm=0.0))
+    block = model.init_values
     kernel = BatchKernel(model, [1, 2])
-    expected = model.init_values.tolist()
-    cols = model.init_values.shape[2]
-    distinct = len(np.unique(model.init_values.reshape(-1, cols), axis=0))
+    # The first replicate turned the block into shared rows; the model
+    # keeps no reference to it.
+    assert model.init_values is None
+    expected = block.tolist()
+    cols = block.shape[2]
+    distinct = len(np.unique(block.reshape(-1, cols), axis=0))
     for st in kernel.states:
         assert [[list(row) for row in table] for table in st.qt] == expected
         # Rows are shared until first written: one tuple per distinct row.
@@ -358,12 +362,12 @@ def test_replicate_q_tables_never_alias(routing):
         assert all(type(row) is tuple for row in shared.values())
 
     # One learning write, through the kernel's own path: an EV_QFB event
-    # (time, seq, code, (router, row, column, arrival), target, None) for
-    # router 3 in replicate 0's calendar, drained by run.
+    # (time, seq, code, router, target, (row, column)) for router 3 in
+    # replicate 0's calendar, drained by run.
     first, second = kernel.states
     seq = first.seq
     first.seq = seq + 1
-    first.cal[0].append((0.0, seq, EV_QFB, (3, 1, 2, 0.0), -1.0, None))
+    first.cal[0].append((0.0, seq, EV_QFB, 3, -1.0, (1, 2)))
     kernel.run(0.0, slices=1)
     assert (first.c_fb_app, first.updates[3]) == (1, 1)
     current = expected[3][1][2]
@@ -383,9 +387,9 @@ def test_replicate_q_tables_never_alias(routing):
     owners = [r for st in kernel.states for table in st.qt for r in table if r is row]
     assert len(owners) == 1
     assert [[list(r) for r in table] for table in second.qt] == expected
-    assert model.init_values.tolist() == expected
+    assert block.tolist() == expected
     with pytest.raises(ValueError, match="read-only"):
-        model.init_values[3, 1, 2] = -1.0
+        block[3, 1, 2] = -1.0
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "x"])

@@ -12,6 +12,11 @@ sender's counter, a packet in the downstream input buffer, a packet on the
 link (``EV_RECV``), or a credit return on the reverse link (``EV_CREDIT_R``
 towards a router port, ``EV_CREDIT_N`` towards a NIC).
 
+A replicate allocates per-port state on first use only: an input buffer
+exists exactly for the ``(port, vc)`` pairs a packet has reached and a waiter
+queue exactly for the ports a waiter has joined, as the object graph's run
+of the same spec shows, and no port holds more than two pended wakes.
+
 Learned state is exact at every stop too: a Q-feedback is an ``EV_QFB``
 calendar event, as on the object graph, so the kernel's Q-tables and update
 counters equal the object graph's at any ``run(until)``, with no
@@ -33,6 +38,7 @@ from repro.engine.batch.kernel import (
 )
 from repro.engine.batch.model import build_model
 from repro.experiments.harness import ExperimentSpec, build_network
+from repro.network.router import Router
 from repro.topology.config import DragonflyConfig
 from repro.traffic import LoadSchedule
 
@@ -84,7 +90,7 @@ def test_packets_are_conserved_at_every_stop(case):
         # delay of room so every such packet is in the delivery log.
         assert stop + model.params.host_link_latency_ns < HORIZON_NS
         kernel.run(stop, slices=1)
-        buffered = [pkt for port in st.bufs for buf in port for pkt in buf]
+        buffered = [pkt for port in st.bufs for buf in port if buf for pkt in buf]
         on_links = _on_links(st)
         live = buffered + on_links
         live_ids = {id(pkt) for pkt in live}
@@ -107,6 +113,41 @@ def test_packets_are_conserved_at_every_stop(case):
         assert delivered  # traffic flows at every stop
     assert backlog > 0  # the source-queue term is exercised
     assert bool(mixed) == ("schedule" in _CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_per_port_state_exists_only_where_traffic_went(case, monkeypatch):
+    spec = ExperimentSpec(config=DragonflyConfig.small_72(), sim_time_ns=HORIZON_NS,
+                          warmup_ns=0.0, seed=7, **_CASES[case])
+    model = build_model(spec)
+    kernel = BatchKernel(model, [spec.seed])
+    (st,) = kernel.states
+    k = model.k
+    # The object graph's run of the same spec: every (port, vc) a packet
+    # reached, and (from the join log) every port a waiter joined.
+    reached = set()
+    receive = Router.receive_packet
+
+    def recording(self, packet, in_port, vc):
+        reached.add((self.id * k + in_port, vc))
+        receive(self, packet, in_port, vc)
+
+    monkeypatch.setattr(Router, "receive_packet", recording)
+    network, generator = build_network(spec)
+    joins = network.record_logs(["join"]).join
+    generator.start()
+    for stop in STOPS_NS:
+        kernel.run(stop, slices=1)
+        network.run(until=stop)
+        made = {(fidx, vc) for fidx, port in enumerate(st.bufs)
+                for vc, buf in enumerate(port) if buf is not None}
+        assert made == reached, stop
+        queues = {fidx for fidx, waiters in enumerate(st.waiting) if waiters is not None}
+        assert queues == set(joins.port), stop
+        assert max(len(pend) for pend in st.pend_wakes) <= 2, stop
+    # Both kinds of state were used, and some VCs never saw a packet.
+    assert 0 < len(made) < len(st.bufs) * model.num_vcs
+    assert queues
 
 
 _CREDIT_CASES = {
@@ -146,14 +187,14 @@ def test_credits_are_conserved_at_every_stop(case):
                 continue
             downstream = model.remote_idx[fo]
             for vc, credits in enumerate(st.cred[fo]):
-                assert (credits + len(st.bufs[downstream][vc])
+                assert (credits + len(st.bufs[downstream][vc] or ())
                         + recv[downstream, vc] + cred_r[fo, vc]) == cap, (stop, fo, vc)
                 exhausted += credits == 0
                 checked += 1
         assert checked
         for node, credits in enumerate(st.nic_cred):
             fidx = model.nic_fidx[node]
-            assert (credits + len(st.bufs[fidx][0]) + recv[fidx, 0]
+            assert (credits + len(st.bufs[fidx][0] or ()) + recv[fidx, 0]
                     + cred_n[node]) == model.nic_cred_cap, (stop, node)
     assert exhausted  # the credit read actually blocks somewhere
 

@@ -55,7 +55,7 @@ def test_boundary_ties_drain_in_time_seq_order_across_slices():
     a, vc = 0, 0
     # Pre-seeded head: every synthetic RECV below is a pure buffer append,
     # so the final buffer order *is* the drain order.
-    st.bufs[a][vc].append([None] * 12)
+    st.bufs[a][vc] = [[None] * 15]
     width = 1.0 / st.inv_w
     horizon = kernel.horizon
     # (time, seq) pairs: exact bucket-edge times (multiples of the bucket
@@ -77,7 +77,7 @@ def test_boundary_ties_drain_in_time_seq_order_across_slices():
     ]
     payloads = {}
     for t, seq in entries:
-        pkt = [None] * 12
+        pkt = [None] * 15
         pkt[0] = (t, seq)
         payloads[seq] = pkt
         _schedule(kernel, (t, seq, EV_RECV, a, vc, pkt))
@@ -89,6 +89,45 @@ def test_boundary_ties_drain_in_time_seq_order_across_slices():
     # EV_RECV stamps the arrival time; every payload saw its own event time.
     for t, seq in entries:
         assert payloads[seq][9] == t
+
+
+def test_serve_forwards_the_first_eligible_waiter_and_keeps_the_order():
+    """The object graph's serve case (``tests/test_network_router.py``) on the
+    kernel: one queue, oldest first, of a starved, a stale, an eligible and a
+    starved waiter.  The serve forwards the eligible one, drops the stale one
+    before it and leaves both starved waiters in their order."""
+    spec = ExperimentSpec(config=DragonflyConfig.small_72(), routing="MIN", pattern="UR",
+                          offered_load=0.3, sim_time_ns=4_000.0, warmup_ns=0.0, seed=3)
+    kernel = BatchKernel(build_model(spec), [spec.seed])
+    st = kernel.states[0]
+    _clear_calendar(kernel)
+    fo = 2  # router 0's first network port
+    st.cred[fo] = [0] * len(st.cred[fo])
+    st.cred[fo][1] = 1  # credits on VC 1 only
+    st.waiting[fo] = []
+
+    def stage(in_port, vc, out_vc):
+        # A routed packet record at the head of (in_port, vc); slot 0 names it.
+        pkt = [float(in_port), 0, 0, 0, 0, 0, 0, fo, out_vc, 0.0,
+               None, None, None, None, None]
+        st.bufs[in_port][vc] = [pkt]
+        st.waiting[fo].append((in_port, vc, pkt))
+        return pkt
+
+    stage(3, 0, 0)
+    stage(4, 0, 1)
+    st.bufs[4][0] = []  # stale: its packet left already
+    eligible = stage(5, 1, 1)
+    stage(6, 0, 0)
+    _schedule(kernel, (10.0, 0, EV_SERVE, fo, 0, None))
+    st.seq = 1
+    kernel.run(10.0, slices=1)
+
+    assert st.bufs[5][1] == []
+    assert [(in_port, vc, pkt[0]) for in_port, vc, pkt in st.waiting[fo]] == [
+        (3, 0, 3.0), (6, 0, 6.0)]
+    sent = [event[5] for bucket in st.cal for event in bucket if event[2] == EV_RECV]
+    assert len(sent) == 1 and sent[0] is eligible
 
 
 def test_empty_buckets_are_skipped_and_drained_buckets_freed():

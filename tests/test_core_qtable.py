@@ -68,6 +68,26 @@ def test_table_memory_matches_the_paper_on_both_engines(routing):
     assert object_graph.routing_diagnostics["table_memory_bytes"] == expected
 
 
+@pytest.mark.parametrize("routing,figure,expected", [
+    ("Q-adp", "system_two_level_bytes", 3_066_624),
+    ("Q-routing", "system_original_bytes", 6_133_248),
+])
+def test_table_memory_bytes_is_the_papers_figure_after_the_block_is_gone(
+        routing, figure, expected):
+    """At 1 056 nodes the kernel reports Table 3's two-level total (Q-adp)
+    or Table 2's original one (Q-routing), half and whole, although the
+    model dropped its value block when the replicate read its rows."""
+    config = DragonflyConfig.paper_1056()
+    assert qtable_memory_comparison(config)[figure] == expected
+    spec = ExperimentSpec(config=config, routing=routing, pattern="UR", offered_load=0.2,
+                          sim_time_ns=200.0, warmup_ns=0.0, seed=3)
+    batch = BatchSimulation(spec, [spec.seed])
+    assert batch.model.init_values is None
+    (result,) = batch.run().results()
+    assert batch.model.table_memory_bytes == expected
+    assert result.routing_diagnostics["table_memory_bytes"] == expected
+
+
 _SMALL_QADP = ExperimentSpec(config=DragonflyConfig.small_72(), routing="Q-adp", pattern="UR",
                            offered_load=0.3, sim_time_ns=1_000.0, warmup_ns=0.0, seed=3)
 

@@ -105,6 +105,35 @@ def test_serve_waiting_restores_order_when_no_waiter_is_eligible():
     assert list(router.waiting[out_port]) == [(in_a, 0, first), (in_b, 1, second)]
 
 
+def test_serve_waiting_drops_stale_waiters_and_keeps_starved_ones_in_place():
+    """One queue, oldest first: starved, stale, eligible, starved.  The serve
+    forwards the eligible waiter, drops the stale one it passed and leaves
+    both starved waiters where they were (the flat kernel's serve does the
+    same: ``tests/test_batch_scheduler.py``)."""
+    net = Network(DragonflyConfig.small_72(), MinimalRouting())
+    router = net.routers[0]
+    topo = net.topo
+    out_port = topo.non_host_ports[0]
+    dst = next(n for n in topo.all_nodes() if topo.router_of_node(n) != 0)
+    # Credits on VC 1 only.
+    router._cred_counts[out_port] = [0] * net.params.num_vcs
+    router._cred_counts[out_port][1] = 1
+    in_ports = topo.non_host_ports[1:5]
+    first = _stage_waiter(net, router, in_ports[0], 0, out_port, 0, dst)
+    # A stale waiter that would be eligible: its packet left already.
+    _stage_waiter(net, router, in_ports[1], 0, out_port, 1, dst)
+    router.input_bufs[in_ports[1]][0].clear()
+    _stage_waiter(net, router, in_ports[2], 1, out_port, 1, dst)
+    last = _stage_waiter(net, router, in_ports[3], 0, out_port, 0, dst)
+
+    router._serve_waiting(out_port)
+
+    assert router.forwarded_packets == 1
+    assert not router.input_bufs[in_ports[2]][1]
+    assert list(router.waiting[out_port]) == [(in_ports[0], 0, first),
+                                              (in_ports[3], 0, last)]
+
+
 def test_small_buffers_still_deliver_everything():
     """Back-pressure with 1-packet buffers must not deadlock or drop packets."""
     net = Network(
