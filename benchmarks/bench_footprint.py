@@ -1,15 +1,24 @@
-"""Deterministic memory footprint of one kernel replicate.
+"""Deterministic memory footprint of one run on either engine.
 
-Wall-clock and RSS move with the host; the Python heap a replicate keeps
-alive does not.  For two specs this bench records, with ``tracemalloc``, the
-live bytes and blocks after constructing a one-seed
+Wall-clock and RSS move with the host; the Python heap a run keeps alive
+does not.  For three specs this bench records, with ``tracemalloc``, the
+live bytes and blocks after set-up and again after draining to the horizon:
+
+* ``small-72-qadp-ur``: 72 nodes, Q-adp, UR at 0.5, on the flat kernel;
+* ``paper-1056-qadp-adv1``: 1 056 nodes, Q-adp, ADV+1 at 0.3, on the flat
+  kernel;
+* ``scalar-1056-qadp-adv1``: the same spec on the object graph.
+
+On the kernel, set-up is constructing a one-seed
 :class:`~repro.engine.batch.BatchSimulation` (model, traffic trace and
-replicate state) and again after draining it to the horizon:
+replicate state); on the object graph it is ``build_network`` plus the
+generator's ``start``.  That case also counts the garbage collections that
+run inside ``build_network`` and inside the drain.  Both pause the
+collector, so each defers its collections to one pass: the build's runs as
+``build_network`` returns (a count of 1, against about 75 with the collector
+on), the drain's after ``run`` returns (a count of 0).
 
-* ``small-72-qadp-ur``: 72 nodes, Q-adp, UR at 0.5;
-* ``paper-1056-qadp-adv1``: 1 056 nodes, Q-adp, ADV+1 at 0.3.
-
-Both run 2 µs at seed 7: ``tracemalloc`` finds the line of every allocation
+All run 2 µs at seed 7: ``tracemalloc`` finds the line of every allocation
 by scanning the allocating function's line table, which makes the kernel's
 one large drain function tens of times slower while it traces.
 
@@ -52,7 +61,11 @@ CASES: Dict[str, Dict] = {
                              offered_load=0.5),
     "paper-1056-qadp-adv1": dict(config=(4, 8, 4), routing="Q-adp", pattern="ADV+1",
                                  offered_load=0.3),
+    "scalar-1056-qadp-adv1": dict(config=(4, 8, 4), routing="Q-adp", pattern="ADV+1",
+                                  offered_load=0.3),
 }
+#: the cases run on the object graph; the others run on the flat kernel.
+OBJECT_GRAPH = {"scalar-1056-qadp-adv1"}
 
 
 def _snapshot() -> tracemalloc.Snapshot:
@@ -79,11 +92,11 @@ def _count(snapshot: tracemalloc.Snapshot) -> Tuple[int, int]:
 
 
 def measure(case: str) -> Dict[str, int]:
-    """The live heap of one replicate of ``case``, in this interpreter."""
+    """The live heap of one run of ``case``, in this interpreter."""
     # Everything the run imports, imported before counting starts.
     import repro.experiments.parallel  # noqa: F401
     from repro.engine.batch import BatchSimulation
-    from repro.experiments.harness import ExperimentSpec
+    from repro.experiments.harness import ExperimentSpec, build_network
     from repro.topology.config import DragonflyConfig
 
     kwargs = dict(CASES[case])
@@ -92,19 +105,45 @@ def measure(case: str) -> Dict[str, int]:
     # A throwaway run on the 6-node Dragonfly makes every first call (numpy's
     # lazy caches included) before counting starts; it caches nothing of the
     # measured topology.
-    BatchSimulation(spec.with_overrides(config=DragonflyConfig.tiny(), sim_time_ns=500.0,
-                                        warmup_ns=0.0), [SEED]).run().results()
+    tiny = spec.with_overrides(config=DragonflyConfig.tiny(), sim_time_ns=500.0)
+    if case in OBJECT_GRAPH:
+        network, generator = build_network(tiny)
+        generator.start()
+        network.run(until=tiny.sim_time_ns)
+        network.finalize()
+        del network, generator
+    else:
+        BatchSimulation(tiny, [SEED]).run().results()
     gc.collect()
+    collections = []
+
+    def probe(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
     tracemalloc.start()
-    batch = BatchSimulation(spec, [SEED])
-    built = _snapshot()
-    batch.run()
-    drained = _snapshot()
+    if case in OBJECT_GRAPH:
+        gc.callbacks.append(probe)
+        network, generator = build_network(spec)
+        counts = {"build_collections": len(collections)}
+        generator.start()
+        built = _snapshot()
+        collections.clear()
+        network.run(until=spec.sim_time_ns)
+        counts["drain_collections"] = len(collections)
+        gc.callbacks.remove(probe)
+        drained = _snapshot()
+        counts["events_processed"] = network.sim.events_processed
+    else:
+        batch = BatchSimulation(spec, [SEED])
+        built = _snapshot()
+        batch.run()
+        drained = _snapshot()
+        counts = {"events_processed": batch.events_processed()[0]}
     tracemalloc.stop()
     (built_bytes, built_blocks), (drained_bytes, drained_blocks) = map(_count, (built, drained))
     return {"construct_bytes": built_bytes, "construct_blocks": built_blocks,
-            "drain_bytes": drained_bytes, "drain_blocks": drained_blocks,
-            "events_processed": batch.events_processed()[0]}
+            "drain_bytes": drained_bytes, "drain_blocks": drained_blocks, **counts}
 
 
 def _start(case: str, hash_seed: str) -> subprocess.Popen:

@@ -109,13 +109,13 @@ exactly; the equivalence suite pins that along with every statistic.
 
 from __future__ import annotations
 
-import gc
 from array import array
 from bisect import insort
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine import collector_paused
 from repro.engine.batch.decisions import decision_for
 from repro.engine.batch.model import BatchModel
 from repro.engine.batch.trace import record_traffic_trace
@@ -299,19 +299,13 @@ class BatchKernel:
         """
         start = self.now
         span = until - start
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
+        with collector_paused():
             for step in range(1, slices + 1):
                 bound = (until if step == slices
                          else start + span * (step / slices))
                 for state in self.states:
                     self._advance(state, bound)
                 self.now = bound
-        finally:
-            if was_enabled:
-                gc.enable()
 
     def finalize(self, until: float) -> None:
         """Count every pended wake the scalar run would have executed."""

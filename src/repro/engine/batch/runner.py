@@ -17,10 +17,9 @@ from __future__ import annotations
 import gc
 import os
 import pickle
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import fanout
+from repro.engine import collector_paused, fanout
 from repro.engine.batch.kernel import BatchKernel, ReplicateState
 from repro.engine.batch.model import (
     KIND_PAR,
@@ -38,22 +37,6 @@ if TYPE_CHECKING:  # typing only
     from repro.experiments.harness import ExperimentResult, ExperimentSpec
 
 _worker_model: BatchModel  # a pool worker's batch model (see _adopt_model)
-
-
-@contextmanager
-def _gc_suspended() -> Iterator[None]:
-    # Trace recording, state construction and assembly allocate heavily
-    # against an already-large live heap; suspend the cyclic collector like
-    # the kernel drain does.  Nothing here forms cycles, and neither does the
-    # model (build_model builds no Network), so no garbage waits for a
-    # collection that never comes while the collector is off.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _adopt_model(model: BatchModel) -> None:
@@ -84,12 +67,13 @@ class BatchSimulation:
         self.spec = spec
         # The spec's seed rule, checked before anything is built or simulated.
         self.seeds = [checked_number(s, "seed", "BatchSimulation", int) for s in seeds]
-        self.model = build_model(spec)  # raises UnsupportedByBackend early
         self._workers = min(len(self.seeds), os.cpu_count() or 1)
         # A pooled batch has no replicate state here: its workers build it.
         self.kernel: Optional[BatchKernel] = None
-        if fanout.in_process(len(self.seeds), self._workers):
-            with _gc_suspended():
+        # Model, traces and states form no cycles (the model builds no Network).
+        with collector_paused():
+            self.model = build_model(spec)  # raises UnsupportedByBackend early
+            if fanout.in_process(len(self.seeds), self._workers):
                 self.kernel = BatchKernel(self.model, self.seeds)
         self._ran = False
         self._pooled: List[Tuple[int, int, bytes]] = []  # (index, events, result data)
@@ -137,7 +121,7 @@ class BatchSimulation:
     def results(self) -> List["ExperimentResult"]:
         """Fresh per-replicate results, ordered like ``seeds`` (runs if needed)."""
         self.run()
-        with _gc_suspended():
+        with collector_paused():
             if self.kernel is None:
                 return [pickle.loads(blob).to_result(self.spec.with_overrides(seed=self.seeds[i]))
                         for i, _, blob in self._pooled]

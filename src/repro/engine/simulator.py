@@ -14,13 +14,17 @@ tuples, the same entry shape the flat kernel's calendar uses.  ``seq`` is a
 unique, increasing counter, so events run in ``(time, seq)`` order — ties
 in schedule order — and ``heapq``'s C-level tuple comparison never reaches
 the callback.  Scheduling hands out no handle: an event, once scheduled,
-runs.
+runs.  :meth:`Simulator.run` drains with the cyclic collector paused
+(:class:`repro.engine.collector_paused`; a run makes no cyclic garbage), so
+the deferred pass runs at the caller's first allocation after it returns.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
+
+from repro.engine import collector_paused
 
 #: One calendar entry: ``(time, seq, callback, args)``.
 _Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
@@ -110,11 +114,12 @@ class Simulator:
         bound = float("inf") if until is None else until
         heap = self._heap
         try:
-            while heap and heap[0][0] <= bound:
-                time, _, callback, args = heappop(heap)
-                self._now = time
-                callback(*args)
-                executed += 1
+            with collector_paused():
+                while heap and heap[0][0] <= bound:
+                    time, _, callback, args = heappop(heap)
+                    self._now = time
+                    callback(*args)
+                    executed += 1
             if until is not None:
                 self._now = until
         finally:

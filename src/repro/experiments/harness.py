@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.engine import collector_paused
 from repro.experiments.options import RunOptions
 from repro.faults.schedule import FaultSchedule
 from repro.network.network import Network
@@ -273,34 +274,38 @@ def build_network(spec: ExperimentSpec) -> Tuple[Network, TrafficGenerator]:
     attached (tables exist) but before any packet is injected — with the
     checkpoint's compatibility validated against the spec's topology and
     routing name first.
+
+    Built with the cyclic collector paused (the build makes no garbage, see
+    :class:`repro.engine.collector_paused`); the deferred pass runs at return.
     """
-    routing = make_routing(spec.routing, **spec.routing_kwargs)
-    network = Network(
-        spec.config,
-        routing,
-        params=spec.network_params,
-        seed=spec.seed,
-        warmup_ns=spec.warmup_ns,
-        stats_bin_ns=spec.stats_bin_ns,
-    )
-    if spec.warm_start is not None:
-        from repro.store import Checkpoint
+    with collector_paused():
+        routing = make_routing(spec.routing, **spec.routing_kwargs)
+        network = Network(
+            spec.config,
+            routing,
+            params=spec.network_params,
+            seed=spec.seed,
+            warmup_ns=spec.warmup_ns,
+            stats_bin_ns=spec.stats_bin_ns,
+        )
+        if spec.warm_start is not None:
+            from repro.store import Checkpoint
 
-        checkpoint = Checkpoint.load(spec.warm_start)
-        checkpoint.check_compatible(spec.routing, config_to_dict(spec.config))
-        checkpoint.apply(network.routing)
-    if spec.faults is not None:
-        from repro.faults.controller import FaultController
+            checkpoint = Checkpoint.load(spec.warm_start)
+            checkpoint.check_compatible(spec.routing, config_to_dict(spec.config))
+            checkpoint.apply(network.routing)
+        if spec.faults is not None:
+            from repro.faults.controller import FaultController
 
-        FaultController(network, spec.faults).install()
-    pattern = make_pattern(spec.pattern, **spec.pattern_kwargs)
-    generator = TrafficGenerator(
-        network,
-        pattern,
-        offered_load=spec.offered_load,
-        schedule=spec.schedule,
-        arrival=spec.arrival,
-    )
+            FaultController(network, spec.faults).install()
+        pattern = make_pattern(spec.pattern, **spec.pattern_kwargs)
+        generator = TrafficGenerator(
+            network,
+            pattern,
+            offered_load=spec.offered_load,
+            schedule=spec.schedule,
+            arrival=spec.arrival,
+        )
     return network, generator
 
 

@@ -132,10 +132,8 @@ class FaultController:
         # Kick the waiter queues of freshly dead ports *after* the routing
         # swap: the waiters' pre-computed routes drain into the sink, while
         # every head routed behind them already sees the degraded tables.
-        now = self.network.sim._now
         for router, port in kicks:
-            if router.waiting[port] and router.out_busy_until[port] <= now:
-                router._serve_waiting(port)
+            router._serve_waiting(port)  # a no-op unless idle with waiters
 
     # --------------------------------------------------------------- teardown
     def _sink(self, packet: "Packet", port: int, vc: int) -> None:
@@ -170,7 +168,7 @@ class FaultController:
             counts = router._cred_counts[port]
             capacity = router._cred_cap[port]
             for vc in range(len(counts)):
-                counts[vc] = capacity - len(bufs[vc])
+                counts[vc] = capacity - len(bufs[vc] or ())
 
     def _link_down(self, router_id: int, port: int,
                    kicks: List[Tuple["Router", int]]) -> None:

@@ -20,14 +20,15 @@ The router delegates all path selection to the attached routing algorithm via
 ``routing.route(router, packet, in_port)`` and notifies it of forwards through
 ``routing.on_forward`` (used by the RL algorithms for reward feedback).
 
-Hot-path layout: the input buffers ``input_bufs[port][vc]`` are plain lists,
-at most ``vc_buffer_packets`` deep, so popping the head with ``del buf[0]``
-costs about what a deque's ``popleft`` does, and an empty list is a small
-fraction of an empty deque.  Per-port state is parallel plain lists indexed
-by port — receive / credit-return callbacks of the far end, its input port,
-the hop delay and link latency (the router's row of the network's port
-table, handed over by :meth:`wire`), and the credit counters
-``_cred_counts[port][vc]`` towards the far end's input buffer.
+Hot-path layout, as on the flat kernel: an input buffer
+``input_bufs[port][vc]`` is ``None`` until its first packet, then a plain
+list at most ``vc_buffer_packets`` deep (pop the head with ``del buf[0]``),
+and a waiter queue ``waiting[port]`` is ``None`` until its first waiter,
+then a plain list of ``(in_port, vc, packet)``.  Other per-port state is
+parallel plain lists indexed by port — receive / credit-return callbacks of
+the far end, its input port, the hop delay and link latency (the router's
+row of the network's port table, handed over by :meth:`wire`), and the
+credit counters ``_cred_counts[port][vc]`` towards the far end's input buffer.
 ``_cred_infinite[port]`` marks a port whose counters are not kept: an
 ejection port (the NIC always drains the network), or a port the fault
 controller took down.  The per-flit code in :meth:`_forward` /
@@ -37,8 +38,7 @@ calls only.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.network.packet import Packet
 from repro.network.params import NetworkParams
@@ -102,12 +102,12 @@ class Router:
         self.serialization_ns = params.serialization_ns
 
         k = topo.k
-        self.input_bufs: List[List[List[Packet]]] = [
-            [[] for _ in range(num_vcs)] for _ in range(k)
+        # Queues are made on first use (see the module docstring).
+        self.input_bufs: List[List[Optional[List[Packet]]]] = [
+            [None] * num_vcs for _ in range(k)
         ]
         self.out_busy_until: List[float] = [0.0] * k
-        # per output port: waiters (in_port, vc, packet) blocked on that port
-        self.waiting: List[Deque[Tuple[int, int, Packet]]] = [deque() for _ in range(k)]
+        self.waiting: List[Optional[List[Tuple[int, int, Packet]]]] = [None] * k
         self.forwarded_packets = 0
         self.ejected_packets = 0
 
@@ -152,7 +152,9 @@ class Router:
     def receive_packet(self, packet: Packet, in_port: int, vc: int) -> None:
         """A packet finished traversing the link feeding ``in_port`` on ``vc``."""
         buf = self.input_bufs[in_port][vc]
-        if self._buf_cap and len(buf) >= self._buf_cap:
+        if buf is None:  # the first packet of this (port, vc)
+            buf = self.input_bufs[in_port][vc] = []
+        elif self._buf_cap and len(buf) >= self._buf_cap:
             # The upstream credit check makes this impossible; a failure here
             # indicates a flow-control bug, so fail loudly instead of dropping.
             raise RuntimeError(
@@ -191,6 +193,8 @@ class Router:
             self._cred_infinite[out_port] or self._cred_counts[out_port][out_vc] > 0
         ):
             waiters = self.waiting[out_port]
+            if waiters is None:  # the first waiter of this port
+                waiters = self.waiting[out_port] = []
             waiters.append((in_port, vc, packet))
             if self._join_log is not None:
                 self._join_log.add(
@@ -242,51 +246,38 @@ class Router:
             self._route_head(in_port, vc)
 
     def _serve_waiting(self, out_port: int) -> None:
-        """Try to forward one eligible waiter of ``out_port`` (FIFO order).
+        """Forward the first eligible waiter of ``out_port`` (FIFO order).
 
-        A waiter whose VC lacks credits is skipped (rotated to the back) so
-        that waiters of other VCs can pass, but the rotation is undone before
-        returning — the scan must not permanently reorder the queue, or early
-        waiters would starve under sustained credit pressure.
+        One walk from the oldest waiter deletes stale entries (their packet
+        left already) and forwards the first waiter with credits; waiters
+        without credits stay in place, so the queue is never reordered and
+        early waiters cannot starve under sustained credit pressure.
         """
         waiters = self.waiting[out_port]
-        if not waiters:
-            return
-        if self.out_busy_until[out_port] > self.sim._now:
+        if not waiters or self.out_busy_until[out_port] > self.sim._now:
             return
         infinite = self._cred_infinite[out_port]
         counts = self._cred_counts[out_port]
         input_bufs = self.input_bufs
-        scanned = 0
-        skipped = 0
+        j = 0
         total = len(waiters)
-        while scanned < total and waiters:
-            in_port, vc, packet = waiters[0]
+        while j < total:
+            in_port, vc, packet = waiters[j]
             buf = input_bufs[in_port][vc]
             if not buf or buf[0] is not packet:
-                # Stale entry (the packet was already forwarded): drop it.
-                waiters.popleft()
-                scanned += 1
-                continue
-            if infinite or counts[packet.out_vc] > 0:
-                waiters.popleft()
-                # Restore the skipped waiters to the front, in original order,
-                # before _forward runs (it can append new waiters at the back).
-                if skipped:
-                    waiters.rotate(skipped)
+                del waiters[j]
+                total -= 1
+            elif infinite or counts[packet.out_vc] > 0:
+                del waiters[j]
                 self._forward(in_port, vc, packet)
                 return
-            # Head waiter lacks credits on its VC; let waiters of other VCs pass.
-            waiters.rotate(-1)
-            skipped += 1
-            scanned += 1
-        if skipped:
-            waiters.rotate(skipped)
+            else:
+                j += 1
 
     # ------------------------------------------------------------ congestion
     def output_queue_length(self, out_port: int) -> int:
         """Packets in this router currently waiting to use ``out_port``."""
-        return len(self.waiting[out_port])
+        return len(self.waiting[out_port] or ())
 
     def used_credits(self, out_port: int) -> int:
         """Downstream buffer occupancy estimate (credits in use) of ``out_port``.
@@ -310,7 +301,7 @@ class Router:
 
     def buffered_packets(self) -> int:
         """Total packets currently buffered in this router (diagnostics)."""
-        return sum(len(buf) for port_bufs in self.input_bufs for buf in port_bufs)
+        return sum(len(buf) for port_bufs in self.input_bufs for buf in port_bufs if buf)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Router {self.id} group={self.group}>"

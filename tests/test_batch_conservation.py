@@ -15,7 +15,8 @@ towards a router port, ``EV_CREDIT_N`` towards a NIC).
 A replicate allocates per-port state on first use only: an input buffer
 exists exactly for the ``(port, vc)`` pairs a packet has reached and a waiter
 queue exactly for the ports a waiter has joined, as the object graph's run
-of the same spec shows, and no port holds more than two pended wakes.
+of the same spec shows (its routers hold ``None`` for the others as well),
+and no port holds more than two pended wakes.
 
 Learned state is exact at every stop too: a Q-feedback is an ``EV_QFB``
 calendar event, as on the object graph, so the kernel's Q-tables and update
@@ -144,6 +145,13 @@ def test_per_port_state_exists_only_where_traffic_went(case, monkeypatch):
         assert made == reached, stop
         queues = {fidx for fidx, waiters in enumerate(st.waiting) if waiters is not None}
         assert queues == set(joins.port), stop
+        # The object graph's routers make their queues on first use too.
+        assert {(router.id * k + port, vc) for router in network.routers
+                for port, bufs in enumerate(router.input_bufs)
+                for vc, buf in enumerate(bufs) if buf is not None} == reached, stop
+        assert {router.id * k + port for router in network.routers
+                for port, waiters in enumerate(router.waiting)
+                if waiters is not None} == queues, stop
         assert max(len(pend) for pend in st.pend_wakes) <= 2, stop
     # Both kinds of state were used, and some VCs never saw a packet.
     assert 0 < len(made) < len(st.bufs) * model.num_vcs

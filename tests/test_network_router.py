@@ -60,7 +60,13 @@ def _stage_waiter(net, router, in_port, vc, out_port, out_vc, dst):
     packet = net.create_packet(0, dst)
     packet.out_port = out_port
     packet.out_vc = out_vc
-    net.routers[router.id].input_bufs[in_port][vc].append(packet)
+    # Queues are made on first use: a fresh router has none yet.
+    bufs = router.input_bufs[in_port]
+    if bufs[vc] is None:
+        bufs[vc] = []
+    bufs[vc].append(packet)
+    if router.waiting[out_port] is None:
+        router.waiting[out_port] = []
     router.waiting[out_port].append((in_port, vc, packet))
     return packet
 
