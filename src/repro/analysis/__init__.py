@@ -8,14 +8,13 @@ rests on — and the ones a stray line of code silently breaks:
   iteration-order-dependent results inside simulation logic, so runs stay
   bit-for-bit reproducible from a single seed (the golden-fingerprint suite
   depends on it).
-* **Hot path** (``H`` rules) — the per-event/per-flit functions rewritten in
-  PR 3 must not regrow try/except, closures, ``**``-unpacking, logging, or
-  run-log appends without their ``is not None`` guard.
 
-Serialized forms and registrations are guarded by tests instead: every
-spec-like class is a :class:`repro.scenarios.serialize.Codec`, checked field
-by field by ``tests/test_serialization_golden.py``, and each registered
-routing, pattern and probe runs under the suite.
+Other properties are guarded by what they cost or by tests instead.  The
+per-event hot path is pinned by ``benchmarks/bench_counts.py``: the calls
+and bytecodes each run executes in the package, per file.  Every spec-like
+class is a :class:`repro.scenarios.serialize.Codec`, checked field by field
+by ``tests/test_serialization_golden.py``, and each registered routing,
+pattern and probe runs under the suite.
 
 Run it as ``repro-sim check [--strict]`` or ``python -m repro.analysis``.
 Findings can be suppressed inline with ``# repro: ignore[RULE]`` (or
@@ -35,9 +34,8 @@ from repro.analysis.core import (
 )
 from repro.analysis.runner import main, run_check
 
-# Importing the rule modules registers both rule families.
+# Importing the rule module registers the rules.
 from repro.analysis import rules_determinism  # noqa: F401  (registration side effect)
-from repro.analysis import rules_hotpath  # noqa: F401
 
 __all__ = [
     "Finding",

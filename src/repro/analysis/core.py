@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-#: matches ``# repro: ignore``, ``# repro: ignore[D101]``, ``# repro: ignore[D101, H202]``
+#: matches ``# repro: ignore``, ``# repro: ignore[D101]``, ``# repro: ignore[D101, D104]``
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?P<scope>-file)?\s*(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?"
 )
@@ -89,8 +89,8 @@ def rule(code: str, name: str, severity: str,
     """Register a check function under ``code`` (e.g. ``D101``)."""
     if severity not in SEVERITIES:
         raise ValueError(f"rule {code}: severity must be one of {SEVERITIES}")
-    if not re.fullmatch(r"[DH]\d{3}", code):
-        raise ValueError(f"rule code {code!r} must look like D101/H201")
+    if not re.fullmatch(r"D\d{3}", code):
+        raise ValueError(f"rule code {code!r} must look like D101")
 
     def decorate(check: _CheckFn) -> _CheckFn:
         if code in RULE_REGISTRY:
@@ -205,32 +205,6 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-@dataclass
-class _Parent:
-    """Parent links for ancestor walks (guard detection in H rules)."""
-
-    parents: Dict[int, ast.AST] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, root: ast.AST) -> "_Parent":
-        links = cls()
-        for parent in ast.walk(root):
-            for child in ast.iter_child_nodes(parent):
-                links.parents[id(child)] = parent
-        return links
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current = self.parents.get(id(node))
-        while current is not None:
-            yield current
-            current = self.parents.get(id(current))
-
-
-def parent_map(root: ast.AST) -> _Parent:
-    """Build child -> parent links under ``root``."""
-    return _Parent.of(root)
 
 
 # ------------------------------------------------------------------ loading

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis import rules_determinism  # noqa: F401  (register D rules)
-from repro.analysis import rules_hotpath  # noqa: F401
 from repro.analysis.core import Finding, Project, all_rules, load_module
 
 #: directories never descended into during discovery.

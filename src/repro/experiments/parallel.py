@@ -186,9 +186,12 @@ class ExperimentResultData:
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name in _PACKED_FIELDS:
-            if not isinstance(state[name], np.ndarray):  # else a pre-packing entry
-                state[name] = _unpack_array(state[name])
+        try:
+            for name in _PACKED_FIELDS:
+                if not isinstance(state[name], np.ndarray):  # else a pre-packing entry
+                    state[name] = _unpack_array(state[name])
+        except (KeyError, TypeError) as exc:  # a missing or malformed field
+            raise ValueError(f"corrupt packed array: {exc!r}") from None
         self.__dict__.update(state)
 
     @classmethod

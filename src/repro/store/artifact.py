@@ -411,7 +411,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------ prune
     def remove(self, checkpoint_id: str) -> bool:
         """Delete one checkpoint; returns whether anything was removed."""
-        path = self.path_of(checkpoint_id)
+        path = self.path_of(self.validate_id(checkpoint_id))
         if path.is_dir():
             shutil.rmtree(path)
             return True

@@ -31,8 +31,7 @@ def rules_hit(findings):
 # ---------------------------------------------------------------- rule registry
 def test_every_rule_family_registered():
     codes = {r.code for r in all_rules()}
-    assert {"D101", "D102", "D103", "D104", "D105", "D106"} <= codes
-    assert {"H201", "H202", "H203", "H204", "H205"} <= codes
+    assert codes == {"D101", "D102", "D103", "D104", "D105", "D106"}
 
 
 def test_rule_metadata_sane():
@@ -136,111 +135,6 @@ def test_d106_flags_builtin_hash_in_scope(tmp_path):
     assert "D106" in rules_hit(findings)
 
 
-# ---------------------------------------------------------------------- H: hot path
-HOT_MODULE = "repro.engine.simulator"
-
-
-def test_h201_flags_try_except_in_hot_function(tmp_path):
-    findings = check_snippet(tmp_path, HOT_MODULE, """
-        class Simulator:
-            def push(self, ev):
-                try:
-                    self.heap.append(ev)
-                except AttributeError:
-                    pass
-    """)
-    assert "H201" in rules_hit(findings)
-
-
-def test_h201_allows_try_finally(tmp_path):
-    findings = check_snippet(tmp_path, HOT_MODULE, """
-        class Simulator:
-            def push(self, ev):
-                try:
-                    self.heap.append(ev)
-                finally:
-                    self.dirty = True
-    """)
-    assert "H201" not in rules_hit(findings)
-
-
-def test_h202_flags_closure_h203_kwargs_h204_print(tmp_path):
-    findings = check_snippet(tmp_path, HOT_MODULE, """
-        class Simulator:
-            def push(self, ev, **extra):
-                def on_fire():
-                    return ev
-                print("pushed", ev)
-                return self.schedule(on_fire, **extra)
-    """)
-    assert {"H202", "H203", "H204"} <= rules_hit(findings)
-
-
-def test_hot_rules_ignore_functions_off_the_hot_list(tmp_path):
-    findings = check_snippet(tmp_path, HOT_MODULE, """
-        class Simulator:
-            def debug_dump(self, **extra):
-                print("state", extra)
-    """)
-    assert not rules_hit(findings) & {"H201", "H202", "H203", "H204"}
-
-
-def test_hot_rules_reach_decision_functions_but_not_their_factory(tmp_path):
-    # The flat kernel's decision table: ``factory.decide`` is hot, the factory
-    # that builds it (a closure definition, once per drain) is not.
-    findings = check_snippet(tmp_path, "repro.engine.batch.decisions", """
-        def valn(m, st):
-            def decide(router, pkt):
-                try:
-                    return m.min_next[router][pkt[2]]
-                except IndexError:
-                    print("no route")
-            return decide
-    """)
-    assert {"H201", "H204"} <= rules_hit(findings)
-    assert "H202" not in rules_hit(findings)
-
-
-def test_every_hot_listed_function_exists():
-    """A rename must not silently take a function off the hot list."""
-    from repro.analysis.core import load_module
-    from repro.analysis.rules_hotpath import HOT_FUNCTIONS, _hot_functions
-
-    for module_name, qualnames in HOT_FUNCTIONS.items():
-        path = REPO_ROOT.joinpath("src", *module_name.split(".")).with_suffix(".py")
-        found = {qualname for qualname, _ in _hot_functions(load_module(path, REPO_ROOT))}
-        assert found == qualnames, module_name
-
-
-def test_h205_flags_unguarded_probe_publish(tmp_path):
-    findings = check_snippet(tmp_path, "repro.network.probes_bad", """
-        class Router:
-            def tick(self, now):
-                self._join_log.add(0, 1, False, now)
-    """)
-    assert "H205" in rules_hit(findings)
-    findings = check_snippet(tmp_path, "repro.network.probes_alias_bad", """
-        class Router:
-            def tick(self, now):
-                joins = self._join_log
-                joins.add(0, 1, False, now)
-    """)
-    assert "H205" in rules_hit(findings)
-
-
-def test_h205_accepts_attribute_and_alias_guards(tmp_path):
-    findings = check_snippet(tmp_path, "repro.network.probes_ok", """
-        class Router:
-            def tick(self, now):
-                if self._join_log is not None:
-                    self._join_log.add(0, 1, False, now)
-                forwards = self._forward_log
-                if forwards is not None:
-                    forwards.add(0, now)
-    """)
-    assert "H205" not in rules_hit(findings)
-
-
 # ----------------------------------------------------------------- suppressions
 def test_line_suppression_silences_one_rule(tmp_path):
     findings = check_snippet(tmp_path, "repro.stats.suppressed", """
@@ -308,6 +202,12 @@ def test_main_reports_syntax_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["src"]) == 1
     assert "E999" in capsys.readouterr().out
+
+
+def test_list_rules_prints_every_registered_code(capsys):
+    assert main(["--list-rules"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert listed == {"D101", "D102", "D103", "D104", "D105", "D106"}
 
 
 def test_discover_files_skips_caches(tmp_path):

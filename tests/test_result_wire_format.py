@@ -16,6 +16,7 @@ import pickle
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -148,6 +149,30 @@ def test_a_corrupt_packed_plane_is_a_miss(tmp_path):
     rewritten = runner.cache.get(key)
     assert rewritten is not None
     _assert_bitwise_equal(rewritten.latencies_ns, baseline.latencies_ns)
+
+
+@pytest.mark.parametrize("field", ["latencies_ns", "hops"])
+@pytest.mark.parametrize("damage", ["not a 3-tuple", "missing"])
+def test_a_malformed_packed_field_is_a_miss(tmp_path, damage, field):
+    """A packed field that is not a ``(dtype, length, planes)`` triple, or
+    that is absent, is a ``ValueError`` when unpickled, so a cache miss."""
+    runner = SweepRunner(workers=1, cache_dir=tmp_path)
+    spec = _spec()
+    data = ExperimentResultData.from_result(run_experiment(spec))
+    # The packed state as the cache writes it, pickled as a plain __dict__.
+    data.__dict__ = data.__getstate__()
+    if damage == "missing":
+        delattr(data, field)
+    else:
+        setattr(data, field, 42)
+    blob = _unpacked_format(data)
+    with pytest.raises(ValueError, match="corrupt packed array"):
+        pickle.loads(blob)
+    key = spec_fingerprint(spec)
+    entry = tmp_path / f"{key}.pkl"
+    entry.write_bytes(blob)
+    assert runner.cache.get(key) is None
+    assert not entry.exists()
 
 
 # -------------------------------------------------------------- pooled batch

@@ -248,6 +248,20 @@ def test_store_rejects_unsafe_checkpoint_ids(tmp_path):
         run_experiment(_spec(), save_state="", store=store)
 
 
+@pytest.mark.parametrize("bad", ["", ".", "..", "../sibling", "kept/../../sibling"])
+def test_store_remove_refuses_unsafe_ids(tmp_path, bad):
+    """Regression: ``remove("")`` deleted the whole store, and
+    ``remove("../sibling")`` a directory outside it."""
+    store = ArtifactStore(tmp_path / "store")
+    (tmp_path / "store" / "kept").mkdir(parents=True)
+    (tmp_path / "sibling").mkdir()
+    with pytest.raises(ValueError, match="invalid checkpoint id"):
+        store.remove(bad)
+    assert (tmp_path / "store" / "kept").is_dir()
+    assert (tmp_path / "sibling").is_dir()
+    assert store.remove("kept") and not (tmp_path / "store" / "kept").exists()
+
+
 def test_import_state_rejects_truncated_updates():
     state = _trained_network(_spec()).routing.export_state()
     state["updates"] = state["updates"][:-1]
